@@ -3,7 +3,8 @@ reproducible batch runs emitting JSON reports.
 
 Exit codes: 0 pass, 1 check failure, 2 malformed input. Reports embed the
 tool version, seed and budget; a repeated invocation with the same seed
-writes byte-identical output. SOFICLAB_SEED overrides the default seed.
+writes byte-identical output. An explicit --seed wins; without one,
+SOFICLAB_SEED overrides the default seed.
 """
 
 from __future__ import annotations
@@ -23,14 +24,14 @@ from .verify import DEFAULT_SEED, SuiteBudget
 
 
 def _seed(args) -> int:
+    if getattr(args, "seed", None) is not None:
+        return args.seed
     env = os.environ.get("SOFICLAB_SEED")
     if env is not None:
         try:
             return int(env)
         except ValueError:
             raise MalformedInputError(f"SOFICLAB_SEED must be an integer, got {env!r}")
-    if getattr(args, "seed", None) is not None:
-        return args.seed
     return DEFAULT_SEED
 
 

@@ -21,6 +21,10 @@ on the full group but differ for proper partial bisections, so d is not
 invariant under inversion in general; the exact correction is
 
     d(a^-1, b^-1) - d(a, b) = mass(r(a) u r(b)) - mass(s(a) u s(b)).
+
+PackedMonoid is the same monoid as integer tuples, which the verification
+suites run on; the Bisection operations are the reference it is tested
+against.
 """
 
 from __future__ import annotations
@@ -30,8 +34,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, permutations, product
-from math import comb, factorial
+from math import comb, factorial, lcm
 
+from . import cayley
 from .groupoid import Arrow, FiniteGroupoid, Unit
 
 
@@ -39,6 +44,10 @@ class UnionIncompatibleError(ValueError):
     def __init__(self, message, witness=None):
         super().__init__(message)
         self.witness = witness
+
+
+class ExtensionCertificateError(ValueError):
+    """The full-group completion of a bisection failed one of its checks."""
 
 
 class CapExceededError(RuntimeError):
@@ -224,7 +233,8 @@ def extend_to_full_group(gamma: Bisection) -> Bisection:
     s(gamma) and range outside r(gamma); the union of gamma, all stages and
     the untouched units is a full-group element containing gamma. Stage
     sources and ranges are checked disjoint and exactly covering, which in
-    the finite setting must hold on the nose.
+    the finite setting must hold on the nose; a failed check raises
+    ExtensionCertificateError.
     """
     g = gamma.groupoid
     arrows = set(gamma.arrows)
@@ -247,9 +257,11 @@ def extend_to_full_group(gamma: Bisection) -> Bisection:
         )
         if len(stage):
             for prev in seen_sources[1:]:
-                assert not (stage.source_units & prev)
+                if stage.source_units & prev:
+                    raise ExtensionCertificateError("stage sources overlap an earlier stage")
             for prev in seen_ranges[1:]:
-                assert not (stage.range_units & prev)
+                if stage.range_units & prev:
+                    raise ExtensionCertificateError("stage ranges overlap an earlier stage")
             seen_sources.append(stage.source_units)
             seen_ranges.append(stage.range_units)
             arrows |= set(stage.arrows)
@@ -258,14 +270,160 @@ def extend_to_full_group(gamma: Bisection) -> Bisection:
     touched = s_gamma | r_gamma
     covered_sources = frozenset().union(*seen_sources)
     covered_ranges = frozenset().union(*seen_ranges)
-    assert covered_sources == touched and covered_ranges == touched
+    if covered_sources != touched or covered_ranges != touched:
+        raise ExtensionCertificateError("stages do not exactly cover s(gamma) u r(gamma)")
     for u in g.units():
         if u not in touched:
             arrows.add(g.unit_arrow(u))
 
     out = Bisection(g, tuple(arrows))
-    assert out.is_full() and set(gamma.arrows) <= set(out.arrows)
+    if not out.is_full() or not set(gamma.arrows) <= set(out.arrows):
+        raise ExtensionCertificateError("completion is not a full-group element containing gamma")
     return out
+
+
+# ---------------------------------------------------------------------------
+# Packed kernel
+
+
+class PackedMonoid:
+    """[[G]] as integer tuples, for the suites' inner loops.
+
+    Units are numbered 0..N-1 in the order of g.units(). An element is a
+    tuple indexed by source unit whose entry is range_unit * M + group_label,
+    M the largest group order, or -1 where the element is undefined. The
+    encoding is injective, so tuple equality is Bisection equality. Unit
+    sets are bitmasks (bit u for unit u), and unit weights are integers over
+    the common denominator ``denom``, so trace, dist and mass return exact
+    integers that are the rational values times ``denom``.
+
+    Inputs are trusted: encode/decode convert from and to Bisection at the
+    boundary, and nothing in between is re-validated.
+    """
+
+    def __init__(self, g: FiniteGroupoid):
+        self.groupoid = g
+        self.units = list(g.units())
+        self._index = {u: i for i, u in enumerate(self.units)}
+        n = self.n_units = len(self.units)
+        m = self.order = max(c.group_order for c in g.components)
+        masses = [g.unit_mass(comp) for comp, _ in self.units]
+        self.denom = lcm(*(q.denominator for q in masses))
+        self.weights = tuple((q * self.denom).numerator for q in masses)
+        self.total = sum(self.weights)
+        self.full_mask = (1 << n) - 1
+        self._bits = tuple(1 << u for u in range(n))
+        self._identity = tuple(u * m for u in range(n))
+        self.one = self._identity
+        self.zero = (-1,) * n
+
+        # Tables over codes x = r * m + h, with one extra trailing slot that
+        # code -1 indexes: R[-1] = 0 and L[-1] = m select P[y][m] = -1, and
+        # P[-1] is all -1, so mul needs no branch for undefined entries.
+        codes = range(n * m)
+        self._R = [x // m for x in codes] + [0]
+        self._L = [x % m for x in codes] + [m]
+        tables = [c.table for c in g.components]
+        inverses = [cayley.inverses(t) for t in tables]
+        self._inv_label = [0] * (n * m)
+        self._P = []
+        for x in codes:
+            r, h = divmod(x, m)
+            comp = self.units[r][0]
+            table = tables[comp]
+            row = [-1] * (m + 1)
+            if h < len(table):
+                row[: len(table)] = [r * m + k for k in table[h]]
+                self._inv_label[x] = inverses[comp][h]
+            self._P.append(row)
+        self._P.append([-1] * (m + 1))
+
+        # mass of a mask, one table per 8-unit chunk: a single table over
+        # all 2^N masks would not fit for the large groupoids that sample
+        self._mass_chunks = []
+        for lo in range(0, n, 8):
+            chunk = self.weights[lo : lo + 8]
+            table = [0]
+            for w in chunk:
+                table += [t + w for t in table]
+            self._mass_chunks.append(table)
+
+    # -- boundary ----------------------------------------------------------
+
+    def encode(self, b: Bisection) -> tuple[int, ...]:
+        out = [-1] * self.n_units
+        idx, m = self._index, self.order
+        for a in b.arrows:
+            out[idx[a.source]] = idx[a.range] * m + a.g
+        return tuple(out)
+
+    def decode(self, x) -> Bisection:
+        units, m = self.units, self.order
+        arrows = []
+        for u, code in enumerate(x):
+            if code >= 0:
+                comp, y_from = units[u]
+                r, h = divmod(code, m)
+                arrows.append(Arrow(comp, h, units[r][1], y_from))
+        return Bisection(self.groupoid, tuple(arrows))
+
+    def mask(self, units) -> int:
+        idx = self._index
+        return sum(1 << idx[u] for u in units)
+
+    # -- algebra -----------------------------------------------------------
+
+    def mul(self, a, b) -> tuple[int, ...]:
+        """Product a*b: at each source u of b, a's entry at b's range, composed."""
+        P, R, L = self._P, self._R, self._L
+        return tuple([P[a[R[x]]][L[x]] for x in b])
+
+    def inv(self, a) -> tuple[int, ...]:
+        out = [-1] * self.n_units
+        R, lab, m = self._R, self._inv_label, self.order
+        for u, x in enumerate(a):
+            if x >= 0:
+                out[R[x]] = u * m + lab[x]
+        return tuple(out)
+
+    def trace(self, a) -> int:
+        return sum([w for w, x, i in zip(self.weights, a, self._identity) if x == i])
+
+    def dist(self, a, b) -> int:
+        """Weight of the source units where a and b differ."""
+        return sum([w for w, x, y in zip(self.weights, a, b) if x != y])
+
+    def mass(self, mask: int) -> int:
+        total = 0
+        for table in self._mass_chunks:
+            total += table[mask & 255]
+            mask >>= 8
+        return total
+
+    # -- unit sets ---------------------------------------------------------
+
+    def src(self, a) -> int:
+        return sum([bit for bit, x in zip(self._bits, a) if x >= 0])
+
+    def rng(self, a) -> int:
+        bits, R = self._bits, self._R
+        return sum([bits[R[x]] for x in a if x >= 0])
+
+    def fix(self, a) -> int:
+        return sum([bit for bit, x, i in zip(self._bits, a, self._identity) if x == i])
+
+    def supp(self, a) -> int:
+        return self.src(a) & ~self.fix(a)
+
+    def idem(self, mask: int) -> tuple[int, ...]:
+        """The unit arrows over a unit set."""
+        return tuple([i if mask >> u & 1 else -1 for u, i in enumerate(self._identity)])
+
+    def act(self, a, mask: int) -> int:
+        """Ranges of a over the sources in mask; for a full-group element,
+        the image of mask under its action."""
+        bits, R = self._bits, self._R
+        return sum([bits[R[x]] for u, x in enumerate(a) if x >= 0 and mask >> u & 1])
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ Every comparison is an exact rational (in)equality; epsilon thresholds are
 strict rational comparisons. Checks run exhaustively whenever the tuple
 count fits the budget cap and fall back to seeded sampling otherwise, and
 each report records which regime ran, so a report is a deterministic
-function of (inputs, seed, budget).
+function of (inputs, seed, budget). The inverse-monoid, metric-prop,
+trace-distance and supports suites encode their pools once into
+semigroup.PackedMonoid and run on its exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iproduct
-from math import lcm
 
 from .constructions import (
     SemigroupMap,
@@ -30,14 +31,13 @@ from .constructions import (
 from .groupoid import FiniteGroupoid, product_groupoid
 from .semigroup import (
     Bisection,
-    act,
+    PackedMonoid,
     empty_bisection,
     enumerate_group,
     enumerate_malg,
     enumerate_semigroup,
     extend_to_full_group,
     group_count,
-    idempotent,
     malg_count,
     sample_bisection,
     sample_full_group,
@@ -130,20 +130,6 @@ def _tuples(n: int, arity: int, budget: SuiteBudget):
         for _ in range(budget.sample_count)
     ]
     return sampled, False, len(sampled)
-
-
-def _weight_vector(g: FiniteGroupoid):
-    """Unit masses as integers over a common denominator."""
-    denom = lcm(*(g.unit_mass(c).denominator for c in range(len(g.components))))
-    w = {u: int(g.unit_mass(u[0]) * denom) for u in g.units()}
-    return denom, w
-
-
-def _dist_int(a: Bisection, b: Bisection, w) -> int:
-    mine, theirs = a.by_source, b.by_source
-    return sum(
-        w[u] for u in mine.keys() | theirs.keys() if mine.get(u) != theirs.get(u)
-    )
 
 
 def _arrows_repr(b: Bisection) -> list:
@@ -323,26 +309,39 @@ def _result(name, passed, **details) -> CheckResult:
     return CheckResult(name, passed, details)
 
 
+def _packed_pool(g: FiniteGroupoid, kind: str, budget: SuiteBudget):
+    """The kernel of g, the pool of `kind` as Bisections, the same pool
+    encoded, and whether it is exhaustive."""
+    pm = PackedMonoid(g)
+    elements, exhaustive = _elements(g, kind, budget)
+    return pm, elements, [pm.encode(a) for a in elements], exhaustive
+
+
 def suite_inverse_monoid(g: FiniteGroupoid, budget: SuiteBudget) -> list[CheckResult]:
-    elements, exhaustive = _elements(g, "semigroup", budget)
-    n = len(elements)
-    one = unit_bisection(g)
-    zero = empty_bisection(g)
+    pm, _, pool, exhaustive = _packed_pool(g, "semigroup", budget)
+    mul, inv = pm.mul, pm.inv
+    n = len(pool)
+    one, zero = pm.one, pm.zero
+    invs = [inv(a) for a in pool]
     checks = []
 
-    bad = [a for a in elements if not (a * one == a == one * a)]
+    bad = [a for a in pool if not (mul(a, one) == a == mul(one, a))]
     checks.append(_result("unit-law", not bad, tested=n, exhaustive=exhaustive))
-    bad = [a for a in elements if not (zero * a == zero == a * zero)]
+    bad = [a for a in pool if not (mul(zero, a) == zero == mul(a, zero))]
     checks.append(_result("zero-absorbing", not bad, tested=n, exhaustive=exhaustive))
 
-    bad = [a for a in elements if a * a.inverse() * a != a or a.inverse() * a * a.inverse() != a.inverse()]
+    bad = [
+        a
+        for a, ai in zip(pool, invs)
+        if mul(mul(a, ai), a) != a or mul(mul(ai, a), ai) != ai
+    ]
     checks.append(_result("inverse-law", not bad, tested=n, exhaustive=exhaustive))
 
     tuples, exh3, cnt3 = _tuples(n, 3, budget)
     viol = 0
     for ia, ib, ic in tuples:
-        a, b, c = elements[ia], elements[ib], elements[ic]
-        if (a * b) * c != a * (b * c):
+        a, b, c = pool[ia], pool[ib], pool[ic]
+        if mul(mul(a, b), c) != mul(a, mul(b, c)):
             viol += 1
     checks.append(
         _result("associativity", viol == 0, tested=cnt3, exhaustive=exh3, violations=viol)
@@ -351,20 +350,21 @@ def suite_inverse_monoid(g: FiniteGroupoid, budget: SuiteBudget) -> list[CheckRe
     pair_iter, exh2, cnt2 = _tuples(n, 2, budget)
     viol = 0
     for ia, ib in pair_iter:
-        a, b = elements[ia], elements[ib]
-        if a * b * a == a and b * a * b == b and b != a.inverse():
+        a, b = pool[ia], pool[ib]
+        if mul(mul(a, b), a) == a and mul(mul(b, a), b) == b and b != invs[ia]:
             viol += 1
     checks.append(
         _result("inverse-uniqueness", viol == 0, tested=cnt2, exhaustive=exh2, violations=viol)
     )
 
-    bad = [a for a in elements if a.is_idempotent() != (a * a == a)]
+    unit_sets = [pm.fix(a) == pm.src(a) for a in pool]
+    bad = [a for a, is_unit_set in zip(pool, unit_sets) if is_unit_set != (mul(a, a) == a)]
     checks.append(
         _result("idempotents-are-unit-sets", not bad, tested=n, exhaustive=exhaustive)
     )
 
-    idems = [a for a in elements if a.is_idempotent()]
-    viol = sum(1 for e in idems for f in idems if e * f != f * e)
+    idems = [a for a, is_unit_set in zip(pool, unit_sets) if is_unit_set]
+    viol = sum(1 for e in idems for f in idems if mul(e, f) != mul(f, e))
     checks.append(
         _result("idempotents-commute", viol == 0, tested=len(idems) ** 2, exhaustive=exhaustive)
     )
@@ -372,33 +372,28 @@ def suite_inverse_monoid(g: FiniteGroupoid, budget: SuiteBudget) -> list[CheckRe
 
 
 def suite_metric(g: FiniteGroupoid, budget: SuiteBudget) -> list[CheckResult]:
-    elements, exhaustive = _elements(g, "semigroup", budget)
-    n = len(elements)
-    denom, w = _weight_vector(g)
-    total = sum(w.values())
-    index = {a: i for i, a in enumerate(elements)}
-
-    def to_index(x: Bisection) -> int | None:
-        return index.get(x)
-
-    dist = [[_dist_int(a, b, w) for b in elements] for a in elements]
+    pm, elements, pool, exhaustive = _packed_pool(g, "semigroup", budget)
+    mul, dist, mass = pm.mul, pm.dist, pm.mass
+    n = len(pool)
+    total = pm.total
+    invs = [pm.inv(a) for a in pool]
+    src = [pm.src(a) for a in pool]
+    rng = [pm.rng(a) for a in pool]
+    dists = [[dist(a, b) for b in pool] for a in pool]
+    inv_dists = [[dist(a, b) for b in invs] for a in invs]
     checks = []
 
-    bad = [
-        a
-        for a in elements
-        if g.mass(a.source_units) != g.mass(a.range_units)
-    ]
+    bad = [i for i in range(n) if mass(src[i]) != mass(rng[i])]
     checks.append(_result("pmp-mass-law", not bad, tested=n, exhaustive=exhaustive))
 
-    viol = sum(1 for i in range(n) for j in range(n) if dist[i][j] != dist[j][i])
+    viol = sum(1 for i in range(n) for j in range(n) if dists[i][j] != dists[j][i])
     checks.append(_result("symmetry", viol == 0, tested=n * n, exhaustive=exhaustive))
 
     viol = sum(
         1
         for i in range(n)
         for j in range(n)
-        if (dist[i][j] == 0) != (elements[i] == elements[j])
+        if (dists[i][j] == 0) != (pool[i] == pool[j])
     )
     checks.append(
         _result("zero-iff-equal", viol == 0, tested=n * n, exhaustive=exhaustive)
@@ -407,40 +402,25 @@ def suite_metric(g: FiniteGroupoid, budget: SuiteBudget) -> list[CheckResult]:
     tuples, exh3, cnt3 = _tuples(n, 3, budget)
     viol = 0
     for ia, ib, ic in tuples:
-        if dist[ia][ic] > dist[ia][ib] + dist[ib][ic]:
+        if dists[ia][ic] > dists[ia][ib] + dists[ib][ic]:
             viol += 1
     checks.append(
         _result("triangle", viol == 0, tested=cnt3, exhaustive=exh3, violations=viol)
     )
 
-    inv_index = [index[a.inverse()] for a in elements] if exhaustive else None
     viol = 0
     witness = None
-    full = [i for i, a in enumerate(elements) if a.is_full()]
-    if inv_index is not None:
-        for i in range(n):
-            for j in range(n):
-                if dist[inv_index[i]][inv_index[j]] != dist[i][j]:
-                    viol += 1
-                    if witness is None:
-                        witness = (
-                            _arrows_repr(elements[i]),
-                            _arrows_repr(elements[j]),
-                        )
-        tested = n * n
-    else:
-        for a in elements:
-            for b in elements:
-                if _dist_int(a.inverse(), b.inverse(), w) != _dist_int(a, b, w):
-                    viol += 1
-                    if witness is None:
-                        witness = (_arrows_repr(a), _arrows_repr(b))
-        tested = n * n
+    for i in range(n):
+        for j in range(n):
+            if inv_dists[i][j] != dists[i][j]:
+                viol += 1
+                if witness is None:
+                    witness = (_arrows_repr(elements[i]), _arrows_repr(elements[j]))
     checks.append(
         _result(
             "inverse-invariance",
             viol == 0,
-            tested=tested,
+            tested=n * n,
             exhaustive=exhaustive,
             violations=viol,
             witness=witness,
@@ -448,12 +428,8 @@ def suite_metric(g: FiniteGroupoid, budget: SuiteBudget) -> list[CheckResult]:
         )
     )
 
-    viol = 0
-    for i in full:
-        for j in full:
-            a, b = elements[i], elements[j]
-            if _dist_int(a.inverse(), b.inverse(), w) != dist[i][j]:
-                viol += 1
+    full = [i for i in range(n) if src[i] == rng[i] == pm.full_mask]
+    viol = sum(1 for i in full for j in full if inv_dists[i][j] != dists[i][j])
     checks.append(
         _result(
             "inverse-invariance-full-group",
@@ -466,11 +442,8 @@ def suite_metric(g: FiniteGroupoid, budget: SuiteBudget) -> list[CheckResult]:
     viol = 0
     for i in range(n):
         for j in range(n):
-            a, b = elements[i], elements[j]
-            lhs = _dist_int(a.inverse(), b.inverse(), w) - dist[i][j]
-            rhs = sum(w[u] for u in a.range_units | b.range_units) - sum(
-                w[u] for u in a.source_units | b.source_units
-            )
+            lhs = inv_dists[i][j] - dists[i][j]
+            rhs = mass(rng[i] | rng[j]) - mass(src[i] | src[j])
             if lhs != rhs:
                 viol += 1
     checks.append(
@@ -482,22 +455,21 @@ def suite_metric(g: FiniteGroupoid, budget: SuiteBudget) -> list[CheckResult]:
         )
     )
 
-    prod_idx = None
-    if exhaustive:
-        prod_idx = [[to_index(a * b) for b in elements] for a in elements]
     quad_total = n**4
     viol = 0
-    if prod_idx is not None and quad_total <= budget.exhaustive_cap:
+    if exhaustive and quad_total <= budget.exhaustive_cap:
+        index = {a: i for i, a in enumerate(pool)}
+        prod_idx = [[index[mul(a, b)] for b in pool] for a in pool]
         rng_n = range(n)
         for ia in rng_n:
             prod_a = prod_idx[ia]
-            dist_a = dist[ia]
+            dist_a = dists[ia]
             for ic in rng_n:
                 d_ac = dist_a[ic]
                 prod_c = prod_idx[ic]
                 for ib in rng_n:
-                    row = dist[prod_a[ib]]
-                    dist_b = dist[ib]
+                    row = dists[prod_a[ib]]
+                    dist_b = dists[ib]
                     for idd in rng_n:
                         bound = d_ac + dist_b[idd]
                         if bound >= total:
@@ -508,8 +480,9 @@ def suite_metric(g: FiniteGroupoid, budget: SuiteBudget) -> list[CheckResult]:
     else:
         tuples4, exh4, tested = _tuples(n, 4, budget)
         for ia, ib, ic, idd in tuples4:
-            a, b, c, d = (elements[k] for k in (ia, ib, ic, idd))
-            if _dist_int(a * b, c * d, w) > dist[ia][ic] + dist[ib][idd]:
+            ab = mul(pool[ia], pool[ib])
+            cd = mul(pool[ic], pool[idd])
+            if dist(ab, cd) > dists[ia][ic] + dists[ib][idd]:
                 viol += 1
     checks.append(
         _result(
@@ -524,9 +497,9 @@ def suite_metric(g: FiniteGroupoid, budget: SuiteBudget) -> list[CheckResult]:
     pair_iter, exh2, cnt2 = _tuples(n, 2, budget)
     viol = 0
     for ia, ib in pair_iter:
-        a, b = elements[ia], elements[ib]
-        lhs = _dist_int(a, b.inverse(), w)
-        rhs = _dist_int(a, a * b * a, w) + _dist_int(b, b * a * b, w)
+        a, b = pool[ia], pool[ib]
+        lhs = dist(a, invs[ib])
+        rhs = dist(a, mul(mul(a, b), a)) + dist(b, mul(mul(b, a), b))
         if lhs > rhs:
             viol += 1
     checks.append(
@@ -542,32 +515,38 @@ def suite_metric(g: FiniteGroupoid, budget: SuiteBudget) -> list[CheckResult]:
 
 
 def suite_trace_distance(g: FiniteGroupoid, budget: SuiteBudget) -> list[CheckResult]:
-    elements, exhaustive = _elements(g, "semigroup", budget)
-    one = unit_bisection(g)
+    pm, _, pool, exhaustive = _packed_pool(g, "semigroup", budget)
+    mul, trace, dist = pm.mul, pm.trace, pm.dist
+    one, total = pm.one, pm.total
+    sources = [pm.idem(pm.src(a)) for a in pool]
+    source_traces = [trace(s) for s in sources]
+    invs = [pm.inv(a) for a in pool]
     checks = []
 
     bad = 0
-    for a in elements:
-        s = idempotent(g, a.source_units)
-        if a.trace() != 1 - s.distance(one) - s.distance(a):
+    for a, s in zip(pool, sources):
+        if trace(a) != total - dist(s, one) - dist(s, a):
             bad += 1
     checks.append(
         _result(
             "trace-from-distance",
             bad == 0,
-            tested=len(elements),
+            tested=len(pool),
             exhaustive=exhaustive,
         )
     )
 
-    pair_iter, exh2, cnt2 = _tuples(len(elements), 2, budget)
+    pair_iter, exh2, cnt2 = _tuples(len(pool), 2, budget)
     bad = 0
     for ia, ib in pair_iter:
-        a, b = elements[ia], elements[ib]
-        sa = idempotent(g, a.source_units)
-        sb = idempotent(g, b.source_units)
-        rhs = sa.trace() + sb.trace() - (sa * sb).trace() - (b.inverse() * a).trace()
-        if a.distance(b) != rhs:
+        a = pool[ia]
+        rhs = (
+            source_traces[ia]
+            + source_traces[ib]
+            - trace(mul(sources[ia], sources[ib]))
+            - trace(mul(invs[ib], a))
+        )
+        if dist(a, pool[ib]) != rhs:
             bad += 1
     checks.append(
         _result(
@@ -581,99 +560,112 @@ def suite_trace_distance(g: FiniteGroupoid, budget: SuiteBudget) -> list[CheckRe
 
 
 def suite_supports(g: FiniteGroupoid, budget: SuiteBudget) -> list[CheckResult]:
-    group, exhaustive = _elements(g, "group", budget)
-    malg, malg_exh = _elements(g, "malg", budget)
-    one = unit_bisection(g)
+    pm, _, group, exhaustive = _packed_pool(g, "group", budget)
+    malg_sets, malg_exh = _elements(g, "malg", budget)
+    malg = [pm.mask(units) for units in malg_sets]
+    mul, inv, dist, act, idem = pm.mul, pm.inv, pm.dist, pm.act, pm.idem
+    one, total = pm.one, pm.total
+    traces = [pm.trace(a) for a in group]
+    supps = [pm.supp(a) for a in group]
+    fixes = [pm.fix(a) for a in group]
+    moved = [dist(one, a) for a in group]
+    k = len(group)
     checks = []
 
     viol = 0
-    for a in group:
-        for b in group:
-            left = a.supp_units == b.fix_units
-            right = a.distance(b) == 1 and a.trace() + b.trace() == 1
+    for i, a in enumerate(group):
+        for j, b in enumerate(group):
+            left = supps[i] == fixes[j]
+            right = dist(a, b) == total and traces[i] + traces[j] == total
             if left != right:
                 viol += 1
     checks.append(
         _result(
             "supp-eq-fix",
             viol == 0,
-            tested=len(group) ** 2,
+            tested=k**2,
             exhaustive=exhaustive,
         )
     )
 
     viol = 0
-    for a in group:
-        for b in group:
-            left = not (a.supp_units & b.supp_units)
-            right = a.distance(b) == one.distance(a) + one.distance(b)
+    for i, a in enumerate(group):
+        for j, b in enumerate(group):
+            left = not (supps[i] & supps[j])
+            right = dist(a, b) == moved[i] + moved[j]
             if left != right:
                 viol += 1
     checks.append(
         _result(
             "disjoint-supports",
             viol == 0,
-            tested=len(group) ** 2,
+            tested=k**2,
             exhaustive=exhaustive,
         )
     )
 
     viol = 0
     for a in group:
-        inv = a.inverse()
-        for b in group:
-            if (a * b * inv).supp_units != act(a, b.supp_units):
+        a_inv = inv(a)
+        for b, supp_b in zip(group, supps):
+            if pm.supp(mul(mul(a, b), a_inv)) != act(a, supp_b):
                 viol += 1
     checks.append(
         _result(
             "covariance",
             viol == 0,
-            tested=len(group) ** 2,
+            tested=k**2,
             exhaustive=exhaustive,
         )
     )
 
-    viol = 0
-    for a in group:
-        for units in malg:
-            image = act(a, units)
-            if g.mass(image) != g.mass(units):
-                viol += 1
+    images = [[act(a, units) for units in malg] for a in group]
+    viol = sum(
+        1
+        for row in images
+        for units, image in zip(malg, row)
+        if pm.mass(image) != pm.mass(units)
+    )
     checks.append(
         _result(
             "action-preserves-mass",
             viol == 0,
-            tested=len(group) * len(malg),
+            tested=k * len(malg),
             exhaustive=exhaustive and malg_exh,
         )
     )
 
     viol = 0
-    for a in group:
-        for units_a in malg:
-            for units_b in malg:
-                if units_a <= units_b and not act(a, units_a) <= act(a, units_b):
+    for row in images:
+        for units_a, image_a in zip(malg, row):
+            for units_b, image_b in zip(malg, row):
+                if not units_a & ~units_b and image_a & ~image_b:
                     viol += 1
     checks.append(
         _result(
             "action-preserves-order",
             viol == 0,
-            tested=len(group) * len(malg) ** 2,
+            tested=k * len(malg) ** 2,
             exhaustive=exhaustive and malg_exh,
         )
     )
 
-    quad_iter, exh4, cnt4 = _tuples(len(group), 2, budget)
+    corners = [[mul(a, idem(units)) for units in malg] for a in group]
+    pulled = [[act(inv(b), units) for units in malg] for b in group]
+    restrictions = {}
+    quad_iter, exh4, cnt4 = _tuples(k, 2, budget)
     viol = 0
     for ia, ib in quad_iter:
-        ap, bp = group[ia], group[ib]
-        binv = bp.inverse()
-        for units_a in malg:
-            for units_b in malg:
-                left = (ap * idempotent(g, units_a)) * (bp * idempotent(g, units_b))
-                pulled = act(binv, units_a)
-                right = ap * bp * idempotent(g, frozenset(units_b) & pulled)
-                if left != right:
+        ab = mul(group[ia], group[ib])
+        corners_b = corners[ib]
+        for corner_a, pulled_a in zip(corners[ia], pulled[ib]):
+            for units_b, corner_b in zip(malg, corners_b):
+                left = mul(corner_a, corner_b)
+                meet = units_b & pulled_a
+                e = restrictions.get(meet)
+                if e is None:
+                    e = restrictions[meet] = idem(meet)
+                if left != mul(ab, e):
                     viol += 1
     checks.append(
         _result(

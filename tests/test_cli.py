@@ -159,11 +159,11 @@ def test_suite_seed_env_override(files, capsys, monkeypatch):
     code, out, _ = run(capsys, "suite", "--name", "ladder", "--n", "2", "--p-list", "3,4")
     assert code == 0
     assert json.loads(out)["seed"] == 99
-    # the environment variable wins even over an explicit flag
+    # an explicit flag wins over the environment variable
     code, out, _ = run(
         capsys, "suite", "--name", "ladder", "--n", "2", "--p-list", "3,4", "--seed", "5"
     )
-    assert json.loads(out)["seed"] == 99
+    assert json.loads(out)["seed"] == 5
 
 
 def test_suite_failure_exit_code(files, capsys):

@@ -9,6 +9,7 @@ from soficlab.groupoid import Arrow, connected_groupoid, full_relation
 from soficlab.semigroup import (
     Bisection,
     CapExceededError,
+    ExtensionCertificateError,
     UnionIncompatibleError,
     act,
     bisection,
@@ -236,6 +237,13 @@ class TestExtendToFullGroup:
         assert ext.is_full()
         assert Arrow(0, 1, 1, 0) in set(ext.arrows)
         assert ext * ext == unit_bisection(Z2Y2)
+
+    def test_failed_certificate_raises_named_error(self, monkeypatch):
+        # with inversion broken there are no stages, so s(gamma) u r(gamma)
+        # is not covered; the check must raise, also under python -O
+        monkeypatch.setattr(Bisection, "inverse", lambda self: empty_bisection(self.groupoid))
+        with pytest.raises(ExtensionCertificateError, match="cover"):
+            extend_to_full_group(pin(G3, {0: 1}))
 
 
 class TestEnumerate:

@@ -1,10 +1,11 @@
 """Command-line surface: ingestion, constructions and verification as
 reproducible batch runs emitting JSON reports.
 
-Exit codes: 0 pass, 1 check failure, 2 malformed input. Reports embed the
-tool version, seed and budget; a repeated invocation with the same seed
-writes byte-identical output. An explicit --seed wins; without one,
-SOFICLAB_SEED overrides the default seed.
+Exit codes: 0 pass, 1 check failure (a failed certificate included), 2
+malformed input. Reports embed the tool version, seed and budget; a
+repeated invocation with the same seed writes byte-identical output. An
+explicit --seed wins; without one, SOFICLAB_SEED overrides the default
+seed.
 """
 
 from __future__ import annotations
@@ -19,7 +20,12 @@ from . import serialize as sz
 from . import verify as vf
 from .groupoid import MalformedInputError, decompose, full_relation, validate_raw
 from .rationals import parse_fraction
-from .semigroup import CapExceededError, enumerate_semigroup, extend_to_full_group
+from .semigroup import (
+    CapExceededError,
+    CertificateError,
+    enumerate_semigroup,
+    extend_to_full_group,
+)
 from .verify import DEFAULT_SEED, SuiteBudget
 
 
@@ -385,6 +391,10 @@ def main(argv=None) -> int:
         return 2
     except cn.NoTransversalError as exc:
         print(f"no transversal system: {exc}", file=sys.stderr)
+        return 1
+    except CertificateError as exc:
+        # also semigroup.ExtensionCertificateError, a subclass
+        print(f"certificate error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, KeyError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -26,7 +26,7 @@ from .groupoid import (
     subgroupoid_as_groupoid,
     subgroupoid_violations,
 )
-from .semigroup import Bisection, idempotent
+from .semigroup import Bisection, CertificateError, idempotent
 from . import symmetric
 
 
@@ -421,7 +421,9 @@ def find_transversals(g: FiniteGroupoid, sub_arrows) -> TransversalSystem:
         arrows = chosen[i * per_row : (i + 1) * per_row]
         transversals.append(Bisection(g, tuple(arrows)))
     system = TransversalSystem(g, sub_arrows, tuple(transversals))
-    assert not system.violations()
+    problems = system.violations()
+    if problems:
+        raise CertificateError(f"transversal search returned an invalid system: {problems[0]}")
     return system
 
 
@@ -633,8 +635,11 @@ def rectangle_decompose(
                 break
 
     union = RectangleUnion(ps, tuple(parts))
-    assert not union.violations()
-    assert union.as_bisection() == phi
+    problems = union.violations()
+    if problems:
+        raise CertificateError(f"rectangle decomposition breaks disjointness: {problems[0]}")
+    if union.as_bisection() != phi:
+        raise CertificateError("rectangle decomposition does not reassemble the bisection")
     return union
 
 
@@ -643,8 +648,9 @@ def product_embedding(
 ) -> Bisection:
     """Apply phi x psi to a rectangle union: map each factor and reassemble.
 
-    Trace preservation is asserted on the factors actually used; the result
-    does not depend on which decomposition of the same bisection is given.
+    Trace preservation is checked on the factors actually used, raising
+    CertificateError on a failure; the result does not depend on which
+    decomposition of the same bisection is given.
     """
     if u.product.left != phi.domain or u.product.right != psi.domain:
         raise ValueError("rectangle union does not match the map domains")
@@ -655,7 +661,8 @@ def product_embedding(
     arrows = []
     for a, b in u.parts:
         fa, fb = phi(a), psi(b)
-        assert fa.trace() == a.trace() and fb.trace() == b.trace()
+        if fa.trace() != a.trace() or fb.trace() != b.trace():
+            raise CertificateError(f"{phi.label} x {psi.label} does not preserve the trace of a factor")
         arrows.extend(rectangle(out_ps, fa, fb).arrows)
     return Bisection(out_ps.groupoid, tuple(arrows))
 

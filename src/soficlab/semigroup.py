@@ -46,7 +46,12 @@ class UnionIncompatibleError(ValueError):
         self.witness = witness
 
 
-class ExtensionCertificateError(ValueError):
+class CertificateError(ValueError):
+    """A construction failed one of the exactness checks it certifies itself
+    with; this is a failed check, not malformed input."""
+
+
+class ExtensionCertificateError(CertificateError):
     """The full-group completion of a bisection failed one of its checks."""
 
 

@@ -12,7 +12,14 @@ import os
 import tempfile
 from fractions import Fraction
 
-from .groupoid import Arrow, Component, FiniteGroupoid, RawGroupoid, make_groupoid
+from .groupoid import (
+    Arrow,
+    Component,
+    FiniteGroupoid,
+    MalformedInputError,
+    RawGroupoid,
+    make_groupoid,
+)
 from .rationals import format_fraction, parse_fraction
 from .semigroup import Bisection
 from .symmetric import DistortionReport, PartialInjection
@@ -57,18 +64,32 @@ def groupoid_to_json(g: FiniteGroupoid) -> dict:
     }
 
 
+def _integer(x, what: str) -> int:
+    """A JSON integer; booleans, floats and strings are malformed."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise MalformedInputError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
 def parse_groupoid(obj: dict) -> FiniteGroupoid:
-    comps = obj.get("components")
+    comps = obj.get("components") if isinstance(obj, dict) else None
     if not isinstance(comps, list) or not comps:
-        raise ValueError("groupoid file needs a nonempty components list")
-    return make_groupoid(
-        Component(
-            tuple(tuple(row) for row in c["group_table"]),
-            int(c["base_size"]),
-            parse_fraction(c["weight"]),
+        raise MalformedInputError("groupoid file needs a nonempty components list")
+    parsed = []
+    for i, c in enumerate(comps):
+        if not isinstance(c, dict):
+            raise MalformedInputError(f"component {i} must be an object")
+        table = c.get("group_table")
+        if not isinstance(table, list) or not all(isinstance(row, list) for row in table):
+            raise MalformedInputError(f"component {i}: group_table must be a list of rows")
+        parsed.append(
+            Component(
+                tuple(tuple(_integer(x, f"component {i}: group_table entry") for x in row) for row in table),
+                _integer(c.get("base_size"), f"component {i}: base_size"),
+                parse_fraction(c.get("weight")),
+            )
         )
-        for c in comps
-    )
+    return make_groupoid(parsed)
 
 
 def _parse_id(x):
@@ -125,12 +146,24 @@ def bisection_to_json(b: Bisection) -> dict:
     return {"arrows": [list(a) for a in b.arrows]}
 
 
+def _parse_arrows(obj: dict) -> list[Arrow]:
+    arrows = obj.get("arrows") if isinstance(obj, dict) else None
+    if not isinstance(arrows, list):
+        raise MalformedInputError('expected {"arrows": [[comp, g, y_to, y_from], ...]}')
+    out = []
+    for a in arrows:
+        if not isinstance(a, list) or len(a) != len(Arrow._fields):
+            raise MalformedInputError(f"arrow {a!r} must be [comp, g, y_to, y_from]")
+        out.append(Arrow(*(_integer(x, "arrow field") for x in a)))
+    return out
+
+
 def parse_bisection(g: FiniteGroupoid, obj: dict) -> Bisection:
-    return Bisection(g, tuple(Arrow(*map(int, a)) for a in obj["arrows"]))
+    return Bisection(g, tuple(_parse_arrows(obj)))
 
 
 def parse_arrow_set(obj: dict) -> frozenset:
-    return frozenset(Arrow(*map(int, a)) for a in obj["arrows"])
+    return frozenset(_parse_arrows(obj))
 
 
 def arrow_set_to_json(arrows) -> dict:

@@ -7,7 +7,10 @@ count fits the budget cap and fall back to seeded sampling otherwise, and
 each report records which regime ran, so a report is a deterministic
 function of (inputs, seed, budget). The inverse-monoid, metric-prop,
 trace-distance and supports suites encode their pools once into
-semigroup.PackedMonoid and run on its exact integer arithmetic.
+semigroup.PackedMonoid and run on its exact integer arithmetic, and so
+does check_embedding, on a packed domain and codomain: it evaluates the
+map once per distinct element (each pool element, then each product not
+yet mapped) instead of once per pair.
 """
 
 from __future__ import annotations
@@ -252,36 +255,50 @@ def check_embedding(m: SemigroupMap, budget: SuiteBudget | None = None) -> Embed
     For an exactly multiplicative unit-preserving map, trace preservation
     and isometry are equivalent; the report cross-checks that equivalence
     concretely and flags any discrepancy as an implementation bug.
+
+    Domain and codomain are packed; deviations are exact integers, the
+    distance and trace ones over dom.denom * cod.denom. Evaluators are pure
+    functions of a frozen Bisection, so the map runs once per distinct
+    element: the pool, then each product that is not yet mapped.
     """
     budget = budget or SuiteBudget()
-    elements, exhaustive = _elements(m.domain, "semigroup", budget)
-    n = len(elements)
+    dom, elements, pool, exhaustive = _packed_pool(m.domain, "semigroup", budget)
+    cod = PackedMonoid(m.codomain)
+    n = len(pool)
     pair_iter, pairs_exhaustive, pair_count = _tuples(n, 2, budget)
     exhaustive = exhaustive and pairs_exhaustive
 
-    images = [m(a) for a in elements]
-    unit_ok = m(unit_bisection(m.domain)) == unit_bisection(m.codomain)
-    injective = len(set(images)) == len(set(elements))
+    images = [cod.encode(m(a)) for a in elements]
+    mapped = dict(zip(pool, images))
 
-    prod_dev = Fraction(0)
-    trace_dev = Fraction(0)
-    dist_dev = Fraction(0)
+    def image(x):
+        fx = mapped.get(x)
+        if fx is None:
+            fx = mapped[x] = cod.encode(m(dom.decode(x)))
+        return fx
+
+    unit_ok = image(dom.one) == cod.one
+    injective = len(set(images)) == n
+
+    d_dom, d_cod = dom.denom, cod.denom
+    prod_dev = trace_dev = dist_dev = 0
     witnesses = {}
-    for a, fa in zip(elements, images):
-        dev = abs(a.trace() - fa.trace())
+    for a, x, fx in zip(elements, pool, images):
+        dev = abs(dom.trace(x) * d_cod - cod.trace(fx) * d_dom)
         if dev > trace_dev:
             trace_dev = dev
             witnesses["trace"] = a
+    dom_mul, dom_dist, cod_mul, cod_dist = dom.mul, dom.dist, cod.mul, cod.dist
     for ia, ib in pair_iter:
-        a, b = elements[ia], elements[ib]
-        dev = m(a * b).distance(images[ia] * images[ib])
+        x, y, fx, fy = pool[ia], pool[ib], images[ia], images[ib]
+        dev = cod_dist(image(dom_mul(x, y)), cod_mul(fx, fy))
         if dev > prod_dev:
             prod_dev = dev
-            witnesses["product"] = (a, b)
-        dev = abs(a.distance(b) - images[ia].distance(images[ib]))
+            witnesses["product"] = (elements[ia], elements[ib])
+        dev = abs(dom_dist(x, y) * d_cod - cod_dist(fx, fy) * d_dom)
         if dev > dist_dev:
             dist_dev = dev
-            witnesses["distance"] = (a, b)
+            witnesses["distance"] = (elements[ia], elements[ib])
 
     consistent = True
     if prod_dev == 0 and unit_ok:
@@ -291,9 +308,9 @@ def check_embedding(m: SemigroupMap, budget: SuiteBudget | None = None) -> Embed
         element_count=n,
         pair_count=pair_count,
         exhaustive=exhaustive,
-        max_product_deviation=prod_dev,
-        max_trace_deviation=trace_dev,
-        max_distance_deviation=dist_dev,
+        max_product_deviation=Fraction(prod_dev, d_cod),
+        max_trace_deviation=Fraction(trace_dev, d_dom * d_cod),
+        max_distance_deviation=Fraction(dist_dev, d_dom * d_cod),
         unit_preserved=unit_ok,
         injective=injective,
         trace_iso_consistent=consistent,

@@ -255,3 +255,36 @@ def test_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "validate", "/nonexistent/raw.json")
     assert code == 2
     assert "missing input file" in err
+
+
+@pytest.mark.parametrize(
+    "groupoid,gamma,message",
+    [
+        ({"group_table": [[0]], "base_size": None, "weight": "1/1"}, [[0, 0, 1, 0]], "base_size"),
+        ({"group_table": [[0]], "base_size": 3, "weight": "1/1"}, [[0, 0, 1]], "comp, g, y_to, y_from"),
+        ({"group_table": [[0]], "base_size": 3, "weight": True}, [[0, 0, 1, 0]], "rational"),
+    ],
+    ids=["null-base-size", "three-field-arrow", "boolean-weight"],
+)
+def test_malformed_json_shapes_exit_2(files, capsys, groupoid, gamma, message):
+    tmp, write = files
+    g = write("g.json", {"components": [groupoid]})
+    b = write("b.json", {"arrows": gamma})
+    code, out, err = run(capsys, "extend", g, b)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error:") and message in err
+
+
+def test_failed_certificate_exits_1(files, capsys, monkeypatch):
+    # a failed certificate is a failed check, not malformed input
+    from soficlab.constructions import TransversalSystem
+
+    tmp, write = files
+    z4 = write("z4.json", groupoid_to_json(__import__("soficlab").group_groupoid(cayley.cyclic(4))))
+    sub = write("sub.json", {"arrows": [[0, 0, 0, 0], [0, 2, 0, 0]]})
+    monkeypatch.setattr(TransversalSystem, "violations", lambda self: ["forced"])
+    code, out, err = run(capsys, "embed", "--kind", "index", "--groupoid", z4, "--sub", sub)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("certificate error:") and "forced" in err

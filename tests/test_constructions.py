@@ -13,7 +13,9 @@ from soficlab.groupoid import (
     product_groupoid,
 )
 from soficlab.constructions import (
+    CertificateError,
     NoTransversalError,
+    RectangleUnion,
     TransversalSystem,
     block_components,
     embed_connected,
@@ -230,6 +232,12 @@ class TestFindTransversals:
         assert system.index == 2
         assert sorted(a.g for a in system.transversals[1].arrows) == [1]
 
+    def test_failed_certificate_raises_named_error(self, monkeypatch):
+        # the returned system is checked explicitly, also under python -O
+        monkeypatch.setattr(TransversalSystem, "violations", lambda self: ["forced"])
+        with pytest.raises(CertificateError, match="forced"):
+            find_transversals(Z4, group_subgroupoid(Z4, [0, 2]))
+
     def test_not_unit_full_rejected(self):
         with pytest.raises(ValueError):
             find_transversals(REL2, frozenset([REL2.unit_arrow((0, 0))]))
@@ -354,6 +362,25 @@ class TestRectangles:
         for a in enumerate_semigroup(REL2):
             for b in enumerate_semigroup(REL2):
                 assert rectangle(self.PS, a, b).trace() == a.trace() * b.trace()
+
+    def test_broken_disjointness_raises_named_error(self, monkeypatch):
+        monkeypatch.setattr(RectangleUnion, "violations", lambda self: ["forced overlap"])
+        with pytest.raises(CertificateError, match="forced overlap"):
+            rectangle_decompose(self.PS, unit_bisection(self.PS.groupoid))
+
+    def test_wrong_reassembly_raises_named_error(self, monkeypatch):
+        monkeypatch.setattr(
+            RectangleUnion, "as_bisection", lambda self: empty_bisection(self.product.groupoid)
+        )
+        with pytest.raises(CertificateError, match="reassemble"):
+            rectangle_decompose(self.PS, unit_bisection(self.PS.groupoid))
+
+    def test_trace_changing_factor_raises_named_error(self, monkeypatch):
+        u = rectangle_decompose(self.PS, unit_bisection(self.PS.groupoid))
+        mid = identity_map(REL2)
+        monkeypatch.setattr(mid, "evaluator", lambda a: empty_bisection(REL2))
+        with pytest.raises(CertificateError, match="trace"):
+            product_embedding(mid, identity_map(REL2), u)
 
     def test_product_embedding_with_real_stages(self):
         phi_m = embed_connected(Z2)

@@ -1,9 +1,11 @@
 """Differential tests of the packed kernel against the Bisection operations,
-and golden reports of the suites that run on it.
+and golden reports of the suites and the embedding certificate that run on it.
 
 The golden files under tests/golden/ were written by the Bisection-based
-suite bodies that the packed kernel replaced; the rewritten suites must
-reproduce them byte for byte.
+suite bodies and check_embedding loop that the packed kernel replaced; the
+rewritten code must reproduce them byte for byte. The replaced
+check_embedding loop is also kept below as a reference, and its reports
+must equal the library's, witnesses included.
 """
 
 import random
@@ -14,6 +16,17 @@ from pathlib import Path
 import pytest
 
 from soficlab import cayley
+from soficlab.constructions import (
+    SemigroupMap,
+    embed_connected,
+    embed_convex,
+    embed_convex_pair,
+    find_transversals,
+    finite_index_map,
+    general_map,
+    group_subgroupoid,
+    step_map,
+)
 from soficlab.groupoid import (
     connected_groupoid,
     convex_combination,
@@ -21,6 +34,7 @@ from soficlab.groupoid import (
     group_groupoid,
 )
 from soficlab.semigroup import (
+    Bisection,
     PackedMonoid,
     act,
     enumerate_group,
@@ -28,9 +42,17 @@ from soficlab.semigroup import (
     enumerate_semigroup,
     idempotent,
     sample_bisection,
+    unit_bisection,
 )
-from soficlab.serialize import dumps, suite_result_to_json
-from soficlab.verify import SuiteBudget, run_suite
+from soficlab.serialize import dumps, embedding_report_to_json, suite_result_to_json
+from soficlab.verify import (
+    EmbeddingReport,
+    SuiteBudget,
+    _elements,
+    _tuples,
+    check_embedding,
+    run_suite,
+)
 
 HALF = Fraction(1, 2)
 GROUPOIDS = {
@@ -167,3 +189,120 @@ def test_sampled_elements_of_a_ten_unit_groupoid():
         assert Fraction(pm.trace(x), pm.denom) == a.trace()
         assert Fraction(pm.dist(x, y), pm.denom) == a.distance(b)
         assert pm.supp(x) == pm.mask(a.supp_units)
+
+
+# ---------------------------------------------------------------------------
+# The embedding certificate against the Bisection reference
+
+
+def reference_check_embedding(m, budget) -> EmbeddingReport:
+    """check_embedding on Bisection algebra: the map is evaluated on every
+    product, and deviations are Fractions."""
+    elements, exhaustive = _elements(m.domain, "semigroup", budget)
+    n = len(elements)
+    pair_iter, pairs_exhaustive, pair_count = _tuples(n, 2, budget)
+    exhaustive = exhaustive and pairs_exhaustive
+
+    images = [m(a) for a in elements]
+    unit_ok = m(unit_bisection(m.domain)) == unit_bisection(m.codomain)
+    injective = len(set(images)) == len(set(elements))
+
+    prod_dev = trace_dev = dist_dev = Fraction(0)
+    witnesses = {}
+    for a, fa in zip(elements, images):
+        dev = abs(a.trace() - fa.trace())
+        if dev > trace_dev:
+            trace_dev = dev
+            witnesses["trace"] = a
+    for ia, ib in pair_iter:
+        a, b = elements[ia], elements[ib]
+        dev = m(a * b).distance(images[ia] * images[ib])
+        if dev > prod_dev:
+            prod_dev = dev
+            witnesses["product"] = (a, b)
+        dev = abs(a.distance(b) - images[ia].distance(images[ib]))
+        if dev > dist_dev:
+            dist_dev = dev
+            witnesses["distance"] = (a, b)
+
+    consistent = True
+    if prod_dev == 0 and unit_ok:
+        consistent = (trace_dev == 0) == (dist_dev == 0)
+    return EmbeddingReport(
+        label=m.label,
+        element_count=n,
+        pair_count=pair_count,
+        exhaustive=exhaustive,
+        max_product_deviation=prod_dev,
+        max_trace_deviation=trace_dev,
+        max_distance_deviation=dist_dev,
+        unit_preserved=unit_ok,
+        injective=injective,
+        trace_iso_consistent=consistent,
+        witnesses=witnesses,
+    )
+
+
+def two_components(t):
+    """Z2 with weight t beside [[2]] with weight 1 - t."""
+    return convex_combination(
+        [(t, group_groupoid(cayley.cyclic(2))), (1 - t, full_relation(2))]
+    )
+
+
+def drop_first_arrow(m: SemigroupMap) -> SemigroupMap:
+    """A broken map: every image loses its first arrow."""
+
+    def run(alpha):
+        return Bisection(m.codomain, m(alpha).arrows[1:])
+
+    return SemigroupMap(m.domain, m.codomain, run, f"dropped.{m.label}")
+
+
+def forget_labels(m: SemigroupMap) -> SemigroupMap:
+    """A broken map: group labels are dropped before m runs. It stays
+    multiplicative but is neither injective nor trace-preserving."""
+
+    def run(alpha):
+        return m(Bisection(m.domain, tuple(a._replace(g=0) for a in alpha.arrows)))
+
+    return SemigroupMap(m.domain, m.codomain, run, f"collapsed.{m.label}")
+
+
+def s3_over_z3():
+    s3 = group_groupoid(cayley.symmetric(3))
+    return finite_index_map(find_transversals(s3, group_subgroupoid(s3, [0, 3, 4])))
+
+
+THIRD = Fraction(1, 3)
+EMBEDDINGS = {
+    "connected-z2y2": lambda: embed_connected(GROUPOIDS["z2y2"]),
+    "convex-z2+y2": lambda: embed_convex(two_components(THIRD)),
+    "pair-z2+y2": lambda: embed_convex_pair(
+        embed_convex(two_components(THIRD)), embed_convex(two_components(2 * THIRD)), THIRD
+    ),
+    "index-s3-z3": s3_over_z3,
+    "step-2": lambda: step_map(2),
+    "ladder-3-7": lambda: general_map(3, 7),
+    "dropped-connected-z2y2": lambda: drop_first_arrow(embed_connected(GROUPOIDS["z2y2"])),
+    "collapsed-connected-z2y2": lambda: forget_labels(embed_connected(GROUPOIDS["z2y2"])),
+}
+# the small budget samples the pairs of every case, and the pools of the 21-
+# and 34-element domains, whose products then leave the pool
+EMBEDDING_BUDGETS = {"exhaustive": SuiteBudget(), "sampled": SMALL}
+EMBEDDING_CASES = [(case, regime) for case in EMBEDDINGS for regime in EMBEDDING_BUDGETS]
+EMBEDDING_IDS = [f"{case}-{regime}" for case, regime in EMBEDDING_CASES]
+
+
+@pytest.mark.parametrize("case,regime", EMBEDDING_CASES, ids=EMBEDDING_IDS)
+def test_embedding_report_matches_reference(case, regime):
+    m, budget = EMBEDDINGS[case](), EMBEDDING_BUDGETS[regime]
+    assert check_embedding(m, budget) == reference_check_embedding(m, budget)
+
+
+@pytest.mark.parametrize("case,regime", EMBEDDING_CASES, ids=EMBEDDING_IDS)
+def test_embedding_report_matches_golden(case, regime):
+    report = check_embedding(EMBEDDINGS[case](), EMBEDDING_BUDGETS[regime])
+    expected = (GOLDEN_DIR / f"embedding-{case}-{regime}.json").read_text()
+    assert dumps(embedding_report_to_json(report)) == expected
+

@@ -5,6 +5,12 @@ domain's bisections, and the companion certificates (see verify) confirm
 multiplicativity, trace preservation and isometry exactly on whatever set
 is exercised. At this finite scale every construction is exact, not
 approximate.
+
+The identity, connected, convex and pair embeddings are arrow maps: the
+image of a bisection is the union of the images of its arrows. arrow_map
+tabulates those images once per domain arrow, validating each entry; the
+evaluator then only takes unions, and SemigroupMap.packed gathers the
+same table on packed codes for the certificate.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
-from math import lcm
+from math import lcm, prod
 from typing import Callable
 
 from .groupoid import (
@@ -26,7 +32,7 @@ from .groupoid import (
     subgroupoid_as_groupoid,
     subgroupoid_violations,
 )
-from .semigroup import Bisection, CertificateError, idempotent
+from .semigroup import Bisection, CertificateError, PackedMonoid, idempotent
 from . import symmetric
 
 
@@ -36,10 +42,15 @@ class NoTransversalError(RuntimeError):
 
 @dataclass(eq=False)
 class SemigroupMap:
+    """A map [[domain]] -> [[codomain]]; arrow_images is the table of an
+    arrow map (see arrow_map), from each domain arrow to the Bisection of
+    the codomain it maps to, and None for any other map."""
+
     domain: FiniteGroupoid
     codomain: FiniteGroupoid
     evaluator: Callable[[Bisection], Bisection]
     label: str
+    arrow_images: dict | None = None
 
     def __call__(self, alpha: Bisection) -> Bisection:
         if alpha.groupoid != self.domain:
@@ -49,20 +60,73 @@ class SemigroupMap:
             raise ValueError(f"evaluator of {self.label} left its codomain")
         return out
 
+    def packed(self, dom: PackedMonoid, cod: PackedMonoid) -> Callable:
+        """The map on packed codes: a code of dom to a code of cod.
+
+        An arrow map gathers its table: each (source unit, code) of dom is
+        one domain arrow, precomputed as the codomain (source, code) pieces
+        of its image. Two pieces at one codomain source or range raise the
+        ValueError that Bisection raises for the same union. Any other map
+        runs its evaluator between decode and encode.
+        """
+        if dom.groupoid != self.domain or cod.groupoid != self.codomain:
+            raise ValueError(f"packed kernels do not match the groupoids of {self.label}")
+        if self.arrow_images is None:
+            return lambda x: cod.encode(self(dom.decode(x)))
+
+        rows = [[None] * (dom.n_units * dom.order) for _ in dom.units]
+        for a, image in self.arrow_images.items():
+            u, x = dom.place(a)
+            y = cod.encode(image)
+            rows[u][x] = (cod.src(y), cod.rng(y), tuple((s, v) for s, v in enumerate(y) if v >= 0))
+        n = cod.n_units
+
+        def gather(x) -> tuple[int, ...]:
+            out = [-1] * n
+            seen_sources = seen_ranges = 0
+            range_clash = False
+            for row, code in zip(rows, x):
+                if code < 0:
+                    continue
+                sources, ranges, pieces = row[code]
+                if seen_sources & sources:
+                    raise ValueError("source map not injective")
+                if seen_ranges & ranges:
+                    range_clash = True
+                seen_sources |= sources
+                seen_ranges |= ranges
+                for s, v in pieces:
+                    out[s] = v
+            if range_clash:
+                raise ValueError("range map not injective")
+            return tuple(out)
+
+        return gather
+
+
+def arrow_map(
+    domain: FiniteGroupoid,
+    codomain: FiniteGroupoid,
+    image_of_arrow: Callable[[Arrow], object],
+    label: str,
+) -> SemigroupMap:
+    """The map sending a bisection to the union of its arrows' images.
+
+    image_of_arrow is tabulated once over domain.arrows(), and each entry is
+    validated as a Bisection of the codomain; the evaluator builds the
+    union as one Bisection, so every image is still checked at the output.
+    """
+    table = {a: Bisection(codomain, tuple(image_of_arrow(a))) for a in domain.arrows()}
+
+    def run(alpha: Bisection) -> Bisection:
+        return Bisection(codomain, tuple(b for a in alpha.arrows for b in table[a].arrows))
+
+    return SemigroupMap(domain, codomain, run, label, table)
+
 
 def identity_map(g: FiniteGroupoid) -> SemigroupMap:
-    return SemigroupMap(g, g, lambda a: a, "identity")
-
-
-def compose_maps(outer: SemigroupMap, inner: SemigroupMap) -> SemigroupMap:
-    if inner.codomain != outer.domain:
-        raise ValueError("maps do not compose")
-    return SemigroupMap(
-        inner.domain,
-        outer.codomain,
-        lambda a: outer(inner(a)),
-        f"{outer.label}.{inner.label}",
-    )
+    # an arrow map whose union of images is the argument itself
+    return SemigroupMap(g, g, lambda a: a, "identity", {a: Bisection(g, (a,)) for a in g.arrows()})
 
 
 # ---------------------------------------------------------------------------
@@ -81,70 +145,39 @@ def embed_connected(g: FiniteGroupoid) -> SemigroupMap:
         raise ValueError("embed_connected needs a connected groupoid")
     comp = g.components[0]
     m, k = comp.group_order, comp.base_size
-    codomain = full_relation(m * k)
     table = comp.table
 
-    def point(h: int, y: int) -> int:
-        return y * m + h
+    def image(a: Arrow):
+        return [Arrow(0, 0, a.y_to * m + table[a.g][h], a.y_from * m + h) for h in range(m)]
 
-    def run(alpha: Bisection) -> Bisection:
-        out = []
-        for a in alpha.arrows:
-            for h in range(m):
-                out.append(
-                    Arrow(0, 0, point(table[a.g][h], a.y_to), point(h, a.y_from))
-                )
-        return Bisection(codomain, tuple(out))
-
-    return SemigroupMap(g, codomain, run, f"connected[{m}x{k}^2]")
+    return arrow_map(g, full_relation(m * k), image, f"connected[{m}x{k}^2]")
 
 
 # ---------------------------------------------------------------------------
 # Convex combinations: route blocks of [q] to the component embeddings
 
 
-def embed_convex(g: FiniteGroupoid, stage_maps=None) -> SemigroupMap:
+def embed_convex(g: FiniteGroupoid) -> SemigroupMap:
     """Isometric embedding of a weighted multi-component groupoid.
 
     With q the lcm of the weight denominators, component i owns t_i*q of the
-    q index blocks; on its blocks the map applies the component's stage
-    embedding on that coordinate and the identity on the others. Stage maps
-    default to embed_connected of each component on its own.
+    q index blocks; on its blocks the map applies embed_connected of the
+    component on its own on that coordinate and the identity on the others.
     """
     corners = [
         corner(g, [(i, y) for y in range(c.base_size)])
         for i, c in enumerate(g.components)
     ]
-    if stage_maps is None:
-        stage_maps = [embed_connected(cr.groupoid) for cr in corners]
-    if len(stage_maps) != len(g.components):
-        raise ValueError("one stage map per component required")
-    sizes = []
-    for cr, stage in zip(corners, stage_maps):
-        if stage.domain != cr.groupoid:
-            raise ValueError("stage map domain is not the standalone component")
-        cod = stage.codomain
-        if len(cod.components) != 1 or cod.components[0].group_order != 1:
-            raise ValueError("stage codomain must be a full relation")
-        sizes.append(cod.components[0].base_size)
+    stages = [embed_connected(cr.groupoid) for cr in corners]
+    sizes = [stage.codomain.n_units for stage in stages]
 
     weights = [c.weight for c in g.components]
     q = lcm(*(w.denominator for w in weights))
-    counts = [int(w * q) for w in weights]
-    starts = []
-    acc = 0
-    for cnt in counts:
-        starts.append(acc)
-        acc += cnt
-    block_owner = {}
-    for i, (start, cnt) in enumerate(zip(starts, counts)):
-        for j in range(start, start + cnt):
-            block_owner[j] = i
-
-    stride = 1
-    for s in sizes:
-        stride *= s
-    codomain = full_relation(q * stride)
+    owned = []
+    start = 0
+    for w in weights:
+        owned.append(range(start, start + int(w * q)))
+        start += int(w * q)
 
     def encode(j: int, xs) -> int:
         v = j
@@ -152,25 +185,19 @@ def embed_convex(g: FiniteGroupoid, stage_maps=None) -> SemigroupMap:
             v = v * s + x
         return v
 
-    def run(alpha: Bisection) -> Bisection:
-        stage_images = []
-        for i, (cr, stage) in enumerate(zip(corners, stage_maps)):
-            part = [cr.to_corner(a) for a in alpha.arrows if a.comp == i]
-            img = stage(Bisection(cr.groupoid, tuple(part)))
-            stage_images.append({a.y_from: a.y_to for a in img.arrows})
+    def image(a: Arrow):
+        i = a.comp
         out = []
-        for j in range(q):
-            i = block_owner[j]
-            img = stage_images[i]
-            for xs in iproduct(*(range(s) for s in sizes)):
-                x = xs[i]
-                if x in img:
-                    ys = list(xs)
-                    ys[i] = img[x]
+        for b in stages[i].arrow_images[corners[i].to_corner(a)]:
+            axes = [(b.y_from,) if k == i else range(s) for k, s in enumerate(sizes)]
+            for xs in iproduct(*axes):
+                ys = list(xs)
+                ys[i] = b.y_to
+                for j in owned[i]:
                     out.append(Arrow(0, 0, encode(j, ys), encode(j, xs)))
-        return Bisection(codomain, tuple(out))
+        return out
 
-    return SemigroupMap(g, codomain, run, f"convex[q={q}]")
+    return arrow_map(g, full_relation(q * prod(sizes)), image, f"convex[q={q}]")
 
 
 def _aligned_components(a: FiniteGroupoid, b: FiniteGroupoid):
@@ -194,10 +221,14 @@ def embed_convex_pair(
     The domains must agree up to component weights; the blended domain takes
     weights t*nu + (1-t)*rho, the codomain is the (t, 1-t) convex combination
     of the two codomains, and the image is the union of both images there.
+    Both maps must be arrow maps; the blend relabels their tables.
     """
     t = Fraction(t)
     if not 0 <= t <= 1:
         raise ValueError("t must lie in [0, 1]")
+    for phi in (phi_nu, phi_rho):
+        if phi.arrow_images is None:
+            raise ValueError(f"embed_convex_pair needs arrow maps; {phi.label} is not one")
     if t == 1:
         return phi_nu
     if t == 0:
@@ -221,17 +252,14 @@ def embed_convex_pair(
     codomain, (map_nu, map_rho) = convex_combination_with_maps(
         [(t, phi_nu.codomain), (1 - t, phi_rho.codomain)]
     )
+    nu_images, rho_images = phi_nu.arrow_images, phi_rho.arrow_images
 
-    def run(alpha: Bisection) -> Bisection:
-        a_nu = Bisection(gn, tuple(a._replace(comp=to_nu[a.comp]) for a in alpha))
-        a_rho = Bisection(gr, tuple(a._replace(comp=to_rho[a.comp]) for a in alpha))
-        img_nu = phi_nu(a_nu)
-        img_rho = phi_rho(a_rho)
-        out = [a._replace(comp=map_nu[a.comp]) for a in img_nu]
-        out += [a._replace(comp=map_rho[a.comp]) for a in img_rho]
-        return Bisection(codomain, tuple(out))
+    def image(a: Arrow):
+        out = [b._replace(comp=map_nu[b.comp]) for b in nu_images[a._replace(comp=to_nu[a.comp])]]
+        out += [b._replace(comp=map_rho[b.comp]) for b in rho_images[a._replace(comp=to_rho[a.comp])]]
+        return out
 
-    return SemigroupMap(domain, codomain, run, f"pair[t={t}]")
+    return arrow_map(domain, codomain, image, f"pair[t={t}]")
 
 
 # ---------------------------------------------------------------------------
@@ -265,11 +293,6 @@ def restrict_almost_morphism(theta: SemigroupMap, units) -> SemigroupMap:
         return Bisection(f.groupoid, tuple(out))
 
     return SemigroupMap(h.groupoid, f.groupoid, run, f"corner.{theta.label}")
-
-
-def corner_domain(theta: SemigroupMap, units):
-    """The corner structure a restricted map acts through (for tests/tools)."""
-    return corner(theta.domain, units)
 
 
 # ---------------------------------------------------------------------------
@@ -682,12 +705,6 @@ def _pin_map(n: int, p: int, f, label: str) -> SemigroupMap:
 
 def step_map(n: int) -> SemigroupMap:
     return _pin_map(n, n + 1, symmetric.embed_step, f"step[{n}->{n + 1}]")
-
-
-def multiple_map(n: int, k: int) -> SemigroupMap:
-    return _pin_map(
-        n, n * k, lambda a: symmetric.embed_multiple(a, k), f"multiple[{n}x{k}]"
-    )
 
 
 def general_map(n: int, p: int) -> SemigroupMap:

@@ -362,6 +362,10 @@ class PackedMonoid:
             out[idx[a.source]] = idx[a.range] * m + a.g
         return tuple(out)
 
+    def place(self, a: Arrow) -> tuple[int, int]:
+        """The source unit index and the code of a single arrow."""
+        return self._index[a.source], self._index[a.range] * self.order + a.g
+
     def decode(self, x) -> Bisection:
         units, m = self.units, self.order
         arrows = []

@@ -109,26 +109,38 @@ def raw_to_json(raw: RawGroupoid) -> dict:
     return out
 
 
+def _raw_list(obj: dict, key: str) -> list:
+    if key not in obj:
+        raise MalformedInputError(f"raw groupoid file needs {key!r}")
+    value = obj[key]
+    if not isinstance(value, list):
+        raise MalformedInputError(f"raw groupoid {key!r} must be a list, got {value!r}")
+    return value
+
+
+def _id_triples(obj: dict, key: str):
+    """The entries of a raw groupoid list, each checked to be three ids,
+    then parsed lazily."""
+    entries = _raw_list(obj, key)
+    for e in entries:
+        if not isinstance(e, list) or len(e) != 3:
+            raise MalformedInputError(f"{key} entry {e!r} must be a list of three ids")
+    return ((_parse_id(a), _parse_id(b), _parse_id(c)) for a, b, c in entries)
+
+
 def parse_raw(obj: dict) -> RawGroupoid:
-    units = tuple(_parse_id(u) for u in obj["units"])
-    arrows = tuple(
-        (_parse_id(e[0]), _parse_id(e[1]), _parse_id(e[2])) for e in obj["arrows"]
-    )
-    compose = {
-        (_parse_id(e[0]), _parse_id(e[1])): _parse_id(e[2]) for e in obj["compose"]
-    }
-    masses = None
-    if "masses" in obj:
-        by_name = {str(u): u for u in units}
-        masses = {}
-        for key, w in obj["masses"].items():
-            if key not in by_name:
-                raise ValueError(f"mass given for unknown unit {key!r}")
-            masses[by_name[key]] = parse_fraction(w)
+    if not isinstance(obj, dict):
+        raise MalformedInputError("raw groupoid file must be an object")
+    units = tuple(_parse_id(u) for u in _raw_list(obj, "units"))
+    arrows = tuple(_id_triples(obj, "arrows"))
+    compose = {(a, b): c for a, b, c in _id_triples(obj, "compose")}
+    masses = parse_masses(obj["masses"], units) if "masses" in obj else None
     return RawGroupoid(units, arrows, compose, masses)
 
 
 def parse_masses(obj: dict, units) -> dict:
+    if not isinstance(obj, dict):
+        raise MalformedInputError(f"masses must be an object from unit to rational, got {obj!r}")
     by_name = {str(u): u for u in units}
     out = {}
     for key, w in obj.items():

@@ -10,7 +10,10 @@ trace-distance and supports suites encode their pools once into
 semigroup.PackedMonoid and run on its exact integer arithmetic, and so
 does check_embedding, on a packed domain and codomain: it evaluates the
 map once per distinct element (each pool element, then each product not
-yet mapped) instead of once per pair.
+yet mapped) instead of once per pair, on packed codes through
+SemigroupMap.packed. For the arrow maps of constructions (identity,
+connected, convex, pair) that is a gather over a table made once per
+domain arrow, with no Bisection built per element.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 from .constructions import (
+    NoTransversalError,
     SemigroupMap,
     TransversalSystem,
     _blocks,
@@ -256,9 +260,10 @@ def check_embedding(m: SemigroupMap, budget: SuiteBudget | None = None) -> Embed
     and isometry are equivalent; the report cross-checks that equivalence
     concretely and flags any discrepancy as an implementation bug.
 
-    Domain and codomain are packed; deviations are exact integers, the
-    distance and trace ones over dom.denom * cod.denom. Evaluators are pure
-    functions of a frozen Bisection, so the map runs once per distinct
+    Domain and codomain are packed, and the map runs on codes through
+    m.packed (an arrow map gathers its table). Deviations are exact
+    integers, the distance and trace ones over dom.denom * cod.denom. Maps
+    are pure functions of their argument, so the map runs once per distinct
     element: the pool, then each product that is not yet mapped.
     """
     budget = budget or SuiteBudget()
@@ -268,13 +273,14 @@ def check_embedding(m: SemigroupMap, budget: SuiteBudget | None = None) -> Embed
     pair_iter, pairs_exhaustive, pair_count = _tuples(n, 2, budget)
     exhaustive = exhaustive and pairs_exhaustive
 
-    images = [cod.encode(m(a)) for a in elements]
+    packed_m = m.packed(dom, cod)
+    images = [packed_m(x) for x in pool]
     mapped = dict(zip(pool, images))
 
     def image(x):
         fx = mapped.get(x)
         if fx is None:
-            fx = mapped[x] = cod.encode(m(dom.decode(x)))
+            fx = mapped[x] = packed_m(x)
         return fx
 
     unit_ok = image(dom.one) == cod.one
@@ -736,11 +742,11 @@ def suite_finite_index(
 
     elements, exhaustive = _elements(g, "semigroup", budget)
     n_el = len(elements)
-    blocks = {}
+    blocks = {}  # element index -> block matrix
     block_failures = 0
-    for a in elements:
+    for k, a in enumerate(elements):
         try:
-            blocks[a] = block_components(a, system)
+            blocks[k] = block_components(a, system)
         except AssertionError:
             block_failures += 1
     checks.append(
@@ -752,30 +758,35 @@ def suite_finite_index(
         )
     )
 
+    # elements whose block matrix failed its checks are counted above and
+    # skipped below, so `tested` counts only the work done
     viol = 0
     trace_viol = 0
     nn = system.index
-    for a in elements:
-        ba = blocks[a]
+    for k, ba in blocks.items():
         for i in range(nn):
-            if ba[i][i].trace() != a.trace():
+            if ba[i][i].trace() != elements[k].trace():
                 trace_viol += 1
-    pair_iter, exh2, cnt2 = _tuples(n_el, 2, budget)
+    pair_iter, exh2, _ = _tuples(n_el, 2, budget)
+    pairs_done = 0
     for ia, ib in pair_iter:
-        a, b = elements[ia], elements[ib]
-        bab = _blocks(a * b, system)
+        ba, bb = blocks.get(ia), blocks.get(ib)
+        if ba is None or bb is None:
+            continue
+        pairs_done += 1
+        bab = _blocks(elements[ia] * elements[ib], system)
         for i in range(nn):
             for l in range(nn):
                 union = set()
                 for j in range(nn):
-                    union |= set((blocks[a][i][j] * blocks[b][j][l]).arrows)
+                    union |= set((ba[i][j] * bb[j][l]).arrows)
                 if union != set(bab[i][l].arrows):
                     viol += 1
     checks.append(
         _result(
             "block-identity",
             viol == 0,
-            tested=cnt2 * nn * nn,
+            tested=pairs_done * nn * nn,
             exhaustive=exh2,
             violations=viol,
         )
@@ -784,13 +795,18 @@ def suite_finite_index(
         _result(
             "diagonal-trace",
             trace_viol == 0,
-            tested=n_el * nn,
+            tested=len(blocks) * nn,
             exhaustive=exhaustive,
         )
     )
 
     lift = finite_index_map(system)
-    report = check_embedding(lift, budget)
+    try:
+        report = check_embedding(lift, budget)
+    except NoTransversalError as exc:
+        # an invalid system makes the lift itself ill-defined
+        checks.append(_result("lift-exact-embedding", False, label=lift.label, error=str(exc)))
+        return checks
     checks.append(
         _result(
             "lift-exact-embedding",
@@ -914,6 +930,8 @@ def run_suite(name: str, budget: SuiteBudget | None = None, **params) -> SuiteRe
             printable[key] = f"groupoid[{value.n_units} units, {len(value.components)} components]"
         elif isinstance(value, frozenset):
             printable[key] = f"{len(value)} arrows"
+        elif isinstance(value, TransversalSystem):
+            printable[key] = f"{value.index} transversals"
         else:
             printable[key] = value
     return SuiteResult(name, printable, budget, tuple(checks))

@@ -288,3 +288,39 @@ def test_failed_certificate_exits_1(files, capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert err.startswith("certificate error:") and "forced" in err
+
+
+RAW_OK = {
+    "units": ["u"],
+    "arrows": [["u", "u", "u"]],
+    "compose": [["u", "u", "u"]],
+    "masses": {"u": "1/1"},
+}
+MALFORMED_RAW = {
+    "units-not-a-list": (dict(RAW_OK, units=5), "'units'"),
+    "arrows-not-a-list": (dict(RAW_OK, arrows={"u": "u"}), "'arrows'"),
+    "compose-not-a-list": (dict(RAW_OK, compose="u"), "'compose'"),
+    "two-id-arrow": (dict(RAW_OK, arrows=[[0, 0]]), "arrows entry"),
+    "four-id-compose": (dict(RAW_OK, compose=[["u", "u", "u", "u"]]), "compose entry"),
+    "missing-compose": ({k: v for k, v in RAW_OK.items() if k != "compose"}, "needs 'compose'"),
+    "missing-units": ({k: v for k, v in RAW_OK.items() if k != "units"}, "needs 'units'"),
+    "masses-not-an-object": (dict(RAW_OK, masses=["1/1"]), "masses"),
+    "file-not-an-object": ([RAW_OK], "object"),
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "decompose"])
+@pytest.mark.parametrize("case", list(MALFORMED_RAW))
+def test_malformed_raw_exits_2(files, capsys, command, case):
+    tmp, write = files
+    body, field = MALFORMED_RAW[case]
+    code, out, err = run(capsys, command, write("raw.json", body))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error:") and field in err
+
+
+def test_well_formed_raw_still_validates(files, capsys):
+    tmp, write = files
+    code, out, err = run(capsys, "validate", write("raw.json", RAW_OK))
+    assert code == 0 and json.loads(out)["ok"] is True

@@ -5,12 +5,16 @@ The golden files under tests/golden/ were written by the Bisection-based
 suite bodies and check_embedding loop that the packed kernel replaced; the
 rewritten code must reproduce them byte for byte. The replaced
 check_embedding loop is also kept below as a reference, and its reports
-must equal the library's, witnesses included.
+must equal the library's, witnesses included. So are the evaluators of the
+connected, convex and pair embeddings that the tabulated arrow maps
+replaced: the maps, and their packed gathers, must agree with them.
 """
 
 import random
 from fractions import Fraction
 from itertools import combinations
+from itertools import product as iproduct
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -18,6 +22,7 @@ import pytest
 from soficlab import cayley
 from soficlab.constructions import (
     SemigroupMap,
+    arrow_map,
     embed_connected,
     embed_convex,
     embed_convex_pair,
@@ -25,13 +30,20 @@ from soficlab.constructions import (
     finite_index_map,
     general_map,
     group_subgroupoid,
+    identity_map,
     step_map,
 )
 from soficlab.groupoid import (
+    Arrow,
+    Component,
+    _canonical_order,
     connected_groupoid,
     convex_combination,
+    convex_combination_with_maps,
+    corner,
     full_relation,
     group_groupoid,
+    make_groupoid,
 )
 from soficlab.semigroup import (
     Bisection,
@@ -118,6 +130,9 @@ def test_encode_decode_roundtrip(kernel):
         assert pm.decode(x) == a
     assert pm.one == pm.encode(idempotent(g, g.units()))
     assert pm.zero == pm.encode(idempotent(g, ()))
+    for a in g.arrows():
+        u, x = pm.place(a)
+        assert pm.encode(Bisection(g, (a,))) == tuple(x if v == u else -1 for v in range(g.n_units))
 
 
 def test_mul_and_inv_agree(kernel):
@@ -306,3 +321,237 @@ def test_embedding_report_matches_golden(case, regime):
     expected = (GOLDEN_DIR / f"embedding-{case}-{regime}.json").read_text()
     assert dumps(embedding_report_to_json(report)) == expected
 
+
+
+# ---------------------------------------------------------------------------
+# Arrow maps against the evaluators they replaced
+
+
+def reference_connected(g) -> SemigroupMap:
+    """embed_connected, routing each arrow at every call."""
+    comp = g.components[0]
+    m, k = comp.group_order, comp.base_size
+    codomain = full_relation(m * k)
+    table = comp.table
+
+    def point(h, y):
+        return y * m + h
+
+    def run(alpha):
+        out = []
+        for a in alpha.arrows:
+            for h in range(m):
+                out.append(Arrow(0, 0, point(table[a.g][h], a.y_to), point(h, a.y_from)))
+        return Bisection(codomain, tuple(out))
+
+    return SemigroupMap(g, codomain, run, f"connected[{m}x{k}^2]")
+
+
+def reference_convex(g) -> SemigroupMap:
+    """embed_convex, routing the stage images through the blocks at every call."""
+    corners = [corner(g, [(i, y) for y in range(c.base_size)]) for i, c in enumerate(g.components)]
+    stage_maps = [reference_connected(cr.groupoid) for cr in corners]
+    sizes = [stage.codomain.components[0].base_size for stage in stage_maps]
+    weights = [c.weight for c in g.components]
+    q = lcm(*(w.denominator for w in weights))
+    block_owner = {}
+    start = 0
+    for i, w in enumerate(weights):
+        for j in range(start, start + int(w * q)):
+            block_owner[j] = i
+        start += int(w * q)
+    stride = 1
+    for size in sizes:
+        stride *= size
+    codomain = full_relation(q * stride)
+
+    def encode(j, xs):
+        v = j
+        for size, x in zip(sizes, xs):
+            v = v * size + x
+        return v
+
+    def run(alpha):
+        stage_images = []
+        for i, (cr, stage) in enumerate(zip(corners, stage_maps)):
+            part = [cr.to_corner(a) for a in alpha.arrows if a.comp == i]
+            img = stage(Bisection(cr.groupoid, tuple(part)))
+            stage_images.append({a.y_from: a.y_to for a in img.arrows})
+        out = []
+        for j in range(q):
+            i = block_owner[j]
+            img = stage_images[i]
+            for xs in iproduct(*(range(size) for size in sizes)):
+                if xs[i] in img:
+                    ys = list(xs)
+                    ys[i] = img[xs[i]]
+                    out.append(Arrow(0, 0, encode(j, ys), encode(j, xs)))
+        return Bisection(codomain, tuple(out))
+
+    return SemigroupMap(g, codomain, run, f"convex[q={q}]")
+
+
+def reference_pair(phi_nu, phi_rho, t) -> SemigroupMap:
+    """embed_convex_pair for 0 < t < 1, relabelling and re-validating both
+    images at every call; any maps will do."""
+    gn, gr = phi_nu.domain, phi_rho.domain
+    key = lambda c: (c.group_order, c.base_size, c.table)
+    order_n = sorted(range(len(gn.components)), key=lambda i: key(gn.components[i]))
+    order_r = sorted(range(len(gr.components)), key=lambda i: key(gr.components[i]))
+    blended = [
+        Component(gn.components[x].table, gn.components[x].base_size,
+                  t * gn.components[x].weight + (1 - t) * gr.components[y].weight)
+        for x, y in zip(order_n, order_r)
+    ]
+    position = _canonical_order(blended)
+    domain = make_groupoid(blended)
+    to_nu = {position[k]: order_n[k] for k in range(len(blended))}
+    to_rho = {position[k]: order_r[k] for k in range(len(blended))}
+    codomain, (map_nu, map_rho) = convex_combination_with_maps(
+        [(t, phi_nu.codomain), (1 - t, phi_rho.codomain)]
+    )
+
+    def run(alpha):
+        a_nu = Bisection(gn, tuple(a._replace(comp=to_nu[a.comp]) for a in alpha))
+        a_rho = Bisection(gr, tuple(a._replace(comp=to_rho[a.comp]) for a in alpha))
+        out = [a._replace(comp=map_nu[a.comp]) for a in phi_nu(a_nu)]
+        out += [a._replace(comp=map_rho[a.comp]) for a in phi_rho(a_rho)]
+        return Bisection(codomain, tuple(out))
+
+    return SemigroupMap(domain, codomain, run, f"pair[t={t}]")
+
+
+def reference_identity(g) -> SemigroupMap:
+    return SemigroupMap(g, g, lambda a: a, "identity")
+
+
+def g6(weights):
+    """The benchmark's 6-unit groupoid shape: Z2xY2, [[3]] and a point."""
+    parts = (connected_groupoid(cayley.cyclic(2), 2), full_relation(3), full_relation(1))
+    return convex_combination(list(zip(weights, parts)))
+
+
+G6_NU = (HALF, THIRD, Fraction(1, 6))
+G6_RHO = (THIRD, HALF, Fraction(1, 6))
+REL2 = full_relation(2)
+
+# (library map, reference map, elements to compare on)
+ARROW_MAPS = {
+    "connected-z2y2": lambda: (
+        embed_connected(GROUPOIDS["z2y2"]),
+        reference_connected(GROUPOIDS["z2y2"]),
+        None,
+    ),
+    "convex-z2+y2": lambda: (
+        embed_convex(two_components(THIRD)),
+        reference_convex(two_components(THIRD)),
+        None,
+    ),
+    "pair-z2+y2": lambda: (
+        embed_convex_pair(embed_convex(two_components(THIRD)), embed_convex(two_components(2 * THIRD)), THIRD),
+        reference_pair(reference_convex(two_components(THIRD)), reference_convex(two_components(2 * THIRD)), THIRD),
+        None,
+    ),
+    "pair-z2+y2-swapped": lambda: (
+        embed_convex_pair(embed_convex(two_components(2 * THIRD)), embed_convex(two_components(THIRD)), HALF),
+        reference_pair(reference_convex(two_components(2 * THIRD)), reference_convex(two_components(THIRD)), HALF),
+        None,
+    ),
+    "identity-doubling-n2": lambda: (
+        embed_convex_pair(identity_map(REL2), identity_map(REL2), HALF),
+        reference_pair(reference_identity(REL2), reference_identity(REL2), HALF),
+        None,
+    ),
+    "convex-g6-sampled": lambda: (
+        embed_convex(g6(G6_NU)),
+        reference_convex(g6(G6_NU)),
+        40,
+    ),
+    "pair-g6-sampled": lambda: (
+        embed_convex_pair(embed_convex(g6(G6_NU)), embed_convex(g6(G6_RHO)), THIRD),
+        reference_pair(reference_convex(g6(G6_NU)), reference_convex(g6(G6_RHO)), THIRD),
+        40,
+    ),
+}
+
+
+def comparison_elements(g, sample):
+    if sample is None:
+        return list(enumerate_semigroup(g))
+    rng = random.Random(11)
+    return [unit_bisection(g)] + [sample_bisection(g, rng) for _ in range(sample)]
+
+
+@pytest.mark.parametrize("case", list(ARROW_MAPS))
+def test_arrow_map_matches_reference(case):
+    m, ref, sample = ARROW_MAPS[case]()
+    assert m.arrow_images is not None and ref.arrow_images is None
+    assert (m.domain, m.codomain, m.label) == (ref.domain, ref.codomain, ref.label)
+    assert len(m.arrow_images) == m.domain.n_arrows
+    dom, cod = PackedMonoid(m.domain), PackedMonoid(m.codomain)
+    gather, decode_encode = m.packed(dom, cod), ref.packed(dom, cod)
+    for a in comparison_elements(m.domain, sample):
+        image = m(a)
+        assert image == ref(a)
+        x = dom.encode(a)
+        assert gather(x) == cod.encode(image)
+        assert decode_encode(x) == cod.encode(image)
+
+
+@pytest.mark.parametrize("regime", list(EMBEDDING_BUDGETS))
+def test_arrow_map_certificate_matches_reference_map(regime):
+    m, ref, _ = ARROW_MAPS["pair-z2+y2"]()
+    budget = EMBEDDING_BUDGETS[regime]
+    assert check_embedding(m, budget) == check_embedding(ref, budget)
+
+
+def test_packed_non_arrow_map_decodes_and_encodes():
+    m = general_map(3, 7)
+    assert m.arrow_images is None
+    dom, cod = PackedMonoid(m.domain), PackedMonoid(m.codomain)
+    f = m.packed(dom, cod)
+    for a in enumerate_semigroup(m.domain):
+        assert f(dom.encode(a)) == cod.encode(m(a))
+
+
+def test_packed_rejects_kernels_of_other_groupoids():
+    m = identity_map(REL2)
+    with pytest.raises(ValueError, match="packed kernels"):
+        m.packed(PackedMonoid(full_relation(3)), PackedMonoid(REL2))
+
+
+@pytest.mark.parametrize(
+    "image,message",
+    [
+        # every arrow onto the unit at 0: two pieces at one source
+        (lambda a: (Arrow(0, 0, 0, 0),), "source map not injective"),
+        # every arrow to range 0 from its own source: two pieces at one range
+        (lambda a: (Arrow(0, 0, 0, a.y_from),), "range map not injective"),
+    ],
+    ids=["source", "range"],
+)
+def test_colliding_arrow_map_raises(image, message):
+    m = arrow_map(REL2, REL2, image, "colliding")
+    one = unit_bisection(REL2)
+    with pytest.raises(ValueError, match=message):
+        m(one)
+    dom = PackedMonoid(REL2)
+    with pytest.raises(ValueError, match=message):
+        m.packed(dom, dom)(dom.one)
+    with pytest.raises(ValueError, match=message):
+        check_embedding(m)
+
+
+def test_arrow_map_validates_each_entry():
+    with pytest.raises(ValueError, match="not in the groupoid"):
+        arrow_map(REL2, REL2, lambda a: (Arrow(0, 0, 2, 0),), "escaping")
+    with pytest.raises(ValueError, match="source map not injective"):
+        arrow_map(REL2, REL2, lambda a: (Arrow(0, 0, 0, 0), Arrow(0, 0, 1, 0)), "split")
+
+
+def test_pair_rejects_a_non_arrow_map():
+    nu, rho = two_components(THIRD), two_components(2 * THIRD)
+    with pytest.raises(ValueError, match="arrow maps"):
+        embed_convex_pair(reference_convex(nu), embed_convex(rho), THIRD)
+    with pytest.raises(ValueError, match="arrow maps"):
+        embed_convex_pair(embed_convex(nu), step_map(2), THIRD)

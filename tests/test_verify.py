@@ -5,6 +5,7 @@ import pytest
 from soficlab import cayley
 from soficlab.groupoid import Arrow, connected_groupoid, full_relation, group_groupoid
 from soficlab.constructions import (
+    TransversalSystem,
     embed_connected,
     general_map,
     group_subgroupoid,
@@ -13,6 +14,7 @@ from soficlab.constructions import (
     unit_subgroupoid,
 )
 from soficlab.semigroup import bisection, enumerate_semigroup, unit_bisection
+from soficlab.serialize import dumps, suite_result_to_json
 from soficlab.verify import (
     IncompletePairListError,
     SuiteBudget,
@@ -140,6 +142,32 @@ class TestSuites:
             "finite-index", BIG, g=z4, sub_arrows=group_subgroupoid(z4, [0, 2])
         )
         assert result.passed
+
+    def test_finite_index_reports_an_invalid_system(self):
+        # both transversals are the unit: the translates overlap, the block
+        # checks fail on some elements and the lift is not well-defined
+        one = unit_bisection(G2)
+        bad = TransversalSystem(G2, unit_subgroupoid(G2), (one, one))
+        result = run_suite("finite-index", BIG, g=G2, sub_arrows=bad.sub_arrows, system=bad)
+        by_name = {c.name: c for c in result.checks}
+        assert list(by_name) == [
+            "transversal-partition",
+            "block-asserts",
+            "block-identity",
+            "diagonal-trace",
+            "lift-exact-embedding",
+        ]
+        assert not by_name["transversal-partition"].passed
+        assert not by_name["block-asserts"].passed
+        assert not by_name["block-identity"].passed
+        assert not by_name["lift-exact-embedding"].passed
+        assert "not well-defined" in by_name["lift-exact-embedding"].details["error"]
+        # [[2]] has 7 elements; only those whose blocks passed are counted
+        done = by_name["diagonal-trace"].details["tested"] // 2
+        assert 0 < done < 7
+        assert by_name["block-asserts"].details["tested"] == 7
+        assert by_name["block-identity"].details["tested"] == done * done * 4
+        assert '"system": "2 transversals"' in dumps(suite_result_to_json(result))
 
     def test_rectangles_passes(self):
         assert run_suite("rectangles", BIG, left=G2, right=G2).passed

@@ -33,14 +33,7 @@ from .semigroup import (
     union_compatible,
     unit_bisection,
 )
-from .symmetric import (
-    DistortionReport,
-    PartialInjection,
-    embed_general,
-    embed_multiple,
-    embed_step,
-    ladder_profile,
-)
+from .symmetric import DistortionReport, ladder_profile
 from .constructions import (
     SemigroupMap,
     TransversalSystem,
@@ -51,10 +44,12 @@ from .constructions import (
     find_transversals,
     finite_index_lift,
     finite_index_map,
+    general_map,
     identity_map,
     product_embedding,
     rectangle_decompose,
     restrict_almost_morphism,
+    step_map,
 )
 from .verify import (
     AlmostMorphismReport,

@@ -6,11 +6,14 @@ multiplicativity, trace preservation and isometry exactly on whatever set
 is exercised. At this finite scale every construction is exact, not
 approximate.
 
-The identity, connected, convex and pair embeddings are arrow maps: the
-image of a bisection is the union of the images of its arrows. arrow_map
-tabulates those images once per domain arrow, validating each entry; the
-evaluator then only takes unions, and SemigroupMap.packed gathers the
-same table on packed codes for the certificate.
+The identity, connected, convex and pair embeddings and the ladder maps
+[[n]] -> [[p]] (step_map, general_map) are arrow maps: the image of a
+bisection is the union of the images of its arrows. arrow_map tabulates
+those images once per domain arrow, validating each entry; the evaluator
+then only takes unions, and SemigroupMap.packed gathers the same table on
+packed codes for the certificate and the ladder's distortion reports.
+The maps that are not arrow maps (the finite-index lift, corner
+restrictions) run their evaluators between decode and encode there.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from .groupoid import (
     subgroupoid_violations,
 )
 from .semigroup import Bisection, CertificateError, PackedMonoid, idempotent
-from . import symmetric
 
 
 class NoTransversalError(RuntimeError):
@@ -691,23 +693,28 @@ def product_embedding(
 
 
 # ---------------------------------------------------------------------------
-# Ladder embeddings as semigroup maps
+# Ladder embeddings: block copies of [[n]] inside a larger full relation
 
 
-def _pin_map(n: int, p: int, f, label: str) -> SemigroupMap:
-    dom, cod = full_relation(n), full_relation(p)
+def _block_copies(n: int, p: int, copies: int, label: str) -> SemigroupMap:
+    """The arrow map [[n]] -> [[p]] sending x -> y to q*n + x -> q*n + y
+    for each of the first `copies` blocks; the points past them stay
+    undefined."""
 
-    def run(alpha: Bisection) -> Bisection:
-        return symmetric.to_bisection(f(symmetric.from_bisection(alpha)), cod)
+    def image(a: Arrow):
+        return [Arrow(0, 0, q * n + a.y_to, q * n + a.y_from) for q in range(copies)]
 
-    return SemigroupMap(dom, cod, run, label)
+    return arrow_map(full_relation(n), full_relation(p), image, label)
 
 
 def step_map(n: int) -> SemigroupMap:
-    return _pin_map(n, n + 1, symmetric.embed_step, f"step[{n}->{n + 1}]")
+    """Literal inclusion [[n]] -> [[n+1]]: same map, undefined at the new point."""
+    return _block_copies(n, n + 1, 1, f"step[{n}->{n + 1}]")
 
 
 def general_map(n: int, p: int) -> SemigroupMap:
-    return _pin_map(
-        n, p, lambda a: symmetric.embed_general(a, p), f"ladder[{n}->{p}]"
-    )
+    """[[n]] -> [[p]] for p >= n: floor(p/n) block copies, exactly isometric
+    onto their points, then p mod n points left undefined."""
+    if p < n:
+        raise ValueError(f"target size {p} below {n}")
+    return _block_copies(n, p, p // n, f"ladder[{n}->{p}]")

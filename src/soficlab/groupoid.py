@@ -284,9 +284,6 @@ class Decomposition:
     groupoid: FiniteGroupoid
     iso: dict  # raw arrow id -> Arrow
 
-    def map_arrows(self, arrow_ids) -> frozenset:
-        return frozenset(self.iso[a] for a in arrow_ids)
-
 
 def decompose(raw: RawGroupoid, weights: dict | None = None) -> Decomposition:
     """Normal form of a validated raw groupoid plus the witnessing isomorphism.

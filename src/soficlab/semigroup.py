@@ -162,12 +162,6 @@ class Bisection:
         n = self.groupoid.n_units
         return len(self.source_units) == n and len(self.range_units) == n
 
-    def restrict_sources(self, units) -> "Bisection":
-        units = frozenset(units)
-        return Bisection(
-            self.groupoid, tuple(a for a in self.arrows if a.source in units)
-        )
-
 
 def bisection(g: FiniteGroupoid, arrows) -> Bisection:
     return Bisection(g, tuple(arrows))

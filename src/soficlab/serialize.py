@@ -18,11 +18,12 @@ from .groupoid import (
     FiniteGroupoid,
     MalformedInputError,
     RawGroupoid,
+    full_relation,
     make_groupoid,
 )
 from .rationals import format_fraction, parse_fraction
 from .semigroup import Bisection
-from .symmetric import DistortionReport, PartialInjection
+from .symmetric import DistortionReport
 from .verify import AlmostMorphismReport, EmbeddingReport, SuiteResult
 
 
@@ -32,8 +33,6 @@ def jsonable(value):
         return format_fraction(value)
     if isinstance(value, Bisection):
         return bisection_to_json(value)
-    if isinstance(value, PartialInjection):
-        return pin_to_json(value)
     if isinstance(value, Arrow):
         return list(value)
     if isinstance(value, frozenset):
@@ -178,10 +177,6 @@ def parse_arrow_set(obj: dict) -> frozenset:
     return frozenset(_parse_arrows(obj))
 
 
-def arrow_set_to_json(arrows) -> dict:
-    return {"arrows": [list(a) for a in sorted(arrows)]}
-
-
 def malg_to_json(units) -> dict:
     return {"units": [list(u) for u in sorted(units)]}
 
@@ -190,12 +185,18 @@ def parse_malg(obj: dict) -> frozenset:
     return frozenset((int(c), int(y)) for c, y in obj["units"])
 
 
-def pin_to_json(p: PartialInjection) -> dict:
-    return {"n": p.n, "map": {str(x): y for x, y in sorted(p.as_dict().items())}}
+def pin_to_json(b: Bisection) -> dict:
+    """A partial injection of {0..n-1}, i.e. a bisection of full_relation(n),
+    as {"n": n, "map": {"x": y, ...}}."""
+    n = b.groupoid.n_units
+    if b.groupoid != full_relation(n):
+        raise ValueError("not a partial injection: the groupoid is not a full relation")
+    return {"n": n, "map": {str(a.y_from): a.y_to for a in sorted(b.arrows, key=lambda a: a.y_from)}}
 
 
-def parse_pin(obj: dict) -> PartialInjection:
-    return PartialInjection.from_dict(int(obj["n"]), obj["map"])
+def parse_pin(obj: dict) -> Bisection:
+    n = int(obj["n"])
+    return Bisection(full_relation(n), tuple(Arrow(0, 0, int(y), int(x)) for x, y in obj["map"].items()))
 
 
 # ---------------------------------------------------------------------------

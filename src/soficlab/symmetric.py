@@ -1,11 +1,14 @@
-"""Partial injections on n points and the block/step embedding ladder.
+"""Distortion of the approximation ladder [[n]] -> [[p]].
 
-These are the concrete finite models: the monoid of partial injections on
-{0..n-1} is canonically the bisection monoid of the full relation on n
-points. Growing n along p = qn + r uses an exactly isometric q-fold block
-copy followed by r one-point inclusions, each of which moves the metric by
-at most 1/(stage size); the composite stays within n/(p-n), and distortion
-reports account for the deviation exactly in rationals.
+[[n]], the monoid of partial injections on {0..n-1}, is the bisection
+monoid of full_relation(n), and the ladder maps are arrow maps between
+them (constructions.step_map and general_map): floor(p/n) exactly
+isometric block copies, with the p mod n remaining points left undefined,
+each such point moving the metric by at most 1/(stage size). The composite
+stays within n/(p-n). A distortion report measures the worst deviation
+exactly, on packed codes of full_relation(n) and full_relation(p): with
+unit weights over the denominators n and p, a deviation is an integer
+over n*p.
 """
 
 from __future__ import annotations
@@ -13,184 +16,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import product
 
-from .groupoid import Arrow, FiniteGroupoid, full_relation
-from .semigroup import Bisection, CapExceededError
-
-
-@dataclass(frozen=True)
-class PartialInjection:
-    """Injective partial map on {0..n-1}; images[x] is -1 where undefined."""
-
-    n: int
-    images: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be positive")
-        if len(self.images) != self.n:
-            raise ValueError("images must have length n")
-        defined = [y for y in self.images if y != -1]
-        if any(not 0 <= y < self.n for y in defined):
-            raise ValueError("image out of range")
-        if len(set(defined)) != len(defined):
-            raise ValueError("not injective")
-
-    @classmethod
-    def from_dict(cls, n: int, mapping: dict) -> "PartialInjection":
-        images = [-1] * n
-        for x, y in mapping.items():
-            x = int(x)
-            if not 0 <= x < n:
-                raise ValueError(f"source {x} out of range")
-            images[x] = int(y)
-        return cls(n, tuple(images))
-
-    @classmethod
-    def identity(cls, n: int) -> "PartialInjection":
-        return cls(n, tuple(range(n)))
-
-    @classmethod
-    def empty(cls, n: int) -> "PartialInjection":
-        return cls(n, (-1,) * n)
-
-    def as_dict(self) -> dict[int, int]:
-        return {x: y for x, y in enumerate(self.images) if y != -1}
-
-    def __call__(self, x: int) -> int | None:
-        y = self.images[x]
-        return None if y == -1 else y
-
-    @property
-    def domain(self) -> frozenset[int]:
-        return frozenset(x for x, y in enumerate(self.images) if y != -1)
-
-    @property
-    def image(self) -> frozenset[int]:
-        return frozenset(y for y in self.images if y != -1)
-
-    def compose(self, other: "PartialInjection") -> "PartialInjection":
-        """self*other applies other first."""
-        if self.n != other.n:
-            raise ValueError("sizes differ")
-        out = [-1] * self.n
-        for x, y in enumerate(other.images):
-            if y != -1 and self.images[y] != -1:
-                out[x] = self.images[y]
-        return PartialInjection(self.n, tuple(out))
-
-    def __mul__(self, other):
-        return self.compose(other)
-
-    def inverse(self) -> "PartialInjection":
-        out = [-1] * self.n
-        for x, y in enumerate(self.images):
-            if y != -1:
-                out[y] = x
-        return PartialInjection(self.n, tuple(out))
-
-    def trace(self) -> Fraction:
-        return Fraction(sum(1 for x, y in enumerate(self.images) if x == y), self.n)
-
-    def distance_count(self, other: "PartialInjection") -> int:
-        if self.n != other.n:
-            raise ValueError("sizes differ")
-        return sum(1 for a, b in zip(self.images, other.images) if a != b)
-
-    def distance(self, other: "PartialInjection") -> Fraction:
-        return Fraction(self.distance_count(other), self.n)
-
-    def fixed_points(self) -> frozenset[int]:
-        return frozenset(x for x, y in enumerate(self.images) if x == y)
-
-
-def pin_count(n: int) -> int:
-    """|[[n]]| by the closed form sum_k C(n,k)^2 k!."""
-    from math import comb, factorial
-
-    return sum(comb(n, k) ** 2 * factorial(k) for k in range(n + 1))
-
-
-def enumerate_pins(n: int, cap: int = 10**6):
-    predicted = pin_count(n)
-    if predicted > cap:
-        raise CapExceededError(predicted, cap, "partial injection enumeration")
-    for k in range(n + 1):
-        for dom in combinations(range(n), k):
-            for img in permutations(range(n), k):
-                images = [-1] * n
-                for x, y in zip(dom, img):
-                    images[x] = y
-                yield PartialInjection(n, tuple(images))
-
-
-def sample_pin(n: int, rng: random.Random) -> PartialInjection:
-    dom = [x for x in range(n) if rng.random() < 0.5]
-    img = rng.sample(range(n), len(dom))
-    images = [-1] * n
-    for x, y in zip(dom, img):
-        images[x] = y
-    return PartialInjection(n, tuple(images))
-
-
-# ---------------------------------------------------------------------------
-# The canonical identification [[n]] = bisections of the n-point full relation
-
-
-def to_bisection(pin: PartialInjection, g: FiniteGroupoid | None = None) -> Bisection:
-    g = g if g is not None else full_relation(pin.n)
-    if len(g.components) != 1 or g.components[0].base_size != pin.n:
-        raise ValueError("groupoid is not the matching full relation")
-    return Bisection(
-        g,
-        tuple(
-            Arrow(0, 0, y, x) for x, y in enumerate(pin.images) if y != -1
-        ),
-    )
-
-
-def from_bisection(alpha: Bisection) -> PartialInjection:
-    g = alpha.groupoid
-    if len(g.components) != 1 or g.components[0].group_order != 1:
-        raise ValueError("bisection does not live on a full relation")
-    images = [-1] * g.components[0].base_size
-    for a in alpha.arrows:
-        images[a.y_from] = a.y_to
-    return PartialInjection(len(images), tuple(images))
-
-
-# ---------------------------------------------------------------------------
-# Ladder embeddings
-
-
-def embed_step(pin: PartialInjection) -> PartialInjection:
-    """Literal inclusion [[n]] -> [[n+1]]: same map, undefined at the new point."""
-    return PartialInjection(pin.n + 1, pin.images + (-1,))
-
-
-def embed_multiple(pin: PartialInjection, k: int) -> PartialInjection:
-    """k block copies, (q*n + j) -> q*n + pin(j); exactly isometric."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    n = pin.n
-    out = [-1] * (k * n)
-    for q in range(k):
-        for j, y in enumerate(pin.images):
-            if y != -1:
-                out[q * n + j] = q * n + y
-    return PartialInjection(k * n, tuple(out))
-
-
-def embed_general(pin: PartialInjection, p: int) -> PartialInjection:
-    """[[n]] -> [[p]] for p >= n: floor(p/n) block copies then p mod n inclusions."""
-    n = pin.n
-    if p < n:
-        raise ValueError(f"target size {p} below {n}")
-    out = embed_multiple(pin, p // n)
-    for _ in range(p % n):
-        out = embed_step(out)
-    return out
+from .constructions import general_map
+from .groupoid import Arrow
+from .semigroup import CertificateError, PackedMonoid, enumerate_semigroup, semigroup_count
 
 
 @dataclass(frozen=True)
@@ -208,7 +38,25 @@ class DistortionReport:
 
     def __post_init__(self):
         if self.bound is not None and self.observed_sup > self.bound:
-            raise AssertionError("distortion exceeds the guaranteed bound")
+            raise CertificateError(
+                f"ladder [[{self.n}]] -> [[{self.p}]]: distortion {self.observed_sup} "
+                f"exceeds the guaranteed bound {self.bound}"
+            )
+
+
+def _sample_code(pm: PackedMonoid, rng: random.Random) -> tuple[int, ...]:
+    """A random packed element of [[n]] = pm: each point is a source with
+    probability 1/2, and the sources get distinct random images. These are
+    the draws of semigroup.sample_bisection less its group-label draw, which
+    the full relation does not need but which would use up random state, so
+    a seed keeps giving the ladder the partial injections it always drew."""
+    n = pm.n_units
+    sources = [x for x in range(n) if rng.random() < 0.5]
+    out = [-1] * n
+    for x, y in zip(sources, rng.sample(range(n), len(sources))):
+        u, code = pm.place(Arrow(0, 0, y, x))
+        out[u] = code
+    return tuple(out)
 
 
 def distortion_report(
@@ -223,45 +71,39 @@ def distortion_report(
     Exhaustive when |[[n]]|^2 fits the cap, otherwise seeded sampling; the
     trace deviation sup is tracked alongside.
     """
-    if p < n:
-        raise ValueError(f"target size {p} below {n}")
-    count = pin_count(n)
+    m = general_map(n, p)
+    g = m.domain
+    dom, cod = PackedMonoid(g), PackedMonoid(m.codomain)
+    image = m.packed(dom, cod)
+    count = semigroup_count(g)
     exhaustive = count * count <= pair_cap
     if exhaustive:
-        elements = list(enumerate_pins(n))
-        pairs = [(a, b) for a in elements for b in elements]
+        pool = [dom.encode(a) for a in enumerate_semigroup(g)]
+        pairs = product(pool, repeat=2)  # not materialised: count**2 pairs
+        tested = count * count
         used_seed = None
     else:
         rng = random.Random(seed)
-        pairs = [(sample_pin(n, rng), sample_pin(n, rng)) for _ in range(sample_count)]
+        pairs = [(_sample_code(dom, rng), _sample_code(dom, rng)) for _ in range(sample_count)]
+        pool = [a for pair in pairs for a in pair]
+        tested = len(pairs)
         used_seed = seed
 
-    images = {}
-
-    def img(a):
-        if a not in images:
-            images[a] = embed_general(a, p)
-        return images[a]
-
-    d_sup = Fraction(0)
-    t_sup = Fraction(0)
-    for a, b in pairs:
-        dev = abs(img(a).distance(img(b)) - a.distance(b))
-        if dev > d_sup:
-            d_sup = dev
-    for a in {x for pair in pairs for x in pair}:
-        dev = abs(img(a).trace() - a.trace())
-        if dev > t_sup:
-            t_sup = dev
+    images = {a: image(a) for a in pool}
+    # d_n = dom.dist / dn and d_p = cod.dist / dp, so a deviation is an
+    # integer over dn * dp (= n * p)
+    dn, dp = dom.denom, cod.denom
+    d_sup = max(abs(dn * cod.dist(images[a], images[b]) - dp * dom.dist(a, b)) for a, b in pairs)
+    t_sup = max(abs(dn * cod.trace(y) - dp * dom.trace(x)) for x, y in images.items())
 
     bound = None if p == n else Fraction(n, p - n)
     return DistortionReport(
         n=n,
         p=p,
         bound=bound,
-        observed_sup=d_sup,
-        trace_sup=t_sup,
-        pairs_tested=len(pairs),
+        observed_sup=Fraction(d_sup, dn * dp),
+        trace_sup=Fraction(t_sup, dn * dp),
+        pairs_tested=tested,
         exhaustive=exhaustive,
         seed=used_seed,
     )

@@ -12,8 +12,8 @@ does check_embedding, on a packed domain and codomain: it evaluates the
 map once per distinct element (each pool element, then each product not
 yet mapped) instead of once per pair, on packed codes through
 SemigroupMap.packed. For the arrow maps of constructions (identity,
-connected, convex, pair) that is a gather over a table made once per
-domain arrow, with no Bisection built per element.
+connected, convex, pair, ladder) that is a gather over a table made once
+per domain arrow, with no Bisection built per element.
 """
 
 from __future__ import annotations

@@ -6,8 +6,11 @@ suite bodies and check_embedding loop that the packed kernel replaced; the
 rewritten code must reproduce them byte for byte. The replaced
 check_embedding loop is also kept below as a reference, and its reports
 must equal the library's, witnesses included. So are the evaluators of the
-connected, convex and pair embeddings that the tabulated arrow maps
-replaced: the maps, and their packed gathers, must agree with them.
+connected, convex, pair and ladder embeddings that the tabulated arrow
+maps replaced: the maps, and their packed gathers, must agree with them.
+The ladder goldens (suite reports and `embed --kind ladder` outputs) were
+written by the partial-injection distortion reports before they moved onto
+the packed kernel.
 """
 
 import random
@@ -20,6 +23,7 @@ from pathlib import Path
 import pytest
 
 from soficlab import cayley
+from soficlab.cli import main as cli_main
 from soficlab.constructions import (
     SemigroupMap,
     arrow_map,
@@ -323,6 +327,37 @@ def test_embedding_report_matches_golden(case, regime):
 
 
 
+# The ladder suite, and `soficlab embed --kind ladder`, against reports
+# written by the partial-injection distortion code that the packed one
+# replaced: (n, targets p, budget or None for the default)
+LADDER_CASES = {
+    "ladder-n1": (1, range(1, 5), None),
+    "ladder-n2": (2, range(2, 13), None),
+    "ladder-n3": (3, range(3, 31), None),
+    "ladder-n4-sampled": (4, range(4, 10), SuiteBudget(exhaustive_cap=100, sample_count=50, seed=5)),
+    # 1546^2 pairs exceed the default cap
+    "ladder-n5-sampled": (5, range(5, 10), None),
+}
+LADDER_CLI_CASES = {
+    "embed-ladder-n3": ["--n", "3", "--p-list", "5,7,12"],
+    "embed-ladder-n5": ["--n", "5", "--p-list", "6,11"],
+}
+
+
+@pytest.mark.parametrize("stem", list(LADDER_CASES))
+def test_ladder_report_matches_golden(stem):
+    n, targets, budget = LADDER_CASES[stem]
+    report = run_suite("ladder", budget, n=n, p_list=list(targets))
+    assert dumps(suite_result_to_json(report)) == (GOLDEN_DIR / f"{stem}.json").read_text()
+
+
+@pytest.mark.parametrize("stem", list(LADDER_CLI_CASES))
+def test_embed_ladder_output_matches_golden(stem, monkeypatch, capsys):
+    monkeypatch.delenv("SOFICLAB_SEED", raising=False)
+    assert cli_main(["embed", "--kind", "ladder", *LADDER_CLI_CASES[stem]]) == 0
+    assert capsys.readouterr().out == (GOLDEN_DIR / f"{stem}.json").read_text()
+
+
 # ---------------------------------------------------------------------------
 # Arrow maps against the evaluators they replaced
 
@@ -421,6 +456,21 @@ def reference_pair(phi_nu, phi_rho, t) -> SemigroupMap:
     return SemigroupMap(domain, codomain, run, f"pair[t={t}]")
 
 
+def reference_ladder(n, p, copies, label) -> SemigroupMap:
+    """step_map / general_map as the partial-injection evaluator computed
+    them: the point map of the argument, copied into the first blocks."""
+    domain, codomain = full_relation(n), full_relation(p)
+
+    def run(alpha):
+        points = {a.y_from: a.y_to for a in alpha.arrows}
+        return Bisection(
+            codomain,
+            tuple(Arrow(0, 0, q * n + y, q * n + x) for q in range(copies) for x, y in points.items()),
+        )
+
+    return SemigroupMap(domain, codomain, run, label)
+
+
 def reference_identity(g) -> SemigroupMap:
     return SemigroupMap(g, g, lambda a: a, "identity")
 
@@ -462,6 +512,9 @@ ARROW_MAPS = {
         reference_pair(reference_identity(REL2), reference_identity(REL2), HALF),
         None,
     ),
+    "step-3": lambda: (step_map(3), reference_ladder(3, 4, 1, "step[3->4]"), None),
+    "ladder-3-7": lambda: (general_map(3, 7), reference_ladder(3, 7, 2, "ladder[3->7]"), None),
+    "ladder-2-9": lambda: (general_map(2, 9), reference_ladder(2, 9, 4, "ladder[2->9]"), None),
     "convex-g6-sampled": lambda: (
         embed_convex(g6(G6_NU)),
         reference_convex(g6(G6_NU)),
@@ -506,7 +559,7 @@ def test_arrow_map_certificate_matches_reference_map(regime):
 
 
 def test_packed_non_arrow_map_decodes_and_encodes():
-    m = general_map(3, 7)
+    m = s3_over_z3()
     assert m.arrow_images is None
     dom, cod = PackedMonoid(m.domain), PackedMonoid(m.codomain)
     f = m.packed(dom, cod)
@@ -554,4 +607,4 @@ def test_pair_rejects_a_non_arrow_map():
     with pytest.raises(ValueError, match="arrow maps"):
         embed_convex_pair(reference_convex(nu), embed_convex(rho), THIRD)
     with pytest.raises(ValueError, match="arrow maps"):
-        embed_convex_pair(embed_convex(nu), step_map(2), THIRD)
+        embed_convex_pair(embed_convex(nu), reference_convex(rho), THIRD)

@@ -29,7 +29,6 @@ from soficlab.serialize import (
     pin_to_json,
     raw_to_json,
 )
-from soficlab.symmetric import PartialInjection
 
 
 class TestRationals:
@@ -88,9 +87,11 @@ def test_malg_round_trip():
 
 
 def test_pin_round_trip():
-    p = PartialInjection.from_dict(4, {0: 2, 3: 1})
+    p = bisection(full_relation(4), [Arrow(0, 0, 2, 0), Arrow(0, 0, 1, 3)])
     assert parse_pin(pin_to_json(p)) == p
     assert pin_to_json(p) == {"n": 4, "map": {"0": 2, "3": 1}}
+    with pytest.raises(ValueError):
+        pin_to_json(bisection(connected_groupoid(cayley.cyclic(2), 2), []))
 
 
 def test_jsonable_handles_library_values():

@@ -1,3 +1,11 @@
+"""The approximation ladder [[n]] -> [[p]]: the ladder maps on bisections of
+full relations, and the exact distortion reports measured on packed codes.
+
+reference_distortion measures the same sups with the Bisection operations
+and the block-copy formula written out, independently of the arrow-map
+table and its packed gather.
+"""
+
 from fractions import Fraction
 from itertools import product
 
@@ -5,24 +13,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from soficlab.groupoid import full_relation
-from soficlab.semigroup import enumerate_semigroup
-from soficlab.symmetric import (
-    PartialInjection,
-    distortion_report,
-    embed_general,
-    embed_multiple,
-    embed_step,
-    enumerate_pins,
-    from_bisection,
-    ladder_profile,
-    pin_count,
-    to_bisection,
+from soficlab.cli import main as cli_main
+from soficlab.constructions import arrow_map, general_map, step_map
+from soficlab.groupoid import Arrow, full_relation
+from soficlab.semigroup import (
+    Bisection,
+    CertificateError,
+    empty_bisection,
+    enumerate_semigroup,
+    semigroup_count,
+    unit_bisection,
 )
+from soficlab import symmetric
+from soficlab.symmetric import DistortionReport, distortion_report, ladder_profile
 
 
 def pin(n, mapping):
-    return PartialInjection.from_dict(n, mapping)
+    """The partial injection x -> mapping[x] of {0..n-1}, as a bisection."""
+    return Bisection(full_relation(n), tuple(Arrow(0, 0, y, x) for x, y in mapping.items()))
+
+
+def as_dict(b):
+    return {a.y_from: a.y_to for a in b.arrows}
+
+
+def elements(n):
+    return list(enumerate_semigroup(full_relation(n)))
 
 
 # brute-force oracle: filter all partial functions for injectivity
@@ -37,129 +53,174 @@ def count_by_filtering(n):
 
 @pytest.mark.parametrize("n,expected", [(1, 2), (2, 7), (3, 34), (4, 209)])
 def test_counts_match_brute_force_and_closed_form(n, expected):
-    assert pin_count(n) == expected
-    assert len(list(enumerate_pins(n))) == expected
+    assert semigroup_count(full_relation(n)) == expected
+    assert len(elements(n)) == expected
     assert count_by_filtering(n) == expected
 
 
-class TestBasicOps:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PartialInjection(2, (1, 1))
-        with pytest.raises(ValueError):
-            PartialInjection(2, (0,))
-
-    def test_compose_applies_right_first(self):
-        f = pin(3, {0: 1})
-        g = pin(3, {2: 0})
-        assert (f * g).as_dict() == {2: 1}
-
-    def test_inverse(self):
-        f = pin(3, {0: 2, 1: 0})
-        assert f.inverse().as_dict() == {2: 0, 0: 1}
-
-    def test_trace_and_distance(self):
-        swap = pin(2, {0: 1, 1: 0})
-        assert swap.trace() == 0
-        assert swap.distance(PartialInjection.identity(2)) == 1
-        assert pin(2, {0: 0}).trace() == Fraction(1, 2)
+def test_trace_and_distance():
+    swap = pin(2, {0: 1, 1: 0})
+    assert swap.trace() == 0
+    assert swap.distance(unit_bisection(swap.groupoid)) == 1
+    assert pin(2, {0: 0}).trace() == Fraction(1, 2)
 
 
-class TestEmbedStep:
+class TestStepMap:
     def test_identity_trace_drops(self):
-        img = embed_step(PartialInjection.identity(2))
-        assert img.as_dict() == {0: 0, 1: 1}
+        m = step_map(2)
+        img = m(unit_bisection(m.domain))
+        assert as_dict(img) == {0: 0, 1: 1}
         assert img.trace() == Fraction(2, 3)
 
     def test_empty_stays_empty(self):
-        img = embed_step(PartialInjection.empty(2))
-        assert img.as_dict() == {} and img.trace() == 0
+        m = step_map(2)
+        img = m(empty_bisection(m.domain))
+        assert as_dict(img) == {} and img.trace() == 0
 
     def test_pairwise_deviation_bound_exhaustive(self):
         # |d_{n+1} - d_n| = |disagreements| / (n(n+1)) <= 1/(n+1)
         for n in (1, 2, 3):
+            m = step_map(n)
             bound = Fraction(1, n + 1)
-            for a in enumerate_pins(n):
-                ia = embed_step(a)
+            for a in elements(n):
+                ia = m(a)
                 assert abs(ia.trace() - a.trace()) == a.trace() / (n + 1) <= bound
-                for b in enumerate_pins(n):
-                    dev = abs(embed_step(a).distance(embed_step(b)) - a.distance(b))
-                    assert dev <= bound
+                for b in elements(n):
+                    assert abs(ia.distance(m(b)) - a.distance(b)) <= bound
 
     def test_deviation_tight_at_swap_identity_pair(self):
-        swap, ident = pin(2, {0: 1, 1: 0}), PartialInjection.identity(2)
-        dev = abs(embed_step(swap).distance(embed_step(ident)) - swap.distance(ident))
+        m = step_map(2)
+        swap, ident = pin(2, {0: 1, 1: 0}), unit_bisection(m.domain)
+        dev = abs(m(swap).distance(m(ident)) - swap.distance(ident))
         assert dev == Fraction(1, 3)
 
     def test_multiplicative(self):
-        for a in enumerate_pins(2):
-            for b in enumerate_pins(2):
-                assert embed_step(a * b) == embed_step(a) * embed_step(b)
+        m = step_map(2)
+        for a in elements(2):
+            for b in elements(2):
+                assert m(a * b) == m(a) * m(b)
+
+    def test_is_an_arrow_map(self):
+        m = step_map(3)
+        assert m.arrow_images is not None and m.codomain == full_relation(4)
 
 
-class TestEmbedMultiple:
+class TestBlockCopies:
     def test_block_formula(self):
-        img = embed_multiple(pin(2, {0: 1, 1: 0}), 2)
-        assert img.as_dict() == {0: 1, 1: 0, 2: 3, 3: 2}
+        img = general_map(2, 4)(pin(2, {0: 1, 1: 0}))
+        assert as_dict(img) == {0: 1, 1: 0, 2: 3, 3: 2}
 
     def test_identity_to_identity(self):
         for n, k in ((1, 3), (2, 2), (3, 4)):
-            assert embed_multiple(PartialInjection.identity(n), k) == PartialInjection.identity(n * k)
+            m = general_map(n, n * k)
+            assert m(unit_bisection(m.domain)) == unit_bisection(m.codomain)
 
     def test_exhaustive_monoid_morphism_small(self):
         for n in (1, 2, 3):
             for k in (1, 2, 3):
-                elements = list(enumerate_pins(n))
-                images = {a: embed_multiple(a, k) for a in elements}
-                assert len(set(images.values())) == len(elements)
-                for a in elements:
+                m = general_map(n, n * k)
+                els = elements(n)
+                images = {a: m(a) for a in els}
+                assert len(set(images.values())) == len(els)
+                for a in els:
                     assert images[a].trace() == a.trace()
-                    assert images[a].inverse() == embed_multiple(a.inverse(), k)
-                for a in elements:
-                    for b in elements:
-                        assert images[a] * images[b] == embed_multiple(a * b, k)
+                    assert images[a].inverse() == m(a.inverse())
+                for a in els:
+                    for b in els:
+                        assert images[a] * images[b] == m(a * b)
                         assert images[a].distance(images[b]) == a.distance(b)
 
 
-class TestEmbedGeneral:
+class TestGeneralMap:
     def test_frozen_example_3_to_7(self):
         alpha = pin(3, {0: 1, 1: 0, 2: 2})
-        img = embed_general(alpha, 7)
-        assert img.as_dict() == {0: 1, 1: 0, 2: 2, 3: 4, 4: 3, 5: 5}
+        img = general_map(3, 7)(alpha)
+        assert as_dict(img) == {0: 1, 1: 0, 2: 2, 3: 4, 4: 3, 5: 5}
         assert img.trace() == Fraction(2, 7)
         assert abs(alpha.trace() - img.trace()) == Fraction(1, 21)
 
     def test_image_distance_3_to_7(self):
         # oracle: both images disagree at 0,1,3,4 out of 7 points
+        m = general_map(3, 7)
         alpha = pin(3, {0: 1, 1: 0, 2: 2})
-        ident = PartialInjection.identity(3)
-        d7 = embed_general(alpha, 7).distance(embed_general(ident, 7))
+        ident = unit_bisection(m.domain)
+        d7 = m(alpha).distance(m(ident))
         assert d7 == Fraction(4, 7)
         assert abs(d7 - alpha.distance(ident)) == Fraction(2, 21) <= Fraction(3, 4)
 
     def test_multiple_of_n_is_isometric(self):
-        for a in enumerate_pins(2):
-            for b in enumerate_pins(2):
-                assert embed_general(a, 6).distance(embed_general(b, 6)) == a.distance(b)
+        m = general_map(2, 6)
+        for a in elements(2):
+            for b in elements(2):
+                assert m(a).distance(m(b)) == a.distance(b)
 
     def test_below_n_rejected(self):
         with pytest.raises(ValueError):
-            embed_general(pin(3, {0: 0}), 2)
+            general_map(3, 2)
+        with pytest.raises(ValueError):
+            distortion_report(3, 2)
 
     def test_distortion_within_bound_exhaustive(self):
         for n in (2, 3):
-            elements = list(enumerate_pins(n))
+            els = elements(n)
             for p in range(n + 1, 13):
-                bound = Fraction(n, p - n)
+                m = general_map(n, p)
+                images = {a: m(a) for a in els}
                 worst = max(
-                    abs(
-                        embed_general(a, p).distance(embed_general(b, p))
-                        - a.distance(b)
-                    )
-                    for a in elements
-                    for b in elements
+                    abs(images[a].distance(images[b]) - a.distance(b)) for a in els for b in els
                 )
-                assert worst <= bound
+                assert worst <= Fraction(n, p - n)
+
+    def test_is_an_arrow_map(self):
+        assert general_map(3, 7).arrow_images is not None
+
+
+# ---------------------------------------------------------------------------
+# Distortion reports
+
+
+def reference_distortion(n, p):
+    """(observed_sup, trace_sup) over all pairs of [[n]], with the Bisection
+    operations on the block copies q*n + x -> q*n + y, q < p // n."""
+    cod = full_relation(p)
+
+    def image(alpha):
+        return Bisection(
+            cod,
+            tuple(Arrow(0, 0, q * n + a.y_to, q * n + a.y_from) for q in range(p // n) for a in alpha.arrows),
+        )
+
+    els = elements(n)
+    images = {a: image(a) for a in els}
+    d_sup = max(abs(images[a].distance(images[b]) - a.distance(b)) for a in els for b in els)
+    t_sup = max(abs(images[a].trace() - a.trace()) for a in els)
+    return d_sup, t_sup
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_report_matches_bisection_reference(n):
+    for p in range(n, 13):
+        rep = distortion_report(n, p)
+        assert rep.exhaustive and rep.pairs_tested == semigroup_count(full_relation(n)) ** 2
+        assert (rep.observed_sup, rep.trace_sup) == reference_distortion(n, p)
+
+
+def test_exhaustive_sups_are_exactly_r_over_p():
+    # a pair differing at c points deviates by c*r/(p*n), r = p mod n, and an
+    # element with t fixed points by t*r/(p*n); both sups take c = t = n
+    for n in (1, 2, 3):
+        for p in range(n, 31):
+            rep = distortion_report(n, p)
+            assert rep.exhaustive
+            assert rep.observed_sup == rep.trace_sup == Fraction(p % n, p)
+            assert rep.bound is None or rep.observed_sup <= rep.bound
+
+
+def test_hand_derived_anchor_2_to_5():
+    # swap vs identity: 2 of 2 points differ in [[2]], 4 of 5 in [[5]]
+    rep = distortion_report(2, 5)
+    assert rep.observed_sup == rep.trace_sup == Fraction(1, 5)
+    assert rep.bound == Fraction(2, 3)
 
 
 class TestLadderProfile:
@@ -175,39 +236,56 @@ class TestLadderProfile:
         assert rep.bound == Fraction(3, 97)
         assert rep.observed_sup <= rep.bound
 
+    def test_exhaustive_exactly_when_all_pairs_fit_the_cap(self):
+        # |[[2]]|^2 = 49
+        assert distortion_report(2, 3, pair_cap=49).exhaustive
+        rep = distortion_report(2, 3, pair_cap=48, sample_count=10, seed=2)
+        assert not rep.exhaustive and rep.pairs_tested == 10
+
     def test_sampled_regime_is_seeded(self):
         a = distortion_report(4, 9, pair_cap=100, sample_count=50, seed=5)
         b = distortion_report(4, 9, pair_cap=100, sample_count=50, seed=5)
         assert a == b
-        assert not a.exhaustive and a.seed == 5
+        assert not a.exhaustive and a.seed == 5 and a.pairs_tested == 50
 
 
-class TestBisectionIso:
-    def test_round_trip(self):
-        for a in enumerate_pins(3):
-            assert from_bisection(to_bisection(a)) == a
+class TestCertificate:
+    def test_report_above_its_bound_raises(self):
+        with pytest.raises(CertificateError, match="exceeds the guaranteed bound"):
+            DistortionReport(
+                n=2,
+                p=8,
+                bound=Fraction(1, 3),
+                observed_sup=Fraction(1, 2),
+                trace_sup=Fraction(0),
+                pairs_tested=1,
+                exhaustive=True,
+                seed=None,
+            )
 
-    def test_commutes_with_operations(self):
-        g = full_relation(3)
-        pins = list(enumerate_pins(3))
-        bis = {a: to_bisection(a, g) for a in pins}
-        assert len(set(bis.values())) == len(pins)
-        assert set(bis.values()) == set(enumerate_semigroup(g))
-        for a in pins:
-            assert bis[a].trace() == a.trace()
-            assert bis[a].inverse() == to_bisection(a.inverse(), g)
-        for a in pins[:10]:
-            for b in pins:
-                assert bis[a] * bis[b] == to_bisection(a * b, g)
-                assert bis[a].distance(bis[b]) == a.distance(b)
+    def test_broken_ladder_map_exits_as_certificate_error(self, monkeypatch, capsys):
+        # every element sent to the empty bisection: d_2(swap, empty) = 1
+        # against the bound 2/(8-2) = 1/3
+        def collapsed(n, p):
+            return arrow_map(full_relation(n), full_relation(p), lambda a: [], "collapsed")
+
+        monkeypatch.setattr(symmetric, "general_map", collapsed)
+        with pytest.raises(CertificateError):
+            distortion_report(2, 8)
+        assert cli_main(["embed", "--kind", "ladder", "--n", "2", "--p", "8"]) == 1
+        assert "certificate error:" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Random elements: the inverse law on [[1]]..[[6]], the triangle inequality on [[6]]
 
 
 @st.composite
-def pins(draw, max_n=6):
-    n = draw(st.integers(1, max_n))
+def pins(draw, sizes=st.integers(1, 6)):
+    n = draw(sizes)
     perm = draw(st.permutations(range(n)))
     dom = draw(st.sets(st.integers(0, n - 1)))
-    return PartialInjection.from_dict(n, {x: perm[x] for x in dom})
+    return pin(n, {x: perm[x] for x in dom})
 
 
 @settings(max_examples=200, deadline=None)
@@ -217,10 +295,6 @@ def test_inverse_law_random(a):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_metric_triangle_random(data):
-    # align sizes by pushing everything into [[6]]
-    a, b, c = (
-        data.draw(pins(max_n=6).map(lambda p: embed_general(p, 6))) for _ in range(3)
-    )
+@given(pins(st.just(6)), pins(st.just(6)), pins(st.just(6)))
+def test_metric_triangle_random(a, b, c):
     assert a.distance(c) <= a.distance(b) + b.distance(c)

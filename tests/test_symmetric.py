@@ -24,6 +24,7 @@ from soficlab.semigroup import (
     semigroup_count,
     unit_bisection,
 )
+from soficlab.serialize import parse_pin, pin_to_json
 from soficlab import symmetric
 from soficlab.symmetric import DistortionReport, distortion_report, ladder_profile
 
@@ -58,14 +59,30 @@ def test_counts_match_brute_force_and_closed_form(n, expected):
     assert count_by_filtering(n) == expected
 
 
-def test_trace_and_distance():
-    swap = pin(2, {0: 1, 1: 0})
-    assert swap.trace() == 0
-    assert swap.distance(unit_bisection(swap.groupoid)) == 1
-    assert pin(2, {0: 0}).trace() == Fraction(1, 2)
+class TestBasicOps:
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            pin(2, {0: 1, 1: 1})
+        with pytest.raises(ValueError):
+            pin(2, {0: 2})
+
+    def test_compose_applies_right_first(self):
+        f = pin(3, {0: 1})
+        g = pin(3, {2: 0})
+        assert as_dict(f * g) == {2: 1}
+
+    def test_inverse(self):
+        f = pin(3, {0: 2, 1: 0})
+        assert as_dict(f.inverse()) == {2: 0, 0: 1}
+
+    def test_trace_and_distance(self):
+        swap = pin(2, {0: 1, 1: 0})
+        assert swap.trace() == 0
+        assert swap.distance(unit_bisection(swap.groupoid)) == 1
+        assert pin(2, {0: 0}).trace() == Fraction(1, 2)
 
 
-class TestStepMap:
+class TestEmbedStep:
     def test_identity_trace_drops(self):
         m = step_map(2)
         img = m(unit_bisection(m.domain))
@@ -105,7 +122,7 @@ class TestStepMap:
         assert m.arrow_images is not None and m.codomain == full_relation(4)
 
 
-class TestBlockCopies:
+class TestEmbedMultiple:
     def test_block_formula(self):
         img = general_map(2, 4)(pin(2, {0: 1, 1: 0}))
         assert as_dict(img) == {0: 1, 1: 0, 2: 3, 3: 2}
@@ -131,7 +148,7 @@ class TestBlockCopies:
                         assert images[a].distance(images[b]) == a.distance(b)
 
 
-class TestGeneralMap:
+class TestEmbedGeneral:
     def test_frozen_example_3_to_7(self):
         alpha = pin(3, {0: 1, 1: 0, 2: 2})
         img = general_map(3, 7)(alpha)
@@ -274,6 +291,38 @@ class TestCertificate:
             distortion_report(2, 8)
         assert cli_main(["embed", "--kind", "ladder", "--n", "2", "--p", "8"]) == 1
         assert "certificate error:" in capsys.readouterr().err
+
+
+class TestBisectionIso:
+    """The partial-injection views of an element of [[n]]: the dict
+    x -> y of its arrows and the JSON codec, against the Bisection algebra."""
+
+    def test_round_trip(self):
+        for a in elements(3):
+            assert pin(3, as_dict(a)) == a
+            assert parse_pin(pin_to_json(a)) == a
+
+    def test_commutes_with_operations(self):
+        # partial functions composed, inverted and compared point by point
+        def compose(f, g):
+            return {x: f[g[x]] for x in g if g[x] in f}
+
+        def inverse(f):
+            return {y: x for x, y in f.items()}
+
+        def distance(f, g):
+            return Fraction(sum(f.get(x) != g.get(x) for x in range(3)), 3)
+
+        els = elements(3)
+        maps = {a: as_dict(a) for a in els}
+        assert len({tuple(sorted(m.items())) for m in maps.values()}) == len(els)
+        for a in els:
+            assert a.trace() == Fraction(sum(x == y for x, y in maps[a].items()), 3)
+            assert as_dict(a.inverse()) == inverse(maps[a])
+        for a in els[:10]:
+            for b in els:
+                assert as_dict(a * b) == compose(maps[a], maps[b])
+                assert a.distance(b) == distance(maps[a], maps[b])
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from soficlab import cayley
 from soficlab.cli import main as cli_main
 from soficlab.constructions import (
     SemigroupMap,
+    TransversalSystem,
     arrow_map,
     embed_connected,
     embed_convex,
@@ -36,6 +37,7 @@ from soficlab.constructions import (
     group_subgroupoid,
     identity_map,
     step_map,
+    unit_subgroupoid,
 )
 from soficlab.groupoid import (
     Arrow,
@@ -60,7 +62,7 @@ from soficlab.semigroup import (
     sample_bisection,
     unit_bisection,
 )
-from soficlab.serialize import dumps, embedding_report_to_json, suite_result_to_json
+from soficlab.serialize import dumps, embedding_report_to_json, groupoid_to_json, suite_result_to_json
 from soficlab.verify import (
     EmbeddingReport,
     SuiteBudget,
@@ -608,3 +610,75 @@ def test_pair_rejects_a_non_arrow_map():
         embed_convex_pair(reference_convex(nu), embed_convex(rho), THIRD)
     with pytest.raises(ValueError, match="arrow maps"):
         embed_convex_pair(embed_convex(nu), reference_convex(rho), THIRD)
+
+
+# ---------------------------------------------------------------------------
+# Finite index and the full-group completion: goldens written by the
+# Bisection-based block matrices and powers-of-gamma^-1 completion that the
+# packed tables and chain-following replaced
+
+Z4 = group_groupoid(cayley.cyclic(4))
+S3 = group_groupoid(cayley.symmetric(3))
+
+
+def invalid_system():
+    """The identity twice on [[2]]: the translates overlap and the lift
+    collides."""
+    one = unit_bisection(REL2)
+    return TransversalSystem(REL2, unit_subgroupoid(REL2), (one, one))
+
+
+# golden file stem -> (groupoid, subgroupoid, system or None to search one)
+FINITE_INDEX_CASES = {
+    "finite-index-n3-units": lambda: (GROUPOIDS["n3"], unit_subgroupoid(GROUPOIDS["n3"]), None),
+    "finite-index-z2y2-units": lambda: (GROUPOIDS["z2y2"], unit_subgroupoid(GROUPOIDS["z2y2"]), None),
+    "finite-index-s3-z3": lambda: (S3, group_subgroupoid(S3, [0, 3, 4]), None),
+    "finite-index-z4-02": lambda: (Z4, group_subgroupoid(Z4, [0, 2]), None),
+    "finite-index-invalid-n2": lambda: (REL2, unit_subgroupoid(REL2), invalid_system()),
+}
+EXTENSION_CASES = {
+    "extension-n3": full_relation(3),
+    # 1,441,729 elements: sampled at the default budget
+    "extension-n8-sampled": full_relation(8),
+    "extension-z2y2+pt": convex_combination(
+        [(HALF, connected_groupoid(cayley.cyclic(2), 2)), (HALF, full_relation(1))]
+    ),
+}
+S3Y4 = connected_groupoid(cayley.symmetric(3), 4)
+# a chain 0 -> 1 -> 2 with isotropy labels, and unit 3 untouched
+EXTEND_GAMMA = {"arrows": [[0, 2, 1, 0], [0, 4, 2, 1]]}
+
+
+def finite_index_report(stem) -> str:
+    g, sub, system = FINITE_INDEX_CASES[stem]()
+    params = {"g": g, "sub_arrows": sub} if system is None else {"g": g, "sub_arrows": sub, "system": system}
+    return dumps(suite_result_to_json(run_suite("finite-index", None, **params)))
+
+
+def extension_report(stem) -> str:
+    return dumps(suite_result_to_json(run_suite("extension", None, g=EXTENSION_CASES[stem])))
+
+
+def extend_output(directory: Path) -> str:
+    """stdout of `soficlab extend` on S3xY4, run inside directory so the
+    report names its inputs by relative path."""
+    (directory / "s3y4.json").write_text(dumps(groupoid_to_json(S3Y4)))
+    (directory / "gamma.json").write_text(dumps(EXTEND_GAMMA))
+    return ["extend", "s3y4.json", "gamma.json"]
+
+
+@pytest.mark.parametrize("stem", list(FINITE_INDEX_CASES))
+def test_finite_index_report_matches_golden(stem):
+    assert finite_index_report(stem) == (GOLDEN_DIR / f"{stem}.json").read_text()
+
+
+@pytest.mark.parametrize("stem", list(EXTENSION_CASES))
+def test_extension_report_matches_golden(stem):
+    assert extension_report(stem) == (GOLDEN_DIR / f"{stem}.json").read_text()
+
+
+def test_extend_output_matches_golden(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("SOFICLAB_SEED", raising=False)
+    assert cli_main(extend_output(tmp_path)) == 0
+    assert capsys.readouterr().out == (GOLDEN_DIR / "extend-s3y4.json").read_text()

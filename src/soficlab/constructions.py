@@ -6,20 +6,24 @@ multiplicativity, trace preservation and isometry exactly on whatever set
 is exercised. At this finite scale every construction is exact, not
 approximate.
 
-The identity, connected, convex and pair embeddings and the ladder maps
-[[n]] -> [[p]] (step_map, general_map) are arrow maps: the image of a
-bisection is the union of the images of its arrows. arrow_map tabulates
-those images once per domain arrow, validating each entry; the evaluator
-then only takes unions, and SemigroupMap.packed gathers the same table on
-packed codes for the certificate and the ladder's distortion reports.
-The maps that are not arrow maps (the finite-index lift, corner
-restrictions) run their evaluators between decode and encode there.
+The identity, connected, convex and pair embeddings, the ladder maps
+[[n]] -> [[p]] (step_map, general_map) and the finite-index lift are arrow
+maps: the image of a bisection is the union of the images of its arrows.
+arrow_map tabulates those images once per domain arrow, validating each
+entry; the evaluator then only takes unions, and SemigroupMap.packed
+gathers the same table on packed codes for the certificate and the
+ladder's distortion reports. The lift's table comes from the transversal
+block of each arrow (TransversalSystem.blocks), which block_table also
+scatters into the block matrices of packed codes for the finite-index
+suite. Only corner restrictions, which are not arrow maps, run their
+evaluators between decode and encode there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product as iproduct
 from math import lcm, prod
 from typing import Callable
@@ -291,7 +295,7 @@ def restrict_almost_morphism(theta: SemigroupMap, units) -> SemigroupMap:
         sandwiched = e * theta(lifted) * e
         out = [f.to_corner(a) for a in sandwiched.arrows]
         if any(a is None for a in out):
-            raise AssertionError("sandwiched image escaped the codomain corner")
+            raise CertificateError("sandwiched image escaped the codomain corner")
         return Bisection(f.groupoid, tuple(out))
 
     return SemigroupMap(h.groupoid, f.groupoid, run, f"corner.{theta.label}")
@@ -313,6 +317,26 @@ class TransversalSystem:
     @property
     def index(self) -> int:
         return len(self.transversals)
+
+    @cached_property
+    def blocks(self) -> dict:
+        """Each arrow a of the groupoid -> the (i, j, b) with b the one arrow
+        of psi_i^-1 a psi_j, for each (i, j) where it lies in H."""
+        g = self.groupoid
+        into = [psi.by_range for psi in self.transversals]
+        out = {}
+        for a in g.arrows():
+            row = []
+            for i, left in enumerate(into):
+                p = left.get(a.range)
+                for j, right in enumerate(into):
+                    q = right.get(a.source)
+                    if p is not None and q is not None:
+                        b = g.mul(g.mul(g.inv(p), a), q)
+                        if b in self.sub_arrows:
+                            row.append((i, j, b))
+            out[a] = row
+        return out
 
     def coset(self, psi: Bisection) -> frozenset:
         g = self.groupoid
@@ -452,115 +476,122 @@ def find_transversals(g: FiniteGroupoid, sub_arrows) -> TransversalSystem:
     return system
 
 
-def _blocks(alpha: Bisection, system: TransversalSystem):
-    g = alpha.groupoid
-    sub = system.sub_arrows
-    out = []
-    for psi_i in system.transversals:
-        row = []
-        inv_i = psi_i.inverse()
-        for psi_j in system.transversals:
-            full = inv_i * alpha * psi_j
-            row.append(Bisection(g, tuple(a for a in full.arrows if a in sub)))
-        out.append(row)
-    return out
+def block_table(system: TransversalSystem, pm: PackedMonoid) -> Callable:
+    """The block matrix on codes of pm = PackedMonoid(system.groupoid): a
+    code to its n*n block codes, block (i, j) at i*n + j, built once per
+    code.
+
+    block_of[u][code] lists the (i*n + j, source index, code) of the blocks
+    of the arrow at (u, code), from system.blocks; the matrix of an element
+    is a scatter of its arrows' entries. Two arrows never meet in one block
+    entry: their block sources are the psi_j-preimages of distinct sources.
+    """
+    n = system.index
+    block_of = [[()] * (pm.n_units * pm.order) for _ in pm.units]
+    for a, row in system.blocks.items():
+        u, x = pm.place(a)
+        block_of[u][x] = tuple((i * n + j, *pm.place(b)) for i, j, b in row)
+    memo = {}
+
+    def matrix(x) -> list:
+        out = memo.get(x)
+        if out is None:
+            out = [[-1] * pm.n_units for _ in range(n * n)]
+            for row, code in zip(block_of, x):
+                if code >= 0:
+                    for k, u, c in row[code]:
+                        out[k][u] = c
+            out = memo[x] = [tuple(b) for b in out]
+        return out
+
+    return matrix
+
+
+def block_violation(pm: PackedMonoid, n: int, matrix, co_matrix) -> str | None:
+    """The first check a packed block matrix fails, or None: the exchange
+    law alpha_{i,j}^-1 = (alpha^-1)_{j,i} against co_matrix, the matrix of
+    alpha^-1, then the disjointness that makes the lift well-defined:
+    within a column the block sources are pairwise disjoint, within a row
+    the block ranges are."""
+    cells = list(iproduct(range(n), repeat=2))
+    for i, j in cells:
+        if pm.inv(matrix[i * n + j]) != co_matrix[j * n + i]:
+            return f"block exchange law fails at ({i},{j})"
+    sources, ranges = [pm.src(b) for b in matrix], [pm.rng(b) for b in matrix]
+    for (j, i), k in iproduct(cells, range(n)):
+        if i < k and sources[i * n + j] & sources[k * n + j]:
+            return f"column {j}: blocks {i} and {k} share a source"
+    for (i, j), l in iproduct(cells, range(n)):
+        if j < l and ranges[i * n + j] & ranges[i * n + l]:
+            return f"row {i}: blocks {j} and {l} share a range"
+    return None
 
 
 def block_components(alpha: Bisection, system: TransversalSystem):
-    """The transversal block matrix alpha_{i,j} = psi_i^-1 alpha psi_j cap H.
-
-    Checks the exchange law alpha_{i,j}^-1 = (alpha^-1)_{j,i} and the
-    disjointness that makes the lift well-defined: within a column the block
-    sources are pairwise disjoint, within a row the block ranges are.
-    """
-    blocks = _blocks(alpha, system)
-    co_blocks = _blocks(alpha.inverse(), system)
-    n = system.index
-    for i in range(n):
-        for j in range(n):
-            if blocks[i][j].inverse() != co_blocks[j][i]:
-                raise AssertionError(f"block exchange law fails at ({i},{j})")
-    for j in range(n):
-        for i in range(n):
-            for k in range(i + 1, n):
-                if blocks[i][j].source_units & blocks[k][j].source_units:
-                    raise AssertionError(
-                        f"column {j}: blocks {i} and {k} share a source"
-                    )
-    for i in range(n):
-        for j in range(n):
-            for l in range(j + 1, n):
-                if blocks[i][j].range_units & blocks[i][l].range_units:
-                    raise AssertionError(
-                        f"row {i}: blocks {j} and {l} share a range"
-                    )
-    return blocks
+    """The transversal block matrix alpha_{i,j} = psi_i^-1 alpha psi_j cap H
+    as rows of Bisections, read off block_table; a failed block_violation
+    check raises CertificateError."""
+    pm, n = PackedMonoid(system.groupoid), system.index
+    matrix, x = block_table(system, pm), pm.encode(alpha)
+    problem = block_violation(pm, n, matrix(x), matrix(pm.inv(x)))
+    if problem is not None:
+        raise CertificateError(problem)
+    return [[pm.decode(matrix(x)[i * n + j]) for j in range(n)] for i in range(n)]
 
 
-@dataclass(eq=False)
-class FiniteIndexData:
-    """Everything needed to evaluate the finite-index lift."""
+def _lift_errors(f: Callable) -> Callable:
+    def run(x):
+        try:
+            return f(x)
+        except ValueError as exc:
+            raise NoTransversalError(f"lift not well-defined: {exc}") from exc
 
-    system: TransversalSystem
-    sub_groupoid: FiniteGroupoid
-    to_sub: Callable[[Bisection], Bisection]
-    phi: SemigroupMap
-    product: ProductStructure
-    relation: FiniteGroupoid
+    return run
 
 
-def finite_index_data(system: TransversalSystem, phi: SemigroupMap | None = None) -> FiniteIndexData:
-    g = system.groupoid
-    dec, raw_ids = subgroupoid_as_groupoid(g, system.sub_arrows)
-    sub_g = dec.groupoid
+class _IndexLift(SemigroupMap):
+    """A finite-index lift, whose packed gather raises NoTransversalError
+    on a collision like its evaluator."""
 
-    def to_sub(beta: Bisection) -> Bisection:
-        return Bisection(sub_g, tuple(dec.iso[raw_ids[a]] for a in beta.arrows))
-
-    if phi is None:
-        phi = identity_map(sub_g)
-    if phi.domain != sub_g:
-        raise ValueError("phi must be defined on the subgroupoid's semigroup")
-    relation = full_relation(system.index)
-    ps = product_groupoid(phi.codomain, relation)
-    return FiniteIndexData(system, sub_g, to_sub, phi, ps, relation)
-
-
-def finite_index_lift(
-    alpha: Bisection,
-    system: TransversalSystem,
-    phi: SemigroupMap | None = None,
-    data: FiniteIndexData | None = None,
-) -> Bisection:
-    """Xi(alpha) = union over (i,j) of phi(alpha_{i,j}) x E_{i,j}.
-
-    A source or range collision in the union means the transversal system is
-    invalid; that is surfaced as NoTransversalError.
-    """
-    if data is None:
-        data = finite_index_data(system, phi)
-    blocks = _blocks(alpha, system)
-    arrows = []
-    for i in range(system.index):
-        for j in range(system.index):
-            img = data.phi(data.to_sub(blocks[i][j]))
-            e_ij = Arrow(0, 0, i, j)
-            for a in img.arrows:
-                arrows.append(data.product.pair_arrow(a, e_ij))
-    try:
-        return Bisection(data.product.groupoid, tuple(arrows))
-    except ValueError as exc:
-        raise NoTransversalError(f"lift not well-defined: {exc}") from exc
+    def packed(self, dom: PackedMonoid, cod: PackedMonoid) -> Callable:
+        return _lift_errors(super().packed(dom, cod))
 
 
 def finite_index_map(system: TransversalSystem, phi: SemigroupMap | None = None) -> SemigroupMap:
-    data = finite_index_data(system, phi)
-    return SemigroupMap(
-        system.groupoid,
-        data.product.groupoid,
-        lambda a: finite_index_lift(a, system, data=data),
-        f"index[{system.index}].{data.phi.label}",
-    )
+    """The lift Xi(alpha) = union over (i,j) of phi(alpha_{i,j}) x E_{i,j}.
+
+    phi must be an arrow map (the identity by default), and then so is the
+    lift: each arrow has one block arrow or none at each (i, j). A source
+    or range collision in an image, in a table entry or in a union of them,
+    means the transversal system is invalid; it raises NoTransversalError.
+    """
+    g = system.groupoid
+    dec, raw_ids = subgroupoid_as_groupoid(g, system.sub_arrows)
+    if phi is None:
+        phi = identity_map(dec.groupoid)
+    if phi.domain != dec.groupoid:
+        raise ValueError("phi must be defined on the subgroupoid's semigroup")
+    if phi.arrow_images is None:
+        raise ValueError(f"finite_index_map needs an arrow map; {phi.label} is not one")
+    ps = product_groupoid(phi.codomain, full_relation(system.index))
+
+    def image(a: Arrow):
+        return [
+            ps.pair_arrow(c, Arrow(0, 0, i, j))
+            for i, j, b in system.blocks[a]
+            for c in phi.arrow_images[dec.iso[raw_ids[b]]]
+        ]
+
+    try:
+        m = arrow_map(g, ps.groupoid, image, f"index[{system.index}].{phi.label}")
+    except ValueError as exc:
+        raise NoTransversalError(f"lift not well-defined: {exc}") from exc
+    return _IndexLift(g, m.codomain, _lift_errors(m.evaluator), m.label, m.arrow_images)
+
+
+def finite_index_lift(alpha: Bisection, system: TransversalSystem, phi: SemigroupMap | None = None) -> Bisection:
+    """The image of alpha under finite_index_map(system, phi)."""
+    return finite_index_map(system, phi)(alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,11 @@ class Bisection:
             ):
                 raise ValueError(f"arrow {a} not in the groupoid")
 
+    def __hash__(self):
+        # equality still compares the groupoid; hashing it too would rehash
+        # its Cayley tables on every lookup
+        return hash(self.arrows)
+
     def __len__(self):
         return len(self.arrows)
 
@@ -226,59 +231,10 @@ def union_compatible(alpha: Bisection, beta: Bisection) -> Bisection:
 
 
 def extend_to_full_group(gamma: Bisection) -> Bisection:
-    """The full-group completion: close every partial orbit chain of gamma.
-
-    Stage n collects the arrows of (gamma^-1)^n whose source is outside
-    s(gamma) and range outside r(gamma); the union of gamma, all stages and
-    the untouched units is a full-group element containing gamma. Stage
-    sources and ranges are checked disjoint and exactly covering, which in
-    the finite setting must hold on the nose; a failed check raises
-    ExtensionCertificateError.
-    """
-    g = gamma.groupoid
-    arrows = set(gamma.arrows)
-    s_gamma, r_gamma = gamma.source_units, gamma.range_units
-    seen_sources = [s_gamma]
-    seen_ranges = [r_gamma]
-
-    inv = gamma.inverse()
-    power = inv
-    for _ in range(g.n_arrows):
-        if len(power) == 0:
-            break
-        stage = Bisection(
-            g,
-            tuple(
-                a
-                for a in power.arrows
-                if a.source not in s_gamma and a.range not in r_gamma
-            ),
-        )
-        if len(stage):
-            for prev in seen_sources[1:]:
-                if stage.source_units & prev:
-                    raise ExtensionCertificateError("stage sources overlap an earlier stage")
-            for prev in seen_ranges[1:]:
-                if stage.range_units & prev:
-                    raise ExtensionCertificateError("stage ranges overlap an earlier stage")
-            seen_sources.append(stage.source_units)
-            seen_ranges.append(stage.range_units)
-            arrows |= set(stage.arrows)
-        power = power * inv
-
-    touched = s_gamma | r_gamma
-    covered_sources = frozenset().union(*seen_sources)
-    covered_ranges = frozenset().union(*seen_ranges)
-    if covered_sources != touched or covered_ranges != touched:
-        raise ExtensionCertificateError("stages do not exactly cover s(gamma) u r(gamma)")
-    for u in g.units():
-        if u not in touched:
-            arrows.add(g.unit_arrow(u))
-
-    out = Bisection(g, tuple(arrows))
-    if not out.is_full() or not set(gamma.arrows) <= set(out.arrows):
-        raise ExtensionCertificateError("completion is not a full-group element containing gamma")
-    return out
+    """The full-group completion of gamma: a full-group element containing
+    it, computed on packed codes by PackedMonoid.extend."""
+    pm = PackedMonoid(gamma.groupoid)
+    return pm.decode(pm.extend(pm.encode(gamma)))
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +383,43 @@ class PackedMonoid:
         the image of mask under its action."""
         bits, R = self._bits, self._R
         return sum([bits[R[x]] for u, x in enumerate(a) if x >= 0 and mask >> u & 1])
+
+    # -- full-group completion ---------------------------------------------
+
+    def extend(self, x) -> tuple[int, ...]:
+        """The full-group completion of x, by following chains.
+
+        Each unit u in r(x) \\ s(x) starts a chain u, x^-1 u, x^-2 u, ...
+        that stays in r(x) until it reaches a unit of s(x) \\ r(x); u gets
+        the composed arrow of x^-k up to there. Units outside s(x) u r(x)
+        get their unit arrow, and x is kept. A chain that does not end
+        within N steps, a result that is not full and one that does not
+        contain x raise ExtensionCertificateError.
+        """
+        n, P, R, L = self.n_units, self._P, self._R, self._L
+        y = self.inv(x)
+        s, r = self.src(x), self.rng(x)
+        out = list(x)
+        for u in range(n):
+            if s >> u & 1:
+                continue
+            if not r >> u & 1:
+                out[u] = self._identity[u]
+                continue
+            code = y[u]
+            for _ in range(n):
+                if code < 0 or not r >> R[code] & 1:
+                    break
+                code = P[y[R[code]]][L[code]]
+            else:
+                raise ExtensionCertificateError(f"the chain from unit {u} stays in r(gamma) for {n} steps")
+            out[u] = code
+        out = tuple(out)
+        if self.src(out) != self.full_mask or self.rng(out) != self.full_mask:
+            raise ExtensionCertificateError("completion does not cover every unit")
+        if any(v != e for v, e in zip(x, out) if v >= 0):
+            raise ExtensionCertificateError("completion does not contain gamma")
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -6,14 +6,15 @@ strict rational comparisons. Checks run exhaustively whenever the tuple
 count fits the budget cap and fall back to seeded sampling otherwise, and
 each report records which regime ran, so a report is a deterministic
 function of (inputs, seed, budget). The inverse-monoid, metric-prop,
-trace-distance and supports suites encode their pools once into
-semigroup.PackedMonoid and run on its exact integer arithmetic, and so
-does check_embedding, on a packed domain and codomain: it evaluates the
-map once per distinct element (each pool element, then each product not
-yet mapped) instead of once per pair, on packed codes through
-SemigroupMap.packed. For the arrow maps of constructions (identity,
-connected, convex, pair, ladder) that is a gather over a table made once
-per domain arrow, with no Bisection built per element.
+trace-distance, supports, extension and finite-index suites encode their
+pools once into semigroup.PackedMonoid and run on its exact integer
+arithmetic, and so does check_embedding, on a packed domain and codomain:
+it evaluates the map once per distinct element (each pool element, then
+each product not yet mapped) instead of once per pair, on packed codes
+through SemigroupMap.packed. For the arrow maps of constructions
+(identity, connected, convex, pair, ladder, finite-index lift) that is a
+gather over a table made once per domain arrow, with no Bisection built
+per element.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from .constructions import (
     NoTransversalError,
     SemigroupMap,
     TransversalSystem,
-    _blocks,
-    block_components,
+    block_table,
+    block_violation,
     finite_index_map,
     identity_map,
     product_embedding,
@@ -43,7 +44,6 @@ from .semigroup import (
     enumerate_group,
     enumerate_malg,
     enumerate_semigroup,
-    extend_to_full_group,
     group_count,
     malg_count,
     sample_bisection,
@@ -702,19 +702,18 @@ def suite_supports(g: FiniteGroupoid, budget: SuiteBudget) -> list[CheckResult]:
 
 
 def suite_extension(g: FiniteGroupoid, budget: SuiteBudget) -> list[CheckResult]:
-    elements, exhaustive = _elements(g, "semigroup", budget)
-    contains = 0
-    full = 0
-    idem = 0
-    for gamma in elements:
-        ext = extend_to_full_group(gamma)
-        if not set(gamma.arrows) <= set(ext.arrows):
+    pm, _, pool, exhaustive = _packed_pool(g, "semigroup", budget)
+    full_mask = pm.full_mask
+    contains = full = idem = 0
+    for x in pool:
+        ext = pm.extend(x)
+        if any(v != e for v, e in zip(x, ext) if v >= 0):
             contains += 1
-        if not ext.is_full():
+        if pm.src(ext) != full_mask or pm.rng(ext) != full_mask:
             full += 1
-        if gamma.is_full() and ext != gamma:
+        if pm.src(x) == pm.rng(x) == full_mask and ext != x:
             idem += 1
-    n = len(elements)
+    n = len(pool)
     return [
         _result("extension-contains", contains == 0, tested=n, exhaustive=exhaustive),
         _result("extension-full", full == 0, tested=n, exhaustive=exhaustive),
@@ -731,81 +730,55 @@ def suite_finite_index(
     if system is None:
         system = find_transversals(g, sub_arrows)
     problems = system.violations()
-    checks.append(
-        _result(
-            "transversal-partition",
-            not problems,
-            index=system.index,
-            problems=problems,
-        )
-    )
+    checks.append(_result("transversal-partition", not problems, index=system.index, problems=problems))
 
-    elements, exhaustive = _elements(g, "semigroup", budget)
-    n_el = len(elements)
-    blocks = {}  # element index -> block matrix
-    block_failures = 0
-    for k, a in enumerate(elements):
-        try:
-            blocks[k] = block_components(a, system)
-        except AssertionError:
-            block_failures += 1
+    pm, _, pool, exhaustive = _packed_pool(g, "semigroup", budget)
+    mul, trace = pm.mul, pm.trace
+    nn = system.index
+    blocks = block_table(system, pm)
+    checked = {}  # pool index -> block matrix, for the elements that pass
+    for k, x in enumerate(pool):
+        if block_violation(pm, nn, blocks(x), blocks(pm.inv(x))) is None:
+            checked[k] = blocks(x)
     checks.append(
-        _result(
-            "block-asserts",
-            block_failures == 0,
-            tested=n_el,
-            exhaustive=exhaustive,
-        )
+        _result("block-asserts", len(checked) == len(pool), tested=len(pool), exhaustive=exhaustive)
     )
 
     # elements whose block matrix failed its checks are counted above and
     # skipped below, so `tested` counts only the work done
+    trace_viol = sum(
+        1 for k, matrix in checked.items() for i in range(nn) if trace(matrix[i * nn + i]) != trace(pool[k])
+    )
+    # the products a_ij b_jl over j have disjoint sources once b passed
+    # its column check, so their union is an entrywise max over codes
     viol = 0
-    trace_viol = 0
-    nn = system.index
-    for k, ba in blocks.items():
-        for i in range(nn):
-            if ba[i][i].trace() != elements[k].trace():
-                trace_viol += 1
-    pair_iter, exh2, _ = _tuples(n_el, 2, budget)
+    pair_iter, exh2, _ = _tuples(len(pool), 2, budget)
     pairs_done = 0
     for ia, ib in pair_iter:
-        ba, bb = blocks.get(ia), blocks.get(ib)
+        ba, bb = checked.get(ia), checked.get(ib)
         if ba is None or bb is None:
             continue
         pairs_done += 1
-        bab = _blocks(elements[ia] * elements[ib], system)
+        bab = blocks(mul(pool[ia], pool[ib]))
         for i in range(nn):
+            row = ba[i * nn : (i + 1) * nn]
             for l in range(nn):
-                union = set()
-                for j in range(nn):
-                    union |= set((ba[i][j] * bb[j][l]).arrows)
-                if union != set(bab[i][l].arrows):
+                products = [mul(a_ij, bb[j * nn + l]) for j, a_ij in enumerate(row)]
+                if tuple(map(max, zip(*products))) != bab[i * nn + l]:
                     viol += 1
     checks.append(
-        _result(
-            "block-identity",
-            viol == 0,
-            tested=pairs_done * nn * nn,
-            exhaustive=exh2,
-            violations=viol,
-        )
+        _result("block-identity", viol == 0, tested=pairs_done * nn * nn, exhaustive=exh2, violations=viol)
     )
     checks.append(
-        _result(
-            "diagonal-trace",
-            trace_viol == 0,
-            tested=len(blocks) * nn,
-            exhaustive=exhaustive,
-        )
+        _result("diagonal-trace", trace_viol == 0, tested=len(checked) * nn, exhaustive=exhaustive)
     )
 
-    lift = finite_index_map(system)
     try:
-        report = check_embedding(lift, budget)
+        report = check_embedding(finite_index_map(system), budget)
     except NoTransversalError as exc:
         # an invalid system makes the lift itself ill-defined
-        checks.append(_result("lift-exact-embedding", False, label=lift.label, error=str(exc)))
+        label = f"index[{nn}].identity"
+        checks.append(_result("lift-exact-embedding", False, label=label, error=str(exc)))
         return checks
     checks.append(
         _result(

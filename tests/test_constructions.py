@@ -5,12 +5,14 @@ import pytest
 from soficlab import cayley
 from soficlab.groupoid import (
     Arrow,
+    CornerStructure,
     connected_groupoid,
     convex_combination,
     full_relation,
     group_groupoid,
     point_groupoid,
     product_groupoid,
+    subgroupoid_as_groupoid,
 )
 from soficlab.constructions import (
     CertificateError,
@@ -208,6 +210,14 @@ class TestRestrictAlmostMorphism:
         with pytest.raises(ValueError):
             restrict_almost_morphism(theta, [(0, 0)])
 
+    def test_escaped_image_raises_certificate_error(self, monkeypatch):
+        # with the corner map broken, no image arrow lands in the corner;
+        # the check must raise, also under python -O
+        m = restrict_almost_morphism(identity_map(REL2), [(0, 0)])
+        monkeypatch.setattr(CornerStructure, "to_corner", lambda self, a: None)
+        with pytest.raises(CertificateError, match="escaped the codomain corner"):
+            m(unit_bisection(m.domain))
+
 
 class TestFindTransversals:
     def test_whole_groupoid_is_index_one(self):
@@ -273,6 +283,16 @@ class TestBlockComponents:
         grid = [[sorted(a.g for a in blocks[i][j].arrows) for j in range(2)] for i in range(2)]
         assert grid == [[[2], []], [[], [2]]]
 
+    def test_failed_check_raises_certificate_error(self):
+        # the identity twice: the unit's blocks share sources in each column
+        one = unit_bisection(REL2)
+        bogus = TransversalSystem(REL2, unit_subgroupoid(REL2), (one, one))
+        with pytest.raises(CertificateError, match="column 0: blocks 0 and 1 share a source"):
+            block_components(one, bogus)
+        # the swap has no block in H, so its matrix passes
+        blocks = block_components(pin(REL2, {0: 1, 1: 0}), bogus)
+        assert all(len(b) == 0 for row in blocks for b in row)
+
 
 class TestFiniteIndexLift:
     @pytest.fixture(params=["z4", "rel2", "s3"])
@@ -288,6 +308,24 @@ class TestFiniteIndexLift:
     def test_lift_is_exact_embedding(self, setup):
         g, system = setup
         assert exact_on(finite_index_map(system), enumerate_semigroup(g))
+
+    def test_lift_is_an_arrow_map(self, setup):
+        g, system = setup
+        m = finite_index_map(system)
+        assert m.arrow_images is not None and len(m.arrow_images) == g.n_arrows
+        for a in enumerate_semigroup(g):
+            union = {b for arrow in a.arrows for b in m.arrow_images[arrow].arrows}
+            assert set(m(a).arrows) == union
+
+    def test_phi_must_be_an_arrow_map(self, setup):
+        from soficlab.constructions import SemigroupMap
+
+        g, system = setup
+        h = subgroupoid_as_groupoid(g, system.sub_arrows)[0].groupoid
+        assert finite_index_map(system, identity_map(h)).label == finite_index_map(system).label
+        evaluator_only = SemigroupMap(h, h, lambda a: a, "evaluator-only")
+        with pytest.raises(ValueError, match="needs an arrow map"):
+            finite_index_map(system, evaluator_only)
 
     def test_unit_lifts_to_unit(self, setup):
         g, system = setup

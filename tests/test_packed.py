@@ -10,7 +10,10 @@ connected, convex, pair and ladder embeddings that the tabulated arrow
 maps replaced: the maps, and their packed gathers, must agree with them.
 The ladder goldens (suite reports and `embed --kind ladder` outputs) were
 written by the partial-injection distortion reports before they moved onto
-the packed kernel.
+the packed kernel. The finite-index and extension goldens were written by
+the Bisection-based block matrices, lift and full-group completion; those
+are kept below as references for the packed block table, the lift's arrow
+table and PackedMonoid.extend.
 """
 
 import random
@@ -25,9 +28,11 @@ import pytest
 from soficlab import cayley
 from soficlab.cli import main as cli_main
 from soficlab.constructions import (
+    NoTransversalError,
     SemigroupMap,
     TransversalSystem,
     arrow_map,
+    block_components,
     embed_connected,
     embed_convex,
     embed_convex_pair,
@@ -36,6 +41,8 @@ from soficlab.constructions import (
     general_map,
     group_subgroupoid,
     identity_map,
+    block_table,
+    restrict_almost_morphism,
     step_map,
     unit_subgroupoid,
 )
@@ -50,14 +57,18 @@ from soficlab.groupoid import (
     full_relation,
     group_groupoid,
     make_groupoid,
+    product_groupoid,
+    subgroupoid_as_groupoid,
 )
 from soficlab.semigroup import (
     Bisection,
+    CertificateError,
     PackedMonoid,
     act,
     enumerate_group,
     enumerate_malg,
     enumerate_semigroup,
+    extend_to_full_group,
     idempotent,
     sample_bisection,
     unit_bisection,
@@ -561,7 +572,7 @@ def test_arrow_map_certificate_matches_reference_map(regime):
 
 
 def test_packed_non_arrow_map_decodes_and_encodes():
-    m = s3_over_z3()
+    m = restrict_almost_morphism(embed_connected(GROUPOIDS["z2y2"]), [(0, 0)])
     assert m.arrow_images is None
     dom, cod = PackedMonoid(m.domain), PackedMonoid(m.codomain)
     f = m.packed(dom, cod)
@@ -682,3 +693,167 @@ def test_extend_output_matches_golden(tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("SOFICLAB_SEED", raising=False)
     assert cli_main(extend_output(tmp_path)) == 0
     assert capsys.readouterr().out == (GOLDEN_DIR / "extend-s3y4.json").read_text()
+
+
+# ---------------------------------------------------------------------------
+# Block matrices, the lift and the completion against the Bisection references
+
+
+def reference_blocks(alpha, system):
+    """alpha_{i,j} = psi_i^-1 alpha psi_j cap H by two composes per block."""
+    g = alpha.groupoid
+    out = []
+    for psi_i in system.transversals:
+        inv_i = psi_i.inverse()
+        out.append(
+            [
+                Bisection(g, tuple(a for a in (inv_i * alpha * psi_j).arrows if a in system.sub_arrows))
+                for psi_j in system.transversals
+            ]
+        )
+    return out
+
+
+def reference_block_violation(alpha, system):
+    """block_components' checks on Bisections: the first failure or None."""
+    blocks, co_blocks = reference_blocks(alpha, system), reference_blocks(alpha.inverse(), system)
+    n = system.index
+    for i in range(n):
+        for j in range(n):
+            if blocks[i][j].inverse() != co_blocks[j][i]:
+                return f"block exchange law fails at ({i},{j})"
+    for j in range(n):
+        for i in range(n):
+            for k in range(i + 1, n):
+                if blocks[i][j].source_units & blocks[k][j].source_units:
+                    return f"column {j}: blocks {i} and {k} share a source"
+    for i in range(n):
+        for j in range(n):
+            for l in range(j + 1, n):
+                if blocks[i][j].range_units & blocks[i][l].range_units:
+                    return f"row {i}: blocks {j} and {l} share a range"
+    return None
+
+
+def reference_lift(system) -> SemigroupMap:
+    """finite_index_map as the per-element evaluator computed it: the
+    union of alpha_{i,j} x E_{i,j} from reference_blocks."""
+    g = system.groupoid
+    dec, raw_ids = subgroupoid_as_groupoid(g, system.sub_arrows)
+    ps = product_groupoid(dec.groupoid, full_relation(system.index))
+
+    def run(alpha):
+        arrows = [
+            ps.pair_arrow(dec.iso[raw_ids[b]], Arrow(0, 0, i, j))
+            for i, row in enumerate(reference_blocks(alpha, system))
+            for j, block in enumerate(row)
+            for b in block.arrows
+        ]
+        try:
+            return Bisection(ps.groupoid, tuple(arrows))
+        except ValueError as exc:
+            raise NoTransversalError(f"lift not well-defined: {exc}") from exc
+
+    return SemigroupMap(g, ps.groupoid, run, f"index[{system.index}].identity")
+
+
+def reference_extend(gamma):
+    """extend_to_full_group by powers of gamma^-1: stage n keeps the arrows
+    of (gamma^-1)^n with source outside s(gamma) and range outside r(gamma)."""
+    g = gamma.groupoid
+    arrows = set(gamma.arrows)
+    s_gamma, r_gamma = gamma.source_units, gamma.range_units
+    inv = gamma.inverse()
+    power = inv
+    for _ in range(g.n_arrows):
+        if len(power) == 0:
+            break
+        arrows |= {a for a in power.arrows if a.source not in s_gamma and a.range not in r_gamma}
+        power = power * inv
+    arrows |= {g.unit_arrow(u) for u in g.units() if u not in s_gamma | r_gamma}
+    return Bisection(g, tuple(arrows))
+
+
+def system_of(stem):
+    g, sub, system = FINITE_INDEX_CASES[stem]()
+    return system if system is not None else find_transversals(g, sub)
+
+
+@pytest.mark.parametrize("stem", list(FINITE_INDEX_CASES))
+def test_block_table_match_reference(stem):
+    system = system_of(stem)
+    g, n = system.groupoid, system.index
+    pm = PackedMonoid(g)
+    blocks = block_table(system, pm)
+    failures = 0
+    for a in enumerate_semigroup(g):
+        expected = reference_blocks(a, system)
+        assert blocks(pm.encode(a)) == [pm.encode(b) for row in expected for b in row]
+        problem = reference_block_violation(a, system)
+        if problem is None:
+            assert block_components(a, system) == expected
+        else:
+            failures += 1
+            with pytest.raises(CertificateError) as err:
+                block_components(a, system)
+            assert str(err.value) == problem
+    # only the invalid system has elements whose blocks fail
+    assert (failures > 0) == (stem == "finite-index-invalid-n2")
+
+
+@pytest.mark.parametrize("stem", list(FINITE_INDEX_CASES))
+def test_lift_matches_reference(stem):
+    system = system_of(stem)
+    ref = reference_lift(system)
+    if stem == "finite-index-invalid-n2":
+        # the unit's own image collides, so the table cannot be built
+        with pytest.raises(NoTransversalError) as expected:
+            ref(unit_bisection(system.groupoid))
+        with pytest.raises(NoTransversalError) as got:
+            finite_index_map(system)
+        assert str(got.value) == str(expected.value) == "lift not well-defined: source map not injective"
+        return
+    m = finite_index_map(system)
+    assert m.arrow_images is not None
+    assert (m.domain, m.codomain, m.label) == (ref.domain, ref.codomain, ref.label)
+    dom, cod = PackedMonoid(m.domain), PackedMonoid(m.codomain)
+    gather = m.packed(dom, cod)
+    for a in enumerate_semigroup(m.domain):
+        image = ref(a)
+        assert m(a) == image
+        assert gather(dom.encode(a)) == cod.encode(image)
+
+
+def test_lift_collision_between_arrows_is_no_transversal_error():
+    # phi sends every arrow of H to one unit arrow: each arrow's image is
+    # valid, but the images of two arrows collide in the union
+    system = system_of("finite-index-n3-units")
+    h = subgroupoid_as_groupoid(system.groupoid, system.sub_arrows)[0].groupoid
+    first = h.unit_arrow(next(iter(h.units())))
+    m = finite_index_map(system, arrow_map(h, h, lambda a: (first,), "colliding"))
+    one = unit_bisection(system.groupoid)
+    with pytest.raises(NoTransversalError, match="lift not well-defined: source map not injective"):
+        m(one)
+    dom, cod = PackedMonoid(m.domain), PackedMonoid(m.codomain)
+    with pytest.raises(NoTransversalError, match="lift not well-defined: source map not injective"):
+        m.packed(dom, cod)(dom.one)
+
+
+EXTEND_CASES = {
+    "n3": lambda: list(enumerate_semigroup(full_relation(3))),
+    "z2y2": lambda: list(enumerate_semigroup(GROUPOIDS["z2y2"])),
+    "s3": lambda: list(enumerate_semigroup(S3)),
+    "g6": lambda: list(enumerate_semigroup(g6(G6_NU))),
+    # the pool of the extension suite on [[8]] at the default budget
+    "n8-sampled": lambda: _elements(full_relation(8), "semigroup", SuiteBudget())[0],
+}
+
+
+@pytest.mark.parametrize("case", list(EXTEND_CASES))
+def test_extend_matches_reference(case):
+    elements = EXTEND_CASES[case]()
+    pm = PackedMonoid(elements[0].groupoid)
+    for gamma in elements:
+        expected = reference_extend(gamma)
+        assert pm.extend(pm.encode(gamma)) == pm.encode(expected)
+        assert extend_to_full_group(gamma) == expected

@@ -9,6 +9,7 @@ from soficlab.groupoid import Arrow, connected_groupoid, full_relation
 from soficlab.semigroup import (
     Bisection,
     CapExceededError,
+    PackedMonoid,
     ExtensionCertificateError,
     UnionIncompatibleError,
     act,
@@ -72,6 +73,19 @@ class TestCompose:
     def test_groupoid_mismatch(self):
         with pytest.raises(ValueError):
             unit_bisection(G2) * unit_bisection(G3)
+
+
+class TestHash:
+    def test_equal_bisections_hash_equal(self):
+        for a in enumerate_semigroup(Z2Y2):
+            b = Bisection(connected_groupoid(cayley.cyclic(2), 2), tuple(reversed(a.arrows)))
+            assert a == b and hash(a) == hash(b)
+
+    def test_same_arrows_on_different_groupoids_differ(self):
+        a, b = pin(G2, {0: 1}), pin(G3, {0: 1})
+        assert a.arrows == b.arrows and hash(a) == hash(b)
+        assert a != b
+        assert len({a, b}) == 2
 
 
 class TestInvert:
@@ -239,9 +253,9 @@ class TestExtendToFullGroup:
         assert ext * ext == unit_bisection(Z2Y2)
 
     def test_failed_certificate_raises_named_error(self, monkeypatch):
-        # with inversion broken there are no stages, so s(gamma) u r(gamma)
+        # with inversion broken every chain ends undefined, so r(gamma) \ s(gamma)
         # is not covered; the check must raise, also under python -O
-        monkeypatch.setattr(Bisection, "inverse", lambda self: empty_bisection(self.groupoid))
+        monkeypatch.setattr(PackedMonoid, "inv", lambda self, x: self.zero)
         with pytest.raises(ExtensionCertificateError, match="cover"):
             extend_to_full_group(pin(G3, {0: 1}))
 

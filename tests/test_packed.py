@@ -670,9 +670,9 @@ def extension_report(stem) -> str:
     return dumps(suite_result_to_json(run_suite("extension", None, g=EXTENSION_CASES[stem])))
 
 
-def extend_output(directory: Path) -> str:
-    """stdout of `soficlab extend` on S3xY4, run inside directory so the
-    report names its inputs by relative path."""
+def write_extend_inputs(directory: Path) -> list:
+    """Write the S3xY4 groupoid and the bisection into directory and return
+    the `soficlab extend` arguments, which name them by relative path."""
     (directory / "s3y4.json").write_text(dumps(groupoid_to_json(S3Y4)))
     (directory / "gamma.json").write_text(dumps(EXTEND_GAMMA))
     return ["extend", "s3y4.json", "gamma.json"]
@@ -691,7 +691,7 @@ def test_extension_report_matches_golden(stem):
 def test_extend_output_matches_golden(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("SOFICLAB_SEED", raising=False)
-    assert cli_main(extend_output(tmp_path)) == 0
+    assert cli_main(write_extend_inputs(tmp_path)) == 0
     assert capsys.readouterr().out == (GOLDEN_DIR / "extend-s3y4.json").read_text()
 
 

@@ -73,12 +73,20 @@ from soficlab.semigroup import (
     sample_bisection,
     unit_bisection,
 )
-from soficlab.serialize import dumps, embedding_report_to_json, groupoid_to_json, suite_result_to_json
+from soficlab.serialize import (
+    almost_report_to_json,
+    bisection_to_json,
+    dumps,
+    embedding_report_to_json,
+    groupoid_to_json,
+    suite_result_to_json,
+)
 from soficlab.verify import (
     EmbeddingReport,
     SuiteBudget,
     _elements,
     _tuples,
+    check_almost_morphism,
     check_embedding,
     run_suite,
 )
@@ -337,6 +345,93 @@ def test_embedding_report_matches_golden(case, regime):
     report = check_embedding(EMBEDDINGS[case](), EMBEDDING_BUDGETS[regime])
     expected = (GOLDEN_DIR / f"embedding-{case}-{regime}.json").read_text()
     assert dumps(embedding_report_to_json(report)) == expected
+
+
+
+# ---------------------------------------------------------------------------
+# Almost-morphism reports and `soficlab verify`: goldens written by the
+# Bisection-based check_almost_morphism loop
+
+
+def swap_and_one():
+    """The swap of [[2]] and its unit."""
+    return Bisection(REL2, (Arrow(0, 0, 0, 1), Arrow(0, 0, 1, 0))), unit_bisection(REL2)
+
+
+def collapsing_pairs():
+    swap, one = swap_and_one()
+    return {swap: one, one: one}, [swap], HALF
+
+
+def repeated_k():
+    # K with repeats, and elements whose images lose arrows
+    elements = list(enumerate_semigroup(GROUPOIDS["z2y2"]))
+    K = elements[3:9] + elements[5:7] + [elements[3], elements[0]]
+    return drop_first_arrow(embed_connected(GROUPOIDS["z2y2"])), K, HALF
+
+
+def all_of(g):
+    return list(enumerate_semigroup(g))
+
+
+# golden file stem -> (map or pair list, K, epsilon)
+ALMOST_CASES = {
+    "almost-identity-n2": lambda: (identity_map(REL2), all_of(REL2), Fraction(1, 100)),
+    "almost-ladder-3-7": lambda: (general_map(3, 7), all_of(GROUPOIDS["n3"]), Fraction(4, 5)),
+    "almost-connected-z2y2": lambda: (
+        embed_connected(GROUPOIDS["z2y2"]), all_of(GROUPOIDS["z2y2"]), Fraction(1, 100)
+    ),
+    "almost-dropped-connected-z2y2": lambda: (
+        drop_first_arrow(embed_connected(GROUPOIDS["z2y2"])), all_of(GROUPOIDS["z2y2"]), HALF
+    ),
+    "almost-collapsed-connected-z2y2": lambda: (
+        forget_labels(embed_connected(GROUPOIDS["z2y2"])), all_of(GROUPOIDS["z2y2"]), HALF
+    ),
+    "almost-collapsing-pairs-n2": collapsing_pairs,
+    "almost-repeated-k-z2y2": repeated_k,
+}
+
+
+def write_verify_inputs(directory: Path) -> dict:
+    """Write the inputs of two `soficlab verify` runs into directory and
+    return their arguments, which name the files by relative path: the
+    connected embedding of Z2xY2 on all of its semigroup, and a pair list
+    [[2]] -> [[3]] (the ladder map's values on the swap, the unit and
+    their products) on K = [swap, unit]."""
+    swap, one = swap_and_one()
+    ladder = general_map(2, 3)
+    (directory / "z2y2.json").write_text(dumps(groupoid_to_json(GROUPOIDS["z2y2"])))
+    (directory / "n2.json").write_text(dumps(groupoid_to_json(REL2)))
+    (directory / "n3.json").write_text(dumps(groupoid_to_json(GROUPOIDS["n3"])))
+    pairs = [[bisection_to_json(a), bisection_to_json(ladder(a))] for a in (swap, one)]
+    (directory / "pairs.json").write_text(dumps({"pairs": pairs}))
+    (directory / "k.json").write_text(dumps([bisection_to_json(swap), bisection_to_json(one)]))
+    return {
+        "verify-connected-z2y2": (
+            ["verify", "--map", "connected", "--groupoid", "z2y2.json", "--K", "all", "--epsilon", "1/100"], 0
+        ),
+        "verify-pairs-n2-n3": (
+            ["verify", "--map", "pairs.json", "--domain", "n2.json", "--codomain", "n3.json",
+             "--K", "k.json", "--epsilon", "1/2"],
+            0,
+        ),
+    }
+
+
+@pytest.mark.parametrize("stem", list(ALMOST_CASES))
+def test_almost_report_matches_golden(stem):
+    pi, K, epsilon = ALMOST_CASES[stem]()
+    report = check_almost_morphism(pi, K, epsilon)
+    assert dumps(almost_report_to_json(report)) == (GOLDEN_DIR / f"{stem}.json").read_text()
+
+
+@pytest.mark.parametrize("stem", ["verify-connected-z2y2", "verify-pairs-n2-n3"])
+def test_verify_output_matches_golden(stem, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("SOFICLAB_SEED", raising=False)
+    argv, code = write_verify_inputs(tmp_path)[stem]
+    assert cli_main(argv) == code
+    assert capsys.readouterr().out == (GOLDEN_DIR / f"{stem}.json").read_text()
 
 
 

@@ -25,6 +25,7 @@ from .semigroup import (
     CertificateError,
     enumerate_semigroup,
     extend_to_full_group,
+    semigroup_count,
 )
 from .verify import DEFAULT_SEED, SuiteBudget
 
@@ -193,51 +194,40 @@ def cmd_extend(args) -> int:
 
 
 def _build_map(args):
-    named = {"identity", "connected", "convex", "ladder"}
+    """The map of `verify --map` and its domain: a named construction, or
+    a pair list as a dict of bisections."""
+    named = {"identity": cn.identity_map, "connected": cn.embed_connected, "convex": cn.embed_convex}
+    if args.map == "ladder":
+        if args.n is None or args.p is None:
+            raise MalformedInputError("construction 'ladder' needs --n and --p")
+        m = cn.general_map(args.n, args.p)
+        return m, m.domain
     if args.map in named:
-        if args.map == "ladder":
-            if args.n is None or args.p is None:
-                raise MalformedInputError("construction 'ladder' needs --n and --p")
-            return cn.general_map(args.n, args.p)
         if not args.groupoid:
             raise MalformedInputError(f"construction {args.map!r} needs --groupoid")
-        g = _load_groupoid(args.groupoid)
-        if args.map == "identity":
-            return cn.identity_map(g)
-        if args.map == "connected":
-            return cn.embed_connected(g)
-        return cn.embed_convex(g)
+        m = named[args.map](_load_groupoid(args.groupoid))
+        return m, m.domain
     if not os.path.exists(args.map):
         raise MalformedInputError(
-            f"--map must be a pair-list file or one of {sorted(named)}"
+            f"--map must be a pair-list file or one of {sorted([*named, 'ladder'])}"
         )
     if not (args.domain and args.codomain):
         raise MalformedInputError("a pair-list map needs --domain and --codomain")
     domain = _load_groupoid(args.domain)
     codomain = _load_groupoid(args.codomain)
-    obj = sz.load_json(args.map)
-    pairs = obj.get("pairs")
-    if not isinstance(pairs, list):
-        raise MalformedInputError('map file must contain {"pairs": [[x, y], ...]}')
-    table = {}
-    for x, y in pairs:
-        table[sz.parse_bisection(domain, x)] = sz.parse_bisection(codomain, y)
-    return table, domain
+    return sz.parse_pair_list(domain, codomain, sz.load_json(args.map)), domain
 
 
 def cmd_verify(args) -> int:
     budget = _budget(args)
-    built = _build_map(args)
-    if isinstance(built, tuple):
-        pi, domain = built
-    else:
-        pi, domain = built, built.domain
-    if args.K == "all":
+    pi, domain = _build_map(args)
+    K = None if args.K == "all" else sz.parse_bisection_list(domain, sz.load_json(args.K))
+    # the report tests every pair of K; charge them before enumerating it
+    pairs = (semigroup_count(domain) if K is None else len(K)) ** 2
+    if pairs > budget.exhaustive_cap:
+        raise CapExceededError(pairs, budget.exhaustive_cap, "pairs of K")
+    if K is None:
         K = list(enumerate_semigroup(domain, cap=budget.exhaustive_cap))
-    else:
-        obj = sz.load_json(args.K)
-        items = obj if isinstance(obj, list) else obj.get("bisections", [])
-        K = [sz.parse_bisection(domain, item) for item in items]
     report = vf.check_almost_morphism(pi, K, parse_fraction(args.epsilon))
     _emit(
         args,

@@ -6,17 +6,17 @@ multiplicativity, trace preservation and isometry exactly on whatever set
 is exercised. At this finite scale every construction is exact, not
 approximate.
 
-The identity, connected, convex and pair embeddings, the ladder maps
-[[n]] -> [[p]] (step_map, general_map) and the finite-index lift are arrow
-maps: the image of a bisection is the union of the images of its arrows.
-arrow_map tabulates those images once per domain arrow, validating each
-entry; the evaluator then only takes unions, and SemigroupMap.packed
-gathers the same table on packed codes for the certificate and the
-ladder's distortion reports. The lift's table comes from the transversal
-block of each arrow (TransversalSystem.blocks), which block_table also
-scatters into the block matrices of packed codes for the finite-index
-suite. Only corner restrictions, which are not arrow maps, run their
-evaluators between decode and encode there.
+Every map built here is an arrow map: the image of a bisection is the
+union of the images of its arrows. That holds for the identity, connected,
+convex and pair embeddings, the ladder maps [[n]] -> [[p]] (step_map,
+general_map), the finite-index lift and the corner restriction.
+arrow_map tabulates those images once per domain arrow and checks the
+table once, when it builds it; the evaluator then only takes unions, and
+SemigroupMap.packed scatters the same table on packed codes for the
+certificates and the ladder's distortion reports. The lift's table comes
+from the transversal block of each arrow (TransversalSystem.blocks), which
+block_table also scatters into the block matrices of packed codes for the
+finite-index suite.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 from itertools import product as iproduct
 from math import lcm, prod
 from typing import Callable
@@ -69,45 +70,32 @@ class SemigroupMap:
     def packed(self, dom: PackedMonoid, cod: PackedMonoid) -> Callable:
         """The map on packed codes: a code of dom to a code of cod.
 
-        An arrow map gathers its table: each (source unit, code) of dom is
+        An arrow map scatters its table: each (source unit, code) of dom is
         one domain arrow, precomputed as the codomain (source, code) pieces
-        of its image. Two pieces at one codomain source or range raise the
-        ValueError that Bisection raises for the same union. Any other map
-        runs its evaluator between decode and encode.
+        of its image; arrow_map has checked that the pieces of an element's
+        arrows never meet. Any other map runs its evaluator between decode
+        and encode.
         """
         if dom.groupoid != self.domain or cod.groupoid != self.codomain:
             raise ValueError(f"packed kernels do not match the groupoids of {self.label}")
         if self.arrow_images is None:
             return lambda x: cod.encode(self(dom.decode(x)))
 
-        rows = [[None] * (dom.n_units * dom.order) for _ in dom.units]
+        rows = [[()] * (dom.n_units * dom.order) for _ in dom.units]
         for a, image in self.arrow_images.items():
             u, x = dom.place(a)
-            y = cod.encode(image)
-            rows[u][x] = (cod.src(y), cod.rng(y), tuple((s, v) for s, v in enumerate(y) if v >= 0))
+            rows[u][x] = tuple(cod.place(b) for b in image.arrows)
         n = cod.n_units
 
-        def gather(x) -> tuple[int, ...]:
+        def scatter(x) -> tuple[int, ...]:
             out = [-1] * n
-            seen_sources = seen_ranges = 0
-            range_clash = False
             for row, code in zip(rows, x):
-                if code < 0:
-                    continue
-                sources, ranges, pieces = row[code]
-                if seen_sources & sources:
-                    raise ValueError("source map not injective")
-                if seen_ranges & ranges:
-                    range_clash = True
-                seen_sources |= sources
-                seen_ranges |= ranges
-                for s, v in pieces:
-                    out[s] = v
-            if range_clash:
-                raise ValueError("range map not injective")
+                if code >= 0:
+                    for s, v in row[code]:
+                        out[s] = v
             return tuple(out)
 
-        return gather
+        return scatter
 
 
 def arrow_map(
@@ -119,10 +107,22 @@ def arrow_map(
     """The map sending a bisection to the union of its arrows' images.
 
     image_of_arrow is tabulated once over domain.arrows(), and each entry is
-    validated as a Bisection of the codomain; the evaluator builds the
-    union as one Bisection, so every image is still checked at the output.
+    validated as a Bisection of the codomain. The table is checked once:
+    two domain arrows that can share a bisection (distinct sources and
+    distinct ranges) must have images with disjoint sources and disjoint
+    ranges, or it raises the ValueError a Bisection of their union would.
+    The evaluator and SemigroupMap.packed then take unions unchecked.
     """
     table = {a: Bisection(codomain, tuple(image_of_arrow(a))) for a in domain.arrows()}
+    for side in ("source", "range"):
+        hits = {}  # codomain unit -> the domain arrows whose images meet it on this side
+        for a, image in table.items():
+            for b in image.arrows:
+                hits.setdefault(getattr(b, side), []).append(a)
+        for arrows in hits.values():
+            for a, b in combinations(arrows, 2):
+                if a.source != b.source and a.range != b.range:
+                    raise ValueError(f"{side} map not injective")
 
     def run(alpha: Bisection) -> Bisection:
         return Bisection(codomain, tuple(b for a in alpha.arrows for b in table[a].arrows))
@@ -273,32 +273,33 @@ def embed_convex_pair(
 
 
 def restrict_almost_morphism(theta: SemigroupMap, units) -> SemigroupMap:
-    """Restrict a semigroup map to the corner over a unit subset.
+    """Restrict an arrow map to the corner over a unit subset.
 
     The restricted map sends a corner bisection to e*theta(lift)*e with
     e = theta(1_corner), landing in the corner of the codomain over the
-    units of e; both corners carry normalized measures.
+    units of e; both corners carry normalized measures. Sandwiching by e
+    keeps the arrows with both ends in fix(e), arrow by arrow, so the
+    restriction is again an arrow map: each entry of theta's table,
+    filtered and moved into the corner.
     """
+    if theta.arrow_images is None:
+        raise ValueError(f"restrict_almost_morphism needs an arrow map; {theta.label} is not one")
     h = corner(theta.domain, units)
-    one_h = idempotent(theta.domain, h.units)
-    e = theta(one_h)
+    e = theta(idempotent(theta.domain, h.units))
     if not e.is_idempotent():
         raise ValueError("theta(1_H) is not idempotent; cannot restrict")
     if e.trace() == 0:
         raise ValueError("zero-trace corner: theta(1_H) is null")
-    f = corner(theta.codomain, e.fix_units)
+    fixed = e.fix_units
+    f = corner(theta.codomain, fixed)
 
-    def run(beta: Bisection) -> Bisection:
-        lifted = Bisection(
-            theta.domain, tuple(h.from_corner(a) for a in beta.arrows)
-        )
-        sandwiched = e * theta(lifted) * e
-        out = [f.to_corner(a) for a in sandwiched.arrows]
-        if any(a is None for a in out):
+    def image(a: Arrow):
+        kept = [f.to_corner(b) for b in theta.arrow_images[h.from_corner(a)] if b.source in fixed and b.range in fixed]
+        if None in kept:
             raise CertificateError("sandwiched image escaped the codomain corner")
-        return Bisection(f.groupoid, tuple(out))
+        return kept
 
-    return SemigroupMap(h.groupoid, f.groupoid, run, f"corner.{theta.label}")
+    return arrow_map(h.groupoid, f.groupoid, image, f"corner.{theta.label}")
 
 
 # ---------------------------------------------------------------------------
@@ -539,31 +540,14 @@ def block_components(alpha: Bisection, system: TransversalSystem):
     return [[pm.decode(matrix(x)[i * n + j]) for j in range(n)] for i in range(n)]
 
 
-def _lift_errors(f: Callable) -> Callable:
-    def run(x):
-        try:
-            return f(x)
-        except ValueError as exc:
-            raise NoTransversalError(f"lift not well-defined: {exc}") from exc
-
-    return run
-
-
-class _IndexLift(SemigroupMap):
-    """A finite-index lift, whose packed gather raises NoTransversalError
-    on a collision like its evaluator."""
-
-    def packed(self, dom: PackedMonoid, cod: PackedMonoid) -> Callable:
-        return _lift_errors(super().packed(dom, cod))
-
-
 def finite_index_map(system: TransversalSystem, phi: SemigroupMap | None = None) -> SemigroupMap:
     """The lift Xi(alpha) = union over (i,j) of phi(alpha_{i,j}) x E_{i,j}.
 
     phi must be an arrow map (the identity by default), and then so is the
     lift: each arrow has one block arrow or none at each (i, j). A source
-    or range collision in an image, in a table entry or in a union of them,
-    means the transversal system is invalid; it raises NoTransversalError.
+    or range collision in a table entry, or between the entries of two
+    arrows that can share a bisection, means the transversal system is
+    invalid; building the lift then raises NoTransversalError.
     """
     g = system.groupoid
     dec, raw_ids = subgroupoid_as_groupoid(g, system.sub_arrows)
@@ -583,10 +567,9 @@ def finite_index_map(system: TransversalSystem, phi: SemigroupMap | None = None)
         ]
 
     try:
-        m = arrow_map(g, ps.groupoid, image, f"index[{system.index}].{phi.label}")
+        return arrow_map(g, ps.groupoid, image, f"index[{system.index}].{phi.label}")
     except ValueError as exc:
         raise NoTransversalError(f"lift not well-defined: {exc}") from exc
-    return _IndexLift(g, m.codomain, _lift_errors(m.evaluator), m.label, m.arrow_images)
 
 
 def finite_index_lift(alpha: Bisection, system: TransversalSystem, phi: SemigroupMap | None = None) -> Bisection:

@@ -173,6 +173,29 @@ def parse_bisection(g: FiniteGroupoid, obj: dict) -> Bisection:
     return Bisection(g, tuple(_parse_arrows(obj)))
 
 
+def parse_bisection_list(g: FiniteGroupoid, obj) -> list[Bisection]:
+    """A set K for `verify --K`: a list of bisections, or
+    {"bisections": [...]}."""
+    items = obj.get("bisections") if isinstance(obj, dict) else obj
+    if not isinstance(items, list):
+        raise MalformedInputError('K file must be a list of bisections or {"bisections": [...]}')
+    return [parse_bisection(g, item) for item in items]
+
+
+def parse_pair_list(domain: FiniteGroupoid, codomain: FiniteGroupoid, obj) -> dict:
+    """A pair-list map {"pairs": [[x, y], ...]} as a dict from domain to
+    codomain bisections; one element given two images is malformed."""
+    pairs = obj.get("pairs") if isinstance(obj, dict) else None
+    if not isinstance(pairs, list) or not all(isinstance(p, list) and len(p) == 2 for p in pairs):
+        raise MalformedInputError('map file must contain {"pairs": [[x, y], ...]}')
+    table = {}
+    for x, y in pairs:
+        x, y = parse_bisection(domain, x), parse_bisection(codomain, y)
+        if table.setdefault(x, y) != y:
+            raise MalformedInputError(f"pair list gives an element of {len(x)} arrows two images")
+    return table
+
+
 def parse_arrow_set(obj: dict) -> frozenset:
     return frozenset(_parse_arrows(obj))
 

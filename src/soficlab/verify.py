@@ -8,13 +8,11 @@ each report records which regime ran, so a report is a deterministic
 function of (inputs, seed, budget). The inverse-monoid, metric-prop,
 trace-distance, supports, extension and finite-index suites encode their
 pools once into semigroup.PackedMonoid and run on its exact integer
-arithmetic, and so does check_embedding, on a packed domain and codomain:
-it evaluates the map once per distinct element (each pool element, then
-each product not yet mapped) instead of once per pair, on packed codes
-through SemigroupMap.packed. For the arrow maps of constructions
-(identity, connected, convex, pair, ladder, finite-index lift) that is a
-gather over a table made once per domain arrow, with no Bisection built
-per element.
+arithmetic. So do both certificates, check_embedding and
+check_almost_morphism, through one loop (_deviations) that maps each
+distinct code once: the arrow maps of constructions scatter their tables
+(SemigroupMap.packed), and a pair list becomes a dict from domain code to
+codomain code.
 """
 
 from __future__ import annotations
@@ -164,46 +162,38 @@ def check_almost_morphism(pi, K, epsilon) -> AlmostMorphismReport:
     pi is a semigroup map or a finite pair list (dict); a pair list missing
     the image of some product of K-elements is rejected as incomplete. The
     verdict uses the product and trace deviations, strictly below epsilon;
-    the distance deviation is measured and reported alongside.
+    the distance deviation is measured and reported alongside. Every pair
+    of K, in order, runs through _deviations on packed codes.
     """
     epsilon = Fraction(epsilon)
     K = list(K)
-    if isinstance(pi, SemigroupMap):
-        lookup = pi
-    else:
-        table = dict(pi)
-
-        def lookup(x: Bisection) -> Bisection:
-            if x not in table:
-                raise IncompletePairListError(
-                    f"pair list does not cover a required element ({len(x)} arrows)"
-                )
-            return table[x]
-
     if len({a.groupoid for a in K}) > 1:
         raise ValueError("K mixes groupoids")
+    if not K:
+        zero = Fraction(0)
+        return AlmostMorphismReport(0, epsilon, zero, zero, zero, zero < epsilon, {})
+    dom = PackedMonoid(K[0].groupoid)
+    if isinstance(pi, SemigroupMap):
+        cod = PackedMonoid(pi.codomain)
+        f = pi.packed(dom, cod)
+    else:
+        # a pair list, as a dict from domain code to codomain code; with no
+        # pairs every lookup fails, so any codomain will do
+        pairs = dict(pi)
+        codomains = {y.groupoid for y in pairs.values()} or {dom.groupoid}
+        if len(codomains) > 1:
+            raise ValueError("pair list images live on different groupoids")
+        cod = PackedMonoid(codomains.pop())
+        table = {dom.encode(x): cod.encode(y) for x, y in pairs.items() if x.groupoid == dom.groupoid}
 
-    images = {a: lookup(a) for a in K}
-    prod_dev = Fraction(0)
-    trace_dev = Fraction(0)
-    dist_dev = Fraction(0)
-    witnesses = {}
-    for a in K:
-        dev = abs(a.trace() - images[a].trace())
-        if dev > trace_dev:
-            trace_dev = dev
-            witnesses["trace"] = a
-    for a in K:
-        for b in K:
-            ab_img = lookup(a * b)
-            dev = ab_img.distance(images[a] * images[b])
-            if dev > prod_dev:
-                prod_dev = dev
-                witnesses["product"] = (a, b)
-            dev = abs(a.distance(b) - images[a].distance(images[b]))
-            if dev > dist_dev:
-                dist_dev = dev
-                witnesses["distance"] = (a, b)
+        def f(x):
+            if x not in table:
+                arrows = len(x) - x.count(-1)
+                raise IncompletePairListError(f"pair list does not cover a required element ({arrows} arrows)")
+            return table[x]
+
+    pool = [dom.encode(a) for a in K]
+    _, (prod_dev, trace_dev, dist_dev), at = _deviations(f, dom, cod, pool, iproduct(range(len(K)), repeat=2))
     return AlmostMorphismReport(
         k_size=len(K),
         epsilon=epsilon,
@@ -211,7 +201,7 @@ def check_almost_morphism(pi, K, epsilon) -> AlmostMorphismReport:
         max_trace_deviation=trace_dev,
         max_distance_deviation=dist_dev,
         passed=prod_dev < epsilon and trace_dev < epsilon,
-        witnesses=witnesses,
+        witnesses=_witnesses(at, K),
     )
 
 
@@ -253,6 +243,51 @@ class EmbeddingReport:
         )
 
 
+def _deviations(f, dom: PackedMonoid, cod: PackedMonoid, pool: list, pairs):
+    """The loop of both certificates: f maps codes of dom to codes of cod,
+    and pairs index the pool.
+
+    Returns the images of the pool, the exact product, trace and distance
+    maxima as Fractions, and where each is first reached ("trace": a pool
+    index; "product", "distance": a pair of them). Deviations are compared
+    as integers, over cod.denom and over dom.denom * cod.denom. Maps are
+    pure functions, so f runs once per distinct code: the pool's, then
+    each product's that is not yet mapped.
+    """
+    mapped = {}
+
+    def image(x):
+        fx = mapped.get(x)
+        if fx is None:
+            fx = mapped[x] = f(x)
+        return fx
+
+    images = [image(x) for x in pool]
+    d_dom, d_cod = dom.denom, cod.denom
+    prod_dev = trace_dev = dist_dev = 0
+    at = {}
+    for i, (x, fx) in enumerate(zip(pool, images)):
+        dev = abs(dom.trace(x) * d_cod - cod.trace(fx) * d_dom)
+        if dev > trace_dev:
+            trace_dev, at["trace"] = dev, i
+    dom_mul, dom_dist, cod_mul, cod_dist = dom.mul, dom.dist, cod.mul, cod.dist
+    for ia, ib in pairs:
+        x, y, fx, fy = pool[ia], pool[ib], images[ia], images[ib]
+        dev = cod_dist(image(dom_mul(x, y)), cod_mul(fx, fy))
+        if dev > prod_dev:
+            prod_dev, at["product"] = dev, (ia, ib)
+        dev = abs(dom_dist(x, y) * d_cod - cod_dist(fx, fy) * d_dom)
+        if dev > dist_dev:
+            dist_dev, at["distance"] = dev, (ia, ib)
+    scale = d_dom * d_cod
+    return images, (Fraction(prod_dev, d_cod), Fraction(trace_dev, scale), Fraction(dist_dev, scale)), at
+
+
+def _witnesses(at: dict, elements: list) -> dict:
+    """The elements at the indices that _deviations returned."""
+    return {k: elements[i] if k == "trace" else (elements[i[0]], elements[i[1]]) for k, i in at.items()}
+
+
 def check_embedding(m: SemigroupMap, budget: SuiteBudget | None = None) -> EmbeddingReport:
     """Certificate that a map is an exact embedding on the tested set.
 
@@ -261,50 +296,15 @@ def check_embedding(m: SemigroupMap, budget: SuiteBudget | None = None) -> Embed
     concretely and flags any discrepancy as an implementation bug.
 
     Domain and codomain are packed, and the map runs on codes through
-    m.packed (an arrow map gathers its table). Deviations are exact
-    integers, the distance and trace ones over dom.denom * cod.denom. Maps
-    are pure functions of their argument, so the map runs once per distinct
-    element: the pool, then each product that is not yet mapped.
+    m.packed (an arrow map scatters its table) inside _deviations.
     """
     budget = budget or SuiteBudget()
     dom, elements, pool, exhaustive = _packed_pool(m.domain, "semigroup", budget)
     cod = PackedMonoid(m.codomain)
     n = len(pool)
     pair_iter, pairs_exhaustive, pair_count = _tuples(n, 2, budget)
-    exhaustive = exhaustive and pairs_exhaustive
-
-    packed_m = m.packed(dom, cod)
-    images = [packed_m(x) for x in pool]
-    mapped = dict(zip(pool, images))
-
-    def image(x):
-        fx = mapped.get(x)
-        if fx is None:
-            fx = mapped[x] = packed_m(x)
-        return fx
-
-    unit_ok = image(dom.one) == cod.one
-    injective = len(set(images)) == n
-
-    d_dom, d_cod = dom.denom, cod.denom
-    prod_dev = trace_dev = dist_dev = 0
-    witnesses = {}
-    for a, x, fx in zip(elements, pool, images):
-        dev = abs(dom.trace(x) * d_cod - cod.trace(fx) * d_dom)
-        if dev > trace_dev:
-            trace_dev = dev
-            witnesses["trace"] = a
-    dom_mul, dom_dist, cod_mul, cod_dist = dom.mul, dom.dist, cod.mul, cod.dist
-    for ia, ib in pair_iter:
-        x, y, fx, fy = pool[ia], pool[ib], images[ia], images[ib]
-        dev = cod_dist(image(dom_mul(x, y)), cod_mul(fx, fy))
-        if dev > prod_dev:
-            prod_dev = dev
-            witnesses["product"] = (elements[ia], elements[ib])
-        dev = abs(dom_dist(x, y) * d_cod - cod_dist(fx, fy) * d_dom)
-        if dev > dist_dev:
-            dist_dev = dev
-            witnesses["distance"] = (elements[ia], elements[ib])
+    images, (prod_dev, trace_dev, dist_dev), at = _deviations(m.packed(dom, cod), dom, cod, pool, pair_iter)
+    unit_ok = images[pool.index(dom.one)] == cod.one  # every pool holds the unit
 
     consistent = True
     if prod_dev == 0 and unit_ok:
@@ -313,14 +313,14 @@ def check_embedding(m: SemigroupMap, budget: SuiteBudget | None = None) -> Embed
         label=m.label,
         element_count=n,
         pair_count=pair_count,
-        exhaustive=exhaustive,
-        max_product_deviation=Fraction(prod_dev, d_cod),
-        max_trace_deviation=Fraction(trace_dev, d_dom * d_cod),
-        max_distance_deviation=Fraction(dist_dev, d_dom * d_cod),
+        exhaustive=exhaustive and pairs_exhaustive,
+        max_product_deviation=prod_dev,
+        max_trace_deviation=trace_dev,
+        max_distance_deviation=dist_dev,
         unit_preserved=unit_ok,
-        injective=injective,
+        injective=len(set(images)) == n,
         trace_iso_consistent=consistent,
-        witnesses=witnesses,
+        witnesses=_witnesses(at, elements),
     )
 
 

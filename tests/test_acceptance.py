@@ -294,15 +294,14 @@ def test_11_corner_restriction_of_exact_maps():
     restricted = restrict_almost_morphism(theta, list(Z2Y2.units()))
     ok &= all(restricted(a).trace() == a.trace() for a in enumerate_semigroup(Z2Y2))
     # null corners are rejected
-    from soficlab.constructions import SemigroupMap
-    from soficlab.semigroup import empty_bisection
+    from soficlab.constructions import arrow_map
 
-    null = SemigroupMap(Z2Y2, Z2Y2, lambda a: empty_bisection(Z2Y2), "null")
+    null = arrow_map(Z2Y2, Z2Y2, lambda a: (), "null")
     try:
         restrict_almost_morphism(null, [(0, 0)])
         ok = False
-    except ValueError:
-        pass
+    except ValueError as exc:
+        ok &= "zero-trace" in str(exc)
     announce("11", ok, f"corner restriction keeps exactness, normalizes traces ({time.time() - t0:.1f}s)")
     assert ok
 

@@ -324,3 +324,63 @@ def test_well_formed_raw_still_validates(files, capsys):
     tmp, write = files
     code, out, err = run(capsys, "validate", write("raw.json", RAW_OK))
     assert code == 0 and json.loads(out)["ok"] is True
+
+
+ONE = {"arrows": [[0, 0, 0, 0], [0, 0, 1, 1]]}
+SWAP = {"arrows": [[0, 0, 0, 1], [0, 0, 1, 0]]}
+# (map file body, K file body, message): each exits 2 with an input error
+MALFORMED_VERIFY = {
+    "map-is-a-list": ([[SWAP, ONE]], [SWAP], "pairs"),
+    "map-is-a-string": ("pairs", [SWAP], "pairs"),
+    "pair-not-a-list": ({"pairs": [1]}, [SWAP], "pairs"),
+    "pair-of-three": ({"pairs": [[SWAP, ONE, ONE]]}, [SWAP], "pairs"),
+    "two-images": ({"pairs": [[SWAP, ONE], [ONE, ONE], [SWAP, SWAP]]}, [SWAP], "two images"),
+    "K-is-a-string": ({"pairs": [[SWAP, ONE], [ONE, ONE]]}, "swap", "K file"),
+    "K-bisections-not-a-list": ({"pairs": [[SWAP, ONE], [ONE, ONE]]}, {"bisections": 5}, "K file"),
+    "K-without-bisections": ({"pairs": [[SWAP, ONE], [ONE, ONE]]}, {"elements": [SWAP]}, "K file"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_VERIFY))
+def test_malformed_verify_inputs_exit_2(files, capsys, case):
+    tmp, write = files
+    body, k_body, message = MALFORMED_VERIFY[case]
+    n2 = write("n2.json", groupoid_to_json(full_relation(2)))
+    code, out, err = run(
+        capsys, "verify", "--map", write("map.json", body), "--domain", n2, "--codomain", n2,
+        "--K", write("k.json", k_body), "--epsilon", "1/2",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error:") and message in err
+
+
+def test_repeated_identical_pair_is_accepted(files, capsys):
+    tmp, write = files
+    n2 = write("n2.json", groupoid_to_json(full_relation(2)))
+    mapfile = write("map.json", {"pairs": [[SWAP, SWAP], [ONE, ONE], [SWAP, SWAP]]})
+    code, out, _ = run(
+        capsys, "verify", "--map", mapfile, "--domain", n2, "--codomain", n2,
+        "--K", write("k.json", {"bisections": [SWAP, ONE]}), "--epsilon", "1/2",
+    )
+    assert code == 0 and json.loads(out)["report"]["K_size"] == 2
+
+
+# [[2]] has 7 elements, so K = all tests 49 pairs; a K file of 3 tests 9
+@pytest.mark.parametrize(
+    "K,budget,expected",
+    [("all", "49", 0), ("all", "48", 2), ("file", "9", 0), ("file", "8", 2)],
+    ids=["all-49", "all-48", "file-9", "file-8"],
+)
+def test_verify_charges_every_pair_of_K(files, capsys, K, budget, expected):
+    tmp, write = files
+    n2 = write("n2.json", groupoid_to_json(full_relation(2)))
+    if K == "file":
+        K = write("k.json", [SWAP, ONE, SWAP])
+    code, out, err = run(
+        capsys, "verify", "--map", "identity", "--groupoid", n2, "--K", K,
+        "--epsilon", "1/2", "--budget", budget,
+    )
+    assert code == expected
+    if expected == 2:
+        assert out == "" and err.startswith("budget error:") and f"exceeds cap {budget}" in err

@@ -7,6 +7,7 @@ from soficlab.groupoid import (
     Arrow,
     CornerStructure,
     connected_groupoid,
+    corner,
     convex_combination,
     full_relation,
     group_groupoid,
@@ -18,7 +19,9 @@ from soficlab.constructions import (
     CertificateError,
     NoTransversalError,
     RectangleUnion,
+    SemigroupMap,
     TransversalSystem,
+    arrow_map,
     block_components,
     embed_connected,
     embed_convex,
@@ -37,6 +40,8 @@ from soficlab.constructions import (
     unit_subgroupoid,
 )
 from soficlab.semigroup import (
+    Bisection,
+    PackedMonoid,
     bisection,
     empty_bisection,
     enumerate_semigroup,
@@ -166,6 +171,33 @@ class TestEmbedConvexPair:
             embed_convex_pair(embed_convex(Z2), embed_convex(REL2), HALF)
 
 
+def reference_restriction(theta, units) -> SemigroupMap:
+    """restrict_almost_morphism as the evaluator computed it: the lift of
+    the argument, sandwiched as e * theta(lift) * e by Bisection products
+    and moved into the codomain corner."""
+    h = corner(theta.domain, units)
+    e = theta(idempotent(theta.domain, h.units))
+    f = corner(theta.codomain, e.fix_units)
+
+    def run(beta):
+        lifted = Bisection(theta.domain, tuple(h.from_corner(a) for a in beta.arrows))
+        return Bisection(f.groupoid, tuple(f.to_corner(a) for a in (e * theta(lifted) * e).arrows))
+
+    return SemigroupMap(h.groupoid, f.groupoid, run, f"corner.{theta.label}")
+
+
+# the corners of this module and of acceptance check 11: (theta, units)
+RESTRICTIONS = {
+    "identity-n2-whole": lambda: (identity_map(REL2), list(REL2.units())),
+    "identity-n2-point": lambda: (identity_map(REL2), [(0, 0)]),
+    "identity-n3-pair": lambda: (identity_map(full_relation(3)), [(0, 0), (0, 1)]),
+    "connected-n3-pair": lambda: (embed_connected(full_relation(3)), [(0, 0), (0, 1)]),
+    "identity-z2y2-whole": lambda: (identity_map(Z2Y2), list(Z2Y2.units())),
+    "connected-z2y2-point": lambda: (embed_connected(Z2Y2), [(0, 1)]),
+    "ladder-2-5-point": lambda: (general_map(2, 5), [(0, 1)]),
+}
+
+
 class TestRestrictAlmostMorphism:
     def test_whole_space_unchanged_values(self):
         theta = identity_map(REL2)
@@ -193,30 +225,41 @@ class TestRestrictAlmostMorphism:
         assert exact_on(m, enumerate_semigroup(m.domain))
 
     def test_zero_trace_corner_rejected(self):
-        g = REL2
-        collapse = lambda a: empty_bisection(g)
-        from soficlab.constructions import SemigroupMap
-
-        theta = SemigroupMap(g, g, collapse, "collapse")
-        with pytest.raises(ValueError):
+        theta = arrow_map(REL2, REL2, lambda a: (), "collapse")
+        with pytest.raises(ValueError, match="zero-trace"):
             restrict_almost_morphism(theta, [(0, 0)])
 
     def test_non_idempotent_image_rejected(self):
-        g = REL2
-        swap = pin(g, {0: 1, 1: 0})
-        from soficlab.constructions import SemigroupMap
+        # left multiplication by the swap: the unit at 0 goes to 0 -> 1
+        theta = arrow_map(REL2, REL2, lambda a: (Arrow(0, 0, 1 - a.y_to, a.y_from),), "swap-left")
+        with pytest.raises(ValueError, match="not idempotent"):
+            restrict_almost_morphism(theta, [(0, 0)])
 
-        theta = SemigroupMap(g, g, lambda a: swap, "const-swap")
-        with pytest.raises(ValueError):
+    def test_non_arrow_map_rejected(self):
+        swap = pin(REL2, {0: 1, 1: 0})
+        theta = SemigroupMap(REL2, REL2, lambda a: swap, "const-swap")
+        with pytest.raises(ValueError, match="needs an arrow map; const-swap is not one"):
             restrict_almost_morphism(theta, [(0, 0)])
 
     def test_escaped_image_raises_certificate_error(self, monkeypatch):
         # with the corner map broken, no image arrow lands in the corner;
-        # the check must raise, also under python -O
-        m = restrict_almost_morphism(identity_map(REL2), [(0, 0)])
+        # building the table must raise, also under python -O
         monkeypatch.setattr(CornerStructure, "to_corner", lambda self, a: None)
         with pytest.raises(CertificateError, match="escaped the codomain corner"):
-            m(unit_bisection(m.domain))
+            restrict_almost_morphism(identity_map(REL2), [(0, 0)])
+
+    @pytest.mark.parametrize("case", list(RESTRICTIONS))
+    def test_table_matches_reference(self, case):
+        theta, units = RESTRICTIONS[case]()
+        m, ref = restrict_almost_morphism(theta, units), reference_restriction(theta, units)
+        assert m.arrow_images is not None
+        assert (m.domain, m.codomain, m.label) == (ref.domain, ref.codomain, ref.label)
+        dom, cod = PackedMonoid(m.domain), PackedMonoid(m.codomain)
+        scatter = m.packed(dom, cod)
+        for a in enumerate_semigroup(m.domain):
+            image = ref(a)
+            assert m(a) == image
+            assert scatter(dom.encode(a)) == cod.encode(image)
 
 
 class TestFindTransversals:

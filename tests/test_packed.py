@@ -7,7 +7,10 @@ rewritten code must reproduce them byte for byte. The replaced
 check_embedding loop is also kept below as a reference, and its reports
 must equal the library's, witnesses included. So are the evaluators of the
 connected, convex, pair and ladder embeddings that the tabulated arrow
-maps replaced: the maps, and their packed gathers, must agree with them.
+maps replaced: the maps, and their packed scatters, must agree with them.
+The almost-morphism goldens (reports and `soficlab verify` outputs) were
+written by the Bisection-based check_almost_morphism loop, which is kept
+below as a reference too.
 The ladder goldens (suite reports and `embed --kind ladder` outputs) were
 written by the partial-injection distortion reports before they moved onto
 the packed kernel. The finite-index and extension goldens were written by
@@ -82,7 +85,9 @@ from soficlab.serialize import (
     suite_result_to_json,
 )
 from soficlab.verify import (
+    AlmostMorphismReport,
     EmbeddingReport,
+    IncompletePairListError,
     SuiteBudget,
     _elements,
     _tuples,
@@ -418,6 +423,97 @@ def write_verify_inputs(directory: Path) -> dict:
     }
 
 
+def reference_check_almost_morphism(pi, K, epsilon) -> AlmostMorphismReport:
+    """check_almost_morphism on Bisection algebra: the map or pair list is
+    looked up on every product, and deviations are Fractions."""
+    epsilon = Fraction(epsilon)
+    K = list(K)
+    if isinstance(pi, SemigroupMap):
+        lookup = pi
+    else:
+        table = dict(pi)
+
+        def lookup(x):
+            if x not in table:
+                raise IncompletePairListError(f"pair list does not cover a required element ({len(x)} arrows)")
+            return table[x]
+
+    if len({a.groupoid for a in K}) > 1:
+        raise ValueError("K mixes groupoids")
+    images = {a: lookup(a) for a in K}
+    prod_dev = trace_dev = dist_dev = Fraction(0)
+    witnesses = {}
+    for a in K:
+        dev = abs(a.trace() - images[a].trace())
+        if dev > trace_dev:
+            trace_dev = dev
+            witnesses["trace"] = a
+    for a in K:
+        for b in K:
+            dev = lookup(a * b).distance(images[a] * images[b])
+            if dev > prod_dev:
+                prod_dev = dev
+                witnesses["product"] = (a, b)
+            dev = abs(a.distance(b) - images[a].distance(images[b]))
+            if dev > dist_dev:
+                dist_dev = dev
+                witnesses["distance"] = (a, b)
+    return AlmostMorphismReport(
+        k_size=len(K),
+        epsilon=epsilon,
+        max_product_deviation=prod_dev,
+        max_trace_deviation=trace_dev,
+        max_distance_deviation=dist_dev,
+        passed=prod_dev < epsilon and trace_dev < epsilon,
+        witnesses=witnesses,
+    )
+
+
+@pytest.mark.parametrize("stem", list(ALMOST_CASES))
+def test_almost_report_matches_reference(stem):
+    pi, K, epsilon = ALMOST_CASES[stem]()
+    assert check_almost_morphism(pi, K, epsilon) == reference_check_almost_morphism(pi, K, epsilon)
+
+
+def ladder_pairs(K):
+    """The pair list of general_map(2, 3) on K."""
+    ladder = general_map(2, 3)
+    return {a: ladder(a) for a in K}
+
+
+# (pair list, K): the first uncovered element is a K element, or a product
+INCOMPLETE_PAIR_LISTS = {
+    "k-element": lambda: (ladder_pairs(all_of(REL2)[:3]), all_of(REL2)),
+    "product": lambda: (ladder_pairs([swap_and_one()[0]]), [swap_and_one()[0]]),
+    "empty": lambda: ({}, all_of(REL2)),
+}
+
+
+@pytest.mark.parametrize("case", list(INCOMPLETE_PAIR_LISTS))
+def test_incomplete_pair_list_raises_like_reference(case):
+    pairs, K = INCOMPLETE_PAIR_LISTS[case]()
+    with pytest.raises(IncompletePairListError) as expected:
+        reference_check_almost_morphism(pairs, K, HALF)
+    with pytest.raises(IncompletePairListError) as got:
+        check_almost_morphism(pairs, K, HALF)
+    assert str(got.value) == str(expected.value)
+
+
+def test_almost_morphism_runs_without_bisection_algebra(monkeypatch):
+    m = embed_connected(GROUPOIDS["z2y2"])
+    K = all_of(GROUPOIDS["z2y2"])
+    pairs = ladder_pairs(all_of(REL2))
+
+    def forbidden(*args):
+        raise AssertionError("Bisection algebra called")
+
+    for op in ("compose", "distance", "trace"):
+        monkeypatch.setattr(Bisection, op, forbidden)
+    assert check_almost_morphism(m, K, Fraction(1, 100)).passed
+    report = check_almost_morphism(pairs, list(pairs), HALF)
+    assert report.passed and report.max_trace_deviation == THIRD
+
+
 @pytest.mark.parametrize("stem", list(ALMOST_CASES))
 def test_almost_report_matches_golden(stem):
     pi, K, epsilon = ALMOST_CASES[stem]()
@@ -667,7 +763,7 @@ def test_arrow_map_certificate_matches_reference_map(regime):
 
 
 def test_packed_non_arrow_map_decodes_and_encodes():
-    m = restrict_almost_morphism(embed_connected(GROUPOIDS["z2y2"]), [(0, 0)])
+    m = drop_first_arrow(embed_connected(GROUPOIDS["z2y2"]))
     assert m.arrow_images is None
     dom, cod = PackedMonoid(m.domain), PackedMonoid(m.codomain)
     f = m.packed(dom, cod)
@@ -692,15 +788,25 @@ def test_packed_rejects_kernels_of_other_groupoids():
     ids=["source", "range"],
 )
 def test_colliding_arrow_map_raises(image, message):
-    m = arrow_map(REL2, REL2, image, "colliding")
-    one = unit_bisection(REL2)
+    # every entry is a bisection; two arrows that can share one collide
     with pytest.raises(ValueError, match=message):
-        m(one)
-    dom = PackedMonoid(REL2)
-    with pytest.raises(ValueError, match=message):
-        m.packed(dom, dom)(dom.one)
-    with pytest.raises(ValueError, match=message):
-        check_embedding(m)
+        arrow_map(REL2, REL2, image, "colliding")
+
+
+def test_images_overlapping_only_at_a_shared_source_are_built():
+    # alpha -> s(alpha), arrow by arrow: the images of two arrows meet
+    # exactly when the arrows share a source, so no bisection holds both
+    g = GROUPOIDS["z2y2"]
+    m = arrow_map(g, g, lambda a: (g.unit_arrow(a.source),), "source")
+    dom = PackedMonoid(g)
+    scatter = m.packed(dom, dom)
+    for a in enumerate_semigroup(g):
+        assert m(a) == idempotent(g, a.source_units)
+        assert scatter(dom.encode(a)) == dom.encode(m(a))
+    for regime, budget in EMBEDDING_BUDGETS.items():
+        report = check_embedding(m, budget)
+        assert report == reference_check_embedding(m, budget)
+        assert not report.multiplicative and report.unit_preserved
 
 
 def test_arrow_map_validates_each_entry():
@@ -920,18 +1026,15 @@ def test_lift_matches_reference(stem):
 
 
 def test_lift_collision_between_arrows_is_no_transversal_error():
-    # phi sends every arrow of H to one unit arrow: each arrow's image is
-    # valid, but the images of two arrows collide in the union
+    # phi's table sends every arrow of H to one unit arrow: each arrow's
+    # image is valid, but the images of two arrows collide in the union,
+    # so the lift's table is rejected when it is built
     system = system_of("finite-index-n3-units")
     h = subgroupoid_as_groupoid(system.groupoid, system.sub_arrows)[0].groupoid
-    first = h.unit_arrow(next(iter(h.units())))
-    m = finite_index_map(system, arrow_map(h, h, lambda a: (first,), "colliding"))
-    one = unit_bisection(system.groupoid)
+    first = Bisection(h, (h.unit_arrow(next(iter(h.units()))),))
+    phi = SemigroupMap(h, h, lambda alpha: first, "colliding", {a: first for a in h.arrows()})
     with pytest.raises(NoTransversalError, match="lift not well-defined: source map not injective"):
-        m(one)
-    dom, cod = PackedMonoid(m.domain), PackedMonoid(m.codomain)
-    with pytest.raises(NoTransversalError, match="lift not well-defined: source map not injective"):
-        m.packed(dom, cod)(dom.one)
+        finite_index_map(system, phi)
 
 
 EXTEND_CASES = {

@@ -195,7 +195,22 @@ RESTRICTIONS = {
     "identity-z2y2-whole": lambda: (identity_map(Z2Y2), list(Z2Y2.units())),
     "connected-z2y2-point": lambda: (embed_connected(Z2Y2), [(0, 1)]),
     "ladder-2-5-point": lambda: (general_map(2, 5), [(0, 1)]),
+    # not multiplicative: 0 -> 1 goes to 0 -> 2, whose range the sandwich drops
+    "drifting-n3-pair": lambda: (drifting_map(), [(0, 0), (0, 1)]),
 }
+
+
+def drifting_map():
+    """An arrow map on [[3]]: arrows into 2 go to nothing, 0 -> 1 to 0 -> 2,
+    and the other arrows to themselves."""
+    g = full_relation(3)
+
+    def image(a):
+        if a.y_to == 2:
+            return ()
+        return (Arrow(0, 0, 2, 0),) if (a.y_to, a.y_from) == (1, 0) else (a,)
+
+    return arrow_map(g, g, image, "drifting")
 
 
 class TestRestrictAlmostMorphism:

@@ -475,6 +475,12 @@ def test_almost_report_matches_reference(stem):
     assert check_almost_morphism(pi, K, epsilon) == reference_check_almost_morphism(pi, K, epsilon)
 
 
+@pytest.mark.parametrize("epsilon", [Fraction(0), HALF])
+def test_empty_K_matches_reference(epsilon):
+    for pi in (identity_map(REL2), {}, collapsing_pairs()[0]):
+        assert check_almost_morphism(pi, [], epsilon) == reference_check_almost_morphism(pi, [], epsilon)
+
+
 def ladder_pairs(K):
     """The pair list of general_map(2, 3) on K."""
     ladder = general_map(2, 3)
@@ -803,7 +809,7 @@ def test_images_overlapping_only_at_a_shared_source_are_built():
     for a in enumerate_semigroup(g):
         assert m(a) == idempotent(g, a.source_units)
         assert scatter(dom.encode(a)) == dom.encode(m(a))
-    for regime, budget in EMBEDDING_BUDGETS.items():
+    for budget in EMBEDDING_BUDGETS.values():
         report = check_embedding(m, budget)
         assert report == reference_check_embedding(m, budget)
         assert not report.multiplicative and report.unit_preserved

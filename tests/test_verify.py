@@ -62,6 +62,12 @@ class TestAlmostMorphism:
         with pytest.raises(IncompletePairListError):
             check_almost_morphism({swap: swap}, [swap], Fraction(1, 2))
 
+    def test_pair_list_images_on_two_groupoids_rejected(self):
+        swap = pin(G2, {0: 1, 1: 0})
+        one = unit_bisection(G2)
+        with pytest.raises(ValueError, match="different groupoids"):
+            check_almost_morphism({swap: unit_bisection(G3), one: one}, [swap, one], Fraction(1, 2))
+
     def test_epsilon_strict(self):
         swap = pin(G2, {0: 1, 1: 0})
         one = unit_bisection(G2)

@@ -593,26 +593,26 @@ def rectangle(ps: ProductStructure, alpha: Bisection, beta: Bisection) -> Bisect
 
 @dataclass(frozen=True)
 class RectangleUnion:
-    """Union of rectangles with pairwise source/range factor disjointness."""
+    """A union of rectangles A x B, each given as its pair of factor
+    bisections, in the rectangle monoid of a product: no two parts overlap
+    on a source or on a range. Building one checks that once and raises
+    CertificateError on the first overlap."""
 
     product: ProductStructure
     parts: tuple  # of (Bisection, Bisection) pairs
 
+    def __post_init__(self):
+        problems = self.violations()
+        if problems:
+            raise CertificateError(f"not in the rectangle monoid: {problems[0]}")
+
     def violations(self) -> list[str]:
         problems = []
-        parts = self.parts
-        for i in range(len(parts)):
-            for j in range(i + 1, len(parts)):
-                ai, bi = parts[i]
-                aj, bj = parts[j]
-                if (ai.source_units & aj.source_units) and (
-                    bi.source_units & bj.source_units
-                ):
-                    problems.append(f"source rectangles {i} and {j} overlap")
-                if (ai.range_units & aj.range_units) and (
-                    bi.range_units & bj.range_units
-                ):
-                    problems.append(f"range rectangles {i} and {j} overlap")
+        for (i, (ai, bi)), (j, (aj, bj)) in combinations(enumerate(self.parts), 2):
+            if ai.source_units & aj.source_units and bi.source_units & bj.source_units:
+                problems.append(f"source rectangles {i} and {j} overlap")
+            if ai.range_units & aj.range_units and bi.range_units & bj.range_units:
+                problems.append(f"range rectangles {i} and {j} overlap")
         return problems
 
     def as_bisection(self) -> Bisection:
@@ -627,56 +627,39 @@ def rectangle_decompose(
 ) -> RectangleUnion:
     """Write a product bisection as a rectangle union in the monoid M.
 
-    Singleton rectangles always qualify; shared-factor pairs are then merged
-    greedily while the union stays a rectangle list with the disjointness
-    invariants. reverse flips the scan order, giving an independent
-    decomposition of the same element for invariance checks.
+    Each left arrow a of phi has its partners B_a, the right arrows b with
+    a x b in phi. The left arrows with the same partners form one part
+    A x B_a, and phi is the union of these parts, one pass over its arrows.
+    reverse groups by right arrow instead, which gives a second,
+    independent decomposition of the same element for invariance checks.
+
+    The parts are rectangles of bisections: two partners of a with one
+    source (or range) would give phi two arrows with one source, and so
+    would two arrows of A with one source, paired with any b in B_a. No two
+    parts overlap: arrows a x b and a' x b' of two parts with one source (or
+    range) both lie in phi, so a = a' and the parts are the same. The
+    classes A are disjoint and the B_a distinct, so no two parts share a
+    factor either.
+
+    RectangleUnion checks the overlaps once, when the union is built; the
+    certificate made here is that the union reassembles phi.
     """
     if phi.groupoid != ps.groupoid:
         raise ValueError("bisection does not live on this product")
-    arrows = sorted(phi.arrows, reverse=reverse)
-    parts = []
-    for c in arrows:
+    partners = {}
+    for c in phi.arrows:
         a, b = ps.split_arrow(c)
-        parts.append((Bisection(ps.left, (a,)), Bisection(ps.right, (b,))))
-
-    def try_union(x: Bisection, y: Bisection) -> Bisection | None:
-        try:
-            return Bisection(x.groupoid, tuple(set(x.arrows) | set(y.arrows)))
-        except ValueError:
-            return None
-
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(parts)):
-            for j in range(i + 1, len(parts)):
-                ai, bi = parts[i]
-                aj, bj = parts[j]
-                merged = None
-                if ai == aj:
-                    wide = try_union(bi, bj)
-                    if wide is not None:
-                        merged = (ai, wide)
-                elif bi == bj:
-                    tall = try_union(ai, aj)
-                    if tall is not None:
-                        merged = (tall, bi)
-                if merged is None:
-                    continue
-                candidate = parts[:i] + [merged] + parts[i + 1 : j] + parts[j + 1 :]
-                trial = RectangleUnion(ps, tuple(candidate))
-                if not trial.violations():
-                    parts = candidate
-                    changed = True
-                    break
-            if changed:
-                break
-
+        own, other = (b, a) if reverse else (a, b)
+        partners.setdefault(own, []).append(other)
+    classes = {}
+    for own, others in partners.items():
+        classes.setdefault(tuple(sorted(others)), []).append(own)
+    own_side, other_side = (ps.right, ps.left) if reverse else (ps.left, ps.right)
+    parts = []
+    for others, owns in classes.items():
+        x, y = Bisection(own_side, tuple(owns)), Bisection(other_side, others)
+        parts.append((y, x) if reverse else (x, y))
     union = RectangleUnion(ps, tuple(parts))
-    problems = union.violations()
-    if problems:
-        raise CertificateError(f"rectangle decomposition breaks disjointness: {problems[0]}")
     if union.as_bisection() != phi:
         raise CertificateError("rectangle decomposition does not reassemble the bisection")
     return union
@@ -693,9 +676,6 @@ def product_embedding(
     """
     if u.product.left != phi.domain or u.product.right != psi.domain:
         raise ValueError("rectangle union does not match the map domains")
-    problems = u.violations()
-    if problems:
-        raise ValueError(f"not in the rectangle monoid: {problems[0]}")
     out_ps = product_groupoid(phi.codomain, psi.codomain)
     arrows = []
     for a, b in u.parts:

@@ -205,7 +205,10 @@ def malg_to_json(units) -> dict:
 
 
 def parse_malg(obj: dict) -> frozenset:
-    return frozenset((int(c), int(y)) for c, y in obj["units"])
+    units = obj.get("units") if isinstance(obj, dict) else None
+    if not isinstance(units, list) or not all(isinstance(u, list) and len(u) == 2 for u in units):
+        raise MalformedInputError('expected {"units": [[comp, y], ...]}')
+    return frozenset((_integer(c, "unit comp"), _integer(y, "unit point")) for c, y in units)
 
 
 def pin_to_json(b: Bisection) -> dict:
@@ -218,8 +221,21 @@ def pin_to_json(b: Bisection) -> dict:
 
 
 def parse_pin(obj: dict) -> Bisection:
-    n = int(obj["n"])
-    return Bisection(full_relation(n), tuple(Arrow(0, 0, int(y), int(x)) for x, y in obj["map"].items()))
+    mapping = obj.get("map") if isinstance(obj, dict) else None
+    if not isinstance(mapping, dict):
+        raise MalformedInputError('expected {"n": n, "map": {"x": y, ...}}')
+    n = _integer(obj.get("n"), "n")
+    if n < 1:
+        raise MalformedInputError(f"n must be positive, got {n}")
+    arrows = []
+    for x, y in mapping.items():
+        if not (x.isascii() and x.isdigit() and x == str(int(x))):
+            raise MalformedInputError(f"map key {x!r} must be a point written in decimal")
+        arrows.append(Arrow(0, 0, _integer(y, "map value"), int(x)))
+    try:
+        return Bisection(full_relation(n), tuple(arrows))
+    except ValueError as exc:
+        raise MalformedInputError(f"not a partial injection of {n} points: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

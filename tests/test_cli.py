@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 import os
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from soficlab import cayley
 from soficlab.cli import main
@@ -10,7 +14,12 @@ from soficlab.serialize import (
     dumps,
     groupoid_to_json,
     load_json,
+    parse_arrow_set,
+    parse_bisection,
+    parse_bisection_list,
     parse_groupoid,
+    parse_pair_list,
+    parse_raw,
     raw_to_json,
 )
 
@@ -384,3 +393,85 @@ def test_verify_charges_every_pair_of_K(files, capsys, K, budget, expected):
     assert code == expected
     if expected == 2:
         assert out == "" and err.startswith("budget error:") and f"exceeds cap {budget}" in err
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing the JSON loaders: arbitrary JSON never escapes as a traceback
+
+REL2 = full_relation(2)
+# keys the loaders look for, so that the fuzzer reaches past the top level
+LOADER_KEYS = [
+    "components", "group_table", "base_size", "weight", "units", "arrows",
+    "compose", "masses", "bisections", "pairs",
+]
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-3, max_value=6)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=5)
+    | st.sampled_from(["1/1", "1/2", "u"]),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(st.sampled_from(LOADER_KEYS) | st.text(max_size=5), inner, max_size=4),
+    max_leaves=20,
+)
+# loader -> (the `soficlab` arguments reading the fuzzed file, its parser);
+# n2.json holds [[2]] and empty.json the empty bisection
+FUZZED_LOADERS = {
+    "groupoid": (lambda f: ["extend", f, "empty.json"], parse_groupoid),
+    "raw-groupoid": (lambda f: ["validate", f], parse_raw),
+    "extend-bisection": (lambda f: ["extend", "n2.json", f], lambda obj: parse_bisection(REL2, obj)),
+    "K": (
+        lambda f: ["verify", "--map", "identity", "--groupoid", "n2.json", "--K", f, "--epsilon", "1/2"],
+        lambda obj: parse_bisection_list(REL2, obj),
+    ),
+    "sub": (lambda f: ["embed", "--kind", "index", "--groupoid", "n2.json", "--sub", f], parse_arrow_set),
+    "map": (
+        lambda f: [
+            "verify", "--map", f, "--domain", "n2.json", "--codomain", "n2.json", "--epsilon", "1/2",
+        ],
+        lambda obj: parse_pair_list(REL2, REL2, obj),
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("fuzz")
+    (directory / "n2.json").write_text(dumps(groupoid_to_json(REL2)))
+    (directory / "empty.json").write_text(json.dumps({"arrows": []}))
+    return directory
+
+
+def _parses(parser, obj) -> bool:
+    try:
+        parser(obj)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("loader", list(FUZZED_LOADERS))
+def test_fuzzed_json_exits_2_unless_it_parses(fuzz_dir, monkeypatch, loader):
+    monkeypatch.chdir(fuzz_dir)
+    argv, parser = FUZZED_LOADERS[loader]
+
+    @settings(
+        max_examples=50,
+        derandomize=True,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(json_values)
+    def check(obj):
+        (fuzz_dir / "fuzzed.json").write_text(json.dumps(obj))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv("fuzzed.json"))
+        if _parses(parser, obj):
+            assert code in (0, 1, 2)
+        else:
+            assert code == 2, (obj, err.getvalue())
+            assert out.getvalue() == "" and err.getvalue().startswith("input error:")
+
+    check()

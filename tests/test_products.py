@@ -4,16 +4,31 @@
 The golden files under tests/golden/ were written by the greedy
 decomposition, which merged singleton rectangles while the union kept its
 disjointness invariants and re-checked the whole union after every trial
-merge; the rewritten code must reproduce them byte for byte.
+merge; the rewritten code must reproduce them byte for byte. That greedy
+merge is kept below as a reference: the direct decomposition, which groups
+the arrows of a bisection by their partners, must give product_embedding
+the same images under exact non-identity maps.
 """
 
+import random
 from pathlib import Path
 
 import pytest
 
 from soficlab import cayley
 from soficlab.cli import main as cli_main
-from soficlab.groupoid import full_relation, group_groupoid
+from soficlab.constructions import (
+    CertificateError,
+    RectangleUnion,
+    embed_connected,
+    general_map,
+    identity_map,
+    product_embedding,
+    rectangle,
+    rectangle_decompose,
+)
+from soficlab.groupoid import Arrow, full_relation, group_groupoid, product_groupoid
+from soficlab.semigroup import Bisection, enumerate_semigroup, sample_bisection
 from soficlab.serialize import dumps, groupoid_to_json, suite_result_to_json
 from soficlab.verify import SuiteBudget, run_suite
 
@@ -53,3 +68,157 @@ def test_embed_product_output_matches_golden(tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("SOFICLAB_SEED", raising=False)
     assert cli_main(write_product_inputs(tmp_path)) == 0
     assert capsys.readouterr().out == (GOLDEN_DIR / "embed-product-n2xn2.json").read_text()
+
+
+# ---------------------------------------------------------------------------
+# The direct decomposition against the greedy merge it replaced
+
+
+def greedy_decompose(ps, phi, reverse=False) -> RectangleUnion:
+    """Singleton rectangles, merged greedily on a shared factor while the
+    union keeps its disjointness invariants, each trial union checked."""
+    parts = []
+    for c in sorted(phi.arrows, reverse=reverse):
+        a, b = ps.split_arrow(c)
+        parts.append((Bisection(ps.left, (a,)), Bisection(ps.right, (b,))))
+
+    def try_union(x, y):
+        try:
+            return Bisection(x.groupoid, tuple(set(x.arrows) | set(y.arrows)))
+        except ValueError:
+            return None
+
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(parts)):
+            for j in range(i + 1, len(parts)):
+                ai, bi = parts[i]
+                aj, bj = parts[j]
+                merged = None
+                if ai == aj:
+                    wide = try_union(bi, bj)
+                    if wide is not None:
+                        merged = (ai, wide)
+                elif bi == bj:
+                    tall = try_union(ai, aj)
+                    if tall is not None:
+                        merged = (tall, bi)
+                if merged is None:
+                    continue
+                candidate = parts[:i] + [merged] + parts[i + 1 : j] + parts[j + 1 :]
+                try:
+                    RectangleUnion(ps, tuple(candidate))
+                except CertificateError:
+                    continue
+                parts = candidate
+                changed = True
+                break
+            if changed:
+                break
+    union = RectangleUnion(ps, tuple(parts))
+    assert union.as_bisection() == phi
+    return union
+
+
+def sampled(g, count, seed):
+    rng = random.Random(seed)
+    return [sample_bisection(g, rng) for _ in range(count)]
+
+
+# name -> (left, right, elements of the product, exact maps on the factors)
+DECOMPOSE_CASES = {
+    "n2xn2": (REL2, REL2, None, lambda: (general_map(2, 4), identity_map(REL2))),
+    "z2xn2": (Z2, REL2, None, lambda: (embed_connected(Z2), identity_map(REL2))),
+    "n2xz2": (REL2, Z2, None, lambda: (general_map(2, 4), identity_map(Z2))),
+    "n3xn3-sampled": (REL3, REL3, 500, lambda: (general_map(3, 6), identity_map(REL3))),
+}
+
+
+def decompose_case(name):
+    left, right, count, maps = DECOMPOSE_CASES[name]
+    ps = product_groupoid(left, right)
+    if count is None:
+        elements = list(enumerate_semigroup(ps.groupoid))
+    else:
+        elements = sampled(ps.groupoid, count, seed=11)
+    return ps, elements, maps()
+
+
+@pytest.mark.parametrize("name", list(DECOMPOSE_CASES))
+def test_both_orientations_certify_without_shared_factors(name):
+    ps, elements, _ = decompose_case(name)
+    for phi in elements:
+        for reverse in (False, True):
+            u = rectangle_decompose(ps, phi, reverse=reverse)
+            assert u.violations() == []
+            assert u.as_bisection() == phi
+            lefts = [a for a, _ in u.parts]
+            rights = [b for _, b in u.parts]
+            assert len(set(lefts)) == len(lefts)
+            assert len(set(rights)) == len(rights)
+            # each orientation keeps the factors on its own side disjoint
+            own = rights if reverse else lefts
+            assert sum(len(x) for x in own) == len(set().union(*(x.arrows for x in own)))
+
+
+@pytest.mark.parametrize("name", list(DECOMPOSE_CASES))
+def test_product_embedding_matches_greedy_decomposition(name):
+    ps, elements, (phi_m, psi_m) = decompose_case(name)
+    assert phi_m.label != "identity"
+    for phi in elements:
+        expected = product_embedding(phi_m, psi_m, greedy_decompose(ps, phi))
+        for reverse in (False, True):
+            assert product_embedding(phi_m, psi_m, rectangle_decompose(ps, phi, reverse=reverse)) == expected
+
+
+def test_some_element_decomposes_differently_by_orientation():
+    # redecomposition-invariance compares two different unions, not one
+    # union twice
+    ps, elements, _ = decompose_case("n2xn2")
+    differ = [
+        phi
+        for phi in elements
+        if set(rectangle_decompose(ps, phi).parts) != set(rectangle_decompose(ps, phi, reverse=True).parts)
+    ]
+    assert len(differ) == 16
+
+
+def test_overlapping_union_raises_when_built():
+    ps = product_groupoid(REL2, REL2)
+    one = Bisection(REL2, (Arrow(0, 0, 0, 0), Arrow(0, 0, 1, 1)))
+    fix0 = Bisection(REL2, (Arrow(0, 0, 0, 0),))
+    with pytest.raises(CertificateError, match="not in the rectangle monoid: source rectangles 0 and 1 overlap"):
+        RectangleUnion(ps, ((one, one), (fix0, fix0)))
+    # the rectangles do overlap: their arrows do not form a bisection
+    with pytest.raises(ValueError, match="source map not injective"):
+        Bisection(ps.groupoid, rectangle(ps, one, one).arrows + rectangle(ps, fix0, fix0).arrows)
+
+
+def count_violations(monkeypatch) -> list:
+    calls = []
+    original = RectangleUnion.violations
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(RectangleUnion, "violations", counted)
+    return calls
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_violations_run_once_per_decomposition(monkeypatch, reverse):
+    ps, elements, _ = decompose_case("z2xn2")
+    calls = count_violations(monkeypatch)
+    for k, phi in enumerate(elements, start=1):
+        rectangle_decompose(ps, phi, reverse=reverse)
+        assert len(calls) == k
+
+
+def test_suite_checks_each_union_once(monkeypatch):
+    # two decompositions per element, and nothing re-checks them
+    calls = count_violations(monkeypatch)
+    report = run_suite("rectangles", None, left=REL2, right=REL2)
+    assert report.passed
+    assert len(calls) == 2 * 209

@@ -5,6 +5,7 @@ import pytest
 from soficlab import cayley
 from soficlab.groupoid import (
     Arrow,
+    MalformedInputError,
     connected_groupoid,
     convex_combination,
     full_relation,
@@ -92,6 +93,55 @@ def test_pin_round_trip():
     assert pin_to_json(p) == {"n": 4, "map": {"0": 2, "3": 1}}
     with pytest.raises(ValueError):
         pin_to_json(bisection(connected_groupoid(cayley.cyclic(2), 2), []))
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"units": 5},
+        [],
+        None,
+        {},
+        {"units": [[0.7, 0]]},
+        {"units": [[0, True]]},
+        {"units": [["0", 1]]},
+        {"units": [[0]]},
+        {"units": [[0, 1, 2]]},
+        {"units": [(0, 1)]},
+        {"units": [5]},
+    ],
+)
+def test_parse_malg_rejects_malformed_input(bad):
+    with pytest.raises(MalformedInputError):
+        parse_malg(bad)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"n": 2, "map": []},
+        {"n": 2.5, "map": {}},
+        {"n": "2", "map": {}},
+        {"n": True, "map": {}},
+        {"n": 0, "map": {}},
+        {"map": {}},
+        {"n": 2},
+        [],
+        None,
+        {"n": 2, "map": {"0": 1.0}},
+        {"n": 2, "map": {"0": None}},
+        {"n": 2, "map": {"x": 1}},
+        {"n": 2, "map": {"01": 1}},
+        {"n": 2, "map": {"-1": 1}},
+        {"n": 2, "map": {"0": 2}},
+        {"n": 2, "map": {"2": 0}},
+        {"n": 2, "map": {"0": -1}},
+        {"n": 2, "map": {"0": 1, "1": 1}},
+    ],
+)
+def test_parse_pin_rejects_malformed_input(bad):
+    with pytest.raises(MalformedInputError):
+        parse_pin(bad)
 
 
 def test_jsonable_handles_library_values():

@@ -229,7 +229,7 @@ def parse_pin(obj: dict) -> Bisection:
         raise MalformedInputError(f"n must be positive, got {n}")
     arrows = []
     for x, y in mapping.items():
-        if not (x.isascii() and x.isdigit() and x == str(int(x))):
+        if not (isinstance(x, str) and x.isascii() and x.isdigit() and x == str(int(x))):
             raise MalformedInputError(f"map key {x!r} must be a point written in decimal")
         arrows.append(Arrow(0, 0, _integer(y, "map value"), int(x)))
     try:

@@ -11,6 +11,7 @@ the same images under exact non-identity maps.
 """
 
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -21,13 +22,14 @@ from soficlab.constructions import (
     CertificateError,
     RectangleUnion,
     embed_connected,
+    embed_convex,
     general_map,
     identity_map,
     product_embedding,
     rectangle,
     rectangle_decompose,
 )
-from soficlab.groupoid import Arrow, full_relation, group_groupoid, product_groupoid
+from soficlab.groupoid import Arrow, convex_combination, full_relation, group_groupoid, product_groupoid
 from soficlab.semigroup import Bisection, enumerate_semigroup, sample_bisection
 from soficlab.serialize import dumps, groupoid_to_json, suite_result_to_json
 from soficlab.verify import SuiteBudget, run_suite
@@ -36,6 +38,7 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 REL2 = full_relation(2)
 REL3 = full_relation(3)
 Z2 = group_groupoid(cayley.cyclic(2))
+Z2_PT = convex_combination([(Fraction(1, 3), Z2), (Fraction(2, 3), full_relation(1))])
 
 # golden file stem -> (left factor, right factor, budget or None for the default)
 RECTANGLES_CASES = {
@@ -131,6 +134,9 @@ DECOMPOSE_CASES = {
     "n2xn2": (REL2, REL2, None, lambda: (general_map(2, 4), identity_map(REL2))),
     "z2xn2": (Z2, REL2, None, lambda: (embed_connected(Z2), identity_map(REL2))),
     "n2xz2": (REL2, Z2, None, lambda: (general_map(2, 4), identity_map(Z2))),
+    # two components on the right: a left arrow's partners span both
+    "n2x(z2+pt)": (REL2, Z2_PT, None, lambda: (general_map(2, 4), identity_map(Z2_PT))),
+    "(z2+pt)xn2": (Z2_PT, REL2, None, lambda: (embed_convex(Z2_PT), identity_map(REL2))),
     "n3xn3-sampled": (REL3, REL3, 500, lambda: (general_map(3, 6), identity_map(REL3))),
 }
 

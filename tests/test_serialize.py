@@ -137,6 +137,7 @@ def test_parse_malg_rejects_malformed_input(bad):
         {"n": 2, "map": {"2": 0}},
         {"n": 2, "map": {"0": -1}},
         {"n": 2, "map": {"0": 1, "1": 1}},
+        {"n": 2, "map": {0: 1}},
     ],
 )
 def test_parse_pin_rejects_malformed_input(bad):

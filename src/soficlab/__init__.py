@@ -26,7 +26,6 @@ from .semigroup import (
     act,
     bisection,
     empty_bisection,
-    enumerate_elements,
     extend_to_full_group,
     idempotent,
     projections,

@@ -8,9 +8,11 @@ from .groupoid import MalformedInputError
 
 
 def parse_fraction(text) -> Fraction:
-    """Parse "p/q" (or a bare integer) into a Fraction. q must be positive.
+    """Parse "p/q" in lowest terms with q > 0, as format_fraction writes it,
+    or a bare integer such as "7", into a Fraction.
 
-    Anything else, a JSON boolean included, raises MalformedInputError.
+    Any other spelling ("3/6", "+1/2", "07/2", "1_0/3", spaces) and any
+    other type, a JSON boolean included, raises MalformedInputError.
     """
     if isinstance(text, bool):
         raise MalformedInputError(f"expected rational string, got {text!r}")
@@ -20,20 +22,14 @@ def parse_fraction(text) -> Fraction:
         return text
     if not isinstance(text, str):
         raise MalformedInputError(f"expected rational string, got {text!r}")
-    parts = text.split("/")
-    if len(parts) == 1:
-        num, den = parts[0], "1"
-    elif len(parts) == 2:
-        num, den = parts
-    else:
-        raise MalformedInputError(f"malformed rational {text!r}")
+    num, slash, den = text.partition("/")
     try:
-        n, d = int(num), int(den)
-    except ValueError:
+        x = Fraction(int(num), int(den) if slash else 1)
+    except (ValueError, ZeroDivisionError):
         raise MalformedInputError(f"malformed rational {text!r}") from None
-    if d <= 0:
-        raise MalformedInputError(f"rational {text!r} must have positive denominator")
-    return Fraction(n, d)
+    if text != (format_fraction(x) if slash else str(x.numerator)):
+        raise MalformedInputError(f"rational {text!r} is not spelled {format_fraction(x)!r} (lowest terms, q > 0)")
+    return x
 
 
 def format_fraction(x: Fraction) -> str:

@@ -29,7 +29,6 @@ against.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -316,7 +315,9 @@ class PackedMonoid:
         """The source unit index and the code of a single arrow."""
         return self._index[a.source], self._index[a.range] * self.order + a.g
 
-    def decode(self, x) -> Bisection:
+    def arrows(self, x) -> tuple[Arrow, ...]:
+        """The arrows of x in Bisection order (sorted), so codes sort by it
+        as their Bisections sort by .arrows."""
         units, m = self.units, self.order
         arrows = []
         for u, code in enumerate(x):
@@ -324,7 +325,10 @@ class PackedMonoid:
                 comp, y_from = units[u]
                 r, h = divmod(code, m)
                 arrows.append(Arrow(comp, h, units[r][1], y_from))
-        return Bisection(self.groupoid, tuple(arrows))
+        return tuple(sorted(arrows))
+
+    def decode(self, x) -> Bisection:
+        return Bisection(self.groupoid, self.arrows(x))
 
     def mask(self, units) -> int:
         idx = self._index
@@ -485,35 +489,3 @@ def enumerate_malg(g: FiniteGroupoid, cap: int = 10**6):
     for k in range(len(units) + 1):
         for subset in combinations(units, k):
             yield frozenset(subset)
-
-
-def enumerate_elements(g: FiniteGroupoid, kind: str, cap: int = 10**6):
-    """Dispatch by kind: "semigroup", "group" or "malg"."""
-    if kind == "semigroup":
-        return enumerate_semigroup(g, cap)
-    if kind == "group":
-        return enumerate_group(g, cap)
-    if kind == "malg":
-        return enumerate_malg(g, cap)
-    raise ValueError(f"unknown enumeration kind {kind!r}")
-
-
-def sample_bisection(g: FiniteGroupoid, rng: random.Random) -> Bisection:
-    arrows = []
-    for ci, c in enumerate(g.components):
-        n, m = c.base_size, c.group_order
-        dom = [y for y in range(n) if rng.random() < 0.5]
-        img = rng.sample(range(n), len(dom))
-        for y_from, y_to in zip(dom, img):
-            arrows.append(Arrow(ci, rng.randrange(m), y_to, y_from))
-    return Bisection(g, tuple(arrows))
-
-
-def sample_full_group(g: FiniteGroupoid, rng: random.Random) -> Bisection:
-    arrows = []
-    for ci, c in enumerate(g.components):
-        n, m = c.base_size, c.group_order
-        img = rng.sample(range(n), n)
-        for y_from, y_to in zip(range(n), img):
-            arrows.append(Arrow(ci, rng.randrange(m), y_to, y_from))
-    return Bisection(g, tuple(arrows))

@@ -47,7 +47,7 @@ class DistortionReport:
 def _sample_code(pm: PackedMonoid, rng: random.Random) -> tuple[int, ...]:
     """A random packed element of [[n]] = pm: each point is a source with
     probability 1/2, and the sources get distinct random images. These are
-    the draws of semigroup.sample_bisection less its group-label draw, which
+    the "semigroup" draws of verify._pool less its group-label draw, which
     the full relation does not need but which would use up random state, so
     a seed keeps giving the ladder the partial injections it always drew."""
     n = pm.n_units

@@ -5,14 +5,17 @@ Every comparison is an exact rational (in)equality; epsilon thresholds are
 strict rational comparisons. Checks run exhaustively whenever the tuple
 count fits the budget cap and fall back to seeded sampling otherwise, and
 each report records which regime ran, so a report is a deterministic
-function of (inputs, seed, budget). The inverse-monoid, metric-prop,
-trace-distance, supports, extension and finite-index suites encode their
-pools once into semigroup.PackedMonoid and run on its exact integer
-arithmetic. So do both certificates, check_embedding and
-check_almost_morphism, through one loop (_deviations) that maps each
-distinct code once: the arrow maps of constructions scatter their tables
-(SemigroupMap.packed), and a pair list becomes a dict from domain code to
-codomain code.
+function of (inputs, seed, budget). Every element pool comes from _pool,
+which charges the cap and then enumerates and encodes the pool, or draws
+it directly as codes of semigroup.PackedMonoid (unit sets as bitmasks).
+The inverse-monoid, metric-prop, trace-distance, supports, extension and
+finite-index suites run on the kernel's exact integer arithmetic; the
+rectangles suite decodes its pools to Bisections. Both certificates,
+check_embedding and check_almost_morphism, run on the kernel too, through
+one loop (_deviations) that maps each distinct code once: the arrow maps
+of constructions scatter their tables (SemigroupMap.packed), and a pair
+list becomes a dict from domain code to codomain code. Bisections are
+decoded only for the witnesses a report prints.
 """
 
 from __future__ import annotations
@@ -34,20 +37,15 @@ from .constructions import (
     rectangle,
     rectangle_decompose,
 )
-from .groupoid import FiniteGroupoid, product_groupoid
+from .groupoid import Arrow, FiniteGroupoid, product_groupoid
 from .semigroup import (
-    Bisection,
     PackedMonoid,
-    empty_bisection,
     enumerate_group,
     enumerate_malg,
     enumerate_semigroup,
     group_count,
     malg_count,
-    sample_bisection,
-    sample_full_group,
     semigroup_count,
-    unit_bisection,
 )
 from .symmetric import ladder_profile
 
@@ -92,37 +90,47 @@ class SuiteResult:
 # Element pools and tuple budgets
 
 
-def _elements(g: FiniteGroupoid, kind: str, budget: SuiteBudget):
-    counts = {
-        "semigroup": semigroup_count,
-        "group": group_count,
-        "malg": malg_count,
-    }
-    count = counts[kind](g)
+def _pool(pm: PackedMonoid, kind: str, budget: SuiteBudget):
+    """The pool of `kind` on pm and whether it is exhaustive: packed codes
+    for "semigroup" and "group", unit bitmasks for "malg".
+
+    Exhaustive when the count fits budget.exhaustive_cap. Otherwise up to
+    budget.sample_count distinct seeded draws, seeded with the unit (and
+    for "semigroup" the zero, for "malg" the empty and full masks) and
+    sorted as Bisections sort by their arrows and unit sets by their units.
+    Per component, a "semigroup" draw picks each point as a source with
+    probability 1/2, then distinct random ranges, then a group label per
+    arrow; a "group" draw is a random permutation and the labels.
+    """
+    g = pm.groupoid
+    full = kind == "group"
+    count = {"semigroup": semigroup_count, "group": group_count, "malg": malg_count}[kind](g)
     if count <= budget.exhaustive_cap:
-        if kind == "semigroup":
-            return list(enumerate_semigroup(g, cap=budget.exhaustive_cap)), True
-        if kind == "group":
-            return list(enumerate_group(g, cap=budget.exhaustive_cap)), True
-        return list(enumerate_malg(g, cap=budget.exhaustive_cap)), True
+        if kind == "malg":
+            return [pm.mask(units) for units in enumerate_malg(g, cap=budget.exhaustive_cap)], True
+        enumerate_ = enumerate_group if full else enumerate_semigroup
+        return [pm.encode(b) for b in enumerate_(g, cap=budget.exhaustive_cap)], True
 
     rng = random.Random(budget.seed)
     target = min(budget.sample_count, count)
+    units = range(pm.n_units)
     if kind == "malg":
-        units = list(g.units())
-        pool = {frozenset(), frozenset(units)}
+        pool = {0, pm.full_mask}
         while len(pool) < target:
-            pool.add(frozenset(u for u in units if rng.random() < 0.5))
-        return sorted(pool, key=sorted), False
-    if kind == "group":
-        pool = {unit_bisection(g)}
-        draw = sample_full_group
-    else:
-        pool = {unit_bisection(g), empty_bisection(g)}
-        draw = sample_bisection
+            pool.add(sum([1 << u for u in units if rng.random() < 0.5]))
+        return sorted(pool, key=lambda mask: [u for u in units if mask >> u & 1]), False
+
+    pool = {pm.one} if full else {pm.one, pm.zero}
     while len(pool) < target:
-        pool.add(draw(g, rng))
-    return sorted(pool, key=lambda b: b.arrows), False
+        out = [-1] * pm.n_units
+        for ci, c in enumerate(g.components):
+            n, m = c.base_size, c.group_order
+            sources = range(n) if full else [y for y in range(n) if rng.random() < 0.5]
+            for y_from, y_to in zip(sources, rng.sample(range(n), len(sources))):
+                u, code = pm.place(Arrow(ci, rng.randrange(m), y_to, y_from))
+                out[u] = code
+        pool.add(tuple(out))
+    return sorted(pool, key=pm.arrows), False
 
 
 def _tuples(n: int, arity: int, budget: SuiteBudget):
@@ -135,10 +143,6 @@ def _tuples(n: int, arity: int, budget: SuiteBudget):
         for _ in range(budget.sample_count)
     ]
     return sampled, False, len(sampled)
-
-
-def _arrows_repr(b: Bisection) -> list:
-    return [list(a) for a in b.arrows]
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +205,7 @@ def check_almost_morphism(pi, K, epsilon) -> AlmostMorphismReport:
         max_trace_deviation=trace_dev,
         max_distance_deviation=dist_dev,
         passed=prod_dev < epsilon and trace_dev < epsilon,
-        witnesses=_witnesses(at, K),
+        witnesses=_witnesses(at, K.__getitem__),
     )
 
 
@@ -283,9 +287,10 @@ def _deviations(f, dom: PackedMonoid, cod: PackedMonoid, pool: list, pairs):
     return images, (Fraction(prod_dev, d_cod), Fraction(trace_dev, scale), Fraction(dist_dev, scale)), at
 
 
-def _witnesses(at: dict, elements: list) -> dict:
-    """The elements at the indices that _deviations returned."""
-    return {k: elements[i] if k == "trace" else (elements[i[0]], elements[i[1]]) for k, i in at.items()}
+def _witnesses(at: dict, element) -> dict:
+    """The elements at the indices that _deviations returned, where
+    element(i) is the Bisection at pool index i."""
+    return {k: element(i) if k == "trace" else (element(i[0]), element(i[1])) for k, i in at.items()}
 
 
 def check_embedding(m: SemigroupMap, budget: SuiteBudget | None = None) -> EmbeddingReport:
@@ -299,8 +304,8 @@ def check_embedding(m: SemigroupMap, budget: SuiteBudget | None = None) -> Embed
     m.packed (an arrow map scatters its table) inside _deviations.
     """
     budget = budget or SuiteBudget()
-    dom, elements, pool, exhaustive = _packed_pool(m.domain, "semigroup", budget)
-    cod = PackedMonoid(m.codomain)
+    dom, cod = PackedMonoid(m.domain), PackedMonoid(m.codomain)
+    pool, exhaustive = _pool(dom, "semigroup", budget)
     n = len(pool)
     pair_iter, pairs_exhaustive, pair_count = _tuples(n, 2, budget)
     images, (prod_dev, trace_dev, dist_dev), at = _deviations(m.packed(dom, cod), dom, cod, pool, pair_iter)
@@ -320,7 +325,7 @@ def check_embedding(m: SemigroupMap, budget: SuiteBudget | None = None) -> Embed
         unit_preserved=unit_ok,
         injective=len(set(images)) == n,
         trace_iso_consistent=consistent,
-        witnesses=_witnesses(at, elements),
+        witnesses=_witnesses(at, lambda i: dom.decode(pool[i])),
     )
 
 
@@ -332,16 +337,9 @@ def _result(name, passed, **details) -> CheckResult:
     return CheckResult(name, passed, details)
 
 
-def _packed_pool(g: FiniteGroupoid, kind: str, budget: SuiteBudget):
-    """The kernel of g, the pool of `kind` as Bisections, the same pool
-    encoded, and whether it is exhaustive."""
-    pm = PackedMonoid(g)
-    elements, exhaustive = _elements(g, kind, budget)
-    return pm, elements, [pm.encode(a) for a in elements], exhaustive
-
-
 def suite_inverse_monoid(g: FiniteGroupoid, budget: SuiteBudget) -> list[CheckResult]:
-    pm, _, pool, exhaustive = _packed_pool(g, "semigroup", budget)
+    pm = PackedMonoid(g)
+    pool, exhaustive = _pool(pm, "semigroup", budget)
     mul, inv = pm.mul, pm.inv
     n = len(pool)
     one, zero = pm.one, pm.zero
@@ -395,7 +393,8 @@ def suite_inverse_monoid(g: FiniteGroupoid, budget: SuiteBudget) -> list[CheckRe
 
 
 def suite_metric(g: FiniteGroupoid, budget: SuiteBudget) -> list[CheckResult]:
-    pm, elements, pool, exhaustive = _packed_pool(g, "semigroup", budget)
+    pm = PackedMonoid(g)
+    pool, exhaustive = _pool(pm, "semigroup", budget)
     mul, dist, mass = pm.mul, pm.dist, pm.mass
     n = len(pool)
     total = pm.total
@@ -438,7 +437,7 @@ def suite_metric(g: FiniteGroupoid, budget: SuiteBudget) -> list[CheckResult]:
             if inv_dists[i][j] != dists[i][j]:
                 viol += 1
                 if witness is None:
-                    witness = (_arrows_repr(elements[i]), _arrows_repr(elements[j]))
+                    witness = tuple([list(a) for a in pm.arrows(pool[k])] for k in (i, j))
     checks.append(
         _result(
             "inverse-invariance",
@@ -538,7 +537,8 @@ def suite_metric(g: FiniteGroupoid, budget: SuiteBudget) -> list[CheckResult]:
 
 
 def suite_trace_distance(g: FiniteGroupoid, budget: SuiteBudget) -> list[CheckResult]:
-    pm, _, pool, exhaustive = _packed_pool(g, "semigroup", budget)
+    pm = PackedMonoid(g)
+    pool, exhaustive = _pool(pm, "semigroup", budget)
     mul, trace, dist = pm.mul, pm.trace, pm.dist
     one, total = pm.one, pm.total
     sources = [pm.idem(pm.src(a)) for a in pool]
@@ -583,9 +583,9 @@ def suite_trace_distance(g: FiniteGroupoid, budget: SuiteBudget) -> list[CheckRe
 
 
 def suite_supports(g: FiniteGroupoid, budget: SuiteBudget) -> list[CheckResult]:
-    pm, _, group, exhaustive = _packed_pool(g, "group", budget)
-    malg_sets, malg_exh = _elements(g, "malg", budget)
-    malg = [pm.mask(units) for units in malg_sets]
+    pm = PackedMonoid(g)
+    group, exhaustive = _pool(pm, "group", budget)
+    malg, malg_exh = _pool(pm, "malg", budget)
     mul, inv, dist, act, idem = pm.mul, pm.inv, pm.dist, pm.act, pm.idem
     one, total = pm.one, pm.total
     traces = [pm.trace(a) for a in group]
@@ -702,7 +702,8 @@ def suite_supports(g: FiniteGroupoid, budget: SuiteBudget) -> list[CheckResult]:
 
 
 def suite_extension(g: FiniteGroupoid, budget: SuiteBudget) -> list[CheckResult]:
-    pm, _, pool, exhaustive = _packed_pool(g, "semigroup", budget)
+    pm = PackedMonoid(g)
+    pool, exhaustive = _pool(pm, "semigroup", budget)
     full_mask = pm.full_mask
     contains = full = idem = 0
     for x in pool:
@@ -732,7 +733,8 @@ def suite_finite_index(
     problems = system.violations()
     checks.append(_result("transversal-partition", not problems, index=system.index, problems=problems))
 
-    pm, _, pool, exhaustive = _packed_pool(g, "semigroup", budget)
+    pm = PackedMonoid(g)
+    pool, exhaustive = _pool(pm, "semigroup", budget)
     mul, trace = pm.mul, pm.trace
     nn = system.index
     blocks = block_table(system, pm)
@@ -798,8 +800,13 @@ def suite_finite_index(
 def suite_rectangles(
     left: FiniteGroupoid, right: FiniteGroupoid, budget: SuiteBudget
 ) -> list[CheckResult]:
+    def decoded(g):
+        pm = PackedMonoid(g)
+        pool, exhaustive = _pool(pm, "semigroup", budget)
+        return [pm.decode(x) for x in pool], exhaustive
+
     ps = product_groupoid(left, right)
-    elements, exhaustive = _elements(ps.groupoid, "semigroup", budget)
+    elements, exhaustive = decoded(ps.groupoid)
     id_left, id_right = identity_map(left), identity_map(right)
     checks = []
 
@@ -825,8 +832,8 @@ def suite_rectangles(
         )
     )
 
-    lefts, lexh = _elements(left, "semigroup", budget)
-    rights, rexh = _elements(right, "semigroup", budget)
+    lefts, lexh = decoded(left)
+    rights, rexh = decoded(right)
     viol = sum(
         1
         for a in lefts

@@ -272,8 +272,9 @@ def test_missing_file_exits_2(capsys):
         ({"group_table": [[0]], "base_size": None, "weight": "1/1"}, [[0, 0, 1, 0]], "base_size"),
         ({"group_table": [[0]], "base_size": 3, "weight": "1/1"}, [[0, 0, 1]], "comp, g, y_to, y_from"),
         ({"group_table": [[0]], "base_size": 3, "weight": True}, [[0, 0, 1, 0]], "rational"),
+        ({"group_table": [[0]], "base_size": 3, "weight": "2/4"}, [[0, 0, 1, 0]], "lowest terms"),
     ],
-    ids=["null-base-size", "three-field-arrow", "boolean-weight"],
+    ids=["null-base-size", "three-field-arrow", "boolean-weight", "non-canonical-weight"],
 )
 def test_malformed_json_shapes_exit_2(files, capsys, groupoid, gamma, message):
     tmp, write = files

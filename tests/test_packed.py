@@ -16,7 +16,9 @@ written by the partial-injection distortion reports before they moved onto
 the packed kernel. The finite-index and extension goldens were written by
 the Bisection-based block matrices, lift and full-group completion; those
 are kept below as references for the packed block table, the lift's arrow
-table and PackedMonoid.extend.
+table and PackedMonoid.extend. The element pools of verify._pool are
+checked against the Bisection pools they replaced (pool_reference.py), and
+sampled pools must build no Bisection.
 """
 
 import random
@@ -27,6 +29,7 @@ from math import lcm
 from pathlib import Path
 
 import pytest
+from pool_reference import reference_elements, sample_bisection
 
 from soficlab import cayley
 from soficlab.cli import main as cli_main
@@ -72,8 +75,10 @@ from soficlab.semigroup import (
     enumerate_malg,
     enumerate_semigroup,
     extend_to_full_group,
+    group_count,
     idempotent,
-    sample_bisection,
+    malg_count,
+    semigroup_count,
     unit_bisection,
 )
 from soficlab.serialize import (
@@ -89,7 +94,7 @@ from soficlab.verify import (
     EmbeddingReport,
     IncompletePairListError,
     SuiteBudget,
-    _elements,
+    _pool,
     _tuples,
     check_almost_morphism,
     check_embedding,
@@ -97,6 +102,7 @@ from soficlab.verify import (
 )
 
 HALF = Fraction(1, 2)
+THIRD = Fraction(1, 3)
 GROUPOIDS = {
     "n2": full_relation(2),
     "n3": full_relation(3),
@@ -237,13 +243,65 @@ def test_sampled_elements_of_a_ten_unit_groupoid():
 
 
 # ---------------------------------------------------------------------------
+# Element pools against the Bisection reference
+
+POOL_GROUPOIDS = {
+    "n8": full_relation(8),
+    "n10": full_relation(10),
+    "z3y5": connected_groupoid(cayley.cyclic(3), 5),
+    "s3y3+n6": convex_combination(
+        [(THIRD, connected_groupoid(cayley.symmetric(3), 3)), (1 - THIRD, full_relation(6))]
+    ),
+    "n3": full_relation(3),
+    "z2pt": GROUPOIDS["z2pt"],
+}
+POOL_COUNTS = {"semigroup": semigroup_count, "group": group_count, "malg": malg_count}
+
+
+@pytest.mark.parametrize("seed", [1, 7, 1729])
+@pytest.mark.parametrize("kind", list(POOL_COUNTS))
+@pytest.mark.parametrize("key", list(POOL_GROUPOIDS))
+def test_pool_matches_reference(key, kind, seed):
+    g = POOL_GROUPOIDS[key]
+    pm = PackedMonoid(g)
+    encode = pm.mask if kind == "malg" else pm.encode
+    count = POOL_COUNTS[kind](g)
+    # a cap just below the count forces the sampled regime; sample counts
+    # above the count (where drawing every element is cheap) sample it all
+    budgets = [SuiteBudget(exhaustive_cap=count - 1, sample_count=40, seed=seed)]
+    if count <= 2000:
+        budgets += [
+            SuiteBudget(exhaustive_cap=count - 1, sample_count=count + 3, seed=seed),
+            SuiteBudget(exhaustive_cap=count, sample_count=40, seed=seed),
+        ]
+    for budget in budgets:
+        elements, exhaustive = reference_elements(g, kind, budget)
+        assert _pool(pm, kind, budget) == ([encode(a) for a in elements], exhaustive)
+
+
+@pytest.mark.parametrize("suite", ["extension", "inverse-monoid"])
+def test_sampled_pools_build_no_bisections(suite, monkeypatch):
+    built = []
+    init = Bisection.__post_init__
+
+    def counted(self):
+        built.append(self)
+        init(self)
+
+    monkeypatch.setattr(Bisection, "__post_init__", counted)
+    result = run_suite(suite, g=full_relation(8))
+    assert not any(check.details.get("exhaustive", True) for check in result.checks)
+    assert result.passed and built == []
+
+
+# ---------------------------------------------------------------------------
 # The embedding certificate against the Bisection reference
 
 
 def reference_check_embedding(m, budget) -> EmbeddingReport:
     """check_embedding on Bisection algebra: the map is evaluated on every
     product, and deviations are Fractions."""
-    elements, exhaustive = _elements(m.domain, "semigroup", budget)
+    elements, exhaustive = reference_elements(m.domain, "semigroup", budget)
     n = len(elements)
     pair_iter, pairs_exhaustive, pair_count = _tuples(n, 2, budget)
     exhaustive = exhaustive and pairs_exhaustive
@@ -319,7 +377,6 @@ def s3_over_z3():
     return finite_index_map(find_transversals(s3, group_subgroupoid(s3, [0, 3, 4])))
 
 
-THIRD = Fraction(1, 3)
 EMBEDDINGS = {
     "connected-z2y2": lambda: embed_connected(GROUPOIDS["z2y2"]),
     "convex-z2+y2": lambda: embed_convex(two_components(THIRD)),
@@ -1049,7 +1106,7 @@ EXTEND_CASES = {
     "s3": lambda: list(enumerate_semigroup(S3)),
     "g6": lambda: list(enumerate_semigroup(g6(G6_NU))),
     # the pool of the extension suite on [[8]] at the default budget
-    "n8-sampled": lambda: _elements(full_relation(8), "semigroup", SuiteBudget())[0],
+    "n8-sampled": lambda: reference_elements(full_relation(8), "semigroup", SuiteBudget())[0],
 }
 
 

@@ -15,6 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from pool_reference import sample_bisection
 
 from soficlab import cayley
 from soficlab.cli import main as cli_main
@@ -30,7 +31,7 @@ from soficlab.constructions import (
     rectangle_decompose,
 )
 from soficlab.groupoid import Arrow, convex_combination, full_relation, group_groupoid, product_groupoid
-from soficlab.semigroup import Bisection, enumerate_semigroup, sample_bisection
+from soficlab.semigroup import Bisection, enumerate_semigroup
 from soficlab.serialize import dumps, groupoid_to_json, suite_result_to_json
 from soficlab.verify import SuiteBudget, run_suite
 

@@ -15,7 +15,6 @@ from soficlab.semigroup import (
     act,
     bisection,
     empty_bisection,
-    enumerate_elements,
     enumerate_group,
     enumerate_malg,
     enumerate_semigroup,
@@ -283,10 +282,10 @@ class TestEnumerate:
             list(enumerate_semigroup(full_relation(5), cap=100))
         assert err.value.predicted == 1546
 
-    def test_dispatch(self):
-        assert len(list(enumerate_elements(G2, "malg"))) == 4
-        with pytest.raises(ValueError):
-            list(enumerate_elements(G2, "nope"))
+    def test_malg_enumeration(self):
+        assert list(enumerate_malg(G2)) == [frozenset(), frozenset({(0, 0)}), frozenset({(0, 1)}), frozenset(G2.units())]
+        with pytest.raises(CapExceededError):
+            list(enumerate_malg(G2, cap=3))
 
 
 # --- property tests over a groupoid with isotropy --------------------------

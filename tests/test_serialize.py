@@ -34,15 +34,20 @@ from soficlab.serialize import (
 
 class TestRationals:
     def test_parse_and_format(self):
-        assert parse_fraction("3/6") == Fraction(1, 2)
+        with pytest.raises(MalformedInputError, match="'1/2'"):
+            parse_fraction("3/6")
         assert parse_fraction("7") == 7
+        assert parse_fraction("-1/2") == Fraction(-1, 2)
         assert format_fraction(Fraction(1, 2)) == "1/2"
         assert format_fraction(Fraction(3)) == "3/1"
         assert format_fraction(Fraction(0)) == "0/1"
 
-    @pytest.mark.parametrize("bad", ["1/0", "1/-2", "x/2", "1/2/3", None, 1.5])
+    @pytest.mark.parametrize(
+        "bad",
+        ["1/0", "1/-2", "x/2", "1/2/3", None, 1.5, "1_0/3", "3/6", "0/5", "+1/2", " 1/2", "1/ 2", "07/2"],
+    )
     def test_rejects_bad_input(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(MalformedInputError):
             parse_fraction(bad)
 
     def test_round_trip(self):

@@ -23,17 +23,15 @@ from .groupoid import (
 )
 from .semigroup import (
     Bisection,
-    act,
     bisection,
     empty_bisection,
     extend_to_full_group,
     idempotent,
-    projections,
-    union_compatible,
     unit_bisection,
 )
 from .symmetric import DistortionReport, ladder_profile
 from .constructions import (
+    PackedProduct,
     SemigroupMap,
     TransversalSystem,
     block_components,
@@ -41,7 +39,6 @@ from .constructions import (
     embed_convex,
     embed_convex_pair,
     find_transversals,
-    finite_index_lift,
     finite_index_map,
     general_map,
     identity_map,

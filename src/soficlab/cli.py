@@ -23,8 +23,9 @@ from .rationals import parse_fraction
 from .semigroup import (
     CapExceededError,
     CertificateError,
-    enumerate_semigroup,
+    PackedMonoid,
     extend_to_full_group,
+    semigroup_codes,
     semigroup_count,
 )
 from .verify import DEFAULT_SEED, SuiteBudget
@@ -43,11 +44,10 @@ def _seed(args) -> int:
 
 
 def _budget(args) -> SuiteBudget:
-    return SuiteBudget(
-        exhaustive_cap=getattr(args, "budget", None) or 200_000,
-        sample_count=getattr(args, "samples", None) or 500,
-        seed=_seed(args),
-    )
+    """The budget of --budget, --samples and the seed; a cap not given
+    keeps SuiteBudget's default, and SuiteBudget rejects one below 1."""
+    caps = {"exhaustive_cap": getattr(args, "budget", None), "sample_count": getattr(args, "samples", None)}
+    return SuiteBudget(seed=_seed(args), **{k: v for k, v in caps.items() if v is not None})
 
 
 def _emit(args, command: str, params: dict, payload: dict, budget: SuiteBudget | None = None) -> None:
@@ -188,7 +188,7 @@ def cmd_extend(args) -> int:
         args,
         "extend",
         {"groupoid": args.groupoid, "bisection": args.bisection},
-        {"extension": sz.bisection_to_json(ext), "full": ext.is_full()},
+        {"extension": sz.bisection_to_json(ext), "full": len(ext) == g.n_units},
     )
     return 0
 
@@ -227,7 +227,8 @@ def cmd_verify(args) -> int:
     if pairs > budget.exhaustive_cap:
         raise CapExceededError(pairs, budget.exhaustive_cap, "pairs of K")
     if K is None:
-        K = list(enumerate_semigroup(domain, cap=budget.exhaustive_cap))
+        pm = PackedMonoid(domain)
+        K = [pm.decode(x) for x in semigroup_codes(pm)]
     report = vf.check_almost_morphism(pi, K, parse_fraction(args.epsilon))
     _emit(
         args,

@@ -17,6 +17,14 @@ certificates and the ladder's distortion reports. The lift's table comes
 from the transversal block of each arrow (TransversalSystem.blocks), which
 block_table also scatters into the block matrices of packed codes for the
 finite-index suite.
+
+The rectangle monoid of a product groupoid runs on packed codes too:
+PackedProduct pairs the codes of the two factors into codes of the
+product, rectangle_decompose splits a product code into a RectangleUnion
+of factor codes, and product_embedding maps each part's factors through
+SemigroupMap.packed. Nothing here computes with Bisections: they are the
+boundary type that maps accept and return, and table entries are read as
+arrows.
 """
 
 from __future__ import annotations
@@ -40,7 +48,7 @@ from .groupoid import (
     subgroupoid_as_groupoid,
     subgroupoid_violations,
 )
-from .semigroup import Bisection, CertificateError, PackedMonoid, idempotent
+from .semigroup import Bisection, CertificateError, PackedMonoid
 
 
 class NoTransversalError(RuntimeError):
@@ -50,8 +58,8 @@ class NoTransversalError(RuntimeError):
 @dataclass(eq=False)
 class SemigroupMap:
     """A map [[domain]] -> [[codomain]]; arrow_images is the table of an
-    arrow map (see arrow_map), from each domain arrow to the Bisection of
-    the codomain it maps to, and None for any other map."""
+    arrow map (see arrow_map), from each domain arrow to the arrows of its
+    image in the codomain, and None for any other map."""
 
     domain: FiniteGroupoid
     codomain: FiniteGroupoid
@@ -84,7 +92,7 @@ class SemigroupMap:
         rows = [[()] * (dom.n_units * dom.order) for _ in dom.units]
         for a, image in self.arrow_images.items():
             u, x = dom.place(a)
-            rows[u][x] = tuple(cod.place(b) for b in image.arrows)
+            rows[u][x] = tuple(cod.place(b) for b in image)
         n = cod.n_units
 
         def scatter(x) -> tuple[int, ...]:
@@ -107,17 +115,18 @@ def arrow_map(
     """The map sending a bisection to the union of its arrows' images.
 
     image_of_arrow is tabulated once over domain.arrows(), and each entry is
-    validated as a Bisection of the codomain. The table is checked once:
-    two domain arrows that can share a bisection (distinct sources and
-    distinct ranges) must have images with disjoint sources and disjoint
-    ranges, or it raises the ValueError a Bisection of their union would.
+    validated as a Bisection of the codomain and kept as its arrows. The
+    table is checked once: two domain arrows that can share a bisection
+    (distinct sources and distinct ranges) must have images with disjoint
+    sources and disjoint ranges, or it raises the ValueError a Bisection of
+    their union would.
     The evaluator and SemigroupMap.packed then take unions unchecked.
     """
-    table = {a: Bisection(codomain, tuple(image_of_arrow(a))) for a in domain.arrows()}
+    table = {a: Bisection(codomain, tuple(image_of_arrow(a))).arrows for a in domain.arrows()}
     for side in ("source", "range"):
         hits = {}  # codomain unit -> the domain arrows whose images meet it on this side
         for a, image in table.items():
-            for b in image.arrows:
+            for b in image:
                 hits.setdefault(getattr(b, side), []).append(a)
         for arrows in hits.values():
             for a, b in combinations(arrows, 2):
@@ -125,14 +134,14 @@ def arrow_map(
                     raise ValueError(f"{side} map not injective")
 
     def run(alpha: Bisection) -> Bisection:
-        return Bisection(codomain, tuple(b for a in alpha.arrows for b in table[a].arrows))
+        return Bisection(codomain, tuple(b for a in alpha.arrows for b in table[a]))
 
     return SemigroupMap(domain, codomain, run, label, table)
 
 
 def identity_map(g: FiniteGroupoid) -> SemigroupMap:
     # an arrow map whose union of images is the argument itself
-    return SemigroupMap(g, g, lambda a: a, "identity", {a: Bisection(g, (a,)) for a in g.arrows()})
+    return SemigroupMap(g, g, lambda a: a, "identity", {a: (a,) for a in g.arrows()})
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +286,8 @@ def restrict_almost_morphism(theta: SemigroupMap, units) -> SemigroupMap:
 
     The restricted map sends a corner bisection to e*theta(lift)*e with
     e = theta(1_corner), landing in the corner of the codomain over the
-    units of e; both corners carry normalized measures. Sandwiching by e
+    units of e; both corners carry normalized measures. e is read off the
+    table, as the images of the corner's unit arrows. Sandwiching by e
     keeps the arrows with both ends in fix(e), arrow by arrow, so the
     restriction is again an arrow map: each entry of theta's table,
     filtered and moved into the corner.
@@ -285,12 +295,12 @@ def restrict_almost_morphism(theta: SemigroupMap, units) -> SemigroupMap:
     if theta.arrow_images is None:
         raise ValueError(f"restrict_almost_morphism needs an arrow map; {theta.label} is not one")
     h = corner(theta.domain, units)
-    e = theta(idempotent(theta.domain, h.units))
-    if not e.is_idempotent():
+    e = [b for u in h.units for b in theta.arrow_images[theta.domain.unit_arrow(u)]]
+    if not all(b.is_unit() for b in e):
         raise ValueError("theta(1_H) is not idempotent; cannot restrict")
-    if e.trace() == 0:
+    fixed = frozenset(b.source for b in e)
+    if theta.codomain.mass(fixed) == 0:
         raise ValueError("zero-trace corner: theta(1_H) is null")
-    fixed = e.fix_units
     f = corner(theta.codomain, fixed)
 
     def image(a: Arrow):
@@ -324,7 +334,7 @@ class TransversalSystem:
         """Each arrow a of the groupoid -> the (i, j, b) with b the one arrow
         of psi_i^-1 a psi_j, for each (i, j) where it lies in H."""
         g = self.groupoid
-        into = [psi.by_range for psi in self.transversals]
+        into = [{p.range: p for p in psi.arrows} for psi in self.transversals]
         out = {}
         for a in g.arrows():
             row = []
@@ -358,7 +368,8 @@ class TransversalSystem:
         if problems:
             return problems
         for i, psi in enumerate(self.transversals):
-            if not psi.is_full():
+            # sources and ranges are injective, so n arrows cover every unit
+            if len(psi) != g.n_units:
                 problems.append(f"transversal {i} is not a full-group element")
         cover = []
         for psi in self.transversals:
@@ -572,34 +583,63 @@ def finite_index_map(system: TransversalSystem, phi: SemigroupMap | None = None)
         raise NoTransversalError(f"lift not well-defined: {exc}") from exc
 
 
-def finite_index_lift(alpha: Bisection, system: TransversalSystem, phi: SemigroupMap | None = None) -> Bisection:
-    """The image of alpha under finite_index_map(system, phi)."""
-    return finite_index_map(system, phi)(alpha)
-
-
 # ---------------------------------------------------------------------------
 # Products: the rectangle monoid and the tensor of two maps
 
 
-def rectangle(ps: ProductStructure, alpha: Bisection, beta: Bisection) -> Bisection:
-    """The rectangle alpha x beta inside the product groupoid."""
-    if alpha.groupoid != ps.left or beta.groupoid != ps.right:
-        raise ValueError("rectangle factors must live on the product's factors")
-    return Bisection(
-        ps.groupoid,
-        tuple(ps.pair_arrow(a, b) for a in alpha.arrows for b in beta.arrows),
-    )
+class PackedProduct:
+    """A product groupoid on packed codes: pm is the kernel of the product,
+    left and right those of its factors.
+
+    Every pair of factor arrows is one product arrow, so the pairing is a
+    table of pieces, a piece being the (source index, code) of one arrow:
+    pair[left piece, right piece] is the product piece and split[w][z]
+    the two factor pieces of the product piece (w, z).
+    """
+
+    def __init__(self, ps: ProductStructure):
+        self.structure = ps
+        self.pm = PackedMonoid(ps.groupoid)
+        self.left, self.right = PackedMonoid(ps.left), PackedMonoid(ps.right)
+        self.pair = {}
+        self.split = [[None] * (self.pm.n_units * self.pm.order) for _ in self.pm.units]
+        for a in ps.left.arrows():
+            for b in ps.right.arrows():
+                pieces = self.left.place(a), self.right.place(b)
+                w, z = self.pm.place(ps.pair_arrow(a, b))
+                self.pair[pieces] = w, z
+                self.split[w][z] = pieces
+
+    def assemble(self, parts) -> tuple[int, ...]:
+        """The union of the rectangles a x b over (left code, right code)
+        parts, as one product code; a later part overwrites an earlier one
+        where their sources meet."""
+        out = list(self.pm.zero)
+        pair = self.pair
+        for a, b in parts:
+            rights = [(v, y) for v, y in enumerate(b) if y >= 0]
+            for u, x in enumerate(a):
+                if x >= 0:
+                    for piece in rights:
+                        w, z = pair[(u, x), piece]
+                        out[w] = z
+        return tuple(out)
+
+    def rectangle(self, a, b) -> tuple[int, ...]:
+        """The rectangle a x b of a left code and a right code."""
+        return self.assemble(((a, b),))
 
 
 @dataclass(frozen=True)
 class RectangleUnion:
-    """A union of rectangles A x B, each given as its pair of factor
-    bisections, in the rectangle monoid of a product: no two parts overlap
-    on a source or on a range. Building one checks that once and raises
-    CertificateError on the first overlap."""
+    """A union of rectangles A x B, each given as its pair of factor codes
+    of a PackedProduct, in the rectangle monoid of the product: no two parts
+    overlap on a source or on a range. Building one checks that once, as
+    meets of the factors' src and rng bitmasks, and raises CertificateError
+    on the first overlap."""
 
-    product: ProductStructure
-    parts: tuple  # of (Bisection, Bisection) pairs
+    product: PackedProduct
+    parts: tuple  # of (left code, right code) pairs
 
     def __post_init__(self):
         problems = self.violations()
@@ -607,83 +647,93 @@ class RectangleUnion:
             raise CertificateError(f"not in the rectangle monoid: {problems[0]}")
 
     def violations(self) -> list[str]:
+        left, right = self.product.left, self.product.right
+        masks = [(left.src(a), right.src(b), left.rng(a), right.rng(b)) for a, b in self.parts]
         problems = []
-        for (i, (ai, bi)), (j, (aj, bj)) in combinations(enumerate(self.parts), 2):
-            if ai.source_units & aj.source_units and bi.source_units & bj.source_units:
+        for (i, (sa, sb, ra, rb)), (j, (sa2, sb2, ra2, rb2)) in combinations(enumerate(masks), 2):
+            if sa & sa2 and sb & sb2:
                 problems.append(f"source rectangles {i} and {j} overlap")
-            if ai.range_units & aj.range_units and bi.range_units & bj.range_units:
+            if ra & ra2 and rb & rb2:
                 problems.append(f"range rectangles {i} and {j} overlap")
         return problems
 
-    def as_bisection(self) -> Bisection:
-        arrows = []
-        for a, b in self.parts:
-            arrows.extend(rectangle(self.product, a, b).arrows)
-        return Bisection(self.product.groupoid, tuple(arrows))
+    def as_code(self) -> tuple[int, ...]:
+        return self.product.assemble(self.parts)
 
 
-def rectangle_decompose(
-    ps: ProductStructure, phi: Bisection, reverse: bool = False
-) -> RectangleUnion:
-    """Write a product bisection as a rectangle union in the monoid M.
+def rectangle_decompose(pp: PackedProduct, x, reverse: bool = False) -> RectangleUnion:
+    """Write a product code x as a rectangle union in the monoid M.
 
-    Each left arrow a of phi has its partners B_a, the right arrows b with
-    a x b in phi. The left arrows with the same partners form one part
-    A x B_a, and phi is the union of these parts, one pass over its arrows.
+    Each left arrow a of x has its partners B_a, the right arrows b with
+    a x b in x. The left arrows with the same partners form one part
+    A x B_a, and x is the union of these parts, one pass over its arrows.
     reverse groups by right arrow instead, which gives a second,
     independent decomposition of the same element for invariance checks.
 
     The parts are rectangles of bisections: two partners of a with one
-    source (or range) would give phi two arrows with one source, and so
+    source (or range) would give x two arrows with one source, and so
     would two arrows of A with one source, paired with any b in B_a. No two
     parts overlap: arrows a x b and a' x b' of two parts with one source (or
-    range) both lie in phi, so a = a' and the parts are the same. The
+    range) both lie in x, so a = a' and the parts are the same. The
     classes A are disjoint and the B_a distinct, so no two parts share a
     factor either.
 
     RectangleUnion checks the overlaps once, when the union is built; the
-    certificate made here is that the union reassembles phi.
+    certificate made here is that the union reassembles x.
     """
-    if phi.groupoid != ps.groupoid:
-        raise ValueError("bisection does not live on this product")
-    partners = {}
-    for c in phi.arrows:
-        a, b = ps.split_arrow(c)
-        own, other = (b, a) if reverse else (a, b)
-        partners.setdefault(own, []).append(other)
-    classes = {}
-    for own, others in partners.items():
-        classes.setdefault(tuple(sorted(others)), []).append(own)
-    own_side, other_side = (ps.right, ps.left) if reverse else (ps.left, ps.right)
-    parts = []
-    for others, owns in classes.items():
-        x, y = Bisection(own_side, tuple(owns)), Bisection(other_side, others)
-        parts.append((y, x) if reverse else (x, y))
-    union = RectangleUnion(ps, tuple(parts))
-    if union.as_bisection() != phi:
+    own_side, other_side = (pp.right, pp.left) if reverse else (pp.left, pp.right)
+    partners = {}  # own piece -> the code of its partners
+    for w, z in enumerate(x):
+        if z >= 0:
+            a, b = pp.split[w][z]
+            own, (v, y) = (b, a) if reverse else (a, b)
+            partners.setdefault(own, [-1] * other_side.n_units)[v] = y
+    classes = {}  # partners' code -> the code of the own pieces that share them
+    for (u, code), others in partners.items():
+        classes.setdefault(tuple(others), [-1] * own_side.n_units)[u] = code
+    parts = tuple((other, tuple(own)) if reverse else (tuple(own), other) for other, own in classes.items())
+    union = RectangleUnion(pp, parts)
+    if union.as_code() != x:
         raise CertificateError("rectangle decomposition does not reassemble the bisection")
     return union
 
 
-def product_embedding(
-    phi: SemigroupMap, psi: SemigroupMap, u: RectangleUnion
-) -> Bisection:
-    """Apply phi x psi to a rectangle union: map each factor and reassemble.
+def product_embedding(phi: SemigroupMap, psi: SemigroupMap) -> Callable:
+    """phi x psi on rectangle unions over the product of their domains: map
+    each part's factors and reassemble, in the product of the codomains.
 
-    Trace preservation is checked on the factors actually used, raising
-    CertificateError on a failure; the result does not depend on which
-    decomposition of the same bisection is given.
+    The packed maps and the codomain product are built once, here; the
+    returned function takes a RectangleUnion to a code of
+    PackedProduct(product_groupoid(phi.codomain, psi.codomain)). Trace
+    preservation is checked on the factors actually used, as integers, and
+    so is that the images of the parts do not overlap; either failure
+    raises CertificateError. The result does not depend on which
+    decomposition of the same element is given.
     """
-    if u.product.left != phi.domain or u.product.right != psi.domain:
-        raise ValueError("rectangle union does not match the map domains")
-    out_ps = product_groupoid(phi.codomain, psi.codomain)
-    arrows = []
-    for a, b in u.parts:
-        fa, fb = phi(a), psi(b)
-        if fa.trace() != a.trace() or fb.trace() != b.trace():
-            raise CertificateError(f"{phi.label} x {psi.label} does not preserve the trace of a factor")
-        arrows.extend(rectangle(out_ps, fa, fb).arrows)
-    return Bisection(out_ps.groupoid, tuple(arrows))
+    out = PackedProduct(product_groupoid(phi.codomain, psi.codomain))
+    dom_left, dom_right = PackedMonoid(phi.domain), PackedMonoid(psi.domain)
+    f, g = phi.packed(dom_left, out.left), psi.packed(dom_right, out.right)
+
+    def keeps_trace(dom, cod, x, fx) -> bool:
+        return cod.trace(fx) * dom.denom == dom.trace(x) * cod.denom
+
+    def size(x) -> int:
+        return len(x) - x.count(-1)
+
+    def apply(u: RectangleUnion) -> tuple[int, ...]:
+        if u.product.structure.left != phi.domain or u.product.structure.right != psi.domain:
+            raise ValueError("rectangle union does not match the map domains")
+        images = [(f(a), g(b)) for a, b in u.parts]
+        for (a, b), (fa, fb) in zip(u.parts, images):
+            if not (keeps_trace(dom_left, out.left, a, fa) and keeps_trace(dom_right, out.right, b, fb)):
+                raise CertificateError(f"{phi.label} x {psi.label} does not preserve the trace of a factor")
+        code = out.assemble(images)
+        arrows = sum(size(fa) * size(fb) for fa, fb in images)
+        if size(code) != arrows or out.pm.rng(code).bit_count() != arrows:
+            raise CertificateError(f"{phi.label} x {psi.label} maps two parts onto overlapping rectangles")
+        return code
+
+    return apply
 
 
 # ---------------------------------------------------------------------------
@@ -709,6 +759,8 @@ def step_map(n: int) -> SemigroupMap:
 def general_map(n: int, p: int) -> SemigroupMap:
     """[[n]] -> [[p]] for p >= n: floor(p/n) block copies, exactly isometric
     onto their points, then p mod n points left undefined."""
+    if n < 1:
+        raise ValueError(f"source size {n} must be positive")
     if p < n:
         raise ValueError(f"target size {p} below {n}")
     return _block_copies(n, p, p // n, f"ladder[{n}->{p}]")

@@ -543,9 +543,6 @@ class ProductStructure:
         return Arrow(i, ga, ta, fa), Arrow(j, gb, tb, fb)
 
 
-# product_embedding asks for the product of the same two codomains once per
-# element of the rectangles suite
-@lru_cache(maxsize=8)
 def product_groupoid(left: FiniteGroupoid, right: FiniteGroupoid) -> ProductStructure:
     pairs = []
     components = []

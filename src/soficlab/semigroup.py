@@ -16,33 +16,28 @@ maps. This is the metric pinned down by the exact trace identities
     d(a, b) = tr(s(a)) + tr(s(b)) - tr(s(a)s(b)) - tr(b^-1 a)
 
 which hold exactly for it (see the verification suites). Its range-side
-mirror mass(r(a \\ b) union r(b \\ a)) is exposed separately: the two agree
-on the full group but differ for proper partial bisections, so d is not
-invariant under inversion in general; the exact correction is
+mirror mass(r(a \\ b) union r(b \\ a)) differs from it for proper partial
+bisections, so d is not invariant under inversion in general; the exact
+correction is
 
     d(a^-1, b^-1) - d(a, b) = mass(r(a) u r(b)) - mass(s(a) u s(b)).
 
-PackedMonoid is the same monoid as integer tuples, which the verification
-suites run on; the Bisection operations are the reference it is tested
-against.
+PackedMonoid computes all of this on integer tuples, and the enumerators
+below list [[G]], [G] and the measure algebra directly as its codes and
+bitmasks. Bisection is the boundary type: it is parsed, printed and used
+for witnesses, and its constructor validates; PackedMonoid.encode and
+decode convert at the boundary. The Bisection algebra that the kernel is
+tested against lives with the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cached_property
 from itertools import combinations, permutations, product
 from math import comb, factorial, lcm
 
 from . import cayley
-from .groupoid import Arrow, FiniteGroupoid, Unit
-
-
-class UnionIncompatibleError(ValueError):
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
+from .groupoid import Arrow, FiniteGroupoid
 
 
 class CertificateError(ValueError):
@@ -96,76 +91,6 @@ class Bisection:
     def __iter__(self):
         return iter(self.arrows)
 
-    @cached_property
-    def by_range(self) -> dict[Unit, Arrow]:
-        return {a.range: a for a in self.arrows}
-
-    @cached_property
-    def by_source(self) -> dict[Unit, Arrow]:
-        return {a.source: a for a in self.arrows}
-
-    @cached_property
-    def source_units(self) -> frozenset[Unit]:
-        return frozenset(a.source for a in self.arrows)
-
-    @cached_property
-    def range_units(self) -> frozenset[Unit]:
-        return frozenset(a.range for a in self.arrows)
-
-    @cached_property
-    def fix_units(self) -> frozenset[Unit]:
-        return frozenset(a.source for a in self.arrows if a.is_unit())
-
-    @cached_property
-    def supp_units(self) -> frozenset[Unit]:
-        return self.source_units - self.fix_units
-
-    def compose(self, other: "Bisection") -> "Bisection":
-        """Product self*other: all defined products ab, a in self, b in other."""
-        if self.groupoid != other.groupoid:
-            raise ValueError("bisections live on different groupoids")
-        g = self.groupoid
-        out = []
-        for b in other.arrows:
-            a = self.by_source.get(b.range)
-            if a is not None:
-                out.append(g.mul(a, b))
-        return Bisection(g, tuple(out))
-
-    def __mul__(self, other):
-        return self.compose(other)
-
-    def inverse(self) -> "Bisection":
-        g = self.groupoid
-        return Bisection(g, tuple(g.inv(a) for a in self.arrows))
-
-    def trace(self) -> Fraction:
-        g = self.groupoid
-        return sum(
-            (g.unit_mass(a.comp) for a in self.arrows if a.is_unit()), Fraction(0)
-        )
-
-    def distance(self, other: "Bisection") -> Fraction:
-        """Mass of the source units of the symmetric difference."""
-        if self.groupoid != other.groupoid:
-            raise ValueError("bisections live on different groupoids")
-        mine, theirs = self.by_source, other.by_source
-        disagree = {
-            u for u in mine.keys() | theirs.keys() if mine.get(u) != theirs.get(u)
-        }
-        return self.groupoid.mass(disagree)
-
-    def range_distance(self, other: "Bisection") -> Fraction:
-        """Range-side mirror of distance; differs off the full group."""
-        return self.inverse().distance(other.inverse())
-
-    def is_idempotent(self) -> bool:
-        return all(a.is_unit() for a in self.arrows)
-
-    def is_full(self) -> bool:
-        n = self.groupoid.n_units
-        return len(self.source_units) == n and len(self.range_units) == n
-
 
 def bisection(g: FiniteGroupoid, arrows) -> Bisection:
     return Bisection(g, tuple(arrows))
@@ -181,52 +106,6 @@ def unit_bisection(g: FiniteGroupoid) -> Bisection:
 
 def idempotent(g: FiniteGroupoid, units) -> Bisection:
     return Bisection(g, tuple(g.unit_arrow(u) for u in units))
-
-
-def projections(alpha: Bisection):
-    """(s, r, fix, supp) of a bisection, as unit sets."""
-    return (
-        alpha.source_units,
-        alpha.range_units,
-        alpha.fix_units,
-        alpha.supp_units,
-    )
-
-
-def act(alpha: Bisection, units) -> frozenset[Unit]:
-    """Image of a unit set under a full-group element: ranges over sources in it."""
-    if not alpha.is_full():
-        raise ValueError("action is defined for full-group elements only")
-    units = frozenset(units)
-    return frozenset(a.range for a in alpha.arrows if a.source in units)
-
-
-def union_compatible(alpha: Bisection, beta: Bisection) -> Bisection:
-    """Union of two bisections when it is again one.
-
-    Compatibility (beta^-1 alpha and beta alpha^-1 idempotent) is exactly
-    injectivity of source and range on the union; the failure witness is a
-    colliding arrow pair.
-    """
-    if alpha.groupoid != beta.groupoid:
-        raise ValueError("bisections live on different groupoids")
-    if not (beta * alpha.inverse()).is_idempotent():
-        for u, a in alpha.by_source.items():
-            b = beta.by_source.get(u)
-            if b is not None and b != a:
-                raise UnionIncompatibleError(
-                    f"arrows {a} and {b} share source {u}", witness=(a, b)
-                )
-        raise AssertionError("non-idempotent beta*alpha^-1 without a source collision")
-    if not (beta.inverse() * alpha).is_idempotent():
-        for u, a in alpha.by_range.items():
-            b = beta.by_range.get(u)
-            if b is not None and b != a:
-                raise UnionIncompatibleError(
-                    f"arrows {a} and {b} share range {u}", witness=(a, b)
-                )
-        raise AssertionError("non-idempotent beta^-1*alpha without a range collision")
-    return Bisection(alpha.groupoid, tuple(set(alpha.arrows) | set(beta.arrows)))
 
 
 def extend_to_full_group(gamma: Bisection) -> Bisection:
@@ -449,43 +328,47 @@ def malg_count(g: FiniteGroupoid) -> int:
     return 2**g.n_units
 
 
-def _component_bisections(g: FiniteGroupoid, ci: int, full_only: bool):
-    c = g.components[ci]
-    n, m = c.base_size, c.group_order
-    sizes = [n] if full_only else range(n + 1)
-    for k in sizes:
+def _component_codes(pm: PackedMonoid, ci: int, full_only: bool) -> list[tuple[int, ...]]:
+    """The bisections of component ci as codes of its own units: by arrow
+    count, then source set, then ranges, then group labels."""
+    components = pm.groupoid.components
+    n, m, order = components[ci].base_size, components[ci].group_order, pm.order
+    base = sum(c.base_size for c in components[:ci])
+    out = []
+    for k in [n] if full_only else range(n + 1):
         for dom in combinations(range(n), k):
             for img in permutations(range(n), k):
-                for gs in product(range(m), repeat=k):
-                    yield tuple(
-                        Arrow(ci, gs[t], img[t], dom[t]) for t in range(k)
-                    )
+                for labels in product(range(m), repeat=k):
+                    x = [-1] * n
+                    for y_from, y_to, h in zip(dom, img, labels):
+                        x[y_from] = (base + y_to) * order + h
+                    out.append(tuple(x))
+    return out
 
 
-def enumerate_semigroup(g: FiniteGroupoid, cap: int = 10**6):
-    """All bisections of g, in a fixed order. Raises if the count exceeds cap."""
-    predicted = semigroup_count(g)
-    if predicted > cap:
-        raise CapExceededError(predicted, cap, "full semigroup enumeration")
-    pieces = [list(_component_bisections(g, ci, False)) for ci in range(len(g.components))]
+def _codes(pm: PackedMonoid, full_only: bool):
+    # units are numbered component by component, so an element is the
+    # concatenation of one piece per component
+    pieces = [_component_codes(pm, ci, full_only) for ci in range(len(pm.groupoid.components))]
     for combo in product(*pieces):
-        yield Bisection(g, tuple(a for piece in combo for a in piece))
+        yield sum(combo, ())
 
 
-def enumerate_group(g: FiniteGroupoid, cap: int = 10**6):
-    predicted = group_count(g)
-    if predicted > cap:
-        raise CapExceededError(predicted, cap, "full group enumeration")
-    pieces = [list(_component_bisections(g, ci, True)) for ci in range(len(g.components))]
-    for combo in product(*pieces):
-        yield Bisection(g, tuple(a for piece in combo for a in piece))
+def semigroup_codes(pm: PackedMonoid):
+    """Every element of [[G]] as a code of pm, in a fixed order: component
+    pieces in product order. Callers charge semigroup_count first."""
+    return _codes(pm, False)
 
 
-def enumerate_malg(g: FiniteGroupoid, cap: int = 10**6):
-    predicted = malg_count(g)
-    if predicted > cap:
-        raise CapExceededError(predicted, cap, "measure algebra enumeration")
-    units = list(g.units())
-    for k in range(len(units) + 1):
-        for subset in combinations(units, k):
-            yield frozenset(subset)
+def group_codes(pm: PackedMonoid):
+    """Every element of the full group [G] as a code of pm, in the order of
+    semigroup_codes. Callers charge group_count first."""
+    return _codes(pm, True)
+
+
+def malg_masks(pm: PackedMonoid):
+    """Every unit set as a bitmask of pm, by size and then lexicographically
+    in unit order. Callers charge malg_count first."""
+    for k in range(pm.n_units + 1):
+        for bits in combinations(pm._bits, k):
+            yield sum(bits)

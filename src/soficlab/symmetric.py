@@ -20,7 +20,7 @@ from itertools import product
 
 from .constructions import general_map
 from .groupoid import Arrow
-from .semigroup import CertificateError, PackedMonoid, enumerate_semigroup, semigroup_count
+from .semigroup import CertificateError, PackedMonoid, semigroup_codes, semigroup_count
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,7 @@ def distortion_report(
     count = semigroup_count(g)
     exhaustive = count * count <= pair_cap
     if exhaustive:
-        pool = [dom.encode(a) for a in enumerate_semigroup(g)]
+        pool = list(semigroup_codes(dom))
         pairs = product(pool, repeat=2)  # not materialised: count**2 pairs
         tested = count * count
         used_seed = None

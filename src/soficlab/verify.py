@@ -6,11 +6,10 @@ strict rational comparisons. Checks run exhaustively whenever the tuple
 count fits the budget cap and fall back to seeded sampling otherwise, and
 each report records which regime ran, so a report is a deterministic
 function of (inputs, seed, budget). Every element pool comes from _pool,
-which charges the cap and then enumerates and encodes the pool, or draws
-it directly as codes of semigroup.PackedMonoid (unit sets as bitmasks).
-The inverse-monoid, metric-prop, trace-distance, supports, extension and
-finite-index suites run on the kernel's exact integer arithmetic; the
-rectangles suite decodes its pools to Bisections. Both certificates,
+which charges the cap and then enumerates the pool, or draws it, directly
+as codes of semigroup.PackedMonoid (unit sets as bitmasks). Every suite
+runs on the kernel's exact integer arithmetic; the rectangles suite on
+the codes of constructions.PackedProduct. Both certificates,
 check_embedding and check_almost_morphism, run on the kernel too, through
 one loop (_deviations) that maps each distinct code once: the arrow maps
 of constructions scatter their tables (SemigroupMap.packed), and a pair
@@ -27,6 +26,7 @@ from itertools import product as iproduct
 
 from .constructions import (
     NoTransversalError,
+    PackedProduct,
     SemigroupMap,
     TransversalSystem,
     block_table,
@@ -34,17 +34,16 @@ from .constructions import (
     finite_index_map,
     identity_map,
     product_embedding,
-    rectangle,
     rectangle_decompose,
 )
 from .groupoid import Arrow, FiniteGroupoid, product_groupoid
 from .semigroup import (
     PackedMonoid,
-    enumerate_group,
-    enumerate_malg,
-    enumerate_semigroup,
+    group_codes,
     group_count,
     malg_count,
+    malg_masks,
+    semigroup_codes,
     semigroup_count,
 )
 from .symmetric import ladder_profile
@@ -104,12 +103,14 @@ def _pool(pm: PackedMonoid, kind: str, budget: SuiteBudget):
     """
     g = pm.groupoid
     full = kind == "group"
-    count = {"semigroup": semigroup_count, "group": group_count, "malg": malg_count}[kind](g)
+    counter, enumerate_ = {
+        "semigroup": (semigroup_count, semigroup_codes),
+        "group": (group_count, group_codes),
+        "malg": (malg_count, malg_masks),
+    }[kind]
+    count = counter(g)
     if count <= budget.exhaustive_cap:
-        if kind == "malg":
-            return [pm.mask(units) for units in enumerate_malg(g, cap=budget.exhaustive_cap)], True
-        enumerate_ = enumerate_group if full else enumerate_semigroup
-        return [pm.encode(b) for b in enumerate_(g, cap=budget.exhaustive_cap)], True
+        return list(enumerate_(pm)), True
 
     rng = random.Random(budget.seed)
     target = min(budget.sample_count, count)
@@ -800,23 +801,18 @@ def suite_finite_index(
 def suite_rectangles(
     left: FiniteGroupoid, right: FiniteGroupoid, budget: SuiteBudget
 ) -> list[CheckResult]:
-    def decoded(g):
-        pm = PackedMonoid(g)
-        pool, exhaustive = _pool(pm, "semigroup", budget)
-        return [pm.decode(x) for x in pool], exhaustive
-
-    ps = product_groupoid(left, right)
-    elements, exhaustive = decoded(ps.groupoid)
-    id_left, id_right = identity_map(left), identity_map(right)
+    pp = PackedProduct(product_groupoid(left, right))
+    pool, exhaustive = _pool(pp.pm, "semigroup", budget)
+    tensor = product_embedding(identity_map(left), identity_map(right))
     checks = []
 
     redecomp_viol = 0
-    for phi in elements:
-        u1 = rectangle_decompose(ps, phi, reverse=False)
-        u2 = rectangle_decompose(ps, phi, reverse=True)
-        if product_embedding(id_left, id_right, u1) != product_embedding(id_left, id_right, u2):
+    for x in pool:
+        u1 = rectangle_decompose(pp, x, reverse=False)
+        u2 = rectangle_decompose(pp, x, reverse=True)
+        if tensor(u1) != tensor(u2):
             redecomp_viol += 1
-    n = len(elements)
+    n = len(pool)
     # these two rows record the certificates rectangle_decompose made on
     # both decompositions of every element: a RectangleUnion is checked for
     # overlaps when it is built, and the union must reassemble the element;
@@ -832,13 +828,16 @@ def suite_rectangles(
         )
     )
 
-    lefts, lexh = decoded(left)
-    rights, rexh = decoded(right)
+    lefts, lexh = _pool(pp.left, "semigroup", budget)
+    rights, rexh = _pool(pp.right, "semigroup", budget)
+    # tr(a x b) = tr(a) tr(b), with each trace an integer over its denom
+    scale, denom = pp.left.denom * pp.right.denom, pp.pm.denom
+    trace, trace_left, trace_right = pp.pm.trace, pp.left.trace, pp.right.trace
     viol = sum(
         1
         for a in lefts
         for b in rights
-        if rectangle(ps, a, b).trace() != a.trace() * b.trace()
+        if trace(pp.rectangle(a, b)) * scale != trace_left(a) * trace_right(b) * denom
     )
     checks.append(
         _result(

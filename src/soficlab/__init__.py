@@ -1,57 +1,86 @@
 """soficlab: exact computation with finite pmp groupoids, their inverse
-monoids of bisections, and partial-injection approximation ladders."""
+monoids of bisections, and partial-injection approximation ladders.
+
+Importing the package loads none of its modules: each public name below is
+imported from its module on first use (PEP 562), so a process that needs
+only the groupoid layer, such as `soficlab validate`, never loads the
+certificate layers.
+"""
 
 __version__ = "0.1.0"
 
-from .groupoid import (
-    Arrow,
-    Component,
-    FiniteGroupoid,
-    RawGroupoid,
-    convex_combination,
-    corner_restriction,
-    decompose,
-    fiber_decomposition,
-    from_group_action,
-    full_relation,
-    group_groupoid,
-    connected_groupoid,
-    make_groupoid,
-    product_groupoid,
-    render_raw,
-    validate_raw,
-)
-from .semigroup import (
-    Bisection,
-    bisection,
-    empty_bisection,
-    extend_to_full_group,
-    idempotent,
-    unit_bisection,
-)
-from .symmetric import DistortionReport, ladder_profile
-from .constructions import (
-    PackedProduct,
-    SemigroupMap,
-    TransversalSystem,
-    block_components,
-    embed_connected,
-    embed_convex,
-    embed_convex_pair,
-    find_transversals,
-    finite_index_map,
-    general_map,
-    identity_map,
-    product_embedding,
-    rectangle_decompose,
-    restrict_almost_morphism,
-    step_map,
-)
-from .verify import (
-    AlmostMorphismReport,
-    EmbeddingReport,
-    SuiteBudget,
-    check_almost_morphism,
-    check_embedding,
-    run_suite,
-)
+_SUBMODULES = ("cayley", "constructions", "groupoid", "semigroup", "symmetric", "verify")
+
+_EXPORTS = {
+    "groupoid": (
+        "Arrow",
+        "Component",
+        "FiniteGroupoid",
+        "RawGroupoid",
+        "convex_combination",
+        "corner_restriction",
+        "decompose",
+        "fiber_decomposition",
+        "from_group_action",
+        "full_relation",
+        "group_groupoid",
+        "connected_groupoid",
+        "make_groupoid",
+        "product_groupoid",
+        "render_raw",
+        "validate_raw",
+    ),
+    "semigroup": (
+        "Bisection",
+        "bisection",
+        "empty_bisection",
+        "extend_to_full_group",
+        "idempotent",
+        "unit_bisection",
+    ),
+    "symmetric": ("DistortionReport", "ladder_profile"),
+    "constructions": (
+        "PackedProduct",
+        "SemigroupMap",
+        "TransversalSystem",
+        "block_components",
+        "embed_connected",
+        "embed_convex",
+        "embed_convex_pair",
+        "find_transversals",
+        "finite_index_map",
+        "general_map",
+        "identity_map",
+        "product_embedding",
+        "rectangle_decompose",
+        "restrict_almost_morphism",
+        "step_map",
+    ),
+    "verify": (
+        "AlmostMorphismReport",
+        "EmbeddingReport",
+        "SuiteBudget",
+        "check_almost_morphism",
+        "check_embedding",
+        "run_suite",
+    ),
+}
+
+_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_SUBMODULES, *_ORIGIN]
+
+
+def __getattr__(name):
+    from importlib import import_module
+
+    if name in _SUBMODULES:
+        return import_module(f"{__name__}.{name}")
+    if name not in _ORIGIN:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f"{__name__}.{_ORIGIN[name]}"), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -6,6 +6,10 @@ malformed input. Reports embed the tool version, seed and budget; a
 repeated invocation with the same seed writes byte-identical output. An
 explicit --seed wins; without one, SOFICLAB_SEED overrides the default
 seed.
+
+The certificate layers (constructions, symmetric, verify) are imported
+inside the commands that run them, embed, verify and suite, so validate,
+decompose and extend load only the groupoid and bisection layers.
 """
 
 from __future__ import annotations
@@ -15,9 +19,7 @@ import os
 import sys
 
 from . import __version__
-from . import constructions as cn
 from . import serialize as sz
-from . import verify as vf
 from .groupoid import MalformedInputError, decompose, full_relation, validate_raw
 from .rationals import parse_fraction
 from .semigroup import (
@@ -28,10 +30,11 @@ from .semigroup import (
     semigroup_codes,
     semigroup_count,
 )
-from .verify import DEFAULT_SEED, SuiteBudget
 
 
 def _seed(args) -> int:
+    from .verify import DEFAULT_SEED
+
     if getattr(args, "seed", None) is not None:
         return args.seed
     env = os.environ.get("SOFICLAB_SEED")
@@ -43,14 +46,17 @@ def _seed(args) -> int:
     return DEFAULT_SEED
 
 
-def _budget(args) -> SuiteBudget:
-    """The budget of --budget, --samples and the seed; a cap not given
-    keeps SuiteBudget's default, and SuiteBudget rejects one below 1."""
+def _budget(args):
+    """The verify.SuiteBudget of --budget, --samples and the seed; a cap
+    not given keeps SuiteBudget's default, and SuiteBudget rejects one
+    below 1."""
+    from .verify import SuiteBudget
+
     caps = {"exhaustive_cap": getattr(args, "budget", None), "sample_count": getattr(args, "samples", None)}
     return SuiteBudget(seed=_seed(args), **{k: v for k, v in caps.items() if v is not None})
 
 
-def _emit(args, command: str, params: dict, payload: dict, budget: SuiteBudget | None = None) -> None:
+def _emit(args, command: str, params: dict, payload: dict, budget=None) -> None:
     report = {
         "tool": "soficlab",
         "version": __version__,
@@ -111,6 +117,9 @@ def _embedding_payload(report) -> dict:
 
 
 def cmd_embed(args) -> int:
+    from . import constructions as cn
+    from . import verify as vf
+
     budget = _budget(args)
     if args.kind == "ladder":
         if args.n is None:
@@ -196,6 +205,8 @@ def cmd_extend(args) -> int:
 def _build_map(args):
     """The map of `verify --map` and its domain: a named construction, or
     a pair list as a dict of bisections."""
+    from . import constructions as cn
+
     named = {"identity": cn.identity_map, "connected": cn.embed_connected, "convex": cn.embed_convex}
     if args.map == "ladder":
         if args.n is None or args.p is None:
@@ -219,6 +230,8 @@ def _build_map(args):
 
 
 def cmd_verify(args) -> int:
+    from .verify import check_almost_morphism
+
     budget = _budget(args)
     pi, domain = _build_map(args)
     K = None if args.K == "all" else sz.parse_bisection_list(domain, sz.load_json(args.K))
@@ -226,10 +239,12 @@ def cmd_verify(args) -> int:
     pairs = (semigroup_count(domain) if K is None else len(K)) ** 2
     if pairs > budget.exhaustive_cap:
         raise CapExceededError(pairs, budget.exhaustive_cap, "pairs of K")
+    epsilon = parse_fraction(args.epsilon)
     if K is None:
         pm = PackedMonoid(domain)
-        K = [pm.decode(x) for x in semigroup_codes(pm)]
-    report = vf.check_almost_morphism(pi, K, parse_fraction(args.epsilon))
+        report = check_almost_morphism(pi, list(semigroup_codes(pm)), epsilon, packed=pm)
+    else:
+        report = check_almost_morphism(pi, K, epsilon)
     _emit(
         args,
         "verify",
@@ -241,6 +256,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_suite(args) -> int:
+    from . import verify as vf
+
     budget = _budget(args)
     name = args.name
     params = {}
@@ -367,6 +384,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _loaded(module: str, name: str):
+    """The class soficlab.<module>.<name> once that module is loaded, else
+    (), which matches no exception: an unloaded module raised nothing."""
+    loaded = sys.modules.get(f"{__package__}.{module}")
+    return () if loaded is None else getattr(loaded, name)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -374,13 +398,14 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"missing input file: {exc.filename}", file=sys.stderr)
         return 2
-    except (MalformedInputError, vf.IncompletePairListError) as exc:
+    except MalformedInputError as exc:
+        # verify.IncompletePairListError, a ValueError, ends in the last clause
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except CapExceededError as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return 2
-    except cn.NoTransversalError as exc:
+    except _loaded("constructions", "NoTransversalError") as exc:
         print(f"no transversal system: {exc}", file=sys.stderr)
         return 1
     except CertificateError as exc:

@@ -2,9 +2,10 @@
 
 The canonical in-memory form is a weighted disjoint union of connected pieces,
 each a finite group crossed with the full equivalence relation on a finite
-base set. Raw composition tables exist only at the ingestion boundary: they
-are validated against the groupoid axioms by exhaustion and decomposed into
-the normal form together with an explicit isomorphism.
+base set. Raw composition tables exist only at the ingestion boundary. A
+table is accepted as a groupoid when it maps isomorphically onto the normal
+form it determines, which is then its decomposition; only a table that does
+not is swept for its axiom violations.
 
 All measures are exact rationals. Every value here is immutable after
 construction and every operation is a pure function.
@@ -12,6 +13,7 @@ construction and every operation is a pure function.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -201,7 +203,13 @@ class ValidationReport:
 
 
 def _raw_structure(raw: RawGroupoid):
-    """Index a raw table, raising MalformedInputError on structural problems."""
+    """Index a raw table, raising MalformedInputError on structural problems.
+
+    Compose entries are unique and each is checked to be composable, so the
+    table is complete exactly when it has one entry per composable pair:
+    the sum over units u of |src^-1(u)| * |rng^-1(u)|. Only a table short
+    of that count is searched for the pair that the error names.
+    """
     units = list(raw.units)
     if not units:
         raise MalformedInputError("no units")
@@ -227,16 +235,97 @@ def _raw_structure(raw: RawGroupoid):
                 raise MalformedInputError(f"compose entry references unknown arrow {x!r}")
         if src[a] != rng[b]:
             raise MalformedInputError(f"compose defined on non-composable pair ({a!r},{b!r})")
-    for a in src:
-        for b in src:
-            if src[a] == rng[b] and (a, b) not in raw.compose:
-                raise MalformedInputError(f"compose missing on composable pair ({a!r},{b!r})")
+    arriving = Counter(rng.values())
+    if len(raw.compose) != sum(n * arriving[u] for u, n in Counter(src.values()).items()):
+        for a in src:
+            for b in src:
+                if src[a] == rng[b] and (a, b) not in raw.compose:
+                    raise MalformedInputError(f"compose missing on composable pair ({a!r},{b!r})")
     return src, rng
 
 
-def validate_raw(raw: RawGroupoid) -> ValidationReport:
-    """Check the groupoid axioms on a structurally well-formed raw table."""
-    src, rng = _raw_structure(raw)
+class _NormalForm(NamedTuple):
+    pieces: list  # per connected piece, its units in id order
+    tables: list  # per piece, the Cayley table of the isotropy group at its base
+    iso: dict  # raw arrow id -> Arrow, whose comp indexes pieces
+
+
+def _normal_form(raw: RawGroupoid, src: dict, rng: dict) -> _NormalForm | None:
+    """The normal form of a complete raw table with the map onto it, or None.
+
+    Each connected piece is based at its lowest unit. The transversal tau_u
+    is the lowest arrow from the base to u (the unit arrow at the base), and
+    an arrow a: x -> y goes to the isotropy element tau_y^-1 a tau_x. The
+    result is returned only if every lookup succeeds, each isotropy table is
+    a group, each marked unit goes to a unit arrow, the map is injective onto
+    the arrows of the normal form, and it carries every compose entry to the
+    product of the images. The map keeps sources and ranges by construction,
+    so it is then an isomorphism of partial products onto a groupoid, and
+    the raw table satisfies every axiom with its marked units. Every
+    groupoid passes, so None means that some axiom fails.
+    """
+    parent = {u: u for u in raw.units}
+
+    def find(u):
+        while parent[u] != u:
+            parent[u] = parent[parent[u]]
+            u = parent[u]
+        return u
+
+    for a in src:
+        ra, rb = find(src[a]), find(rng[a])
+        if ra != rb:
+            parent[ra] = rb
+    blocks = {}
+    for u in raw.units:
+        blocks.setdefault(find(u), []).append(u)
+    pieces = sorted(
+        (sorted(us, key=_id_key) for us in blocks.values()), key=lambda us: _id_key(us[0])
+    )
+
+    hom = {}  # (source, range) -> arrow ids, in table order
+    for a in src:
+        hom.setdefault((src[a], rng[a]), []).append(a)
+    comp = raw.compose
+    tables, elems, place, tau, tau_inv = [], [], {}, {}, {}
+    try:
+        for k, units in enumerate(pieces):
+            base = units[0]
+            iso_ids = [base] + sorted((a for a in hom[(base, base)] if a != base), key=_id_key)
+            elem = {a: i for i, a in enumerate(iso_ids)}
+            table = tuple(tuple(elem[comp[(x, y)]] for y in iso_ids) for x in iso_ids)
+            if cayley.table_violations(table):
+                return None
+            tables.append(table)
+            elems.append(elem)
+            tau[base] = tau_inv[base] = base
+            for pos, u in enumerate(units):
+                place[u] = (k, pos)
+                if u != base:
+                    t = tau[u] = min(hom[(base, u)], key=_id_key)
+                    tau_inv[u] = next(b for b in hom[(u, base)] if comp[(b, t)] == base)
+        iso = {}
+        for a, x in src.items():
+            y = rng[a]
+            k, px = place[x]
+            iso[a] = Arrow(k, elems[k][comp[(tau_inv[y], comp[(a, tau[x])])]], place[y][1], px)
+    except (KeyError, StopIteration):
+        return None
+
+    if any(iso[u].g for u in raw.units):
+        return None
+    n_arrows = sum(len(t) * len(us) ** 2 for t, us in zip(tables, pieces))
+    if len(iso) != n_arrows or len(set(iso.values())) != n_arrows:
+        return None
+    for (a, b), c in comp.items():
+        ia, ib = iso[a], iso[b]
+        if iso[c] != (ia.comp, tables[ia.comp][ia.g][ib.g], ia.y_to, ib.y_from):
+            return None
+    return _NormalForm(pieces, tables, iso)
+
+
+def _axiom_sweep(raw: RawGroupoid, src: dict, rng: dict) -> ValidationReport:
+    """Every axiom violation of a complete raw table, by exhaustion."""
     comp = raw.compose
     violations = []
 
@@ -279,6 +368,18 @@ def validate_raw(raw: RawGroupoid) -> ValidationReport:
     return ValidationReport(not violations, tuple(violations))
 
 
+def validate_raw(raw: RawGroupoid) -> ValidationReport:
+    """Check the groupoid axioms on a structurally well-formed raw table.
+
+    A table that maps isomorphically onto its normal form is a groupoid
+    (_normal_form); only one that does not is swept for its violations.
+    """
+    src, rng = _raw_structure(raw)
+    if _normal_form(raw, src, rng) is not None:
+        return ValidationReport(True, ())
+    return _axiom_sweep(raw, src, rng)
+
+
 @dataclass(frozen=True)
 class Decomposition:
     groupoid: FiniteGroupoid
@@ -291,12 +392,13 @@ def decompose(raw: RawGroupoid, weights: dict | None = None) -> Decomposition:
     The base point of each connected piece is its lowest unit, the transversal
     to another unit is the lowest arrow from the base, and the transversal at
     the base itself is the unit arrow, so re-decomposing a rendered normal
-    form is the identity.
+    form is the identity. The axioms are checked before the masses.
     """
-    report = validate_raw(raw)
-    if not report.ok:
-        raise ValueError(f"groupoid axioms violated: {report.violations[0]}")
     src, rng = _raw_structure(raw)
+    nf = _normal_form(raw, src, rng)
+    if nf is None:
+        report = _axiom_sweep(raw, src, rng)
+        raise ValueError(f"groupoid axioms violated: {report.violations[0]}")
 
     if weights is None:
         weights = raw.masses
@@ -310,77 +412,19 @@ def decompose(raw: RawGroupoid, weights: dict | None = None) -> Decomposition:
     if sum(weights.values()) != 1:
         raise PmpViolationError("unit masses must sum to 1 exactly")
 
-    parent = {u: u for u in raw.units}
-
-    def find(u):
-        while parent[u] != u:
-            parent[u] = parent[parent[u]]
-            u = parent[u]
-        return u
-
-    for a in src:
-        ra, rb = find(src[a]), find(rng[a])
-        if ra != rb:
-            parent[ra] = rb
-
-    blocks = {}
-    for u in raw.units:
-        blocks.setdefault(find(u), []).append(u)
-    pieces = sorted(blocks.values(), key=lambda us: min(_id_key(u) for u in us))
-
-    inverse_id = {}
-    for a in src:
-        for b in src:
-            if (
-                src[b] == rng[a]
-                and rng[b] == src[a]
-                and raw.compose[(a, b)] == rng[a]
-                and raw.compose[(b, a)] == src[a]
-            ):
-                inverse_id[a] = b
-
     components: list[Component] = []
-    arrow_map: dict = {}
-    for piece in pieces:
-        piece_units = sorted(piece, key=_id_key)
-        w0 = weights[piece_units[0]]
-        for u in piece_units:
+    for units, table in zip(nf.pieces, nf.tables):
+        w0 = weights[units[0]]
+        for u in units:
             if weights[u] != w0:
                 raise PmpViolationError(
-                    f"unit masses differ within one connected component ({piece_units[0]!r}: {w0}, {u!r}: {weights[u]})"
+                    f"unit masses differ within one connected component ({units[0]!r}: {w0}, {u!r}: {weights[u]})"
                 )
-        base = piece_units[0]
-        unit_pos = {u: i for i, u in enumerate(piece_units)}
-
-        isotropy = [a for a in src if src[a] == base and rng[a] == base]
-        iso_ids = [base] + sorted((a for a in isotropy if a != base), key=_id_key)
-        elem_index = {a: i for i, a in enumerate(iso_ids)}
-        m = len(iso_ids)
-        table = tuple(
-            tuple(elem_index[raw.compose[(iso_ids[i], iso_ids[j])]] for j in range(m))
-            for i in range(m)
-        )
-
-        tau = {base: base}
-        for u in piece_units[1:]:
-            tau[u] = min(
-                (a for a in src if src[a] == base and rng[a] == u), key=_id_key
-            )
-
-        comp_index = len(components)
-        components.append(Component(table, len(piece_units), w0 * len(piece_units)))
-        for a in src:
-            if find(src[a]) != find(base):
-                continue
-            y_from, y_to = src[a], rng[a]
-            g = raw.compose[(inverse_id[tau[y_to]], raw.compose[(a, tau[y_from])])]
-            arrow_map[a] = Arrow(
-                comp_index, elem_index[g], unit_pos[y_to], unit_pos[y_from]
-            )
+        components.append(Component(table, len(units), w0 * len(units)))
 
     position = _canonical_order(components)
     groupoid = make_groupoid(components)
-    iso = {a: arr._replace(comp=position[arr.comp]) for a, arr in arrow_map.items()}
+    iso = {a: arr._replace(comp=position[arr.comp]) for a, arr in nf.iso.items()}
     return Decomposition(groupoid, iso)
 
 

@@ -11,6 +11,7 @@ import json
 import os
 import tempfile
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .groupoid import (
     Arrow,
@@ -23,8 +24,10 @@ from .groupoid import (
 )
 from .rationals import format_fraction, parse_fraction
 from .semigroup import Bisection
-from .symmetric import DistortionReport
-from .verify import AlmostMorphismReport, EmbeddingReport, SuiteResult
+
+if TYPE_CHECKING:  # report types, named only in annotations
+    from .symmetric import DistortionReport
+    from .verify import AlmostMorphismReport, EmbeddingReport, SuiteResult
 
 
 def jsonable(value):

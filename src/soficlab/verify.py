@@ -161,23 +161,29 @@ class AlmostMorphismReport:
     witnesses: dict
 
 
-def check_almost_morphism(pi, K, epsilon) -> AlmostMorphismReport:
+def check_almost_morphism(pi, K, epsilon, packed: PackedMonoid | None = None) -> AlmostMorphismReport:
     """Exact deviations of a candidate map on a finite set K.
 
     pi is a semigroup map or a finite pair list (dict); a pair list missing
     the image of some product of K-elements is rejected as incomplete. The
     verdict uses the product and trace deviations, strictly below epsilon;
     the distance deviation is measured and reported alongside. Every pair
-    of K, in order, runs through _deviations on packed codes.
+    of K, in order, runs through _deviations on packed codes. K is a list
+    of Bisections, or of codes of packed when that is given.
     """
     epsilon = Fraction(epsilon)
     K = list(K)
-    if len({a.groupoid for a in K}) > 1:
-        raise ValueError("K mixes groupoids")
-    if not K:
-        zero = Fraction(0)
-        return AlmostMorphismReport(0, epsilon, zero, zero, zero, zero < epsilon, {})
-    dom = PackedMonoid(K[0].groupoid)
+    if packed is None:
+        if len({a.groupoid for a in K}) > 1:
+            raise ValueError("K mixes groupoids")
+        if not K:
+            zero = Fraction(0)
+            return AlmostMorphismReport(0, epsilon, zero, zero, zero, zero < epsilon, {})
+        dom = PackedMonoid(K[0].groupoid)
+        pool, element = [dom.encode(a) for a in K], K.__getitem__
+    else:
+        dom, pool = packed, K
+        element = lambda i: dom.decode(pool[i])
     if isinstance(pi, SemigroupMap):
         cod = PackedMonoid(pi.codomain)
         f = pi.packed(dom, cod)
@@ -197,7 +203,6 @@ def check_almost_morphism(pi, K, epsilon) -> AlmostMorphismReport:
                 raise IncompletePairListError(f"pair list does not cover a required element ({arrows} arrows)")
             return table[x]
 
-    pool = [dom.encode(a) for a in K]
     _, (prod_dev, trace_dev, dist_dev), at = _deviations(f, dom, cod, pool, iproduct(range(len(K)), repeat=2))
     return AlmostMorphismReport(
         k_size=len(K),
@@ -206,7 +211,7 @@ def check_almost_morphism(pi, K, epsilon) -> AlmostMorphismReport:
         max_trace_deviation=trace_dev,
         max_distance_deviation=dist_dev,
         passed=prod_dev < epsilon and trace_dev < epsilon,
-        witnesses=_witnesses(at, K.__getitem__),
+        witnesses=_witnesses(at, element),
     )
 
 

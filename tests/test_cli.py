@@ -1,7 +1,10 @@
 import contextlib
+import importlib
 import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -510,3 +513,122 @@ def test_fuzzed_json_exits_2_unless_it_parses(fuzz_dir, monkeypatch, loader):
             assert out.getvalue() == "" and err.getvalue().startswith("input error:")
 
     check()
+
+
+# ---------------------------------------------------------------------------
+# What a CLI process imports, the package's public names, and exit codes
+
+
+def _fresh_python(script: str, cwd) -> str:
+    """Run script in a new interpreter with soficlab on its path; its stdout."""
+    import soficlab
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(soficlab.__file__)))
+    flags = ["-O"] * sys.flags.optimize
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", script], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_groupoid_commands_load_no_certificate_layer(files):
+    tmp, write = files
+    write("raw.json", raw_to_json(render_raw(Z2Y2)))
+    write("bad.json", {"units": [0], "arrows": [[0, 0, 0], [1, 0, 2]], "compose": []})
+    write("g.json", groupoid_to_json(Z2Y2))
+    write("gamma.json", {"arrows": [[0, 1, 1, 0]]})
+    script = """
+import contextlib, io, sys
+from soficlab import cli
+runs = [["validate", "raw.json"], ["decompose", "raw.json"], ["extend", "g.json", "gamma.json"],
+        ["validate", "bad.json"], ["decompose", "missing.json"]]
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [cli.main(argv) for argv in runs]
+print(codes)
+print(sorted(m for m in sys.modules if m.startswith("soficlab")))
+"""
+    codes, modules = _fresh_python(script, tmp).splitlines()
+    assert codes == "[0, 0, 0, 2, 2]"
+    loaded = eval(modules)
+    assert not {"soficlab.verify", "soficlab.constructions", "soficlab.symmetric"} & set(loaded)
+    assert "soficlab.groupoid" in loaded
+
+
+# every public name of the package, as it stood when `import soficlab` still
+# imported every module
+PUBLIC_NAMES = [
+    "AlmostMorphismReport", "Arrow", "Bisection", "Component", "DistortionReport",
+    "EmbeddingReport", "FiniteGroupoid", "PackedProduct", "RawGroupoid", "SemigroupMap",
+    "SuiteBudget", "TransversalSystem", "bisection", "block_components", "cayley",
+    "check_almost_morphism", "check_embedding", "connected_groupoid", "constructions",
+    "convex_combination", "corner_restriction", "decompose", "embed_connected",
+    "embed_convex", "embed_convex_pair", "empty_bisection", "extend_to_full_group",
+    "fiber_decomposition", "find_transversals", "finite_index_map", "from_group_action",
+    "full_relation", "general_map", "group_groupoid", "groupoid", "idempotent",
+    "identity_map", "ladder_profile", "make_groupoid", "product_embedding",
+    "product_groupoid", "rectangle_decompose", "render_raw", "restrict_almost_morphism",
+    "run_suite", "semigroup", "step_map", "symmetric", "unit_bisection", "validate_raw",
+    "verify",
+]
+
+
+def test_public_names_resolve_lazily(tmp_path):
+    script = """
+import sys
+import soficlab
+loaded = sorted(m for m in sys.modules if m.startswith("soficlab."))
+public = sorted(n for n in dir(soficlab) if not n.startswith("_"))
+star = {}
+exec("from soficlab import *", star)
+print(loaded)
+print(public)
+print(sorted(n for n in star if not n.startswith("_")))
+print(all(getattr(soficlab, n) is not None for n in public))
+"""
+    loaded, public, star, resolved = _fresh_python(script, tmp_path).splitlines()
+    assert eval(loaded) == []
+    assert eval(public) == PUBLIC_NAMES
+    assert eval(star) == PUBLIC_NAMES
+    assert resolved == "True"
+    import soficlab
+
+    assert sorted(soficlab.__all__) == PUBLIC_NAMES
+    assert soficlab.Bisection is __import__("soficlab.semigroup").semigroup.Bisection
+    with pytest.raises(AttributeError):
+        soficlab.no_such_name
+
+
+def _raising(module, name, *args):
+    def fail(raw):
+        cls = getattr(importlib.import_module(module), name)
+        raise cls(*args)
+
+    return fail
+
+
+# (module, class, constructor arguments, exit code, stderr prefix)
+ERRORS = [
+    ("builtins", "FileNotFoundError", (2, "gone", "x.json"), 2, "missing input file: x.json"),
+    ("soficlab.groupoid", "MalformedInputError", ("bad shape",), 2, "input error: bad shape"),
+    ("soficlab.groupoid", "PmpViolationError", ("bad mass",), 2, "input error: bad mass"),
+    ("soficlab.verify", "IncompletePairListError", ("no image",), 2, "input error: no image"),
+    ("soficlab.semigroup", "CapExceededError", (9, 4, "pairs of K"), 2, "budget error: "),
+    ("soficlab.constructions", "NoTransversalError", ("none",), 1, "no transversal system: none"),
+    ("soficlab.semigroup", "CertificateError", ("forged",), 1, "certificate error: forged"),
+    ("soficlab.semigroup", "ExtensionCertificateError", ("short",), 1, "certificate error: short"),
+    ("builtins", "ValueError", ("odd",), 2, "input error: odd"),
+    ("builtins", "KeyError", ("k",), 2, "input error: 'k'"),
+]
+
+
+@pytest.mark.parametrize("module, name, args, code, prefix", ERRORS, ids=[e[1] for e in ERRORS])
+def test_main_exit_code_per_error_class(files, capsys, monkeypatch, module, name, args, code, prefix):
+    from soficlab import cli
+
+    tmp, write = files
+    raw = write("raw.json", raw_to_json(render_raw(Z2Y2)))
+    monkeypatch.setattr(cli, "validate_raw", _raising(module, name, *args))
+    got, out, err = run(capsys, "validate", raw)
+    assert (got, out) == (code, "")
+    assert err.startswith(prefix)

@@ -1,10 +1,14 @@
+import re
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from raw_reference import reference_validate
 from soficlab import cayley
+from soficlab import groupoid as groupoid_module
 from soficlab.groupoid import (
     Arrow,
     Component,
@@ -12,6 +16,7 @@ from soficlab.groupoid import (
     MalformedInputError,
     PmpViolationError,
     RawGroupoid,
+    ValidationReport,
     connected_groupoid,
     convex_combination,
     corner,
@@ -320,3 +325,143 @@ def test_component_requires_group_table():
 def test_groupoid_weights_must_sum_to_one():
     with pytest.raises(ValueError):
         FiniteGroupoid((Component(cayley.trivial(), 1, HALF),))
+
+
+# ---------------------------------------------------------------------------
+# Validation by isomorphism against the exhaustive sweep of raw_reference.py
+
+
+@st.composite
+def relabelled_raw(draw):
+    """render_raw of a random normal form, with every id replaced through a
+    random bijection (to ints or to strings) and units, arrows and compose
+    entries listed in random order."""
+    tables = [cayley.trivial(), cayley.cyclic(2), cayley.cyclic(3), cayley.symmetric(3)]
+    parts = []
+    for _ in range(draw(st.integers(1, 3))):
+        table = draw(st.sampled_from(tables))
+        parts.append((table, draw(st.integers(1, 2 if len(table) > 3 else 3)), draw(st.integers(1, 5))))
+    total = sum(w for _, _, w in parts)
+    g = make_groupoid(Component(t, b, Fraction(w, total)) for t, b, w in parts)
+    raw = render_raw(g)
+    ids = [e[0] for e in raw.arrows]
+    image = draw(st.permutations(ids))
+    if draw(st.booleans()):
+        image = [f"x{i}" for i in image]
+    new = dict(zip(ids, image))
+    compose = draw(st.permutations(sorted(raw.compose.items())))
+    relabelled = RawGroupoid(
+        units=tuple(new[u] for u in draw(st.permutations(raw.units))),
+        arrows=tuple((new[a], new[s], new[r]) for a, s, r in draw(st.permutations(raw.arrows))),
+        compose={(new[a], new[b]): new[c] for (a, b), c in compose},
+        masses={new[u]: w for u, w in raw.masses.items()},
+    )
+    return g, relabelled
+
+
+def _sweep_forbidden(*args):
+    raise AssertionError("a valid table reached the axiom sweep")
+
+
+@settings(max_examples=40, deadline=None)
+@given(relabelled_raw())
+def test_relabelled_normal_forms_validate_without_the_sweep(case):
+    g, raw = case
+    with mock.patch.object(groupoid_module, "_axiom_sweep", _sweep_forbidden):
+        assert validate_raw(raw) == ValidationReport(True, ())
+        dec = decompose(raw)
+    shape = [(c.group_order, c.base_size, c.weight) for c in dec.groupoid.components]
+    assert shape == [(c.group_order, c.base_size, c.weight) for c in g.components]
+    assert len(set(dec.iso.values())) == g.n_arrows == len(dec.iso)
+    for (a, b), c in raw.compose.items():
+        assert dec.groupoid.mul(dec.iso[a], dec.iso[b]) == dec.iso[c]
+
+
+def _redirect(raw, draw):
+    """One compose entry sent to another arrow."""
+    key = draw(st.sampled_from(sorted(raw.compose, key=repr)))
+    ids = sorted((e[0] for e in raw.arrows), key=repr)
+    raw.compose[key] = draw(st.sampled_from([x for x in ids if x != raw.compose[key]]))
+
+
+def _swap_inverses(raw, draw):
+    """For an arrow a: x -> y, its inverse and another arrow y -> x trade
+    their products with a on both sides."""
+    src = {a: s for a, s, _ in raw.arrows}
+    rng = {a: r for a, _, r in raw.arrows}
+    pairs = [
+        (a, inv, b)
+        for (a, inv), c in sorted(raw.compose.items(), key=repr)
+        if c == rng[a] and raw.compose[(inv, a)] == src[a]
+        for b in sorted(src, key=repr)
+        if b != inv and src[b] == rng[a] and rng[b] == src[a]
+    ]
+    if not pairs:
+        return _redirect(raw, draw)
+    a, inv, b = draw(st.sampled_from(pairs))
+    comp = raw.compose
+    comp[(a, inv)], comp[(a, b)] = comp[(a, b)], comp[(a, inv)]
+    comp[(inv, a)], comp[(b, a)] = comp[(b, a)], comp[(inv, a)]
+
+
+def _break_unit_law(raw, draw):
+    """The product of an arrow with a unit beside it sent elsewhere."""
+    units = set(raw.units)
+    src = {a: s for a, s, _ in raw.arrows}
+    keys = sorted(
+        (k for k in raw.compose if k[0] in units or k[1] in units), key=repr
+    )
+    key = draw(st.sampled_from(keys))
+    others = sorted((a for a in src if a != raw.compose[key]), key=repr)
+    raw.compose[key] = draw(st.sampled_from(others))
+
+
+CORRUPTIONS = [_redirect, _swap_inverses, _break_unit_law]
+
+
+@settings(max_examples=60, deadline=None)
+@given(relabelled_raw(), st.sampled_from(CORRUPTIONS), st.data())
+def test_corrupted_tables_report_as_the_sweep(case, corrupt, data):
+    _, raw = case
+    assume(len(raw.arrows) > 1)  # the point groupoid has nothing to corrupt
+    corrupt(raw, data.draw)
+    expected = reference_validate(raw)
+    assert validate_raw(raw) == expected
+    if expected.ok:
+        assert decompose(raw).groupoid.n_arrows == len(raw.arrows)
+    else:
+        with pytest.raises(ValueError, match=re.escape(f"groupoid axioms violated: {expected.violations[0]}")):
+            decompose(raw)
+
+
+def test_single_redirect_is_never_a_groupoid():
+    # cancellation: a changed product duplicates a value in its row
+    raw = render_raw(connected_groupoid(cayley.symmetric(3), 2))
+    for key in list(raw.compose)[::7]:
+        table = dict(raw.compose)
+        table[key] = next(a for a, _, _ in raw.arrows if a != raw.compose[key])
+        corrupted = RawGroupoid(raw.units, raw.arrows, table, raw.masses)
+        report = validate_raw(corrupted)
+        assert not report.ok and report == reference_validate(corrupted)
+
+
+def test_missing_pair_is_named_after_the_count_fails():
+    raw = rel2_raw()
+    del raw.compose[("a01", "a10")]
+    with pytest.raises(MalformedInputError, match=r"compose missing on composable pair \('a01','a10'\)"):
+        validate_raw(raw)
+
+
+def test_marked_unit_must_be_the_identity():
+    # the names of the unit at 1 and the other arrow 1 -> 1 trade places in
+    # every product: the table is still a groupoid, but its marked unit is not
+    # its identity, so the unit law fails although the map onto the normal
+    # form is an isomorphism of products
+    raw = render_raw(connected_groupoid(cayley.cyclic(2), 2))
+    other = next(a for a, s, r in raw.arrows if s == r == 1 and a != 1)
+    swap = {1: other, other: 1}
+    table = {(swap.get(a, a), swap.get(b, b)): swap.get(c, c) for (a, b), c in raw.compose.items()}
+    corrupted = RawGroupoid(raw.units, raw.arrows, table, raw.masses)
+    report = validate_raw(corrupted)
+    assert not report.ok and report == reference_validate(corrupted)
+    assert "unit law at 1" in report.violations

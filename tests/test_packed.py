@@ -669,6 +669,16 @@ def test_verify_output_matches_golden(stem, tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out == (GOLDEN_DIR / f"{stem}.json").read_text()
 
 
+def test_verify_all_of_K_runs_on_codes(tmp_path, monkeypatch, capsys):
+    # `--K all` hands the codes of [[G]] to the certificate: the only
+    # Bisections built are the 8 entries of the connected map's arrow table
+    monkeypatch.chdir(tmp_path)
+    argv, code = write_verify_inputs(tmp_path)["verify-connected-z2y2"]
+    built = count_bisections(monkeypatch)
+    assert cli_main(argv) == code
+    assert len(built) == GROUPOIDS["z2y2"].n_arrows == 8
+    capsys.readouterr()
+
 
 # The ladder suite, and `soficlab embed --kind ladder`, against reports
 # written by the partial-injection distortion code that the packed one

@@ -12,6 +12,7 @@ import json
 
 from soficlab.serialize import distortion_report_to_json
 from soficlab.symmetric import distortion_report
+from soficlab.verify import SuiteBudget
 
 
 def main() -> int:
@@ -24,12 +25,11 @@ def main() -> int:
     parser.add_argument("--json", metavar="PATH", help="also write JSON records here")
     args = parser.parse_args()
 
+    budget = SuiteBudget(exhaustive_cap=args.pair_cap, sample_count=args.samples, seed=args.seed)
     rows = []
     print(f"{'p':>4}  {'bound n/(p-n)':>14}  {'observed sup':>14}  {'trace sup':>12}  regime")
     for p in range(args.n, args.p_max + 1):
-        rep = distortion_report(
-            args.n, p, pair_cap=args.pair_cap, sample_count=args.samples, seed=args.seed
-        )
+        rep = distortion_report(args.n, p, budget)
         rows.append(distortion_report_to_json(rep))
         bound = "-" if rep.bound is None else str(rep.bound)
         regime = "exhaustive" if rep.exhaustive else f"sampled(seed={rep.seed})"

@@ -38,7 +38,7 @@ _EXPORTS = {
         "idempotent",
         "unit_bisection",
     ),
-    "symmetric": ("DistortionReport", "ladder_profile"),
+    "symmetric": ("DistortionReport",),
     "constructions": (
         "PackedProduct",
         "SemigroupMap",

@@ -116,29 +116,32 @@ def _embedding_payload(report) -> dict:
     return {"report": sz.embedding_report_to_json(report), "pass": report.passed}
 
 
+# the options each embed kind needs, by argparse dest
+EMBED_NEEDS = {
+    "connected": ("groupoid",),
+    "convex": ("groupoid",),
+    "pair": ("nu", "rho", "t"),
+    "index": ("groupoid", "sub"),
+    "product": ("left", "right"),
+    "ladder": ("n",),
+}
+
+
 def cmd_embed(args) -> int:
+    for dest in EMBED_NEEDS[args.kind]:
+        if getattr(args, dest) is None:
+            raise MalformedInputError(f"--kind {args.kind} needs --{dest}")
     from . import constructions as cn
     from . import verify as vf
 
     budget = _budget(args)
     if args.kind == "ladder":
-        if args.n is None:
-            raise MalformedInputError("--kind ladder needs --n")
+        from .symmetric import distortion_report
+
         ps = args.p_list or ([args.p] if args.p is not None else None)
         if not ps:
             raise MalformedInputError("--kind ladder needs --p or --p-list")
-        reports = [
-            sz.distortion_report_to_json(
-                vf.ladder_profile(
-                    args.n,
-                    [p],
-                    pair_cap=budget.exhaustive_cap,
-                    sample_count=budget.sample_count,
-                    seed=budget.seed,
-                )[0]
-            )
-            for p in ps
-        ]
+        reports = [sz.distortion_report_to_json(distortion_report(args.n, p, budget)) for p in ps]
         _emit(
             args,
             "embed",
@@ -163,7 +166,7 @@ def cmd_embed(args) -> int:
         sub = sz.parse_arrow_set(sz.load_json(args.sub))
         system = cn.find_transversals(g, sub)
         m = cn.finite_index_map(system)
-    elif args.kind == "product":
+    else:  # product, the last kind of EMBED_NEEDS
         left = _load_groupoid(args.left)
         right = _load_groupoid(args.right)
         result = vf.run_suite("rectangles", budget, left=left, right=right)
@@ -175,8 +178,6 @@ def cmd_embed(args) -> int:
             budget,
         )
         return 0 if result.passed else 1
-    else:
-        raise MalformedInputError(f"unknown embed kind {args.kind!r}")
 
     report = vf.check_embedding(m, budget)
     _emit(

@@ -1,22 +1,20 @@
 """Constructive embeddings between full semigroups.
 
-Each construction returns a semigroup map: the evaluator is total on the
-domain's bisections, and the companion certificates (see verify) confirm
-multiplicativity, trace preservation and isometry exactly on whatever set
-is exercised. At this finite scale every construction is exact, not
-approximate.
+Each construction returns a SemigroupMap, which is its arrow table: each
+domain arrow to the arrows of its image, the image of a bisection being
+the union of the images of its arrows. arrow_map builds the table and
+checks it once; calling the map then takes that union as one Bisection,
+and SemigroupMap.packed scatters the table on packed codes for the
+certificates (see verify) and the ladder's distortion reports. At this
+finite scale every construction is exact, not approximate.
 
-Every map built here is an arrow map: the image of a bisection is the
-union of the images of its arrows. That holds for the identity, connected,
-convex and pair embeddings, the ladder maps [[n]] -> [[p]] (step_map,
-general_map), the finite-index lift and the corner restriction.
-arrow_map tabulates those images once per domain arrow and checks the
-table once, when it builds it; the evaluator then only takes unions, and
-SemigroupMap.packed scatters the same table on packed codes for the
-certificates and the ladder's distortion reports. The lift's table comes
-from the transversal block of each arrow (TransversalSystem.blocks), which
-block_table also scatters into the block matrices of packed codes for the
-finite-index suite.
+The connected and convex embeddings and the ladder maps [[n]] -> [[p]]
+(step_map, general_map) are all copies of one connected-piece embedding,
+(h, y_from) -> (g*h, y_to), placed in a full relation by _copies. The
+pair embedding relabels two tables, the corner restriction filters one,
+and the finite-index lift reads its table off the transversal block of
+each arrow (TransversalSystem.blocks), which block_table also scatters
+into the block matrices of packed codes for the finite-index suite.
 
 The rectangle monoid of a product groupoid runs on packed codes too:
 PackedProduct pairs the codes of the two factors into codes of the
@@ -57,38 +55,30 @@ class NoTransversalError(RuntimeError):
 
 @dataclass(eq=False)
 class SemigroupMap:
-    """A map [[domain]] -> [[codomain]]; arrow_images is the table of an
-    arrow map (see arrow_map), from each domain arrow to the arrows of its
-    image in the codomain, and None for any other map."""
+    """A map [[domain]] -> [[codomain]] given by its arrow table, from each
+    domain arrow to the arrows of its image in the codomain; arrow_map
+    builds and checks it."""
 
     domain: FiniteGroupoid
     codomain: FiniteGroupoid
-    evaluator: Callable[[Bisection], Bisection]
     label: str
-    arrow_images: dict | None = None
+    arrow_images: dict
 
     def __call__(self, alpha: Bisection) -> Bisection:
+        """The union of the images of alpha's arrows, as one Bisection."""
         if alpha.groupoid != self.domain:
             raise ValueError("bisection not in the domain of this map")
-        out = self.evaluator(alpha)
-        if out.groupoid != self.codomain:
-            raise ValueError(f"evaluator of {self.label} left its codomain")
-        return out
+        return Bisection(self.codomain, tuple(b for a in alpha.arrows for b in self.arrow_images[a]))
 
     def packed(self, dom: PackedMonoid, cod: PackedMonoid) -> Callable:
-        """The map on packed codes: a code of dom to a code of cod.
-
-        An arrow map scatters its table: each (source unit, code) of dom is
-        one domain arrow, precomputed as the codomain (source, code) pieces
-        of its image; arrow_map has checked that the pieces of an element's
-        arrows never meet. Any other map runs its evaluator between decode
-        and encode.
+        """The map on packed codes, a code of dom to a code of cod, as a
+        scatter of the table: each (source unit, code) of dom is one domain
+        arrow, precomputed as the codomain (source, code) pieces of its
+        image; arrow_map has checked that the pieces of an element's arrows
+        never meet.
         """
         if dom.groupoid != self.domain or cod.groupoid != self.codomain:
             raise ValueError(f"packed kernels do not match the groupoids of {self.label}")
-        if self.arrow_images is None:
-            return lambda x: cod.encode(self(dom.decode(x)))
-
         rows = [[()] * (dom.n_units * dom.order) for _ in dom.units]
         for a, image in self.arrow_images.items():
             u, x = dom.place(a)
@@ -119,8 +109,7 @@ def arrow_map(
     table is checked once: two domain arrows that can share a bisection
     (distinct sources and distinct ranges) must have images with disjoint
     sources and disjoint ranges, or it raises the ValueError a Bisection of
-    their union would.
-    The evaluator and SemigroupMap.packed then take unions unchecked.
+    their union would. SemigroupMap.packed then takes unions unchecked.
     """
     table = {a: Bisection(codomain, tuple(image_of_arrow(a))).arrows for a in domain.arrows()}
     for side in ("source", "range"):
@@ -133,15 +122,35 @@ def arrow_map(
                 if a.source != b.source and a.range != b.range:
                     raise ValueError(f"{side} map not injective")
 
-    def run(alpha: Bisection) -> Bisection:
-        return Bisection(codomain, tuple(b for a in alpha.arrows for b in table[a]))
-
-    return SemigroupMap(domain, codomain, run, label, table)
+    return SemigroupMap(domain, codomain, label, table)
 
 
 def identity_map(g: FiniteGroupoid) -> SemigroupMap:
-    # an arrow map whose union of images is the argument itself
-    return SemigroupMap(g, g, lambda a: a, "identity", {a: (a,) for a in g.arrows()})
+    # each arrow is its own image, so the table needs no check
+    return SemigroupMap(g, g, "identity", {a: (a,) for a in g.arrows()})
+
+
+def _copies(g: FiniteGroupoid, points: int, layout, label: str) -> SemigroupMap:
+    """The arrow map [[g]] -> [[points]] made of copies of the connected-
+    piece embedding, (h, y_from) -> (gr*h, y_to) on the points y*m + h.
+
+    layout[i] = (stride, offsets) places component i, of group order m and
+    Cayley table t: its arrow (gr, y_to, y_from) goes to the arrows
+    o + (y_to*m + t[gr][h])*stride <- o + (y_from*m + h)*stride, for h < m
+    and for each offset o.
+    """
+
+    def image(a: Arrow):
+        comp = g.components[a.comp]
+        m, row = comp.group_order, comp.table[a.g]
+        stride, offsets = layout[a.comp]
+        return [
+            Arrow(0, 0, o + (a.y_to * m + row[h]) * stride, o + (a.y_from * m + h) * stride)
+            for o in offsets
+            for h in range(m)
+        ]
+
+    return arrow_map(g, full_relation(points), image, label)
 
 
 # ---------------------------------------------------------------------------
@@ -154,65 +163,40 @@ def embed_connected(g: FiniteGroupoid) -> SemigroupMap:
 
     The arrow (gr, y_to, y_from) becomes the partial injection defined on
     Gamma x {y_from} sending (h, y_from) to (gr*h, y_to); points are indexed
-    y*|Gamma| + h.
+    y*|Gamma| + h. It is the single copy of _copies.
     """
     if len(g.components) != 1:
         raise ValueError("embed_connected needs a connected groupoid")
     comp = g.components[0]
     m, k = comp.group_order, comp.base_size
-    table = comp.table
-
-    def image(a: Arrow):
-        return [Arrow(0, 0, a.y_to * m + table[a.g][h], a.y_from * m + h) for h in range(m)]
-
-    return arrow_map(g, full_relation(m * k), image, f"connected[{m}x{k}^2]")
+    return _copies(g, m * k, [(1, [0])], f"connected[{m}x{k}^2]")
 
 
 # ---------------------------------------------------------------------------
-# Convex combinations: route blocks of [q] to the component embeddings
+# Convex combinations: blocks of [q], each a mixed-radix product of stages
 
 
 def embed_convex(g: FiniteGroupoid) -> SemigroupMap:
     """Isometric embedding of a weighted multi-component groupoid.
 
-    With q the lcm of the weight denominators, component i owns t_i*q of the
-    q index blocks; on its blocks the map applies embed_connected of the
-    component on its own on that coordinate and the identity on the others.
+    With q the lcm of the weight denominators, the codomain is q index
+    blocks of P points, P the product of the stage sizes m_i*k_i; a point
+    j*P + r of block j has mixed-radix coordinates r = sum x_i*stride_i,
+    stride_i = prod(sizes[i+1:]). Component i owns t_i*q of the blocks. On
+    its blocks the map is embed_connected of the component on coordinate i
+    and the identity on the others: one copy at each point of those blocks
+    whose coordinate i is 0, with stride stride_i.
     """
-    corners = [
-        corner(g, [(i, y) for y in range(c.base_size)])
-        for i, c in enumerate(g.components)
-    ]
-    stages = [embed_connected(cr.groupoid) for cr in corners]
-    sizes = [stage.codomain.n_units for stage in stages]
-
-    weights = [c.weight for c in g.components]
-    q = lcm(*(w.denominator for w in weights))
-    owned = []
+    sizes = [c.group_order * c.base_size for c in g.components]
+    q = lcm(*(c.weight.denominator for c in g.components))
+    block = prod(sizes)
+    layout = []
     start = 0
-    for w in weights:
-        owned.append(range(start, start + int(w * q)))
-        start += int(w * q)
-
-    def encode(j: int, xs) -> int:
-        v = j
-        for s, x in zip(sizes, xs):
-            v = v * s + x
-        return v
-
-    def image(a: Arrow):
-        i = a.comp
-        out = []
-        for b in stages[i].arrow_images[corners[i].to_corner(a)]:
-            axes = [(b.y_from,) if k == i else range(s) for k, s in enumerate(sizes)]
-            for xs in iproduct(*axes):
-                ys = list(xs)
-                ys[i] = b.y_to
-                for j in owned[i]:
-                    out.append(Arrow(0, 0, encode(j, ys), encode(j, xs)))
-        return out
-
-    return arrow_map(g, full_relation(q * prod(sizes)), image, f"convex[q={q}]")
+    for i, c in enumerate(g.components):
+        stride, end = prod(sizes[i + 1 :]), start + int(c.weight * q)
+        layout.append((stride, [o for o in range(start * block, end * block) if o // stride % sizes[i] == 0]))
+        start = end
+    return _copies(g, q * block, layout, f"convex[q={q}]")
 
 
 def _aligned_components(a: FiniteGroupoid, b: FiniteGroupoid):
@@ -235,15 +219,12 @@ def embed_convex_pair(
 
     The domains must agree up to component weights; the blended domain takes
     weights t*nu + (1-t)*rho, the codomain is the (t, 1-t) convex combination
-    of the two codomains, and the image is the union of both images there.
-    Both maps must be arrow maps; the blend relabels their tables.
+    of the two codomains, and the image is the union of both images there:
+    the blend relabels the two tables.
     """
     t = Fraction(t)
     if not 0 <= t <= 1:
         raise ValueError("t must lie in [0, 1]")
-    for phi in (phi_nu, phi_rho):
-        if phi.arrow_images is None:
-            raise ValueError(f"embed_convex_pair needs arrow maps; {phi.label} is not one")
     if t == 1:
         return phi_nu
     if t == 0:
@@ -282,7 +263,7 @@ def embed_convex_pair(
 
 
 def restrict_almost_morphism(theta: SemigroupMap, units) -> SemigroupMap:
-    """Restrict an arrow map to the corner over a unit subset.
+    """Restrict a map to the corner over a unit subset.
 
     The restricted map sends a corner bisection to e*theta(lift)*e with
     e = theta(1_corner), landing in the corner of the codomain over the
@@ -292,8 +273,6 @@ def restrict_almost_morphism(theta: SemigroupMap, units) -> SemigroupMap:
     restriction is again an arrow map: each entry of theta's table,
     filtered and moved into the corner.
     """
-    if theta.arrow_images is None:
-        raise ValueError(f"restrict_almost_morphism needs an arrow map; {theta.label} is not one")
     h = corner(theta.domain, units)
     e = [b for u in h.units for b in theta.arrow_images[theta.domain.unit_arrow(u)]]
     if not all(b.is_unit() for b in e):
@@ -554,11 +533,12 @@ def block_components(alpha: Bisection, system: TransversalSystem):
 def finite_index_map(system: TransversalSystem, phi: SemigroupMap | None = None) -> SemigroupMap:
     """The lift Xi(alpha) = union over (i,j) of phi(alpha_{i,j}) x E_{i,j}.
 
-    phi must be an arrow map (the identity by default), and then so is the
-    lift: each arrow has one block arrow or none at each (i, j). A source
-    or range collision in a table entry, or between the entries of two
-    arrows that can share a bisection, means the transversal system is
-    invalid; building the lift then raises NoTransversalError.
+    phi is the identity by default. The lift's table pairs, for each arrow,
+    phi's image of its block arrow at each (i, j), of which there is one or
+    none, with the matrix unit E_{i,j}. A source or range collision in a
+    table entry, or between the entries of two arrows that can share a
+    bisection, means the transversal system is invalid; building the lift
+    then raises NoTransversalError.
     """
     g = system.groupoid
     dec, raw_ids = subgroupoid_as_groupoid(g, system.sub_arrows)
@@ -566,8 +546,6 @@ def finite_index_map(system: TransversalSystem, phi: SemigroupMap | None = None)
         phi = identity_map(dec.groupoid)
     if phi.domain != dec.groupoid:
         raise ValueError("phi must be defined on the subgroupoid's semigroup")
-    if phi.arrow_images is None:
-        raise ValueError(f"finite_index_map needs an arrow map; {phi.label} is not one")
     ps = product_groupoid(phi.codomain, full_relation(system.index))
 
     def image(a: Arrow):
@@ -737,23 +715,13 @@ def product_embedding(phi: SemigroupMap, psi: SemigroupMap) -> Callable:
 
 
 # ---------------------------------------------------------------------------
-# Ladder embeddings: block copies of [[n]] inside a larger full relation
-
-
-def _block_copies(n: int, p: int, copies: int, label: str) -> SemigroupMap:
-    """The arrow map [[n]] -> [[p]] sending x -> y to q*n + x -> q*n + y
-    for each of the first `copies` blocks; the points past them stay
-    undefined."""
-
-    def image(a: Arrow):
-        return [Arrow(0, 0, q * n + a.y_to, q * n + a.y_from) for q in range(copies)]
-
-    return arrow_map(full_relation(n), full_relation(p), image, label)
+# Ladder embeddings: block copies of [[n]] inside a larger full relation,
+# each arrow x -> y sent to q*n + x -> q*n + y for each copy q
 
 
 def step_map(n: int) -> SemigroupMap:
     """Literal inclusion [[n]] -> [[n+1]]: same map, undefined at the new point."""
-    return _block_copies(n, n + 1, 1, f"step[{n}->{n + 1}]")
+    return _copies(full_relation(n), n + 1, [(1, [0])], f"step[{n}->{n + 1}]")
 
 
 def general_map(n: int, p: int) -> SemigroupMap:
@@ -763,4 +731,4 @@ def general_map(n: int, p: int) -> SemigroupMap:
         raise ValueError(f"source size {n} must be positive")
     if p < n:
         raise ValueError(f"target size {p} below {n}")
-    return _block_copies(n, p, p // n, f"ladder[{n}->{p}]")
+    return _copies(full_relation(n), p, [(1, range(0, p // n * n, n))], f"ladder[{n}->{p}]")

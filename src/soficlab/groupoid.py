@@ -57,6 +57,14 @@ def _inverses(table: cayley.Table) -> tuple[int, ...]:
     return cayley.inverses(table)
 
 
+@lru_cache(maxsize=None)
+def _table_violations(table: cayley.Table) -> tuple[str, ...]:
+    """cayley.table_violations of a normalized table, once per distinct
+    table: decompose checks each isotropy table in _normal_form and again
+    when it builds the Component."""
+    return tuple(cayley.table_violations(table))
+
+
 @dataclass(frozen=True)
 class Component:
     """One connected piece: group Cayley table, base size, exact weight."""
@@ -68,7 +76,7 @@ class Component:
     def __post_init__(self):
         object.__setattr__(self, "table", cayley.normalize_table(self.table))
         object.__setattr__(self, "weight", Fraction(self.weight))
-        problems = cayley.table_violations(self.table)
+        problems = _table_violations(self.table)
         if problems:
             raise ValueError(f"not a group table: {problems[0]}")
         if self.base_size < 1:
@@ -294,7 +302,7 @@ def _normal_form(raw: RawGroupoid, src: dict, rng: dict) -> _NormalForm | None:
             iso_ids = [base] + sorted((a for a in hom[(base, base)] if a != base), key=_id_key)
             elem = {a: i for i, a in enumerate(iso_ids)}
             table = tuple(tuple(elem[comp[(x, y)]] for y in iso_ids) for x in iso_ids)
-            if cayley.table_violations(table):
+            if _table_violations(table):
                 return None
             tables.append(table)
             elems.append(elem)

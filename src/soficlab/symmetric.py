@@ -21,6 +21,7 @@ from itertools import product
 from .constructions import general_map
 from .groupoid import Arrow
 from .semigroup import CertificateError, PackedMonoid, semigroup_codes, semigroup_count
+from .verify import SuiteBudget
 
 
 @dataclass(frozen=True)
@@ -59,35 +60,31 @@ def _sample_code(pm: PackedMonoid, rng: random.Random) -> tuple[int, ...]:
     return tuple(out)
 
 
-def distortion_report(
-    n: int,
-    p: int,
-    pair_cap: int = 10**4,
-    sample_count: int = 400,
-    seed: int = 1729,
-) -> DistortionReport:
+def distortion_report(n: int, p: int, budget: SuiteBudget | None = None) -> DistortionReport:
     """Measure sup |d_p(images) - d_n| over element pairs, exactly.
 
-    Exhaustive when |[[n]]|^2 fits the cap, otherwise seeded sampling; the
-    trace deviation sup is tracked alongside.
+    Exhaustive when |[[n]]|^2 fits budget.exhaustive_cap, otherwise
+    budget.sample_count pairs drawn with budget.seed; the trace deviation
+    sup is tracked alongside.
     """
+    budget = budget or SuiteBudget()
     m = general_map(n, p)
     g = m.domain
     dom, cod = PackedMonoid(g), PackedMonoid(m.codomain)
     image = m.packed(dom, cod)
     count = semigroup_count(g)
-    exhaustive = count * count <= pair_cap
+    exhaustive = count * count <= budget.exhaustive_cap
     if exhaustive:
         pool = list(semigroup_codes(dom))
         pairs = product(pool, repeat=2)  # not materialised: count**2 pairs
         tested = count * count
         used_seed = None
     else:
-        rng = random.Random(seed)
-        pairs = [(_sample_code(dom, rng), _sample_code(dom, rng)) for _ in range(sample_count)]
+        rng = random.Random(budget.seed)
+        pairs = [(_sample_code(dom, rng), _sample_code(dom, rng)) for _ in range(budget.sample_count)]
         pool = [a for pair in pairs for a in pair]
         tested = len(pairs)
-        used_seed = seed
+        used_seed = budget.seed
 
     images = {a: image(a) for a in pool}
     # d_n = dom.dist / dn and d_p = cod.dist / dp, so a deviation is an
@@ -107,16 +104,3 @@ def distortion_report(
         exhaustive=exhaustive,
         seed=used_seed,
     )
-
-
-def ladder_profile(
-    n: int,
-    p_list,
-    pair_cap: int = 10**4,
-    sample_count: int = 400,
-    seed: int = 1729,
-) -> list[DistortionReport]:
-    return [
-        distortion_report(n, p, pair_cap=pair_cap, sample_count=sample_count, seed=seed)
-        for p in p_list
-    ]

@@ -11,8 +11,8 @@ as codes of semigroup.PackedMonoid (unit sets as bitmasks). Every suite
 runs on the kernel's exact integer arithmetic; the rectangles suite on
 the codes of constructions.PackedProduct. Both certificates,
 check_embedding and check_almost_morphism, run on the kernel too, through
-one loop (_deviations) that maps each distinct code once: the arrow maps
-of constructions scatter their tables (SemigroupMap.packed), and a pair
+one loop (_deviations) that maps each distinct code once: a map of
+constructions scatters its arrow table (SemigroupMap.packed), and a pair
 list becomes a dict from domain code to codomain code. Bisections are
 decoded only for the witnesses a report prints.
 """
@@ -46,7 +46,6 @@ from .semigroup import (
     semigroup_codes,
     semigroup_count,
 )
-from .symmetric import ladder_profile
 
 DEFAULT_SEED = 1729
 
@@ -307,7 +306,7 @@ def check_embedding(m: SemigroupMap, budget: SuiteBudget | None = None) -> Embed
     concretely and flags any discrepancy as an implementation bug.
 
     Domain and codomain are packed, and the map runs on codes through
-    m.packed (an arrow map scatters its table) inside _deviations.
+    m.packed, the scatter of its table, inside _deviations.
     """
     budget = budget or SuiteBudget()
     dom, cod = PackedMonoid(m.domain), PackedMonoid(m.codomain)
@@ -856,15 +855,12 @@ def suite_rectangles(
 
 
 def suite_ladder(n: int, p_list, budget: SuiteBudget) -> list[CheckResult]:
-    reports = ladder_profile(
-        n,
-        p_list,
-        pair_cap=budget.exhaustive_cap,
-        sample_count=budget.sample_count,
-        seed=budget.seed,
-    )
+    # symmetric measures the ladder with this module's SuiteBudget, so it
+    # is imported here, once this module is complete
+    from .symmetric import distortion_report
+
     checks = []
-    for rep in reports:
+    for rep in (distortion_report(n, p, budget) for p in p_list):
         ok = rep.bound is None or rep.observed_sup <= rep.bound
         if rep.p % rep.n == 0:
             ok = ok and rep.observed_sup == 0

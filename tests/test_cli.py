@@ -414,6 +414,39 @@ def test_ladder_from_no_points_exits_2(capsys, command):
     assert out == "" and err.startswith("input error:") and "source size 0" in err
 
 
+# every option each embed kind needs, with a value that runs; each test
+# leaves one of them out
+EMBED_OPTIONS = {
+    "connected": {"groupoid": "z2y2.json"},
+    "convex": {"groupoid": "z2y2.json"},
+    "pair": {"nu": "z2y2.json", "rho": "z2y2.json", "t": "1/3"},
+    "index": {"groupoid": "z2y2.json", "sub": "units.json"},
+    "product": {"left": "n2.json", "right": "n2.json"},
+    "ladder": {"n": "2", "p": "3"},
+}
+EMBED_MISSING = [(kind, option) for kind, options in EMBED_OPTIONS.items() for option in options]
+
+
+def embed_argv(files, monkeypatch, kind, missing):
+    tmp, write = files
+    monkeypatch.chdir(tmp)
+    write("z2y2.json", groupoid_to_json(Z2Y2))
+    write("n2.json", groupoid_to_json(full_relation(2)))
+    write("units.json", {"arrows": [[0, 0, 0, 0], [0, 0, 1, 1]]})
+    argv = ["embed", "--kind", kind]
+    for option, value in EMBED_OPTIONS[kind].items():
+        if option != missing:
+            argv += [f"--{option}", value]
+    return argv
+
+
+@pytest.mark.parametrize("kind,missing", EMBED_MISSING, ids=[f"{k}-{o}" for k, o in EMBED_MISSING])
+def test_embed_without_a_required_option_exits_2(files, capsys, monkeypatch, kind, missing):
+    code, out, err = run(capsys, *embed_argv(files, monkeypatch, kind, missing))
+    assert code == 2 and out == ""
+    assert err.startswith(f"input error: --kind {kind} needs --{missing}") and "Traceback" not in err
+
+
 # a cap of 0 is rejected by SuiteBudget, not replaced by its default
 BUDGETED_COMMANDS = {
     "suite": ["suite", "--name", "trace-distance", "--n", "2"],
@@ -555,8 +588,7 @@ print(sorted(m for m in sys.modules if m.startswith("soficlab")))
     assert "soficlab.groupoid" in loaded
 
 
-# every public name of the package, as it stood when `import soficlab` still
-# imported every module
+# every public name of the package
 PUBLIC_NAMES = [
     "AlmostMorphismReport", "Arrow", "Bisection", "Component", "DistortionReport",
     "EmbeddingReport", "FiniteGroupoid", "PackedProduct", "RawGroupoid", "SemigroupMap",
@@ -566,7 +598,7 @@ PUBLIC_NAMES = [
     "embed_convex", "embed_convex_pair", "empty_bisection", "extend_to_full_group",
     "fiber_decomposition", "find_transversals", "finite_index_map", "from_group_action",
     "full_relation", "general_map", "group_groupoid", "groupoid", "idempotent",
-    "identity_map", "ladder_profile", "make_groupoid", "product_embedding",
+    "identity_map", "make_groupoid", "product_embedding",
     "product_groupoid", "rectangle_decompose", "render_raw", "restrict_almost_morphism",
     "run_suite", "semigroup", "step_map", "symmetric", "unit_bisection", "validate_raw",
     "verify",

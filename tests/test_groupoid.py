@@ -465,3 +465,16 @@ def test_marked_unit_must_be_the_identity():
     report = validate_raw(corrupted)
     assert not report.ok and report == reference_validate(corrupted)
     assert "unit law at 1" in report.violations
+
+
+def test_decompose_checks_each_isotropy_table_once(monkeypatch):
+    # the normal form checks the S4 table, and the Component built from it
+    # reuses that check
+    g = connected_groupoid(cayley.symmetric(4), 2)
+    raw = render_raw(g)
+    groupoid_module._table_violations.cache_clear()
+    checked = []
+    original = cayley.table_violations
+    monkeypatch.setattr(cayley, "table_violations", lambda table: checked.append(table) or original(table))
+    assert decompose(raw).groupoid == g
+    assert len(checked) == 1

@@ -27,7 +27,12 @@ from soficlab.semigroup import (
 )
 from soficlab.serialize import parse_pin, pin_to_json
 from soficlab import symmetric
-from soficlab.symmetric import DistortionReport, distortion_report, ladder_profile
+from soficlab.symmetric import DistortionReport, distortion_report
+from soficlab.verify import SuiteBudget
+
+# the pair cap and sample count of the reports below: every [[n]] they
+# measure has |[[n]]|^2 within the cap, so each is exhaustive
+LADDER_BUDGET = SuiteBudget(exhaustive_cap=10**4, sample_count=400)
 
 
 def pin(n, mapping):
@@ -120,7 +125,7 @@ class TestEmbedStep:
 
     def test_is_an_arrow_map(self):
         m = step_map(3)
-        assert m.arrow_images is not None and m.codomain == full_relation(4)
+        assert len(m.arrow_images) == 9 and m.codomain == full_relation(4)
 
 
 class TestEmbedMultiple:
@@ -176,7 +181,7 @@ class TestEmbedGeneral:
         with pytest.raises(ValueError):
             general_map(3, 2)
         with pytest.raises(ValueError):
-            distortion_report(3, 2)
+            distortion_report(3, 2, LADDER_BUDGET)
 
     def test_distortion_within_bound_exhaustive(self):
         for n in (2, 3):
@@ -190,7 +195,7 @@ class TestEmbedGeneral:
                 assert worst <= Fraction(n, p - n)
 
     def test_is_an_arrow_map(self):
-        assert general_map(3, 7).arrow_images is not None
+        assert len(general_map(3, 7).arrow_images) == 9
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +223,7 @@ def reference_distortion(n, p):
 @pytest.mark.parametrize("n", [2, 3])
 def test_report_matches_bisection_reference(n):
     for p in range(n, 13):
-        rep = distortion_report(n, p)
+        rep = distortion_report(n, p, LADDER_BUDGET)
         assert rep.exhaustive and rep.pairs_tested == semigroup_count(full_relation(n)) ** 2
         assert (rep.observed_sup, rep.trace_sup) == reference_distortion(n, p)
 
@@ -228,7 +233,7 @@ def test_exhaustive_sups_are_exactly_r_over_p():
     # element with t fixed points by t*r/(p*n); both sups take c = t = n
     for n in (1, 2, 3):
         for p in range(n, 31):
-            rep = distortion_report(n, p)
+            rep = distortion_report(n, p, LADDER_BUDGET)
             assert rep.exhaustive
             assert rep.observed_sup == rep.trace_sup == Fraction(p % n, p)
             assert rep.bound is None or rep.observed_sup <= rep.bound
@@ -236,33 +241,33 @@ def test_exhaustive_sups_are_exactly_r_over_p():
 
 def test_hand_derived_anchor_2_to_5():
     # swap vs identity: 2 of 2 points differ in [[2]], 4 of 5 in [[5]]
-    rep = distortion_report(2, 5)
+    rep = distortion_report(2, 5, LADDER_BUDGET)
     assert rep.observed_sup == rep.trace_sup == Fraction(1, 5)
     assert rep.bound == Fraction(2, 3)
 
 
 class TestLadderProfile:
     def test_powers_of_two(self):
-        reports = ladder_profile(2, [4, 8, 16])
+        reports = [distortion_report(2, p, LADDER_BUDGET) for p in (4, 8, 16)]
         assert [r.bound for r in reports] == [1, Fraction(1, 3), Fraction(1, 7)]
         assert all(r.observed_sup <= r.bound for r in reports)
         assert all(r.observed_sup == 0 for r in reports)  # 2 divides each p
         assert all(r.exhaustive for r in reports)
 
     def test_large_target_records_decay(self):
-        rep = distortion_report(3, 100)
+        rep = distortion_report(3, 100, LADDER_BUDGET)
         assert rep.bound == Fraction(3, 97)
         assert rep.observed_sup <= rep.bound
 
     def test_exhaustive_exactly_when_all_pairs_fit_the_cap(self):
         # |[[2]]|^2 = 49
-        assert distortion_report(2, 3, pair_cap=49).exhaustive
-        rep = distortion_report(2, 3, pair_cap=48, sample_count=10, seed=2)
+        assert distortion_report(2, 3, SuiteBudget(exhaustive_cap=49)).exhaustive
+        rep = distortion_report(2, 3, SuiteBudget(exhaustive_cap=48, sample_count=10, seed=2))
         assert not rep.exhaustive and rep.pairs_tested == 10
 
     def test_sampled_regime_is_seeded(self):
-        a = distortion_report(4, 9, pair_cap=100, sample_count=50, seed=5)
-        b = distortion_report(4, 9, pair_cap=100, sample_count=50, seed=5)
+        budget = SuiteBudget(exhaustive_cap=100, sample_count=50, seed=5)
+        a, b = distortion_report(4, 9, budget), distortion_report(4, 9, budget)
         assert a == b
         assert not a.exhaustive and a.seed == 5 and a.pairs_tested == 50
 
@@ -289,7 +294,7 @@ class TestCertificate:
 
         monkeypatch.setattr(symmetric, "general_map", collapsed)
         with pytest.raises(CertificateError):
-            distortion_report(2, 8)
+            distortion_report(2, 8, LADDER_BUDGET)
         assert cli_main(["embed", "--kind", "ladder", "--n", "2", "--p", "8"]) == 1
         assert "certificate error:" in capsys.readouterr().err
 

@@ -2,7 +2,8 @@
 reproducible batch runs emitting JSON reports.
 
 Exit codes: 0 pass, 1 check failure (a failed certificate included), 2
-malformed input. Reports embed the tool version, seed and budget; a
+malformed input. Reports embed the tool version, and those of embed,
+verify and suite the seed and budget (serialize.budget_to_json); a
 repeated invocation with the same seed writes byte-identical output. An
 explicit --seed wins; without one, SOFICLAB_SEED overrides the default
 seed.
@@ -57,6 +58,9 @@ def _budget(args):
 
 
 def _emit(args, command: str, params: dict, payload: dict, budget=None) -> None:
+    """Write a report: the tool header, then the seed and budget block when
+    a budget ran the payload's checks, then the payload; a suite payload
+    (serialize.suite_result_to_json) carries that block itself."""
     report = {
         "tool": "soficlab",
         "version": __version__,
@@ -64,11 +68,7 @@ def _emit(args, command: str, params: dict, payload: dict, budget=None) -> None:
         "params": sz.jsonable(params),
     }
     if budget is not None:
-        report["seed"] = budget.seed
-        report["budget"] = {
-            "exhaustive_cap": budget.exhaustive_cap,
-            "sample_count": budget.sample_count,
-        }
+        report.update(sz.budget_to_json(budget))
     report.update(payload)
     out = getattr(args, "out", None)
     if out:
@@ -170,13 +170,7 @@ def cmd_embed(args) -> int:
         left = _load_groupoid(args.left)
         right = _load_groupoid(args.right)
         result = vf.run_suite("rectangles", budget, left=left, right=right)
-        _emit(
-            args,
-            "embed",
-            {"kind": "product"},
-            sz.suite_result_to_json(result),
-            budget,
-        )
+        _emit(args, "embed", {"kind": "product"}, sz.suite_result_to_json(result))
         return 0 if result.passed else 1
 
     report = vf.check_embedding(m, budget)
@@ -291,7 +285,7 @@ def cmd_suite(args) -> int:
         raise MalformedInputError(f"unknown suite {name!r}; known: {sorted(vf.SUITES)}")
 
     result = vf.run_suite(name, budget, **params)
-    _emit(args, "suite", {"name": name}, sz.suite_result_to_json(result), budget)
+    _emit(args, "suite", {"name": name}, sz.suite_result_to_json(result))
     if not result.passed:
         failed = [c.name for c in result.checks if not c.passed]
         print(f"suite {name} failed checks: {', '.join(failed)}", file=sys.stderr)

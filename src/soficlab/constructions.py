@@ -37,8 +37,10 @@ from typing import Callable
 
 from .groupoid import (
     Arrow,
+    Component,
     FiniteGroupoid,
     ProductStructure,
+    _assemble,
     corner,
     convex_combination_with_maps,
     full_relation,
@@ -231,17 +233,13 @@ def embed_convex_pair(
         return phi_rho
     gn, gr = phi_nu.domain, phi_rho.domain
     order_n, order_r = _aligned_components(gn, gr)
-
-    from .groupoid import Component, make_groupoid, _canonical_order
-
     blended = []
     for x, y in zip(order_n, order_r):
         cn, crho = gn.components[x], gr.components[y]
         blended.append(
             Component(cn.table, cn.base_size, t * cn.weight + (1 - t) * crho.weight)
         )
-    position = _canonical_order(blended)
-    domain = make_groupoid(blended)
+    domain, position = _assemble(blended)
     to_nu = {position[k]: order_n[k] for k in range(len(blended))}
     to_rho = {position[k]: order_r[k] for k in range(len(blended))}
 
@@ -328,39 +326,39 @@ class TransversalSystem:
             out[a] = row
         return out
 
-    def coset(self, psi: Bisection) -> frozenset:
-        g = self.groupoid
-        out = set()
-        for p in psi.arrows:
-            for h in self.sub_arrows:
-                ph = g.mul(p, h)
-                if ph is not None:
-                    out.add(ph)
-        return frozenset(out)
-
     def violations(self) -> list[str]:
         g = self.groupoid
-        problems = subgroupoid_violations(g, self.sub_arrows)
-        units_present = {a.source for a in self.sub_arrows if a.is_unit()}
-        if units_present != set(g.units()):
-            problems.append("subgroupoid is not unit-full")
+        problems = _unit_full_violations(g, self.sub_arrows)
         if problems:
             return problems
         for i, psi in enumerate(self.transversals):
             # sources and ranges are injective, so n arrows cover every unit
             if len(psi) != g.n_units:
                 problems.append(f"transversal {i} is not a full-group element")
-        cover = []
-        for psi in self.transversals:
-            cover.append(self.coset(psi))
         seen = set()
-        for i, block in enumerate(cover):
+        for i, psi in enumerate(self.transversals):
+            block = _translate(g, psi.arrows, self.sub_arrows)
             if seen & block:
                 problems.append(f"translate {i} overlaps an earlier one")
             seen |= block
         if seen != set(g.arrows()):
             problems.append("translates do not cover the groupoid")
         return problems
+
+
+def _unit_full_violations(g: FiniteGroupoid, sub_arrows) -> list[str]:
+    """Why sub_arrows is not a subgroupoid of g that contains every unit."""
+    problems = subgroupoid_violations(g, sub_arrows)
+    missing = sorted(set(g.units()) - {a.source for a in sub_arrows if a.is_unit()})
+    if missing:
+        problems.append(f"no unit arrow at unit {missing[0]}")
+    return problems
+
+
+def _translate(g: FiniteGroupoid, arrows, sub_arrows) -> frozenset:
+    """The translate of H = sub_arrows by the given arrows: every defined
+    product a*h with a among them and h in H."""
+    return frozenset(ah for a in arrows for h in sub_arrows if (ah := g.mul(a, h)) is not None)
 
 
 def unit_subgroupoid(g: FiniteGroupoid) -> frozenset:
@@ -384,25 +382,17 @@ def find_transversals(g: FiniteGroupoid, sub_arrows) -> TransversalSystem:
     result is deterministic.
     """
     sub_arrows = frozenset(sub_arrows)
-    problems = subgroupoid_violations(g, sub_arrows)
+    problems = _unit_full_violations(g, sub_arrows)
     if problems:
-        raise ValueError(f"not a subgroupoid: {problems[0]}")
-    units_present = {a.source for a in sub_arrows if a.is_unit()}
+        raise ValueError(f"not a unit-full subgroupoid: {problems[0]}")
     units = sorted(g.units())
-    if units_present != set(units):
-        raise ValueError("subgroupoid must contain every unit")
 
     coset_of = {}
     cosets = []
     for a in sorted(g.arrows()):
         if a in coset_of:
             continue
-        block = set()
-        for h in sub_arrows:
-            ah = g.mul(a, h)
-            if ah is not None:
-                block.add(ah)
-        block = frozenset(block)
+        block = _translate(g, (a,), sub_arrows)
         idx = len(cosets)
         cosets.append(block)
         for b in block:

@@ -132,6 +132,12 @@ class FiniteGroupoid:
                     for y_from in range(c.base_size):
                         yield Arrow(i, g, y_to, y_from)
 
+    def has_arrow(self, a: Arrow) -> bool:
+        if not 0 <= a.comp < len(self.components):
+            return False
+        c = self.components[a.comp]
+        return 0 <= a.g < len(c.table) and 0 <= a.y_to < c.base_size and 0 <= a.y_from < c.base_size
+
     def unit_arrow(self, unit: Unit) -> Arrow:
         return Arrow(unit[0], 0, unit[1], unit[1])
 
@@ -152,17 +158,17 @@ class FiniteGroupoid:
 
 def make_groupoid(components) -> FiniteGroupoid:
     """Canonically ordered groupoid from components in any order."""
-    comps = [c if isinstance(c, Component) else Component(*c) for c in components]
-    return FiniteGroupoid(tuple(sorted(comps, key=Component.sort_key)))
+    return _assemble([c if isinstance(c, Component) else Component(*c) for c in components])[0]
 
 
-def _canonical_order(components: list[Component]) -> list[int]:
-    """Positions of the input components after the canonical stable sort."""
+def _assemble(components: list[Component]) -> tuple[FiniteGroupoid, list[int]]:
+    """The canonically ordered groupoid of components in any order, and the
+    position of each input component in it, by one stable sort."""
     order = sorted(range(len(components)), key=lambda i: components[i].sort_key())
     position = [0] * len(components)
     for new, old in enumerate(order):
         position[old] = new
-    return position
+    return FiniteGroupoid(tuple(components[i] for i in order)), position
 
 
 def full_relation(n: int) -> FiniteGroupoid:
@@ -430,54 +436,40 @@ def decompose(raw: RawGroupoid, weights: dict | None = None) -> Decomposition:
                 )
         components.append(Component(table, len(units), w0 * len(units)))
 
-    position = _canonical_order(components)
-    groupoid = make_groupoid(components)
+    groupoid, position = _assemble(components)
     iso = {a: arr._replace(comp=position[arr.comp]) for a, arr in nf.iso.items()}
     return Decomposition(groupoid, iso)
 
 
-def render_raw(g: FiniteGroupoid) -> RawGroupoid:
-    """The normal form written back out as an explicit table with integer ids.
+def _render(g: FiniteGroupoid, arrows) -> tuple[RawGroupoid, dict]:
+    """A subgroupoid of g, given as its arrows, written out as an explicit
+    table with integer ids, and the map from its arrows to their ids.
 
-    Unit ids enumerate units in (component, point) order; the remaining
-    arrows get consecutive ids ordered by (component, group element, target,
-    source), which makes decompose(render_raw(g)) the identity.
+    Unit ids enumerate the units present in (component, point) order; the
+    remaining arrows get consecutive ids in sorted order, and the masses
+    are g's renormalized to the units present.
     """
-    offsets = []
-    total = 0
-    for c in g.components:
-        offsets.append(total)
-        total += c.base_size
-
-    def unit_id(unit: Unit) -> int:
-        return offsets[unit[0]] + unit[1]
-
-    ids: dict[Arrow, int] = {}
-    entries = []
-    for i, c in enumerate(g.components):
-        for y in range(c.base_size):
-            a = Arrow(i, 0, y, y)
-            ids[a] = unit_id((i, y))
-    next_id = total
-    for a in sorted(g.arrows()):
-        if a.is_unit():
-            continue
-        ids[a] = next_id
-        next_id += 1
-    for a, aid in sorted(ids.items(), key=lambda kv: kv[1]):
-        entries.append((aid, unit_id(a.source), unit_id(a.range)))
-
+    arrows = sorted(arrows)
+    units = [a.source for a in arrows if a.is_unit()]
+    ids = {g.unit_arrow(u): i for i, u in enumerate(units)}
+    for a in arrows:
+        ids.setdefault(a, len(ids))
+    entries = tuple((aid, ids[g.unit_arrow(a.source)], ids[g.unit_arrow(a.range)]) for a, aid in ids.items())
     compose = {}
-    for a in g.arrows():
-        for b in g.arrows():
+    for a in arrows:
+        for b in arrows:
             ab = g.mul(a, b)
             if ab is not None:
                 compose[(ids[a], ids[b])] = ids[ab]
+    total = g.mass(units)
+    masses = {i: g.unit_mass(u[0]) / total for i, u in enumerate(units)}
+    return RawGroupoid(tuple(range(len(units))), entries, compose, masses), ids
 
-    masses = {unit_id(u): g.unit_mass(u[0]) for u in g.units()}
-    return RawGroupoid(
-        units=tuple(range(total)), arrows=tuple(entries), compose=compose, masses=masses
-    )
+
+def render_raw(g: FiniteGroupoid) -> RawGroupoid:
+    """The normal form written back out as an explicit table (_render of
+    every arrow), which makes decompose(render_raw(g)) the identity."""
+    return _render(g, g.arrows())[0]
 
 
 def from_group_action(table, action, point_masses) -> RawGroupoid:
@@ -556,11 +548,11 @@ def convex_combination_with_maps(parts):
         for ci, c in enumerate(g.components):
             owners.append((pi, ci))
             components.append(Component(c.table, c.base_size, c.weight * t))
-    position = _canonical_order(components)
+    groupoid, position = _assemble(components)
     maps = [dict() for _ in parts]
     for k, (pi, ci) in enumerate(owners):
         maps[pi][ci] = position[k]
-    return make_groupoid(components), maps
+    return groupoid, maps
 
 
 def convex_combination(parts) -> FiniteGroupoid:
@@ -608,14 +600,12 @@ def product_groupoid(left: FiniteGroupoid, right: FiniteGroupoid) -> ProductStru
                     a.weight * b.weight,
                 )
             )
-    position = _canonical_order(components)
+    groupoid, position = _assemble(components)
     comp_of_pair = {pair: position[k] for k, pair in enumerate(pairs)}
     pair_of_comp = [None] * len(pairs)
     for pair, pos in comp_of_pair.items():
         pair_of_comp[pos] = pair
-    return ProductStructure(
-        left, right, make_groupoid(components), comp_of_pair, tuple(pair_of_comp)
-    )
+    return ProductStructure(left, right, groupoid, comp_of_pair, tuple(pair_of_comp))
 
 
 @dataclass(frozen=True)
@@ -668,12 +658,12 @@ def corner(g: FiniteGroupoid, units) -> CornerStructure:
         components.append(
             Component(comp.table, len(ys), comp.weight * len(ys) / comp.base_size / total)
         )
-    position = _canonical_order(components)
+    groupoid, position = _assemble(components)
     comp_map = {c: position[k] for k, c in enumerate(owners)}
     back_map = {
         (comp_map[c], new_y): (c, y) for (c, y), new_y in point_map.items()
     }
-    return CornerStructure(g, units, make_groupoid(components), comp_map, point_map, back_map)
+    return CornerStructure(g, units, groupoid, comp_map, point_map, back_map)
 
 
 def corner_restriction(g: FiniteGroupoid, units) -> FiniteGroupoid:
@@ -704,8 +694,14 @@ def fiber_decomposition(g: FiniteGroupoid) -> dict[int, FiniteGroupoid]:
 
 
 def subgroupoid_violations(g: FiniteGroupoid, arrows) -> list[str]:
-    """Why an arrow subset fails to be a subgroupoid (empty list if it is one)."""
+    """Why an arrow subset fails to be a subgroupoid (empty list if it is one).
+
+    Arrows that are not arrows of g are reported first, and alone.
+    """
     arrows = frozenset(arrows)
+    outside = sorted(a for a in arrows if not g.has_arrow(a))
+    if outside:
+        return [f"arrow {a} not in the groupoid" for a in outside]
     problems = []
     units_present = {a.source for a in arrows if a.is_unit()}
     for a in arrows:
@@ -724,34 +720,12 @@ def subgroupoid_violations(g: FiniteGroupoid, arrows) -> list[str]:
 def subgroupoid_as_groupoid(g: FiniteGroupoid, arrows):
     """Materialize an arrow subset as a pmp groupoid of its own.
 
-    Returns (decomposition over a fresh raw table, arrow-to-raw-id map); the
+    Returns (decomposition of its _render table, arrow-to-raw-id map); the
     measure is the ambient one renormalized to the units present.
     """
     arrows = frozenset(arrows)
     problems = subgroupoid_violations(g, arrows)
     if problems:
         raise ValueError(f"not a subgroupoid: {problems[0]}")
-    units = sorted({a.source for a in arrows if a.is_unit()})
-    unit_ids = {u: i for i, u in enumerate(units)}
-    ids = {}
-    for u in units:
-        ids[g.unit_arrow(u)] = unit_ids[u]
-    next_id = len(units)
-    for a in sorted(arrows):
-        if a not in ids:
-            ids[a] = next_id
-            next_id += 1
-    entries = tuple(
-        (aid, unit_ids[a.source], unit_ids[a.range])
-        for a, aid in sorted(ids.items(), key=lambda kv: kv[1])
-    )
-    compose = {}
-    for a in arrows:
-        for b in arrows:
-            ab = g.mul(a, b)
-            if ab is not None:
-                compose[(ids[a], ids[b])] = ids[ab]
-    total = g.mass(units)
-    masses = {unit_ids[u]: g.unit_mass(u[0]) / total for u in units}
-    raw = RawGroupoid(tuple(range(len(units))), entries, compose, masses)
+    raw, ids = _render(g, arrows)
     return decompose(raw), ids

@@ -70,14 +70,7 @@ class Bisection:
         if len(set(ranges)) != len(ranges):
             raise ValueError("range map not injective")
         for a in self.arrows:
-            if not 0 <= a.comp < len(self.groupoid.components):
-                raise ValueError(f"arrow {a} not in the groupoid")
-            comp = self.groupoid.components[a.comp]
-            if (
-                not 0 <= a.g < comp.group_order
-                or not 0 <= a.y_to < comp.base_size
-                or not 0 <= a.y_from < comp.base_size
-            ):
+            if not self.groupoid.has_arrow(a):
                 raise ValueError(f"arrow {a} not in the groupoid")
 
     def __hash__(self):

@@ -19,7 +19,6 @@ from .groupoid import (
     FiniteGroupoid,
     MalformedInputError,
     RawGroupoid,
-    full_relation,
     make_groupoid,
 )
 from .rationals import format_fraction, parse_fraction
@@ -27,7 +26,7 @@ from .semigroup import Bisection
 
 if TYPE_CHECKING:  # report types, named only in annotations
     from .symmetric import DistortionReport
-    from .verify import AlmostMorphismReport, EmbeddingReport, SuiteResult
+    from .verify import AlmostMorphismReport, EmbeddingReport, SuiteBudget, SuiteResult
 
 
 def jsonable(value):
@@ -214,33 +213,6 @@ def parse_malg(obj: dict) -> frozenset:
     return frozenset((_integer(c, "unit comp"), _integer(y, "unit point")) for c, y in units)
 
 
-def pin_to_json(b: Bisection) -> dict:
-    """A partial injection of {0..n-1}, i.e. a bisection of full_relation(n),
-    as {"n": n, "map": {"x": y, ...}}."""
-    n = b.groupoid.n_units
-    if b.groupoid != full_relation(n):
-        raise ValueError("not a partial injection: the groupoid is not a full relation")
-    return {"n": n, "map": {str(a.y_from): a.y_to for a in sorted(b.arrows, key=lambda a: a.y_from)}}
-
-
-def parse_pin(obj: dict) -> Bisection:
-    mapping = obj.get("map") if isinstance(obj, dict) else None
-    if not isinstance(mapping, dict):
-        raise MalformedInputError('expected {"n": n, "map": {"x": y, ...}}')
-    n = _integer(obj.get("n"), "n")
-    if n < 1:
-        raise MalformedInputError(f"n must be positive, got {n}")
-    arrows = []
-    for x, y in mapping.items():
-        if not (isinstance(x, str) and x.isascii() and x.isdigit() and x == str(int(x))):
-            raise MalformedInputError(f"map key {x!r} must be a point written in decimal")
-        arrows.append(Arrow(0, 0, _integer(y, "map value"), int(x)))
-    try:
-        return Bisection(full_relation(n), tuple(arrows))
-    except ValueError as exc:
-        raise MalformedInputError(f"not a partial injection of {n} points: {exc}") from exc
-
-
 # ---------------------------------------------------------------------------
 # Reports
 
@@ -290,15 +262,19 @@ def distortion_report_to_json(r: DistortionReport) -> dict:
     }
 
 
+def budget_to_json(budget: SuiteBudget) -> dict:
+    """The seed and budget block of a report whose checks the budget ran."""
+    return {
+        "seed": budget.seed,
+        "budget": {"exhaustive_cap": budget.exhaustive_cap, "sample_count": budget.sample_count},
+    }
+
+
 def suite_result_to_json(r: SuiteResult) -> dict:
     return {
         "suite": r.name,
         "params": jsonable(r.params),
-        "seed": r.budget.seed,
-        "budget": {
-            "exhaustive_cap": r.budget.exhaustive_cap,
-            "sample_count": r.budget.sample_count,
-        },
+        **budget_to_json(r.budget),
         "pass": r.passed,
         "checks": [
             {"name": c.name, "pass": c.passed, "details": jsonable(c.details)}

@@ -2,9 +2,10 @@
 named invariant suites.
 
 Every comparison is an exact rational (in)equality; epsilon thresholds are
-strict rational comparisons. Checks run exhaustively whenever the tuple
-count fits the budget cap and fall back to seeded sampling otherwise, and
-each report records which regime ran, so a report is a deterministic
+strict rational comparisons. A check runs every tuple of its pool whenever
+their count fits the budget cap and falls back to seeded sampling
+otherwise; it is exhaustive only when its pool is too. Each report
+records which regime ran, so a report is a deterministic
 function of (inputs, seed, budget). Every element pool comes from _pool,
 which charges the cap and then enumerates the pool, or draws it, directly
 as codes of semigroup.PackedMonoid (unit sets as bitmasks). Every suite
@@ -133,10 +134,13 @@ def _pool(pm: PackedMonoid, kind: str, budget: SuiteBudget):
     return sorted(pool, key=pm.arrows), False
 
 
-def _tuples(n: int, arity: int, budget: SuiteBudget):
+def _tuples(n: int, arity: int, budget: SuiteBudget, pool_exhaustive: bool):
+    """Index tuples into a pool of n elements: all of them when n**arity
+    fits budget.exhaustive_cap, else budget.sample_count seeded draws. They
+    are exhaustive only when the pool is too."""
     total = n**arity
     if total <= budget.exhaustive_cap:
-        return iproduct(range(n), repeat=arity), True, total
+        return iproduct(range(n), repeat=arity), pool_exhaustive, total
     rng = random.Random(budget.seed + arity)
     sampled = [
         tuple(rng.randrange(n) for _ in range(arity))
@@ -312,7 +316,7 @@ def check_embedding(m: SemigroupMap, budget: SuiteBudget | None = None) -> Embed
     dom, cod = PackedMonoid(m.domain), PackedMonoid(m.codomain)
     pool, exhaustive = _pool(dom, "semigroup", budget)
     n = len(pool)
-    pair_iter, pairs_exhaustive, pair_count = _tuples(n, 2, budget)
+    pair_iter, exhaustive, pair_count = _tuples(n, 2, budget, exhaustive)
     images, (prod_dev, trace_dev, dist_dev), at = _deviations(m.packed(dom, cod), dom, cod, pool, pair_iter)
     unit_ok = images[pool.index(dom.one)] == cod.one  # every pool holds the unit
 
@@ -323,7 +327,7 @@ def check_embedding(m: SemigroupMap, budget: SuiteBudget | None = None) -> Embed
         label=m.label,
         element_count=n,
         pair_count=pair_count,
-        exhaustive=exhaustive and pairs_exhaustive,
+        exhaustive=exhaustive,
         max_product_deviation=prod_dev,
         max_trace_deviation=trace_dev,
         max_distance_deviation=dist_dev,
@@ -363,7 +367,7 @@ def suite_inverse_monoid(g: FiniteGroupoid, budget: SuiteBudget) -> list[CheckRe
     ]
     checks.append(_result("inverse-law", not bad, tested=n, exhaustive=exhaustive))
 
-    tuples, exh3, cnt3 = _tuples(n, 3, budget)
+    tuples, exh3, cnt3 = _tuples(n, 3, budget, exhaustive)
     viol = 0
     for ia, ib, ic in tuples:
         a, b, c = pool[ia], pool[ib], pool[ic]
@@ -373,7 +377,7 @@ def suite_inverse_monoid(g: FiniteGroupoid, budget: SuiteBudget) -> list[CheckRe
         _result("associativity", viol == 0, tested=cnt3, exhaustive=exh3, violations=viol)
     )
 
-    pair_iter, exh2, cnt2 = _tuples(n, 2, budget)
+    pair_iter, exh2, cnt2 = _tuples(n, 2, budget, exhaustive)
     viol = 0
     for ia, ib in pair_iter:
         a, b = pool[ia], pool[ib]
@@ -426,7 +430,7 @@ def suite_metric(g: FiniteGroupoid, budget: SuiteBudget) -> list[CheckResult]:
         _result("zero-iff-equal", viol == 0, tested=n * n, exhaustive=exhaustive)
     )
 
-    tuples, exh3, cnt3 = _tuples(n, 3, budget)
+    tuples, exh3, cnt3 = _tuples(n, 3, budget, exhaustive)
     viol = 0
     for ia, ib, ic in tuples:
         if dists[ia][ic] > dists[ia][ib] + dists[ib][ic]:
@@ -505,7 +509,7 @@ def suite_metric(g: FiniteGroupoid, budget: SuiteBudget) -> list[CheckResult]:
                             viol += 1
         tested, exh4 = quad_total, True
     else:
-        tuples4, exh4, tested = _tuples(n, 4, budget)
+        tuples4, exh4, tested = _tuples(n, 4, budget, exhaustive)
         for ia, ib, ic, idd in tuples4:
             ab = mul(pool[ia], pool[ib])
             cd = mul(pool[ic], pool[idd])
@@ -521,7 +525,7 @@ def suite_metric(g: FiniteGroupoid, budget: SuiteBudget) -> list[CheckResult]:
         )
     )
 
-    pair_iter, exh2, cnt2 = _tuples(n, 2, budget)
+    pair_iter, exh2, cnt2 = _tuples(n, 2, budget, exhaustive)
     viol = 0
     for ia, ib in pair_iter:
         a, b = pool[ia], pool[ib]
@@ -564,7 +568,7 @@ def suite_trace_distance(g: FiniteGroupoid, budget: SuiteBudget) -> list[CheckRe
         )
     )
 
-    pair_iter, exh2, cnt2 = _tuples(len(pool), 2, budget)
+    pair_iter, exh2, cnt2 = _tuples(len(pool), 2, budget, exhaustive)
     bad = 0
     for ia, ib in pair_iter:
         a = pool[ia]
@@ -681,7 +685,7 @@ def suite_supports(g: FiniteGroupoid, budget: SuiteBudget) -> list[CheckResult]:
     corners = [[mul(a, idem(units)) for units in malg] for a in group]
     pulled = [[act(inv(b), units) for units in malg] for b in group]
     restrictions = {}
-    quad_iter, exh4, cnt4 = _tuples(k, 2, budget)
+    quad_iter, exh4, cnt4 = _tuples(k, 2, budget, exhaustive)
     viol = 0
     for ia, ib in quad_iter:
         ab = mul(group[ia], group[ib])
@@ -710,19 +714,18 @@ def suite_extension(g: FiniteGroupoid, budget: SuiteBudget) -> list[CheckResult]
     pm = PackedMonoid(g)
     pool, exhaustive = _pool(pm, "semigroup", budget)
     full_mask = pm.full_mask
-    contains = full = idem = 0
+    idem = 0
     for x in pool:
         ext = pm.extend(x)
-        if any(v != e for v, e in zip(x, ext) if v >= 0):
-            contains += 1
-        if pm.src(ext) != full_mask or pm.rng(ext) != full_mask:
-            full += 1
         if pm.src(x) == pm.rng(x) == full_mask and ext != x:
             idem += 1
     n = len(pool)
+    # the first two rows record the certificate extend made on every
+    # element: a completion that is not full or does not contain x raises
+    # ExtensionCertificateError instead of a report
     return [
-        _result("extension-contains", contains == 0, tested=n, exhaustive=exhaustive),
-        _result("extension-full", full == 0, tested=n, exhaustive=exhaustive),
+        _result("extension-contains", True, tested=n, exhaustive=exhaustive),
+        _result("extension-full", True, tested=n, exhaustive=exhaustive),
         _result("extension-fixes-full-group", idem == 0, tested=n, exhaustive=exhaustive),
     ]
 
@@ -759,7 +762,7 @@ def suite_finite_index(
     # the products a_ij b_jl over j have disjoint sources once b passed
     # its column check, so their union is an entrywise max over codes
     viol = 0
-    pair_iter, exh2, _ = _tuples(len(pool), 2, budget)
+    pair_iter, exh2, _ = _tuples(len(pool), 2, budget, exhaustive)
     pairs_done = 0
     for ia, ib in pair_iter:
         ba, bb = checked.get(ia), checked.get(ib)
@@ -861,13 +864,12 @@ def suite_ladder(n: int, p_list, budget: SuiteBudget) -> list[CheckResult]:
 
     checks = []
     for rep in (distortion_report(n, p, budget) for p in p_list):
-        ok = rep.bound is None or rep.observed_sup <= rep.bound
-        if rep.p % rep.n == 0:
-            ok = ok and rep.observed_sup == 0
+        # a DistortionReport above its bound raises CertificateError when
+        # it is built, so only the isometry of whole block copies is checked
         checks.append(
             _result(
                 f"ladder-{rep.n}-to-{rep.p}",
-                ok,
+                rep.p % rep.n != 0 or rep.observed_sup == 0,
                 bound=rep.bound,
                 observed_sup=rep.observed_sup,
                 trace_sup=rep.trace_sup,

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from soficlab import cayley
 from soficlab.cli import main
-from soficlab.groupoid import connected_groupoid, full_relation, render_raw
+from soficlab.groupoid import Arrow, connected_groupoid, full_relation, render_raw
 from soficlab.serialize import (
     dumps,
     groupoid_to_json,
@@ -445,6 +445,27 @@ def test_embed_without_a_required_option_exits_2(files, capsys, monkeypatch, kin
     code, out, err = run(capsys, *embed_argv(files, monkeypatch, kind, missing))
     assert code == 2 and out == ""
     assert err.startswith(f"input error: --kind {kind} needs --{missing}") and "Traceback" not in err
+
+
+# a --sub arrow outside Z2xY2, beside its two unit arrows: no component 5,
+# a label beyond the group order, no point 5, a negative label
+OUTSIDE_ARROWS = [[5, 0, 0, 0], [0, 7, 0, 0], [0, 0, 5, 5], [0, -1, 0, 0]]
+SUB_COMMANDS = {
+    "suite": ["suite", "--name", "finite-index"],
+    "embed": ["embed", "--kind", "index"],
+}
+
+
+@pytest.mark.parametrize("arrow", OUTSIDE_ARROWS, ids=lambda a: "_".join(map(str, a)))
+@pytest.mark.parametrize("command", list(SUB_COMMANDS))
+def test_sub_arrow_outside_the_groupoid_exits_2(files, capsys, command, arrow):
+    tmp, write = files
+    z2y2 = write("z2y2.json", groupoid_to_json(Z2Y2))
+    sub = write("sub.json", {"arrows": [[0, 0, 0, 0], [0, 0, 1, 1], arrow]})
+    code, out, err = run(capsys, *SUB_COMMANDS[command], "--groupoid", z2y2, "--sub", sub)
+    assert code == 2 and out == ""
+    assert err.startswith("input error:") and f"arrow {Arrow(*arrow)} not in the groupoid" in err
+    assert "Traceback" not in err
 
 
 # a cap of 0 is rejected by SuiteBudget, not replaced by its default

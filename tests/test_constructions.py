@@ -303,6 +303,22 @@ class TestFindTransversals:
         with pytest.raises(ValueError):
             find_transversals(REL2, frozenset([REL2.unit_arrow((0, 0))]))
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            [],  # the unit arrow at (0, 0) alone: closed but not unit-full
+            [REL2.unit_arrow((0, 1)), Arrow(0, 0, 1, 0)],  # no inverse of 0 -> 1
+            [REL2.unit_arrow((0, 1)), Arrow(0, 0, 2, 2)],  # no point 2
+        ],
+        ids=["not-unit-full", "not-closed", "outside"],
+    )
+    def test_search_and_system_report_the_same_first_problem(self, extra):
+        sub = frozenset([REL2.unit_arrow((0, 0)), *extra])
+        problems = TransversalSystem(REL2, sub, ()).violations()
+        with pytest.raises(ValueError) as err:
+            find_transversals(REL2, sub)
+        assert str(err.value) == f"not a unit-full subgroupoid: {problems[0]}"
+
     def test_no_system_reported(self):
         # the 3-element rotation subgroup has no 2-element partition in S3?
         # use instead a subgroupoid of uneven coset counts: units inside Z2

@@ -141,6 +141,8 @@ class TestRoundTrip:
     def test_decompose_render_identity(self, g):
         dec = decompose(render_raw(g))
         assert dec.groupoid == g
+        # the whole arrow set as a subgroupoid: the same table and ids
+        assert subgroupoid_as_groupoid(g, g.arrows()) == (dec, {a: i for i, a in dec.iso.items()})
 
     @pytest.mark.parametrize(
         "g",

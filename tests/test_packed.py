@@ -74,14 +74,13 @@ from soficlab.constructions import (
 from soficlab.groupoid import (
     Arrow,
     Component,
-    _canonical_order,
+    _assemble,
     connected_groupoid,
     convex_combination,
     convex_combination_with_maps,
     corner,
     full_relation,
     group_groupoid,
-    make_groupoid,
     product_groupoid,
     subgroupoid_as_groupoid,
 )
@@ -385,8 +384,7 @@ def reference_check_embedding(m, budget, f=None) -> EmbeddingReport:
     f = f or m
     elements, exhaustive = reference_elements(m.domain, "semigroup", budget)
     n = len(elements)
-    pair_iter, pairs_exhaustive, pair_count = _tuples(n, 2, budget)
-    exhaustive = exhaustive and pairs_exhaustive
+    pair_iter, exhaustive, pair_count = _tuples(n, 2, budget, exhaustive)
 
     images = [f(a) for a in elements]
     unit_ok = f(unit_bisection(m.domain)) == unit_bisection(m.codomain)
@@ -794,8 +792,7 @@ def reference_pair(gn, phi_nu, gr, phi_rho, t):
                   t * gn.components[x].weight + (1 - t) * gr.components[y].weight)
         for x, y in zip(order_n, order_r)
     ]
-    position = _canonical_order(blended)
-    domain = make_groupoid(blended)
+    domain, position = _assemble(blended)
     to_nu = {position[k]: order_n[k] for k in range(len(blended))}
     to_rho = {position[k]: order_r[k] for k in range(len(blended))}
 

@@ -27,9 +27,7 @@ from soficlab.serialize import (
     parse_bisection,
     parse_groupoid,
     parse_malg,
-    parse_pin,
     parse_raw,
-    pin_to_json,
     raw_to_json,
 )
 
@@ -94,14 +92,6 @@ def test_malg_round_trip():
     assert parse_malg(malg_to_json(units)) == units
 
 
-def test_pin_round_trip():
-    p = bisection(full_relation(4), [Arrow(0, 0, 2, 0), Arrow(0, 0, 1, 3)])
-    assert parse_pin(pin_to_json(p)) == p
-    assert pin_to_json(p) == {"n": 4, "map": {"0": 2, "3": 1}}
-    with pytest.raises(ValueError):
-        pin_to_json(bisection(connected_groupoid(cayley.cyclic(2), 2), []))
-
-
 @pytest.mark.parametrize(
     "bad",
     [
@@ -121,35 +111,6 @@ def test_pin_round_trip():
 def test_parse_malg_rejects_malformed_input(bad):
     with pytest.raises(MalformedInputError):
         parse_malg(bad)
-
-
-@pytest.mark.parametrize(
-    "bad",
-    [
-        {"n": 2, "map": []},
-        {"n": 2.5, "map": {}},
-        {"n": "2", "map": {}},
-        {"n": True, "map": {}},
-        {"n": 0, "map": {}},
-        {"map": {}},
-        {"n": 2},
-        [],
-        None,
-        {"n": 2, "map": {"0": 1.0}},
-        {"n": 2, "map": {"0": None}},
-        {"n": 2, "map": {"x": 1}},
-        {"n": 2, "map": {"01": 1}},
-        {"n": 2, "map": {"-1": 1}},
-        {"n": 2, "map": {"0": 2}},
-        {"n": 2, "map": {"2": 0}},
-        {"n": 2, "map": {"0": -1}},
-        {"n": 2, "map": {"0": 1, "1": 1}},
-        {"n": 2, "map": {0: 1}},
-    ],
-)
-def test_parse_pin_rejects_malformed_input(bad):
-    with pytest.raises(MalformedInputError):
-        parse_pin(bad)
 
 
 def test_jsonable_handles_library_values():

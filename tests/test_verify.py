@@ -190,3 +190,26 @@ class TestSuites:
         b = run_suite("trace-distance", budget, g=full_relation(5))
         assert a == b
         assert not a.checks[0].details["exhaustive"]
+
+
+# each suite with a budget under which it samples the element pool of every
+# check (for supports the full group; its MAlg pool of 16 stays whole),
+# while the tuples over the sampled pool still fit the cap. The ladder
+# draws no pool: its pairs are sampled exactly when |[[n]]|^2 exceeds the cap
+SAMPLED_POOLS = {
+    "inverse-monoid": ({"g": full_relation(4)}, SuiteBudget(exhaustive_cap=200, sample_count=3)),
+    "metric-prop": ({"g": full_relation(4)}, SuiteBudget(exhaustive_cap=200, sample_count=3)),
+    "trace-distance": ({"g": full_relation(4)}, SuiteBudget(exhaustive_cap=200, sample_count=3)),
+    "supports": ({"g": full_relation(4)}, SuiteBudget(exhaustive_cap=16, sample_count=4)),
+    "extension": ({"g": full_relation(4)}, SuiteBudget(exhaustive_cap=200, sample_count=3)),
+    "finite-index": ({"g": G3, "sub_arrows": unit_subgroupoid(G3)}, SuiteBudget(exhaustive_cap=30, sample_count=4)),
+    "rectangles": ({"left": G2, "right": G2}, SuiteBudget(exhaustive_cap=6, sample_count=3)),
+}
+
+
+@pytest.mark.parametrize("suite", list(SAMPLED_POOLS))
+def test_no_check_is_exhaustive_over_a_sampled_pool(suite):
+    params, budget = SAMPLED_POOLS[suite]
+    result = run_suite(suite, budget, **params)
+    flags = {c.name: c.details["exhaustive"] for c in result.checks if "exhaustive" in c.details}
+    assert flags and not any(flags.values()), flags

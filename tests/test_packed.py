@@ -136,6 +136,8 @@ GROUPOIDS = {
 DIFFERENTIAL = ("n2", "n3", "z2y2", "z2pt", "s3y2")
 KERNEL_SUITES = ("inverse-monoid", "metric-prop", "trace-distance", "supports")
 SMALL = SuiteBudget(exhaustive_cap=20, sample_count=15, seed=3)
+# [[4]] has 209 elements: its pool fits this cap, its 43,681 pairs do not
+BOUNDARY = SuiteBudget(exhaustive_cap=10_000)
 
 # (golden file stem, suite, groupoid key, budget or None for the default)
 GOLDEN_CASES = (
@@ -149,6 +151,11 @@ GOLDEN_CASES = (
     ]
     # sampled pools: products leave the pool
     + [(f"{suite}-n4-sampled", suite, "n4", SMALL) for suite in KERNEL_SUITES]
+    # exhaustive pool, sampled pairs
+    + [
+        (f"{suite}-n4-boundary", suite, "n4", BOUNDARY)
+        for suite in ("inverse-monoid", "metric-prop", "trace-distance")
+    ]
 )
 GOLDEN_DIR = Path(__file__).parent / "golden"
 

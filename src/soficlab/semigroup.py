@@ -24,7 +24,9 @@ correction is
 
 PackedMonoid computes all of this on integer tuples, and the enumerators
 below list [[G]], [G] and the measure algebra directly as its codes and
-bitmasks. Bisection is the boundary type: it is parsed, printed and used
+bitmasks. PoolTable tabulates those operations over an exhaustive pool,
+for pools small enough that its n*n tables fit the caller's cap.
+Bisection is the boundary type: it is parsed, printed and used
 for witnesses, and its constructor validates; PackedMonoid.encode and
 decode convert at the boundary. The Bisection algebra that the kernel is
 tested against lives with the tests.
@@ -33,6 +35,7 @@ tested against lives with the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, permutations, product
 from math import comb, factorial, lcm
 
@@ -296,6 +299,86 @@ class PackedMonoid:
         if any(v != e for v, e in zip(x, out) if v >= 0):
             raise ExtensionCertificateError("completion does not contain gamma")
         return out
+
+
+class PoolTable:
+    """All of [[G]], tabulated over the indices of a list of its codes.
+
+    codes must list every element of [[G]] once (semigroup_codes does), so
+    the pool is closed under product and inverse and every operation of
+    PackedMonoid becomes a lookup by pool index: mul, inv, trace, dist,
+    src, rng, fix and idem take and return indices, and arrows, mass,
+    one, zero, total and full_mask mean what they mean on pm. Index
+    equality is element equality. The product table is built with n*n
+    calls of pm.mul, and the distance table only on first use; the
+    other tables have n entries, so with n*n within a cap every table
+    holds at most that many entries.
+    """
+
+    def __init__(self, pm: PackedMonoid, codes: list):
+        self._pm, self._codes = pm, codes
+        index = {x: i for i, x in enumerate(codes)}
+        mul = pm.mul
+        self._mul = [[index[mul(a, b)] for b in codes] for a in codes]
+        self._inv = [index[pm.inv(a)] for a in codes]
+        self._trace = [pm.trace(a) for a in codes]
+        self._src = [pm.src(a) for a in codes]
+        self._rng = [pm.rng(a) for a in codes]
+        self._fix = [pm.fix(a) for a in codes]
+        # the unit-set elements, by their unit set
+        self._idem = {s: i for i, (s, f) in enumerate(zip(self._src, self._fix)) if s == f}
+        self.one, self.zero = index[pm.one], index[pm.zero]
+        self.total, self.full_mask, self.mass = pm.total, pm.full_mask, pm.mass
+
+    @cached_property
+    def dists(self) -> list[list[int]]:
+        """dists[a][b] = dist(a, b), as rows by pool index.
+
+        dist(a, b) is the total weight less the weight of the units where
+        a and b agree, so row a starts at total and loses w_u at each
+        element whose entry at u is a's: one subtraction per agreeing
+        (element, unit), in place of n*n calls of pm.dist.
+        """
+        pm, codes = self._pm, self._codes
+        classes = [{} for _ in range(pm.n_units)]
+        for j, x in enumerate(codes):
+            for u, v in enumerate(x):
+                classes[u].setdefault(v, []).append(j)
+        rows = []
+        for a in codes:
+            row = [pm.total] * len(codes)
+            for w, by_entry, v in zip(pm.weights, classes, a):
+                for j in by_entry[v]:
+                    row[j] -= w
+            rows.append(row)
+        return rows
+
+    def arrows(self, a) -> tuple[Arrow, ...]:
+        return self._pm.arrows(self._codes[a])
+
+    def mul(self, a, b) -> int:
+        return self._mul[a][b]
+
+    def inv(self, a) -> int:
+        return self._inv[a]
+
+    def trace(self, a) -> int:
+        return self._trace[a]
+
+    def dist(self, a, b) -> int:
+        return self.dists[a][b]
+
+    def src(self, a) -> int:
+        return self._src[a]
+
+    def rng(self, a) -> int:
+        return self._rng[a]
+
+    def fix(self, a) -> int:
+        return self._fix[a]
+
+    def idem(self, mask: int) -> int:
+        return self._idem[mask]
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,11 @@ function of (inputs, seed, budget). Every element pool comes from _pool,
 which charges the cap and then enumerates the pool, or draws it, directly
 as codes of semigroup.PackedMonoid (unit sets as bitmasks). Every suite
 runs on the kernel's exact integer arithmetic; the rectangles suite on
-the codes of constructions.PackedProduct. Both certificates,
+the codes of constructions.PackedProduct. The inverse-monoid, metric-prop
+and trace-distance suites take their kernel from _kernel: an exhaustive
+pool whose n*n pairs fit the cap becomes a semigroup.PoolTable, whose
+operations are lookups by pool index in tables of at most n*n entries,
+and any other pool stays on codes. Both certificates,
 check_embedding and check_almost_morphism, run on the kernel too, through
 one loop (_deviations) that maps each distinct code once: a map of
 constructions scatters its arrow table (SemigroupMap.packed), and a pair
@@ -40,6 +44,7 @@ from .constructions import (
 from .groupoid import Arrow, FiniteGroupoid, product_groupoid
 from .semigroup import (
     PackedMonoid,
+    PoolTable,
     group_codes,
     group_count,
     malg_count,
@@ -132,6 +137,25 @@ def _pool(pm: PackedMonoid, kind: str, budget: SuiteBudget):
                 out[u] = code
         pool.add(tuple(out))
     return sorted(pool, key=pm.arrows), False
+
+
+def _kernel(g: FiniteGroupoid, budget: SuiteBudget):
+    """The kernel a [[G]] suite runs on, the pool of handles it takes and
+    whether that pool is exhaustive.
+
+    An exhaustive pool of n elements whose n*n pairs fit
+    budget.exhaustive_cap is all of [[G]], closed under product and
+    inverse, so it is tabulated once: (PoolTable, pool indices). Otherwise
+    (PackedMonoid, the codes of _pool). Handles are equal exactly when
+    their elements are, and both kernels take the same calls, so a suite
+    keeps one loop per check and compares the same values on either.
+    """
+    pm = PackedMonoid(g)
+    pool, exhaustive = _pool(pm, "semigroup", budget)
+    n = len(pool)
+    if exhaustive and n * n <= budget.exhaustive_cap:
+        return PoolTable(pm, pool), list(range(n)), True
+    return pm, pool, exhaustive
 
 
 def _tuples(n: int, arity: int, budget: SuiteBudget, pool_exhaustive: bool):
@@ -347,11 +371,10 @@ def _result(name, passed, **details) -> CheckResult:
 
 
 def suite_inverse_monoid(g: FiniteGroupoid, budget: SuiteBudget) -> list[CheckResult]:
-    pm = PackedMonoid(g)
-    pool, exhaustive = _pool(pm, "semigroup", budget)
-    mul, inv = pm.mul, pm.inv
+    k, pool, exhaustive = _kernel(g, budget)
+    mul, inv = k.mul, k.inv
     n = len(pool)
-    one, zero = pm.one, pm.zero
+    one, zero = k.one, k.zero
     invs = [inv(a) for a in pool]
     checks = []
 
@@ -387,7 +410,7 @@ def suite_inverse_monoid(g: FiniteGroupoid, budget: SuiteBudget) -> list[CheckRe
         _result("inverse-uniqueness", viol == 0, tested=cnt2, exhaustive=exh2, violations=viol)
     )
 
-    unit_sets = [pm.fix(a) == pm.src(a) for a in pool]
+    unit_sets = [k.fix(a) == k.src(a) for a in pool]
     bad = [a for a, is_unit_set in zip(pool, unit_sets) if is_unit_set != (mul(a, a) == a)]
     checks.append(
         _result("idempotents-are-unit-sets", not bad, tested=n, exhaustive=exhaustive)
@@ -402,15 +425,14 @@ def suite_inverse_monoid(g: FiniteGroupoid, budget: SuiteBudget) -> list[CheckRe
 
 
 def suite_metric(g: FiniteGroupoid, budget: SuiteBudget) -> list[CheckResult]:
-    pm = PackedMonoid(g)
-    pool, exhaustive = _pool(pm, "semigroup", budget)
-    mul, dist, mass = pm.mul, pm.dist, pm.mass
+    k, pool, exhaustive = _kernel(g, budget)
+    mul, dist, mass = k.mul, k.dist, k.mass
     n = len(pool)
-    total = pm.total
-    invs = [pm.inv(a) for a in pool]
-    src = [pm.src(a) for a in pool]
-    rng = [pm.rng(a) for a in pool]
-    dists = [[dist(a, b) for b in pool] for a in pool]
+    invs = [k.inv(a) for a in pool]
+    src = [k.src(a) for a in pool]
+    rng = [k.rng(a) for a in pool]
+    # a PoolTable's rows are its own distance table, indexed by handle
+    dists = k.dists if isinstance(k, PoolTable) else [[dist(a, b) for b in pool] for a in pool]
     inv_dists = [[dist(a, b) for b in invs] for a in invs]
     checks = []
 
@@ -446,7 +468,7 @@ def suite_metric(g: FiniteGroupoid, budget: SuiteBudget) -> list[CheckResult]:
             if inv_dists[i][j] != dists[i][j]:
                 viol += 1
                 if witness is None:
-                    witness = tuple([list(a) for a in pm.arrows(pool[k])] for k in (i, j))
+                    witness = tuple([list(a) for a in k.arrows(pool[x])] for x in (i, j))
     checks.append(
         _result(
             "inverse-invariance",
@@ -459,7 +481,7 @@ def suite_metric(g: FiniteGroupoid, budget: SuiteBudget) -> list[CheckResult]:
         )
     )
 
-    full = [i for i in range(n) if src[i] == rng[i] == pm.full_mask]
+    full = [i for i in range(n) if src[i] == rng[i] == k.full_mask]
     viol = sum(1 for i in full for j in full if inv_dists[i][j] != dists[i][j])
     checks.append(
         _result(
@@ -486,35 +508,11 @@ def suite_metric(g: FiniteGroupoid, budget: SuiteBudget) -> list[CheckResult]:
         )
     )
 
-    quad_total = n**4
+    tuples4, exh4, tested = _tuples(n, 4, budget, exhaustive)
     viol = 0
-    if exhaustive and quad_total <= budget.exhaustive_cap:
-        index = {a: i for i, a in enumerate(pool)}
-        prod_idx = [[index[mul(a, b)] for b in pool] for a in pool]
-        rng_n = range(n)
-        for ia in rng_n:
-            prod_a = prod_idx[ia]
-            dist_a = dists[ia]
-            for ic in rng_n:
-                d_ac = dist_a[ic]
-                prod_c = prod_idx[ic]
-                for ib in rng_n:
-                    row = dists[prod_a[ib]]
-                    dist_b = dists[ib]
-                    for idd in rng_n:
-                        bound = d_ac + dist_b[idd]
-                        if bound >= total:
-                            continue
-                        if row[prod_c[idd]] > bound:
-                            viol += 1
-        tested, exh4 = quad_total, True
-    else:
-        tuples4, exh4, tested = _tuples(n, 4, budget, exhaustive)
-        for ia, ib, ic, idd in tuples4:
-            ab = mul(pool[ia], pool[ib])
-            cd = mul(pool[ic], pool[idd])
-            if dist(ab, cd) > dists[ia][ic] + dists[ib][idd]:
-                viol += 1
+    for ia, ib, ic, idd in tuples4:
+        if dist(mul(pool[ia], pool[ib]), mul(pool[ic], pool[idd])) > dists[ia][ic] + dists[ib][idd]:
+            viol += 1
     checks.append(
         _result(
             "product-inequality",
@@ -546,13 +544,12 @@ def suite_metric(g: FiniteGroupoid, budget: SuiteBudget) -> list[CheckResult]:
 
 
 def suite_trace_distance(g: FiniteGroupoid, budget: SuiteBudget) -> list[CheckResult]:
-    pm = PackedMonoid(g)
-    pool, exhaustive = _pool(pm, "semigroup", budget)
-    mul, trace, dist = pm.mul, pm.trace, pm.dist
-    one, total = pm.one, pm.total
-    sources = [pm.idem(pm.src(a)) for a in pool]
+    k, pool, exhaustive = _kernel(g, budget)
+    mul, trace, dist = k.mul, k.trace, k.dist
+    one, total = k.one, k.total
+    sources = [k.idem(k.src(a)) for a in pool]
     source_traces = [trace(s) for s in sources]
-    invs = [pm.inv(a) for a in pool]
+    invs = [k.inv(a) for a in pool]
     checks = []
 
     bad = 0
@@ -737,8 +734,11 @@ def suite_finite_index(
 
     checks = []
     if system is None:
-        system = find_transversals(g, sub_arrows)
-    problems = system.violations()
+        # find_transversals raises CertificateError unless the system it
+        # returns has no violations, so only a given system is checked here
+        system, problems = find_transversals(g, sub_arrows), []
+    else:
+        problems = system.violations()
     checks.append(_result("transversal-partition", not problems, index=system.index, problems=problems))
 
     pm = PackedMonoid(g)

@@ -20,7 +20,9 @@ are kept below as references for the packed block table, the lift's arrow
 table and PackedMonoid.extend. The element pools of verify._pool and the
 code enumerators of semigroup are checked against the Bisection pools they
 replaced (pool_reference.py); no pool, and no part of the rectangles suite,
-may build a Bisection, and Bisection itself carries no algebra.
+may build a Bisection, and Bisection itself carries no algebra. The
+suites that tabulate an exhaustive pool (semigroup.PoolTable) must report
+what they report on codes, and every table entry must equal the kernel's.
 """
 
 import random
@@ -88,6 +90,7 @@ from soficlab.semigroup import (
     Bisection,
     CertificateError,
     PackedMonoid,
+    PoolTable,
     extend_to_full_group,
     group_codes,
     group_count,
@@ -111,6 +114,7 @@ from soficlab.verify import (
     EmbeddingReport,
     IncompletePairListError,
     SuiteBudget,
+    _kernel,
     _pool,
     _tuples,
     check_almost_morphism,
@@ -168,6 +172,73 @@ def golden_report(suite, key, budget) -> str:
 def test_suite_report_matches_golden(stem, suite, key, budget):
     expected = (GOLDEN_DIR / f"{stem}.json").read_text()
     assert golden_report(suite, key, budget) == expected
+
+
+# ---------------------------------------------------------------------------
+# Pool tables against the packed kernel
+
+TABLE_SUITES = ("inverse-monoid", "metric-prop", "trace-distance")
+TABLE_GROUPOIDS = ("n2", "n3", "z2y2", "z2pt", "z2y2_y2")
+
+
+def on_codes(g, budget):
+    """verify._kernel with the table turned off: always the codes of _pool."""
+    pm = PackedMonoid(g)
+    return (pm, *_pool(pm, "semigroup", budget))
+
+
+@pytest.mark.parametrize("key", TABLE_GROUPOIDS)
+@pytest.mark.parametrize("suite", TABLE_SUITES)
+def test_table_suite_equals_codes_suite(suite, key, monkeypatch):
+    g = GROUPOIDS[key]
+    assert isinstance(_kernel(g, SuiteBudget())[0], PoolTable)
+    on_table = run_suite(suite, g=g)
+    monkeypatch.setattr("soficlab.verify._kernel", on_codes)
+    assert run_suite(suite, g=g) == on_table
+
+
+@pytest.mark.parametrize("key", ("n3", "z2y2_y2", "z2pt"))
+def test_pool_table_entries_equal_the_kernel(key):
+    g = GROUPOIDS[key]
+    pm = PackedMonoid(g)
+    codes = list(semigroup_codes(pm))
+    table = PoolTable(pm, codes)
+    n = len(codes)
+    assert codes[table.one] == pm.one and codes[table.zero] == pm.zero
+    assert (table.total, table.full_mask) == (pm.total, pm.full_mask)
+    for mask in malg_masks(pm):
+        assert codes[table.idem(mask)] == pm.idem(mask)
+        assert table.mass(mask) == pm.mass(mask)
+    for i, x in enumerate(codes):
+        assert table.arrows(i) == pm.arrows(x)
+        assert codes[table.inv(i)] == pm.inv(x)
+        assert table.trace(i) == pm.trace(x)
+        assert (table.src(i), table.rng(i), table.fix(i)) == (pm.src(x), pm.rng(x), pm.fix(x))
+        for j, y in enumerate(codes):
+            assert codes[table.mul(i, j)] == pm.mul(x, y)
+            assert table.dist(i, j) == pm.dist(x, y)
+    assert len(table.dists) == n and all(len(row) == n for row in table.dists)
+
+
+def test_kernel_tabulates_exactly_when_the_pairs_fit_the_cap():
+    g = GROUPOIDS["n4"]
+    n = semigroup_count(g)
+    for cap, kind in ((n - 1, PackedMonoid), (n * n - 1, PackedMonoid), (n * n, PoolTable)):
+        kernel, pool, exhaustive = _kernel(g, SuiteBudget(exhaustive_cap=cap))
+        assert type(kernel) is kind
+        assert exhaustive == (cap >= n)
+        if kind is PoolTable:
+            assert pool == list(range(n))
+        else:
+            assert pool == _pool(kernel, "semigroup", SuiteBudget(exhaustive_cap=cap))[0]
+
+
+def test_inverse_monoid_builds_no_distance_table(monkeypatch):
+    def forbidden(self):
+        raise AssertionError("distance table built")
+
+    monkeypatch.setattr(PoolTable, "dists", property(forbidden))
+    assert run_suite("inverse-monoid", g=GROUPOIDS["n3"]).checks
 
 
 # ---------------------------------------------------------------------------

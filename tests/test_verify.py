@@ -151,6 +151,23 @@ class TestSuites:
         )
         assert result.passed
 
+    def test_finite_index_checks_a_found_system_once(self, monkeypatch):
+        # find_transversals certifies the system it returns; the suite
+        # records that certificate instead of checking the system again
+        calls = []
+        violations = TransversalSystem.violations
+
+        def counted(self):
+            calls.append(self)
+            return violations(self)
+
+        monkeypatch.setattr(TransversalSystem, "violations", counted)
+        result = run_suite("finite-index", g=G3, sub_arrows=unit_subgroupoid(G3))
+        assert len(calls) == 1
+        partition = result.checks[0]
+        assert partition.name == "transversal-partition"
+        assert partition.passed and partition.details["problems"] == []
+
     def test_finite_index_reports_an_invalid_system(self):
         # both transversals are the unit: the translates overlap, the block
         # checks fail on some elements and the lift is not well-defined

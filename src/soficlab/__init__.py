@@ -18,9 +18,7 @@ _EXPORTS = {
         "FiniteGroupoid",
         "RawGroupoid",
         "convex_combination",
-        "corner_restriction",
         "decompose",
-        "fiber_decomposition",
         "from_group_action",
         "full_relation",
         "group_groupoid",

@@ -48,10 +48,6 @@ def table_violations(table) -> list[str]:
     return problems
 
 
-def is_group(table) -> bool:
-    return not table_violations(table)
-
-
 def inverse_index(table: Table, g: int) -> int:
     for h in range(len(table)):
         if table[g][h] == 0 and table[h][g] == 0:

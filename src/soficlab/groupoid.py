@@ -666,29 +666,6 @@ def corner(g: FiniteGroupoid, units) -> CornerStructure:
     return CornerStructure(g, units, groupoid, comp_map, point_map, back_map)
 
 
-def corner_restriction(g: FiniteGroupoid, units) -> FiniteGroupoid:
-    return corner(g, units).groupoid
-
-
-def fiber_sizes(g: FiniteGroupoid) -> tuple[int, ...]:
-    """|s^-1(x)| per component: group order times base size."""
-    return tuple(c.group_order * c.base_size for c in g.components)
-
-
-def fiber_decomposition(g: FiniteGroupoid) -> dict[int, FiniteGroupoid]:
-    """Partition into the subgroupoids of constant fiber size, renormalized."""
-    classes: dict[int, list[Component]] = {}
-    for c in g.components:
-        classes.setdefault(c.group_order * c.base_size, []).append(c)
-    out = {}
-    for n, comps in sorted(classes.items()):
-        total = sum(c.weight for c in comps)
-        out[n] = make_groupoid(
-            [Component(c.table, c.base_size, c.weight / total) for c in comps]
-        )
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Subgroupoids given as arrow subsets
 

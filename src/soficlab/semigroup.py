@@ -250,18 +250,9 @@ class PackedMonoid:
     def fix(self, a) -> int:
         return sum([bit for bit, x, i in zip(self._bits, a, self._identity) if x == i])
 
-    def supp(self, a) -> int:
-        return self.src(a) & ~self.fix(a)
-
     def idem(self, mask: int) -> tuple[int, ...]:
         """The unit arrows over a unit set."""
         return tuple([i if mask >> u & 1 else -1 for u, i in enumerate(self._identity)])
-
-    def act(self, a, mask: int) -> int:
-        """Ranges of a over the sources in mask; for a full-group element,
-        the image of mask under its action."""
-        bits, R = self._bits, self._R
-        return sum([bits[R[x]] for u, x in enumerate(a) if x >= 0 and mask >> u & 1])
 
     # -- full-group completion ---------------------------------------------
 
@@ -308,7 +299,8 @@ class PoolTable:
     the pool is closed under product and inverse and every operation of
     PackedMonoid becomes a lookup by pool index: mul, inv, trace, dist,
     src, rng, fix and idem take and return indices, and arrows, mass,
-    one, zero, total and full_mask mean what they mean on pm. Index
+    one, zero, total, full_mask, groupoid and n_units mean what they mean
+    on pm, so verify._pool draws unit sets from either kernel. Index
     equality is element equality. The product table is built with n*n
     calls of pm.mul, and the distance table only on first use; the
     other tables have n entries, so with n*n within a cap every table
@@ -329,6 +321,7 @@ class PoolTable:
         self._idem = {s: i for i, (s, f) in enumerate(zip(self._src, self._fix)) if s == f}
         self.one, self.zero = index[pm.one], index[pm.zero]
         self.total, self.full_mask, self.mass = pm.total, pm.full_mask, pm.mass
+        self.groupoid, self.n_units = pm.groupoid, pm.n_units
 
     @cached_property
     def dists(self) -> list[list[int]]:
@@ -445,6 +438,7 @@ def group_codes(pm: PackedMonoid):
 def malg_masks(pm: PackedMonoid):
     """Every unit set as a bitmask of pm, by size and then lexicographically
     in unit order. Callers charge malg_count first."""
+    bits = [1 << u for u in range(pm.n_units)]
     for k in range(pm.n_units + 1):
-        for bits in combinations(pm._bits, k):
-            yield sum(bits)
+        for subset in combinations(bits, k):
+            yield sum(subset)

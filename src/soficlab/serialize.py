@@ -202,17 +202,6 @@ def parse_arrow_set(obj: dict) -> frozenset:
     return frozenset(_parse_arrows(obj))
 
 
-def malg_to_json(units) -> dict:
-    return {"units": [list(u) for u in sorted(units)]}
-
-
-def parse_malg(obj: dict) -> frozenset:
-    units = obj.get("units") if isinstance(obj, dict) else None
-    if not isinstance(units, list) or not all(isinstance(u, list) and len(u) == 2 for u in units):
-        raise MalformedInputError('expected {"units": [[comp, y], ...]}')
-    return frozenset((_integer(c, "unit comp"), _integer(y, "unit point")) for c, y in units)
-
-
 # ---------------------------------------------------------------------------
 # Reports
 

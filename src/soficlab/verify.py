@@ -2,19 +2,20 @@
 named invariant suites.
 
 Every comparison is an exact rational (in)equality; epsilon thresholds are
-strict rational comparisons. A check runs every tuple of its pool whenever
-their count fits the budget cap and falls back to seeded sampling
-otherwise; it is exhaustive only when its pool is too. Each report
-records which regime ran, so a report is a deterministic
+strict rational comparisons. A check over more than one element takes
+its tuples from _tuples: every tuple over its pools whenever their number
+fits the budget cap, seeded samples otherwise, and exhaustive only when
+every tuple ran over exhaustive pools. Each report records which regime
+ran and how many tuples, so a report is a deterministic
 function of (inputs, seed, budget). Every element pool comes from _pool,
 which charges the cap and then enumerates the pool, or draws it, directly
 as codes of semigroup.PackedMonoid (unit sets as bitmasks). Every suite
 runs on the kernel's exact integer arithmetic; the rectangles suite on
-the codes of constructions.PackedProduct. The inverse-monoid, metric-prop
-and trace-distance suites take their kernel from _kernel: an exhaustive
-pool whose n*n pairs fit the cap becomes a semigroup.PoolTable, whose
+the codes of constructions.PackedProduct. The inverse-monoid, metric-prop,
+trace-distance and supports suites take their kernel from _kernel: when
+the n*n pairs of [[G]] fit the cap it becomes a semigroup.PoolTable, whose
 operations are lookups by pool index in tables of at most n*n entries,
-and any other pool stays on codes. Both certificates,
+and otherwise the suite stays on codes. Both certificates,
 check_embedding and check_almost_morphism, run on the kernel too, through
 one loop (_deviations) that maps each distinct code once: a map of
 constructions scatters its arrow table (SemigroupMap.packed), and a pair
@@ -28,6 +29,8 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iproduct
+from itertools import starmap
+from math import prod
 
 from .constructions import (
     NoTransversalError,
@@ -96,7 +99,8 @@ class SuiteResult:
 
 def _pool(pm: PackedMonoid, kind: str, budget: SuiteBudget):
     """The pool of `kind` on pm and whether it is exhaustive: packed codes
-    for "semigroup" and "group", unit bitmasks for "malg".
+    for "semigroup" and "group", unit bitmasks for "malg" (which pm may
+    also be a PoolTable for).
 
     Exhaustive when the count fits budget.exhaustive_cap. Otherwise up to
     budget.sample_count distinct seeded draws, seeded with the unit (and
@@ -139,37 +143,45 @@ def _pool(pm: PackedMonoid, kind: str, budget: SuiteBudget):
     return sorted(pool, key=pm.arrows), False
 
 
-def _kernel(g: FiniteGroupoid, budget: SuiteBudget):
-    """The kernel a [[G]] suite runs on, the pool of handles it takes and
-    whether that pool is exhaustive.
+def _kernel(g: FiniteGroupoid, budget: SuiteBudget, kind: str = "semigroup"):
+    """The kernel a [[G]] suite runs on, its pool of `kind` ("semigroup" or
+    "group") as handles, and whether that pool is exhaustive.
 
-    An exhaustive pool of n elements whose n*n pairs fit
-    budget.exhaustive_cap is all of [[G]], closed under product and
-    inverse, so it is tabulated once: (PoolTable, pool indices). Otherwise
+    When the n*n pairs of the n elements of [[G]] fit budget.exhaustive_cap,
+    [[G]] is closed under product and inverse and is tabulated once:
+    (PoolTable, pool indices), for "group" the indices of its full
+    elements, which come in the order of group_codes. Otherwise
     (PackedMonoid, the codes of _pool). Handles are equal exactly when
     their elements are, and both kernels take the same calls, so a suite
     keeps one loop per check and compares the same values on either.
     """
     pm = PackedMonoid(g)
-    pool, exhaustive = _pool(pm, "semigroup", budget)
-    n = len(pool)
-    if exhaustive and n * n <= budget.exhaustive_cap:
-        return PoolTable(pm, pool), list(range(n)), True
-    return pm, pool, exhaustive
+    n = semigroup_count(g)
+    if n * n > budget.exhaustive_cap:
+        return (pm, *_pool(pm, kind, budget))
+    table = PoolTable(pm, list(semigroup_codes(pm)))
+    full = table.full_mask
+    if kind == "group":
+        return table, [i for i in range(n) if table.src(i) == table.rng(i) == full], True
+    return table, list(range(n)), True
 
 
-def _tuples(n: int, arity: int, budget: SuiteBudget, pool_exhaustive: bool):
-    """Index tuples into a pool of n elements: all of them when n**arity
-    fits budget.exhaustive_cap, else budget.sample_count seeded draws. They
-    are exhaustive only when the pool is too."""
-    total = n**arity
+def _tuples(sizes, budget: SuiteBudget, pools_exhaustive: bool):
+    """The index tuples a check runs, over pools of the given sizes (one
+    index per pool), whether they are exhaustive, and how many there are.
+
+    All of them when the product of the sizes fits budget.exhaustive_cap;
+    they are exhaustive exactly when the pools are too. Otherwise
+    budget.sample_count whole tuples, drawn with budget.seed + len(sizes)
+    and one randrange per slot. Every check over more than one element
+    takes its tuples, `tested` and `exhaustive` from here, and builds
+    nothing whose length is a product of pool sizes over the cap.
+    """
+    total = prod(sizes)
     if total <= budget.exhaustive_cap:
-        return iproduct(range(n), repeat=arity), pool_exhaustive, total
-    rng = random.Random(budget.seed + arity)
-    sampled = [
-        tuple(rng.randrange(n) for _ in range(arity))
-        for _ in range(budget.sample_count)
-    ]
+        return iproduct(*map(range, sizes)), pools_exhaustive, total
+    rng = random.Random(budget.seed + len(sizes))
+    sampled = [tuple([rng.randrange(n) for n in sizes]) for _ in range(budget.sample_count)]
     return sampled, False, len(sampled)
 
 
@@ -340,7 +352,7 @@ def check_embedding(m: SemigroupMap, budget: SuiteBudget | None = None) -> Embed
     dom, cod = PackedMonoid(m.domain), PackedMonoid(m.codomain)
     pool, exhaustive = _pool(dom, "semigroup", budget)
     n = len(pool)
-    pair_iter, exhaustive, pair_count = _tuples(n, 2, budget, exhaustive)
+    pair_iter, exhaustive, pair_count = _tuples((n, n), budget, exhaustive)
     images, (prod_dev, trace_dev, dist_dev), at = _deviations(m.packed(dom, cod), dom, cod, pool, pair_iter)
     unit_ok = images[pool.index(dom.one)] == cod.one  # every pool holds the unit
 
@@ -370,6 +382,14 @@ def _result(name, passed, **details) -> CheckResult:
     return CheckResult(name, passed, details)
 
 
+def _count(sizes, budget: SuiteBudget, pools_exhaustive: bool, bad):
+    """Run a check over the tuples of _tuples, where bad(*indices) is True
+    at a violation and False elsewhere: the number of violations, and the
+    details `tested` and `exhaustive` of the run."""
+    tuples, exhaustive, tested = _tuples(sizes, budget, pools_exhaustive)
+    return sum(starmap(bad, tuples)), {"tested": tested, "exhaustive": exhaustive}
+
+
 def suite_inverse_monoid(g: FiniteGroupoid, budget: SuiteBudget) -> list[CheckResult]:
     k, pool, exhaustive = _kernel(g, budget)
     mul, inv = k.mul, k.inv
@@ -390,25 +410,19 @@ def suite_inverse_monoid(g: FiniteGroupoid, budget: SuiteBudget) -> list[CheckRe
     ]
     checks.append(_result("inverse-law", not bad, tested=n, exhaustive=exhaustive))
 
-    tuples, exh3, cnt3 = _tuples(n, 3, budget, exhaustive)
-    viol = 0
-    for ia, ib, ic in tuples:
+    def not_associative(ia, ib, ic):
         a, b, c = pool[ia], pool[ib], pool[ic]
-        if mul(mul(a, b), c) != mul(a, mul(b, c)):
-            viol += 1
-    checks.append(
-        _result("associativity", viol == 0, tested=cnt3, exhaustive=exh3, violations=viol)
-    )
+        return mul(mul(a, b), c) != mul(a, mul(b, c))
 
-    pair_iter, exh2, cnt2 = _tuples(n, 2, budget, exhaustive)
-    viol = 0
-    for ia, ib in pair_iter:
+    viol, run = _count((n, n, n), budget, exhaustive, not_associative)
+    checks.append(_result("associativity", viol == 0, violations=viol, **run))
+
+    def another_inverse(ia, ib):
         a, b = pool[ia], pool[ib]
-        if mul(mul(a, b), a) == a and mul(mul(b, a), b) == b and b != invs[ia]:
-            viol += 1
-    checks.append(
-        _result("inverse-uniqueness", viol == 0, tested=cnt2, exhaustive=exh2, violations=viol)
-    )
+        return mul(mul(a, b), a) == a and mul(mul(b, a), b) == b and b != invs[ia]
+
+    viol, run = _count((n, n), budget, exhaustive, another_inverse)
+    checks.append(_result("inverse-uniqueness", viol == 0, violations=viol, **run))
 
     unit_sets = [k.fix(a) == k.src(a) for a in pool]
     bad = [a for a, is_unit_set in zip(pool, unit_sets) if is_unit_set != (mul(a, a) == a)]
@@ -417,10 +431,13 @@ def suite_inverse_monoid(g: FiniteGroupoid, budget: SuiteBudget) -> list[CheckRe
     )
 
     idems = [a for a, is_unit_set in zip(pool, unit_sets) if is_unit_set]
-    viol = sum(1 for e in idems for f in idems if mul(e, f) != mul(f, e))
-    checks.append(
-        _result("idempotents-commute", viol == 0, tested=len(idems) ** 2, exhaustive=exhaustive)
+    viol, run = _count(
+        (len(idems), len(idems)),
+        budget,
+        exhaustive,
+        lambda i, j: mul(idems[i], idems[j]) != mul(idems[j], idems[i]),
     )
+    checks.append(_result("idempotents-commute", viol == 0, **run))
     return checks
 
 
@@ -431,115 +448,69 @@ def suite_metric(g: FiniteGroupoid, budget: SuiteBudget) -> list[CheckResult]:
     invs = [k.inv(a) for a in pool]
     src = [k.src(a) for a in pool]
     rng = [k.rng(a) for a in pool]
-    # a PoolTable's rows are its own distance table, indexed by handle
-    dists = k.dists if isinstance(k, PoolTable) else [[dist(a, b) for b in pool] for a in pool]
-    inv_dists = [[dist(a, b) for b in invs] for a in invs]
     checks = []
+
+    # distance by pool index; a table's handles are its pool indices
+    d = dist if isinstance(k, PoolTable) else lambda i, j: dist(pool[i], pool[j])
 
     bad = [i for i in range(n) if mass(src[i]) != mass(rng[i])]
     checks.append(_result("pmp-mass-law", not bad, tested=n, exhaustive=exhaustive))
 
-    viol = sum(1 for i in range(n) for j in range(n) if dists[i][j] != dists[j][i])
-    checks.append(_result("symmetry", viol == 0, tested=n * n, exhaustive=exhaustive))
-
-    viol = sum(
-        1
-        for i in range(n)
-        for j in range(n)
-        if (dists[i][j] == 0) != (pool[i] == pool[j])
-    )
-    checks.append(
-        _result("zero-iff-equal", viol == 0, tested=n * n, exhaustive=exhaustive)
-    )
-
-    tuples, exh3, cnt3 = _tuples(n, 3, budget, exhaustive)
-    viol = 0
-    for ia, ib, ic in tuples:
-        if dists[ia][ic] > dists[ia][ib] + dists[ib][ic]:
-            viol += 1
-    checks.append(
-        _result("triangle", viol == 0, tested=cnt3, exhaustive=exh3, violations=viol)
-    )
-
-    viol = 0
+    # the pair checks that read only distances share one run of pairs
+    pairs, exh2, cnt2 = _tuples((n, n), budget, exhaustive)
+    asymmetric = zero_off_diagonal = not_invariant = uncorrected = 0
     witness = None
-    for i in range(n):
-        for j in range(n):
-            if inv_dists[i][j] != dists[i][j]:
-                viol += 1
-                if witness is None:
-                    witness = tuple([list(a) for a in k.arrows(pool[x])] for x in (i, j))
+    for i, j in pairs:
+        dij = d(i, j)
+        asymmetric += dij != d(j, i)
+        # a pool holds each element once
+        zero_off_diagonal += (dij == 0) != (i == j)
+        change = dist(invs[i], invs[j]) - dij
+        if change:
+            not_invariant += 1
+            if witness is None:
+                witness = tuple([list(a) for a in k.arrows(pool[x])] for x in (i, j))
+        uncorrected += change != mass(rng[i] | rng[j]) - mass(src[i] | src[j])
+    run = {"tested": cnt2, "exhaustive": exh2}
+    checks.append(_result("symmetry", asymmetric == 0, **run))
+    checks.append(_result("zero-iff-equal", zero_off_diagonal == 0, **run))
+
+    viol, run3 = _count((n, n, n), budget, exhaustive, lambda a, b, c: d(a, c) > d(a, b) + d(b, c))
+    checks.append(_result("triangle", viol == 0, violations=viol, **run3))
+
     checks.append(
         _result(
             "inverse-invariance",
-            viol == 0,
-            tested=n * n,
-            exhaustive=exhaustive,
-            violations=viol,
+            not_invariant == 0,
+            violations=not_invariant,
             witness=witness,
             note="fails off the full group; see inverse-invariance-corrected",
+            **run,
         )
     )
 
     full = [i for i in range(n) if src[i] == rng[i] == k.full_mask]
-    viol = sum(1 for i in full for j in full if inv_dists[i][j] != dists[i][j])
-    checks.append(
-        _result(
-            "inverse-invariance-full-group",
-            viol == 0,
-            tested=len(full) ** 2,
-            exhaustive=exhaustive,
-        )
+    viol, run_full = _count(
+        (len(full), len(full)),
+        budget,
+        exhaustive,
+        lambda i, j: dist(invs[full[i]], invs[full[j]]) != d(full[i], full[j]),
     )
+    checks.append(_result("inverse-invariance-full-group", viol == 0, **run_full))
+    checks.append(_result("inverse-invariance-corrected", uncorrected == 0, **run))
 
-    viol = 0
-    for i in range(n):
-        for j in range(n):
-            lhs = inv_dists[i][j] - dists[i][j]
-            rhs = mass(rng[i] | rng[j]) - mass(src[i] | src[j])
-            if lhs != rhs:
-                viol += 1
-    checks.append(
-        _result(
-            "inverse-invariance-corrected",
-            viol == 0,
-            tested=n * n,
-            exhaustive=exhaustive,
-        )
-    )
+    def product_too_far(ia, ib, ic, id_):
+        return dist(mul(pool[ia], pool[ib]), mul(pool[ic], pool[id_])) > d(ia, ic) + d(ib, id_)
 
-    tuples4, exh4, tested = _tuples(n, 4, budget, exhaustive)
-    viol = 0
-    for ia, ib, ic, idd in tuples4:
-        if dist(mul(pool[ia], pool[ib]), mul(pool[ic], pool[idd])) > dists[ia][ic] + dists[ib][idd]:
-            viol += 1
-    checks.append(
-        _result(
-            "product-inequality",
-            viol == 0,
-            tested=tested,
-            exhaustive=exh4,
-            violations=viol,
-        )
-    )
+    viol, run = _count((n, n, n, n), budget, exhaustive, product_too_far)
+    checks.append(_result("product-inequality", viol == 0, violations=viol, **run))
 
-    pair_iter, exh2, cnt2 = _tuples(n, 2, budget, exhaustive)
-    viol = 0
-    for ia, ib in pair_iter:
+    def inverse_too_far(ia, ib):
         a, b = pool[ia], pool[ib]
-        lhs = dist(a, invs[ib])
-        rhs = dist(a, mul(mul(a, b), a)) + dist(b, mul(mul(b, a), b))
-        if lhs > rhs:
-            viol += 1
-    checks.append(
-        _result(
-            "inverse-triangle",
-            viol == 0,
-            tested=cnt2,
-            exhaustive=exh2,
-            violations=viol,
-        )
-    )
+        return dist(a, invs[ib]) > dist(a, mul(mul(a, b), a)) + dist(b, mul(mul(b, a), b))
+
+    viol, run = _count((n, n), budget, exhaustive, inverse_too_far)
+    checks.append(_result("inverse-triangle", viol == 0, violations=viol, **run))
     return checks
 
 
@@ -550,160 +521,90 @@ def suite_trace_distance(g: FiniteGroupoid, budget: SuiteBudget) -> list[CheckRe
     sources = [k.idem(k.src(a)) for a in pool]
     source_traces = [trace(s) for s in sources]
     invs = [k.inv(a) for a in pool]
+    n = len(pool)
     checks = []
 
     bad = 0
     for a, s in zip(pool, sources):
         if trace(a) != total - dist(s, one) - dist(s, a):
             bad += 1
-    checks.append(
-        _result(
-            "trace-from-distance",
-            bad == 0,
-            tested=len(pool),
-            exhaustive=exhaustive,
-        )
-    )
+    checks.append(_result("trace-from-distance", bad == 0, tested=n, exhaustive=exhaustive))
 
-    pair_iter, exh2, cnt2 = _tuples(len(pool), 2, budget, exhaustive)
-    bad = 0
-    for ia, ib in pair_iter:
-        a = pool[ia]
+    def off_by_traces(ia, ib):
         rhs = (
             source_traces[ia]
             + source_traces[ib]
             - trace(mul(sources[ia], sources[ib]))
-            - trace(mul(invs[ib], a))
+            - trace(mul(invs[ib], pool[ia]))
         )
-        if dist(a, pool[ib]) != rhs:
-            bad += 1
-    checks.append(
-        _result(
-            "distance-from-trace",
-            bad == 0,
-            tested=cnt2,
-            exhaustive=exh2,
-        )
-    )
+        return dist(pool[ia], pool[ib]) != rhs
+
+    bad, run = _count((n, n), budget, exhaustive, off_by_traces)
+    checks.append(_result("distance-from-trace", bad == 0, **run))
     return checks
 
 
 def suite_supports(g: FiniteGroupoid, budget: SuiteBudget) -> list[CheckResult]:
-    pm = PackedMonoid(g)
-    group, exhaustive = _pool(pm, "group", budget)
-    malg, malg_exh = _pool(pm, "malg", budget)
-    mul, inv, dist, act, idem = pm.mul, pm.inv, pm.dist, pm.act, pm.idem
-    one, total = pm.one, pm.total
-    traces = [pm.trace(a) for a in group]
-    supps = [pm.supp(a) for a in group]
-    fixes = [pm.fix(a) for a in group]
-    moved = [dist(one, a) for a in group]
-    k = len(group)
+    k, group, exhaustive = _kernel(g, budget, "group")
+    malg, malg_exh = _pool(k, "malg", budget)
+    mul, inv, dist, idem, src, rng = k.mul, k.inv, k.dist, k.idem, k.src, k.rng
+    total = k.total
+    traces = [k.trace(a) for a in group]
+    fixes = [k.fix(a) for a in group]
+    supps = [src(a) & ~f for a, f in zip(group, fixes)]
+    moved = [dist(k.one, a) for a in group]
+    ones = [idem(units) for units in malg]  # 1_A for each unit set A
+    n, m = len(group), len(malg)
+    both_exhaustive = exhaustive and malg_exh
     checks = []
 
-    viol = 0
-    for i, a in enumerate(group):
-        for j, b in enumerate(group):
-            left = supps[i] == fixes[j]
-            right = dist(a, b) == total and traces[i] + traces[j] == total
-            if left != right:
-                viol += 1
-    checks.append(
-        _result(
-            "supp-eq-fix",
-            viol == 0,
-            tested=k**2,
-            exhaustive=exhaustive,
-        )
-    )
+    def image(a, A):
+        """a(A), for a full-group element a and the unit set malg[A]."""
+        return rng(mul(a, ones[A]))
 
-    viol = 0
-    for i, a in enumerate(group):
-        for j, b in enumerate(group):
-            left = not (supps[i] & supps[j])
-            right = dist(a, b) == moved[i] + moved[j]
-            if left != right:
-                viol += 1
-    checks.append(
-        _result(
-            "disjoint-supports",
-            viol == 0,
-            tested=k**2,
-            exhaustive=exhaustive,
-        )
-    )
+    def supp_not_fix(i, j):
+        left = supps[i] == fixes[j]
+        return left != (dist(group[i], group[j]) == total and traces[i] + traces[j] == total)
 
-    viol = 0
-    for a in group:
-        a_inv = inv(a)
-        for b, supp_b in zip(group, supps):
-            if pm.supp(mul(mul(a, b), a_inv)) != act(a, supp_b):
-                viol += 1
-    checks.append(
-        _result(
-            "covariance",
-            viol == 0,
-            tested=k**2,
-            exhaustive=exhaustive,
-        )
-    )
+    viol, run = _count((n, n), budget, exhaustive, supp_not_fix)
+    checks.append(_result("supp-eq-fix", viol == 0, **run))
 
-    images = [[act(a, units) for units in malg] for a in group]
-    viol = sum(
-        1
-        for row in images
-        for units, image in zip(malg, row)
-        if pm.mass(image) != pm.mass(units)
-    )
-    checks.append(
-        _result(
-            "action-preserves-mass",
-            viol == 0,
-            tested=k * len(malg),
-            exhaustive=exhaustive and malg_exh,
-        )
-    )
+    def overlap_not_disjoint(i, j):
+        return (not supps[i] & supps[j]) != (dist(group[i], group[j]) == moved[i] + moved[j])
 
-    viol = 0
-    for row in images:
-        for units_a, image_a in zip(malg, row):
-            for units_b, image_b in zip(malg, row):
-                if not units_a & ~units_b and image_a & ~image_b:
-                    viol += 1
-    checks.append(
-        _result(
-            "action-preserves-order",
-            viol == 0,
-            tested=k * len(malg) ** 2,
-            exhaustive=exhaustive and malg_exh,
-        )
-    )
+    viol, run = _count((n, n), budget, exhaustive, overlap_not_disjoint)
+    checks.append(_result("disjoint-supports", viol == 0, **run))
 
-    corners = [[mul(a, idem(units)) for units in malg] for a in group]
-    pulled = [[act(inv(b), units) for units in malg] for b in group]
-    restrictions = {}
-    quad_iter, exh4, cnt4 = _tuples(k, 2, budget, exhaustive)
-    viol = 0
-    for ia, ib in quad_iter:
-        ab = mul(group[ia], group[ib])
-        corners_b = corners[ib]
-        for corner_a, pulled_a in zip(corners[ia], pulled[ib]):
-            for units_b, corner_b in zip(malg, corners_b):
-                left = mul(corner_a, corner_b)
-                meet = units_b & pulled_a
-                e = restrictions.get(meet)
-                if e is None:
-                    e = restrictions[meet] = idem(meet)
-                if left != mul(ab, e):
-                    viol += 1
-    checks.append(
-        _result(
-            "corner-product-identity",
-            viol == 0,
-            tested=cnt4 * len(malg) ** 2,
-            exhaustive=exh4 and malg_exh,
-        )
-    )
+    # supp(a b a^-1) = a(supp(b)), where a(A) = rng(a 1_A)
+    def not_covariant(i, j):
+        a = group[i]
+        conj = mul(mul(a, group[j]), inv(a))
+        return src(conj) & ~k.fix(conj) != rng(mul(a, idem(supps[j])))
+
+    viol, run = _count((n, n), budget, exhaustive, not_covariant)
+    checks.append(_result("covariance", viol == 0, **run))
+
+    def mass_moved(i, A):
+        return k.mass(image(group[i], A)) != k.mass(malg[A])
+
+    viol, run = _count((n, m), budget, both_exhaustive, mass_moved)
+    checks.append(_result("action-preserves-mass", viol == 0, **run))
+
+    def order_reversed(i, A, B):
+        a = group[i]
+        return not malg[A] & ~malg[B] and image(a, A) & ~image(a, B) != 0
+
+    viol, run = _count((n, m, m), budget, both_exhaustive, order_reversed)
+    checks.append(_result("action-preserves-order", viol == 0, **run))
+
+    # (a 1_A)(b 1_B) = ab 1_C, where C = B n b^-1(A) and b^-1(A) = src(1_A b)
+    def corner_product_differs(i, j, A, B):
+        a, b = group[i], group[j]
+        left = mul(mul(a, ones[A]), mul(b, ones[B]))
+        return left != mul(mul(a, b), idem(malg[B] & src(mul(ones[A], b))))
+
+    viol, run = _count((n, n, m, m), budget, both_exhaustive, corner_product_differs)
+    checks.append(_result("corner-product-identity", viol == 0, **run))
     return checks
 
 
@@ -762,7 +663,7 @@ def suite_finite_index(
     # the products a_ij b_jl over j have disjoint sources once b passed
     # its column check, so their union is an entrywise max over codes
     viol = 0
-    pair_iter, exh2, _ = _tuples(len(pool), 2, budget, exhaustive)
+    pair_iter, exh2, _ = _tuples((len(pool), len(pool)), budget, exhaustive)
     pairs_done = 0
     for ia, ib in pair_iter:
         ba, bb = checked.get(ia), checked.get(ib)
@@ -840,20 +741,13 @@ def suite_rectangles(
     # tr(a x b) = tr(a) tr(b), with each trace an integer over its denom
     scale, denom = pp.left.denom * pp.right.denom, pp.pm.denom
     trace, trace_left, trace_right = pp.pm.trace, pp.left.trace, pp.right.trace
-    viol = sum(
-        1
-        for a in lefts
-        for b in rights
-        if trace(pp.rectangle(a, b)) * scale != trace_left(a) * trace_right(b) * denom
-    )
-    checks.append(
-        _result(
-            "rectangle-trace-multiplicative",
-            viol == 0,
-            tested=len(lefts) * len(rights),
-            exhaustive=lexh and rexh,
-        )
-    )
+
+    def not_multiplicative(i, j):
+        a, b = lefts[i], rights[j]
+        return trace(pp.rectangle(a, b)) * scale != trace_left(a) * trace_right(b) * denom
+
+    viol, run = _count((len(lefts), len(rights)), budget, lexh and rexh, not_multiplicative)
+    checks.append(_result("rectangle-trace-multiplicative", viol == 0, **run))
     return checks
 
 

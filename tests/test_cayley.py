@@ -4,13 +4,13 @@ from soficlab import cayley
 
 def test_cyclic_tables_are_groups():
     for n in (1, 2, 3, 4, 6):
-        assert cayley.is_group(cayley.cyclic(n))
+        assert not cayley.table_violations(cayley.cyclic(n))
 
 
 def test_symmetric_group_table():
     s3 = cayley.symmetric(3)
     assert len(s3) == 6
-    assert cayley.is_group(s3)
+    assert not cayley.table_violations(s3)
     # identity is the lexicographically first permutation
     assert s3[0] == tuple(range(6))
 
@@ -40,7 +40,7 @@ def test_inverses():
 def test_direct_product_order():
     t = cayley.direct_product(cayley.cyclic(2), cayley.cyclic(3))
     assert len(t) == 6
-    assert cayley.is_group(t)
+    assert not cayley.table_violations(t)
 
 
 def test_ragged_table_rejected():

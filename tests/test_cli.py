@@ -615,9 +615,9 @@ PUBLIC_NAMES = [
     "EmbeddingReport", "FiniteGroupoid", "PackedProduct", "RawGroupoid", "SemigroupMap",
     "SuiteBudget", "TransversalSystem", "bisection", "block_components", "cayley",
     "check_almost_morphism", "check_embedding", "connected_groupoid", "constructions",
-    "convex_combination", "corner_restriction", "decompose", "embed_connected",
+    "convex_combination", "decompose", "embed_connected",
     "embed_convex", "embed_convex_pair", "empty_bisection", "extend_to_full_group",
-    "fiber_decomposition", "find_transversals", "finite_index_map", "from_group_action",
+    "find_transversals", "finite_index_map", "from_group_action",
     "full_relation", "general_map", "group_groupoid", "groupoid", "idempotent",
     "identity_map", "make_groupoid", "product_embedding",
     "product_groupoid", "rectangle_decompose", "render_raw", "restrict_almost_morphism",

@@ -20,10 +20,7 @@ from soficlab.groupoid import (
     connected_groupoid,
     convex_combination,
     corner,
-    corner_restriction,
     decompose,
-    fiber_decomposition,
-    fiber_sizes,
     from_group_action,
     full_relation,
     group_groupoid,
@@ -153,12 +150,8 @@ class TestRoundTrip:
                 [(Fraction(1, 3), point_groupoid()), (Fraction(2, 3), full_relation(2))]
             ),
             product_groupoid(full_relation(2), group_groupoid(cayley.cyclic(2))).groupoid,
-            corner_restriction(full_relation(3), [(0, 0), (0, 2)]),
-            fiber_decomposition(
-                convex_combination(
-                    [(HALF, point_groupoid()), (HALF, group_groupoid(cayley.cyclic(3)))]
-                )
-            )[3],
+            corner(full_relation(3), [(0, 0), (0, 2)]).groupoid,
+            group_groupoid(cayley.cyclic(3)),
         ],
     )
     def test_rendered_tables_validate(self, g):
@@ -276,39 +269,20 @@ class TestProduct:
 class TestCorner:
     def test_all_units_is_identity(self):
         g = full_relation(3)
-        assert corner_restriction(g, list(g.units())) == g
+        assert corner(g, list(g.units())).groupoid == g
 
     def test_whole_component_renormalizes(self):
         g = convex_combination([(HALF, full_relation(2)), (HALF, group_groupoid(cayley.cyclic(2)))])
         comp = next(i for i, c in enumerate(g.components) if c.base_size == 2)
-        restricted = corner_restriction(g, [(comp, 0), (comp, 1)])
+        restricted = corner(g, [(comp, 0), (comp, 1)]).groupoid
         assert restricted == full_relation(2)
 
     def test_partial_base_restriction(self):
-        assert corner_restriction(full_relation(3), [(0, 0), (0, 1)]) == full_relation(2)
+        assert corner(full_relation(3), [(0, 0), (0, 1)]).groupoid == full_relation(2)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            corner_restriction(full_relation(2), [])
-
-
-class TestFiberDecomposition:
-    def test_single_group(self):
-        g = group_groupoid(cayley.cyclic(2))
-        assert list(fiber_decomposition(g)) == [2]
-
-    def test_equal_fiber_sizes_merge(self):
-        g = convex_combination([(HALF, group_groupoid(cayley.cyclic(2))), (HALF, full_relation(2))])
-        assert fiber_sizes(g) == (2, 2)
-        parts = fiber_decomposition(g)
-        assert list(parts) == [2] and parts[2] == g
-
-    def test_distinct_classes(self):
-        g = convex_combination([(HALF, point_groupoid()), (HALF, group_groupoid(cayley.cyclic(3)))])
-        parts = fiber_decomposition(g)
-        assert list(parts) == [1, 3]
-        assert parts[1] == point_groupoid()
-        assert parts[3] == group_groupoid(cayley.cyclic(3))
+            corner(full_relation(2), [])
 
 
 def test_subgroupoid_as_groupoid_units_only():

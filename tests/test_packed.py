@@ -177,18 +177,17 @@ def test_suite_report_matches_golden(stem, suite, key, budget):
 # ---------------------------------------------------------------------------
 # Pool tables against the packed kernel
 
-TABLE_SUITES = ("inverse-monoid", "metric-prop", "trace-distance")
 TABLE_GROUPOIDS = ("n2", "n3", "z2y2", "z2pt", "z2y2_y2")
 
 
-def on_codes(g, budget):
+def on_codes(g, budget, kind="semigroup"):
     """verify._kernel with the table turned off: always the codes of _pool."""
     pm = PackedMonoid(g)
-    return (pm, *_pool(pm, "semigroup", budget))
+    return (pm, *_pool(pm, kind, budget))
 
 
 @pytest.mark.parametrize("key", TABLE_GROUPOIDS)
-@pytest.mark.parametrize("suite", TABLE_SUITES)
+@pytest.mark.parametrize("suite", KERNEL_SUITES)
 def test_table_suite_equals_codes_suite(suite, key, monkeypatch):
     g = GROUPOIDS[key]
     assert isinstance(_kernel(g, SuiteBudget())[0], PoolTable)
@@ -206,6 +205,9 @@ def test_pool_table_entries_equal_the_kernel(key):
     n = len(codes)
     assert codes[table.one] == pm.one and codes[table.zero] == pm.zero
     assert (table.total, table.full_mask) == (pm.total, pm.full_mask)
+    assert (table.groupoid, table.n_units) == (pm.groupoid, pm.n_units)
+    for budget in (SuiteBudget(), SuiteBudget(exhaustive_cap=4, sample_count=3)):
+        assert _pool(table, "malg", budget) == _pool(pm, "malg", budget)
     for mask in malg_masks(pm):
         assert codes[table.idem(mask)] == pm.idem(mask)
         assert table.mass(mask) == pm.mass(mask)
@@ -218,6 +220,16 @@ def test_pool_table_entries_equal_the_kernel(key):
             assert codes[table.mul(i, j)] == pm.mul(x, y)
             assert table.dist(i, j) == pm.dist(x, y)
     assert len(table.dists) == n and all(len(row) == n for row in table.dists)
+
+
+@pytest.mark.parametrize("key", TABLE_GROUPOIDS)
+def test_table_group_pool_is_the_group_pool(key):
+    # supports takes [G] from the table as the indices of its full elements
+    pm = PackedMonoid(GROUPOIDS[key])
+    table, group, exhaustive = _kernel(pm.groupoid, SuiteBudget(), "group")
+    assert isinstance(table, PoolTable) and exhaustive
+    codes = list(semigroup_codes(pm))
+    assert [codes[i] for i in group] == _pool(pm, "group", SuiteBudget())[0]
 
 
 def test_kernel_tabulates_exactly_when_the_pairs_fit_the_cap():
@@ -289,7 +301,8 @@ def test_masks_agree(kernel):
         assert pm.src(x) == pm.mask(source_units(a))
         assert pm.rng(x) == pm.mask(range_units(a))
         assert pm.fix(x) == pm.mask(fix_units(a))
-        assert pm.supp(x) == pm.mask(supp_units(a))
+        # the supports suite's supp(a)
+        assert pm.src(x) & ~pm.fix(x) == pm.mask(supp_units(a))
 
 
 def test_mass_idem_and_act_agree(kernel):
@@ -300,15 +313,16 @@ def test_mass_idem_and_act_agree(kernel):
         assert mask == sum(1 << i for i, u in enumerate(g.units()) if u in units)
         assert Fraction(pm.mass(mask), pm.denom) == g.mass(units)
         assert pm.idem(mask) == pm.encode(idempotent(g, units))
+    # the supports suite's act(a, A) = rng(a 1_A), for a in the full group
     for a in enumerate_group(g):
         x = pm.encode(a)
         for units in malg:
-            assert pm.act(x, pm.mask(units)) == pm.mask(act(a, units))
-    # off the full group, act is the range of the restriction to the mask
+            assert pm.rng(pm.mul(x, pm.idem(pm.mask(units)))) == pm.mask(act(a, units))
+    # off the full group, rng(a 1_A) is the range of a's restriction to A
     for a, x in zip(elements, packed):
         for units in malg:
             image = {arrow.range for arrow in a.arrows if arrow.source in units}
-            assert pm.act(x, pm.mask(units)) == pm.mask(image)
+            assert pm.rng(pm.mul(x, pm.idem(pm.mask(units)))) == pm.mask(image)
 
 
 def test_sampled_elements_of_a_ten_unit_groupoid():
@@ -334,7 +348,7 @@ def test_sampled_elements_of_a_ten_unit_groupoid():
         assert pm.inv(x) == pm.encode(inverse(a))
         assert Fraction(pm.trace(x), pm.denom) == trace(a)
         assert Fraction(pm.dist(x, y), pm.denom) == distance(a, b)
-        assert pm.supp(x) == pm.mask(supp_units(a))
+        assert pm.src(x) & ~pm.fix(x) == pm.mask(supp_units(a))
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +476,7 @@ def reference_check_embedding(m, budget, f=None) -> EmbeddingReport:
     f = f or m
     elements, exhaustive = reference_elements(m.domain, "semigroup", budget)
     n = len(elements)
-    pair_iter, exhaustive, pair_count = _tuples(n, 2, budget, exhaustive)
+    pair_iter, exhaustive, pair_count = _tuples((n, n), budget, exhaustive)
 
     images = [f(a) for a in elements]
     unit_ok = f(unit_bisection(m.domain)) == unit_bisection(m.codomain)

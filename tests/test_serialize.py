@@ -23,10 +23,8 @@ from soficlab.serialize import (
     dumps,
     groupoid_to_json,
     jsonable,
-    malg_to_json,
     parse_bisection,
     parse_groupoid,
-    parse_malg,
     parse_raw,
     raw_to_json,
 )
@@ -85,32 +83,6 @@ def test_bisection_round_trip():
     g = connected_groupoid(cayley.cyclic(2), 2)
     for b in enumerate_semigroup(g):
         assert parse_bisection(g, bisection_to_json(b)) == b
-
-
-def test_malg_round_trip():
-    units = frozenset([(0, 1), (0, 0)])
-    assert parse_malg(malg_to_json(units)) == units
-
-
-@pytest.mark.parametrize(
-    "bad",
-    [
-        {"units": 5},
-        [],
-        None,
-        {},
-        {"units": [[0.7, 0]]},
-        {"units": [[0, True]]},
-        {"units": [["0", 1]]},
-        {"units": [[0]]},
-        {"units": [[0, 1, 2]]},
-        {"units": [(0, 1)]},
-        {"units": [5]},
-    ],
-)
-def test_parse_malg_rejects_malformed_input(bad):
-    with pytest.raises(MalformedInputError):
-        parse_malg(bad)
 
 
 def test_jsonable_handles_library_values():

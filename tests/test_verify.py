@@ -5,7 +5,7 @@ import pytest
 from pool_reference import enumerate_semigroup
 
 from soficlab import cayley
-from soficlab.groupoid import Arrow, connected_groupoid, full_relation, group_groupoid
+from soficlab.groupoid import Arrow, connected_groupoid, convex_combination, full_relation, group_groupoid
 from soficlab.constructions import (
     TransversalSystem,
     embed_connected,
@@ -18,6 +18,7 @@ from soficlab.constructions import (
 from soficlab.semigroup import bisection, unit_bisection
 from soficlab.serialize import dumps, suite_result_to_json
 from soficlab.verify import (
+    SUITES,
     IncompletePairListError,
     SuiteBudget,
     check_almost_morphism,
@@ -230,3 +231,49 @@ def test_no_check_is_exhaustive_over_a_sampled_pool(suite):
     result = run_suite(suite, budget, **params)
     flags = {c.name: c.details["exhaustive"] for c in result.checks if "exhaustive" in c.details}
     assert flags and not any(flags.values()), flags
+
+
+# every suite under a cap of 20 tuples, on [[3]], on [[4]] (whose 24 full
+# elements and 16 unit sets fit the cap only one at a time) and on
+# Z2xY2+Y2 (whose corner quadruples are 16^4)
+CAP = SuiteBudget(exhaustive_cap=20, sample_count=15)
+CAP_GROUPOIDS = {
+    "n3": G3,
+    "n4": full_relation(4),
+    "z2y2_y2": convex_combination(
+        [(Fraction(1, 2), connected_groupoid(cayley.cyclic(2), 2)), (Fraction(1, 2), full_relation(2))]
+    ),
+}
+
+
+def suite_params(suite, g):
+    if suite == "rectangles":
+        return {"left": g, "right": g}
+    if suite == "ladder":
+        return {"n": g.n_units, "p_list": [g.n_units + 1, 2 * g.n_units]}
+    if suite == "finite-index":
+        # index 1, where each block matrix is the element itself: at index
+        # nn, block-identity counts nn*nn blocks per pair of elements
+        return {"g": g, "sub_arrows": frozenset(g.arrows())}
+    return {"g": g}
+
+
+def check_counts(result) -> dict:
+    """`tested` of every check that reports one; the ladder's is pairs_tested."""
+    counts = {c.name: c.details.get("tested", c.details.get("pairs_tested")) for c in result.checks}
+    return {name: n for name, n in counts.items() if n is not None}
+
+
+@pytest.mark.parametrize("key", CAP_GROUPOIDS)
+@pytest.mark.parametrize("suite", SUITES)
+def test_tested_is_bounded_by_the_cap(suite, key):
+    counts = check_counts(run_suite(suite, CAP, **suite_params(suite, CAP_GROUPOIDS[key])))
+    assert counts and max(counts.values()) <= CAP.exhaustive_cap, counts
+
+
+@pytest.mark.parametrize("suite,n", [("supports", 8), ("metric-prop", 6)])
+def test_large_groupoids_run_within_the_default_cap(suite, n):
+    # [[8]]: 40,320 full elements and 256 unit sets; [[6]]: 13,327 elements
+    budget = SuiteBudget()
+    counts = check_counts(run_suite(suite, budget, g=full_relation(n)))
+    assert len(counts) >= 6 and max(counts.values()) <= budget.exhaustive_cap, counts

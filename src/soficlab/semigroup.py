@@ -25,7 +25,9 @@ correction is
 PackedMonoid computes all of this on integer tuples, and the enumerators
 below list [[G]], [G] and the measure algebra directly as its codes and
 bitmasks. PoolTable tabulates those operations over an exhaustive pool,
-for pools small enough that its n*n tables fit the caller's cap.
+for pools small enough that its n*n tables fit the caller's cap: its
+product rows come from PackedMonoid.left_row, one row of codes per left
+factor, and its unary operations are bound list lookups.
 Bisection is the boundary type: it is parsed, printed and used
 for witnesses, and its constructor validates; PackedMonoid.encode and
 decode convert at the boundary. The Bisection algebra that the kernel is
@@ -36,8 +38,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations, product, repeat
 from math import comb, factorial, lcm
+from operator import getitem
 
 from . import cayley
 from .groupoid import Arrow, FiniteGroupoid
@@ -216,6 +219,12 @@ class PackedMonoid:
         P, R, L = self._P, self._R, self._L
         return tuple([P[a[R[x]]][L[x]] for x in b])
 
+    def left_row(self, a) -> list[int]:
+        """a's left multiplication by code: row[x] is a composed with the
+        arrow of code x, and row[-1] = -1 (the extra slot's P[a[0]][M]), so
+        a*b = tuple(map(row.__getitem__, b)) for every b."""
+        return list(map(getitem, map(self._P.__getitem__, map(a.__getitem__, self._R)), self._L))
+
     def inv(self, a) -> tuple[int, ...]:
         out = [-1] * self.n_units
         R, lab, m = self._R, self._inv_label, self.order
@@ -301,26 +310,33 @@ class PoolTable:
     src, rng, fix and idem take and return indices, and arrows, mass,
     one, zero, total, full_mask, groupoid and n_units mean what they mean
     on pm, so verify._pool draws unit sets from either kernel. Index
-    equality is element equality. The product table is built with n*n
-    calls of pm.mul, and the distance table only on first use; the
-    other tables have n entries, so with n*n within a cap every table
-    holds at most that many entries.
+    equality is element equality. Row a of the product table is every
+    code mapped through pm.left_row(a) and looked up, all in map calls;
+    the distance table is built only on first use. The unary operations
+    are the __getitem__ of their tables, mass of one over all 2^N masks.
+    The product and distance tables have n*n entries and the others at
+    most n (2^N too: [[G]] holds an idempotent per unit set), so with n*n
+    within a cap every table fits it.
     """
 
     def __init__(self, pm: PackedMonoid, codes: list):
         self._pm, self._codes = pm, codes
         index = {x: i for i, x in enumerate(codes)}
-        mul = pm.mul
-        self._mul = [[index[mul(a, b)] for b in codes] for a in codes]
-        self._inv = [index[pm.inv(a)] for a in codes]
-        self._trace = [pm.trace(a) for a in codes]
-        self._src = [pm.src(a) for a in codes]
-        self._rng = [pm.rng(a) for a in codes]
-        self._fix = [pm.fix(a) for a in codes]
+        lookup = index.__getitem__
+        self._mul = [
+            list(map(lookup, map(tuple, map(map, repeat(pm.left_row(a).__getitem__), codes)))) for a in codes
+        ]
+        self.inv = [index[pm.inv(a)] for a in codes].__getitem__
+        self.trace = [pm.trace(a) for a in codes].__getitem__
+        src = [pm.src(a) for a in codes]
+        fix = [pm.fix(a) for a in codes]
+        self.src, self.fix = src.__getitem__, fix.__getitem__
+        self.rng = [pm.rng(a) for a in codes].__getitem__
         # the unit-set elements, by their unit set
-        self._idem = {s: i for i, (s, f) in enumerate(zip(self._src, self._fix)) if s == f}
+        self.idem = {s: i for i, (s, f) in enumerate(zip(src, fix)) if s == f}.__getitem__
+        self.mass = list(map(pm.mass, range(1 << pm.n_units))).__getitem__
         self.one, self.zero = index[pm.one], index[pm.zero]
-        self.total, self.full_mask, self.mass = pm.total, pm.full_mask, pm.mass
+        self.total, self.full_mask = pm.total, pm.full_mask
         self.groupoid, self.n_units = pm.groupoid, pm.n_units
 
     @cached_property
@@ -352,26 +368,8 @@ class PoolTable:
     def mul(self, a, b) -> int:
         return self._mul[a][b]
 
-    def inv(self, a) -> int:
-        return self._inv[a]
-
-    def trace(self, a) -> int:
-        return self._trace[a]
-
     def dist(self, a, b) -> int:
         return self.dists[a][b]
-
-    def src(self, a) -> int:
-        return self._src[a]
-
-    def rng(self, a) -> int:
-        return self._rng[a]
-
-    def fix(self, a) -> int:
-        return self._fix[a]
-
-    def idem(self, mask: int) -> int:
-        return self._idem[mask]
 
 
 # ---------------------------------------------------------------------------

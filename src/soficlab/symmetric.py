@@ -64,8 +64,8 @@ def distortion_report(n: int, p: int, budget: SuiteBudget | None = None) -> Dist
     """Measure sup |d_p(images) - d_n| over element pairs, exactly.
 
     Exhaustive when |[[n]]|^2 fits budget.exhaustive_cap, otherwise
-    budget.sample_count pairs drawn with budget.seed; the trace deviation
-    sup is tracked alongside.
+    budget.sample_count pairs, or exhaustive_cap if that is fewer, drawn
+    with budget.seed; the trace deviation sup is tracked alongside.
     """
     budget = budget or SuiteBudget()
     m = general_map(n, p)
@@ -81,7 +81,8 @@ def distortion_report(n: int, p: int, budget: SuiteBudget | None = None) -> Dist
         used_seed = None
     else:
         rng = random.Random(budget.seed)
-        pairs = [(_sample_code(dom, rng), _sample_code(dom, rng)) for _ in range(budget.sample_count)]
+        draws = min(budget.sample_count, budget.exhaustive_cap)
+        pairs = [(_sample_code(dom, rng), _sample_code(dom, rng)) for _ in range(draws)]
         pool = [a for pair in pairs for a in pair]
         tested = len(pairs)
         used_seed = budget.seed

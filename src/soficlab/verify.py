@@ -103,12 +103,13 @@ def _pool(pm: PackedMonoid, kind: str, budget: SuiteBudget):
     also be a PoolTable for).
 
     Exhaustive when the count fits budget.exhaustive_cap. Otherwise up to
-    budget.sample_count distinct seeded draws, seeded with the unit (and
-    for "semigroup" the zero, for "malg" the empty and full masks) and
-    sorted as Bisections sort by their arrows and unit sets by their units.
-    Per component, a "semigroup" draw picks each point as a source with
-    probability 1/2, then distinct random ranges, then a group label per
-    arrow; a "group" draw is a random permutation and the labels.
+    budget.sample_count distinct seeded draws, and no more than the cap,
+    seeded with the unit (and for "semigroup" the zero, for "malg" the
+    empty and full masks) and sorted as Bisections sort by their arrows
+    and unit sets by their units. Per component, a "semigroup" draw picks
+    each point as a source with probability 1/2, then distinct random
+    ranges, then a group label per arrow; a "group" draw is a random
+    permutation and the labels.
     """
     g = pm.groupoid
     full = kind == "group"
@@ -122,7 +123,7 @@ def _pool(pm: PackedMonoid, kind: str, budget: SuiteBudget):
         return list(enumerate_(pm)), True
 
     rng = random.Random(budget.seed)
-    target = min(budget.sample_count, count)
+    target = min(budget.sample_count, budget.exhaustive_cap, count)
     units = range(pm.n_units)
     if kind == "malg":
         pool = {0, pm.full_mask}
@@ -172,16 +173,18 @@ def _tuples(sizes, budget: SuiteBudget, pools_exhaustive: bool):
 
     All of them when the product of the sizes fits budget.exhaustive_cap;
     they are exhaustive exactly when the pools are too. Otherwise
-    budget.sample_count whole tuples, drawn with budget.seed + len(sizes)
-    and one randrange per slot. Every check over more than one element
-    takes its tuples, `tested` and `exhaustive` from here, and builds
-    nothing whose length is a product of pool sizes over the cap.
+    budget.sample_count whole tuples, or exhaustive_cap if that is fewer,
+    drawn with budget.seed + len(sizes) and one randrange per slot. Every
+    check over more than one element takes its tuples, `tested` and
+    `exhaustive` from here, and builds nothing whose length is a product
+    of pool sizes over the cap.
     """
     total = prod(sizes)
     if total <= budget.exhaustive_cap:
         return iproduct(*map(range, sizes)), pools_exhaustive, total
     rng = random.Random(budget.seed + len(sizes))
-    sampled = [tuple([rng.randrange(n) for n in sizes]) for _ in range(budget.sample_count)]
+    draws = min(budget.sample_count, budget.exhaustive_cap)
+    sampled = [tuple([rng.randrange(n) for n in sizes]) for _ in range(draws)]
     return sampled, False, len(sampled)
 
 
@@ -322,9 +325,12 @@ def _deviations(f, dom: PackedMonoid, cod: PackedMonoid, pool: list, pairs):
     dom_mul, dom_dist, cod_mul, cod_dist = dom.mul, dom.dist, cod.mul, cod.dist
     for ia, ib in pairs:
         x, y, fx, fy = pool[ia], pool[ib], images[ia], images[ib]
-        dev = cod_dist(image(dom_mul(x, y)), cod_mul(fx, fy))
-        if dev > prod_dev:
-            prod_dev, at["product"] = dev, (ia, ib)
+        fxy, fxfy = image(dom_mul(x, y)), cod_mul(fx, fy)
+        # equal codes are deviation 0, which never raises the maximum
+        if fxy != fxfy:
+            dev = cod_dist(fxy, fxfy)
+            if dev > prod_dev:
+                prod_dev, at["product"] = dev, (ia, ib)
         dev = abs(dom_dist(x, y) * d_cod - cod_dist(fx, fy) * d_dom)
         if dev > dist_dev:
             dist_dev, at["distance"] = dev, (ia, ib)

@@ -100,7 +100,7 @@ def reference_elements(g, kind: str, budget):
         return list(enumerate_malg(g, cap=budget.exhaustive_cap)), True
 
     rng = random.Random(budget.seed)
-    target = min(budget.sample_count, count)
+    target = min(budget.sample_count, budget.exhaustive_cap, count)
     if kind == "malg":
         units = list(g.units())
         pool = {frozenset(), frozenset(units)}

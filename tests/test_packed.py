@@ -196,7 +196,7 @@ def test_table_suite_equals_codes_suite(suite, key, monkeypatch):
     assert run_suite(suite, g=g) == on_table
 
 
-@pytest.mark.parametrize("key", ("n3", "z2y2_y2", "z2pt"))
+@pytest.mark.parametrize("key", ("n3", "z2y2_y2", "z2pt", "s3y2"))
 def test_pool_table_entries_equal_the_kernel(key):
     g = GROUPOIDS[key]
     pm = PackedMonoid(g)
@@ -220,6 +220,31 @@ def test_pool_table_entries_equal_the_kernel(key):
             assert codes[table.mul(i, j)] == pm.mul(x, y)
             assert table.dist(i, j) == pm.dist(x, y)
     assert len(table.dists) == n and all(len(row) == n for row in table.dists)
+
+
+# groupoids whose [[G]] is too large to tabulate at the default cap, or
+# mixes components of different group orders
+LEFT_ROW_GROUPOIDS = {
+    "n8": full_relation(8),
+    "s3y4": connected_groupoid(cayley.symmetric(3), 4),
+    "z2y2+pt": convex_combination(
+        [(THIRD, connected_groupoid(cayley.cyclic(2), 2)), (1 - THIRD, full_relation(1))]
+    ),
+}
+
+
+@pytest.mark.parametrize("key", LEFT_ROW_GROUPOIDS)
+def test_left_row_products_equal_mul(key):
+    # the product table's rows, on sampled codes (the zero among them, so
+    # every row's trailing slot for code -1 is read)
+    pm = PackedMonoid(LEFT_ROW_GROUPOIDS[key])
+    codes, exhaustive = _pool(pm, "semigroup", SuiteBudget(exhaustive_cap=30, sample_count=30, seed=2))
+    assert not exhaustive and pm.zero in codes
+    for a in codes:
+        row = pm.left_row(a)
+        assert len(row) == pm.n_units * pm.order + 1 and row[-1] == -1
+        for b in codes:
+            assert tuple(map(row.__getitem__, b)) == pm.mul(a, b)
 
 
 @pytest.mark.parametrize("key", TABLE_GROUPOIDS)
@@ -398,8 +423,8 @@ def test_pool_matches_reference(key, kind, seed):
     pm = PackedMonoid(g)
     encode = pm.mask if kind == "malg" else pm.encode
     count = POOL_COUNTS[kind](g)
-    # a cap just below the count forces the sampled regime; sample counts
-    # above the count (where drawing every element is cheap) sample it all
+    # a cap just below the count forces the sampled regime; a sample count
+    # above the count draws as many elements as the cap allows, all but one
     budgets = [SuiteBudget(exhaustive_cap=count - 1, sample_count=40, seed=seed)]
     if count <= 2000:
         budgets += [

@@ -271,6 +271,22 @@ def test_tested_is_bounded_by_the_cap(suite, key):
     assert counts and max(counts.values()) <= CAP.exhaustive_cap, counts
 
 
+# a sample count above the cap: the cap bounds sampled pools and tuples too
+OVER_SAMPLED = SuiteBudget(exhaustive_cap=20, sample_count=500)
+
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_cap_bounds_a_larger_sample_count(suite):
+    counts = check_counts(run_suite(suite, OVER_SAMPLED, **suite_params(suite, full_relation(4))))
+    assert counts and max(counts.values()) <= OVER_SAMPLED.exhaustive_cap, counts
+
+
+def test_cap_bounds_a_larger_sample_count_in_certificates():
+    report = check_embedding(identity_map(full_relation(4)), OVER_SAMPLED)
+    assert not report.exhaustive
+    assert report.element_count <= 20 and report.pair_count <= 20
+
+
 @pytest.mark.parametrize("suite,n", [("supports", 8), ("metric-prop", 6)])
 def test_large_groupoids_run_within_the_default_cap(suite, n):
     # [[8]]: 40,320 full elements and 256 unit sets; [[6]]: 13,327 elements

@@ -38,9 +38,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, permutations, product, repeat
+from itertools import combinations, compress, permutations, product, repeat
 from math import comb, factorial, lcm
-from operator import getitem
+from operator import eq, getitem, ne
 
 from . import cayley
 from .groupoid import Arrow, FiniteGroupoid
@@ -151,10 +151,12 @@ class PackedMonoid:
 
         # Tables over codes x = r * m + h, with one extra trailing slot that
         # code -1 indexes: R[-1] = 0 and L[-1] = m select P[y][m] = -1, and
-        # P[-1] is all -1, so mul needs no branch for undefined entries.
+        # P[-1] is all -1, so mul needs no branch for undefined entries; the
+        # range bit of code -1 is 0, so rng needs none either.
         codes = range(n * m)
         self._R = [x // m for x in codes] + [0]
         self._L = [x % m for x in codes] + [m]
+        self._range_bit = [1 << (x // m) for x in codes] + [0]
         tables = [c.table for c in g.components]
         inverses = [cayley.inverses(t) for t in tables]
         self._inv_label = [0] * (n * m)
@@ -234,11 +236,11 @@ class PackedMonoid:
         return tuple(out)
 
     def trace(self, a) -> int:
-        return sum([w for w, x, i in zip(self.weights, a, self._identity) if x == i])
+        return sum(compress(self.weights, map(eq, a, self._identity)))
 
     def dist(self, a, b) -> int:
         """Weight of the source units where a and b differ."""
-        return sum([w for w, x, y in zip(self.weights, a, b) if x != y])
+        return sum(compress(self.weights, map(ne, a, b)))
 
     def mass(self, mask: int) -> int:
         total = 0
@@ -250,14 +252,13 @@ class PackedMonoid:
     # -- unit sets ---------------------------------------------------------
 
     def src(self, a) -> int:
-        return sum([bit for bit, x in zip(self._bits, a) if x >= 0])
+        return sum(compress(self._bits, map(ne, a, self.zero)))
 
     def rng(self, a) -> int:
-        bits, R = self._bits, self._R
-        return sum([bits[R[x]] for x in a if x >= 0])
+        return sum(map(self._range_bit.__getitem__, a))
 
     def fix(self, a) -> int:
-        return sum([bit for bit, x, i in zip(self._bits, a, self._identity) if x == i])
+        return sum(compress(self._bits, map(eq, a, self._identity)))
 
     def idem(self, mask: int) -> tuple[int, ...]:
         """The unit arrows over a unit set."""

@@ -19,8 +19,11 @@ and otherwise the suite stays on codes. Both certificates,
 check_embedding and check_almost_morphism, run on the kernel too, through
 one loop (_deviations) that maps each distinct code once: a map of
 constructions scatters its arrow table (SemigroupMap.packed), and a pair
-list becomes a dict from domain code to codomain code. Bisections are
-decoded only for the witnesses a report prints.
+list becomes a dict from domain code to codomain code. When every pair
+of the pool runs, that loop takes each left factor's products through its
+left rows (PackedMonoid.left_row), built once per left factor; sampled
+pairs take theirs by mul. Bisections are decoded only for the witnesses
+a report prints.
 """
 
 from __future__ import annotations
@@ -103,10 +106,11 @@ def _pool(pm: PackedMonoid, kind: str, budget: SuiteBudget):
     also be a PoolTable for).
 
     Exhaustive when the count fits budget.exhaustive_cap. Otherwise up to
-    budget.sample_count distinct seeded draws, and no more than the cap,
-    seeded with the unit (and for "semigroup" the zero, for "malg" the
-    empty and full masks) and sorted as Bisections sort by their arrows
-    and unit sets by their units. Per component, a "semigroup" draw picks
+    budget.sample_count distinct elements, and no more than the cap: first
+    the unit and then, as far as that bound admits, the zero ("semigroup")
+    or the empty mask (for "malg", whose unit is the full mask), then
+    seeded draws, all sorted as Bisections sort by their arrows and unit
+    sets by their units. Per component, a "semigroup" draw picks
     each point as a source with probability 1/2, then distinct random
     ranges, then a group label per arrow; a "group" draw is a random
     permutation and the labels.
@@ -126,12 +130,12 @@ def _pool(pm: PackedMonoid, kind: str, budget: SuiteBudget):
     target = min(budget.sample_count, budget.exhaustive_cap, count)
     units = range(pm.n_units)
     if kind == "malg":
-        pool = {0, pm.full_mask}
+        pool = set([pm.full_mask, 0][:target])
         while len(pool) < target:
             pool.add(sum([1 << u for u in units if rng.random() < 0.5]))
         return sorted(pool, key=lambda mask: [u for u in units if mask >> u & 1]), False
 
-    pool = {pm.one} if full else {pm.one, pm.zero}
+    pool = set([pm.one] if full else [pm.one, pm.zero][:target])
     while len(pool) < target:
         out = [-1] * pm.n_units
         for ci, c in enumerate(g.components):
@@ -245,7 +249,7 @@ def check_almost_morphism(pi, K, epsilon, packed: PackedMonoid | None = None) ->
                 raise IncompletePairListError(f"pair list does not cover a required element ({arrows} arrows)")
             return table[x]
 
-    _, (prod_dev, trace_dev, dist_dev), at = _deviations(f, dom, cod, pool, iproduct(range(len(K)), repeat=2))
+    _, (prod_dev, trace_dev, dist_dev), at = _deviations(f, dom, cod, pool)
     return AlmostMorphismReport(
         k_size=len(K),
         epsilon=epsilon,
@@ -295,16 +299,20 @@ class EmbeddingReport:
         )
 
 
-def _deviations(f, dom: PackedMonoid, cod: PackedMonoid, pool: list, pairs):
+def _deviations(f, dom: PackedMonoid, cod: PackedMonoid, pool: list, pairs=None):
     """The loop of both certificates: f maps codes of dom to codes of cod,
-    and pairs index the pool.
+    and pairs index the pool, or are None for all of its pairs, the left
+    index outermost.
 
     Returns the images of the pool, the exact product, trace and distance
     maxima as Fractions, and where each is first reached ("trace": a pool
     index; "product", "distance": a pair of them). Deviations are compared
     as integers, over cod.denom and over dom.denom * cod.denom. Maps are
     pure functions, so f runs once per distinct code: the pool's, then
-    each product's that is not yet mapped.
+    each product's that is not yet mapped. Over all pairs, the left rows
+    (PackedMonoid.left_row) of a left factor and of its image take its n
+    products; given pairs take theirs by mul, since a row costs about two
+    muls and a sampled left factor seldom recurs.
     """
     mapped = {}
 
@@ -322,16 +330,26 @@ def _deviations(f, dom: PackedMonoid, cod: PackedMonoid, pool: list, pairs):
         dev = abs(dom.trace(x) * d_cod - cod.trace(fx) * d_dom)
         if dev > trace_dev:
             trace_dev, at["trace"] = dev, i
-    dom_mul, dom_dist, cod_mul, cod_dist = dom.mul, dom.dist, cod.mul, cod.dist
-    for ia, ib in pairs:
-        x, y, fx, fy = pool[ia], pool[ib], images[ia], images[ib]
-        fxy, fxfy = image(dom_mul(x, y)), cod_mul(fx, fy)
+    # (ia, ib, x*y, f(x)*f(y)) for each pair, in the order of the pairs
+    if pairs is None:
+        products = (
+            (ia, ib, tuple(map(x_row, y)), tuple(map(fx_row, fy)))
+            for ia, (x, fx) in enumerate(zip(pool, images))
+            for x_row, fx_row in [(dom.left_row(x).__getitem__, cod.left_row(fx).__getitem__)]
+            for ib, (y, fy) in enumerate(zip(pool, images))
+        )
+    else:
+        dom_mul, cod_mul = dom.mul, cod.mul
+        products = ((ia, ib, dom_mul(pool[ia], pool[ib]), cod_mul(images[ia], images[ib])) for ia, ib in pairs)
+    dom_dist, cod_dist = dom.dist, cod.dist
+    for ia, ib, xy, fxfy in products:
+        fxy = image(xy)
         # equal codes are deviation 0, which never raises the maximum
         if fxy != fxfy:
             dev = cod_dist(fxy, fxfy)
             if dev > prod_dev:
                 prod_dev, at["product"] = dev, (ia, ib)
-        dev = abs(dom_dist(x, y) * d_cod - cod_dist(fx, fy) * d_dom)
+        dev = abs(dom_dist(pool[ia], pool[ib]) * d_cod - cod_dist(images[ia], images[ib]) * d_dom)
         if dev > dist_dev:
             dist_dev, at["distance"] = dev, (ia, ib)
     scale = d_dom * d_cod
@@ -359,7 +377,8 @@ def check_embedding(m: SemigroupMap, budget: SuiteBudget | None = None) -> Embed
     pool, exhaustive = _pool(dom, "semigroup", budget)
     n = len(pool)
     pair_iter, exhaustive, pair_count = _tuples((n, n), budget, exhaustive)
-    images, (prod_dev, trace_dev, dist_dev), at = _deviations(m.packed(dom, cod), dom, cod, pool, pair_iter)
+    pairs = None if pair_count == n * n else pair_iter  # sampled pairs are fewer
+    images, (prod_dev, trace_dev, dist_dev), at = _deviations(m.packed(dom, cod), dom, cod, pool, pairs)
     unit_ok = images[pool.index(dom.one)] == cod.one  # every pool holds the unit
 
     consistent = True
@@ -667,20 +686,24 @@ def suite_finite_index(
         1 for k, matrix in checked.items() for i in range(nn) if trace(matrix[i * nn + i]) != trace(pool[k])
     )
     # the products a_ij b_jl over j have disjoint sources once b passed
-    # its column check, so their union is an entrywise max over codes
+    # its column check, so their union is an entrywise max over codes; the
+    # left rows of the blocks a_ij are built when the left index changes
     viol = 0
     pair_iter, exh2, _ = _tuples((len(pool), len(pool)), budget, exhaustive)
     pairs_done = 0
+    row_of = None
     for ia, ib in pair_iter:
         ba, bb = checked.get(ia), checked.get(ib)
         if ba is None or bb is None:
             continue
         pairs_done += 1
+        if row_of != ia:
+            row_of, rows = ia, [pm.left_row(a_ij).__getitem__ for a_ij in ba]
         bab = blocks(mul(pool[ia], pool[ib]))
         for i in range(nn):
-            row = ba[i * nn : (i + 1) * nn]
+            row = rows[i * nn : (i + 1) * nn]
             for l in range(nn):
-                products = [mul(a_ij, bb[j * nn + l]) for j, a_ij in enumerate(row)]
+                products = [tuple(map(a_ij, bb[j * nn + l])) for j, a_ij in enumerate(row)]
                 if tuple(map(max, zip(*products))) != bab[i * nn + l]:
                     viol += 1
     checks.append(

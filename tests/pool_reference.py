@@ -103,7 +103,7 @@ def reference_elements(g, kind: str, budget):
     target = min(budget.sample_count, budget.exhaustive_cap, count)
     if kind == "malg":
         units = list(g.units())
-        pool = {frozenset(), frozenset(units)}
+        pool = set([frozenset(units), frozenset()][:target])
         while len(pool) < target:
             pool.add(frozenset(u for u in units if rng.random() < 0.5))
         return sorted(pool, key=sorted), False
@@ -111,7 +111,7 @@ def reference_elements(g, kind: str, budget):
         pool = {unit_bisection(g)}
         draw = sample_full_group
     else:
-        pool = {unit_bisection(g), empty_bisection(g)}
+        pool = set([unit_bisection(g), empty_bisection(g)][:target])
         draw = sample_bisection
     while len(pool) < target:
         pool.add(draw(g, rng))

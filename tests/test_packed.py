@@ -374,6 +374,8 @@ def test_sampled_elements_of_a_ten_unit_groupoid():
         assert Fraction(pm.trace(x), pm.denom) == trace(a)
         assert Fraction(pm.dist(x, y), pm.denom) == distance(a, b)
         assert pm.src(x) & ~pm.fix(x) == pm.mask(supp_units(a))
+        assert pm.rng(x) == pm.mask(range_units(a))
+        assert pm.fix(x) == pm.mask(fix_units(a))
 
 
 # ---------------------------------------------------------------------------
@@ -590,11 +592,17 @@ EMBEDDINGS = {
 EMBEDDING_BUDGETS = {"exhaustive": SuiteBudget(), "sampled": SMALL}
 EMBEDDING_CASES = [(case, regime) for case in EMBEDDINGS for regime in EMBEDDING_BUDGETS]
 EMBEDDING_IDS = [f"{case}-{regime}" for case, regime in EMBEDDING_CASES]
+# this cap samples the pools of the 17-, 21- and 34-element domains down to
+# 4 elements and then runs all 16 of their pairs, whose products leave the
+# pool; the smaller domains keep their pools and sample their pairs
+REFERENCE_BUDGETS = {**EMBEDDING_BUDGETS, "sampled-pool": SuiteBudget(exhaustive_cap=16, sample_count=4, seed=3)}
+REFERENCE_CASES = [(case, regime) for case in EMBEDDINGS for regime in REFERENCE_BUDGETS]
+REFERENCE_IDS = [f"{case}-{regime}" for case, regime in REFERENCE_CASES]
 
 
-@pytest.mark.parametrize("case,regime", EMBEDDING_CASES, ids=EMBEDDING_IDS)
+@pytest.mark.parametrize("case,regime", REFERENCE_CASES, ids=REFERENCE_IDS)
 def test_embedding_report_matches_reference(case, regime):
-    m, budget = EMBEDDINGS[case](), EMBEDDING_BUDGETS[regime]
+    m, budget = EMBEDDINGS[case](), REFERENCE_BUDGETS[regime]
     assert check_embedding(m, budget) == reference_check_embedding(m, budget)
 
 
@@ -1131,10 +1139,10 @@ S3Y4 = connected_groupoid(cayley.symmetric(3), 4)
 EXTEND_GAMMA = {"arrows": [[0, 2, 1, 0], [0, 4, 2, 1]]}
 
 
-def finite_index_report(stem) -> str:
+def finite_index_report(stem, budget=None) -> str:
     g, sub, system = FINITE_INDEX_CASES[stem]()
     params = {"g": g, "sub_arrows": sub} if system is None else {"g": g, "sub_arrows": sub, "system": system}
-    return dumps(suite_result_to_json(run_suite("finite-index", None, **params)))
+    return dumps(suite_result_to_json(run_suite("finite-index", budget, **params)))
 
 
 def extension_report(stem) -> str:
@@ -1152,6 +1160,14 @@ def write_extend_inputs(directory: Path) -> list:
 @pytest.mark.parametrize("stem", list(FINITE_INDEX_CASES))
 def test_finite_index_report_matches_golden(stem):
     assert finite_index_report(stem) == (GOLDEN_DIR / f"{stem}.json").read_text()
+
+
+# at SMALL, the pairs of the block identity are sampled, over a sampled pool
+# of [[3]] and over all 7 elements of [[S3]]; these goldens were written by
+# the block identity that took each product a_ij b_jl by PackedMonoid.mul
+@pytest.mark.parametrize("stem", ["finite-index-n3-units", "finite-index-s3-z3"])
+def test_sampled_finite_index_report_matches_golden(stem):
+    assert finite_index_report(stem, SMALL) == (GOLDEN_DIR / f"{stem}-sampled.json").read_text()
 
 
 @pytest.mark.parametrize("stem", list(EXTENSION_CASES))

@@ -235,8 +235,9 @@ def test_no_check_is_exhaustive_over_a_sampled_pool(suite):
 
 # every suite under a cap of 20 tuples, on [[3]], on [[4]] (whose 24 full
 # elements and 16 unit sets fit the cap only one at a time) and on
-# Z2xY2+Y2 (whose corner quadruples are 16^4)
-CAP = SuiteBudget(exhaustive_cap=20, sample_count=15)
+# Z2xY2+Y2 (whose corner quadruples are 16^4); and under a cap of one,
+# where a sampled pool holds the unit alone
+CAPS = (SuiteBudget(exhaustive_cap=20, sample_count=15), SuiteBudget(exhaustive_cap=1, sample_count=1))
 CAP_GROUPOIDS = {
     "n3": G3,
     "n4": full_relation(4),
@@ -267,8 +268,9 @@ def check_counts(result) -> dict:
 @pytest.mark.parametrize("key", CAP_GROUPOIDS)
 @pytest.mark.parametrize("suite", SUITES)
 def test_tested_is_bounded_by_the_cap(suite, key):
-    counts = check_counts(run_suite(suite, CAP, **suite_params(suite, CAP_GROUPOIDS[key])))
-    assert counts and max(counts.values()) <= CAP.exhaustive_cap, counts
+    for cap in CAPS:
+        counts = check_counts(run_suite(suite, cap, **suite_params(suite, CAP_GROUPOIDS[key])))
+        assert counts and max(counts.values()) <= cap.exhaustive_cap, (cap, counts)
 
 
 # a sample count above the cap: the cap bounds sampled pools and tuples too

@@ -298,10 +298,16 @@ def cmd_suite(args) -> int:
 
 
 def _p_list(text: str) -> list[int]:
+    """The targets of a ladder run, each once: a repeated target would run
+    the same distortion again and emit a second check of the same name."""
     try:
-        return [int(x) for x in text.split(",") if x]
+        ps = [int(x) for x in text.split(",") if x]
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad integer list {text!r}")
+    for i, p in enumerate(ps):
+        if p in ps[:i]:
+            raise argparse.ArgumentTypeError(f"repeated target {p} in {text!r}")
+    return ps
 
 
 def build_parser() -> argparse.ArgumentParser:

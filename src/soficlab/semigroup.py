@@ -24,10 +24,12 @@ correction is
 
 PackedMonoid computes all of this on integer tuples, and the enumerators
 below list [[G]], [G] and the measure algebra directly as its codes and
-bitmasks. PoolTable tabulates those operations over an exhaustive pool,
-for pools small enough that its n*n tables fit the caller's cap: its
-product rows come from PackedMonoid.left_row, one row of codes per left
-factor, and its unary operations are bound list lookups.
+bitmasks. Distances over a list of codes come a row at a time from
+PackedMonoid.dist_rows, by agreement classes. PoolTable tabulates those
+operations over an exhaustive pool, for pools small enough that its n*n
+tables fit the caller's cap: its product rows come from
+PackedMonoid.left_row, one row of codes per left factor, its distance
+rows from dist_rows, and its unary operations are bound list lookups.
 Bisection is the boundary type: it is parsed, printed and used
 for witnesses, and its constructor validates; PackedMonoid.encode and
 decode convert at the boundary. The Bisection algebra that the kernel is
@@ -242,6 +244,28 @@ class PackedMonoid:
         """Weight of the source units where a and b differ."""
         return sum(compress(self.weights, map(ne, a, b)))
 
+    def dist_rows(self, codes: list):
+        """Yield [dist(a, b) for b in codes] for each a in codes, in order.
+
+        dist(a, b) is the total weight less the weight of the units where
+        a and b agree. So the indices of codes are first grouped by their
+        entry at each unit, and row a starts at total and loses w_u at each
+        index whose entry at u is a's: one subtraction per agreeing (index,
+        unit), in place of len(codes) calls of dist. Codes may repeat. One
+        row is held at a time, beside the n*N class lists.
+        """
+        classes = [{} for _ in range(self.n_units)]
+        for j, x in enumerate(codes):
+            for by_entry, v in zip(classes, x):
+                by_entry.setdefault(v, []).append(j)
+        start = [self.total] * len(codes)
+        for a in codes:
+            row = start[:]
+            for w, by_entry, v in zip(self.weights, classes, a):
+                for j in by_entry[v]:
+                    row[j] -= w
+            yield row
+
     def mass(self, mask: int) -> int:
         total = 0
         for table in self._mass_chunks:
@@ -313,8 +337,9 @@ class PoolTable:
     on pm, so verify._pool draws unit sets from either kernel. Index
     equality is element equality. Row a of the product table is every
     code mapped through pm.left_row(a) and looked up, all in map calls;
-    the distance table is built only on first use. The unary operations
-    are the __getitem__ of their tables, mass of one over all 2^N masks.
+    the distance table comes from pm.dist_rows, on first use. The unary
+    operations are the __getitem__ of their tables, mass of one over all
+    2^N masks.
     The product and distance tables have n*n entries and the others at
     most n (2^N too: [[G]] holds an idempotent per unit set), so with n*n
     within a cap every table fits it.
@@ -342,26 +367,9 @@ class PoolTable:
 
     @cached_property
     def dists(self) -> list[list[int]]:
-        """dists[a][b] = dist(a, b), as rows by pool index.
-
-        dist(a, b) is the total weight less the weight of the units where
-        a and b agree, so row a starts at total and loses w_u at each
-        element whose entry at u is a's: one subtraction per agreeing
-        (element, unit), in place of n*n calls of pm.dist.
-        """
-        pm, codes = self._pm, self._codes
-        classes = [{} for _ in range(pm.n_units)]
-        for j, x in enumerate(codes):
-            for u, v in enumerate(x):
-                classes[u].setdefault(v, []).append(j)
-        rows = []
-        for a in codes:
-            row = [pm.total] * len(codes)
-            for w, by_entry, v in zip(pm.weights, classes, a):
-                for j in by_entry[v]:
-                    row[j] -= w
-            rows.append(row)
-        return rows
+        """dists[a][b] = dist(a, b), as rows by pool index, from
+        PackedMonoid.dist_rows."""
+        return list(self._pm.dist_rows(self._codes))
 
     def arrows(self, a) -> tuple[Arrow, ...]:
         return self._pm.arrows(self._codes[a])

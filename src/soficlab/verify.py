@@ -20,10 +20,10 @@ check_embedding and check_almost_morphism, run on the kernel too, through
 one loop (_deviations) that maps each distinct code once: a map of
 constructions scatters its arrow table (SemigroupMap.packed), and a pair
 list becomes a dict from domain code to codomain code. When every pair
-of the pool runs, that loop takes each left factor's products through its
-left rows (PackedMonoid.left_row), built once per left factor; sampled
-pairs take theirs by mul. Bisections are decoded only for the witnesses
-a report prints.
+of the pool runs, that loop goes one left factor at a time: its products
+through its left rows (PackedMonoid.left_row), its distances from
+PackedMonoid.dist_rows; sampled pairs take theirs by mul and dist.
+Bisections are decoded only for the witnesses a report prints.
 """
 
 from __future__ import annotations
@@ -31,9 +31,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress, repeat, starmap
 from itertools import product as iproduct
-from itertools import starmap
 from math import prod
+from operator import ne
 
 from .constructions import (
     NoTransversalError,
@@ -299,6 +300,18 @@ class EmbeddingReport:
         )
 
 
+class _Images(dict):
+    """f's value at each code, computed on the first lookup of that code."""
+
+    def __init__(self, f):
+        super().__init__()
+        self._f = f
+
+    def __missing__(self, x):
+        fx = self[x] = self._f(x)
+        return fx
+
+
 def _deviations(f, dom: PackedMonoid, cod: PackedMonoid, pool: list, pairs=None):
     """The loop of both certificates: f maps codes of dom to codes of cod,
     and pairs index the pool, or are None for all of its pairs, the left
@@ -309,20 +322,16 @@ def _deviations(f, dom: PackedMonoid, cod: PackedMonoid, pool: list, pairs=None)
     index; "product", "distance": a pair of them). Deviations are compared
     as integers, over cod.denom and over dom.denom * cod.denom. Maps are
     pure functions, so f runs once per distinct code: the pool's, then
-    each product's that is not yet mapped. Over all pairs, the left rows
-    (PackedMonoid.left_row) of a left factor and of its image take its n
-    products; given pairs take theirs by mul, since a row costs about two
-    muls and a sampled left factor seldom recurs.
+    each product's that is not yet mapped. Over all pairs, the loop runs one
+    left factor at a time: the left rows (PackedMonoid.left_row) of the
+    factor and of its image take its n products, cod.dist runs only where
+    f(xy) != f(x)f(y), and the distances of the row come from dom.dist_rows
+    and cod.dist_rows; a row's first maximal index is its witness. Given
+    pairs take theirs by mul and dist, since a row costs about two muls and
+    a sampled left factor seldom recurs.
     """
-    mapped = {}
-
-    def image(x):
-        fx = mapped.get(x)
-        if fx is None:
-            fx = mapped[x] = f(x)
-        return fx
-
-    images = [image(x) for x in pool]
+    mapped = _Images(f)
+    images = list(map(mapped.__getitem__, pool))
     d_dom, d_cod = dom.denom, cod.denom
     prod_dev = trace_dev = dist_dev = 0
     at = {}
@@ -330,28 +339,34 @@ def _deviations(f, dom: PackedMonoid, cod: PackedMonoid, pool: list, pairs=None)
         dev = abs(dom.trace(x) * d_cod - cod.trace(fx) * d_dom)
         if dev > trace_dev:
             trace_dev, at["trace"] = dev, i
-    # (ia, ib, x*y, f(x)*f(y)) for each pair, in the order of the pairs
+    cod_dist = cod.dist
     if pairs is None:
-        products = (
-            (ia, ib, tuple(map(x_row, y)), tuple(map(fx_row, fy)))
-            for ia, (x, fx) in enumerate(zip(pool, images))
-            for x_row, fx_row in [(dom.left_row(x).__getitem__, cod.left_row(fx).__getitem__)]
-            for ib, (y, fy) in enumerate(zip(pool, images))
-        )
+        indices = range(len(pool))
+        rows = zip(pool, images, dom.dist_rows(pool), cod.dist_rows(images))
+        for ia, (x, fx, dom_row, cod_row) in enumerate(rows):
+            x_row, fx_row = dom.left_row(x).__getitem__, cod.left_row(fx).__getitem__
+            fxys = list(map(mapped.__getitem__, map(tuple, map(map, repeat(x_row), pool))))
+            fxfys = list(map(tuple, map(map, repeat(fx_row), images)))
+            # equal codes are deviation 0, which never raises the maximum
+            for ib in compress(indices, map(ne, fxys, fxfys)):
+                dev = cod_dist(fxys[ib], fxfys[ib])
+                if dev > prod_dev:
+                    prod_dev, at["product"] = dev, (ia, ib)
+            devs = [abs(d * d_cod - c * d_dom) for d, c in zip(dom_row, cod_row)]
+            dev = max(devs)
+            if dev > dist_dev:
+                dist_dev, at["distance"] = dev, (ia, devs.index(dev))
     else:
-        dom_mul, cod_mul = dom.mul, cod.mul
-        products = ((ia, ib, dom_mul(pool[ia], pool[ib]), cod_mul(images[ia], images[ib])) for ia, ib in pairs)
-    dom_dist, cod_dist = dom.dist, cod.dist
-    for ia, ib, xy, fxfy in products:
-        fxy = image(xy)
-        # equal codes are deviation 0, which never raises the maximum
-        if fxy != fxfy:
-            dev = cod_dist(fxy, fxfy)
-            if dev > prod_dev:
-                prod_dev, at["product"] = dev, (ia, ib)
-        dev = abs(dom_dist(pool[ia], pool[ib]) * d_cod - cod_dist(images[ia], images[ib]) * d_dom)
-        if dev > dist_dev:
-            dist_dev, at["distance"] = dev, (ia, ib)
+        dom_mul, cod_mul, dom_dist = dom.mul, cod.mul, dom.dist
+        for ia, ib in pairs:
+            fxy, fxfy = mapped[dom_mul(pool[ia], pool[ib])], cod_mul(images[ia], images[ib])
+            if fxy != fxfy:
+                dev = cod_dist(fxy, fxfy)
+                if dev > prod_dev:
+                    prod_dev, at["product"] = dev, (ia, ib)
+            dev = abs(dom_dist(pool[ia], pool[ib]) * d_cod - cod_dist(images[ia], images[ib]) * d_dom)
+            if dev > dist_dev:
+                dist_dev, at["distance"] = dev, (ia, ib)
     scale = d_dom * d_cod
     return images, (Fraction(prod_dev, d_cod), Fraction(trace_dev, scale), Fraction(dist_dev, scale)), at
 

@@ -414,6 +414,23 @@ def test_ladder_from_no_points_exits_2(capsys, command):
     assert out == "" and err.startswith("input error:") and "source size 0" in err
 
 
+# a repeated ladder target would run its distortion twice and emit two
+# reports (or two checks named ladder-3-to-4); argparse rejects it instead
+REPEATED_TARGETS = {
+    "embed": ["embed", "--kind", "ladder", "--n", "3", "--p-list", "4,5,4"],
+    "suite": ["suite", "--name", "ladder", "--n", "3", "--p-list", "4,4"],
+}
+
+
+@pytest.mark.parametrize("command", list(REPEATED_TARGETS))
+def test_repeated_ladder_target_exits_2(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main(REPEATED_TARGETS[command])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == "" and "repeated target 4" in captured.err
+
+
 # every option each embed kind needs, with a value that runs; each test
 # leaves one of them out
 EMBED_OPTIONS = {

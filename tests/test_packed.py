@@ -378,6 +378,54 @@ def test_sampled_elements_of_a_ten_unit_groupoid():
         assert pm.fix(x) == pm.mask(fix_units(a))
 
 
+def ten_unit_codes():
+    g = convex_combination(
+        [(THIRD, connected_groupoid(cayley.symmetric(3), 4)), (1 - THIRD, full_relation(6))]
+    )
+    pm, rng = PackedMonoid(g), random.Random(7)
+    return pm, [pm.encode(sample_bisection(g, rng)) for _ in range(60)]
+
+
+def collapsed_images():
+    # a non-injective map's images: repeats, and the zero more than once
+    m = forget_labels(embed_connected(GROUPOIDS["z2y2"]))
+    dom, cod = PackedMonoid(m.domain), PackedMonoid(m.codomain)
+    image = m.packed(dom, cod)
+    codes = [image(x) for x in semigroup_codes(dom)] + [cod.zero]
+    assert len(set(codes)) < len(codes) and codes.count(cod.zero) > 1
+    return cod, codes
+
+
+def all_codes(g):
+    pm = PackedMonoid(g)
+    return pm, list(semigroup_codes(pm))
+
+
+def sampled_codes(g, count):
+    pm = PackedMonoid(g)
+    return pm, _pool(pm, "semigroup", SuiteBudget(exhaustive_cap=count, sample_count=count, seed=4))[0]
+
+
+# (PackedMonoid, codes) for dist_rows; G6 and Z2 beside a point weigh
+# their units unequally
+DIST_ROWS_CASES = {
+    "n3": lambda: all_codes(GROUPOIDS["n3"]),
+    "z2y2_y2": lambda: all_codes(GROUPOIDS["z2y2_y2"]),
+    "z2pt": lambda: all_codes(GROUPOIDS["z2pt"]),
+    "g6-sampled": lambda: sampled_codes(g6(G6_NU), 80),
+    "ten-units-sampled": ten_unit_codes,
+    "collapsed-images": collapsed_images,
+    "empty": lambda: (PackedMonoid(GROUPOIDS["n3"]), []),
+}
+
+
+@pytest.mark.parametrize("case", list(DIST_ROWS_CASES))
+def test_dist_rows_equal_dist(case):
+    pm, codes = DIST_ROWS_CASES[case]()
+    rows = list(pm.dist_rows(codes))
+    assert rows == [[pm.dist(a, b) for b in codes] for a in codes]
+
+
 # ---------------------------------------------------------------------------
 # Element pools against the Bisection reference
 
@@ -764,6 +812,36 @@ def test_incomplete_pair_list_raises_like_reference(case):
     with pytest.raises(IncompletePairListError) as got:
         check_almost_morphism(pairs, K, HALF)
     assert str(got.value) == str(expected.value)
+
+
+def ladder_swap_collapsed():
+    """The pair list of general_map(2, 3) on all of [[2]], with the swap
+    sent to the unit's image: products through the swap now deviate."""
+    swap, one = swap_and_one()
+    pairs = ladder_pairs(all_of(REL2))
+    pairs[swap] = pairs[one]
+    return pairs, all_of(REL2), HALF
+
+
+# (map or pair list, K, epsilon, (product, distance) maxima, pairs reaching
+# the distance maximum): each maximum is reached at more than one pair, the
+# ladder's distance maximum more than once within a row, so only the
+# row-major first-reached witness matches the reference
+TIED_CASES = {
+    "ladder-2-3": lambda: (general_map(2, 3), all_of(REL2), HALF, (0, THIRD), 22),
+    "ladder-2-3-swap-collapsed": lambda: (*ladder_swap_collapsed(), (2 * THIRD, 1), 2),
+}
+
+
+@pytest.mark.parametrize("case", list(TIED_CASES))
+def test_tied_maxima_keep_the_first_witness(case):
+    pi, K, epsilon, maxima, ties = TIED_CASES[case]()
+    report = check_almost_morphism(pi, K, epsilon)
+    assert (report.max_product_deviation, report.max_distance_deviation) == maxima
+    f = pi if isinstance(pi, SemigroupMap) else pi.__getitem__
+    reached = [(a, b) for a in K for b in K if abs(distance(a, b) - distance(f(a), f(b))) == maxima[1]]
+    assert len(reached) == ties and report.witnesses["distance"] == reached[0]
+    assert report == reference_check_almost_morphism(pi, K, epsilon)
 
 
 def test_almost_morphism_runs_without_bisection_algebra(monkeypatch):

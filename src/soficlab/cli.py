@@ -311,9 +311,11 @@ def _p_list(text: str) -> list[int]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # no parser takes abbreviations, so `--p` never stands for `--p-list`
     parser = argparse.ArgumentParser(
         prog="soficlab",
         description="Exact computation and verification for finite pmp groupoids.",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=f"soficlab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -324,18 +326,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--budget", type=int, help="exhaustive tuple cap")
         p.add_argument("--samples", type=int, help="sample count above the cap")
 
-    p = sub.add_parser("validate", help="check groupoid axioms on a raw table")
+    p = sub.add_parser("validate", help="check groupoid axioms on a raw table", allow_abbrev=False)
     p.add_argument("raw")
     common(p)
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("decompose", help="normal form of a raw groupoid")
+    p = sub.add_parser("decompose", help="normal form of a raw groupoid", allow_abbrev=False)
     p.add_argument("raw")
     p.add_argument("--weights", help="unit masses JSON, overriding the raw file")
     common(p)
     p.set_defaults(func=cmd_decompose)
 
-    p = sub.add_parser("embed", help="run a construction and certify it")
+    p = sub.add_parser("embed", help="run a construction and certify it", allow_abbrev=False)
     p.add_argument(
         "--kind",
         required=True,
@@ -349,18 +351,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--left", help="left factor groupoid (kind=product)")
     p.add_argument("--right", help="right factor groupoid (kind=product)")
     p.add_argument("--n", type=int, help="source size (kind=ladder)")
-    p.add_argument("--p", type=int, help="target size (kind=ladder)")
-    p.add_argument("--p-list", type=_p_list, help="comma-separated targets (kind=ladder)")
+    targets = p.add_mutually_exclusive_group()
+    targets.add_argument("--p", type=int, help="target size (kind=ladder)")
+    targets.add_argument("--p-list", type=_p_list, help="comma-separated targets (kind=ladder)")
     common(p)
     p.set_defaults(func=cmd_embed)
 
-    p = sub.add_parser("extend", help="full-group completion of a bisection")
+    p = sub.add_parser("extend", help="full-group completion of a bisection", allow_abbrev=False)
     p.add_argument("groupoid")
     p.add_argument("bisection")
     common(p)
     p.set_defaults(func=cmd_extend)
 
-    p = sub.add_parser("verify", help="almost-morphism check of a map on a set K")
+    p = sub.add_parser("verify", help="almost-morphism check of a map on a set K", allow_abbrev=False)
     p.add_argument("--map", required=True, help="pair-list JSON or construction name")
     p.add_argument("--domain", help="domain groupoid file (pair-list maps)")
     p.add_argument("--codomain", help="codomain groupoid file (pair-list maps)")
@@ -372,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("suite", help="run a named invariant suite")
+    p = sub.add_parser("suite", help="run a named invariant suite", allow_abbrev=False)
     p.add_argument("--name", required=True)
     p.add_argument("--groupoid")
     p.add_argument("--sub")

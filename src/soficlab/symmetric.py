@@ -8,9 +8,9 @@ each such point moving the metric by at most 1/(stage size). The composite
 stays within n/(p-n). A distortion report measures the worst deviation
 exactly, on packed codes of full_relation(n) and full_relation(p): with
 unit weights over the denominators n and p, a deviation is an integer
-over n*p. Over all pairs, the distances come a row at a time from
-PackedMonoid.dist_rows of the pool and of its images; sampled pairs keep
-their draw order and one dist per pair.
+over n*p. It is the metric pass of the certificate loop,
+verify.metric_deviations, over the pool and its images; a ladder map is
+exactly multiplicative, so no product pass runs.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from fractions import Fraction
 from .constructions import general_map
 from .groupoid import Arrow
 from .semigroup import CertificateError, PackedMonoid, semigroup_codes, semigroup_count
-from .verify import SuiteBudget
+from .verify import SuiteBudget, metric_deviations
 
 
 @dataclass(frozen=True)
@@ -64,47 +64,32 @@ def _sample_code(pm: PackedMonoid, rng: random.Random) -> tuple[int, ...]:
 def distortion_report(n: int, p: int, budget: SuiteBudget | None = None) -> DistortionReport:
     """Measure sup |d_p(images) - d_n| over element pairs, exactly.
 
-    Exhaustive when |[[n]]|^2 fits budget.exhaustive_cap, otherwise
-    budget.sample_count pairs, or exhaustive_cap if that is fewer, drawn
-    with budget.seed; the trace deviation sup is tracked alongside.
+    Exhaustive when |[[n]]|^2 fits budget.exhaustive_cap. Otherwise
+    budget.sample_count pairs, or exhaustive_cap if that is fewer: the pool
+    is that many pairs of _sample_code draws with budget.seed, in the order
+    drawn, and pair i is the pool indices (2i, 2i+1). The trace deviation
+    sup is measured over the pool alongside.
     """
     budget = budget or SuiteBudget()
     m = general_map(n, p)
-    g = m.domain
-    dom, cod = PackedMonoid(g), PackedMonoid(m.codomain)
-    image = m.packed(dom, cod)
-    count = semigroup_count(g)
+    dom, cod = PackedMonoid(m.domain), PackedMonoid(m.codomain)
+    count = semigroup_count(m.domain)
     exhaustive = count * count <= budget.exhaustive_cap
     if exhaustive:
-        pool = list(semigroup_codes(dom))
-        tested = count * count
-        used_seed = None
+        pool, pairs, tested, used_seed = list(semigroup_codes(dom)), None, count * count, None
     else:
         rng = random.Random(budget.seed)
         draws = min(budget.sample_count, budget.exhaustive_cap)
-        pairs = [(_sample_code(dom, rng), _sample_code(dom, rng)) for _ in range(draws)]
-        pool = [a for pair in pairs for a in pair]
-        tested = len(pairs)
-        used_seed = budget.seed
-
-    images = {a: image(a) for a in pool}
-    # d_n = dom.dist / dn and d_p = cod.dist / dp, so a deviation is an
-    # integer over dn * dp (= n * p)
-    dn, dp = dom.denom, cod.denom
-    if exhaustive:
-        rows = zip(dom.dist_rows(pool), cod.dist_rows([images[a] for a in pool]))
-        d_sup = max(max([abs(dn * c - dp * d) for d, c in zip(dom_row, cod_row)]) for dom_row, cod_row in rows)
-    else:
-        d_sup = max(abs(dn * cod.dist(images[a], images[b]) - dp * dom.dist(a, b)) for a, b in pairs)
-    t_sup = max(abs(dn * cod.trace(y) - dp * dom.trace(x)) for x, y in images.items())
-
-    bound = None if p == n else Fraction(n, p - n)
+        pool = [_sample_code(dom, rng) for _ in range(2 * draws)]
+        pairs, tested, used_seed = [(2 * i, 2 * i + 1) for i in range(draws)], draws, budget.seed
+    # a ladder map is exactly multiplicative, so only the metric pass runs
+    trace_sup, observed_sup, _ = metric_deviations(dom, cod, pool, list(map(m.packed(dom, cod), pool)), pairs)
     return DistortionReport(
         n=n,
         p=p,
-        bound=bound,
-        observed_sup=Fraction(d_sup, dn * dp),
-        trace_sup=Fraction(t_sup, dn * dp),
+        bound=None if p == n else Fraction(n, p - n),
+        observed_sup=observed_sup,
+        trace_sup=trace_sup,
         pairs_tested=tested,
         exhaustive=exhaustive,
         seed=used_seed,

@@ -15,15 +15,19 @@ the codes of constructions.PackedProduct. The inverse-monoid, metric-prop,
 trace-distance and supports suites take their kernel from _kernel: when
 the n*n pairs of [[G]] fit the cap it becomes a semigroup.PoolTable, whose
 operations are lookups by pool index in tables of at most n*n entries,
-and otherwise the suite stays on codes. Both certificates,
+and otherwise the suite stays on codes. The finite-index suite's block
+identity and diagonal trace are predicates run through the same gate over
+the elements whose block matrices passed their checks. Both certificates,
 check_embedding and check_almost_morphism, run on the kernel too, through
 one loop (_deviations) that maps each distinct code once: a map of
 constructions scatters its arrow table (SemigroupMap.packed), and a pair
-list becomes a dict from domain code to codomain code. When every pair
-of the pool runs, that loop goes one left factor at a time: its products
-through its left rows (PackedMonoid.left_row), its distances from
-PackedMonoid.dist_rows; sampled pairs take theirs by mul and dist.
-Bisections are decoded only for the witnesses a report prints.
+list becomes a dict from domain code to codomain code. The loop is a
+metric pass (metric_deviations), which the ladder's distortion reports
+run alone, and a product pass. When every pair of the pool runs,
+the products come one left factor at a time through its left rows
+(PackedMonoid.left_row), and the distances from PackedMonoid.dist_rows;
+sampled pairs take theirs by mul and dist. Bisections are decoded only
+for the witnesses a report prints.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import compress, repeat, starmap
 from itertools import product as iproduct
 from math import prod
@@ -314,36 +319,27 @@ class _Images(dict):
 
 def _deviations(f, dom: PackedMonoid, cod: PackedMonoid, pool: list, pairs=None):
     """The loop of both certificates: f maps codes of dom to codes of cod,
-    and pairs index the pool, or are None for all of its pairs, the left
-    index outermost.
+    and pairs is a list of index pairs into the pool, or None for all of
+    its pairs, the left index outermost. Returns the images of the pool,
+    the exact product, trace and distance maxima as Fractions, and where
+    each is first reached: the metric pass (metric_deviations), then the
+    product pass, whose "product" witness is a pair of pool indices.
 
-    Returns the images of the pool, the exact product, trace and distance
-    maxima as Fractions, and where each is first reached ("trace": a pool
-    index; "product", "distance": a pair of them). Deviations are compared
-    as integers, over cod.denom and over dom.denom * cod.denom. Maps are
-    pure functions, so f runs once per distinct code: the pool's, then
-    each product's that is not yet mapped. Over all pairs, the loop runs one
-    left factor at a time: the left rows (PackedMonoid.left_row) of the
-    factor and of its image take its n products, cod.dist runs only where
-    f(xy) != f(x)f(y), and the distances of the row come from dom.dist_rows
-    and cod.dist_rows; a row's first maximal index is its witness. Given
-    pairs take theirs by mul and dist, since a row costs about two muls and
-    a sampled left factor seldom recurs.
+    f runs once per distinct code: the pool's, then each product's that is
+    not yet mapped. Over all pairs, the products of a left factor come from
+    the left rows (PackedMonoid.left_row) of the factor and of its image,
+    and cod.dist runs only where f(xy) != f(x)f(y). Given pairs take theirs
+    by mul, since a row costs about two muls and a sampled left factor
+    seldom recurs.
     """
     mapped = _Images(f)
     images = list(map(mapped.__getitem__, pool))
-    d_dom, d_cod = dom.denom, cod.denom
-    prod_dev = trace_dev = dist_dev = 0
-    at = {}
-    for i, (x, fx) in enumerate(zip(pool, images)):
-        dev = abs(dom.trace(x) * d_cod - cod.trace(fx) * d_dom)
-        if dev > trace_dev:
-            trace_dev, at["trace"] = dev, i
+    trace_dev, dist_dev, at = metric_deviations(dom, cod, pool, images, pairs)
     cod_dist = cod.dist
+    prod_dev = 0
     if pairs is None:
         indices = range(len(pool))
-        rows = zip(pool, images, dom.dist_rows(pool), cod.dist_rows(images))
-        for ia, (x, fx, dom_row, cod_row) in enumerate(rows):
+        for ia, (x, fx) in enumerate(zip(pool, images)):
             x_row, fx_row = dom.left_row(x).__getitem__, cod.left_row(fx).__getitem__
             fxys = list(map(mapped.__getitem__, map(tuple, map(map, repeat(x_row), pool))))
             fxfys = list(map(tuple, map(map, repeat(fx_row), images)))
@@ -352,23 +348,47 @@ def _deviations(f, dom: PackedMonoid, cod: PackedMonoid, pool: list, pairs=None)
                 dev = cod_dist(fxys[ib], fxfys[ib])
                 if dev > prod_dev:
                     prod_dev, at["product"] = dev, (ia, ib)
-            devs = [abs(d * d_cod - c * d_dom) for d, c in zip(dom_row, cod_row)]
-            dev = max(devs)
-            if dev > dist_dev:
-                dist_dev, at["distance"] = dev, (ia, devs.index(dev))
     else:
-        dom_mul, cod_mul, dom_dist = dom.mul, cod.mul, dom.dist
+        dom_mul, cod_mul = dom.mul, cod.mul
         for ia, ib in pairs:
             fxy, fxfy = mapped[dom_mul(pool[ia], pool[ib])], cod_mul(images[ia], images[ib])
             if fxy != fxfy:
                 dev = cod_dist(fxy, fxfy)
                 if dev > prod_dev:
                     prod_dev, at["product"] = dev, (ia, ib)
+    return images, (Fraction(prod_dev, cod.denom), trace_dev, dist_dev), at
+
+
+def metric_deviations(dom: PackedMonoid, cod: PackedMonoid, pool: list, images: list, pairs=None):
+    """The maxima of |tr(f(x)) - tr(x)| over the pool and of
+    |d(f(x), f(y)) - d(x, y)| over pairs (as in _deviations), where
+    images[i] = f(pool[i]), as Fractions, and where each is first reached
+    ("trace": a pool index, "distance": a pair of them). Over all pairs,
+    the distances come a row at a time from dom.dist_rows and
+    cod.dist_rows, and a row's first maximal index is its witness; given
+    pairs take theirs by dist.
+    """
+    d_dom, d_cod = dom.denom, cod.denom
+    trace_dev = dist_dev = 0
+    at = {}
+    for i, (x, fx) in enumerate(zip(pool, images)):
+        dev = abs(dom.trace(x) * d_cod - cod.trace(fx) * d_dom)
+        if dev > trace_dev:
+            trace_dev, at["trace"] = dev, i
+    if pairs is None:
+        for ia, (dom_row, cod_row) in enumerate(zip(dom.dist_rows(pool), cod.dist_rows(images))):
+            devs = [abs(d * d_cod - c * d_dom) for d, c in zip(dom_row, cod_row)]
+            dev = max(devs)
+            if dev > dist_dev:
+                dist_dev, at["distance"] = dev, (ia, devs.index(dev))
+    else:
+        dom_dist, cod_dist = dom.dist, cod.dist
+        for ia, ib in pairs:
             dev = abs(dom_dist(pool[ia], pool[ib]) * d_cod - cod_dist(images[ia], images[ib]) * d_dom)
             if dev > dist_dev:
                 dist_dev, at["distance"] = dev, (ia, ib)
     scale = d_dom * d_cod
-    return images, (Fraction(prod_dev, d_cod), Fraction(trace_dev, scale), Fraction(dist_dev, scale)), at
+    return Fraction(trace_dev, scale), Fraction(dist_dev, scale), at
 
 
 def _witnesses(at: dict, element) -> dict:
@@ -684,49 +704,40 @@ def suite_finite_index(
 
     pm = PackedMonoid(g)
     pool, exhaustive = _pool(pm, "semigroup", budget)
-    mul, trace = pm.mul, pm.trace
     nn = system.index
     blocks = block_table(system, pm)
-    checked = {}  # pool index -> block matrix, for the elements that pass
-    for k, x in enumerate(pool):
-        if block_violation(pm, nn, blocks(x), blocks(pm.inv(x))) is None:
-            checked[k] = blocks(x)
+    passed = [x for x in pool if block_violation(pm, nn, blocks(x), blocks(pm.inv(x))) is None]
+    matrices = list(map(blocks, passed))  # block_table builds each once
     checks.append(
-        _result("block-asserts", len(checked) == len(pool), tested=len(pool), exhaustive=exhaustive)
+        _result("block-asserts", len(passed) == len(pool), tested=len(pool), exhaustive=exhaustive)
     )
 
-    # elements whose block matrix failed its checks are counted above and
-    # skipped below, so `tested` counts only the work done
-    trace_viol = sum(
-        1 for k, matrix in checked.items() for i in range(nn) if trace(matrix[i * nn + i]) != trace(pool[k])
-    )
-    # the products a_ij b_jl over j have disjoint sources once b passed
-    # its column check, so their union is an entrywise max over codes; the
-    # left rows of the blocks a_ij are built when the left index changes
-    viol = 0
-    pair_iter, exh2, _ = _tuples((len(pool), len(pool)), budget, exhaustive)
-    pairs_done = 0
-    row_of = None
-    for ia, ib in pair_iter:
-        ba, bb = checked.get(ia), checked.get(ib)
-        if ba is None or bb is None:
-            continue
-        pairs_done += 1
-        if row_of != ia:
-            row_of, rows = ia, [pm.left_row(a_ij).__getitem__ for a_ij in ba]
-        bab = blocks(mul(pool[ia], pool[ib]))
-        for i in range(nn):
-            row = rows[i * nn : (i + 1) * nn]
-            for l in range(nn):
-                products = [tuple(map(a_ij, bb[j * nn + l])) for j, a_ij in enumerate(row)]
-                if tuple(map(max, zip(*products))) != bab[i * nn + l]:
-                    viol += 1
-    checks.append(
-        _result("block-identity", viol == 0, tested=pairs_done * nn * nn, exhaustive=exh2, violations=viol)
-    )
-    checks.append(
-        _result("diagonal-trace", trace_viol == 0, tested=len(checked) * nn, exhaustive=exhaustive)
-    )
+    # the checks below run over the elements that passed. The products
+    # a_ij b_jl over j have disjoint sources once b passed its column check,
+    # so their union is an entrywise max over codes; the left rows of the
+    # blocks a_ij are built when the left index changes
+    @lru_cache(maxsize=1)
+    def left_rows(ia):
+        return [pm.left_row(a_ij).__getitem__ for a_ij in matrices[ia]]
+
+    def identity_fails(ia, ib):
+        rows, bb = left_rows(ia), matrices[ib]
+        bab = blocks(pm.mul(passed[ia], passed[ib]))
+        for i, l in iproduct(range(nn), repeat=2):
+            products = [tuple(map(a_ij, bb[j * nn + l])) for j, a_ij in enumerate(rows[i * nn : (i + 1) * nn])]
+            if tuple(map(max, zip(*products))) != bab[i * nn + l]:
+                return True
+        return False
+
+    viol, run = _count((len(passed), len(passed)), budget, exhaustive, identity_fails)
+    checks.append(_result("block-identity", viol == 0, violations=viol, **run))
+
+    def diagonal_differs(k):
+        t, matrix = pm.trace(passed[k]), matrices[k]
+        return any(pm.trace(matrix[i * nn + i]) != t for i in range(nn))
+
+    viol, run = _count((len(passed),), budget, exhaustive, diagonal_differs)
+    checks.append(_result("diagonal-trace", viol == 0, **run))
 
     try:
         report = check_embedding(finite_index_map(system), budget)

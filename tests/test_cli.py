@@ -431,6 +431,29 @@ def test_repeated_ladder_target_exits_2(capsys, command):
     assert captured.out == "" and "repeated target 4" in captured.err
 
 
+# one spelling per option: argparse would otherwise read `--p` on suite as
+# --p-list and `--bud` as --budget, and embed would drop --p beside --p-list
+ONE_SPELLING = {
+    "suite --p": (["suite", "--name", "ladder", "--n", "3", "--p-list", "7", "--p", "5"], "unrecognized arguments: --p 5"),
+    "embed --p and --p-list": (
+        ["embed", "--kind", "ladder", "--n", "3", "--p", "5", "--p-list", "7"],
+        "argument --p-list: not allowed with argument --p",
+    ),
+    "suite --bud": (["suite", "--name", "ladder", "--n", "3", "--p-list", "7", "--bud", "9"], "unrecognized arguments: --bud 9"),
+    "verify --bud": (["verify", "--map", "ladder", "--n", "2", "--p", "3", "--epsilon", "1/2", "--bud", "9"], "unrecognized arguments: --bud 9"),
+}
+
+
+@pytest.mark.parametrize("case", list(ONE_SPELLING))
+def test_options_are_spelled_in_full(capsys, case):
+    argv, message = ONE_SPELLING[case]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == "" and message in captured.err and "Traceback" not in captured.err
+
+
 # every option each embed kind needs, with a value that runs; each test
 # leaves one of them out
 EMBED_OPTIONS = {

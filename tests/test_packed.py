@@ -17,7 +17,9 @@ written by the partial-injection distortion reports before they moved onto
 the packed kernel. The finite-index and extension goldens were written by
 the Bisection-based block matrices, lift and full-group completion; those
 are kept below as references for the packed block table, the lift's arrow
-table and PackedMonoid.extend. The element pools of verify._pool and the
+table and PackedMonoid.extend. The finite-index goldens were rewritten
+once since, in their counts alone, when the block identity and diagonal
+trace came to count one tuple per pair and per element. The element pools of verify._pool and the
 code enumerators of semigroup are checked against the Bisection pools they
 replaced (pool_reference.py); no pool, and no part of the rectangles suite,
 may build a Bisection, and Bisection itself carries no algebra. The
@@ -1242,7 +1244,8 @@ def test_finite_index_report_matches_golden(stem):
 
 # at SMALL, the pairs of the block identity are sampled, over a sampled pool
 # of [[3]] and over all 7 elements of [[S3]]; these goldens were written by
-# the block identity that took each product a_ij b_jl by PackedMonoid.mul
+# the block identity that took each product a_ij b_jl by PackedMonoid.mul,
+# and its counts rewritten when it came to count pairs, not blocks
 @pytest.mark.parametrize("stem", ["finite-index-n3-units", "finite-index-s3-z3"])
 def test_sampled_finite_index_report_matches_golden(stem):
     assert finite_index_report(stem, SMALL) == (GOLDEN_DIR / f"{stem}-sampled.json").read_text()

@@ -21,13 +21,14 @@ from soficlab.groupoid import Arrow, full_relation
 from soficlab.semigroup import (
     Bisection,
     CertificateError,
+    PackedMonoid,
     empty_bisection,
     semigroup_count,
     unit_bisection,
 )
 from soficlab import symmetric
 from soficlab.symmetric import DistortionReport, distortion_report
-from soficlab.verify import SuiteBudget
+from soficlab.verify import SuiteBudget, check_embedding
 
 # the pair cap and sample count of the reports below: every [[n]] they
 # measure has |[[n]]|^2 within the cap, so each is exhaustive
@@ -236,6 +237,28 @@ def test_exhaustive_sups_are_exactly_r_over_p():
             assert rep.exhaustive
             assert rep.observed_sup == rep.trace_sup == Fraction(p % n, p)
             assert rep.bound is None or rep.observed_sup <= rep.bound
+
+
+# the ladder runs the metric pass of the certificate loop alone; that is
+# sound because every ladder map is exactly multiplicative, which the full
+# certificate confirms on all pairs
+@pytest.mark.parametrize("n,p", [(n, p) for n in (1, 2, 3) for p in range(n, 3 * n + 2)])
+def test_ladder_is_the_metric_pass_of_its_certificate(n, p):
+    rep = distortion_report(n, p, LADDER_BUDGET)
+    cert = check_embedding(general_map(n, p), LADDER_BUDGET)
+    assert rep.exhaustive and cert.exhaustive
+    assert (rep.observed_sup, rep.trace_sup) == (cert.max_distance_deviation, cert.max_trace_deviation)
+    assert cert.max_product_deviation == 0
+
+
+def test_ladder_takes_no_products(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the ladder ran a product")
+
+    monkeypatch.setattr(PackedMonoid, "left_row", refuse)
+    monkeypatch.setattr(PackedMonoid, "mul", refuse)
+    assert distortion_report(3, 7, LADDER_BUDGET).exhaustive
+    assert not distortion_report(4, 9, SuiteBudget(exhaustive_cap=100, sample_count=50, seed=5)).exhaustive
 
 
 def test_hand_derived_anchor_2_to_5():

@@ -253,9 +253,10 @@ def suite_params(suite, g):
     if suite == "ladder":
         return {"n": g.n_units, "p_list": [g.n_units + 1, 2 * g.n_units]}
     if suite == "finite-index":
-        # index 1, where each block matrix is the element itself: at index
-        # nn, block-identity counts nn*nn blocks per pair of elements
-        return {"g": g, "sub_arrows": frozenset(g.arrows())}
+        # the unit arrows of [[n]] have index n; Z2xY2+Y2 has no
+        # transversals over its units, so it runs at index 1
+        sub = frozenset(g.arrows()) if g is CAP_GROUPOIDS["z2y2_y2"] else unit_subgroupoid(g)
+        return {"g": g, "sub_arrows": sub}
     return {"g": g}
 
 

@@ -19,7 +19,6 @@ _EXPORTS = {
         "RawGroupoid",
         "convex_combination",
         "decompose",
-        "from_group_action",
         "full_relation",
         "group_groupoid",
         "connected_groupoid",
@@ -42,6 +41,7 @@ _EXPORTS = {
         "SemigroupMap",
         "TransversalSystem",
         "block_components",
+        "compose",
         "embed_connected",
         "embed_convex",
         "embed_convex_pair",
@@ -49,10 +49,10 @@ _EXPORTS = {
         "finite_index_map",
         "general_map",
         "identity_map",
-        "product_embedding",
         "rectangle_decompose",
         "restrict_almost_morphism",
         "step_map",
+        "tensor",
     ),
     "verify": (
         "AlmostMorphismReport",

@@ -16,13 +16,18 @@ and the finite-index lift reads its table off the transversal block of
 each arrow (TransversalSystem.blocks), which block_table also scatters
 into the block matrices of packed codes for the finite-index suite.
 
+Maps combine as tables: tensor(m1, m2) sends the product arrow (a, b) to
+the rectangle T1(a) x T2(b), and compose(m2, m1) sends a to the images
+under m2 of the arrows of T1(a); arrow_map checks both like any other
+table. A map phi of the subgroupoid lifts to a finite-index extension as
+compose(tensor(phi, identity_map(full_relation(index))), lift).
+
 The rectangle monoid of a product groupoid runs on packed codes too:
 PackedProduct pairs the codes of the two factors into codes of the
-product, rectangle_decompose splits a product code into a RectangleUnion
-of factor codes, and product_embedding maps each part's factors through
-SemigroupMap.packed. Nothing here computes with Bisections: they are the
-boundary type that maps accept and return, and table entries are read as
-arrows.
+product, and rectangle_decompose splits a product code into a
+RectangleUnion of factor codes. Nothing here computes with Bisections:
+they are the boundary type that maps accept and return, and table
+entries are read as arrows.
 """
 
 from __future__ import annotations
@@ -130,6 +135,29 @@ def arrow_map(
 def identity_map(g: FiniteGroupoid) -> SemigroupMap:
     # each arrow is its own image, so the table needs no check
     return SemigroupMap(g, g, "identity", {a: (a,) for a in g.arrows()})
+
+
+def tensor(m1: SemigroupMap, m2: SemigroupMap) -> SemigroupMap:
+    """m1 x m2 on the product of the domains: the arrow (a, b) to the
+    rectangle T1(a) x T2(b) in the product of the codomains."""
+    dom = product_groupoid(m1.domain, m2.domain)
+    cod = product_groupoid(m1.codomain, m2.codomain)
+    t1, t2 = m1.arrow_images, m2.arrow_images
+
+    def image(c: Arrow):
+        a, b = dom.split_arrow(c)
+        return [cod.pair_arrow(x, y) for x in t1[a] for y in t2[b]]
+
+    return arrow_map(dom.groupoid, cod.groupoid, image, f"{m1.label} x {m2.label}")
+
+
+def compose(m2: SemigroupMap, m1: SemigroupMap) -> SemigroupMap:
+    """m2 after m1: each arrow to the images under m2 of its image arrows
+    under m1."""
+    if m1.codomain != m2.domain:
+        raise ValueError(f"{m2.label} is not defined on the codomain of {m1.label}")
+    t1, t2 = m1.arrow_images, m2.arrow_images
+    return arrow_map(m1.domain, m2.codomain, lambda a: [c for b in t1[a] for c in t2[b]], f"{m2.label} o {m1.label}")
 
 
 def _copies(g: FiniteGroupoid, points: int, layout, label: str) -> SemigroupMap:
@@ -520,39 +548,32 @@ def block_components(alpha: Bisection, system: TransversalSystem):
     return [[pm.decode(matrix(x)[i * n + j]) for j in range(n)] for i in range(n)]
 
 
-def finite_index_map(system: TransversalSystem, phi: SemigroupMap | None = None) -> SemigroupMap:
-    """The lift Xi(alpha) = union over (i,j) of phi(alpha_{i,j}) x E_{i,j}.
+def finite_index_map(system: TransversalSystem) -> SemigroupMap:
+    """The lift Xi(alpha) = union over (i,j) of alpha_{i,j} x E_{i,j}.
 
-    phi is the identity by default. The lift's table pairs, for each arrow,
-    phi's image of its block arrow at each (i, j), of which there is one or
-    none, with the matrix unit E_{i,j}. A source or range collision in a
-    table entry, or between the entries of two arrows that can share a
-    bisection, means the transversal system is invalid; building the lift
-    then raises NoTransversalError.
+    The lift's table pairs, for each arrow, its block arrow at each (i, j),
+    of which there is one or none, with the matrix unit E_{i,j}. A source
+    or range collision in a table entry, or between the entries of two
+    arrows that can share a bisection, means the transversal system is
+    invalid; building the lift then raises NoTransversalError. The lift of
+    a map phi of the subgroupoid is
+    compose(tensor(phi, identity_map(full_relation(system.index))), lift).
     """
     g = system.groupoid
     dec, raw_ids = subgroupoid_as_groupoid(g, system.sub_arrows)
-    if phi is None:
-        phi = identity_map(dec.groupoid)
-    if phi.domain != dec.groupoid:
-        raise ValueError("phi must be defined on the subgroupoid's semigroup")
-    ps = product_groupoid(phi.codomain, full_relation(system.index))
+    ps = product_groupoid(dec.groupoid, full_relation(system.index))
 
     def image(a: Arrow):
-        return [
-            ps.pair_arrow(c, Arrow(0, 0, i, j))
-            for i, j, b in system.blocks[a]
-            for c in phi.arrow_images[dec.iso[raw_ids[b]]]
-        ]
+        return [ps.pair_arrow(dec.iso[raw_ids[b]], Arrow(0, 0, i, j)) for i, j, b in system.blocks[a]]
 
     try:
-        return arrow_map(g, ps.groupoid, image, f"index[{system.index}].{phi.label}")
+        return arrow_map(g, ps.groupoid, image, f"index[{system.index}].identity")
     except ValueError as exc:
         raise NoTransversalError(f"lift not well-defined: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
-# Products: the rectangle monoid and the tensor of two maps
+# Products: the rectangle monoid
 
 
 class PackedProduct:
@@ -664,44 +685,6 @@ def rectangle_decompose(pp: PackedProduct, x, reverse: bool = False) -> Rectangl
     if union.as_code() != x:
         raise CertificateError("rectangle decomposition does not reassemble the bisection")
     return union
-
-
-def product_embedding(phi: SemigroupMap, psi: SemigroupMap) -> Callable:
-    """phi x psi on rectangle unions over the product of their domains: map
-    each part's factors and reassemble, in the product of the codomains.
-
-    The packed maps and the codomain product are built once, here; the
-    returned function takes a RectangleUnion to a code of
-    PackedProduct(product_groupoid(phi.codomain, psi.codomain)). Trace
-    preservation is checked on the factors actually used, as integers, and
-    so is that the images of the parts do not overlap; either failure
-    raises CertificateError. The result does not depend on which
-    decomposition of the same element is given.
-    """
-    out = PackedProduct(product_groupoid(phi.codomain, psi.codomain))
-    dom_left, dom_right = PackedMonoid(phi.domain), PackedMonoid(psi.domain)
-    f, g = phi.packed(dom_left, out.left), psi.packed(dom_right, out.right)
-
-    def keeps_trace(dom, cod, x, fx) -> bool:
-        return cod.trace(fx) * dom.denom == dom.trace(x) * cod.denom
-
-    def size(x) -> int:
-        return len(x) - x.count(-1)
-
-    def apply(u: RectangleUnion) -> tuple[int, ...]:
-        if u.product.structure.left != phi.domain or u.product.structure.right != psi.domain:
-            raise ValueError("rectangle union does not match the map domains")
-        images = [(f(a), g(b)) for a, b in u.parts]
-        for (a, b), (fa, fb) in zip(u.parts, images):
-            if not (keeps_trace(dom_left, out.left, a, fa) and keeps_trace(dom_right, out.right, b, fb)):
-                raise CertificateError(f"{phi.label} x {psi.label} does not preserve the trace of a factor")
-        code = out.assemble(images)
-        arrows = sum(size(fa) * size(fb) for fa, fb in images)
-        if size(code) != arrows or out.pm.rng(code).bit_count() != arrows:
-            raise CertificateError(f"{phi.label} x {psi.label} maps two parts onto overlapping rectangles")
-        return code
-
-    return apply
 
 
 # ---------------------------------------------------------------------------

@@ -472,65 +472,6 @@ def render_raw(g: FiniteGroupoid) -> RawGroupoid:
     return _render(g, g.arrows())[0]
 
 
-def from_group_action(table, action, point_masses) -> RawGroupoid:
-    """Transformation groupoid of a finite group action on weighted points.
-
-    Arrows are (g, x) pairs with source x and range g.x, and the product is
-    (h, g.x)(g, x) = (hg, x). Arrow ids are g*n + x, so unit arrows carry
-    their unit's id.
-    """
-    table = cayley.normalize_table(table)
-    problems = cayley.table_violations(table)
-    if problems:
-        raise MalformedInputError(f"not a group table: {problems[0]}")
-    m = len(table)
-    action = tuple(tuple(int(p) for p in row) for row in action)
-    if len(action) != m or any(len(row) != len(action[0]) for row in action):
-        raise MalformedInputError("action table must be |group| x |points|")
-    n = len(action[0])
-    if any(not 0 <= p < n for row in action for p in row):
-        raise MalformedInputError("action table entry out of range")
-    if any(action[0][x] != x for x in range(n)):
-        raise MalformedInputError("identity must act trivially")
-    for gi in range(m):
-        for hi in range(m):
-            for x in range(n):
-                if action[table[gi][hi]][x] != action[gi][action[hi][x]]:
-                    raise MalformedInputError(
-                        f"not a group action at (g={gi}, h={hi}, x={x})"
-                    )
-
-    masses = [Fraction(w) for w in point_masses]
-    if len(masses) != n:
-        raise MalformedInputError("need one mass per point")
-    if any(w <= 0 for w in masses):
-        raise PmpViolationError("point masses must be positive")
-    if sum(masses) != 1:
-        raise PmpViolationError("point masses must sum to 1 exactly")
-    for gi in range(m):
-        for x in range(n):
-            if masses[action[gi][x]] != masses[x]:
-                raise PmpViolationError(
-                    f"masses not action-invariant at (g={gi}, x={x})"
-                )
-
-    def aid(gi, x):
-        return gi * n + x
-
-    arrows = tuple((aid(gi, x), x, action[gi][x]) for gi in range(m) for x in range(n))
-    compose = {}
-    for gi in range(m):
-        for hi in range(m):
-            for x in range(n):
-                compose[(aid(hi, action[gi][x]), aid(gi, x))] = aid(table[hi][gi], x)
-    return RawGroupoid(
-        units=tuple(range(n)),
-        arrows=arrows,
-        compose=compose,
-        masses={x: masses[x] for x in range(n)},
-    )
-
-
 # ---------------------------------------------------------------------------
 # Assembling groupoids
 

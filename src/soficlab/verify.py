@@ -11,7 +11,8 @@ function of (inputs, seed, budget). Every element pool comes from _pool,
 which charges the cap and then enumerates the pool, or draws it, directly
 as codes of semigroup.PackedMonoid (unit sets as bitmasks). Every suite
 runs on the kernel's exact integer arithmetic; the rectangles suite on
-the codes of constructions.PackedProduct. The inverse-monoid, metric-prop,
+the codes of constructions.PackedProduct, against the scatter of the
+tensor of the factors' identity maps. The inverse-monoid, metric-prop,
 trace-distance and supports suites take their kernel from _kernel: when
 the n*n pairs of [[G]] fit the cap it becomes a semigroup.PoolTable, whose
 operations are lookups by pool index in tables of at most n*n entries,
@@ -50,8 +51,8 @@ from .constructions import (
     block_violation,
     finite_index_map,
     identity_map,
-    product_embedding,
     rectangle_decompose,
+    tensor,
 )
 from .groupoid import Arrow, FiniteGroupoid, product_groupoid
 from .semigroup import (
@@ -752,6 +753,7 @@ def suite_finite_index(
             report.passed,
             label=report.label,
             element_count=report.element_count,
+            tested=report.pair_count,
             exhaustive=report.exhaustive,
             max_product_deviation=report.max_product_deviation,
             max_trace_deviation=report.max_trace_deviation,
@@ -766,15 +768,20 @@ def suite_rectangles(
 ) -> list[CheckResult]:
     pp = PackedProduct(product_groupoid(left, right))
     pool, exhaustive = _pool(pp.pm, "semigroup", budget)
-    tensor = product_embedding(identity_map(left), identity_map(right))
+    id_left, id_right = identity_map(left), identity_map(right)
+    whole = tensor(id_left, id_right).packed(pp.pm, pp.pm)
+    f, g = id_left.packed(pp.left, pp.left), id_right.packed(pp.right, pp.right)
     checks = []
 
+    # each part of both decompositions mapped through the factor scatters
+    # and reassembled must give the tensor's scatter of the whole element
     redecomp_viol = 0
     for x in pool:
-        u1 = rectangle_decompose(pp, x, reverse=False)
-        u2 = rectangle_decompose(pp, x, reverse=True)
-        if tensor(u1) != tensor(u2):
-            redecomp_viol += 1
+        fx = whole(x)
+        for reverse in (False, True):
+            if pp.assemble((f(a), g(b)) for a, b in rectangle_decompose(pp, x, reverse).parts) != fx:
+                redecomp_viol += 1
+                break
     n = len(pool)
     # these two rows record the certificates rectangle_decompose made on
     # both decompositions of every element: a RectangleUnion is checked for

@@ -654,14 +654,14 @@ PUBLIC_NAMES = [
     "AlmostMorphismReport", "Arrow", "Bisection", "Component", "DistortionReport",
     "EmbeddingReport", "FiniteGroupoid", "PackedProduct", "RawGroupoid", "SemigroupMap",
     "SuiteBudget", "TransversalSystem", "bisection", "block_components", "cayley",
-    "check_almost_morphism", "check_embedding", "connected_groupoid", "constructions",
+    "check_almost_morphism", "check_embedding", "compose", "connected_groupoid", "constructions",
     "convex_combination", "decompose", "embed_connected",
     "embed_convex", "embed_convex_pair", "empty_bisection", "extend_to_full_group",
-    "find_transversals", "finite_index_map", "from_group_action",
+    "find_transversals", "finite_index_map",
     "full_relation", "general_map", "group_groupoid", "groupoid", "idempotent",
-    "identity_map", "make_groupoid", "product_embedding",
+    "identity_map", "make_groupoid",
     "product_groupoid", "rectangle_decompose", "render_raw", "restrict_almost_morphism",
-    "run_suite", "semigroup", "step_map", "symmetric", "unit_bisection", "validate_raw",
+    "run_suite", "semigroup", "step_map", "symmetric", "tensor", "unit_bisection", "validate_raw",
     "verify",
 ]
 

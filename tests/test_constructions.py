@@ -27,6 +27,7 @@ from soficlab.constructions import (
     TransversalSystem,
     arrow_map,
     block_components,
+    compose as compose_maps,
     embed_connected,
     embed_convex,
     embed_convex_pair,
@@ -35,10 +36,10 @@ from soficlab.constructions import (
     general_map,
     group_subgroupoid,
     identity_map,
-    product_embedding,
     rectangle_decompose,
     restrict_almost_morphism,
     step_map,
+    tensor,
     unit_subgroupoid,
 )
 from soficlab.semigroup import (
@@ -48,6 +49,7 @@ from soficlab.semigroup import (
     idempotent,
     unit_bisection,
 )
+from soficlab.verify import check_embedding
 
 HALF = Fraction(1, 2)
 Z2 = group_groupoid(cayley.cyclic(2))
@@ -387,11 +389,15 @@ class TestFiniteIndexLift:
         assert exact_on(finite_index_map(system), enumerate_semigroup(g))
 
     def test_phi_must_be_a_map_on_the_subgroupoid(self, setup):
+        # phi lifts as (phi x id) o lift, which the identity leaves alone;
+        # a phi off the subgroupoid does not compose with the lift
         g, system = setup
+        lift = finite_index_map(system)
         h = subgroupoid_as_groupoid(g, system.sub_arrows)[0].groupoid
-        assert finite_index_map(system, identity_map(h)).arrow_images == finite_index_map(system).arrow_images
-        with pytest.raises(ValueError, match="phi must be defined on the subgroupoid"):
-            finite_index_map(system, identity_map(full_relation(h.n_units + 1)))
+        rel = identity_map(full_relation(system.index))
+        assert compose_maps(tensor(identity_map(h), rel), lift).arrow_images == lift.arrow_images
+        with pytest.raises(ValueError, match="not defined on the codomain of index"):
+            compose_maps(tensor(identity_map(full_relation(h.n_units + 1)), rel), lift)
 
     def test_unit_lifts_to_unit(self, setup):
         g, system = setup
@@ -458,13 +464,15 @@ class TestRectangles:
             assert u.as_code() == x
 
     def test_redecomposition_invariance(self):
-        mid = identity_map(REL2)
-        tensor = product_embedding(mid, mid)
-        for phi in enumerate_semigroup(self.PP.structure.groupoid):
-            x = self.PP.pm.encode(phi)
-            u1 = rectangle_decompose(self.PP, x, reverse=False)
-            u2 = rectangle_decompose(self.PP, x, reverse=True)
-            assert tensor(u1) == tensor(u2) == x
+        pp, mid = self.PP, identity_map(REL2)
+        whole = tensor(mid, mid).packed(pp.pm, pp.pm)
+        f = mid.packed(pp.left, pp.left)
+        for phi in enumerate_semigroup(pp.structure.groupoid):
+            x = pp.pm.encode(phi)
+            assert whole(x) == x
+            for reverse in (False, True):
+                parts = rectangle_decompose(pp, x, reverse=reverse).parts
+                assert pp.assemble((f(a), f(b)) for a, b in parts) == x
 
     def test_trace_multiplicative_on_rectangles(self):
         pp = self.PP
@@ -483,37 +491,34 @@ class TestRectangles:
         with pytest.raises(CertificateError, match="reassemble"):
             rectangle_decompose(self.PP, self.PP.pm.one)
 
-    def test_trace_changing_factor_raises_named_error(self):
-        # every arrow to nothing: each factor's image is empty
-        u = rectangle_decompose(self.PP, self.PP.pm.one)
+    def test_trace_changing_factor_is_reported(self):
+        # every arrow to nothing: the tensor is a valid table, and the
+        # certificate reports the trace it loses
         emptying = arrow_map(REL2, REL2, lambda a: (), "emptying")
-        with pytest.raises(CertificateError, match="trace"):
-            product_embedding(emptying, identity_map(REL2))(u)
+        report = check_embedding(tensor(emptying, identity_map(REL2)))
+        assert report.exhaustive and not report.passed
+        assert report.max_trace_deviation == 1
+        assert report.witnesses["trace"] == unit_bisection(self.PP.structure.groupoid)
 
     def test_overlapping_images_raise_named_error(self):
         # a table that moves the point {1} onto the point {0} keeps every
-        # trace, but the images of two parts then overlap; arrow_map would
-        # reject it, so it is built directly
-        pp = self.PP
+        # trace, but the tensor then sends (1, b) and (0, b) onto one
+        # arrow; arrow_map would reject the factor itself, so it is built
+        # directly, and arrow_map rejects the tensor's table
         fix0, fix1 = pin(REL2, {0: 0}), pin(REL2, {1: 1})
         table = {a: fix0.arrows if a in fix1.arrows else (a,) for a in REL2.arrows()}
         moving = SemigroupMap(REL2, REL2, "moving", table)
-        x = pp.assemble(((pp.left.encode(fix0), pp.right.one), (pp.left.encode(fix1), pp.right.encode(fix0))))
-        u = rectangle_decompose(pp, x)
-        assert len(u.parts) == 2
-        with pytest.raises(CertificateError, match="overlapping rectangles"):
-            product_embedding(moving, identity_map(REL2))(u)
+        with pytest.raises(ValueError, match="source map not injective"):
+            tensor(moving, identity_map(REL2))
 
-    def test_product_embedding_with_real_stages(self):
-        phi_m = embed_connected(Z2)
-        psi_m = identity_map(REL2)
+    def test_tensor_with_real_stages(self):
+        m = tensor(embed_connected(Z2), identity_map(REL2))
         pp = PackedProduct(product_groupoid(Z2, REL2))
         nonunit = bisection(Z2, [Arrow(0, 1, 0, 0)])
         swap = pin(REL2, {0: 1, 1: 0})
-        u = rectangle_decompose(pp, pp.rectangle(pp.left.encode(nonunit), pp.right.encode(swap)))
-        out = PackedMonoid(product_groupoid(phi_m.codomain, psi_m.codomain).groupoid)
-        image = out.decode(product_embedding(phi_m, psi_m)(u))
+        image = m(pp.pm.decode(pp.rectangle(pp.left.encode(nonunit), pp.right.encode(swap))))
         assert trace(image) == trace(nonunit) * trace(swap)
+        assert image.groupoid == product_groupoid(full_relation(2), REL2).groupoid
 
 
 class TestLadderMaps:

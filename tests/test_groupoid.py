@@ -21,7 +21,6 @@ from soficlab.groupoid import (
     convex_combination,
     corner,
     decompose,
-    from_group_action,
     full_relation,
     group_groupoid,
     make_groupoid,
@@ -91,15 +90,30 @@ class TestValidate:
             validate_raw(raw)
 
 
+# Z2 acting on two points of mass 1/2, as transformation groupoids: the
+# arrow (g, x) has source x, range g.x and id 2*g + x, so unit arrows carry
+# their unit's id, and (h, g.x)(g, x) = (hg, x)
+Z2_SWAPS_TWO_POINTS = RawGroupoid(
+    (0, 1),
+    ((0, 0, 0), (1, 1, 1), (2, 0, 1), (3, 1, 0)),
+    {(0, 0): 0, (1, 1): 1, (2, 0): 2, (3, 1): 3, (0, 3): 3, (1, 2): 2, (2, 3): 1, (3, 2): 0},
+    {0: HALF, 1: HALF},
+)
+Z2_FIXES_TWO_POINTS = RawGroupoid(
+    (0, 1),
+    ((0, 0, 0), (1, 1, 1), (2, 0, 0), (3, 1, 1)),
+    {(0, 0): 0, (1, 1): 1, (2, 0): 2, (3, 1): 3, (0, 2): 2, (1, 3): 3, (2, 2): 0, (3, 3): 1},
+    {0: HALF, 1: HALF},
+)
+
+
 class TestDecompose:
     def test_free_action_gives_full_relation(self):
-        raw = from_group_action(cayley.cyclic(2), [[0, 1], [1, 0]], [HALF, HALF])
-        dec = decompose(raw)
+        dec = decompose(Z2_SWAPS_TWO_POINTS)
         assert dec.groupoid == full_relation(2)
 
     def test_trivial_action_gives_two_group_components(self):
-        raw = from_group_action(cayley.cyclic(2), [[0, 1], [0, 1]], [HALF, HALF])
-        dec = decompose(raw)
+        dec = decompose(Z2_FIXES_TWO_POINTS)
         want = make_groupoid(
             [Component(cayley.cyclic(2), 1, HALF), Component(cayley.cyclic(2), 1, HALF)]
         )
@@ -177,29 +191,6 @@ def small_groupoids(draw):
 @given(small_groupoids())
 def test_round_trip_random(g):
     assert decompose(render_raw(g)).groupoid == g
-
-
-class TestFromGroupAction:
-    def test_singleton_space_recovers_group(self):
-        raw = from_group_action(cayley.cyclic(2), [[0], [0]], [Fraction(1)])
-        assert decompose(raw).groupoid == group_groupoid(cayley.cyclic(2))
-
-    def test_trivial_group_recovers_space(self):
-        third = Fraction(1, 3)
-        raw = from_group_action(cayley.trivial(), [[0, 1, 2]], [third, third, third])
-        assert len(raw.arrows) == 3
-        dec = decompose(raw)
-        assert all(c.group_order == 1 and c.base_size == 1 for c in dec.groupoid.components)
-
-    def test_non_invariant_masses_rejected(self):
-        with pytest.raises(PmpViolationError):
-            from_group_action(
-                cayley.cyclic(2), [[0, 1], [1, 0]], [Fraction(1, 4), Fraction(3, 4)]
-            )
-
-    def test_non_action_rejected(self):
-        with pytest.raises(MalformedInputError):
-            from_group_action(cayley.cyclic(2), [[0, 1], [0, 0]], [HALF, HALF])
 
 
 class TestConvexCombination:

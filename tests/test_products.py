@@ -1,15 +1,17 @@
-"""The rectangle monoid of a product groupoid: golden reports of the
-`rectangles` suite and of `soficlab embed --kind product`.
+"""The rectangle monoid of a product groupoid and the algebra of maps on
+it: golden reports of the `rectangles` suite and of `soficlab embed
+--kind product`, and differential tests of tensor and compose.
 
 The golden files under tests/golden/ were written by the greedy
 decomposition, which merged singleton rectangles while the union kept its
 disjointness invariants and re-checked the whole union after every trial
 merge, on Bisections; the rewritten code, on packed codes, must reproduce
 them byte for byte. That greedy merge is kept below as a reference, with
-the tensor of two maps as it was taken on Bisections: the direct
-decomposition, which groups the arrows of an element by their partners,
-must give product_embedding the reference's images under exact
-non-identity maps.
+the tensor of two maps as it was taken on Bisections, part by part: under
+exact non-identity maps, the scatter of tensor(phi, psi) must equal the
+reference's image over the greedy parts and over both orientations of the
+direct decomposition, which groups the arrows of an element by their
+partners. compose must equal applying its two maps in turn.
 """
 
 import random
@@ -26,17 +28,25 @@ from soficlab.constructions import (
     CertificateError,
     PackedProduct,
     RectangleUnion,
+    compose,
     embed_connected,
     embed_convex,
     general_map,
     identity_map,
-    product_embedding,
     rectangle_decompose,
+    tensor,
 )
-from soficlab.groupoid import Arrow, convex_combination, full_relation, group_groupoid, product_groupoid
-from soficlab.semigroup import Bisection, PackedMonoid
+from soficlab.groupoid import (
+    Arrow,
+    connected_groupoid,
+    convex_combination,
+    full_relation,
+    group_groupoid,
+    product_groupoid,
+)
+from soficlab.semigroup import Bisection, PackedMonoid, semigroup_codes
 from soficlab.serialize import dumps, groupoid_to_json, suite_result_to_json
-from soficlab.verify import SuiteBudget, run_suite
+from soficlab.verify import SuiteBudget, check_embedding, run_suite
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 REL2 = full_relation(2)
@@ -199,17 +209,68 @@ def test_both_orientations_certify_without_shared_factors(name):
 
 
 @pytest.mark.parametrize("name", list(DECOMPOSE_CASES))
-def test_product_embedding_matches_greedy_decomposition(name):
+def test_tensor_matches_greedy_decomposition(name):
     pp, elements, (phi_m, psi_m) = decompose_case(name)
     assert phi_m.label != "identity"
-    tensor = product_embedding(phi_m, psi_m)
-    out = PackedMonoid(product_groupoid(phi_m.codomain, psi_m.codomain).groupoid)
+    m = tensor(phi_m, psi_m)
+    out = PackedMonoid(m.codomain)
+    scatter = m.packed(pp.pm, out)
     for phi in elements:
-        parts = greedy_decompose(pp, phi)
-        expected = out.encode(reference_tensor(phi_m, psi_m, parts))
-        assert tensor(packed_union(pp, parts)) == expected
+        x = pp.pm.encode(phi)
+        image = scatter(x)
+        assert image == out.encode(reference_tensor(phi_m, psi_m, greedy_decompose(pp, phi)))
         for reverse in (False, True):
-            assert tensor(rectangle_decompose(pp, pp.pm.encode(phi), reverse=reverse)) == expected
+            parts = decoded_parts(pp, rectangle_decompose(pp, x, reverse=reverse))
+            assert image == out.encode(reference_tensor(phi_m, psi_m, parts))
+
+
+Z2Y2 = connected_groupoid(cayley.cyclic(2), 2)
+
+# name -> (first map, map after it), and the elements of the first map's
+# domain, on all of which compose must equal applying the maps in turn
+COMPOSE_CASES = {
+    "n2xz2y2": (lambda: (tensor(embed_connected(REL2), embed_connected(Z2Y2)), general_map(8, 12)), 1473),
+    "id[[2]]xn3": (
+        lambda: (tensor(identity_map(REL2), general_map(3, 5)), tensor(general_map(2, 3), identity_map(full_relation(5)))),
+        13327,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(COMPOSE_CASES))
+def test_compose_applies_the_maps_in_turn(name):
+    maps, count = COMPOSE_CASES[name]
+    m1, m2 = maps()
+    m = compose(m2, m1)
+    assert (m.domain, m.codomain) == (m1.domain, m2.codomain)
+    dom, mid, cod = PackedMonoid(m1.domain), PackedMonoid(m1.codomain), PackedMonoid(m2.codomain)
+    f, g, h = m1.packed(dom, mid), m2.packed(mid, cod), m.packed(dom, cod)
+    codes = list(semigroup_codes(dom))
+    assert len(codes) == count
+    for x in codes:
+        assert h(x) == g(f(x))
+
+
+def test_compose_of_tensors_is_the_tensor_of_composites():
+    # (a x b) o (c x d) = (a o c) x (b o d), table for table
+    m1, m2 = COMPOSE_CASES["id[[2]]xn3"][0]()
+    assert compose(m2, m1).arrow_images == tensor(general_map(2, 3), general_map(3, 5)).arrow_images
+
+
+def test_compose_needs_matching_groupoids():
+    with pytest.raises(ValueError, match="not defined on the codomain of ladder"):
+        compose(identity_map(REL3), general_map(2, 4))
+
+
+def test_tensor_of_the_ladder_with_the_identity():
+    # [[2]] -> [[3]] beside the identity of [[2]]: [[4]] into [[6]], where
+    # the tensor drops the 2 of 6 points that the ladder drops, so trace
+    # and distance deviate by 1/3, exactly as the ladder's do; the 209
+    # elements of [[4]] give all 43,681 pairs
+    report = check_embedding(tensor(general_map(2, 3), identity_map(REL2)))
+    assert (report.element_count, report.pair_count, report.exhaustive) == (209, 43_681, True)
+    assert report.max_product_deviation == 0
+    assert report.max_trace_deviation == report.max_distance_deviation == Fraction(1, 3)
 
 
 def test_some_element_decomposes_differently_by_orientation():

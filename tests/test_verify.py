@@ -260,10 +260,34 @@ def suite_params(suite, g):
     return {"g": g}
 
 
+def uncounted(check) -> bool:
+    """The checks that run no tuples: the transversal partition is checked
+    once, on the system, and a lift that is not well-defined reports its
+    error instead of a certificate."""
+    return check.name == "transversal-partition" or "error" in check.details
+
+
 def check_counts(result) -> dict:
-    """`tested` of every check that reports one; the ladder's is pairs_tested."""
-    counts = {c.name: c.details.get("tested", c.details.get("pairs_tested")) for c in result.checks}
-    return {name: n for name, n in counts.items() if n is not None}
+    """`tested` of every check, the ladder's being pairs_tested; every check
+    but the uncounted ones must report it."""
+    counts = {c.name: c.details.get("tested", c.details.get("pairs_tested")) for c in result.checks if not uncounted(c)}
+    missing = [name for name, n in counts.items() if n is None]
+    assert not missing, f"checks without a count: {missing}"
+    return counts
+
+
+def test_every_finite_index_check_reports_tested():
+    one = unit_bisection(G2)
+    bad = TransversalSystem(G2, unit_subgroupoid(G2), (one, one))
+    valid = run_suite("finite-index", BIG, g=G3, sub_arrows=unit_subgroupoid(G3))
+    invalid = run_suite("finite-index", BIG, g=G2, sub_arrows=bad.sub_arrows, system=bad)
+    for result in (valid, invalid):
+        for c in result.checks:
+            assert ("tested" in c.details) != uncounted(c), c
+    # the lift's certificate runs every pair of the 34 elements of [[3]]
+    lift = valid.checks[-1]
+    assert lift.name == "lift-exact-embedding"
+    assert (lift.details["tested"], lift.details["exhaustive"]) == (34 * 34, True)
 
 
 @pytest.mark.parametrize("key", CAP_GROUPOIDS)

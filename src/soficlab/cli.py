@@ -8,9 +8,12 @@ repeated invocation with the same seed writes byte-identical output. An
 explicit --seed wins; without one, SOFICLAB_SEED overrides the default
 seed.
 
-The certificate layers (constructions, symmetric, verify) are imported
-inside the commands that run them, embed, verify and suite, so validate,
-decompose and extend load only the groupoid and bisection layers.
+Each layer above groupoid is imported inside the commands that use it,
+and main matches its errors only once it is loaded (_loaded): semigroup
+in extend, embed, verify and suite, the certificate layers
+(constructions, symmetric, verify) in the last three. So validate and
+decompose load groupoid, cayley, rationals and serialize alone. No layer
+generates code for its classes, so no command loads inspect or ast.
 """
 
 from __future__ import annotations
@@ -23,14 +26,6 @@ from . import __version__
 from . import serialize as sz
 from .groupoid import MalformedInputError, decompose, full_relation, validate_raw
 from .rationals import parse_fraction
-from .semigroup import (
-    CapExceededError,
-    CertificateError,
-    PackedMonoid,
-    extend_to_full_group,
-    semigroup_codes,
-    semigroup_count,
-)
 
 
 def _seed(args) -> int:
@@ -185,6 +180,8 @@ def cmd_embed(args) -> int:
 
 
 def cmd_extend(args) -> int:
+    from .semigroup import extend_to_full_group
+
     g = _load_groupoid(args.groupoid)
     gamma = sz.parse_bisection(g, sz.load_json(args.bisection))
     ext = extend_to_full_group(gamma)
@@ -225,6 +222,7 @@ def _build_map(args):
 
 
 def cmd_verify(args) -> int:
+    from .semigroup import CapExceededError, PackedMonoid, semigroup_codes, semigroup_count
     from .verify import check_almost_morphism
 
     budget = _budget(args)
@@ -304,6 +302,8 @@ def _p_list(text: str) -> list[int]:
         ps = [int(x) for x in text.split(",") if x]
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad integer list {text!r}")
+    if not ps:
+        raise argparse.ArgumentTypeError(f"no target in {text!r}")
     for i, p in enumerate(ps):
         if p in ps[:i]:
             raise argparse.ArgumentTypeError(f"repeated target {p} in {text!r}")
@@ -406,13 +406,13 @@ def main(argv=None) -> int:
         # verify.IncompletePairListError, a ValueError, ends in the last clause
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except CapExceededError as exc:
+    except _loaded("semigroup", "CapExceededError") as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return 2
     except _loaded("constructions", "NoTransversalError") as exc:
         print(f"no transversal system: {exc}", file=sys.stderr)
         return 1
-    except CertificateError as exc:
+    except _loaded("semigroup", "CertificateError") as exc:
         # also semigroup.ExtensionCertificateError, a subclass
         print(f"certificate error: {exc}", file=sys.stderr)
         return 1

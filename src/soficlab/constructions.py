@@ -32,7 +32,6 @@ entries are read as arrows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -45,6 +44,7 @@ from .groupoid import (
     Component,
     FiniteGroupoid,
     ProductStructure,
+    Value,
     _assemble,
     corner,
     convex_combination_with_maps,
@@ -60,16 +60,13 @@ class NoTransversalError(RuntimeError):
     """Raised with an explanation when no transversal system exists."""
 
 
-@dataclass(eq=False)
 class SemigroupMap:
     """A map [[domain]] -> [[codomain]] given by its arrow table, from each
     domain arrow to the arrows of its image in the codomain; arrow_map
-    builds and checks it."""
+    builds and checks it. Two maps are equal only when they are one object."""
 
-    domain: FiniteGroupoid
-    codomain: FiniteGroupoid
-    label: str
-    arrow_images: dict
+    def __init__(self, domain: FiniteGroupoid, codomain: FiniteGroupoid, label: str, arrow_images: dict):
+        self.domain, self.codomain, self.label, self.arrow_images = domain, codomain, label, arrow_images
 
     def __call__(self, alpha: Bisection) -> Bisection:
         """The union of the images of alpha's arrows, as one Bisection."""
@@ -321,14 +318,14 @@ def restrict_almost_morphism(theta: SemigroupMap, units) -> SemigroupMap:
 # Finite index: transversals, block matrices and the lift
 
 
-@dataclass(frozen=True)
-class TransversalSystem:
+class TransversalSystem(Value):
     """Full-group elements whose translates of a unit-full subgroupoid
     partition the ambient groupoid."""
 
-    groupoid: FiniteGroupoid
-    sub_arrows: frozenset
-    transversals: tuple
+    _fields = ("groupoid", "sub_arrows", "transversals")
+
+    def __init__(self, groupoid: FiniteGroupoid, sub_arrows: frozenset, transversals: tuple):
+        self._set(groupoid, sub_arrows, transversals)
 
     @property
     def index(self) -> int:
@@ -619,18 +616,17 @@ class PackedProduct:
         return self.assemble(((a, b),))
 
 
-@dataclass(frozen=True)
-class RectangleUnion:
+class RectangleUnion(Value):
     """A union of rectangles A x B, each given as its pair of factor codes
     of a PackedProduct, in the rectangle monoid of the product: no two parts
     overlap on a source or on a range. Building one checks that once, as
     meets of the factors' src and rng bitmasks, and raises CertificateError
     on the first overlap."""
 
-    product: PackedProduct
-    parts: tuple  # of (left code, right code) pairs
+    _fields = ("product", "parts")
 
-    def __post_init__(self):
+    def __init__(self, product: PackedProduct, parts: tuple):
+        self._set(product, parts)  # parts: (left code, right code) pairs
         problems = self.violations()
         if problems:
             raise CertificateError(f"not in the rectangle monoid: {problems[0]}")

@@ -8,15 +8,19 @@ form it determines, which is then its decomposition; only a table that does
 not is swept for its axiom violations.
 
 All measures are exact rationals. Every value here is immutable after
-construction and every operation is a pure function.
+construction and every operation is a pure function. Records without
+checks are NamedTuples; the checked values (Component, FiniteGroupoid and
+the certificate layers' own) subclass Value, whose __init__ checks once.
+No class has its methods generated when it is defined: that would compile
+code per class and load inspect and ast into every CLI process.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import attrgetter
 from typing import Iterator, NamedTuple
 
 from . import cayley
@@ -29,6 +33,42 @@ class MalformedInputError(ValueError):
 
 class PmpViolationError(ValueError):
     """Unit masses incompatible with measure preservation."""
+
+
+class Value:
+    """An immutable checked value. A subclass names its fields in _fields
+    and sets them once with _set, in that order, in an __init__ that checks
+    them; equality (within one class), hash and repr come from the fields,
+    and assigning or deleting an attribute raises AttributeError."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._key = property(attrgetter(*cls._fields))  # the field values, read in C
+
+    def _set(self, *values) -> None:
+        # object.__setattr__, not __dict__.update: a materialized __dict__
+        # would make every later attribute read slower
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other is self:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot set or delete {name!r}: a {type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
 
 
 class Arrow(NamedTuple):
@@ -65,17 +105,13 @@ def _table_violations(table: cayley.Table) -> tuple[str, ...]:
     return tuple(cayley.table_violations(table))
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(Value):
     """One connected piece: group Cayley table, base size, exact weight."""
 
-    table: cayley.Table
-    base_size: int
-    weight: Fraction
+    _fields = ("table", "base_size", "weight")
 
-    def __post_init__(self):
-        object.__setattr__(self, "table", cayley.normalize_table(self.table))
-        object.__setattr__(self, "weight", Fraction(self.weight))
+    def __init__(self, table: cayley.Table, base_size: int, weight: Fraction):
+        self._set(cayley.normalize_table(table), base_size, Fraction(weight))
         problems = _table_violations(self.table)
         if problems:
             raise ValueError(f"not a group table: {problems[0]}")
@@ -92,14 +128,13 @@ class Component:
         return (len(self.table), self.base_size, self.weight)
 
 
-@dataclass(frozen=True)
-class FiniteGroupoid:
+class FiniteGroupoid(Value):
     """Normal form groupoid: components in canonical order, weights summing to 1."""
 
-    components: tuple[Component, ...]
+    _fields = ("components",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "components", tuple(self.components))
+    def __init__(self, components: tuple[Component, ...]):
+        self._set(tuple(components))
         if not self.components:
             raise ValueError("a groupoid needs at least one component")
         if sum(c.weight for c in self.components) != 1:
@@ -196,8 +231,7 @@ def _id_key(x):
     return (0, x, "") if isinstance(x, int) else (1, 0, str(x))
 
 
-@dataclass
-class RawGroupoid:
+class RawGroupoid(NamedTuple):
     """Groupoid as an explicit table: arrow list plus a partial product.
 
     Unit arrows are marked by carrying the id of their unit. masses, when
@@ -210,8 +244,7 @@ class RawGroupoid:
     masses: dict | None = None
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     ok: bool
     violations: tuple[str, ...]
 
@@ -394,8 +427,7 @@ def validate_raw(raw: RawGroupoid) -> ValidationReport:
     return _axiom_sweep(raw, src, rng)
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     groupoid: FiniteGroupoid
     iso: dict  # raw arrow id -> Arrow
 
@@ -500,8 +532,7 @@ def convex_combination(parts) -> FiniteGroupoid:
     return convex_combination_with_maps(parts)[0]
 
 
-@dataclass(frozen=True)
-class ProductStructure:
+class ProductStructure(NamedTuple):
     """A product groupoid with the pairing of arrows recorded."""
 
     left: FiniteGroupoid
@@ -549,8 +580,7 @@ def product_groupoid(left: FiniteGroupoid, right: FiniteGroupoid) -> ProductStru
     return ProductStructure(left, right, groupoid, comp_of_pair, tuple(pair_of_comp))
 
 
-@dataclass(frozen=True)
-class CornerStructure:
+class CornerStructure(NamedTuple):
     """Restriction of a groupoid to a unit subset, measure renormalized."""
 
     ambient: FiniteGroupoid

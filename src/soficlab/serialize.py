@@ -22,29 +22,34 @@ from .groupoid import (
     make_groupoid,
 )
 from .rationals import format_fraction, parse_fraction
-from .semigroup import Bisection
 
-if TYPE_CHECKING:  # report types, named only in annotations
+if TYPE_CHECKING:  # bisections and reports, named only in annotations
+    from .semigroup import Bisection
     from .symmetric import DistortionReport
     from .verify import AlmostMorphismReport, EmbeddingReport, SuiteBudget, SuiteResult
 
 
 def jsonable(value):
-    """Recursively coerce library values into plain JSON data."""
+    """Recursively coerce library values into plain JSON data. A record
+    (a NamedTuple other than Arrow) is refused, not flattened into a list.
+    Bisection comes last, so only a value that could be one imports
+    semigroup: the reports of validate and decompose never load it."""
     if isinstance(value, Fraction):
         return format_fraction(value)
-    if isinstance(value, Bisection):
-        return bisection_to_json(value)
     if isinstance(value, Arrow):
         return list(value)
     if isinstance(value, frozenset):
         return [jsonable(v) for v in sorted(value)]
     if isinstance(value, dict):
         return {str(k): jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, list) or type(value) is tuple:
         return [jsonable(v) for v in value]
     if value is None or isinstance(value, (bool, int, str)):
         return value
+    from .semigroup import Bisection
+
+    if isinstance(value, Bisection):
+        return bisection_to_json(value)
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
@@ -172,6 +177,8 @@ def _parse_arrows(obj: dict) -> list[Arrow]:
 
 
 def parse_bisection(g: FiniteGroupoid, obj: dict) -> Bisection:
+    from .semigroup import Bisection
+
     return Bisection(g, tuple(_parse_arrows(obj)))
 
 

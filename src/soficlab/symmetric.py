@@ -16,29 +16,23 @@ exactly multiplicative, so no product pass runs.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .constructions import general_map
-from .groupoid import Arrow
+from .groupoid import Arrow, Value
 from .semigroup import CertificateError, PackedMonoid, semigroup_codes, semigroup_count
 from .verify import SuiteBudget, metric_deviations
 
 
-@dataclass(frozen=True)
-class DistortionReport:
-    """Exact worst-case metric deviation of an embedding stage [[n]] -> [[p]]."""
+class DistortionReport(Value):
+    """Exact worst-case metric deviation of an embedding stage [[n]] -> [[p]];
+    bound is n/(p-n), or None when p == n."""
 
-    n: int
-    p: int
-    bound: Fraction | None  # n/(p-n); None when p == n
-    observed_sup: Fraction
-    trace_sup: Fraction
-    pairs_tested: int
-    exhaustive: bool
-    seed: int | None
+    _fields = ("n", "p", "bound", "observed_sup", "trace_sup", "pairs_tested", "exhaustive", "seed")
 
-    def __post_init__(self):
+    def __init__(self, n: int, p: int, bound: Fraction | None, observed_sup: Fraction, trace_sup: Fraction,
+                 pairs_tested: int, exhaustive: bool, seed: int | None):
+        self._set(n, p, bound, observed_sup, trace_sup, pairs_tested, exhaustive, seed)
         if self.bound is not None and self.observed_sup > self.bound:
             raise CertificateError(
                 f"ladder [[{self.n}]] -> [[{self.p}]]: distortion {self.observed_sup} "

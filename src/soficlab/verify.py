@@ -28,19 +28,21 @@ run alone, and a product pass. When every pair of the pool runs,
 the products come one left factor at a time through its left rows
 (PackedMonoid.left_row), and the distances from PackedMonoid.dist_rows;
 sampled pairs take theirs by mul and dist. Bisections are decoded only
-for the witnesses a report prints.
+for the witnesses a report prints. Reports and results are NamedTuples,
+which serialize writes field by field (jsonable refuses a record), and
+SuiteBudget is a groupoid.Value, checked when it is built.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, repeat, starmap
 from itertools import product as iproduct
 from math import prod
 from operator import ne
+from typing import NamedTuple
 
 from .constructions import (
     NoTransversalError,
@@ -54,7 +56,7 @@ from .constructions import (
     rectangle_decompose,
     tensor,
 )
-from .groupoid import Arrow, FiniteGroupoid, product_groupoid
+from .groupoid import Arrow, FiniteGroupoid, Value, product_groupoid
 from .semigroup import (
     PackedMonoid,
     PoolTable,
@@ -73,26 +75,22 @@ class IncompletePairListError(ValueError):
     """A pair-list map is missing a required product image."""
 
 
-@dataclass(frozen=True)
-class SuiteBudget:
-    exhaustive_cap: int = 200_000
-    sample_count: int = 500
-    seed: int = DEFAULT_SEED
+class SuiteBudget(Value):
+    _fields = ("exhaustive_cap", "sample_count", "seed")
 
-    def __post_init__(self):
-        if self.exhaustive_cap < 1 or self.sample_count < 1:
+    def __init__(self, exhaustive_cap: int = 200_000, sample_count: int = 500, seed: int = DEFAULT_SEED):
+        if exhaustive_cap < 1 or sample_count < 1:
             raise ValueError("budget caps must be positive")
+        self._set(exhaustive_cap, sample_count, seed)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
-    details: dict = field(default_factory=dict)
+    details: dict = {}  # shared by every result built without details; never mutated
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(NamedTuple):
     name: str
     params: dict
     budget: SuiteBudget
@@ -203,8 +201,7 @@ def _tuples(sizes, budget: SuiteBudget, pools_exhaustive: bool):
 # Almost morphisms
 
 
-@dataclass(frozen=True)
-class AlmostMorphismReport:
+class AlmostMorphismReport(NamedTuple):
     k_size: int
     epsilon: Fraction
     max_product_deviation: Fraction
@@ -268,8 +265,7 @@ def check_almost_morphism(pi, K, epsilon, packed: PackedMonoid | None = None) ->
     )
 
 
-@dataclass(frozen=True)
-class EmbeddingReport:
+class EmbeddingReport(NamedTuple):
     label: str
     element_count: int
     pair_count: int

@@ -431,6 +431,17 @@ def test_repeated_ladder_target_exits_2(capsys, command):
     assert captured.out == "" and "repeated target 4" in captured.err
 
 
+# a --p-list without a target is a usage error, not a missing option
+@pytest.mark.parametrize("text", [",", ""])
+@pytest.mark.parametrize("command", [["embed", "--kind", "ladder"], ["suite", "--name", "ladder"]])
+def test_empty_ladder_target_list_exits_2(capsys, command, text):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--n", "2", "--p-list", text])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == "" and f"argument --p-list: no target in {text!r}" in captured.err
+
+
 # one spelling per option: argparse would otherwise read `--p` on suite as
 # --p-list and `--bud` as --budget, and embed would drop --p beside --p-list
 ONE_SPELLING = {
@@ -630,23 +641,63 @@ def test_groupoid_commands_load_no_certificate_layer(files):
     tmp, write = files
     write("raw.json", raw_to_json(render_raw(Z2Y2)))
     write("bad.json", {"units": [0], "arrows": [[0, 0, 0], [1, 0, 2]], "compose": []})
+    write("no-inverse.json", {"units": ["u"], "arrows": [["u", "u", "u"], ["g", "u", "u"]],
+                              "compose": [["u", "u", "u"], ["u", "g", "g"], ["g", "u", "g"], ["g", "g", "g"]],
+                              "masses": {"u": "1/1"}})
+    write("g.json", groupoid_to_json(Z2Y2))
+    write("gamma.json", {"arrows": [[0, 1, 1, 0]]})
+    # validate and decompose first, every exit path included, then extend
+    script = """
+import contextlib, io, sys
+from soficlab import cli
+def run(*runs):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        print([cli.main(argv) for argv in runs], file=sys.__stdout__)
+    print(sorted(m for m in sys.modules if m.startswith("soficlab")))
+run(["validate", "raw.json"], ["decompose", "raw.json"], ["validate", "bad.json"],
+    ["decompose", "missing.json"], ["decompose", "no-inverse.json"])
+run(["extend", "g.json", "gamma.json"])
+"""
+    codes, modules, extend_code, extend_modules = _fresh_python(script, tmp).splitlines()
+    assert (codes, extend_code) == ("[0, 0, 2, 2, 2]", "[0]")
+    certificate_layers = {"soficlab.verify", "soficlab.constructions", "soficlab.symmetric"}
+    loaded = set(eval(modules))
+    assert "soficlab.groupoid" in loaded and not {"soficlab.semigroup", *certificate_layers} & loaded
+    loaded = set(eval(extend_modules))
+    assert "soficlab.semigroup" in loaded and not certificate_layers & loaded
+
+
+def test_no_command_loads_inspect_or_generated_classes(files):
+    # the records are NamedTuples and groupoid.Value subclasses: a process
+    # that runs every command and imports every module adds neither
+    # dataclasses nor inspect (with ast, dis and tokenize) to a bare
+    # interpreter's modules
+    tmp, write = files
+    write("raw.json", raw_to_json(render_raw(Z2Y2)))
     write("g.json", groupoid_to_json(Z2Y2))
     write("gamma.json", {"arrows": [[0, 1, 1, 0]]})
     script = """
 import contextlib, io, sys
+bare = set(sys.modules)
 from soficlab import cli
-runs = [["validate", "raw.json"], ["decompose", "raw.json"], ["extend", "g.json", "gamma.json"],
-        ["validate", "bad.json"], ["decompose", "missing.json"]]
-with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+runs = [["validate", "raw.json"], ["decompose", "raw.json"], ["embed", "--kind", "connected", "--groupoid", "g.json"],
+        ["extend", "g.json", "gamma.json"], ["verify", "--map", "identity", "--groupoid", "g.json", "--epsilon", "1/2"],
+        ["suite", "--name", "ladder", "--n", "2", "--p-list", "3"]]
+with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(argv) for argv in runs]
+import importlib, os, soficlab
+files = sorted(f[:-3] for f in os.listdir(os.path.dirname(soficlab.__file__)) if f.endswith(".py"))
+names = [f"soficlab.{f}" for f in files if f != "__init__"]
+for name in names:
+    importlib.import_module(name)
 print(codes)
-print(sorted(m for m in sys.modules if m.startswith("soficlab")))
+print(all(name in sys.modules for name in names) and len(names))
+print(sorted({"dataclasses", "inspect", "ast", "dis", "tokenize"} & (set(sys.modules) - bare)))
 """
-    codes, modules = _fresh_python(script, tmp).splitlines()
-    assert codes == "[0, 0, 0, 2, 2]"
-    loaded = eval(modules)
-    assert not {"soficlab.verify", "soficlab.constructions", "soficlab.symmetric"} & set(loaded)
-    assert "soficlab.groupoid" in loaded
+    codes, modules, added = _fresh_python(script, tmp).splitlines()
+    assert codes == "[0, 0, 0, 0, 0, 0]"
+    assert modules == "9"
+    assert added == "[]"
 
 
 # every public name of the package

@@ -445,3 +445,37 @@ def test_decompose_checks_each_isotropy_table_once(monkeypatch):
     monkeypatch.setattr(cayley, "table_violations", lambda table: checked.append(table) or original(table))
     assert decompose(raw).groupoid == g
     assert len(checked) == 1
+
+
+# ---------------------------------------------------------------------------
+# Checked values (groupoid.Value) and plain records (NamedTuple)
+
+
+def test_values_compare_hash_and_print_by_their_fields():
+    from soficlab.semigroup import Bisection
+    from soficlab.verify import CheckResult, SuiteBudget
+
+    a, b = Component(cayley.cyclic(2), 1, HALF), Component([[0, 1], [1, 0]], 1, Fraction(1, 2))
+    assert a == b and hash(a) == hash((a.table, a.base_size, a.weight)) and a is not b
+    assert repr(a) == "Component(table=((0, 1), (1, 0)), base_size=1, weight=Fraction(1, 2))"
+    assert a != Component(cayley.cyclic(2), 2, HALF) and a != (a.table, 1, HALF)
+    g = full_relation(2)
+    beta = Bisection(g, (Arrow(0, 0, 1, 0), Arrow(0, 0, 0, 1)))
+    assert beta == Bisection(full_relation(2), beta.arrows) and hash(beta) == hash(beta.arrows)
+    assert beta != Bisection(full_relation(3), beta.arrows)
+    # keyword construction and defaults
+    assert SuiteBudget(**{"seed": 3}) == SuiteBudget(200_000, 500, 3)
+    assert repr(SuiteBudget(seed=3)) == "SuiteBudget(exhaustive_cap=200000, sample_count=500, seed=3)"
+    assert CheckResult("x", True) == CheckResult(name="x", passed=True, details={})
+
+
+@pytest.mark.parametrize("attr", ["weight", "other"])
+def test_values_are_immutable(attr):
+    c = Component(cayley.trivial(), 1, 1)
+    with pytest.raises(AttributeError, match="immutable"):
+        setattr(c, attr, 2)
+    with pytest.raises(AttributeError, match="immutable"):
+        delattr(c, attr)
+    assert c.weight == 1 and not hasattr(c, "other")
+    with pytest.raises(AttributeError):
+        validate_raw(render_raw(full_relation(1))).ok = False

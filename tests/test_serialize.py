@@ -101,3 +101,12 @@ def test_dumps_is_stable():
     payload = {"b": 1, "a": {"z": Fraction(1, 2)}}
     assert dumps(jsonable(payload)) == dumps(jsonable(payload))
     assert dumps(jsonable(payload)).startswith('{\n  "a"')
+
+
+def test_jsonable_refuses_records():
+    # a NamedTuple record is a tuple; it must not be flattened into a list
+    from soficlab.verify import CheckResult
+
+    assert jsonable({"arrow": Arrow(0, 1, 2, 3), "code": (1, -1)}) == {"arrow": [0, 1, 2, 3], "code": [1, -1]}
+    with pytest.raises(TypeError, match="CheckResult"):
+        jsonable([CheckResult("x", True)])

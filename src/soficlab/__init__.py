@@ -70,13 +70,15 @@ __all__ = [*_SUBMODULES, *_ORIGIN]
 
 
 def __getattr__(name):
-    from importlib import import_module
-
+    # __import__ takes the C import path, so `python -X importtime` logs the
+    # modules loaded here (importlib.import_module would hide them)
     if name in _SUBMODULES:
-        return import_module(f"{__name__}.{name}")
+        __import__(f"{__name__}.{name}")
+        return globals()[name]
     if name not in _ORIGIN:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(import_module(f"{__name__}.{_ORIGIN[name]}"), name)
+    __import__(f"{__name__}.{_ORIGIN[name]}")
+    value = globals()[name] = getattr(globals()[_ORIGIN[name]], name)
     return value
 
 

@@ -226,13 +226,15 @@ def cmd_verify(args) -> int:
     from .verify import check_almost_morphism
 
     budget = _budget(args)
+    epsilon = parse_fraction(args.epsilon)
+    if epsilon <= 0:
+        raise MalformedInputError(f"epsilon must be positive, got {args.epsilon}")
     pi, domain = _build_map(args)
     K = None if args.K == "all" else sz.parse_bisection_list(domain, sz.load_json(args.K))
     # the report tests every pair of K; charge them before enumerating it
     pairs = (semigroup_count(domain) if K is None else len(K)) ** 2
     if pairs > budget.exhaustive_cap:
         raise CapExceededError(pairs, budget.exhaustive_cap, "pairs of K")
-    epsilon = parse_fraction(args.epsilon)
     if K is None:
         pm = PackedMonoid(domain)
         report = check_almost_morphism(pi, list(semigroup_codes(pm)), epsilon, packed=pm)

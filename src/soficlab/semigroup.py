@@ -28,8 +28,10 @@ bitmasks. Distances over a list of codes come a row at a time from
 PackedMonoid.dist_rows, by agreement classes. PoolTable tabulates those
 operations over an exhaustive pool, for pools small enough that its n*n
 tables fit the caller's cap: its product rows come from
-PackedMonoid.left_row, one row of codes per left factor, its distance
-rows from dist_rows, and its unary operations are bound list lookups.
+PackedMonoid.left_row, one row of codes per left factor, summed into
+integer keys of the products (a code as a base N*M + 1 number) that index
+the pool without hashing a tuple; its distance rows come from dist_rows,
+and its unary operations are bound list lookups.
 Bisection is the boundary type: it is parsed, printed and used
 for witnesses, and its constructor validates; PackedMonoid.encode and
 decode convert at the boundary. The Bisection algebra that the kernel is
@@ -38,10 +40,10 @@ tested against lives with the tests.
 
 from __future__ import annotations
 
-from functools import cached_property
-from itertools import combinations, compress, permutations, product, repeat
+from functools import cached_property, partial, reduce
+from itertools import combinations, compress, permutations, product
 from math import comb, factorial, lcm
-from operator import eq, getitem, ne
+from operator import add, eq, getitem, ne
 
 from . import cayley
 from .groupoid import Arrow, FiniteGroupoid, Value
@@ -336,9 +338,13 @@ class PoolTable:
     src, rng, fix and idem take and return indices, and arrows, mass,
     one, zero, total, full_mask, groupoid and n_units mean what they mean
     on pm, so verify._pool draws unit sets from either kernel. Index
-    equality is element equality. Row a of the product table is every
-    code mapped through pm.left_row(a) and looked up, all in map calls;
-    the distance table comes from pm.dist_rows, on first use. The unary
+    equality is element equality. Pool indices are found by integer key,
+    not by code tuple: code x has key sum((x_u + 1) * B**u), B = N*M + 1,
+    injective as every entry lies in [-1, N*M). Row a of the product table
+    maps the u-th entries of all codes through pm.left_row(a) scaled by
+    B**u (code -1's trailing slot to 0), adds the N maps with map(add, ...)
+    and looks the sums up, all in map calls that build no tuple; the
+    distance table comes from pm.dist_rows, on first use. The unary
     operations are the __getitem__ of their tables, mass of one over all
     2^N masks.
     The product and distance tables have n*n entries and the others at
@@ -348,12 +354,16 @@ class PoolTable:
 
     def __init__(self, pm: PackedMonoid, codes: list):
         self._pm, self._codes = pm, codes
-        index = {x: i for i, x in enumerate(codes)}
-        lookup = index.__getitem__
-        self._mul = [
-            list(map(lookup, map(tuple, map(map, repeat(pm.left_row(a).__getitem__), codes)))) for a in codes
-        ]
-        self.inv = [index[pm.inv(a)] for a in codes].__getitem__
+        powers = [(pm.n_units * pm.order + 1) ** u for u in range(pm.n_units)]
+        key = lambda x: sum((v + 1) * p for v, p in zip(x, powers))
+        lookup = dict(zip(map(key, codes), range(len(codes)))).__getitem__
+        columns = list(zip(*codes))
+        self._mul = []
+        for a in codes:
+            row = pm.left_row(a)
+            keys = [map([(v + 1) * p for v in row].__getitem__, col) for p, col in zip(powers, columns)]
+            self._mul.append(list(map(lookup, reduce(partial(map, add), keys))))
+        self.inv = [lookup(key(pm.inv(a))) for a in codes].__getitem__
         self.trace = [pm.trace(a) for a in codes].__getitem__
         src = [pm.src(a) for a in codes]
         fix = [pm.fix(a) for a in codes]
@@ -362,7 +372,7 @@ class PoolTable:
         # the unit-set elements, by their unit set
         self.idem = {s: i for i, (s, f) in enumerate(zip(src, fix)) if s == f}.__getitem__
         self.mass = list(map(pm.mass, range(1 << pm.n_units))).__getitem__
-        self.one, self.zero = index[pm.one], index[pm.zero]
+        self.one, self.zero = lookup(key(pm.one)), lookup(key(pm.zero))
         self.total, self.full_mask = pm.total, pm.full_mask
         self.groupoid, self.n_units = pm.groupoid, pm.n_units
 

@@ -162,7 +162,7 @@ def test_suite_byte_identical_reports(files, capsys):
     out1, out2 = str(tmp / "r1.json"), str(tmp / "r2.json")
     assert run(capsys, "suite", "--name", "trace-distance", "--groupoid", n3, "--seed", "7", "-o", out1)[0] == 0
     assert run(capsys, "suite", "--name", "trace-distance", "--groupoid", n3, "--seed", "7", "-o", out2)[0] == 0
-    assert open(out1, "rb").read() == open(out2, "rb").read()
+    assert (tmp / "r1.json").read_bytes() == (tmp / "r2.json").read_bytes()
 
 
 def test_suite_seed_env_override(files, capsys, monkeypatch):
@@ -252,6 +252,14 @@ def test_verify_ladder_construction(files, capsys):
     assert code == 0 and report["pass"]
     assert report["max_product_deviation"] == "0/1"
     assert report["max_distance_deviation"] == "1/7"
+
+
+@pytest.mark.parametrize("epsilon", ["0", "-1/2"])
+def test_verify_epsilon_not_positive_exits_2(capsys, epsilon):
+    # the threshold is strict, so an epsilon <= 0 could only fail the run
+    code, out, err = run(capsys, "verify", "--map", "ladder", "--n", "2", "--p", "3", f"--epsilon={epsilon}")
+    assert code == 2
+    assert out == "" and err.startswith("input error:") and "epsilon must be positive" in err
 
 
 def test_reports_are_atomic_files(files, capsys):
@@ -698,6 +706,26 @@ print(sorted({"dataclasses", "inspect", "ast", "dis", "tokenize"} & (set(sys.mod
     assert codes == "[0, 0, 0, 0, 0, 0]"
     assert modules == "9"
     assert added == "[]"
+
+
+def test_importtime_lists_every_loaded_module(files):
+    # the package's lazy names load through the C import path, which is the
+    # one that -X importtime logs: a module that groupoid, cli or the
+    # certificate layers import by name from the package is listed too
+    import soficlab
+
+    tmp, write = files
+    write("g.json", groupoid_to_json(Z2Y2))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(soficlab.__file__)))
+    flags = ["-O"] * sys.flags.optimize
+    proc = subprocess.run(
+        [sys.executable, *flags, "-X", "importtime", "-m", "soficlab.cli",
+         "embed", "--kind", "convex", "--groupoid", "g.json", "-o", "out.json"],
+        cwd=tmp, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    logged = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    assert {"soficlab.cayley", "soficlab.constructions", "soficlab.verify"} <= logged
 
 
 # every public name of the package

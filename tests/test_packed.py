@@ -141,6 +141,8 @@ GROUPOIDS = {
         [(Fraction(1, 3), group_groupoid(cayley.cyclic(2))), (Fraction(2, 3), full_relation(1))]
     ),
     "s3y2": connected_groupoid(cayley.symmetric(3), 2),
+    # one unit: N = 1, M = 6
+    "s3": group_groupoid(cayley.symmetric(3)),
     "z2y2_y2": convex_combination(
         [(HALF, connected_groupoid(cayley.cyclic(2), 2)), (HALF, full_relation(2))]
     ),
@@ -204,7 +206,7 @@ def test_table_suite_equals_codes_suite(suite, key, monkeypatch):
     assert run_suite(suite, g=g) == on_table
 
 
-@pytest.mark.parametrize("key", ("n3", "z2y2_y2", "z2pt", "s3y2"))
+@pytest.mark.parametrize("key", ("n3", "n4", "z2y2_y2", "z2pt", "s3y2", "s3"))
 def test_pool_table_entries_equal_the_kernel(key):
     g = GROUPOIDS[key]
     pm = PackedMonoid(g)

@@ -2,7 +2,8 @@
 reproducible batch runs emitting JSON reports.
 
 Exit codes: 0 pass, 1 check failure (a failed certificate included), 2
-malformed input. Reports embed the tool version, and those of embed,
+malformed input, an input file that cannot be read or an -o path that
+cannot be written. Reports embed the tool version, and those of embed,
 verify and suite the seed and budget (serialize.budget_to_json); a
 repeated invocation with the same seed writes byte-identical output. An
 explicit --seed wins; without one, SOFICLAB_SEED overrides the default
@@ -52,10 +53,15 @@ def _budget(args):
     return SuiteBudget(seed=_seed(args), **{k: v for k, v in caps.items() if v is not None})
 
 
+class OutputError(Exception):
+    """The -o path could not be written; main exits 2 with this message."""
+
+
 def _emit(args, command: str, params: dict, payload: dict, budget=None) -> None:
     """Write a report: the tool header, then the seed and budget block when
     a budget ran the payload's checks, then the payload; a suite payload
-    (serialize.suite_result_to_json) carries that block itself."""
+    (serialize.suite_result_to_json) carries that block itself. An -o path
+    the system refuses raises OutputError, which names it."""
     report = {
         "tool": "soficlab",
         "version": __version__,
@@ -67,7 +73,10 @@ def _emit(args, command: str, params: dict, payload: dict, budget=None) -> None:
     report.update(payload)
     out = getattr(args, "out", None)
     if out:
-        sz.write_json_atomic(report, out)
+        try:
+            sz.write_json_atomic(report, out)
+        except OSError as exc:
+            raise OutputError(f"cannot write output {out}: {exc.strerror}") from exc
     else:
         sys.stdout.write(sz.dumps(report))
 
@@ -401,8 +410,16 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except OutputError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     except FileNotFoundError as exc:
         print(f"missing input file: {exc.filename}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # every other file the commands open is an input: a directory, or
+        # one the user may not read
+        print(f"cannot read input file {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
     except MalformedInputError as exc:
         # verify.IncompletePairListError, a ValueError, ends in the last clause

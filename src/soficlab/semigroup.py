@@ -31,7 +31,11 @@ tables fit the caller's cap: its product rows come from
 PackedMonoid.left_row, one row of codes per left factor, summed into
 integer keys of the products (a code as a base N*M + 1 number) that index
 the pool without hashing a tuple; its distance rows come from dist_rows,
-and its unary operations are bound list lookups.
+and its unary operations are bound list lookups. Both kernels give the
+suites products and distances as tables read by subscript,
+products[a][b] and distances[a][b]: a PoolTable's are its lists of rows,
+so a lookup is two list subscripts, and a PackedMonoid's are views that
+call mul and dist on each lookup and store nothing.
 Bisection is the boundary type: it is parsed, printed and used
 for witnesses, and its constructor validates; PackedMonoid.encode and
 decode convert at the boundary. The Bisection algebra that the kernel is
@@ -121,6 +125,15 @@ def extend_to_full_group(gamma: Bisection) -> Bisection:
 
 # ---------------------------------------------------------------------------
 # Packed kernel
+
+
+class _Subscript(partial):
+    """A partial read by subscript: s[x] is s(x). _Subscript(_Subscript, op)
+    is op as a table, whose [a][b] is op(a, b), computed on each lookup in C
+    calls with nothing stored."""
+
+    __slots__ = ()
+    __getitem__ = partial.__call__
 
 
 class PackedMonoid:
@@ -247,6 +260,17 @@ class PackedMonoid:
         """Weight of the source units where a and b differ."""
         return sum(compress(self.weights, map(ne, a, b)))
 
+    @property
+    def products(self):
+        """mul as a table read by subscript, like PoolTable.products:
+        products[a][b] is mul(a, b), computed on each lookup."""
+        return _Subscript(_Subscript, self.mul)
+
+    @property
+    def distances(self):
+        """dist as a table read by subscript, like PoolTable.distances."""
+        return _Subscript(_Subscript, self.dist)
+
     def dist_rows(self, codes: list):
         """Yield [dist(a, b) for b in codes] for each a in codes, in order.
 
@@ -334,17 +358,18 @@ class PoolTable:
 
     codes must list every element of [[G]] once (semigroup_codes does), so
     the pool is closed under product and inverse and every operation of
-    PackedMonoid becomes a lookup by pool index: mul, inv, trace, dist,
-    src, rng, fix and idem take and return indices, and arrows, mass,
-    one, zero, total, full_mask, groupoid and n_units mean what they mean
-    on pm, so verify._pool draws unit sets from either kernel. Index
+    PackedMonoid becomes a lookup by pool index: products[a][b] and
+    distances[a][b] are the product's index and the distance, inv,
+    trace, src, rng, fix and idem take and return indices, and arrows,
+    mass, one, zero, total, full_mask, groupoid and n_units mean what they
+    mean on pm, so verify._pool draws unit sets from either kernel. Index
     equality is element equality. Pool indices are found by integer key,
     not by code tuple: code x has key sum((x_u + 1) * B**u), B = N*M + 1,
     injective as every entry lies in [-1, N*M). Row a of the product table
     maps the u-th entries of all codes through pm.left_row(a) scaled by
     B**u (code -1's trailing slot to 0), adds the N maps with map(add, ...)
     and looks the sums up, all in map calls that build no tuple; the
-    distance table comes from pm.dist_rows, on first use. The unary
+    distance rows come from pm.dist_rows, on first use. The unary
     operations are the __getitem__ of their tables, mass of one over all
     2^N masks.
     The product and distance tables have n*n entries and the others at
@@ -358,11 +383,11 @@ class PoolTable:
         key = lambda x: sum((v + 1) * p for v, p in zip(x, powers))
         lookup = dict(zip(map(key, codes), range(len(codes)))).__getitem__
         columns = list(zip(*codes))
-        self._mul = []
+        self.products = []
         for a in codes:
             row = pm.left_row(a)
             keys = [map([(v + 1) * p for v in row].__getitem__, col) for p, col in zip(powers, columns)]
-            self._mul.append(list(map(lookup, reduce(partial(map, add), keys))))
+            self.products.append(list(map(lookup, reduce(partial(map, add), keys))))
         self.inv = [lookup(key(pm.inv(a))) for a in codes].__getitem__
         self.trace = [pm.trace(a) for a in codes].__getitem__
         src = [pm.src(a) for a in codes]
@@ -377,19 +402,13 @@ class PoolTable:
         self.groupoid, self.n_units = pm.groupoid, pm.n_units
 
     @cached_property
-    def dists(self) -> list[list[int]]:
-        """dists[a][b] = dist(a, b), as rows by pool index, from
+    def distances(self) -> list[list[int]]:
+        """distances[a][b] = dist(a, b), as rows by pool index, from
         PackedMonoid.dist_rows."""
         return list(self._pm.dist_rows(self._codes))
 
     def arrows(self, a) -> tuple[Arrow, ...]:
         return self._pm.arrows(self._codes[a])
-
-    def mul(self, a, b) -> int:
-        return self._mul[a][b]
-
-    def dist(self, a, b) -> int:
-        return self.dists[a][b]
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,11 @@ tensor of the factors' identity maps. The inverse-monoid, metric-prop,
 trace-distance and supports suites take their kernel from _kernel: when
 the n*n pairs of [[G]] fit the cap it becomes a semigroup.PoolTable, whose
 operations are lookups by pool index in tables of at most n*n entries,
-and otherwise the suite stays on codes. The finite-index suite's block
+and otherwise the suite stays on codes. These four suites read products
+and distances inline, as M[a][b] and D[a][b] on the kernel's products and
+distances, one loop per check with no Python call per tuple: on a table
+each lookup is a list subscript, and on codes a view that calls mul or
+dist. The finite-index suite's block
 identity and diagonal trace are predicates run through the same gate over
 the elements whose block matrices passed their checks. Both certificates,
 check_embedding and check_almost_morphism, run on the kernel too, through
@@ -162,8 +166,9 @@ def _kernel(g: FiniteGroupoid, budget: SuiteBudget, kind: str = "semigroup"):
     (PoolTable, pool indices), for "group" the indices of its full
     elements, which come in the order of group_codes. Otherwise
     (PackedMonoid, the codes of _pool). Handles are equal exactly when
-    their elements are, and both kernels take the same calls, so a suite
-    keeps one loop per check and compares the same values on either.
+    their elements are, and both kernels take the same calls and
+    subscripts (products[a][b], distances[a][b]), so a suite keeps one
+    loop per check and compares the same values on either.
     """
     pm = PackedMonoid(g)
     n = semigroup_count(g)
@@ -439,101 +444,105 @@ def _result(name, passed, **details) -> CheckResult:
     return CheckResult(name, passed, details)
 
 
+def _run(sizes, budget: SuiteBudget, pools_exhaustive: bool):
+    """The tuples of _tuples, and the details `tested` and `exhaustive` of
+    the check that runs them."""
+    tuples, exhaustive, tested = _tuples(sizes, budget, pools_exhaustive)
+    return tuples, {"tested": tested, "exhaustive": exhaustive}
+
+
 def _count(sizes, budget: SuiteBudget, pools_exhaustive: bool, bad):
     """Run a check over the tuples of _tuples, where bad(*indices) is True
     at a violation and False elsewhere: the number of violations, and the
-    details `tested` and `exhaustive` of the run."""
-    tuples, exhaustive, tested = _tuples(sizes, budget, pools_exhaustive)
-    return sum(starmap(bad, tuples)), {"tested": tested, "exhaustive": exhaustive}
+    details of the run."""
+    tuples, run = _run(sizes, budget, pools_exhaustive)
+    return sum(starmap(bad, tuples)), run
 
 
 def suite_inverse_monoid(g: FiniteGroupoid, budget: SuiteBudget) -> list[CheckResult]:
     k, pool, exhaustive = _kernel(g, budget)
-    mul, inv = k.mul, k.inv
+    M = k.products
     n = len(pool)
     one, zero = k.one, k.zero
-    invs = [inv(a) for a in pool]
+    invs = [k.inv(a) for a in pool]
     checks = []
 
-    bad = [a for a in pool if not (mul(a, one) == a == mul(one, a))]
+    bad = [a for a in pool if not (M[a][one] == a == M[one][a])]
     checks.append(_result("unit-law", not bad, tested=n, exhaustive=exhaustive))
-    bad = [a for a in pool if not (mul(zero, a) == zero == mul(a, zero))]
+    bad = [a for a in pool if not (M[zero][a] == zero == M[a][zero])]
     checks.append(_result("zero-absorbing", not bad, tested=n, exhaustive=exhaustive))
 
-    bad = [
-        a
-        for a, ai in zip(pool, invs)
-        if mul(mul(a, ai), a) != a or mul(mul(ai, a), ai) != ai
-    ]
+    bad = [a for a, ai in zip(pool, invs) if M[M[a][ai]][a] != a or M[M[ai][a]][ai] != ai]
     checks.append(_result("inverse-law", not bad, tested=n, exhaustive=exhaustive))
 
-    def not_associative(ia, ib, ic):
+    triples, run = _run((n, n, n), budget, exhaustive)
+    viol = 0
+    for ia, ib, ic in triples:
         a, b, c = pool[ia], pool[ib], pool[ic]
-        return mul(mul(a, b), c) != mul(a, mul(b, c))
-
-    viol, run = _count((n, n, n), budget, exhaustive, not_associative)
+        viol += M[M[a][b]][c] != M[a][M[b][c]]
     checks.append(_result("associativity", viol == 0, violations=viol, **run))
 
-    def another_inverse(ia, ib):
+    pairs, run = _run((n, n), budget, exhaustive)
+    viol = 0
+    for ia, ib in pairs:
         a, b = pool[ia], pool[ib]
-        return mul(mul(a, b), a) == a and mul(mul(b, a), b) == b and b != invs[ia]
-
-    viol, run = _count((n, n), budget, exhaustive, another_inverse)
+        if M[M[a][b]][a] == a and M[M[b][a]][b] == b and b != invs[ia]:
+            viol += 1
     checks.append(_result("inverse-uniqueness", viol == 0, violations=viol, **run))
 
     unit_sets = [k.fix(a) == k.src(a) for a in pool]
-    bad = [a for a, is_unit_set in zip(pool, unit_sets) if is_unit_set != (mul(a, a) == a)]
+    bad = [a for a, is_unit_set in zip(pool, unit_sets) if is_unit_set != (M[a][a] == a)]
     checks.append(
         _result("idempotents-are-unit-sets", not bad, tested=n, exhaustive=exhaustive)
     )
 
     idems = [a for a, is_unit_set in zip(pool, unit_sets) if is_unit_set]
-    viol, run = _count(
-        (len(idems), len(idems)),
-        budget,
-        exhaustive,
-        lambda i, j: mul(idems[i], idems[j]) != mul(idems[j], idems[i]),
-    )
+    pairs, run = _run((len(idems), len(idems)), budget, exhaustive)
+    viol = 0
+    for i, j in pairs:
+        e, f = idems[i], idems[j]
+        viol += M[e][f] != M[f][e]
     checks.append(_result("idempotents-commute", viol == 0, **run))
     return checks
 
 
 def suite_metric(g: FiniteGroupoid, budget: SuiteBudget) -> list[CheckResult]:
     k, pool, exhaustive = _kernel(g, budget)
-    mul, dist, mass = k.mul, k.dist, k.mass
+    M, D, mass = k.products, k.distances, k.mass
     n = len(pool)
     invs = [k.inv(a) for a in pool]
     src = [k.src(a) for a in pool]
     rng = [k.rng(a) for a in pool]
     checks = []
 
-    # distance by pool index; a table's handles are its pool indices
-    d = dist if isinstance(k, PoolTable) else lambda i, j: dist(pool[i], pool[j])
-
     bad = [i for i in range(n) if mass(src[i]) != mass(rng[i])]
     checks.append(_result("pmp-mass-law", not bad, tested=n, exhaustive=exhaustive))
 
     # the pair checks that read only distances share one run of pairs
-    pairs, exh2, cnt2 = _tuples((n, n), budget, exhaustive)
+    pairs, run2 = _run((n, n), budget, exhaustive)
     asymmetric = zero_off_diagonal = not_invariant = uncorrected = 0
     witness = None
     for i, j in pairs:
-        dij = d(i, j)
-        asymmetric += dij != d(j, i)
+        a, b = pool[i], pool[j]
+        dab = D[a][b]
+        asymmetric += dab != D[b][a]
         # a pool holds each element once
-        zero_off_diagonal += (dij == 0) != (i == j)
-        change = dist(invs[i], invs[j]) - dij
+        zero_off_diagonal += (dab == 0) != (i == j)
+        change = D[invs[i]][invs[j]] - dab
         if change:
             not_invariant += 1
             if witness is None:
-                witness = tuple([list(a) for a in k.arrows(pool[x])] for x in (i, j))
+                witness = tuple([list(x) for x in k.arrows(y)] for y in (a, b))
         uncorrected += change != mass(rng[i] | rng[j]) - mass(src[i] | src[j])
-    run = {"tested": cnt2, "exhaustive": exh2}
-    checks.append(_result("symmetry", asymmetric == 0, **run))
-    checks.append(_result("zero-iff-equal", zero_off_diagonal == 0, **run))
+    checks.append(_result("symmetry", asymmetric == 0, **run2))
+    checks.append(_result("zero-iff-equal", zero_off_diagonal == 0, **run2))
 
-    viol, run3 = _count((n, n, n), budget, exhaustive, lambda a, b, c: d(a, c) > d(a, b) + d(b, c))
-    checks.append(_result("triangle", viol == 0, violations=viol, **run3))
+    triples, run = _run((n, n, n), budget, exhaustive)
+    viol = 0
+    for ia, ib, ic in triples:
+        a, b, c = pool[ia], pool[ib], pool[ic]
+        viol += D[a][c] > D[a][b] + D[b][c]
+    checks.append(_result("triangle", viol == 0, violations=viol, **run))
 
     checks.append(
         _result(
@@ -542,38 +551,38 @@ def suite_metric(g: FiniteGroupoid, budget: SuiteBudget) -> list[CheckResult]:
             violations=not_invariant,
             witness=witness,
             note="fails off the full group; see inverse-invariance-corrected",
-            **run,
+            **run2,
         )
     )
 
     full = [i for i in range(n) if src[i] == rng[i] == k.full_mask]
-    viol, run_full = _count(
-        (len(full), len(full)),
-        budget,
-        exhaustive,
-        lambda i, j: dist(invs[full[i]], invs[full[j]]) != d(full[i], full[j]),
-    )
-    checks.append(_result("inverse-invariance-full-group", viol == 0, **run_full))
-    checks.append(_result("inverse-invariance-corrected", uncorrected == 0, **run))
+    pairs, run = _run((len(full), len(full)), budget, exhaustive)
+    viol = 0
+    for fi, fj in pairs:
+        i, j = full[fi], full[fj]
+        viol += D[invs[i]][invs[j]] != D[pool[i]][pool[j]]
+    checks.append(_result("inverse-invariance-full-group", viol == 0, **run))
+    checks.append(_result("inverse-invariance-corrected", uncorrected == 0, **run2))
 
-    def product_too_far(ia, ib, ic, id_):
-        return dist(mul(pool[ia], pool[ib]), mul(pool[ic], pool[id_])) > d(ia, ic) + d(ib, id_)
-
-    viol, run = _count((n, n, n, n), budget, exhaustive, product_too_far)
+    quadruples, run = _run((n, n, n, n), budget, exhaustive)
+    viol = 0
+    for ia, ib, ic, id_ in quadruples:
+        a, b, c, d = pool[ia], pool[ib], pool[ic], pool[id_]
+        viol += D[M[a][b]][M[c][d]] > D[a][c] + D[b][d]
     checks.append(_result("product-inequality", viol == 0, violations=viol, **run))
 
-    def inverse_too_far(ia, ib):
+    pairs, run = _run((n, n), budget, exhaustive)
+    viol = 0
+    for ia, ib in pairs:
         a, b = pool[ia], pool[ib]
-        return dist(a, invs[ib]) > dist(a, mul(mul(a, b), a)) + dist(b, mul(mul(b, a), b))
-
-    viol, run = _count((n, n), budget, exhaustive, inverse_too_far)
+        viol += D[a][invs[ib]] > D[a][M[M[a][b]][a]] + D[b][M[M[b][a]][b]]
     checks.append(_result("inverse-triangle", viol == 0, violations=viol, **run))
     return checks
 
 
 def suite_trace_distance(g: FiniteGroupoid, budget: SuiteBudget) -> list[CheckResult]:
     k, pool, exhaustive = _kernel(g, budget)
-    mul, trace, dist = k.mul, k.trace, k.dist
+    M, D, trace = k.products, k.distances, k.trace
     one, total = k.one, k.total
     sources = [k.idem(k.src(a)) for a in pool]
     source_traces = [trace(s) for s in sources]
@@ -583,20 +592,21 @@ def suite_trace_distance(g: FiniteGroupoid, budget: SuiteBudget) -> list[CheckRe
 
     bad = 0
     for a, s in zip(pool, sources):
-        if trace(a) != total - dist(s, one) - dist(s, a):
+        if trace(a) != total - D[s][one] - D[s][a]:
             bad += 1
     checks.append(_result("trace-from-distance", bad == 0, tested=n, exhaustive=exhaustive))
 
-    def off_by_traces(ia, ib):
+    pairs, run = _run((n, n), budget, exhaustive)
+    bad = 0
+    for ia, ib in pairs:
+        a = pool[ia]
         rhs = (
             source_traces[ia]
             + source_traces[ib]
-            - trace(mul(sources[ia], sources[ib]))
-            - trace(mul(invs[ib], pool[ia]))
+            - trace(M[sources[ia]][sources[ib]])
+            - trace(M[invs[ib]][a])
         )
-        return dist(pool[ia], pool[ib]) != rhs
-
-    bad, run = _count((n, n), budget, exhaustive, off_by_traces)
+        bad += D[a][pool[ib]] != rhs
     checks.append(_result("distance-from-trace", bad == 0, **run))
     return checks
 
@@ -604,63 +614,59 @@ def suite_trace_distance(g: FiniteGroupoid, budget: SuiteBudget) -> list[CheckRe
 def suite_supports(g: FiniteGroupoid, budget: SuiteBudget) -> list[CheckResult]:
     k, group, exhaustive = _kernel(g, budget, "group")
     malg, malg_exh = _pool(k, "malg", budget)
-    mul, inv, dist, idem, src, rng = k.mul, k.inv, k.dist, k.idem, k.src, k.rng
+    M, D, inv, idem, src, rng, fix = k.products, k.distances, k.inv, k.idem, k.src, k.rng, k.fix
     total = k.total
     traces = [k.trace(a) for a in group]
-    fixes = [k.fix(a) for a in group]
+    fixes = [fix(a) for a in group]
     supps = [src(a) & ~f for a, f in zip(group, fixes)]
-    moved = [dist(k.one, a) for a in group]
+    moved = [D[k.one][a] for a in group]
     ones = [idem(units) for units in malg]  # 1_A for each unit set A
     n, m = len(group), len(malg)
     both_exhaustive = exhaustive and malg_exh
     checks = []
 
-    def image(a, A):
-        """a(A), for a full-group element a and the unit set malg[A]."""
-        return rng(mul(a, ones[A]))
-
-    def supp_not_fix(i, j):
-        left = supps[i] == fixes[j]
-        return left != (dist(group[i], group[j]) == total and traces[i] + traces[j] == total)
-
-    viol, run = _count((n, n), budget, exhaustive, supp_not_fix)
+    pairs, run = _run((n, n), budget, exhaustive)
+    viol = 0
+    for i, j in pairs:
+        moves_all = D[group[i]][group[j]] == total and traces[i] + traces[j] == total
+        viol += (supps[i] == fixes[j]) != moves_all
     checks.append(_result("supp-eq-fix", viol == 0, **run))
 
-    def overlap_not_disjoint(i, j):
-        return (not supps[i] & supps[j]) != (dist(group[i], group[j]) == moved[i] + moved[j])
-
-    viol, run = _count((n, n), budget, exhaustive, overlap_not_disjoint)
+    pairs, run = _run((n, n), budget, exhaustive)
+    viol = 0
+    for i, j in pairs:
+        viol += (not supps[i] & supps[j]) != (D[group[i]][group[j]] == moved[i] + moved[j])
     checks.append(_result("disjoint-supports", viol == 0, **run))
 
     # supp(a b a^-1) = a(supp(b)), where a(A) = rng(a 1_A)
-    def not_covariant(i, j):
+    pairs, run = _run((n, n), budget, exhaustive)
+    viol = 0
+    for i, j in pairs:
         a = group[i]
-        conj = mul(mul(a, group[j]), inv(a))
-        return src(conj) & ~k.fix(conj) != rng(mul(a, idem(supps[j])))
-
-    viol, run = _count((n, n), budget, exhaustive, not_covariant)
+        conj = M[M[a][group[j]]][inv(a)]
+        viol += src(conj) & ~fix(conj) != rng(M[a][idem(supps[j])])
     checks.append(_result("covariance", viol == 0, **run))
 
-    def mass_moved(i, A):
-        return k.mass(image(group[i], A)) != k.mass(malg[A])
-
-    viol, run = _count((n, m), budget, both_exhaustive, mass_moved)
+    pairs, run = _run((n, m), budget, both_exhaustive)
+    viol = 0
+    for i, A in pairs:
+        viol += k.mass(rng(M[group[i]][ones[A]])) != k.mass(malg[A])
     checks.append(_result("action-preserves-mass", viol == 0, **run))
 
-    def order_reversed(i, A, B):
+    triples, run = _run((n, m, m), budget, both_exhaustive)
+    viol = 0
+    for i, A, B in triples:
         a = group[i]
-        return not malg[A] & ~malg[B] and image(a, A) & ~image(a, B) != 0
-
-    viol, run = _count((n, m, m), budget, both_exhaustive, order_reversed)
+        if not malg[A] & ~malg[B] and rng(M[a][ones[A]]) & ~rng(M[a][ones[B]]):
+            viol += 1
     checks.append(_result("action-preserves-order", viol == 0, **run))
 
     # (a 1_A)(b 1_B) = ab 1_C, where C = B n b^-1(A) and b^-1(A) = src(1_A b)
-    def corner_product_differs(i, j, A, B):
-        a, b = group[i], group[j]
-        left = mul(mul(a, ones[A]), mul(b, ones[B]))
-        return left != mul(mul(a, b), idem(malg[B] & src(mul(ones[A], b))))
-
-    viol, run = _count((n, n, m, m), budget, both_exhaustive, corner_product_differs)
+    quadruples, run = _run((n, n, m, m), budget, both_exhaustive)
+    viol = 0
+    for i, j, A, B in quadruples:
+        a, b, e, f = group[i], group[j], ones[A], ones[B]
+        viol += M[M[a][e]][M[b][f]] != M[M[a][b]][idem(malg[B] & src(M[e][b]))]
     checks.append(_result("corner-product-identity", viol == 0, **run))
     return checks
 

@@ -278,6 +278,40 @@ def test_missing_file_exits_2(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "{dir}"],
+        ["decompose", "{dir}"],
+        ["embed", "--kind", "convex", "--groupoid", "{dir}"],
+        ["embed", "--kind", "pair", "--nu", "{dir}", "--rho", "{n3}", "--t", "1/2"],
+        ["embed", "--kind", "pair", "--nu", "{n3}", "--rho", "{dir}", "--t", "1/2"],
+        ["suite", "--name", "finite-index", "--groupoid", "{n3}", "--sub", "{dir}"],
+        ["verify", "--map", "{dir}", "--domain", "{n3}", "--codomain", "{n3}", "--epsilon", "1/2"],
+    ],
+    ids=["validate", "decompose", "groupoid", "nu", "rho", "sub", "map"],
+)
+def test_input_directory_exits_2(files, capsys, argv):
+    tmp, write = files
+    n3 = write("n3.json", groupoid_to_json(full_relation(3)))
+    code, out, err = run(capsys, *[a.format(dir=tmp, n3=n3) for a in argv])
+    assert (code, out) == (2, "")
+    assert err == f"cannot read input file {tmp}: Is a directory\n"
+
+
+@pytest.mark.parametrize("target", ["directory", "missing/dir/out.json"])
+def test_unwritable_output_exits_2(tmp_path, capsys, target):
+    out = tmp_path / target
+    if target == "directory":
+        out.mkdir()
+    code, _, err = run(capsys, "suite", "--name", "trace-distance", "--n", "2", "-o", str(out))
+    assert code == 2
+    reason = "Is a directory" if target == "directory" else "No such file or directory"
+    assert err == f"cannot write output {out}: {reason}\n"
+    # write_json_atomic unlinks its temporary file
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+@pytest.mark.parametrize(
     "groupoid,gamma,message",
     [
         ({"group_table": [[0]], "base_size": None, "weight": "1/1"}, [[0, 0, 1, 0]], "base_size"),
@@ -782,6 +816,7 @@ def _raising(module, name, *args):
 # (module, class, constructor arguments, exit code, stderr prefix)
 ERRORS = [
     ("builtins", "FileNotFoundError", (2, "gone", "x.json"), 2, "missing input file: x.json"),
+    ("builtins", "IsADirectoryError", (21, "Is a directory", "d.json"), 2, "cannot read input file d.json: Is a directory"),
     ("soficlab.groupoid", "MalformedInputError", ("bad shape",), 2, "input error: bad shape"),
     ("soficlab.groupoid", "PmpViolationError", ("bad mass",), 2, "input error: bad mass"),
     ("soficlab.verify", "IncompletePairListError", ("no image",), 2, "input error: no image"),

@@ -29,10 +29,16 @@ replaced (pool_reference.py); no pool, and no part of the rectangles suite,
 may build a Bisection, and Bisection itself carries no algebra. The
 suites that tabulate an exhaustive pool (semigroup.PoolTable) must report
 what they report on codes, and every table entry must equal the kernel's.
+Those four suites read products and distances by subscript; their earlier
+bodies, one predicate per tuple through mul and dist, are kept in
+suite_reference.py, and both must give the same results on tables, on
+codes and on tables with one entry redirected, where the product checks
+fail.
 """
 
 import random
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 from itertools import product as iproduct
 from math import lcm
@@ -57,8 +63,9 @@ from pool_reference import (
     reference_elements,
     sample_bisection,
 )
+import suite_reference
 
-from soficlab import cayley, constructions
+from soficlab import cayley, constructions, verify
 from soficlab.cli import main as cli_main
 from soficlab.constructions import (
     NoTransversalError,
@@ -227,9 +234,10 @@ def test_pool_table_entries_equal_the_kernel(key):
         assert table.trace(i) == pm.trace(x)
         assert (table.src(i), table.rng(i), table.fix(i)) == (pm.src(x), pm.rng(x), pm.fix(x))
         for j, y in enumerate(codes):
-            assert codes[table.mul(i, j)] == pm.mul(x, y)
-            assert table.dist(i, j) == pm.dist(x, y)
-    assert len(table.dists) == n and all(len(row) == n for row in table.dists)
+            assert codes[table.products[i][j]] == pm.mul(x, y)
+            assert table.distances[i][j] == pm.dist(x, y)
+    for rows in (table.products, table.distances):
+        assert len(rows) == n and all(len(row) == n for row in rows)
 
 
 # groupoids whose [[G]] is too large to tabulate at the default cap, or
@@ -246,15 +254,19 @@ LEFT_ROW_GROUPOIDS = {
 @pytest.mark.parametrize("key", LEFT_ROW_GROUPOIDS)
 def test_left_row_products_equal_mul(key):
     # the product table's rows, on sampled codes (the zero among them, so
-    # every row's trailing slot for code -1 is read)
+    # every row's trailing slot for code -1 is read); and the tables the
+    # suites read on codes, which are mul and dist by subscript
     pm = PackedMonoid(LEFT_ROW_GROUPOIDS[key])
     codes, exhaustive = _pool(pm, "semigroup", SuiteBudget(exhaustive_cap=30, sample_count=30, seed=2))
     assert not exhaustive and pm.zero in codes
+    products, distances = pm.products, pm.distances
     for a in codes:
         row = pm.left_row(a)
         assert len(row) == pm.n_units * pm.order + 1 and row[-1] == -1
         for b in codes:
             assert tuple(map(row.__getitem__, b)) == pm.mul(a, b)
+            assert products[a][b] == pm.mul(a, b)
+            assert distances[a][b] == pm.dist(a, b)
 
 
 @pytest.mark.parametrize("key", TABLE_GROUPOIDS)
@@ -284,8 +296,66 @@ def test_inverse_monoid_builds_no_distance_table(monkeypatch):
     def forbidden(self):
         raise AssertionError("distance table built")
 
-    monkeypatch.setattr(PoolTable, "dists", property(forbidden))
+    monkeypatch.setattr(PoolTable, "distances", property(forbidden))
     assert run_suite("inverse-monoid", g=GROUPOIDS["n3"]).checks
+
+
+# ---------------------------------------------------------------------------
+# The suites against their per-tuple reference (suite_reference.py)
+
+
+def corrupted_kernel(entry, g, budget, kind="semigroup"):
+    """verify._kernel with one entry of its PoolTable redirected: for entry
+    "products", one * zero is one, so zero becomes a second inverse of one;
+    for "distances", d(one, a) is 0 for a full element a other than one.
+    The two are kept apart, so that a check that reports only whether it
+    passed is tested on a table where it alone reads a wrong entry."""
+    table, pool, exhaustive = _kernel(g, budget, kind)
+    one, zero = table.one, table.zero
+    if entry == "products":
+        table.products[one][zero] = one
+    else:
+        full = table.full_mask
+        moved = next(i for i in range(len(table.products)) if i != one and table.src(i) == table.rng(i) == full)
+        table.distances[one][moved] = 0
+    return table, pool, exhaustive
+
+
+REFERENCE_KERNELS = {
+    "table": _kernel,
+    "products-corrupted": partial(corrupted_kernel, "products"),
+    "distances-corrupted": partial(corrupted_kernel, "distances"),
+    "codes": on_codes,
+}
+# case id: (kernel, groupoid key, budget or None for the default)
+SUITE_REFERENCE_CASES = {
+    **{f"{kernel}-{key}": (kernel, key, None) for kernel in REFERENCE_KERNELS for key in TABLE_GROUPOIDS},
+    # products leave a sampled pool; an exhaustive pool with sampled pairs
+    "n4-sampled": ("table", "n4", SMALL),
+    "n4-boundary": ("table", "n4", BOUNDARY),
+}
+
+
+@pytest.mark.parametrize("suite", KERNEL_SUITES)
+@pytest.mark.parametrize("kernel,key,budget", SUITE_REFERENCE_CASES.values(), ids=SUITE_REFERENCE_CASES)
+def test_suite_equals_its_reference(suite, kernel, key, budget, monkeypatch):
+    monkeypatch.setattr("soficlab.verify._kernel", REFERENCE_KERNELS[kernel])
+    result = run_suite(suite, budget, g=GROUPOIDS[key])
+    monkeypatch.setitem(verify.SUITES, suite, suite_reference.SUITES[suite])
+    assert run_suite(suite, budget, g=GROUPOIDS[key]) == result
+
+
+# the tables whose triples all run at the default budget, so that every
+# check reads the corrupted entries (Z2xY2+Y2 samples its 119^3 triples)
+@pytest.mark.parametrize("key", ("n2", "n3", "z2y2", "z2pt"))
+def test_corrupted_tables_fail_the_product_checks(key, monkeypatch):
+    # so the suites and their reference agree on violations, not only on 0
+    monkeypatch.setattr("soficlab.verify._kernel", REFERENCE_KERNELS["products-corrupted"])
+    checks = {c.name: c for suite in KERNEL_SUITES for c in run_suite(suite, g=GROUPOIDS[key]).checks}
+    for name in ("associativity", "inverse-uniqueness", "corner-product-identity"):
+        assert checks[name].details["exhaustive"] and not checks[name].passed
+    assert checks["associativity"].details["violations"] > 0
+    assert checks["inverse-uniqueness"].details["violations"] > 0
 
 
 # ---------------------------------------------------------------------------

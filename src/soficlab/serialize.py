@@ -289,7 +289,11 @@ def dumps(obj) -> str:
 
 def load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            # the decoder recurses once per level of nesting
+            raise MalformedInputError(f"{path}: JSON nested too deeply") from None
 
 
 def write_json_atomic(obj, path: str) -> None:

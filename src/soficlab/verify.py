@@ -20,15 +20,17 @@ and otherwise the suite stays on codes. These four suites read products
 and distances inline, as M[a][b] and D[a][b] on the kernel's products and
 distances, one loop per check with no Python call per tuple: on a table
 each lookup is a list subscript, and on codes a view that calls mul or
-dist. The finite-index suite's block
-identity and diagonal trace are predicates run through the same gate over
-the elements whose block matrices passed their checks. Both certificates,
-check_embedding and check_almost_morphism, run on the kernel too, through
-one loop (_deviations) that maps each distinct code once: a map of
-constructions scatters its arrow table (SemigroupMap.packed), and a pair
-list becomes a dict from domain code to codomain code. The loop is a
-metric pass (metric_deviations), which the ladder's distortion reports
-run alone, and a product pass. When every pair of the pool runs,
+dist. Every other check over the gate's tuples is a plain loop too: the
+finite-index suite's block identity and diagonal trace, over the elements
+whose block matrices passed their checks, and the rectangles suite's
+trace multiplicativity. Both certificates, check_embedding and
+check_almost_morphism, run on the kernel too, through one loop
+(_deviations) that maps each distinct code once: a map of constructions
+scatters its arrow table (SemigroupMap.packed), and a pair list becomes a
+dict from domain code to codomain code. The loop is a metric pass
+(metric_deviations) and a product pass. check_embedding takes its pool and
+pairs from pool_pairs, and so do the ladder's distortion reports, which
+run the metric pass alone. When every pair of the pool runs,
 the products come one left factor at a time through its left rows
 (PackedMonoid.left_row), and the distances from PackedMonoid.dist_rows;
 sampled pairs take theirs by mul and dist. Bisections are decoded only
@@ -41,8 +43,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import lru_cache
-from itertools import compress, repeat, starmap
+from itertools import compress, repeat
 from itertools import product as iproduct
 from math import prod
 from operator import ne
@@ -200,6 +201,17 @@ def _tuples(sizes, budget: SuiteBudget, pools_exhaustive: bool):
     draws = min(budget.sample_count, budget.exhaustive_cap)
     sampled = [tuple([rng.randrange(n) for n in sizes]) for _ in range(draws)]
     return sampled, False, len(sampled)
+
+
+def pool_pairs(pm: PackedMonoid, budget: SuiteBudget):
+    """The "semigroup" pool of _pool on pm and the pairs of _tuples over
+    it, as a certificate's metric pass takes them: (pool, pairs,
+    exhaustive, tested), where pairs is None when every pair of the pool
+    runs, and otherwise the sampled list of index pairs."""
+    pool, exhaustive = _pool(pm, "semigroup", budget)
+    n = len(pool)
+    pairs, exhaustive, tested = _tuples((n, n), budget, exhaustive)
+    return pool, None if tested == n * n else pairs, exhaustive, tested  # sampled pairs are fewer
 
 
 # ---------------------------------------------------------------------------
@@ -411,10 +423,8 @@ def check_embedding(m: SemigroupMap, budget: SuiteBudget | None = None) -> Embed
     """
     budget = budget or SuiteBudget()
     dom, cod = PackedMonoid(m.domain), PackedMonoid(m.codomain)
-    pool, exhaustive = _pool(dom, "semigroup", budget)
+    pool, pairs, exhaustive, pair_count = pool_pairs(dom, budget)
     n = len(pool)
-    pair_iter, exhaustive, pair_count = _tuples((n, n), budget, exhaustive)
-    pairs = None if pair_count == n * n else pair_iter  # sampled pairs are fewer
     images, (prod_dev, trace_dev, dist_dev), at = _deviations(m.packed(dom, cod), dom, cod, pool, pairs)
     unit_ok = images[pool.index(dom.one)] == cod.one  # every pool holds the unit
 
@@ -449,14 +459,6 @@ def _run(sizes, budget: SuiteBudget, pools_exhaustive: bool):
     the check that runs them."""
     tuples, exhaustive, tested = _tuples(sizes, budget, pools_exhaustive)
     return tuples, {"tested": tested, "exhaustive": exhaustive}
-
-
-def _count(sizes, budget: SuiteBudget, pools_exhaustive: bool, bad):
-    """Run a check over the tuples of _tuples, where bad(*indices) is True
-    at a violation and False elsewhere: the number of violations, and the
-    details of the run."""
-    tuples, run = _run(sizes, budget, pools_exhaustive)
-    return sum(starmap(bad, tuples)), run
 
 
 def suite_inverse_monoid(g: FiniteGroupoid, budget: SuiteBudget) -> list[CheckResult]:
@@ -718,28 +720,25 @@ def suite_finite_index(
     # the checks below run over the elements that passed. The products
     # a_ij b_jl over j have disjoint sources once b passed its column check,
     # so their union is an entrywise max over codes; the left rows of the
-    # blocks a_ij are built when the left index changes
-    @lru_cache(maxsize=1)
-    def left_rows(ia):
-        return [pm.left_row(a_ij).__getitem__ for a_ij in matrices[ia]]
-
-    def identity_fails(ia, ib):
-        rows, bb = left_rows(ia), matrices[ib]
-        bab = blocks(pm.mul(passed[ia], passed[ib]))
+    # blocks a_ij are rebuilt when the left index changes
+    pairs, run = _run((len(passed), len(passed)), budget, exhaustive)
+    viol, left = 0, None
+    for ia, ib in pairs:
+        if ia != left:
+            left, rows = ia, [pm.left_row(a_ij).__getitem__ for a_ij in matrices[ia]]
+        bb, bab = matrices[ib], blocks(pm.mul(passed[ia], passed[ib]))
         for i, l in iproduct(range(nn), repeat=2):
             products = [tuple(map(a_ij, bb[j * nn + l])) for j, a_ij in enumerate(rows[i * nn : (i + 1) * nn])]
             if tuple(map(max, zip(*products))) != bab[i * nn + l]:
-                return True
-        return False
-
-    viol, run = _count((len(passed), len(passed)), budget, exhaustive, identity_fails)
+                viol += 1
+                break
     checks.append(_result("block-identity", viol == 0, violations=viol, **run))
 
-    def diagonal_differs(k):
+    singles, run = _run((len(passed),), budget, exhaustive)
+    viol = 0
+    for (k,) in singles:
         t, matrix = pm.trace(passed[k]), matrices[k]
-        return any(pm.trace(matrix[i * nn + i]) != t for i in range(nn))
-
-    viol, run = _count((len(passed),), budget, exhaustive, diagonal_differs)
+        viol += any(pm.trace(matrix[i * nn + i]) != t for i in range(nn))
     checks.append(_result("diagonal-trace", viol == 0, **run))
 
     try:
@@ -805,12 +804,11 @@ def suite_rectangles(
     # tr(a x b) = tr(a) tr(b), with each trace an integer over its denom
     scale, denom = pp.left.denom * pp.right.denom, pp.pm.denom
     trace, trace_left, trace_right = pp.pm.trace, pp.left.trace, pp.right.trace
-
-    def not_multiplicative(i, j):
+    pairs, run = _run((len(lefts), len(rights)), budget, lexh and rexh)
+    viol = 0
+    for i, j in pairs:
         a, b = lefts[i], rights[j]
-        return trace(pp.rectangle(a, b)) * scale != trace_left(a) * trace_right(b) * denom
-
-    viol, run = _count((len(lefts), len(rights)), budget, lexh and rexh, not_multiplicative)
+        viol += trace(pp.rectangle(a, b)) * scale != trace_left(a) * trace_right(b) * denom
     checks.append(_result("rectangle-trace-multiplicative", viol == 0, **run))
     return checks
 

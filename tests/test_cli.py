@@ -410,6 +410,53 @@ def test_malformed_verify_inputs_exit_2(files, capsys, case):
     assert err.startswith("input error:") and message in err
 
 
+# nested far deeper than the JSON decoder recurses
+DEEP = 200_000
+
+
+def write_deep(tmp_path) -> str:
+    path = tmp_path / "deep.json"
+    path.write_text("[" * DEEP + "]" * DEEP)
+    return str(path)
+
+
+# one command per loader: the raw file, --groupoid, the bisection of
+# extend, --K, --map and --sub
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "{deep}"],
+        ["suite", "--name", "trace-distance", "--groupoid", "{deep}"],
+        ["extend", "{n2}", "{deep}"],
+        ["verify", "--map", "{map}", "--domain", "{n2}", "--codomain", "{n2}", "--K", "{deep}", "--epsilon", "1/2"],
+        ["verify", "--map", "{deep}", "--domain", "{n2}", "--codomain", "{n2}", "--epsilon", "1/2"],
+        ["suite", "--name", "finite-index", "--groupoid", "{n2}", "--sub", "{deep}"],
+    ],
+    ids=["raw", "groupoid", "bisection", "K", "map", "sub"],
+)
+def test_deeply_nested_json_exits_2(files, capsys, argv):
+    tmp, write = files
+    deep = write_deep(tmp)
+    n2 = write("n2.json", groupoid_to_json(full_relation(2)))
+    mapfile = write("map.json", {"pairs": [[ONE, ONE]]})
+    code, out, err = run(capsys, *[a.format(deep=deep, n2=n2, map=mapfile) for a in argv])
+    assert (code, out) == (2, "")
+    assert err == f"input error: {deep}: JSON nested too deeply\n"
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["python", "python-O"])
+def test_deeply_nested_json_exits_2_as_a_process(tmp_path, flags):
+    import soficlab
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(soficlab.__file__)))
+    proc = subprocess.run(
+        [sys.executable, *flags, "-m", "soficlab.cli", "validate", write_deep(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("input error:") and "Traceback" not in proc.stderr
+
+
 def test_repeated_identical_pair_is_accepted(files, capsys):
     tmp, write = files
     n2 = write("n2.json", groupoid_to_json(full_relation(2)))

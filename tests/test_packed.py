@@ -969,7 +969,12 @@ def test_verify_all_of_K_runs_on_codes(tmp_path, monkeypatch, capsys):
 
 # The ladder suite, and `soficlab embed --kind ladder`, against reports
 # written by the partial-injection distortion code that the packed one
-# replaced: (n, targets p, budget or None for the default)
+# replaced: (n, targets p, budget or None for the default). The sampled
+# reports (ladder-n4-sampled, ladder-n5-sampled, embed-ladder-n5) were
+# rewritten in trace_sup only when the ladder took the certificate's pool
+# and pairs (verify.pool_pairs): that pool holds the unit, so each sampled
+# trace_sup is the exact (p mod n)/p, where the ladder's own draws had
+# under-reported it; observed_sup, pairs_tested and the verdicts stayed.
 LADDER_CASES = {
     "ladder-n1": (1, range(1, 5), None),
     "ladder-n2": (2, range(2, 13), None),

@@ -241,13 +241,31 @@ def test_exhaustive_sups_are_exactly_r_over_p():
 
 # the ladder runs the metric pass of the certificate loop alone; that is
 # sound because every ladder map is exactly multiplicative, which the full
-# certificate confirms on all pairs
-@pytest.mark.parametrize("n,p", [(n, p) for n in (1, 2, 3) for p in range(n, 3 * n + 2)])
-def test_ladder_is_the_metric_pass_of_its_certificate(n, p):
-    rep = distortion_report(n, p, LADDER_BUDGET)
-    cert = check_embedding(general_map(n, p), LADDER_BUDGET)
-    assert rep.exhaustive and cert.exhaustive
-    assert (rep.observed_sup, rep.trace_sup) == (cert.max_distance_deviation, cert.max_trace_deviation)
+# certificate confirms on all pairs. Sampled, both take the same pool and
+# pairs, and the pool holds the unit, whose trace deviation is (p mod n)/p
+@pytest.mark.parametrize(
+    "n,p,budget",
+    [pytest.param(n, p, LADDER_BUDGET, id=f"{n}-{p}") for n in (1, 2, 3) for p in range(n, 3 * n + 2)]
+    + [
+        pytest.param(4, 9, SuiteBudget(exhaustive_cap=100, sample_count=50, seed=5), id="4-9-sampled"),
+        pytest.param(5, 7, SuiteBudget(), id="5-7-sampled"),
+        # 40 drawn elements, whose 1,600 pairs all fit the cap
+        pytest.param(4, 6, SuiteBudget(exhaustive_cap=2000, sample_count=40, seed=3), id="4-6-sampled-pool"),
+        # all 7 elements of [[2]], but 49 pairs exceed the cap
+        pytest.param(2, 3, SuiteBudget(exhaustive_cap=48, sample_count=10, seed=2), id="2-3-sampled-pairs"),
+    ],
+)
+def test_ladder_is_the_metric_pass_of_its_certificate(n, p, budget):
+    rep = distortion_report(n, p, budget)
+    cert = check_embedding(general_map(n, p), budget)
+    assert rep.exhaustive == (budget is LADDER_BUDGET)
+    assert (rep.observed_sup, rep.trace_sup, rep.pairs_tested, rep.exhaustive) == (
+        cert.max_distance_deviation,
+        cert.max_trace_deviation,
+        cert.pair_count,
+        cert.exhaustive,
+    )
+    assert rep.trace_sup == Fraction(p % n, p)
     assert cert.max_product_deviation == 0
 
 

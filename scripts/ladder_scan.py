@@ -12,7 +12,7 @@ import json
 
 from soficlab.serialize import distortion_report_to_json
 from soficlab.symmetric import distortion_report
-from soficlab.verify import SuiteBudget
+from soficlab.verify import DEFAULT_SEED, SuiteBudget
 
 
 def main() -> int:
@@ -21,7 +21,7 @@ def main() -> int:
     parser.add_argument("--p-max", type=int, default=30, help="largest target size")
     parser.add_argument("--pair-cap", type=int, default=10_000)
     parser.add_argument("--samples", type=int, default=400)
-    parser.add_argument("--seed", type=int, default=1729)
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument("--json", metavar="PATH", help="also write JSON records here")
     args = parser.parse_args()
 

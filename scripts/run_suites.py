@@ -15,7 +15,7 @@ from soficlab.groupoid import (
     group_groupoid,
     point_groupoid,
 )
-from soficlab.verify import SuiteBudget, run_suite
+from soficlab.verify import DEFAULT_SEED, SuiteBudget, run_suite
 
 KNOWN_RED = {("metric-prop", "inverse-invariance")}
 
@@ -49,7 +49,7 @@ def presets():
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seed", type=int, default=1729)
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument("--budget", type=int, default=1_500_000)
     parser.add_argument("--strict", action="store_true")
     args = parser.parse_args()

@@ -116,10 +116,6 @@ def cmd_decompose(args) -> int:
     return 0
 
 
-def _embedding_payload(report) -> dict:
-    return {"report": sz.embedding_report_to_json(report), "pass": report.passed}
-
-
 # the options each embed kind needs, by argparse dest
 EMBED_NEEDS = {
     "connected": ("groupoid",),
@@ -182,7 +178,7 @@ def cmd_embed(args) -> int:
         args,
         "embed",
         {"kind": args.kind, "label": m.label},
-        _embedding_payload(report),
+        {"report": sz.embedding_report_to_json(report), "pass": report.passed},
         budget,
     )
     return 0 if report.passed else 1
@@ -421,10 +417,6 @@ def main(argv=None) -> int:
         # one the user may not read
         print(f"cannot read input file {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
-    except MalformedInputError as exc:
-        # verify.IncompletePairListError, a ValueError, ends in the last clause
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
     except _loaded("semigroup", "CapExceededError") as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return 2
@@ -436,6 +428,7 @@ def main(argv=None) -> int:
         print(f"certificate error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, KeyError) as exc:
+        # groupoid.MalformedInputError and verify.IncompletePairListError too
         print(f"input error: {exc}", file=sys.stderr)
         return 2
 

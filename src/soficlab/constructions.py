@@ -689,7 +689,11 @@ def rectangle_decompose(pp: PackedProduct, x, reverse: bool = False) -> Rectangl
 
 
 def step_map(n: int) -> SemigroupMap:
-    """Literal inclusion [[n]] -> [[n+1]]: same map, undefined at the new point."""
+    """Literal inclusion [[n]] -> [[n+1]]: same map, undefined at the new point.
+
+    For n >= 2 its table is general_map(n, n + 1)'s. It stays for n = 1,
+    where it is the one-copy inclusion [[1]] -> [[2]] and general_map(1, 2)
+    makes two copies."""
     return _copies(full_relation(n), n + 1, [(1, [0])], f"step[{n}->{n + 1}]")
 
 

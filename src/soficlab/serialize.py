@@ -151,7 +151,7 @@ def parse_masses(obj: dict, units) -> dict:
     out = {}
     for key, w in obj.items():
         if key not in by_name:
-            raise ValueError(f"mass given for unknown unit {key!r}")
+            raise MalformedInputError(f"mass given for unknown unit {key!r}")
         out[by_name[key]] = parse_fraction(w)
     return out
 

@@ -18,13 +18,15 @@ the n*n pairs of [[G]] fit the cap it becomes a semigroup.PoolTable, whose
 operations are lookups by pool index in tables of at most n*n entries,
 and otherwise the suite stays on codes. These four suites read products
 and distances inline, as M[a][b] and D[a][b] on the kernel's products and
-distances, one loop per check with no Python call per tuple: on a table
-each lookup is a list subscript, and on codes a view that calls mul or
-dist. Every other check over the gate's tuples is a plain loop too: the
-finite-index suite's block identity and diagonal trace, over the elements
-whose block matrices passed their checks, and the rectangles suite's
-trace multiplicativity. Both certificates, check_embedding and
-check_almost_morphism, run on the kernel too, through one loop
+distances, one loop per tuple set with no Python call per tuple: each
+tuple set is drawn from _run once, and every check over it counts its
+violations in that one loop. On a table each lookup is a list subscript,
+and on codes a view that calls mul or dist. The other checks are plain
+loops too: the finite-index suite's block identity over the gate's pairs
+and its diagonal trace over the elements whose block matrices passed
+their checks, and the rectangles suite's trace multiplicativity. Both
+certificates, check_embedding and check_almost_morphism, run on the
+kernel too, through one loop
 (_deviations) that maps each distinct code once: a map of constructions
 scatters its arrow table (SemigroupMap.packed), and a pair list becomes a
 dict from domain code to codomain code. The loop is a metric pass
@@ -169,7 +171,7 @@ def _kernel(g: FiniteGroupoid, budget: SuiteBudget, kind: str = "semigroup"):
     (PackedMonoid, the codes of _pool). Handles are equal exactly when
     their elements are, and both kernels take the same calls and
     subscripts (products[a][b], distances[a][b]), so a suite keeps one
-    loop per check and compares the same values on either.
+    loop per tuple set and compares the same values on either.
     """
     pm = PackedMonoid(g)
     n = semigroup_count(g)
@@ -520,9 +522,9 @@ def suite_metric(g: FiniteGroupoid, budget: SuiteBudget) -> list[CheckResult]:
     bad = [i for i in range(n) if mass(src[i]) != mass(rng[i])]
     checks.append(_result("pmp-mass-law", not bad, tested=n, exhaustive=exhaustive))
 
-    # the pair checks that read only distances share one run of pairs
+    # the pair checks share one run of pairs
     pairs, run2 = _run((n, n), budget, exhaustive)
-    asymmetric = zero_off_diagonal = not_invariant = uncorrected = 0
+    asymmetric = zero_off_diagonal = not_invariant = uncorrected = inverse_far = 0
     witness = None
     for i, j in pairs:
         a, b = pool[i], pool[j]
@@ -536,6 +538,7 @@ def suite_metric(g: FiniteGroupoid, budget: SuiteBudget) -> list[CheckResult]:
             if witness is None:
                 witness = tuple([list(x) for x in k.arrows(y)] for y in (a, b))
         uncorrected += change != mass(rng[i] | rng[j]) - mass(src[i] | src[j])
+        inverse_far += D[a][invs[j]] > D[a][M[M[a][b]][a]] + D[b][M[M[b][a]][b]]
     checks.append(_result("symmetry", asymmetric == 0, **run2))
     checks.append(_result("zero-iff-equal", zero_off_diagonal == 0, **run2))
 
@@ -572,13 +575,7 @@ def suite_metric(g: FiniteGroupoid, budget: SuiteBudget) -> list[CheckResult]:
         a, b, c, d = pool[ia], pool[ib], pool[ic], pool[id_]
         viol += D[M[a][b]][M[c][d]] > D[a][c] + D[b][d]
     checks.append(_result("product-inequality", viol == 0, violations=viol, **run))
-
-    pairs, run = _run((n, n), budget, exhaustive)
-    viol = 0
-    for ia, ib in pairs:
-        a, b = pool[ia], pool[ib]
-        viol += D[a][invs[ib]] > D[a][M[M[a][b]][a]] + D[b][M[M[b][a]][b]]
-    checks.append(_result("inverse-triangle", viol == 0, violations=viol, **run))
+    checks.append(_result("inverse-triangle", inverse_far == 0, violations=inverse_far, **run2))
     return checks
 
 
@@ -627,27 +624,20 @@ def suite_supports(g: FiniteGroupoid, budget: SuiteBudget) -> list[CheckResult]:
     both_exhaustive = exhaustive and malg_exh
     checks = []
 
+    # the three pair checks on the group share one run of pairs;
+    # covariance is supp(a b a^-1) = a(supp(b)), where a(A) = rng(a 1_A)
     pairs, run = _run((n, n), budget, exhaustive)
-    viol = 0
+    not_fix = not_disjoint = not_covariant = 0
     for i, j in pairs:
-        moves_all = D[group[i]][group[j]] == total and traces[i] + traces[j] == total
-        viol += (supps[i] == fixes[j]) != moves_all
-    checks.append(_result("supp-eq-fix", viol == 0, **run))
-
-    pairs, run = _run((n, n), budget, exhaustive)
-    viol = 0
-    for i, j in pairs:
-        viol += (not supps[i] & supps[j]) != (D[group[i]][group[j]] == moved[i] + moved[j])
-    checks.append(_result("disjoint-supports", viol == 0, **run))
-
-    # supp(a b a^-1) = a(supp(b)), where a(A) = rng(a 1_A)
-    pairs, run = _run((n, n), budget, exhaustive)
-    viol = 0
-    for i, j in pairs:
-        a = group[i]
-        conj = M[M[a][group[j]]][inv(a)]
-        viol += src(conj) & ~fix(conj) != rng(M[a][idem(supps[j])])
-    checks.append(_result("covariance", viol == 0, **run))
+        a, b = group[i], group[j]
+        dab = D[a][b]
+        not_fix += (supps[i] == fixes[j]) != (dab == total and traces[i] + traces[j] == total)
+        not_disjoint += (not supps[i] & supps[j]) != (dab == moved[i] + moved[j])
+        conj = M[M[a][b]][inv(a)]
+        not_covariant += src(conj) & ~fix(conj) != rng(M[a][idem(supps[j])])
+    checks.append(_result("supp-eq-fix", not_fix == 0, **run))
+    checks.append(_result("disjoint-supports", not_disjoint == 0, **run))
+    checks.append(_result("covariance", not_covariant == 0, **run))
 
     pairs, run = _run((n, m), budget, both_exhaustive)
     viol = 0
@@ -734,12 +724,11 @@ def suite_finite_index(
                 break
     checks.append(_result("block-identity", viol == 0, violations=viol, **run))
 
-    singles, run = _run((len(passed),), budget, exhaustive)
     viol = 0
-    for (k,) in singles:
-        t, matrix = pm.trace(passed[k]), matrices[k]
+    for x, matrix in zip(passed, matrices):
+        t = pm.trace(x)
         viol += any(pm.trace(matrix[i * nn + i]) != t for i in range(nn))
-    checks.append(_result("diagonal-trace", viol == 0, **run))
+    checks.append(_result("diagonal-trace", viol == 0, tested=len(passed), exhaustive=exhaustive))
 
     try:
         report = check_embedding(finite_index_map(system), budget)

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -12,7 +13,14 @@ from hypothesis import strategies as st
 
 from soficlab import cayley
 from soficlab.cli import main
-from soficlab.groupoid import Arrow, connected_groupoid, full_relation, render_raw
+from soficlab.groupoid import (
+    Arrow,
+    connected_groupoid,
+    convex_combination,
+    full_relation,
+    point_groupoid,
+    render_raw,
+)
 from soficlab.serialize import (
     dumps,
     groupoid_to_json,
@@ -408,6 +416,73 @@ def test_malformed_verify_inputs_exit_2(files, capsys, case):
     assert code == 2
     assert out == ""
     assert err.startswith("input error:") and message in err
+
+
+# (argv, message): each exits 2 with an input error and no report; "{name}"
+# stands for the path of FILES[name]
+RAW_N2 = raw_to_json(render_raw(full_relation(2)))
+FILES = {
+    "n2": groupoid_to_json(full_relation(2)),
+    "pairs": {"pairs": []},
+    "raw": RAW_N2,
+    "raw-without-masses": {k: v for k, v in RAW_N2.items() if k != "masses"},
+    "unit-missing": {"0": "1/1"},
+    "zero-mass": {"0": "0/1", "1": "1/1"},
+    "negative-mass": {"0": "-1/2", "1": "3/2"},
+    "sum-short": {"0": "1/2", "1": "1/3"},
+    "uneven-component": {"0": "1/3", "1": "2/3"},
+    "unknown-unit": {"0": "1/2", "7": "1/2"},
+}
+USAGE_ERRORS = {
+    "verify-ladder-without-p": (["verify", "--map", "ladder", "--n", "2", "--epsilon", "1/2"], "construction 'ladder' needs --n and --p"),
+    "verify-convex-without-groupoid": (["verify", "--map", "convex", "--epsilon", "1/2"], "construction 'convex' needs --groupoid"),
+    "verify-unknown-map": (["verify", "--map", "nosuch", "--epsilon", "1/2"], "--map must be a pair-list file or one of ["),
+    "verify-pair-list-alone": (["verify", "--map", "{pairs}", "--epsilon", "1/2"], "a pair-list map needs --domain and --codomain"),
+    "suite-finite-index-without-sub": (["suite", "--name", "finite-index", "--groupoid", "{n2}"], "needs --groupoid and --sub"),
+    "suite-rectangles-without-factors": (["suite", "--name", "rectangles"], "needs --left/--right or --n"),
+    "suite-ladder-without-p-list": (["suite", "--name", "ladder", "--n", "2"], "needs --n and --p-list"),
+    "suite-extension-without-groupoid": (["suite", "--name", "extension"], "needs --groupoid or --n"),
+    "suite-unknown": (["suite", "--name", "nosuch", "--n", "2"], "unknown suite 'nosuch'"),
+    "embed-ladder-without-target": (["embed", "--kind", "ladder", "--n", "3"], "--kind ladder needs --p or --p-list"),
+    "decompose-without-masses": (["decompose", "{raw-without-masses}"], "no unit masses given"),
+    "weights-unit-missing": (["decompose", "{raw}", "--weights", "{unit-missing}"], "masses must cover exactly the units"),
+    "weights-zero-mass": (["decompose", "{raw}", "--weights", "{zero-mass}"], "unit masses must be positive"),
+    "weights-negative-mass": (["decompose", "{raw}", "--weights", "{negative-mass}"], "unit masses must be positive"),
+    "weights-sum-short": (["decompose", "{raw}", "--weights", "{sum-short}"], "must sum to 1 exactly"),
+    "weights-uneven-component": (
+        ["decompose", "{raw}", "--weights", "{uneven-component}"],
+        "unit masses differ within one connected component",
+    ),
+    "weights-unknown-unit": (["decompose", "{raw}", "--weights", "{unknown-unit}"], "mass given for unknown unit"),
+}
+
+
+@pytest.mark.parametrize("case", list(USAGE_ERRORS))
+def test_usage_and_malformed_input_exit_2(files, capsys, case):
+    tmp, write = files
+    argv, message = USAGE_ERRORS[case]
+    paths = {name: write(f"{name}.json", body) for name, body in FILES.items()}
+    code, out, err = run(capsys, *(a.format_map(paths) for a in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: ") and message in err and "Traceback" not in err
+
+
+def test_bad_ladder_target_list_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["embed", "--kind", "ladder", "--n", "3", "--p-list", "4,x"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == "" and "bad integer list '4,x'" in captured.err
+
+
+def test_weights_replace_the_raw_masses(files, capsys):
+    tmp, write = files
+    two_points = convex_combination([(Fraction(1, 2), point_groupoid()), (Fraction(1, 2), point_groupoid())])
+    raw = write("raw.json", raw_to_json(render_raw(two_points)))
+    weights = write("weights.json", {"0": "1/3", "1": "2/3"})
+    code, out, err = run(capsys, "decompose", raw, "--weights", weights)
+    assert (code, err) == (0, "")
+    assert sorted(c["weight"] for c in json.loads(out)["components"]) == ["1/3", "2/3"]
 
 
 # nested far deeper than the JSON decoder recurses

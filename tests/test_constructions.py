@@ -529,6 +529,13 @@ class TestLadderMaps:
         one = unit_bisection(m.domain)
         assert abs(trace(m(one)) - trace(one)) == Fraction(1, 3)
 
+    def test_step_map_is_general_map_except_at_one(self):
+        for n in range(2, 6):
+            assert step_map(n).arrow_images == general_map(n, n + 1).arrow_images
+        # [[1]] -> [[2]]: one copy of the single arrow, against general_map's two
+        assert [len(image) for image in step_map(1).arrow_images.values()] == [1]
+        assert [len(image) for image in general_map(1, 2).arrow_images.values()] == [2]
+
     def test_general_map_exact_at_multiples(self):
         m = general_map(2, 6)
         assert exact_on(m, enumerate_semigroup(m.domain))

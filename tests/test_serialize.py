@@ -25,6 +25,7 @@ from soficlab.serialize import (
     jsonable,
     parse_bisection,
     parse_groupoid,
+    parse_masses,
     parse_raw,
     raw_to_json,
 )
@@ -77,6 +78,11 @@ def test_raw_round_trip():
     assert back.compose == raw.compose
     assert back.masses == raw.masses
     assert decompose(back).groupoid == decompose(raw).groupoid
+
+
+def test_mass_for_an_unknown_unit_is_malformed_input():
+    with pytest.raises(MalformedInputError, match="unknown unit '7'"):
+        parse_masses({"0": "1/2", "7": "1/2"}, [0, 1])
 
 
 def test_bisection_round_trip():

@@ -14,7 +14,8 @@ The connected and convex embeddings and the ladder maps [[n]] -> [[p]]
 pair embedding relabels two tables, the corner restriction filters one,
 and the finite-index lift reads its table off the transversal block of
 each arrow (TransversalSystem.blocks), which block_table also scatters
-into the block matrices of packed codes for the finite-index suite.
+into the block matrix of a packed code, one flat code of its blocks in
+row-major order, for the finite-index suite.
 
 Maps combine as tables: tensor(m1, m2) sends the product arrow (a, b) to
 the rectangle T1(a) x T2(b), and compose(m2, m1) sends a to the images
@@ -484,46 +485,60 @@ def find_transversals(g: FiniteGroupoid, sub_arrows) -> TransversalSystem:
 
 def block_table(system: TransversalSystem, pm: PackedMonoid) -> Callable:
     """The block matrix on codes of pm = PackedMonoid(system.groupoid): a
-    code to its n*n block codes, block (i, j) at i*n + j, built once per
-    code.
+    code to its n*n blocks as one flat code of n*n*N entries (N =
+    pm.n_units), block (i, j) at [(i*n + j)*N, (i*n + j + 1)*N), built once
+    per code. So block row i, the blocks (i, 0) .. (i, n-1), is the slice
+    [i*n*N, (i+1)*n*N).
 
-    block_of[u][code] lists the (i*n + j, source index, code) of the blocks
+    block_of[u][code] lists the (flat position, code) of the block entries
     of the arrow at (u, code), from system.blocks; the matrix of an element
     is a scatter of its arrows' entries. Two arrows never meet in one block
     entry: their block sources are the psi_j-preimages of distinct sources.
     """
-    n = system.index
-    block_of = [[()] * (pm.n_units * pm.order) for _ in pm.units]
+    n, units = system.index, pm.n_units
+    block_of = [[()] * (units * pm.order) for _ in pm.units]
     for a, row in system.blocks.items():
         u, x = pm.place(a)
-        block_of[u][x] = tuple((i * n + j, *pm.place(b)) for i, j, b in row)
+        entries = []
+        for i, j, b in row:
+            v, c = pm.place(b)
+            entries.append(((i * n + j) * units + v, c))
+        block_of[u][x] = tuple(entries)
     memo = {}
+    size = n * n * units
 
-    def matrix(x) -> list:
+    def matrix(x) -> tuple:
         out = memo.get(x)
         if out is None:
-            out = [[-1] * pm.n_units for _ in range(n * n)]
+            out = [-1] * size
             for row, code in zip(block_of, x):
                 if code >= 0:
-                    for k, u, c in row[code]:
-                        out[k][u] = c
-            out = memo[x] = [tuple(b) for b in out]
+                    for k, c in row[code]:
+                        out[k] = c
+            out = memo[x] = tuple(out)
         return out
 
     return matrix
 
 
+def blocks_of(matrix: tuple, n: int, units: int) -> list:
+    """The n*n block codes of a flat block matrix of block_table, block
+    (i, j) at i*n + j."""
+    return [matrix[k : k + units] for k in range(0, n * n * units, units)]
+
+
 def block_violation(pm: PackedMonoid, n: int, matrix, co_matrix) -> str | None:
-    """The first check a packed block matrix fails, or None: the exchange
-    law alpha_{i,j}^-1 = (alpha^-1)_{j,i} against co_matrix, the matrix of
-    alpha^-1, then the disjointness that makes the lift well-defined:
-    within a column the block sources are pairwise disjoint, within a row
-    the block ranges are."""
+    """The first check a flat block matrix of block_table fails, or None:
+    the exchange law alpha_{i,j}^-1 = (alpha^-1)_{j,i} against co_matrix,
+    the matrix of alpha^-1, then the disjointness that makes the lift
+    well-defined: within a column the block sources are pairwise disjoint,
+    within a row the block ranges are."""
+    blocks, co_blocks = blocks_of(matrix, n, pm.n_units), blocks_of(co_matrix, n, pm.n_units)
     cells = list(iproduct(range(n), repeat=2))
     for i, j in cells:
-        if pm.inv(matrix[i * n + j]) != co_matrix[j * n + i]:
+        if pm.inv(blocks[i * n + j]) != co_blocks[j * n + i]:
             return f"block exchange law fails at ({i},{j})"
-    sources, ranges = [pm.src(b) for b in matrix], [pm.rng(b) for b in matrix]
+    sources, ranges = [pm.src(b) for b in blocks], [pm.rng(b) for b in blocks]
     for (j, i), k in iproduct(cells, range(n)):
         if i < k and sources[i * n + j] & sources[k * n + j]:
             return f"column {j}: blocks {i} and {k} share a source"
@@ -542,7 +557,8 @@ def block_components(alpha: Bisection, system: TransversalSystem):
     problem = block_violation(pm, n, matrix(x), matrix(pm.inv(x)))
     if problem is not None:
         raise CertificateError(problem)
-    return [[pm.decode(matrix(x)[i * n + j]) for j in range(n)] for i in range(n)]
+    blocks = blocks_of(matrix(x), n, pm.n_units)
+    return [[pm.decode(blocks[i * n + j]) for j in range(n)] for i in range(n)]
 
 
 def finite_index_map(system: TransversalSystem) -> SemigroupMap:

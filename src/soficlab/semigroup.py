@@ -25,7 +25,9 @@ correction is
 PackedMonoid computes all of this on integer tuples, and the enumerators
 below list [[G]], [G] and the measure algebra directly as its codes and
 bitmasks. Distances over a list of codes come a row at a time from
-PackedMonoid.dist_rows, by agreement classes. PoolTable tabulates those
+PackedMonoid.dist_rows, by agreement classes, with the units whose
+columns split the list alike merged into one class and the units where
+every code agrees dropped. PoolTable tabulates those
 operations over an exhaustive pool, for pools small enough that its n*n
 tables fit the caller's cap: its product rows come from
 PackedMonoid.left_row, one row of codes per left factor, summed into
@@ -274,22 +276,36 @@ class PackedMonoid:
     def dist_rows(self, codes: list):
         """Yield [dist(a, b) for b in codes] for each a in codes, in order.
 
-        dist(a, b) is the total weight less the weight of the units where
-        a and b agree. So the indices of codes are first grouped by their
-        entry at each unit, and row a starts at total and loses w_u at each
-        index whose entry at u is a's: one subtraction per agreeing (index,
-        unit), in place of len(codes) calls of dist. Codes may repeat. One
-        row is held at a time, beside the n*N class lists.
+        dist(a, b) is the weight of the units where a and b differ. Each
+        unit's column splits the indices of codes into classes of equal
+        entries, named by the first index of each (the first-occurrence
+        relabelling). Units whose columns split alike are merged into one
+        class of their summed weight, and units where every code agrees,
+        which never differ, are dropped. Row a starts at the weight of the
+        merged units and loses a unit's weight at each index in a's class:
+        one subtraction per agreeing (index, merged unit), in place of
+        len(codes) calls of dist. So the images of [[n]] in [[p]] under the
+        ladder's block copies cost at most n + 1 units, not p. Codes may
+        repeat. One row is held at a time, beside the class lists.
         """
-        classes = [{} for _ in range(self.n_units)]
-        for j, x in enumerate(codes):
-            for by_entry, v in zip(classes, x):
-                by_entry.setdefault(v, []).append(j)
-        start = [self.total] * len(codes)
-        for a in codes:
+        n = len(codes)
+        weights = {}  # a column's relabelling -> the weight of its units
+        for w, column in zip(self.weights, zip(*codes)):
+            first = dict(zip(reversed(column), range(n - 1, -1, -1)))
+            if len(first) > 1:
+                labels = tuple(map(first.__getitem__, column))
+                weights[labels] = weights.get(labels, 0) + w
+        units = []
+        for labels, w in weights.items():
+            classes = {}
+            for j, label in enumerate(labels):
+                classes.setdefault(label, []).append(j)
+            units.append((w, list(map(classes.__getitem__, labels))))
+        start = [sum(weights.values())] * n
+        for i in range(n):
             row = start[:]
-            for w, by_entry, v in zip(self.weights, classes, a):
-                for j in by_entry[v]:
+            for w, class_of in units:
+                for j in class_of[i]:
                     row[j] -= w
             yield row
 

@@ -9,7 +9,9 @@ every tuple ran over exhaustive pools. Each report records which regime
 ran and how many tuples, so a report is a deterministic
 function of (inputs, seed, budget). Every element pool comes from _pool,
 which charges the cap and then enumerates the pool, or draws it, directly
-as codes of semigroup.PackedMonoid (unit sets as bitmasks). Every suite
+as codes of semigroup.PackedMonoid (unit sets as bitmasks); a sampled
+pool of more than half the elements is one seeded sample of their
+enumeration, so no pool costs more than twice the cap. Every suite
 runs on the kernel's exact integer arithmetic; the rectangles suite on
 the codes of constructions.PackedProduct, against the scatter of the
 tensor of the factors' identity maps. The inverse-monoid, metric-prop,
@@ -22,11 +24,12 @@ distances, one loop per tuple set with no Python call per tuple: each
 tuple set is drawn from _run once, and every check over it counts its
 violations in that one loop. On a table each lookup is a list subscript,
 and on codes a view that calls mul or dist. The other checks are plain
-loops too: the finite-index suite's block identity over the gate's pairs
-and its diagonal trace over the elements whose block matrices passed
-their checks, and the rectangles suite's trace multiplicativity. Both
-certificates, check_embedding and check_almost_morphism, run on the
-kernel too, through one loop
+loops too: the finite-index suite's block identity over the gate's
+pairs, a block row of the product at a time on the flat block matrices
+of constructions.block_table; its diagonal trace over the elements whose
+block matrices passed their checks; and the rectangles suite's trace
+multiplicativity. Both certificates, check_embedding and
+check_almost_morphism, run on the kernel too, through one loop
 (_deviations) that maps each distinct code once: a map of constructions
 scatters its arrow table (SemigroupMap.packed), and a pair list becomes a
 dict from domain code to codomain code. The loop is a metric pass
@@ -45,7 +48,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from itertools import product as iproduct
 from math import prod
 from operator import ne
@@ -58,6 +61,7 @@ from .constructions import (
     TransversalSystem,
     block_table,
     block_violation,
+    blocks_of,
     finite_index_map,
     identity_map,
     rectangle_decompose,
@@ -117,24 +121,24 @@ def _pool(pm: PackedMonoid, kind: str, budget: SuiteBudget):
     for "semigroup" and "group", unit bitmasks for "malg" (which pm may
     also be a PoolTable for).
 
-    Exhaustive when the count fits budget.exhaustive_cap. Otherwise up to
-    budget.sample_count distinct elements, and no more than the cap: first
-    the unit and then, as far as that bound admits, the zero ("semigroup")
-    or the empty mask (for "malg", whose unit is the full mask), then
-    seeded draws, all sorted as Bisections sort by their arrows and unit
-    sets by their units. Per component, a "semigroup" draw picks
-    each point as a source with probability 1/2, then distinct random
-    ranges, then a group label per arrow; a "group" draw is a random
-    permutation and the labels.
+    Exhaustive when the count fits budget.exhaustive_cap. Otherwise
+    `target` = min(budget.sample_count, cap) distinct elements: first the
+    unit and then, as far as that bound admits, the zero ("semigroup") or
+    the empty mask (for "malg", whose unit is the full mask), then the
+    rest, all sorted as Bisections sort by their arrows and unit sets by
+    their units. When 2 * target exceeds the count, the rest is one
+    seeded rng.sample of the other elements in enumeration order, so the
+    pool costs one enumeration of fewer than 2 * cap elements; otherwise
+    it is seeded draws (_draw, or a coin per unit for "malg") until the
+    pool holds target elements.
     """
-    g = pm.groupoid
     full = kind == "group"
     counter, enumerate_ = {
         "semigroup": (semigroup_count, semigroup_codes),
         "group": (group_count, group_codes),
         "malg": (malg_count, malg_masks),
     }[kind]
-    count = counter(g)
+    count = counter(pm.groupoid)
     if count <= budget.exhaustive_cap:
         return list(enumerate_(pm)), True
 
@@ -142,22 +146,37 @@ def _pool(pm: PackedMonoid, kind: str, budget: SuiteBudget):
     target = min(budget.sample_count, budget.exhaustive_cap, count)
     units = range(pm.n_units)
     if kind == "malg":
-        pool = set([pm.full_mask, 0][:target])
-        while len(pool) < target:
-            pool.add(sum([1 << u for u in units if rng.random() < 0.5]))
-        return sorted(pool, key=lambda mask: [u for u in units if mask >> u & 1]), False
+        seeds, order = [pm.full_mask, 0][:target], lambda mask: [u for u in units if mask >> u & 1]
+    else:
+        seeds, order = ([pm.one] if full else [pm.one, pm.zero][:target]), pm.arrows
+    if 2 * target > count:
+        # the draws needed to fill the pool grow steeply as target
+        # nears count, and no draw is charged to the cap; the count is
+        # below 2 * cap, so enumerate and sample from that instead
+        rest = [x for x in enumerate_(pm) if x not in seeds]
+        return sorted(seeds + rng.sample(rest, target - len(seeds)), key=order), False
 
-    pool = set([pm.one] if full else [pm.one, pm.zero][:target])
+    pool = set(seeds)
     while len(pool) < target:
-        out = [-1] * pm.n_units
-        for ci, c in enumerate(g.components):
-            n, m = c.base_size, c.group_order
-            sources = range(n) if full else [y for y in range(n) if rng.random() < 0.5]
-            for y_from, y_to in zip(sources, rng.sample(range(n), len(sources))):
-                u, code = pm.place(Arrow(ci, rng.randrange(m), y_to, y_from))
-                out[u] = code
-        pool.add(tuple(out))
-    return sorted(pool, key=pm.arrows), False
+        if kind == "malg":
+            pool.add(sum([1 << u for u in units if rng.random() < 0.5]))
+        else:
+            pool.add(_draw(pm, rng, full))
+    return sorted(pool, key=order), False
+
+
+def _draw(pm: PackedMonoid, rng: random.Random, full: bool) -> tuple[int, ...]:
+    """One seeded draw of _pool: per component, each point a source with
+    probability 1/2 (every point when full), then distinct random ranges,
+    then a group label per arrow."""
+    out = [-1] * pm.n_units
+    for ci, c in enumerate(pm.groupoid.components):
+        n, m = c.base_size, c.group_order
+        sources = range(n) if full else [y for y in range(n) if rng.random() < 0.5]
+        for y_from, y_to in zip(sources, rng.sample(range(n), len(sources))):
+            u, code = pm.place(Arrow(ci, rng.randrange(m), y_to, y_from))
+            out[u] = code
+    return tuple(out)
 
 
 def _kernel(g: FiniteGroupoid, budget: SuiteBudget, kind: str = "semigroup"):
@@ -699,7 +718,7 @@ def suite_finite_index(
 
     pm = PackedMonoid(g)
     pool, exhaustive = _pool(pm, "semigroup", budget)
-    nn = system.index
+    nn, units = system.index, pm.n_units
     blocks = block_table(system, pm)
     passed = [x for x in pool if block_violation(pm, nn, blocks(x), blocks(pm.inv(x))) is None]
     matrices = list(map(blocks, passed))  # block_table builds each once
@@ -709,25 +728,29 @@ def suite_finite_index(
 
     # the checks below run over the elements that passed. The products
     # a_ij b_jl over j have disjoint sources once b passed its column check,
-    # so their union is an entrywise max over codes; the left rows of the
-    # blocks a_ij are rebuilt when the left index changes
+    # so their union is an entrywise max over codes (-1, the undefined
+    # code, where none is defined). Block row i of ab is that max over j of
+    # a_ij's left row mapped over block row j of b, all n*N entries at
+    # once, and the n block rows concatenated are ab's flat matrix; the
+    # left rows of the blocks a_ij are rebuilt when the left index changes
+    width = nn * units
+    block_rows = [[m[k : k + width] for k in range(0, nn * width, width)] for m in matrices]
     pairs, run = _run((len(passed), len(passed)), budget, exhaustive)
     viol, left = 0, None
     for ia, ib in pairs:
         if ia != left:
-            left, rows = ia, [pm.left_row(a_ij).__getitem__ for a_ij in matrices[ia]]
-        bb, bab = matrices[ib], blocks(pm.mul(passed[ia], passed[ib]))
-        for i, l in iproduct(range(nn), repeat=2):
-            products = [tuple(map(a_ij, bb[j * nn + l])) for j, a_ij in enumerate(rows[i * nn : (i + 1) * nn])]
-            if tuple(map(max, zip(*products))) != bab[i * nn + l]:
-                viol += 1
-                break
+            rows = [pm.left_row(a_ij).__getitem__ for a_ij in blocks_of(matrices[ia], nn, units)]
+            left, a_rows = ia, [rows[i * nn : (i + 1) * nn] for i in range(nn)]
+        b_rows = block_rows[ib]
+        ab = chain.from_iterable(map(max, repeat(-1), *map(map, a_row, b_rows)) for a_row in a_rows)
+        viol += tuple(ab) != blocks(pm.mul(passed[ia], passed[ib]))
     checks.append(_result("block-identity", viol == 0, violations=viol, **run))
 
+    diagonal = [(i * nn + i) * units for i in range(nn)]
     viol = 0
     for x, matrix in zip(passed, matrices):
         t = pm.trace(x)
-        viol += any(pm.trace(matrix[i * nn + i]) != t for i in range(nn))
+        viol += any(pm.trace(matrix[k : k + units]) != t for k in diagonal)
     checks.append(_result("diagonal-trace", viol == 0, tested=len(passed), exhaustive=exhaustive))
 
     try:

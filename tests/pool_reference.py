@@ -2,7 +2,9 @@
 reference it is tested against: the enumerators of [[G]], of its full
 group [G] and of the measure algebra that built a Bisection (a unit set
 for "malg") per element, the seeded samplers of [[G]] and [G], and the
-pool builder that enumerated or sampled Bisections and sorted them.
+pool builder that enumerated or sampled Bisections and sorted them. A
+sampled pool of more than half the elements is one seeded sample of the
+enumeration, not draws until it is full.
 verify._pool, and the code enumerators of semigroup, must return these
 pools encoded, in the same order, for every kind, seed and budget.
 """
@@ -101,18 +103,22 @@ def reference_elements(g, kind: str, budget):
 
     rng = random.Random(budget.seed)
     target = min(budget.sample_count, budget.exhaustive_cap, count)
+    units = list(g.units())
     if kind == "malg":
-        units = list(g.units())
-        pool = set([frozenset(units), frozenset()][:target])
-        while len(pool) < target:
-            pool.add(frozenset(u for u in units if rng.random() < 0.5))
-        return sorted(pool, key=sorted), False
-    if kind == "group":
-        pool = {unit_bisection(g)}
-        draw = sample_full_group
+        seeds, enumerate_, order = [frozenset(units), frozenset()][:target], enumerate_malg, sorted
+        draw = lambda g, rng: frozenset(u for u in units if rng.random() < 0.5)
     else:
-        pool = set([unit_bisection(g), empty_bisection(g)][:target])
-        draw = sample_bisection
+        order = lambda b: b.arrows
+        if kind == "group":
+            seeds, enumerate_, draw = [unit_bisection(g)], enumerate_group, sample_full_group
+        else:
+            seeds = [unit_bisection(g), empty_bisection(g)][:target]
+            enumerate_, draw = enumerate_semigroup, sample_bisection
+    if 2 * target > count:
+        # the seeds, then one sample of the other elements in enumeration order
+        rest = [x for x in enumerate_(g, cap=count) if x not in seeds]
+        return sorted(seeds + rng.sample(rest, target - len(seeds)), key=order), False
+    pool = set(seeds)
     while len(pool) < target:
         pool.add(draw(g, rng))
-    return sorted(pool, key=lambda b: b.arrows), False
+    return sorted(pool, key=order), False

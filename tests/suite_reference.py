@@ -9,12 +9,20 @@ are its own mul and dist.
 
 Each suite takes its kernel, pools and results from soficlab.verify at call
 time, so a test that patches verify._kernel runs both on the same kernel.
+
+block_identity is the finite-index suite's block identity as it was
+counted before block rows: cell by cell, the union over j of a_ij b_jl as
+an entrywise max of n per-cell products, with a break at a pair's first
+differing cell. It takes block_table and block_violation from verify at
+call time too.
 """
 
+from itertools import product as iproduct
 from itertools import starmap
 
 from soficlab import verify
-from soficlab.semigroup import PoolTable
+from soficlab.constructions import blocks_of, find_transversals
+from soficlab.semigroup import PackedMonoid, PoolTable
 
 
 def operations(k):
@@ -246,6 +254,29 @@ def suite_supports(g, budget):
     viol, run = _count((n, n, m, m), budget, both_exhaustive, corner_product_differs)
     checks.append(verify._result("corner-product-identity", viol == 0, **run))
     return checks
+
+
+def block_identity(g, sub_arrows, budget, system=None):
+    """The finite-index suite's block-identity result, cell by cell."""
+    system = system or find_transversals(g, sub_arrows)
+    pm = PackedMonoid(g)
+    pool, exhaustive = verify._pool(pm, "semigroup", budget)
+    nn, units = system.index, pm.n_units
+    blocks = verify.block_table(system, pm)
+    passed = [x for x in pool if verify.block_violation(pm, nn, blocks(x), blocks(pm.inv(x))) is None]
+    matrices = [blocks_of(blocks(x), nn, units) for x in passed]
+    pairs, run = verify._run((len(passed), len(passed)), budget, exhaustive)
+    viol, left = 0, None
+    for ia, ib in pairs:
+        if ia != left:
+            left, rows = ia, [pm.left_row(a_ij).__getitem__ for a_ij in matrices[ia]]
+        bb, bab = matrices[ib], blocks_of(blocks(pm.mul(passed[ia], passed[ib])), nn, units)
+        for i, l in iproduct(range(nn), repeat=2):
+            products = [tuple(map(a_ij, bb[j * nn + l])) for j, a_ij in enumerate(rows[i * nn : (i + 1) * nn])]
+            if tuple(map(max, zip(*products))) != bab[i * nn + l]:
+                viol += 1
+                break
+    return verify._result("block-identity", viol == 0, violations=viol, **run)
 
 
 SUITES = {

@@ -33,7 +33,10 @@ Those four suites read products and distances by subscript; their earlier
 bodies, one predicate per tuple through mul and dist, are kept in
 suite_reference.py, and both must give the same results on tables, on
 codes and on tables with one entry redirected, where the product checks
-fail.
+fail. The finite-index suite's block identity, now a block row of the
+product at a time, must count what the per-cell loop it replaced counts
+(suite_reference.block_identity), on valid and invalid systems and on a
+block table with one block redirected.
 """
 
 import random
@@ -45,6 +48,8 @@ from math import lcm
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from bisection_reference import (
     act,
     compose,
@@ -486,9 +491,27 @@ def sampled_codes(g, count):
     return pm, _pool(pm, "semigroup", SuiteBudget(exhaustive_cap=count, sample_count=count, seed=4))[0]
 
 
-# (PackedMonoid, codes) for dist_rows; G6 and Z2 beside a point weigh
-# their units unequally
+# Y2 at 2/3 (units 0 and 1, weight 2 each) beside Z2 x Y2 at 1/3 (units 2
+# and 3, weight 1 each)
+THIRDS = convex_combination(
+    [(THIRD, connected_groupoid(cayley.cyclic(2), 2)), (1 - THIRD, full_relation(2))]
+)
+
+
+def thirds_alike_codes():
+    # full on Y2, so units 0 and 1 split the list alike, and undefined at
+    # unit 2, a constant column; every code twice
+    pm, codes = all_codes(THIRDS)
+    alike = [x for x in codes if -1 not in x[:2] and x[2] == -1]
+    assert len(alike) == 2 * 5
+    return pm, alike + alike[::-1]
+
+
+# (PackedMonoid, codes) for dist_rows; G6, Z2 beside a point and THIRDS
+# weigh their units unequally
 DIST_ROWS_CASES = {
+    "thirds": lambda: all_codes(THIRDS),
+    "thirds-alike": thirds_alike_codes,
     "n3": lambda: all_codes(GROUPOIDS["n3"]),
     "z2y2_y2": lambda: all_codes(GROUPOIDS["z2y2_y2"]),
     "z2pt": lambda: all_codes(GROUPOIDS["z2pt"]),
@@ -504,6 +527,46 @@ def test_dist_rows_equal_dist(case):
     pm, codes = DIST_ROWS_CASES[case]()
     rows = list(pm.dist_rows(codes))
     assert rows == [[pm.dist(a, b) for b in codes] for a in codes]
+
+
+@pytest.mark.parametrize("n,p", [(n, p) for n in range(2, 5) for p in range(n, n + 7)])
+def test_dist_rows_of_ladder_images_equal_dist(n, p):
+    # the block copies of one column split the images alike, and the
+    # p mod n points left over are constant columns
+    m = general_map(n, p)
+    dom, cod = PackedMonoid(m.domain), PackedMonoid(m.codomain)
+    images = list(map(m.packed(dom, cod), semigroup_codes(dom)))
+    assert list(cod.dist_rows(images)) == [[cod.dist(a, b) for b in images] for a in images]
+
+
+@st.composite
+def alike_columns(draw):
+    """Lists of tuples on the four units of THIRDS (not all of them codes
+    of elements), built column by column: each column is constant, fresh,
+    or a relabelling of an earlier one, which splits the rows alike; then
+    some rows again."""
+    pm = PackedMonoid(THIRDS)
+    values = range(-1, pm.n_units * pm.order)
+    size = draw(st.integers(1, 10))
+    columns = []
+    for _ in range(pm.n_units):
+        kind = draw(st.sampled_from(["constant", "fresh", "relabelled"][: 3 if columns else 2]))
+        if kind == "constant":
+            columns.append([draw(st.sampled_from(values))] * size)
+        elif kind == "fresh":
+            columns.append(draw(st.lists(st.sampled_from(values), min_size=size, max_size=size)))
+        else:
+            relabel = dict(zip(values, draw(st.permutations(values))))
+            columns.append([relabel[v] for v in draw(st.sampled_from(columns))])
+    rows = list(zip(*columns))
+    return rows + draw(st.lists(st.sampled_from(rows), max_size=4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(alike_columns())
+def test_dist_rows_merge_alike_units(codes):
+    pm = PackedMonoid(THIRDS)
+    assert list(pm.dist_rows(codes)) == [[pm.dist(a, b) for b in codes] for a in codes]
 
 
 # ---------------------------------------------------------------------------
@@ -564,6 +627,50 @@ def test_pool_matches_reference(key, kind, seed):
     for budget in budgets:
         elements, exhaustive = reference_elements(g, kind, budget)
         assert _pool(pm, kind, budget) == ([encode(a) for a in elements], exhaustive)
+
+
+def count_draws(monkeypatch) -> list:
+    """Record the name of every draw (random, randrange, sample) made from
+    now on by a random.Random that verify builds; the draws themselves are
+    unchanged."""
+    draws = []
+    make = random.Random
+
+    def counted(seed):
+        rng = make(seed)
+        for name in ("random", "randrange", "sample"):
+            draw = getattr(rng, name)
+            setattr(rng, name, lambda *args, _draw=draw, _name=name: draws.append(_name) or _draw(*args))
+        return rng
+
+    monkeypatch.setattr(verify.random, "Random", counted)
+    return draws
+
+
+@pytest.mark.parametrize("kind", list(POOL_COUNTS))
+def test_pool_of_more_than_half_is_one_sample(kind, monkeypatch):
+    # a pool of more than half the elements enumerates them and samples
+    # once; at exactly half it still draws until it is full
+    g = full_relation(3)
+    count = POOL_COUNTS[kind](g)
+    draws = count_draws(monkeypatch)
+    for target in (count // 2 + 1, count - 1):
+        budget = SuiteBudget(exhaustive_cap=count - 1, sample_count=target, seed=5)
+        pool, exhaustive = _pool(PackedMonoid(g), kind, budget)
+        assert (len(pool), len(set(pool)), exhaustive, draws) == (target, target, False, ["sample"])
+        draws.clear()
+    pool, _ = _pool(PackedMonoid(g), kind, SuiteBudget(exhaustive_cap=count - 1, sample_count=count // 2, seed=5))
+    assert len(pool) == count // 2 and draws and draws != ["sample"]
+
+
+def test_pool_below_the_cap_charges_its_draws(monkeypatch):
+    # [[6]] at cap 13,326: drawing all but one of its 13,327 elements took
+    # 384,605 rejection draws; the pool now enumerates them and samples once
+    pm = PackedMonoid(full_relation(6))
+    draws = count_draws(monkeypatch)
+    pool, exhaustive = _pool(pm, "semigroup", SuiteBudget(exhaustive_cap=13_326, sample_count=10**6, seed=1729))
+    assert (len(pool), exhaustive, draws) == (13_326, False, ["sample"])
+    assert pool[0] == pm.zero and pm.one in pool
 
 
 def count_bisections(monkeypatch) -> list:
@@ -1449,7 +1556,8 @@ def test_block_table_match_reference(stem):
     failures = 0
     for a in enumerate_semigroup(g):
         expected = reference_blocks(a, system)
-        assert blocks(pm.encode(a)) == [pm.encode(b) for row in expected for b in row]
+        # one flat code, block (i, j) at [(i*n + j)*N, (i*n + j + 1)*N)
+        assert blocks(pm.encode(a)) == sum((pm.encode(b) for row in expected for b in row), ())
         problem = reference_block_violation(a, system)
         if problem is None:
             assert block_components(a, system) == expected
@@ -1460,6 +1568,70 @@ def test_block_table_match_reference(stem):
             assert str(err.value) == problem
     # only the invalid system has elements whose blocks fail
     assert (failures > 0) == (stem == "finite-index-invalid-n2")
+
+
+def block_identity_check(g, sub, budget, system=None):
+    params = {"g": g, "sub_arrows": sub} if system is None else {"g": g, "sub_arrows": sub, "system": system}
+    checks = run_suite("finite-index", budget, **params).checks
+    return next(c for c in checks if c.name == "block-identity")
+
+
+# all pairs; an exhaustive pool with sampled pairs; a sampled pool
+BLOCK_IDENTITY_BUDGETS = {
+    "exhaustive": SuiteBudget(),
+    "sampled-pairs": SuiteBudget(exhaustive_cap=40, sample_count=25, seed=11),
+    "sampled-pool": SuiteBudget(exhaustive_cap=6, sample_count=5, seed=12),
+}
+
+
+@pytest.mark.parametrize("budget", list(BLOCK_IDENTITY_BUDGETS))
+@pytest.mark.parametrize("stem", list(FINITE_INDEX_CASES))
+def test_block_identity_equals_its_reference(stem, budget):
+    # block rows at once against the per-cell loop they replaced
+    g, sub, system = FINITE_INDEX_CASES[stem]()
+    budget = BLOCK_IDENTITY_BUDGETS[budget]
+    expected = suite_reference.block_identity(g, sub, budget, system)
+    assert block_identity_check(g, sub, budget, system) == expected
+    assert (expected.details["violations"] > 0) == (stem == "finite-index-invalid-n2")
+
+
+def test_block_identity_at_index_one_equals_its_reference():
+    # one block per element: each block row is the max of -1 and one product
+    g = GROUPOIDS["z2y2"]
+    sub = frozenset(g.arrows())
+    assert find_transversals(g, sub).index == 1
+    expected = suite_reference.block_identity(g, sub, SuiteBudget())
+    assert block_identity_check(g, sub, SuiteBudget()) == expected
+    assert expected.details == {"violations": 0, "tested": 17 * 17, "exhaustive": True}
+
+
+@pytest.mark.parametrize("redirect", ["undefined", "another-range"])
+def test_block_identity_counts_a_redirected_block_as_its_reference(redirect, monkeypatch):
+    # the block of the unit arrow at 0 moved, in every element that holds
+    # it: both loops must count the same nonzero number of failing pairs
+    g = GROUPOIDS["n3"]
+    sub = unit_subgroupoid(g)
+    pm = PackedMonoid(g)
+    u, x = pm.place(g.unit_arrow(pm.units[0]))
+    single = list(pm.zero)
+    single[u] = x
+    matrix = block_table(find_transversals(g, sub), pm)(tuple(single))
+    k = next(i for i, c in enumerate(matrix) if c >= 0)
+    code = -1 if redirect == "undefined" else (matrix[k] + 1) % pm.n_units
+
+    def redirected(system, pm):
+        blocks = block_table(system, pm)
+
+        def matrix(y):
+            out = blocks(y)
+            return out[:k] + (code,) + out[k + 1 :] if y[u] == x else out
+
+        return matrix
+
+    monkeypatch.setattr(verify, "block_table", redirected)
+    expected = suite_reference.block_identity(g, sub, SuiteBudget())
+    assert block_identity_check(g, sub, SuiteBudget()) == expected
+    assert expected.details["violations"] > 0
 
 
 @pytest.mark.parametrize("stem", list(FINITE_INDEX_CASES))

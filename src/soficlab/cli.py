@@ -32,7 +32,7 @@ from .rationals import parse_fraction
 def _seed(args) -> int:
     from .verify import DEFAULT_SEED
 
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         return args.seed
     env = os.environ.get("SOFICLAB_SEED")
     if env is not None:
@@ -49,7 +49,7 @@ def _budget(args):
     below 1."""
     from .verify import SuiteBudget
 
-    caps = {"exhaustive_cap": getattr(args, "budget", None), "sample_count": getattr(args, "samples", None)}
+    caps = {"exhaustive_cap": args.budget, "sample_count": args.samples}
     return SuiteBudget(seed=_seed(args), **{k: v for k, v in caps.items() if v is not None})
 
 
@@ -200,8 +200,10 @@ def cmd_extend(args) -> int:
 
 
 def _build_map(args):
-    """The map of `verify --map` and its domain: a named construction, or
-    a pair list as a dict of bisections."""
+    """The domain of `verify --map` and a function that returns the map: a
+    named construction, built when called, or a pair list as a dict of
+    bisections. So the pairs of K = all are charged before a named map
+    tabulates its arrows."""
     from . import constructions as cn
 
     named = {"identity": cn.identity_map, "connected": cn.embed_connected, "convex": cn.embed_convex}
@@ -209,12 +211,12 @@ def _build_map(args):
         if args.n is None or args.p is None:
             raise MalformedInputError("construction 'ladder' needs --n and --p")
         m = cn.general_map(args.n, args.p)
-        return m, m.domain
+        return m.domain, lambda: m
     if args.map in named:
         if not args.groupoid:
             raise MalformedInputError(f"construction {args.map!r} needs --groupoid")
-        m = named[args.map](_load_groupoid(args.groupoid))
-        return m, m.domain
+        g = _load_groupoid(args.groupoid)
+        return g, lambda: named[args.map](g)
     if not os.path.exists(args.map):
         raise MalformedInputError(
             f"--map must be a pair-list file or one of {sorted([*named, 'ladder'])}"
@@ -223,7 +225,8 @@ def _build_map(args):
         raise MalformedInputError("a pair-list map needs --domain and --codomain")
     domain = _load_groupoid(args.domain)
     codomain = _load_groupoid(args.codomain)
-    return sz.parse_pair_list(domain, codomain, sz.load_json(args.map)), domain
+    pairs = sz.parse_pair_list(domain, codomain, sz.load_json(args.map))
+    return domain, lambda: pairs
 
 
 def cmd_verify(args) -> int:
@@ -234,12 +237,13 @@ def cmd_verify(args) -> int:
     epsilon = parse_fraction(args.epsilon)
     if epsilon <= 0:
         raise MalformedInputError(f"epsilon must be positive, got {args.epsilon}")
-    pi, domain = _build_map(args)
+    domain, build = _build_map(args)
     K = None if args.K == "all" else sz.parse_bisection_list(domain, sz.load_json(args.K))
     # the report tests every pair of K; charge them before enumerating it
     pairs = (semigroup_count(domain) if K is None else len(K)) ** 2
     if pairs > budget.exhaustive_cap:
         raise CapExceededError(pairs, budget.exhaustive_cap, "pairs of K")
+    pi = build()
     if K is None:
         pm = PackedMonoid(domain)
         report = check_almost_morphism(pi, list(semigroup_codes(pm)), epsilon, packed=pm)
@@ -304,13 +308,15 @@ def cmd_suite(args) -> int:
 
 def _p_list(text: str) -> list[int]:
     """The targets of a ladder run, each once: a repeated target would run
-    the same distortion again and emit a second check of the same name."""
+    the same distortion again and emit a second check of the same name. An
+    empty item among targets is a bad integer, not one to skip."""
+    items = text.split(",")
+    if not any(items):
+        raise argparse.ArgumentTypeError(f"no target in {text!r}")
     try:
-        ps = [int(x) for x in text.split(",") if x]
+        ps = [int(x) for x in items]
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad integer list {text!r}")
-    if not ps:
-        raise argparse.ArgumentTypeError(f"no target in {text!r}")
     for i, p in enumerate(ps):
         if p in ps[:i]:
             raise argparse.ArgumentTypeError(f"repeated target {p} in {text!r}")
@@ -327,21 +333,24 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"soficlab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, budgeted: bool):
+        # every command takes -o and --seed (perfbench's cli-batch passes
+        # both to each); the caps only where a budget runs
         p.add_argument("-o", "--out", help="write the JSON report here (atomic)")
         p.add_argument("--seed", type=int, help="seed for sampled regimes")
-        p.add_argument("--budget", type=int, help="exhaustive tuple cap")
-        p.add_argument("--samples", type=int, help="sample count above the cap")
+        if budgeted:
+            p.add_argument("--budget", type=int, help="exhaustive tuple cap")
+            p.add_argument("--samples", type=int, help="sample count above the cap")
 
     p = sub.add_parser("validate", help="check groupoid axioms on a raw table", allow_abbrev=False)
     p.add_argument("raw")
-    common(p)
+    common(p, budgeted=False)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("decompose", help="normal form of a raw groupoid", allow_abbrev=False)
     p.add_argument("raw")
     p.add_argument("--weights", help="unit masses JSON, overriding the raw file")
-    common(p)
+    common(p, budgeted=False)
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("embed", help="run a construction and certify it", allow_abbrev=False)
@@ -361,13 +370,13 @@ def build_parser() -> argparse.ArgumentParser:
     targets = p.add_mutually_exclusive_group()
     targets.add_argument("--p", type=int, help="target size (kind=ladder)")
     targets.add_argument("--p-list", type=_p_list, help="comma-separated targets (kind=ladder)")
-    common(p)
+    common(p, budgeted=True)
     p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("extend", help="full-group completion of a bisection", allow_abbrev=False)
     p.add_argument("groupoid")
     p.add_argument("bisection")
-    common(p)
+    common(p, budgeted=False)
     p.set_defaults(func=cmd_extend)
 
     p = sub.add_parser("verify", help="almost-morphism check of a map on a set K", allow_abbrev=False)
@@ -379,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, help="target size (map=ladder)")
     p.add_argument("--K", default="all", help='"all" or a bisection list JSON')
     p.add_argument("--epsilon", required=True, help="strict threshold p/q")
-    common(p)
+    common(p, budgeted=True)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("suite", help="run a named invariant suite", allow_abbrev=False)
@@ -390,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--right")
     p.add_argument("--n", type=int)
     p.add_argument("--p-list", type=_p_list)
-    common(p)
+    common(p, budgeted=True)
     p.set_defaults(func=cmd_suite)
     return parser
 

@@ -3,10 +3,10 @@
 Each construction returns a SemigroupMap, which is its arrow table: each
 domain arrow to the arrows of its image, the image of a bisection being
 the union of the images of its arrows. arrow_map builds the table and
-checks it once; calling the map then takes that union as one Bisection,
-and SemigroupMap.packed scatters the table on packed codes for the
-certificates (see verify) and the ladder's distortion reports. At this
-finite scale every construction is exact, not approximate.
+checks it in one pass over its image arrows; SemigroupMap.packed
+scatters the table on packed codes for the certificates (see verify) and
+the ladder's distortion reports. At this finite scale every construction
+is exact, not approximate.
 
 The connected and convex embeddings and the ladder maps [[n]] -> [[p]]
 (step_map, general_map) are all copies of one connected-piece embedding,
@@ -15,7 +15,7 @@ pair embedding relabels two tables, the corner restriction filters one,
 and the finite-index lift reads its table off the transversal block of
 each arrow (TransversalSystem.blocks), which block_table also scatters
 into the block matrix of a packed code, one flat code of its blocks in
-row-major order, for the finite-index suite.
+row-major order, for the finite-index suite. Both scatters are _scatter.
 
 Maps combine as tables: tensor(m1, m2) sends the product arrow (a, b) to
 the rectangle T1(a) x T2(b), and compose(m2, m1) sends a to the images
@@ -26,15 +26,17 @@ compose(tensor(phi, identity_map(full_relation(index))), lift).
 The rectangle monoid of a product groupoid runs on packed codes too:
 PackedProduct pairs the codes of the two factors into codes of the
 product, and rectangle_decompose splits a product code into a
-RectangleUnion of factor codes. Nothing here computes with Bisections:
-they are the boundary type that maps accept and return, and table
-entries are read as arrows.
+RectangleUnion of factor codes. Nothing here computes with Bisections,
+and building or scattering a table builds none: they are the boundary
+type that maps accept and return, built only for the transversals of
+find_transversals, by SemigroupMap.__call__ and block_components, and
+elsewhere for decoded witnesses and by extend_to_full_group.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 from itertools import product as iproduct
 from math import lcm, prod
@@ -76,29 +78,36 @@ class SemigroupMap:
         return Bisection(self.codomain, tuple(b for a in alpha.arrows for b in self.arrow_images[a]))
 
     def packed(self, dom: PackedMonoid, cod: PackedMonoid) -> Callable:
-        """The map on packed codes, a code of dom to a code of cod, as a
-        scatter of the table: each (source unit, code) of dom is one domain
-        arrow, precomputed as the codomain (source, code) pieces of its
-        image; arrow_map has checked that the pieces of an element's arrows
-        never meet.
-        """
+        """The map on packed codes, a code of dom to a code of cod: the
+        _scatter of the table, each domain arrow writing the codomain
+        (source, code) pieces of its image, which arrow_map has checked
+        never meet within an element. It builds no Bisection (see the
+        module docstring for where one is built)."""
         if dom.groupoid != self.domain or cod.groupoid != self.codomain:
             raise ValueError(f"packed kernels do not match the groupoids of {self.label}")
-        rows = [[()] * (dom.n_units * dom.order) for _ in dom.units]
-        for a, image in self.arrow_images.items():
-            u, x = dom.place(a)
-            rows[u][x] = tuple(cod.place(b) for b in image)
-        n = cod.n_units
+        place = cod.place
+        return _scatter(dom, {a: tuple(map(place, image)) for a, image in self.arrow_images.items()}, cod.n_units)
 
-        def scatter(x) -> tuple[int, ...]:
-            out = [-1] * n
-            for row, code in zip(rows, x):
-                if code >= 0:
-                    for s, v in row[code]:
-                        out[s] = v
-            return tuple(out)
 
-        return scatter
+def _scatter(pm: PackedMonoid, pieces: dict, size: int) -> Callable:
+    """A code of pm to the size entries its arrows write, -1 where none
+    does: pieces sends each arrow of pm's groupoid to its (position, code)
+    pairs, kept in one row per (source unit, code). The caller has checked
+    that two arrows of one element never write one position."""
+    rows = [[()] * (pm.n_units * pm.order) for _ in pm.units]
+    for a, piece in pieces.items():
+        u, x = pm.place(a)
+        rows[u][x] = piece
+
+    def scatter(x) -> tuple[int, ...]:
+        out = [-1] * size
+        for row, code in zip(rows, x):
+            if code >= 0:
+                for k, c in row[code]:
+                    out[k] = c
+        return tuple(out)
+
+    return scatter
 
 
 def arrow_map(
@@ -109,22 +118,27 @@ def arrow_map(
 ) -> SemigroupMap:
     """The map sending a bisection to the union of its arrows' images.
 
-    image_of_arrow is tabulated once over domain.arrows(), and each entry is
-    validated as a Bisection of the codomain and kept as its arrows. The
-    table is checked once: two domain arrows that can share a bisection
-    (distinct sources and distinct ranges) must have images with disjoint
-    sources and disjoint ranges, or it raises the ValueError a Bisection of
-    their union would. SemigroupMap.packed then takes unions unchecked.
+    image_of_arrow is tabulated once over domain.arrows(), each entry kept
+    as its sorted arrows, and the table is checked in one pass over its
+    image arrows, building no Bisection (see the module docstring for
+    where one is built). Each must be an arrow of the codomain. Two image
+    arrows with one source (or range) collide when they come from one
+    entry, or from two domain arrows that can share a bisection (distinct
+    sources and distinct ranges), and raise the ValueError a Bisection of
+    their union would. So SemigroupMap.packed takes unions unchecked.
     """
-    table = {a: Bisection(codomain, tuple(image_of_arrow(a))).arrows for a in domain.arrows()}
-    for side in ("source", "range"):
-        hits = {}  # codomain unit -> the domain arrows whose images meet it on this side
-        for a, image in table.items():
-            for b in image:
-                hits.setdefault(getattr(b, side), []).append(a)
+    table = {a: tuple(sorted(image_of_arrow(a))) for a in domain.arrows()}
+    sources, ranges = {}, {}  # codomain unit -> the domain arrows whose images meet it there
+    for a, image in table.items():
+        for b in image:
+            if not codomain.has_arrow(b):
+                raise ValueError(f"arrow {b} not in the groupoid")
+            sources.setdefault(b.source, []).append(a)
+            ranges.setdefault(b.range, []).append(a)
+    for side, hits in (("source", sources), ("range", ranges)):
         for arrows in hits.values():
             for a, b in combinations(arrows, 2):
-                if a.source != b.source and a.range != b.range:
+                if a == b or (a.source != b.source and a.range != b.range):
                     raise ValueError(f"{side} map not injective")
 
     return SemigroupMap(domain, codomain, label, table)
@@ -487,38 +501,21 @@ def block_table(system: TransversalSystem, pm: PackedMonoid) -> Callable:
     """The block matrix on codes of pm = PackedMonoid(system.groupoid): a
     code to its n*n blocks as one flat code of n*n*N entries (N =
     pm.n_units), block (i, j) at [(i*n + j)*N, (i*n + j + 1)*N), built once
-    per code. So block row i, the blocks (i, 0) .. (i, n-1), is the slice
-    [i*n*N, (i+1)*n*N).
+    per code and kept. So block row i, the blocks (i, 0) .. (i, n-1), is
+    the slice [i*n*N, (i+1)*n*N).
 
-    block_of[u][code] lists the (flat position, code) of the block entries
-    of the arrow at (u, code), from system.blocks; the matrix of an element
-    is a scatter of its arrows' entries. Two arrows never meet in one block
-    entry: their block sources are the psi_j-preimages of distinct sources.
+    It is the _scatter of system.blocks, each arrow writing the (flat
+    position, code) of its block entries, and builds no Bisection (see the
+    module docstring for where one is built). Two arrows never meet in one
+    block entry: their block sources are the psi_j-preimages of distinct
+    sources.
     """
-    n, units = system.index, pm.n_units
-    block_of = [[()] * (units * pm.order) for _ in pm.units]
-    for a, row in system.blocks.items():
-        u, x = pm.place(a)
-        entries = []
-        for i, j, b in row:
-            v, c = pm.place(b)
-            entries.append(((i * n + j) * units + v, c))
-        block_of[u][x] = tuple(entries)
-    memo = {}
-    size = n * n * units
-
-    def matrix(x) -> tuple:
-        out = memo.get(x)
-        if out is None:
-            out = [-1] * size
-            for row, code in zip(block_of, x):
-                if code >= 0:
-                    for k, c in row[code]:
-                        out[k] = c
-            out = memo[x] = tuple(out)
-        return out
-
-    return matrix
+    n, units, place = system.index, pm.n_units, pm.place
+    pieces = {
+        a: tuple(((i * n + j) * units + v, c) for i, j, b in row for v, c in [place(b)])
+        for a, row in system.blocks.items()
+    }
+    return lru_cache(maxsize=None)(_scatter(pm, pieces, n * n * units))
 
 
 def blocks_of(matrix: tuple, n: int, units: int) -> list:

@@ -252,10 +252,11 @@ class ValidationReport(NamedTuple):
 def _raw_structure(raw: RawGroupoid):
     """Index a raw table, raising MalformedInputError on structural problems.
 
-    Compose entries are unique and each is checked to be composable, so the
-    table is complete exactly when it has one entry per composable pair:
-    the sum over units u of |src^-1(u)| * |rng^-1(u)|. Only a table short
-    of that count is searched for the pair that the error names.
+    Compose entries are unique (parse_raw rejects a pair given twice) and
+    each is checked to be composable, so the table is complete exactly
+    when it has one entry per composable pair: the sum over units u of
+    |src^-1(u)| * |rng^-1(u)|. Only a table short of that count is
+    searched for the pair that the error names.
     """
     units = list(raw.units)
     if not units:

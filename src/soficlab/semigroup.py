@@ -66,9 +66,19 @@ class ExtensionCertificateError(CertificateError):
 
 class CapExceededError(RuntimeError):
     def __init__(self, predicted: int, cap: int, what: str):
-        super().__init__(f"{what}: predicted count {predicted} exceeds cap {cap}")
+        super().__init__(f"{what}: predicted count {_count_text(predicted)} exceeds cap {cap}")
         self.predicted = predicted
         self.cap = cap
+
+
+def _count_text(n: int) -> str:
+    """n in decimal, or, when it has more digits than Python converts to a
+    string, a power of ten below it read off its bit length
+    (0.30102 < log10 2)."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"above 10^{(n.bit_length() - 1) * 30102 // 100000}"
 
 
 class Bisection(Value):

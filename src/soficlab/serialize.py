@@ -139,7 +139,11 @@ def parse_raw(obj: dict) -> RawGroupoid:
         raise MalformedInputError("raw groupoid file must be an object")
     units = tuple(_parse_id(u) for u in _raw_list(obj, "units"))
     arrows = tuple(_id_triples(obj, "arrows"))
-    compose = {(a, b): c for a, b, c in _id_triples(obj, "compose")}
+    compose = {}
+    for a, b, c in _id_triples(obj, "compose"):
+        if (a, b) in compose:
+            raise MalformedInputError(f"compose pair ({a!r}, {b!r}) given twice")
+        compose[a, b] = c
     masses = parse_masses(obj["masses"], units) if "masses" in obj else None
     return RawGroupoid(units, arrows, compose, masses)
 
@@ -287,13 +291,26 @@ def dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object whose keys are each given once; json.load would keep
+    the last value of a repeated key."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise MalformedInputError(f"key {key!r} repeated")
+        obj[key] = value
+    return obj
+
+
 def load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
         except RecursionError:
             # the decoder recurses once per level of nesting
             raise MalformedInputError(f"{path}: JSON nested too deeply") from None
+        except MalformedInputError as exc:
+            raise MalformedInputError(f"{path}: {exc}") from None
 
 
 def write_json_atomic(obj, path: str) -> None:

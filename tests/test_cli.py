@@ -369,18 +369,46 @@ MALFORMED_RAW = {
     "missing-units": ({k: v for k, v in RAW_OK.items() if k != "units"}, "needs 'units'"),
     "masses-not-an-object": (dict(RAW_OK, masses=["1/1"]), "masses"),
     "file-not-an-object": ([RAW_OK], "object"),
+    "repeated-compose-pair": (dict(RAW_OK, compose=[["u", "u", "u"], ["u", "u", "u"]]), "compose pair ('u', 'u') given twice"),
+    # a str body is the text of the file, since a dict cannot repeat a key
+    "repeated-key": (json.dumps(RAW_OK)[:-1] + ', "units": ["u"]}', "key 'units' repeated"),
+    "repeated-mass": (json.dumps(RAW_OK)[:-2] + ', "u": "1/2"}}', "key 'u' repeated"),
 }
 
 
 @pytest.mark.parametrize("command", ["validate", "decompose"])
 @pytest.mark.parametrize("case", list(MALFORMED_RAW))
 def test_malformed_raw_exits_2(files, capsys, command, case):
-    tmp, write = files
+    tmp, _ = files
     body, field = MALFORMED_RAW[case]
-    code, out, err = run(capsys, command, write("raw.json", body))
+    path = tmp / "raw.json"
+    path.write_text(body if isinstance(body, str) else json.dumps(body))
+    code, out, err = run(capsys, command, str(path))
     assert code == 2
     assert out == ""
-    assert err.startswith("input error:") and field in err
+    assert err.startswith("input error:") and field in err and "Traceback" not in err
+
+
+def test_repeated_groupoid_key_exits_2(files, capsys):
+    # json.load would keep the second components list and run the suite
+    tmp, _ = files
+    text = json.dumps(groupoid_to_json(full_relation(2)))
+    path = tmp / "twice.json"
+    path.write_text(text[:-1] + ", " + text[1:])
+    code, out, err = run(capsys, "suite", "--name", "trace-distance", "--groupoid", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"input error: {path}: key 'components' repeated\n"
+
+
+def test_pair_count_past_the_digit_limit_is_a_budget_error(files, capsys):
+    # the pairs of K = all on a 1,500-point full relation have 8,294 digits,
+    # more than Python turns into a string: the count prints as a bound,
+    # and the map's 2,250,000 arrows are not tabulated
+    tmp, write = files
+    big = write("big.json", groupoid_to_json(full_relation(1500)))
+    code, out, err = run(capsys, "verify", "--map", "identity", "--groupoid", big, "--K", "all", "--epsilon", "1/2")
+    assert (code, out) == (2, "")
+    assert err == "budget error: pairs of K: predicted count above 10^8293 exceeds cap 200000\n"
 
 
 def test_well_formed_raw_still_validates(files, capsys):
@@ -606,8 +634,12 @@ def test_empty_ladder_target_list_exits_2(capsys, command, text):
     assert captured.out == "" and f"argument --p-list: no target in {text!r}" in captured.err
 
 
+# validate, decompose and extend run no budget, so they take neither cap
+UNBUDGETED = {"validate": ["validate", "raw.json"], "decompose": ["decompose", "raw.json"], "extend": ["extend", "g.json", "b.json"]}
 # one spelling per option: argparse would otherwise read `--p` on suite as
-# --p-list and `--bud` as --budget, and embed would drop --p beside --p-list
+# --p-list and `--bud` as --budget, and embed would drop --p beside --p-list;
+# an option a command does not take, and an empty --p-list item, which is
+# not skipped, are usage errors too
 ONE_SPELLING = {
     "suite --p": (["suite", "--name", "ladder", "--n", "3", "--p-list", "7", "--p", "5"], "unrecognized arguments: --p 5"),
     "embed --p and --p-list": (
@@ -616,6 +648,13 @@ ONE_SPELLING = {
     ),
     "suite --bud": (["suite", "--name", "ladder", "--n", "3", "--p-list", "7", "--bud", "9"], "unrecognized arguments: --bud 9"),
     "verify --bud": (["verify", "--map", "ladder", "--n", "2", "--p", "3", "--epsilon", "1/2", "--bud", "9"], "unrecognized arguments: --bud 9"),
+    **{
+        f"{command} {flag}": ([*argv, flag, "9"], f"unrecognized arguments: {flag} 9")
+        for command, argv in UNBUDGETED.items()
+        for flag in ("--budget", "--samples")
+    },
+    "embed --p-list ,5,,7": (["embed", "--kind", "ladder", "--n", "3", "--p-list", ",5,,7"], "bad integer list ',5,,7'"),
+    "suite --p-list 5,": (["suite", "--name", "ladder", "--n", "3", "--p-list", "5,"], "bad integer list '5,'"),
 }
 
 

@@ -25,8 +25,11 @@ as tested. The lift of a map phi of the subgroupoid, which the lift once
 took as a parameter, is now composed from tensor and compose and checked
 against the same reference. The element pools of verify._pool and the
 code enumerators of semigroup are checked against the Bisection pools they
-replaced (pool_reference.py); no pool, and no part of the rectangles suite,
-may build a Bisection, and Bisection itself carries no algebra. The
+replaced (pool_reference.py); no pool, no part of the rectangles suite
+and no table check may build a Bisection, and Bisection itself carries no
+algebra. arrow_map's check on image arrows must accept the tables that the
+check it replaced accepts, each entry built as a Bisection and then a
+pairwise pass (reference_arrow_table). The
 suites that tabulate an exhaustive pool (semigroup.PoolTable) must report
 what they report on codes, and every table entry must equal the kernel's.
 Those four suites read products and distances by subscript; their earlier
@@ -40,6 +43,7 @@ block table with one block redirected.
 """
 
 import random
+import re
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
@@ -686,29 +690,27 @@ def count_bisections(monkeypatch) -> list:
     return built
 
 
-# case -> (suite, parameters, whether its pools are sampled, the table
-# entries that arrow_map validates as Bisections when the suite builds a map)
+# case -> (suite, parameters, whether its pools are sampled)
 NO_BISECTION_CASES = {
-    "extension": ("extension", {"g": full_relation(8)}, True, 0),
-    "inverse-monoid": ("inverse-monoid", {"g": full_relation(8)}, True, 0),
-    "inverse-monoid-n3": ("inverse-monoid", {"g": full_relation(3)}, False, 0),
-    "trace-distance-n4": ("trace-distance", {"g": full_relation(4)}, False, 0),
-    # the tensor of the factors' identities: one entry per arrow of [[4]]
-    "rectangles-n2xn2": ("rectangles", {"left": full_relation(2), "right": full_relation(2)}, False, 16),
+    "extension": ("extension", {"g": full_relation(8)}, True),
+    "inverse-monoid": ("inverse-monoid", {"g": full_relation(8)}, True),
+    "inverse-monoid-n3": ("inverse-monoid", {"g": full_relation(3)}, False),
+    "trace-distance-n4": ("trace-distance", {"g": full_relation(4)}, False),
+    # builds the tensor of the factors' identities, a table of 16 entries
+    "rectangles-n2xn2": ("rectangles", {"left": full_relation(2), "right": full_relation(2)}, False),
 }
 
 
 @pytest.mark.parametrize("case", list(NO_BISECTION_CASES))
 def test_sampled_pools_build_no_bisections(case, monkeypatch):
     # sampled draws, exhaustive enumerations and the whole rectangles suite
-    # run on codes: the constructor validates nothing but the entries of a
-    # map's table, once each, when the map is built
-    suite, params, sampled, entries = NO_BISECTION_CASES[case]
+    # run on codes, and arrow_map checks a table on its arrows: the
+    # constructor validates nothing
+    suite, params, sampled = NO_BISECTION_CASES[case]
     built = count_bisections(monkeypatch)
     result = run_suite(suite, **params)
     assert {check.details["exhaustive"] for check in result.checks} == {not sampled}
-    assert result.passed and len(built) == entries
-    assert all(len(b) == 1 for b in built)
+    assert result.passed and built == []
 
 
 MOVED_ATTRIBUTES = (
@@ -1064,13 +1066,13 @@ def test_verify_output_matches_golden(stem, tmp_path, monkeypatch, capsys):
 
 
 def test_verify_all_of_K_runs_on_codes(tmp_path, monkeypatch, capsys):
-    # `--K all` hands the codes of [[G]] to the certificate: the only
-    # Bisections built are the 8 entries of the connected map's arrow table
+    # `--K all` hands the codes of [[G]] to the certificate, and the
+    # connected map's arrow table is checked on its arrows: no Bisection
     monkeypatch.chdir(tmp_path)
     argv, code = write_verify_inputs(tmp_path)["verify-connected-z2y2"]
     built = count_bisections(monkeypatch)
     assert cli_main(argv) == code
-    assert len(built) == GROUPOIDS["z2y2"].n_arrows == 8
+    assert built == []
     capsys.readouterr()
 
 
@@ -1376,6 +1378,87 @@ def test_arrow_map_validates_each_entry():
         arrow_map(REL2, REL2, lambda a: (Arrow(0, 0, 0, 0), Arrow(0, 0, 1, 0)), "split")
 
 
+def reference_arrow_table(domain, codomain, image_of_arrow) -> dict:
+    """The table check arrow_map made before it checked tables on their
+    arrows: each entry built as a Bisection of the codomain, then two
+    domain arrows that can share a bisection must have images with
+    disjoint sources and disjoint ranges."""
+    table = {a: Bisection(codomain, tuple(image_of_arrow(a))).arrows for a in domain.arrows()}
+    for side in ("source", "range"):
+        hits = {}
+        for a, image in table.items():
+            for b in image:
+                hits.setdefault(getattr(b, side), []).append(a)
+        for arrows in hits.values():
+            for a, b in combinations(arrows, 2):
+                if a.source != b.source and a.range != b.range:
+                    raise ValueError(f"{side} map not injective")
+    return table
+
+
+TABLE_CODOMAINS = {"n2": REL2, "n3": full_relation(3), "z2y2": GROUPOIDS["z2y2"]}
+# outside each of them: no component 1, no point 5, no label 2, a negative label
+ESCAPING_ARROWS = [Arrow(1, 0, 0, 0), Arrow(0, 0, 5, 0), Arrow(0, 2, 0, 0), Arrow(0, -1, 0, 0)]
+TABLE_MESSAGE = r"(source map not injective|range map not injective|arrow Arrow\(.*\) not in the groupoid)"
+
+
+@st.composite
+def arrow_tables(draw):
+    """A groupoid g and a table on its arrows into g: the identity's or the
+    empty table, with up to four entries replaced by 0-3 arrows each, some
+    of them outside g and some repeated."""
+    g = TABLE_CODOMAINS[draw(st.sampled_from(sorted(TABLE_CODOMAINS)))]
+    arrows = sorted(g.arrows())
+    identity = draw(st.booleans())
+    table = {a: (a,) if identity else () for a in arrows}
+    entry = st.lists(st.sampled_from(arrows) | st.sampled_from(ESCAPING_ARROWS), max_size=3)
+    table.update(draw(st.dictionaries(st.sampled_from(arrows), entry.map(tuple), max_size=4)))
+    return g, table
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrow_tables())
+def test_arrow_map_accepts_the_tables_its_reference_accepts(case):
+    g, table = case
+    try:
+        expected = reference_arrow_table(g, g, table.__getitem__)
+    except ValueError as exc:
+        assert re.fullmatch(TABLE_MESSAGE, str(exc))
+        with pytest.raises(ValueError) as err:
+            arrow_map(g, g, table.__getitem__, "generated")
+        assert re.fullmatch(TABLE_MESSAGE, str(err.value))
+    else:
+        assert arrow_map(g, g, table.__getitem__, "generated").arrow_images == expected
+
+
+# (the one nonempty entries of a table on [[2]], the message): each table
+# has a single defect, and both checks name it alike
+ONE_DEFECT_TABLES = {
+    "outside": ({Arrow(0, 0, 1, 0): (Arrow(0, 0, 2, 0),)}, "arrow Arrow(comp=0, g=0, y_to=2, y_from=0) not in the groupoid"),
+    "repeated": ({Arrow(0, 0, 1, 0): (Arrow(0, 0, 1, 0), Arrow(0, 0, 1, 0))}, "source map not injective"),
+    "one-entry-range": ({Arrow(0, 0, 1, 0): (Arrow(0, 0, 0, 0), Arrow(0, 0, 0, 1))}, "range map not injective"),
+    # the unit arrows at 0 and at 1 can share a bisection
+    "two-entries-source": (
+        {Arrow(0, 0, 0, 0): (Arrow(0, 0, 0, 0),), Arrow(0, 0, 1, 1): (Arrow(0, 0, 1, 0),)},
+        "source map not injective",
+    ),
+    "two-entries-range": (
+        {Arrow(0, 0, 0, 0): (Arrow(0, 0, 0, 0),), Arrow(0, 0, 1, 1): (Arrow(0, 0, 0, 1),)},
+        "range map not injective",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(ONE_DEFECT_TABLES))
+def test_a_single_defect_keeps_its_message(case):
+    entries, message = ONE_DEFECT_TABLES[case]
+    image = lambda a: entries.get(a, ())
+    for check in (partial(reference_arrow_table, REL2, REL2), partial(arrow_map, REL2, REL2, label="one defect")):
+        with pytest.raises(ValueError) as err:
+            check(image)
+        assert str(err.value) == message
+
+
 # ---------------------------------------------------------------------------
 # Finite index and the full-group completion: goldens written by the
 # Bisection-based block matrices and powers-of-gamma^-1 completion that the
@@ -1568,6 +1651,29 @@ def test_block_table_match_reference(stem):
             assert str(err.value) == problem
     # only the invalid system has elements whose blocks fail
     assert (failures > 0) == (stem == "finite-index-invalid-n2")
+
+
+def test_block_table_builds_each_matrix_once(monkeypatch):
+    # the matrix of each distinct code is scattered once and then kept,
+    # also over the whole finite-index suite; scatters are told apart by
+    # their sizes, the block table's being index^2 * N
+    built, scatter = {}, constructions._scatter
+
+    def counted(pm, pieces, size):
+        inner, calls = scatter(pm, pieces, size), built.setdefault(size, [])
+        return lambda x: calls.append(x) or inner(x)
+
+    monkeypatch.setattr(constructions, "_scatter", counted)
+    system = system_of("finite-index-z2y2-units")
+    pm = PackedMonoid(system.groupoid)
+    matrix, size = block_table(system, pm), system.index**2 * pm.n_units
+    codes = list(semigroup_codes(pm))
+    first = list(map(matrix, codes))
+    assert all(matrix(x) is out for x, out in zip(reversed(codes), reversed(first)))
+    assert built == {size: codes}
+    built.clear()
+    assert run_suite("finite-index", g=system.groupoid, sub_arrows=system.sub_arrows).passed
+    assert built[size] and len(built[size]) == len(set(built[size]))
 
 
 def block_identity_check(g, sub, budget, system=None):

@@ -334,3 +334,12 @@ def test_trace_identity(a):
     one = unit_bisection(Z2Y2)
     s = idempotent(Z2Y2, source_units(a))
     assert trace(a) == 1 - distance(s, one) - distance(s, a)
+
+
+def test_a_count_past_the_digit_limit_prints_as_a_bound():
+    # counts that convert print as before; .predicted stays exact
+    assert str(CapExceededError(10**20 + 3, 9, "pairs")) == "pairs: predicted count 100000000000000000003 exceeds cap 9"
+    huge = semigroup_count(full_relation(1500)) ** 2
+    err = CapExceededError(huge, 9, "pairs of K")
+    assert err.predicted == huge and str(err) == "pairs of K: predicted count above 10^8293 exceeds cap 9"
+    assert 10**8293 < huge < 10**8294

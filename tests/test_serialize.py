@@ -23,6 +23,7 @@ from soficlab.serialize import (
     dumps,
     groupoid_to_json,
     jsonable,
+    load_json,
     parse_bisection,
     parse_groupoid,
     parse_masses,
@@ -116,3 +117,40 @@ def test_jsonable_refuses_records():
     assert jsonable({"arrow": Arrow(0, 1, 2, 3), "code": (1, -1)}) == {"arrow": [0, 1, 2, 3], "code": [1, -1]}
     with pytest.raises(TypeError, match="CheckResult"):
         jsonable([CheckResult("x", True)])
+
+
+# Z2 on one unit x, its compose table ending in g*g given twice; kept as a
+# dict, the last entry would win: x (a valid table) or g (an invalid one)
+Z2_ONE_UNIT = {"units": ["x"], "arrows": [["x", "x", "x"], ["g", "x", "x"]], "masses": {"x": "1/1"}}
+Z2_COMPOSE = [["x", "x", "x"], ["x", "g", "g"], ["g", "x", "g"]]
+
+
+@pytest.mark.parametrize("last", ["x", "g"])
+def test_a_compose_pair_given_twice_is_malformed(last):
+    first = "g" if last == "x" else "x"
+    raw = dict(Z2_ONE_UNIT, compose=Z2_COMPOSE + [["g", "g", first], ["g", "g", last]])
+    with pytest.raises(MalformedInputError) as err:
+        parse_raw(raw)
+    assert str(err.value) == "compose pair ('g', 'g') given twice"
+    # once, either entry parses
+    assert parse_raw(dict(raw, compose=raw["compose"][:-1])).compose[("g", "g")] == first
+
+
+@pytest.mark.parametrize(
+    "text,key",
+    [
+        ('{"components": [], "components": [{"group_table": [[0]], "base_size": 1, "weight": "1/1"}]}', "components"),
+        ('{"masses": {"x": "1/2", "x": "1/1"}}', "x"),
+    ],
+    ids=["components", "masses"],
+)
+def test_a_repeated_json_key_is_malformed(tmp_path, text, key):
+    path = tmp_path / "repeated.json"
+    path.write_text(text)
+    with pytest.raises(MalformedInputError) as err:
+        load_json(str(path))
+    assert str(err.value) == f"{path}: key {key!r} repeated"
+    # one key per object loads as before
+    path.write_text(text.replace(f'"{key}": ', '"other": ', 1))
+    assert key in str(load_json(str(path)))
+

@@ -3,10 +3,11 @@
 Each construction returns a SemigroupMap, which is its arrow table: each
 domain arrow to the arrows of its image, the image of a bisection being
 the union of the images of its arrows. arrow_map builds the table and
-checks it in one pass over its image arrows; SemigroupMap.packed
-scatters the table on packed codes for the certificates (see verify) and
-the ladder's distortion reports. At this finite scale every construction
-is exact, not approximate.
+checks it on its image arrows (image_hits, table_collision, which
+verify.arrow_certificate shares); SemigroupMap.placed puts the table
+on the codomain's packed codes, and packed scatters it for the
+certificates (see verify) and the ladder's distortion reports. At this
+finite scale every construction is exact, not approximate.
 
 The connected and convex embeddings and the ladder maps [[n]] -> [[p]]
 (step_map, general_map) are all copies of one connected-piece embedding,
@@ -77,16 +78,26 @@ class SemigroupMap:
             raise ValueError("bisection not in the domain of this map")
         return Bisection(self.codomain, tuple(b for a in alpha.arrows for b in self.arrow_images[a]))
 
-    def packed(self, dom: PackedMonoid, cod: PackedMonoid) -> Callable:
+    def placed(self, cod: PackedMonoid) -> dict:
+        """The table on cod's codes: each domain arrow to the (source unit,
+        code) pieces of its image, sorted. packed scatters it and
+        verify.arrow_certificate composes it, so a caller running both
+        places the table once."""
+        if cod.groupoid != self.codomain:
+            raise ValueError(f"packed kernel does not match the codomain of {self.label}")
+        place = cod.place
+        return {a: tuple(sorted(map(place, image))) for a, image in self.arrow_images.items()}
+
+    def packed(self, dom: PackedMonoid, cod: PackedMonoid, placed: dict | None = None) -> Callable:
         """The map on packed codes, a code of dom to a code of cod: the
-        _scatter of the table, each domain arrow writing the codomain
-        (source, code) pieces of its image, which arrow_map has checked
-        never meet within an element. It builds no Bisection (see the
-        module docstring for where one is built)."""
+        _scatter of the table placed on cod (self.placed(cod) unless the
+        caller has it), each domain arrow writing the pieces of its
+        image, which arrow_map has checked never meet within an element.
+        It builds no Bisection (see the module docstring for where one is
+        built)."""
         if dom.groupoid != self.domain or cod.groupoid != self.codomain:
             raise ValueError(f"packed kernels do not match the groupoids of {self.label}")
-        place = cod.place
-        return _scatter(dom, {a: tuple(map(place, image)) for a, image in self.arrow_images.items()}, cod.n_units)
+        return _scatter(dom, self.placed(cod) if placed is None else placed, cod.n_units)
 
 
 def _scatter(pm: PackedMonoid, pieces: dict, size: int) -> Callable:
@@ -119,29 +130,69 @@ def arrow_map(
     """The map sending a bisection to the union of its arrows' images.
 
     image_of_arrow is tabulated once over domain.arrows(), each entry kept
-    as its sorted arrows, and the table is checked in one pass over its
-    image arrows, building no Bisection (see the module docstring for
-    where one is built). Each must be an arrow of the codomain. Two image
-    arrows with one source (or range) collide when they come from one
-    entry, or from two domain arrows that can share a bisection (distinct
-    sources and distinct ranges), and raise the ValueError a Bisection of
-    their union would. So SemigroupMap.packed takes unions unchecked.
+    as its sorted arrows, and the table is checked on its image arrows,
+    building no Bisection (see the module docstring for where one is
+    built). Each must be an arrow of the codomain. Two image arrows with
+    one source (or range) collide when they come from one entry, or from
+    two domain arrows that can share a bisection (distinct sources and
+    distinct ranges), and raise the ValueError a Bisection of their union
+    would; table_collision finds them in time linear in the image arrows.
+    So SemigroupMap.packed takes unions unchecked.
     """
     table = {a: tuple(sorted(image_of_arrow(a))) for a in domain.arrows()}
-    sources, ranges = {}, {}  # codomain unit -> the domain arrows whose images meet it there
-    for a, image in table.items():
+    for image in table.values():
         for b in image:
             if not codomain.has_arrow(b):
                 raise ValueError(f"arrow {b} not in the groupoid")
+    collision = table_collision(image_hits(table))
+    if collision is not None:
+        raise ValueError(f"{collision[0]} map not injective")
+    return SemigroupMap(domain, codomain, label, table)
+
+
+def image_hits(table: dict) -> tuple[dict, dict]:
+    """For each codomain unit, the domain arrows of an arrow table whose
+    images have an arrow with that source (the first dict) or that range
+    (the second), one per such image arrow, in table order."""
+    sources, ranges = {}, {}
+    for a, image in table.items():
+        for b in image:
             sources.setdefault(b.source, []).append(a)
             ranges.setdefault(b.range, []).append(a)
-    for side, hits in (("source", sources), ("range", ranges)):
-        for arrows in hits.values():
-            for a, b in combinations(arrows, 2):
-                if a == b or (a.source != b.source and a.range != b.range):
-                    raise ValueError(f"{side} map not injective")
+    return sources, ranges
 
-    return SemigroupMap(domain, codomain, label, table)
+
+def table_collision(hits: tuple[dict, dict]) -> tuple | None:
+    """The first collision in the image_hits of a table, as (side, a, b),
+    or None: domain arrows a and b whose images both have an arrow with
+    one source (side "source", checked first) or one range ("range"),
+    and that can share a bisection. a == b when one entry meets the unit
+    twice; otherwise a and b have distinct sources and distinct ranges.
+
+    A unit's list has such a pair exactly when it repeats an arrow, or
+    its arrows neither all share the first one's source nor all share its
+    range: with a first arrow f, an arrow s of another source and an arrow
+    r of another range, one of (f, s), (f, r) and (s, r) differs in both.
+    So each list is read in linear time, and the same units fail as under
+    a check of every pair."""
+    for side, by_unit in zip(("source", "range"), hits):
+        for arrows in by_unit.values():
+            if len(set(arrows)) < len(arrows):
+                seen = set()
+                for a in arrows:
+                    if a in seen:
+                        return side, a, a
+                    seen.add(a)
+            f = arrows[0]
+            source, range_ = f.source, f.range
+            s = next((a for a in arrows if a.source != source), None)
+            if s is None:
+                continue
+            r = next((a for a in arrows if a.range != range_), None)
+            if r is not None:
+                pair = (f, s) if s.range != range_ else (f, r) if r.source != source else (s, r)
+                return side, *pair
+    return None
 
 
 def identity_map(g: FiniteGroupoid) -> SemigroupMap:

@@ -11,7 +11,8 @@ unit weights over the denominators n and p, a deviation is an integer
 over n*p. It is the metric pass of the certificate loop,
 verify.metric_deviations, over the pool and pairs that check_embedding
 takes (verify.pool_pairs) and the images of the pool; a ladder map is
-exactly multiplicative, so no product pass runs.
+exactly multiplicative, as verify.arrow_certificate proves from its
+table, so no product pass runs.
 """
 
 from __future__ import annotations

@@ -33,7 +33,16 @@ check_almost_morphism, run on the kernel too, through one loop
 (_deviations) that maps each distinct code once: a map of constructions
 scatters its arrow table (SemigroupMap.packed), and a pair list becomes a
 dict from domain code to codomain code. The loop is a metric pass
-(metric_deviations) and a product pass. check_embedding takes its pool and
+(metric_deviations) and a product pass. The product pass is replaced by
+a proof when the map is a SemigroupMap: arrow_certificate decides from
+the arrow table alone whether the map is multiplicative on all of [[G]],
+checking every pair of arrows, and when it certifies the map the pass,
+which would read 0 on every pair, does not run. The certificate runs
+only when its composable arrow pairs are at most the element pairs the
+pass would run (pair_count for check_embedding, |K|^2 for
+check_almost_morphism), so it never does more work than it replaces
+and counts under the budget that bounds the pass. When it refutes the
+map or does not run, the pass runs. check_embedding takes its pool and
 pairs from pool_pairs, and so do the ladder's distortion reports, which
 run the metric pass alone. When every pair of the pool runs,
 the products come one left factor at a time through its left rows
@@ -64,7 +73,9 @@ from .constructions import (
     blocks_of,
     finite_index_map,
     identity_map,
+    image_hits,
     rectangle_decompose,
+    table_collision,
     tensor,
 )
 from .groupoid import Arrow, FiniteGroupoid, Value, product_groupoid
@@ -256,8 +267,11 @@ def check_almost_morphism(pi, K, epsilon, packed: PackedMonoid | None = None) ->
     the image of some product of K-elements is rejected as incomplete. The
     verdict uses the product and trace deviations, strictly below epsilon;
     the distance deviation is measured and reported alongside. Every pair
-    of K, in order, runs through _deviations on packed codes. K is a list
-    of Bisections, or of codes of packed when that is given.
+    of K, in order, runs through _deviations on packed codes, whose
+    product pass is skipped for a semigroup map that arrow_certificate
+    certifies within |K|^2 composable arrow pairs, the pairs the pass
+    would run. K is a list of Bisections, or of codes of packed when that
+    is given.
     """
     epsilon = Fraction(epsilon)
     K = list(K)
@@ -272,9 +286,12 @@ def check_almost_morphism(pi, K, epsilon, packed: PackedMonoid | None = None) ->
     else:
         dom, pool = packed, K
         element = lambda i: dom.decode(pool[i])
+    exact = False
     if isinstance(pi, SemigroupMap):
         cod = PackedMonoid(pi.codomain)
-        f = pi.packed(dom, cod)
+        placed = pi.placed(cod)
+        f = pi.packed(dom, cod, placed)
+        exact = _certify(pi, dom, cod, placed, len(pool) ** 2).verdict == "certified"
     else:
         # a pair list, as a dict from domain code to codomain code; with no
         # pairs every lookup fails, so any codomain will do
@@ -291,7 +308,7 @@ def check_almost_morphism(pi, K, epsilon, packed: PackedMonoid | None = None) ->
                 raise IncompletePairListError(f"pair list does not cover a required element ({arrows} arrows)")
             return table[x]
 
-    _, (prod_dev, trace_dev, dist_dev), at = _deviations(f, dom, cod, pool)
+    _, (prod_dev, trace_dev, dist_dev), at = _deviations(f, dom, cod, pool, exact=exact)
     return AlmostMorphismReport(
         k_size=len(K),
         epsilon=epsilon,
@@ -352,13 +369,16 @@ class _Images(dict):
         return fx
 
 
-def _deviations(f, dom: PackedMonoid, cod: PackedMonoid, pool: list, pairs=None):
+def _deviations(f, dom: PackedMonoid, cod: PackedMonoid, pool: list, pairs=None, exact: bool = False):
     """The loop of both certificates: f maps codes of dom to codes of cod,
     and pairs is a list of index pairs into the pool, or None for all of
     its pairs, the left index outermost. Returns the images of the pool,
     the exact product, trace and distance maxima as Fractions, and where
     each is first reached: the metric pass (metric_deviations), then the
-    product pass, whose "product" witness is a pair of pool indices.
+    product pass, whose "product" witness is a pair of pool indices. When
+    exact, f is multiplicative on all of [[G]] (arrow_certificate
+    certified it), so the product pass is skipped and the product maximum
+    is 0 with no witness, as the pass would find.
 
     f runs once per distinct code: the pool's, then each product's that is
     not yet mapped. Over all pairs, the products of a left factor come from
@@ -370,6 +390,8 @@ def _deviations(f, dom: PackedMonoid, cod: PackedMonoid, pool: list, pairs=None)
     mapped = _Images(f)
     images = list(map(mapped.__getitem__, pool))
     trace_dev, dist_dev, at = metric_deviations(dom, cod, pool, images, pairs)
+    if exact:
+        return images, (Fraction(0), trace_dev, dist_dev), at
     cod_dist = cod.dist
     prod_dev = 0
     if pairs is None:
@@ -440,13 +462,18 @@ def check_embedding(m: SemigroupMap, budget: SuiteBudget | None = None) -> Embed
     concretely and flags any discrepancy as an implementation bug.
 
     Domain and codomain are packed, and the map runs on codes through
-    m.packed, the scatter of its table, inside _deviations.
+    m.packed, the scatter of its table, inside _deviations. When
+    arrow_certificate certifies m within pair_count composable arrow
+    pairs, the pairs the product pass would run, the pass is skipped: the
+    deviation it would measure is 0.
     """
     budget = budget or SuiteBudget()
     dom, cod = PackedMonoid(m.domain), PackedMonoid(m.codomain)
     pool, pairs, exhaustive, pair_count = pool_pairs(dom, budget)
     n = len(pool)
-    images, (prod_dev, trace_dev, dist_dev), at = _deviations(m.packed(dom, cod), dom, cod, pool, pairs)
+    placed = m.placed(cod)
+    exact = _certify(m, dom, cod, placed, pair_count).verdict == "certified"
+    images, (prod_dev, trace_dev, dist_dev), at = _deviations(m.packed(dom, cod, placed), dom, cod, pool, pairs, exact)
     unit_ok = images[pool.index(dom.one)] == cod.one  # every pool holds the unit
 
     consistent = True
@@ -465,6 +492,98 @@ def check_embedding(m: SemigroupMap, budget: SuiteBudget | None = None) -> Embed
         trace_iso_consistent=consistent,
         witnesses=_witnesses(at, lambda i: dom.decode(pool[i])),
     )
+
+
+class ArrowCertificate(NamedTuple):
+    """What arrow_certificate found. verdict is "certified", "refuted" or
+    "not run"; pairs is the count of composable arrow pairs charged to the
+    cap. A refutation names the check that failed ("disjoint",
+    "non-composable" or "composable") and its witness, the first bad pair
+    of domain arrows (a, b)."""
+
+    verdict: str
+    pairs: int
+    check: str | None = None
+    witness: tuple | None = None
+
+
+def arrow_certificate(m: SemigroupMap, budget: SuiteBudget | None = None) -> ArrowCertificate:
+    """Whether m is multiplicative on all of [[m.domain]], from its arrow
+    table alone.
+
+    The map sends x to the union of T(a) over the arrows a of x. When the
+    images of two arrows that can share a bisection are disjoint, that
+    union is the scatter of SemigroupMap.packed, and f(x)f(y) is the
+    union of T(a)T(b) over the arrows a of x and b of y. So the map is
+    multiplicative if and only if T(a)T(b) = T(ab) for every composable
+    pair (s(a) = r(b)) and T(a)T(b) is empty for every other pair; the
+    single-arrow bisections give the "only if". The certificate checks
+    exactly that, in three passes, and a refutation reports the first
+    that fails:
+    - "disjoint": constructions.table_collision, as arrow_map checks it,
+      since a SemigroupMap can be built without arrow_map;
+    - "non-composable", one linear pass: for each codomain unit v, every a
+      whose image has an arrow of source v and every b whose image has an
+      arrow of range v have s(a) = r(b);
+    - "composable": for each such pair, T(a)T(b) by
+      PackedMonoid.mul_pieces of T(a)'s code over T(b)'s pieces, against
+      the pieces of T(ab).
+    The composable pairs, sum(m^2 * n^3) over the domain's components of
+    group order m and base size n, are charged to budget.exhaustive_cap
+    first; over the cap the certificate does not run.
+    """
+    budget = budget or SuiteBudget()
+    cod = PackedMonoid(m.codomain)
+    return _certify(m, PackedMonoid(m.domain), cod, m.placed(cod), budget.exhaustive_cap)
+
+
+def _certify(m: SemigroupMap, dom: PackedMonoid, cod: PackedMonoid, placed: dict, cap: int) -> ArrowCertificate:
+    """arrow_certificate on the kernels of m's domain and codomain, with
+    m's table placed on cod (SemigroupMap.placed), within cap composable
+    arrow pairs."""
+    pairs = sum(c.group_order**2 * c.base_size**3 for c in m.domain.components)
+    if pairs > cap:
+        return ArrowCertificate("not run", pairs)
+    hits = image_hits(m.arrow_images)
+    collision = table_collision(hits)
+    if collision is not None:
+        return ArrowCertificate("refuted", pairs, "disjoint", collision[1:])
+
+    # T(a)T(b) is nonempty exactly when a is among the starts and b among
+    # the ends at some codomain unit, so every such pair must be
+    # composable: the ends share one range, and it is every start's
+    # source. The witness is the first bad pair by a and then b: when the
+    # ends have two ranges every start has a bad partner, so a is the
+    # first start; otherwise a is the first start off the ends' range
+    sources, ranges = hits
+    for v, starts in sources.items():
+        ends = ranges.get(v)
+        if not ends:
+            continue
+        targets = {b.range for b in ends}
+        a = starts[0] if len(targets) > 1 else next((a for a in starts if a.source not in targets), None)
+        if a is not None:
+            b = next(b for b in ends if b.range != a.source)
+            return ArrowCertificate("refuted", pairs, "non-composable", (a, b))
+
+    place, order = dom.place, dom.order
+    arrows = list(m.domain.arrows())
+    pieces = {place(a): placed.get(a, ()) for a in arrows}
+    arrow_at = dict(zip(map(place, arrows), arrows))
+    into = {}  # domain unit -> the pieces of the arrows with that range
+    for u, x in pieces:
+        into.setdefault(x // order, []).append((u, x))
+    for (u, x), image in pieces.items():
+        partners = into.get(u, [])
+        a_code = list(dom.zero)
+        a_code[u] = x
+        ta = [-1] * cod.n_units
+        for v, c in image:
+            ta[v] = c
+        for b, ab in zip(partners, dom.mul_pieces(a_code, partners)):
+            if cod.mul_pieces(ta, pieces[b]) != pieces[ab]:
+                return ArrowCertificate("refuted", pairs, "composable", (arrow_at[u, x], arrow_at[b]))
+    return ArrowCertificate("certified", pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,12 @@ codes and on tables with one entry redirected, where the product checks
 fail. The finite-index suite's block identity, now a block row of the
 product at a time, must count what the per-cell loop it replaced counts
 (suite_reference.block_identity), on valid and invalid systems and on a
-block table with one block redirected.
+block table with one block redirected. The arrow certificate
+(verify.arrow_certificate), which proves multiplicativity from an arrow
+table, must agree with the element product pass it lets the
+certificates skip, on every map above, the ladder maps and broken
+tables; a certified map must run no codomain product, and every ladder
+map of the ladder goldens must be certified.
 """
 
 import random
@@ -141,6 +146,7 @@ from soficlab.verify import (
     _kernel,
     _pool,
     _tuples,
+    arrow_certificate,
     check_almost_morphism,
     check_embedding,
     run_suite,
@@ -263,17 +269,20 @@ LEFT_ROW_GROUPOIDS = {
 @pytest.mark.parametrize("key", LEFT_ROW_GROUPOIDS)
 def test_left_row_products_equal_mul(key):
     # the product table's rows, on sampled codes (the zero among them, so
-    # every row's trailing slot for code -1 is read); and the tables the
+    # every row's trailing slot for code -1 is read); the sparse products
+    # of mul_pieces, on the (source, code) pieces of b; and the tables the
     # suites read on codes, which are mul and dist by subscript
     pm = PackedMonoid(LEFT_ROW_GROUPOIDS[key])
     codes, exhaustive = _pool(pm, "semigroup", SuiteBudget(exhaustive_cap=30, sample_count=30, seed=2))
     assert not exhaustive and pm.zero in codes
     products, distances = pm.products, pm.distances
+    pieces = lambda x: tuple((u, c) for u, c in enumerate(x) if c >= 0)
     for a in codes:
         row = pm.left_row(a)
         assert len(row) == pm.n_units * pm.order + 1 and row[-1] == -1
         for b in codes:
             assert tuple(map(row.__getitem__, b)) == pm.mul(a, b)
+            assert pm.mul_pieces(a, pieces(b)) == pieces(pm.mul(a, b))
             assert products[a][b] == pm.mul(a, b)
             assert distances[a][b] == pm.dist(a, b)
 
@@ -1457,6 +1466,144 @@ def test_a_single_defect_keeps_its_message(case):
         with pytest.raises(ValueError) as err:
             check(image)
         assert str(err.value) == message
+
+
+# ---------------------------------------------------------------------------
+# The arrow certificate against the product pass it replaces
+
+
+def product_pass(m: SemigroupMap) -> Fraction:
+    """The product maximum of check_embedding's product pass on m, run
+    whatever the certificate says: over every pair of [[m.domain]] when
+    they number at most 400,000 (all but the G6 maps), and otherwise over
+    the 500 seeded pairs of the default budget."""
+    dom, cod = PackedMonoid(m.domain), PackedMonoid(m.codomain)
+    pool, pairs, _, _ = verify.pool_pairs(dom, SuiteBudget(exhaustive_cap=400_000))
+    _, (prod_dev, _, _), _ = verify._deviations(m.packed(dom, cod), dom, cod, pool, pairs)
+    return prod_dev
+
+
+def redirect_entry(m: SemigroupMap) -> SemigroupMap:
+    """A broken table: the arrow 1 <- 0 of label 0 takes the image of its
+    label-1 twin, which has the same source and range, so the table is
+    still a map of bisections."""
+    a = Arrow(0, 0, 1, 0)
+    return arrow_map(m.domain, m.codomain, lambda b: m.arrow_images[a._replace(g=1) if b == a else b], "redirected")
+
+
+CERTIFICATE_MAPS = {
+    **{f"arrow-map-{case}": (lambda case=case: ARROW_MAPS[case]()[0]) for case in ARROW_MAPS},
+    **{f"embedding-{case}": EMBEDDINGS[case] for case in EMBEDDINGS},
+    **{f"ladder-{n}-{p}": partial(general_map, n, p) for n in range(1, 5) for p in range(n, n + 6)},
+    **{f"step-{n}": partial(step_map, n) for n in range(1, 5)},
+    "redirected-connected-z2y2": lambda: redirect_entry(embed_connected(GROUPOIDS["z2y2"])),
+}
+REFUTED = {"embedding-truncated-connected-z2y2": "composable", "redirected-connected-z2y2": "composable"}
+
+
+@pytest.mark.parametrize("case", list(CERTIFICATE_MAPS))
+def test_arrow_certificate_agrees_with_the_product_pass(case):
+    m = CERTIFICATE_MAPS[case]()
+    cert = arrow_certificate(m)
+    assert (cert.verdict, cert.check) == (("refuted", REFUTED[case]) if case in REFUTED else ("certified", None))
+    assert (cert.verdict == "certified") == (product_pass(m) == 0)
+    if cert.verdict == "refuted":
+        # the witness breaks the map on its two arrows: f(a)f(b) != f(ab)
+        a, b = (Bisection(m.domain, (x,)) for x in cert.witness)
+        assert compose(m(a), m(b)) != m(compose(a, b))
+
+
+def test_overlapping_images_are_refuted():
+    # built without arrow_map: every arrow of [[2]] onto the unit at 0
+    m = SemigroupMap(REL2, REL2, "overlapping", {a: (Arrow(0, 0, 0, 0),) for a in REL2.arrows()})
+    cert = arrow_certificate(m)
+    assert (cert.verdict, cert.check) == ("refuted", "disjoint")
+    a, b = cert.witness
+    assert a.source != b.source and a.range != b.range
+
+
+def test_non_composable_pairs_are_refuted():
+    # alpha -> s(alpha) on Z2xY2: the images of 0 <- 1 and 1 <- 0 meet
+    # at the unit 1, so T(0 <- 1)T(0 <- 1) is not empty
+    g = GROUPOIDS["z2y2"]
+    m = arrow_map(g, g, lambda a: (g.unit_arrow(a.source),), "source")
+    cert = arrow_certificate(m)
+    assert (cert.verdict, cert.check) == ("refuted", "non-composable")
+    a, b = cert.witness
+    assert g.mul(a, b) is None
+    assert compose(m(Bisection(g, (a,))), m(Bisection(g, (b,)))).arrows
+    assert product_pass(m) > 0
+
+
+@pytest.mark.parametrize("regime", list(EMBEDDING_BUDGETS))
+def test_certificate_over_the_cap_does_not_run(regime):
+    # Z2xY2 has 2^2 * 2^3 = 32 composable pairs of arrows
+    m = embed_connected(GROUPOIDS["z2y2"])
+    budget = EMBEDDING_BUDGETS[regime]
+    assert arrow_certificate(m, SuiteBudget(exhaustive_cap=32)) == ("certified", 32, None, None)
+    for cap in (31, 20):
+        tight = SuiteBudget(exhaustive_cap=cap, sample_count=budget.sample_count, seed=budget.seed)
+        assert arrow_certificate(m, tight) == ("not run", 32, None, None)
+        assert check_embedding(m, tight) == reference_check_embedding(m, tight)
+
+
+def record_products(monkeypatch) -> list:
+    """The groupoids of the kernels whose mul or left_row runs."""
+    calls = []
+    for name in ("mul", "left_row"):
+        method = getattr(PackedMonoid, name)
+        wrapped = lambda self, *args, method=method: calls.append(self.groupoid) or method(self, *args)
+        monkeypatch.setattr(PackedMonoid, name, wrapped)
+    return calls
+
+
+# all 289 pairs of Z2xY2's 17 elements, and 50 of them; either cap fits
+# the 32 composable pairs of arrows that the certificate charges
+@pytest.mark.parametrize("budget", [SuiteBudget(), SuiteBudget(exhaustive_cap=100, sample_count=50, seed=3)])
+def test_certified_maps_skip_the_product_pass(budget, monkeypatch):
+    exact = embed_connected(GROUPOIDS["z2y2"])
+    broken = truncate_entries(exact)
+    calls = record_products(monkeypatch)
+    check_embedding(exact, budget)
+    check_almost_morphism(exact, all_of(exact.domain), HALF)
+    assert exact.codomain not in calls
+    check_embedding(broken, budget)
+    assert broken.codomain in calls
+    calls.clear()
+    check_almost_morphism(broken, all_of(broken.domain), HALF)
+    assert broken.codomain in calls
+
+
+# Z2xY2's 32 composable pairs of arrows against the pairs the product pass
+# would run: over 25 pairs of a 5-element K and 20 sampled pairs the
+# certificate does not run and the pass does; at 36 and 40 it replaces
+# the pass. The reports equal the references either way
+@pytest.mark.parametrize("size,runs", [(5, True), (6, False)])
+def test_certificate_runs_within_the_pairs_it_replaces(size, runs, monkeypatch):
+    m = embed_connected(GROUPOIDS["z2y2"])
+    K = all_of(m.domain)[:size]
+    budget = SuiteBudget(exhaustive_cap=100, sample_count=20 if runs else 40, seed=3)
+    expected = reference_check_almost_morphism(m, K, HALF), reference_check_embedding(m, budget)
+    calls = record_products(monkeypatch)
+    assert check_almost_morphism(m, K, HALF) == expected[0]
+    assert (m.codomain in calls) == runs
+    calls.clear()
+    report = check_embedding(m, budget)
+    assert report == expected[1] and report.pair_count == budget.sample_count
+    assert (m.codomain in calls) == runs
+
+
+def test_every_golden_ladder_map_is_certified():
+    # symmetric runs the ladder's metric pass alone, since a ladder map is
+    # exactly multiplicative: the certificate proves it for every map the
+    # ladder goldens measure
+    stages = {(n, p) for n, targets, _ in LADDER_CASES.values() for p in targets}
+    for args in LADDER_CLI_CASES.values():
+        n, p_list = int(args[1]), args[3]
+        stages |= {(n, int(p)) for p in p_list.split(",")}
+    assert len(stages) == 55
+    for n, p in sorted(stages):
+        assert arrow_certificate(general_map(n, p)).verdict == "certified", (n, p)
 
 
 # ---------------------------------------------------------------------------

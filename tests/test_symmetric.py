@@ -240,9 +240,11 @@ def test_exhaustive_sups_are_exactly_r_over_p():
 
 
 # the ladder runs the metric pass of the certificate loop alone; that is
-# sound because every ladder map is exactly multiplicative, which the full
-# certificate confirms on all pairs. Sampled, both take the same pool and
-# pairs, and the pool holds the unit, whose trace deviation is (p mod n)/p
+# sound because every ladder map is exactly multiplicative, which
+# check_embedding confirms: its arrow certificate proves it when that costs
+# no more pairs than the product pass, and otherwise the pass reads 0.
+# Sampled, both take the same pool and pairs, and the pool holds the
+# unit, whose trace deviation is (p mod n)/p
 @pytest.mark.parametrize(
     "n,p,budget",
     [pytest.param(n, p, LADDER_BUDGET, id=f"{n}-{p}") for n in (1, 2, 3) for p in range(n, 3 * n + 2)]

@@ -24,8 +24,15 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument("--json", metavar="PATH", help="also write JSON records here")
     args = parser.parse_args()
+    if args.n < 1:
+        parser.error(f"--n must be positive, got {args.n}")
+    if args.p_max < args.n:
+        parser.error(f"--p-max {args.p_max} is below --n {args.n}, so no target runs")
+    try:
+        budget = SuiteBudget(exhaustive_cap=args.pair_cap, sample_count=args.samples, seed=args.seed)
+    except ValueError as exc:
+        parser.error(f"--pair-cap and --samples: {exc}")
 
-    budget = SuiteBudget(exhaustive_cap=args.pair_cap, sample_count=args.samples, seed=args.seed)
     rows = []
     print(f"{'p':>4}  {'bound n/(p-n)':>14}  {'observed sup':>14}  {'trace sup':>12}  regime")
     for p in range(args.n, args.p_max + 1):

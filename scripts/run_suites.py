@@ -53,7 +53,10 @@ def main() -> int:
     parser.add_argument("--budget", type=int, default=1_500_000)
     parser.add_argument("--strict", action="store_true")
     args = parser.parse_args()
-    budget = SuiteBudget(exhaustive_cap=args.budget, seed=args.seed)
+    try:
+        budget = SuiteBudget(exhaustive_cap=args.budget, seed=args.seed)
+    except ValueError as exc:
+        parser.error(f"--budget: {exc}")
 
     unexpected = 0
     for suite, label, params in presets():

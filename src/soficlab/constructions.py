@@ -4,10 +4,10 @@ Each construction returns a SemigroupMap, which is its arrow table: each
 domain arrow to the arrows of its image, the image of a bisection being
 the union of the images of its arrows. arrow_map builds the table and
 checks it on its image arrows (image_hits, table_collision, which
-verify.arrow_certificate shares); SemigroupMap.placed puts the table
-on the codomain's packed codes, and packed scatters it for the
-certificates (see verify) and the ladder's distortion reports. At this
-finite scale every construction is exact, not approximate.
+verify.arrow_certificate shares), and SemigroupMap.packed scatters it
+on packed codes for the certificates (see verify) and the ladder's
+distortion reports. At this finite scale every construction is exact,
+not approximate.
 
 The connected and convex embeddings and the ladder maps [[n]] -> [[p]]
 (step_map, general_map) are all copies of one connected-piece embedding,
@@ -78,26 +78,16 @@ class SemigroupMap:
             raise ValueError("bisection not in the domain of this map")
         return Bisection(self.codomain, tuple(b for a in alpha.arrows for b in self.arrow_images[a]))
 
-    def placed(self, cod: PackedMonoid) -> dict:
-        """The table on cod's codes: each domain arrow to the (source unit,
-        code) pieces of its image, sorted. packed scatters it and
-        verify.arrow_certificate composes it, so a caller running both
-        places the table once."""
-        if cod.groupoid != self.codomain:
-            raise ValueError(f"packed kernel does not match the codomain of {self.label}")
-        place = cod.place
-        return {a: tuple(sorted(map(place, image))) for a, image in self.arrow_images.items()}
-
-    def packed(self, dom: PackedMonoid, cod: PackedMonoid, placed: dict | None = None) -> Callable:
+    def packed(self, dom: PackedMonoid, cod: PackedMonoid) -> Callable:
         """The map on packed codes, a code of dom to a code of cod: the
-        _scatter of the table placed on cod (self.placed(cod) unless the
-        caller has it), each domain arrow writing the pieces of its
-        image, which arrow_map has checked never meet within an element.
-        It builds no Bisection (see the module docstring for where one is
-        built)."""
+        _scatter of the table placed on cod, each domain arrow writing the
+        (source unit, code) pieces of its image, which arrow_map has
+        checked never meet within an element. It builds no Bisection (see
+        the module docstring for where one is built)."""
         if dom.groupoid != self.domain or cod.groupoid != self.codomain:
             raise ValueError(f"packed kernels do not match the groupoids of {self.label}")
-        return _scatter(dom, self.placed(cod) if placed is None else placed, cod.n_units)
+        place = cod.place
+        return _scatter(dom, {a: tuple(map(place, image)) for a, image in self.arrow_images.items()}, cod.n_units)
 
 
 def _scatter(pm: PackedMonoid, pieces: dict, size: int) -> Callable:

@@ -251,13 +251,6 @@ class PackedMonoid:
         P, R, L = self._P, self._R, self._L
         return tuple([P[a[R[x]]][L[x]] for x in b])
 
-    def mul_pieces(self, a, pieces) -> tuple[tuple[int, int], ...]:
-        """a*b for b given by its (source unit, code) pieces, as the pieces
-        of the product where it is defined, in the order of b's: the sparse
-        form of mul, for arrows and their images."""
-        P, R, L = self._P, self._R, self._L
-        return tuple([(u, z) for u, x in pieces if (z := P[a[R[x]]][L[x]]) >= 0])
-
     def left_row(self, a) -> list[int]:
         """a's left multiplication by code: row[x] is a composed with the
         arrow of code x, and row[-1] = -1 (the extra slot's P[a[0]][M]), so

@@ -36,12 +36,13 @@ dict from domain code to codomain code. The loop is a metric pass
 (metric_deviations) and a product pass. The product pass is replaced by
 a proof when the map is a SemigroupMap: arrow_certificate decides from
 the arrow table alone whether the map is multiplicative on all of [[G]],
-checking every pair of arrows, and when it certifies the map the pass,
-which would read 0 on every pair, does not run. The certificate runs
-only when its composable arrow pairs are at most the element pairs the
-pass would run (pair_count for check_embedding, |K|^2 for
-check_almost_morphism), so it never does more work than it replaces
-and counts under the budget that bounds the pass. When it refutes the
+checking every pair of arrows on the codes of their images, which it
+reads from the scatter the loop runs on, and when it certifies the
+map the pass, which would read 0 on every pair, does not run. The
+certificate runs only when its composable arrow pairs are at most the
+element pairs the pass would run (pair_count for check_embedding,
+|K|^2 for check_almost_morphism), so it never does more work than it
+replaces and counts under the budget that bounds the pass. When it refutes the
 map or does not run, the pass runs. check_embedding takes its pool and
 pairs from pool_pairs, and so do the ladder's distortion reports, which
 run the metric pass alone. When every pair of the pool runs,
@@ -289,9 +290,8 @@ def check_almost_morphism(pi, K, epsilon, packed: PackedMonoid | None = None) ->
     exact = False
     if isinstance(pi, SemigroupMap):
         cod = PackedMonoid(pi.codomain)
-        placed = pi.placed(cod)
-        f = pi.packed(dom, cod, placed)
-        exact = _certify(pi, dom, cod, placed, len(pool) ** 2).verdict == "certified"
+        f = pi.packed(dom, cod)
+        exact = _certify(pi, dom, cod, f, len(pool) ** 2).verdict == "certified"
     else:
         # a pair list, as a dict from domain code to codomain code; with no
         # pairs every lookup fails, so any codomain will do
@@ -471,9 +471,9 @@ def check_embedding(m: SemigroupMap, budget: SuiteBudget | None = None) -> Embed
     dom, cod = PackedMonoid(m.domain), PackedMonoid(m.codomain)
     pool, pairs, exhaustive, pair_count = pool_pairs(dom, budget)
     n = len(pool)
-    placed = m.placed(cod)
-    exact = _certify(m, dom, cod, placed, pair_count).verdict == "certified"
-    images, (prod_dev, trace_dev, dist_dev), at = _deviations(m.packed(dom, cod, placed), dom, cod, pool, pairs, exact)
+    f = m.packed(dom, cod)
+    exact = _certify(m, dom, cod, f, pair_count).verdict == "certified"
+    images, (prod_dev, trace_dev, dist_dev), at = _deviations(f, dom, cod, pool, pairs, exact)
     unit_ok = images[pool.index(dom.one)] == cod.one  # every pool holds the unit
 
     consistent = True
@@ -525,22 +525,22 @@ def arrow_certificate(m: SemigroupMap, budget: SuiteBudget | None = None) -> Arr
     - "non-composable", one linear pass: for each codomain unit v, every a
       whose image has an arrow of source v and every b whose image has an
       arrow of range v have s(a) = r(b);
-    - "composable": for each such pair, T(a)T(b) by
-      PackedMonoid.mul_pieces of T(a)'s code over T(b)'s pieces, against
-      the pieces of T(ab).
+    - "composable": for each such pair, T(a)T(b) through the left row of
+      T(a) (PackedMonoid.left_row), against T(ab), each image the code
+      that the scatter of SemigroupMap.packed gives its single arrow.
     The composable pairs, sum(m^2 * n^3) over the domain's components of
     group order m and base size n, are charged to budget.exhaustive_cap
     first; over the cap the certificate does not run.
     """
     budget = budget or SuiteBudget()
-    cod = PackedMonoid(m.codomain)
-    return _certify(m, PackedMonoid(m.domain), cod, m.placed(cod), budget.exhaustive_cap)
+    dom, cod = PackedMonoid(m.domain), PackedMonoid(m.codomain)
+    return _certify(m, dom, cod, m.packed(dom, cod), budget.exhaustive_cap)
 
 
-def _certify(m: SemigroupMap, dom: PackedMonoid, cod: PackedMonoid, placed: dict, cap: int) -> ArrowCertificate:
-    """arrow_certificate on the kernels of m's domain and codomain, with
-    m's table placed on cod (SemigroupMap.placed), within cap composable
-    arrow pairs."""
+def _certify(m: SemigroupMap, dom: PackedMonoid, cod: PackedMonoid, f, cap: int) -> ArrowCertificate:
+    """arrow_certificate on the kernels of m's domain and codomain, within
+    cap composable arrow pairs, where f = m.packed(dom, cod), the scatter
+    that a certificate runs its pool through."""
     pairs = sum(c.group_order**2 * c.base_size**3 for c in m.domain.components)
     if pairs > cap:
         return ArrowCertificate("not run", pairs)
@@ -566,23 +566,19 @@ def _certify(m: SemigroupMap, dom: PackedMonoid, cod: PackedMonoid, placed: dict
             b = next(b for b in ends if b.range != a.source)
             return ArrowCertificate("refuted", pairs, "non-composable", (a, b))
 
-    place, order = dom.place, dom.order
+    # T(a) is the scatter of the code of the single arrow a
     arrows = list(m.domain.arrows())
-    pieces = {place(a): placed.get(a, ()) for a in arrows}
-    arrow_at = dict(zip(map(place, arrows), arrows))
-    into = {}  # domain unit -> the pieces of the arrows with that range
-    for u, x in pieces:
-        into.setdefault(x // order, []).append((u, x))
-    for (u, x), image in pieces.items():
-        partners = into.get(u, [])
-        a_code = list(dom.zero)
-        a_code[u] = x
-        ta = [-1] * cod.n_units
-        for v, c in image:
-            ta[v] = c
-        for b, ab in zip(partners, dom.mul_pieces(a_code, partners)):
-            if cod.mul_pieces(ta, pieces[b]) != pieces[ab]:
-                return ArrowCertificate("refuted", pairs, "composable", (arrow_at[u, x], arrow_at[b]))
+    images, into = {}, {}  # into: domain unit -> the arrows of that range
+    for a in arrows:
+        u, x = dom.place(a)
+        images[a] = f(dom.zero[:u] + (x,) + dom.zero[u + 1 :])
+        into.setdefault(a.range, []).append(a)
+    mul = m.domain.mul
+    for a in arrows:
+        row = cod.left_row(images[a]).__getitem__
+        for b in into[a.source]:
+            if tuple(map(row, images[b])) != images[mul(a, b)]:
+                return ArrowCertificate("refuted", pairs, "composable", (a, b))
     return ArrowCertificate("certified", pairs)
 
 

@@ -560,6 +560,33 @@ def test_deeply_nested_json_exits_2_as_a_process(tmp_path, flags):
     assert proc.stderr.startswith("input error:") and "Traceback" not in proc.stderr
 
 
+SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
+
+
+# each bad argument of the example scripts is a usage error, caught before
+# any work: a cap of 0, a source size of 0, and targets that end below the
+# source, which would print an empty table
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["run_suites.py", "--budget", "0"], "--budget: budget caps must be positive"),
+        (["ladder_scan.py", "--n", "0"], "--n must be positive, got 0"),
+        (["ladder_scan.py", "--pair-cap", "0"], "--pair-cap and --samples: budget caps must be positive"),
+        (["ladder_scan.py", "--n", "3", "--p-max", "2"], "--p-max 2 is below --n 3, so no target runs"),
+    ],
+)
+def test_script_argument_errors_exit_2(tmp_path, args, message):
+    import soficlab
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(soficlab.__file__)))
+    proc = subprocess.run(
+        [sys.executable, os.path.join(SCRIPTS, args[0]), *args[1:]],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("usage:") and proc.stderr.endswith(f"error: {message}\n")
+
+
 def test_repeated_identical_pair_is_accepted(files, capsys):
     tmp, write = files
     n2 = write("n2.json", groupoid_to_json(full_relation(2)))

@@ -43,8 +43,10 @@ block table with one block redirected. The arrow certificate
 (verify.arrow_certificate), which proves multiplicativity from an arrow
 table, must agree with the element product pass it lets the
 certificates skip, on every map above, the ladder maps and broken
-tables; a certified map must run no codomain product, and every ladder
-map of the ladder goldens must be certified.
+tables, and with its earlier composable pass on sparse image pieces
+(reference_arrow_certificate) in every field; a certified map must run
+no product of domain codes, a check must place each image arrow once,
+and every ladder map of the ladder goldens must be certified.
 """
 
 import random
@@ -57,7 +59,7 @@ from math import lcm
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from bisection_reference import (
     act,
@@ -96,9 +98,11 @@ from soficlab.constructions import (
     general_map,
     group_subgroupoid,
     identity_map,
+    image_hits,
     block_table,
     restrict_almost_morphism,
     step_map,
+    table_collision,
     tensor,
     unit_subgroupoid,
 )
@@ -140,6 +144,7 @@ from soficlab.serialize import (
 )
 from soficlab.verify import (
     AlmostMorphismReport,
+    ArrowCertificate,
     EmbeddingReport,
     IncompletePairListError,
     SuiteBudget,
@@ -269,20 +274,17 @@ LEFT_ROW_GROUPOIDS = {
 @pytest.mark.parametrize("key", LEFT_ROW_GROUPOIDS)
 def test_left_row_products_equal_mul(key):
     # the product table's rows, on sampled codes (the zero among them, so
-    # every row's trailing slot for code -1 is read); the sparse products
-    # of mul_pieces, on the (source, code) pieces of b; and the tables the
+    # every row's trailing slot for code -1 is read); and the tables the
     # suites read on codes, which are mul and dist by subscript
     pm = PackedMonoid(LEFT_ROW_GROUPOIDS[key])
     codes, exhaustive = _pool(pm, "semigroup", SuiteBudget(exhaustive_cap=30, sample_count=30, seed=2))
     assert not exhaustive and pm.zero in codes
     products, distances = pm.products, pm.distances
-    pieces = lambda x: tuple((u, c) for u, c in enumerate(x) if c >= 0)
     for a in codes:
         row = pm.left_row(a)
         assert len(row) == pm.n_units * pm.order + 1 and row[-1] == -1
         for b in codes:
             assert tuple(map(row.__getitem__, b)) == pm.mul(a, b)
-            assert pm.mul_pieces(a, pieces(b)) == pieces(pm.mul(a, b))
             assert products[a][b] == pm.mul(a, b)
             assert distances[a][b] == pm.dist(a, b)
 
@@ -1483,6 +1485,60 @@ def product_pass(m: SemigroupMap) -> Fraction:
     return prod_dev
 
 
+def reference_arrow_certificate(m: SemigroupMap, budget: SuiteBudget | None = None) -> ArrowCertificate:
+    """arrow_certificate with the composable pass on sparse pieces, as it
+    was before that pass read the images from the scatter: each image is
+    its sorted (source unit, code) pieces on the codomain's kernel, and
+    T(a)T(b) composes T(a)'s code over T(b)'s pieces, visiting the pairs in
+    the same order. The cap and the disjoint and non-composable passes
+    are copied from the library unchanged."""
+    cap = (budget or SuiteBudget()).exhaustive_cap
+    dom, cod = PackedMonoid(m.domain), PackedMonoid(m.codomain)
+    pairs = sum(c.group_order**2 * c.base_size**3 for c in m.domain.components)
+    if pairs > cap:
+        return ArrowCertificate("not run", pairs)
+    hits = image_hits(m.arrow_images)
+    collision = table_collision(hits)
+    if collision is not None:
+        return ArrowCertificate("refuted", pairs, "disjoint", collision[1:])
+    sources, ranges = hits
+    for v, starts in sources.items():
+        ends = ranges.get(v)
+        if not ends:
+            continue
+        targets = {b.range for b in ends}
+        a = starts[0] if len(targets) > 1 else next((a for a in starts if a.source not in targets), None)
+        if a is not None:
+            b = next(b for b in ends if b.range != a.source)
+            return ArrowCertificate("refuted", pairs, "non-composable", (a, b))
+
+    def mul_pieces(pm, a, pieces):
+        # a*b for b given by its pieces, the pieces of the product where it
+        # is defined, in the order of b's
+        P, R, L = pm._P, pm._R, pm._L
+        return tuple([(u, z) for u, x in pieces if (z := P[a[R[x]]][L[x]]) >= 0])
+
+    place, order = dom.place, dom.order
+    arrows = list(m.domain.arrows())
+    placed = {a: tuple(sorted(map(cod.place, image))) for a, image in m.arrow_images.items()}
+    pieces = {place(a): placed.get(a, ()) for a in arrows}
+    arrow_at = dict(zip(map(place, arrows), arrows))
+    into = {}  # domain unit -> the pieces of the arrows with that range
+    for u, x in pieces:
+        into.setdefault(x // order, []).append((u, x))
+    for (u, x), image in pieces.items():
+        partners = into.get(u, [])
+        a_code = list(dom.zero)
+        a_code[u] = x
+        ta = [-1] * cod.n_units
+        for v, c in image:
+            ta[v] = c
+        for b, ab in zip(partners, mul_pieces(dom, a_code, partners)):
+            if mul_pieces(cod, ta, pieces[b]) != pieces[ab]:
+                return ArrowCertificate("refuted", pairs, "composable", (arrow_at[u, x], arrow_at[b]))
+    return ArrowCertificate("certified", pairs)
+
+
 def redirect_entry(m: SemigroupMap) -> SemigroupMap:
     """A broken table: the arrow 1 <- 0 of label 0 takes the image of its
     label-1 twin, which has the same source and range, so the table is
@@ -1513,20 +1569,28 @@ def test_arrow_certificate_agrees_with_the_product_pass(case):
         assert compose(m(a), m(b)) != m(compose(a, b))
 
 
+def overlapping_map() -> SemigroupMap:
+    """Built without arrow_map: every arrow of [[2]] onto the unit at 0."""
+    return SemigroupMap(REL2, REL2, "overlapping", {a: (Arrow(0, 0, 0, 0),) for a in REL2.arrows()})
+
+
+def source_map() -> SemigroupMap:
+    """alpha -> s(alpha) on Z2xY2: the images of 0 <- 1 and 1 <- 0 meet at
+    the unit 1, so T(0 <- 1)T(0 <- 1) is not empty."""
+    g = GROUPOIDS["z2y2"]
+    return arrow_map(g, g, lambda a: (g.unit_arrow(a.source),), "source")
+
+
 def test_overlapping_images_are_refuted():
-    # built without arrow_map: every arrow of [[2]] onto the unit at 0
-    m = SemigroupMap(REL2, REL2, "overlapping", {a: (Arrow(0, 0, 0, 0),) for a in REL2.arrows()})
-    cert = arrow_certificate(m)
+    cert = arrow_certificate(overlapping_map())
     assert (cert.verdict, cert.check) == ("refuted", "disjoint")
     a, b = cert.witness
     assert a.source != b.source and a.range != b.range
 
 
 def test_non_composable_pairs_are_refuted():
-    # alpha -> s(alpha) on Z2xY2: the images of 0 <- 1 and 1 <- 0 meet
-    # at the unit 1, so T(0 <- 1)T(0 <- 1) is not empty
-    g = GROUPOIDS["z2y2"]
-    m = arrow_map(g, g, lambda a: (g.unit_arrow(a.source),), "source")
+    m = source_map()
+    g = m.domain
     cert = arrow_certificate(m)
     assert (cert.verdict, cert.check) == ("refuted", "non-composable")
     a, b = cert.witness
@@ -1547,6 +1611,35 @@ def test_certificate_over_the_cap_does_not_run(regime):
         assert check_embedding(m, tight) == reference_check_embedding(m, tight)
 
 
+# every certificate case and the maps it refutes on each of its passes
+REFERENCE_CERTIFICATE_MAPS = {**CERTIFICATE_MAPS, "overlapping": overlapping_map, "source": source_map}
+
+
+@pytest.mark.parametrize("case", list(REFERENCE_CERTIFICATE_MAPS))
+def test_arrow_certificate_equals_its_sparse_reference(case):
+    # at the default cap, and at caps 31 and 20, below the 32 composable
+    # pairs of Z2xY2, where most of these certificates do not run
+    m = REFERENCE_CERTIFICATE_MAPS[case]()
+    for budget in (SuiteBudget(), SuiteBudget(exhaustive_cap=31), SuiteBudget(exhaustive_cap=20)):
+        assert arrow_certificate(m, budget) == reference_arrow_certificate(m, budget)
+
+
+@settings(max_examples=100, deadline=None)
+@given(arrow_tables())
+def test_arrow_certificate_on_generated_tables(case):
+    # the tables that arrow_map accepts: the certificate equals its
+    # reference, and certifies exactly the maps the product pass finds
+    # multiplicative
+    g, table = case
+    try:
+        m = arrow_map(g, g, table.__getitem__, "generated")
+    except ValueError:
+        assume(False)
+    cert = arrow_certificate(m)
+    assert cert == reference_arrow_certificate(m)
+    assert (cert.verdict == "certified") == (product_pass(m) == 0)
+
+
 def record_products(monkeypatch) -> list:
     """The groupoids of the kernels whose mul or left_row runs."""
     calls = []
@@ -1558,7 +1651,10 @@ def record_products(monkeypatch) -> list:
 
 
 # all 289 pairs of Z2xY2's 17 elements, and 50 of them; either cap fits
-# the 32 composable pairs of arrows that the certificate charges
+# the 32 composable pairs of arrows that the certificate charges. Only the
+# product pass multiplies domain codes: the certificate takes the left
+# rows of codomain codes, and multiplies domain arrows by
+# FiniteGroupoid.mul
 @pytest.mark.parametrize("budget", [SuiteBudget(), SuiteBudget(exhaustive_cap=100, sample_count=50, seed=3)])
 def test_certified_maps_skip_the_product_pass(budget, monkeypatch):
     exact = embed_connected(GROUPOIDS["z2y2"])
@@ -1566,12 +1662,12 @@ def test_certified_maps_skip_the_product_pass(budget, monkeypatch):
     calls = record_products(monkeypatch)
     check_embedding(exact, budget)
     check_almost_morphism(exact, all_of(exact.domain), HALF)
-    assert exact.codomain not in calls
+    assert exact.domain not in calls
     check_embedding(broken, budget)
-    assert broken.codomain in calls
+    assert broken.domain in calls
     calls.clear()
     check_almost_morphism(broken, all_of(broken.domain), HALF)
-    assert broken.codomain in calls
+    assert broken.domain in calls
 
 
 # Z2xY2's 32 composable pairs of arrows against the pairs the product pass
@@ -1586,11 +1682,22 @@ def test_certificate_runs_within_the_pairs_it_replaces(size, runs, monkeypatch):
     expected = reference_check_almost_morphism(m, K, HALF), reference_check_embedding(m, budget)
     calls = record_products(monkeypatch)
     assert check_almost_morphism(m, K, HALF) == expected[0]
-    assert (m.codomain in calls) == runs
+    assert (m.domain in calls) == runs
     calls.clear()
     report = check_embedding(m, budget)
     assert report == expected[1] and report.pair_count == budget.sample_count
-    assert (m.codomain in calls) == runs
+    assert (m.domain in calls) == runs
+
+
+def test_one_check_places_each_image_arrow_once(monkeypatch):
+    # the scatter places the table on the codomain, and the certificate
+    # reads its images from that scatter
+    m = ARROW_MAPS["pair-g6-sampled"]()[0]
+    calls = []
+    place = PackedMonoid.place
+    monkeypatch.setattr(PackedMonoid, "place", lambda self, a: calls.append(self.groupoid) or place(self, a))
+    check_embedding(m)
+    assert calls.count(m.codomain) == sum(map(len, m.arrow_images.values()))
 
 
 def test_every_golden_ladder_map_is_certified():

@@ -2,12 +2,12 @@
 
 Each construction returns a SemigroupMap, which is its arrow table: each
 domain arrow to the arrows of its image, the image of a bisection being
-the union of the images of its arrows. arrow_map builds the table and
-checks it on its image arrows (image_hits, table_collision, which
-verify.arrow_certificate shares), and SemigroupMap.packed scatters it
-on packed codes for the certificates (see verify) and the ladder's
-distortion reports. At this finite scale every construction is exact,
-not approximate.
+the union of the images of its arrows. Building a SemigroupMap checks
+its table once, on its keys and its image arrows (image_hits,
+table_collision), however the table was made; arrow_map tabulates one,
+and SemigroupMap.packed scatters it on packed codes for the
+certificates (see verify) and the ladder's distortion reports. At this
+finite scale every construction is exact, not approximate.
 
 The connected and convex embeddings and the ladder maps [[n]] -> [[p]]
 (step_map, general_map) are all copies of one connected-piece embedding,
@@ -20,8 +20,8 @@ row-major order, for the finite-index suite. Both scatters are _scatter.
 
 Maps combine as tables: tensor(m1, m2) sends the product arrow (a, b) to
 the rectangle T1(a) x T2(b), and compose(m2, m1) sends a to the images
-under m2 of the arrows of T1(a); arrow_map checks both like any other
-table. A map phi of the subgroupoid lifts to a finite-index extension as
+under m2 of the arrows of T1(a); both tables are checked like any
+other. A map phi of the subgroupoid lifts to a finite-index extension as
 compose(tensor(phi, identity_map(full_relation(index))), lift).
 
 The rectangle monoid of a product groupoid runs on packed codes too:
@@ -66,10 +66,33 @@ class NoTransversalError(RuntimeError):
 
 class SemigroupMap:
     """A map [[domain]] -> [[codomain]] given by its arrow table, from each
-    domain arrow to the arrows of its image in the codomain; arrow_map
-    builds and checks it. Two maps are equal only when they are one object."""
+    domain arrow to the arrows of its image in the codomain. Two maps are
+    equal only when they are one object.
+
+    Building one checks the table, and raises a ValueError naming the
+    first defect. Its keys must be exactly the domain's arrows. Each image
+    arrow must be an arrow of the codomain. Two image arrows with one
+    source (or range) collide when they come from one entry, or from two
+    domain arrows that can share a bisection (distinct sources and
+    distinct ranges), and raise the ValueError a Bisection of their union
+    would; table_collision finds them in time linear in the image arrows.
+    So every union is a bisection, and packed takes unions unchecked.
+    """
 
     def __init__(self, domain: FiniteGroupoid, codomain: FiniteGroupoid, label: str, arrow_images: dict):
+        for a in arrow_images:
+            if not domain.has_arrow(a):
+                raise ValueError(f"table key {a} not an arrow of the domain")
+        if len(arrow_images) != domain.n_arrows:
+            missing = next(a for a in domain.arrows() if a not in arrow_images)
+            raise ValueError(f"domain arrow {missing} has no image in the table")
+        for image in arrow_images.values():
+            for b in image:
+                if not codomain.has_arrow(b):
+                    raise ValueError(f"arrow {b} not in the groupoid")
+        side = table_collision(image_hits(arrow_images))
+        if side is not None:
+            raise ValueError(f"{side} map not injective")
         self.domain, self.codomain, self.label, self.arrow_images = domain, codomain, label, arrow_images
 
     def __call__(self, alpha: Bisection) -> Bisection:
@@ -81,7 +104,7 @@ class SemigroupMap:
     def packed(self, dom: PackedMonoid, cod: PackedMonoid) -> Callable:
         """The map on packed codes, a code of dom to a code of cod: the
         _scatter of the table placed on cod, each domain arrow writing the
-        (source unit, code) pieces of its image, which arrow_map has
+        (source unit, code) pieces of its image, which the constructor has
         checked never meet within an element. It builds no Bisection (see
         the module docstring for where one is built)."""
         if dom.groupoid != self.domain or cod.groupoid != self.codomain:
@@ -117,27 +140,11 @@ def arrow_map(
     image_of_arrow: Callable[[Arrow], object],
     label: str,
 ) -> SemigroupMap:
-    """The map sending a bisection to the union of its arrows' images.
-
-    image_of_arrow is tabulated once over domain.arrows(), each entry kept
-    as its sorted arrows, and the table is checked on its image arrows,
-    building no Bisection (see the module docstring for where one is
-    built). Each must be an arrow of the codomain. Two image arrows with
-    one source (or range) collide when they come from one entry, or from
-    two domain arrows that can share a bisection (distinct sources and
-    distinct ranges), and raise the ValueError a Bisection of their union
-    would; table_collision finds them in time linear in the image arrows.
-    So SemigroupMap.packed takes unions unchecked.
-    """
-    table = {a: tuple(sorted(image_of_arrow(a))) for a in domain.arrows()}
-    for image in table.values():
-        for b in image:
-            if not codomain.has_arrow(b):
-                raise ValueError(f"arrow {b} not in the groupoid")
-    collision = table_collision(image_hits(table))
-    if collision is not None:
-        raise ValueError(f"{collision[0]} map not injective")
-    return SemigroupMap(domain, codomain, label, table)
+    """The map sending a bisection to the union of its arrows' images:
+    image_of_arrow tabulated once over domain.arrows(), each entry kept as
+    its sorted arrows. SemigroupMap checks the table, building no
+    Bisection (see the module docstring for where one is built)."""
+    return SemigroupMap(domain, codomain, label, {a: tuple(sorted(image_of_arrow(a))) for a in domain.arrows()})
 
 
 def image_hits(table: dict) -> tuple[dict, dict]:
@@ -152,12 +159,11 @@ def image_hits(table: dict) -> tuple[dict, dict]:
     return sources, ranges
 
 
-def table_collision(hits: tuple[dict, dict]) -> tuple | None:
-    """The first collision in the image_hits of a table, as (side, a, b),
-    or None: domain arrows a and b whose images both have an arrow with
-    one source (side "source", checked first) or one range ("range"),
-    and that can share a bisection. a == b when one entry meets the unit
-    twice; otherwise a and b have distinct sources and distinct ranges.
+def table_collision(hits: tuple[dict, dict]) -> str | None:
+    """The side of the first collision in the image_hits of a table, or
+    None: "source" (checked first) when the images of two domain arrows
+    that can share a bisection both have an arrow with one source, or one
+    entry has two, and "range" likewise.
 
     A unit's list has such a pair exactly when it repeats an arrow, or
     its arrows neither all share the first one's source nor all share its
@@ -168,26 +174,15 @@ def table_collision(hits: tuple[dict, dict]) -> tuple | None:
     for side, by_unit in zip(("source", "range"), hits):
         for arrows in by_unit.values():
             if len(set(arrows)) < len(arrows):
-                seen = set()
-                for a in arrows:
-                    if a in seen:
-                        return side, a, a
-                    seen.add(a)
-            f = arrows[0]
-            source, range_ = f.source, f.range
-            s = next((a for a in arrows if a.source != source), None)
-            if s is None:
-                continue
-            r = next((a for a in arrows if a.range != range_), None)
-            if r is not None:
-                pair = (f, s) if s.range != range_ else (f, r) if r.source != source else (s, r)
-                return side, *pair
+                return side
+            source, range_ = arrows[0].source, arrows[0].range
+            if any(a.source != source for a in arrows) and any(a.range != range_ for a in arrows):
+                return side
     return None
 
 
 def identity_map(g: FiniteGroupoid) -> SemigroupMap:
-    # each arrow is its own image, so the table needs no check
-    return SemigroupMap(g, g, "identity", {a: (a,) for a in g.arrows()})
+    return arrow_map(g, g, lambda a: (a,), "identity")
 
 
 def tensor(m1: SemigroupMap, m2: SemigroupMap) -> SemigroupMap:
@@ -308,12 +303,12 @@ def embed_convex_pair(
     t = Fraction(t)
     if not 0 <= t <= 1:
         raise ValueError("t must lie in [0, 1]")
+    gn, gr = phi_nu.domain, phi_rho.domain
+    order_n, order_r = _aligned_components(gn, gr)
     if t == 1:
         return phi_nu
     if t == 0:
         return phi_rho
-    gn, gr = phi_nu.domain, phi_rho.domain
-    order_n, order_r = _aligned_components(gn, gr)
     blended = []
     for x, y in zip(order_n, order_r):
         cn, crho = gn.components[x], gr.components[y]

@@ -38,7 +38,8 @@ a proof when the map is a SemigroupMap: arrow_certificate decides from
 the arrow table alone whether the map is multiplicative on all of [[G]],
 checking every pair of arrows on the codes of their images, which it
 reads from the scatter the loop runs on, and when it certifies the
-map the pass, which would read 0 on every pair, does not run. The
+map the pass, which would read 0 on every pair, does not run. It takes
+the table as valid: SemigroupMap checked it once, when it was built. The
 certificate runs only when its composable arrow pairs are at most the
 element pairs the pass would run (pair_count for check_embedding,
 |K|^2 for check_almost_morphism), so it never does more work than it
@@ -76,7 +77,6 @@ from .constructions import (
     identity_map,
     image_hits,
     rectangle_decompose,
-    table_collision,
     tensor,
 )
 from .groupoid import Arrow, FiniteGroupoid, Value, product_groupoid
@@ -497,9 +497,9 @@ def check_embedding(m: SemigroupMap, budget: SuiteBudget | None = None) -> Embed
 class ArrowCertificate(NamedTuple):
     """What arrow_certificate found. verdict is "certified", "refuted" or
     "not run"; pairs is the count of composable arrow pairs charged to the
-    cap. A refutation names the check that failed ("disjoint",
-    "non-composable" or "composable") and its witness, the first bad pair
-    of domain arrows (a, b)."""
+    cap. A refutation names the check that failed ("non-composable" or
+    "composable") and its witness, the first bad pair of domain arrows
+    (a, b)."""
 
     verdict: str
     pairs: int
@@ -511,17 +511,15 @@ def arrow_certificate(m: SemigroupMap, budget: SuiteBudget | None = None) -> Arr
     """Whether m is multiplicative on all of [[m.domain]], from its arrow
     table alone.
 
-    The map sends x to the union of T(a) over the arrows a of x. When the
-    images of two arrows that can share a bisection are disjoint, that
-    union is the scatter of SemigroupMap.packed, and f(x)f(y) is the
-    union of T(a)T(b) over the arrows a of x and b of y. So the map is
-    multiplicative if and only if T(a)T(b) = T(ab) for every composable
-    pair (s(a) = r(b)) and T(a)T(b) is empty for every other pair; the
-    single-arrow bisections give the "only if". The certificate checks
-    exactly that, in three passes, and a refutation reports the first
-    that fails:
-    - "disjoint": constructions.table_collision, as arrow_map checks it,
-      since a SemigroupMap can be built without arrow_map;
+    The map sends x to the union of T(a) over the arrows a of x. The
+    images of two arrows that can share a bisection are disjoint, since
+    SemigroupMap checks its table when it is built, so that union is the
+    scatter of SemigroupMap.packed, and f(x)f(y) is the union of T(a)T(b)
+    over the arrows a of x and b of y. So the map is multiplicative if
+    and only if T(a)T(b) = T(ab) for every composable pair (s(a) = r(b))
+    and T(a)T(b) is empty for every other pair; the single-arrow
+    bisections give the "only if". The certificate checks exactly that,
+    in two passes, and a refutation reports the first that fails:
     - "non-composable", one linear pass: for each codomain unit v, every a
       whose image has an arrow of source v and every b whose image has an
       arrow of range v have s(a) = r(b);
@@ -540,14 +538,11 @@ def arrow_certificate(m: SemigroupMap, budget: SuiteBudget | None = None) -> Arr
 def _certify(m: SemigroupMap, dom: PackedMonoid, cod: PackedMonoid, f, cap: int) -> ArrowCertificate:
     """arrow_certificate on the kernels of m's domain and codomain, within
     cap composable arrow pairs, where f = m.packed(dom, cod), the scatter
-    that a certificate runs its pool through."""
+    that a certificate runs its pool through. m's table was checked when
+    m was built, so its images are disjoint where they must be."""
     pairs = sum(c.group_order**2 * c.base_size**3 for c in m.domain.components)
     if pairs > cap:
         return ArrowCertificate("not run", pairs)
-    hits = image_hits(m.arrow_images)
-    collision = table_collision(hits)
-    if collision is not None:
-        return ArrowCertificate("refuted", pairs, "disjoint", collision[1:])
 
     # T(a)T(b) is nonempty exactly when a is among the starts and b among
     # the ends at some codomain unit, so every such pair must be
@@ -555,7 +550,7 @@ def _certify(m: SemigroupMap, dom: PackedMonoid, cod: PackedMonoid, f, cap: int)
     # source. The witness is the first bad pair by a and then b: when the
     # ends have two ranges every start has a bad partner, so a is the
     # first start; otherwise a is the first start off the ends' range
-    sources, ranges = hits
+    sources, ranges = image_hits(m.arrow_images)
     for v, starts in sources.items():
         ends = ranges.get(v)
         if not ends:

@@ -728,6 +728,17 @@ def test_embed_without_a_required_option_exits_2(files, capsys, monkeypatch, kin
     assert err.startswith(f"input error: --kind {kind} needs --{missing}") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("t", ["0", "1/2", "1"])
+def test_embed_pair_of_incompatible_domains_exits_2(files, capsys, monkeypatch, t):
+    # [[2]] and Z2xY2 differ in group order: the domains are checked
+    # before t = 0 or t = 1 returns one of the two maps
+    argv = embed_argv(files, monkeypatch, "pair", "t")
+    argv[argv.index("--nu") + 1] = "n2.json"
+    code, out, err = run(capsys, *argv, "--t", t)
+    assert code == 2 and out == ""
+    assert err == "input error: incompatible domains: component shapes differ\n"
+
+
 # a --sub arrow outside Z2xY2, beside its two unit arrows: no component 5,
 # a label beyond the group order, no point 5, a negative label
 OUTSIDE_ARROWS = [[5, 0, 0, 0], [0, 7, 0, 0], [0, 0, 5, 5], [0, -1, 0, 0]]

@@ -169,8 +169,10 @@ class TestEmbedConvexPair:
         assert exact_on(m, enumerate_semigroup(blended))
 
     def test_incompatible_domains_rejected(self):
-        with pytest.raises(ValueError):
-            embed_convex_pair(embed_convex(Z2), embed_convex(REL2), HALF)
+        # at every t, t = 0 and t = 1 included, where one map is returned
+        for t in (0, HALF, 1):
+            with pytest.raises(ValueError, match="component shapes differ"):
+                embed_convex_pair(embed_convex(Z2), embed_convex(REL2), t)
 
 
 def reference_restriction(theta, units):
@@ -502,14 +504,15 @@ class TestRectangles:
 
     def test_overlapping_images_raise_named_error(self):
         # a table that moves the point {1} onto the point {0} keeps every
-        # trace, but the tensor then sends (1, b) and (0, b) onto one
-        # arrow; arrow_map would reject the factor itself, so it is built
-        # directly, and arrow_map rejects the tensor's table
+        # trace, but sends the units at 0 and at 1 onto one arrow, and so
+        # would send (1, b) and (0, b) of a tensor onto one arrow: the
+        # factor is rejected when it is built, directly or by arrow_map
         fix0, fix1 = pin(REL2, {0: 0}), pin(REL2, {1: 1})
         table = {a: fix0.arrows if a in fix1.arrows else (a,) for a in REL2.arrows()}
-        moving = SemigroupMap(REL2, REL2, "moving", table)
-        with pytest.raises(ValueError, match="source map not injective"):
-            tensor(moving, identity_map(REL2))
+        with pytest.raises(ValueError, match="^source map not injective$"):
+            SemigroupMap(REL2, REL2, "moving", table)
+        with pytest.raises(ValueError, match="^source map not injective$"):
+            arrow_map(REL2, REL2, table.__getitem__, "moving")
 
     def test_tensor_with_real_stages(self):
         m = tensor(embed_connected(Z2), identity_map(REL2))

@@ -27,9 +27,11 @@ against the same reference. The element pools of verify._pool and the
 code enumerators of semigroup are checked against the Bisection pools they
 replaced (pool_reference.py); no pool, no part of the rectangles suite
 and no table check may build a Bisection, and Bisection itself carries no
-algebra. arrow_map's check on image arrows must accept the tables that the
-check it replaced accepts, each entry built as a Bisection and then a
-pairwise pass (reference_arrow_table). The
+algebra. The table check that building a SemigroupMap makes, on its keys
+and image arrows, must accept the tables that the check it replaced
+accepts, each entry built as a Bisection and then a pairwise pass
+(reference_arrow_table), whether the table comes from arrow_map or is
+built directly; it must run once per map, and never in a certificate. The
 suites that tabulate an exhaustive pool (semigroup.PoolTable) must report
 what they report on codes, and every table entry must equal the kernel's.
 Those four suites read products and distances by subscript; their earlier
@@ -98,11 +100,9 @@ from soficlab.constructions import (
     general_map,
     group_subgroupoid,
     identity_map,
-    image_hits,
     block_table,
     restrict_almost_morphism,
     step_map,
-    table_collision,
     tensor,
     unit_subgroupoid,
 )
@@ -715,8 +715,8 @@ NO_BISECTION_CASES = {
 @pytest.mark.parametrize("case", list(NO_BISECTION_CASES))
 def test_sampled_pools_build_no_bisections(case, monkeypatch):
     # sampled draws, exhaustive enumerations and the whole rectangles suite
-    # run on codes, and arrow_map checks a table on its arrows: the
-    # constructor validates nothing
+    # run on codes, and a SemigroupMap checks its table on its arrows:
+    # none of them builds a Bisection
     suite, params, sampled = NO_BISECTION_CASES[case]
     built = count_bisections(monkeypatch)
     result = run_suite(suite, **params)
@@ -1329,7 +1329,7 @@ def test_arrow_map_certificate_matches_reference_map(regime):
 
 
 def test_convex_embedding_is_one_table(monkeypatch):
-    # one SemigroupMap and one arrow_map check, and no corner groupoid
+    # one SemigroupMap, so one table check, and no corner groupoid
     built, corners = [], []
     init, make_corner = SemigroupMap.__init__, constructions.corner
 
@@ -1427,19 +1427,49 @@ def arrow_tables(draw):
     return g, table
 
 
-@settings(max_examples=200, deadline=None)
-@given(arrow_tables())
-def test_arrow_map_accepts_the_tables_its_reference_accepts(case):
+def table_verdict(build) -> str | None:
+    """None when build() returns, else its ValueError's message with the
+    fields of the arrow it names, if any, left out: a table built directly
+    keeps its entries unsorted, so of two arrows outside the codomain it
+    may name another than arrow_map does."""
+    try:
+        build()
+    except ValueError as exc:
+        assert re.fullmatch(TABLE_MESSAGE, str(exc))
+        return re.sub(r"\(.*\)", "(...)", str(exc))
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrow_tables(), st.sampled_from(["whole", "dropped", "foreign"]), st.data())
+def test_arrow_map_accepts_the_tables_its_reference_accepts(case, keys, data):
+    # arrow_map and the SemigroupMap built directly on the table give the
+    # reference's verdict alike; a table with one key dropped, or one key
+    # that is no arrow of g, is rejected on that key whatever its entries
     g, table = case
+    if keys != "whole":
+        if keys == "dropped":
+            key = data.draw(st.sampled_from(sorted(table)))
+            del table[key]
+            message = f"domain arrow {key} has no image in the table"
+        else:
+            key = data.draw(st.sampled_from(ESCAPING_ARROWS))
+            table[key] = ()
+            message = f"table key {key} not an arrow of the domain"
+        with pytest.raises(ValueError) as err:
+            SemigroupMap(g, g, "generated", table)
+        assert str(err.value) == message
+        return
+    built = table_verdict(lambda: arrow_map(g, g, table.__getitem__, "generated"))
+    assert table_verdict(lambda: SemigroupMap(g, g, "generated", table)) == built
     try:
         expected = reference_arrow_table(g, g, table.__getitem__)
     except ValueError as exc:
-        assert re.fullmatch(TABLE_MESSAGE, str(exc))
-        with pytest.raises(ValueError) as err:
-            arrow_map(g, g, table.__getitem__, "generated")
-        assert re.fullmatch(TABLE_MESSAGE, str(err.value))
+        assert re.fullmatch(TABLE_MESSAGE, str(exc)) and built is not None
     else:
+        assert built is None
         assert arrow_map(g, g, table.__getitem__, "generated").arrow_images == expected
+        assert SemigroupMap(g, g, "generated", table).arrow_images == table
 
 
 # (the one nonempty entries of a table on [[2]], the message): each table
@@ -1464,7 +1494,8 @@ ONE_DEFECT_TABLES = {
 def test_a_single_defect_keeps_its_message(case):
     entries, message = ONE_DEFECT_TABLES[case]
     image = lambda a: entries.get(a, ())
-    for check in (partial(reference_arrow_table, REL2, REL2), partial(arrow_map, REL2, REL2, label="one defect")):
+    direct = lambda image: SemigroupMap(REL2, REL2, "one defect", {a: image(a) for a in REL2.arrows()})
+    for check in (partial(reference_arrow_table, REL2, REL2), partial(arrow_map, REL2, REL2, label="one defect"), direct):
         with pytest.raises(ValueError) as err:
             check(image)
         assert str(err.value) == message
@@ -1490,18 +1521,14 @@ def reference_arrow_certificate(m: SemigroupMap, budget: SuiteBudget | None = No
     was before that pass read the images from the scatter: each image is
     its sorted (source unit, code) pieces on the codomain's kernel, and
     T(a)T(b) composes T(a)'s code over T(b)'s pieces, visiting the pairs in
-    the same order. The cap and the disjoint and non-composable passes
-    are copied from the library unchanged."""
+    the same order. The cap and the non-composable pass are copied from
+    the library unchanged."""
     cap = (budget or SuiteBudget()).exhaustive_cap
     dom, cod = PackedMonoid(m.domain), PackedMonoid(m.codomain)
     pairs = sum(c.group_order**2 * c.base_size**3 for c in m.domain.components)
     if pairs > cap:
         return ArrowCertificate("not run", pairs)
-    hits = image_hits(m.arrow_images)
-    collision = table_collision(hits)
-    if collision is not None:
-        return ArrowCertificate("refuted", pairs, "disjoint", collision[1:])
-    sources, ranges = hits
+    sources, ranges = constructions.image_hits(m.arrow_images)
     for v, starts in sources.items():
         ends = ranges.get(v)
         if not ends:
@@ -1570,7 +1597,8 @@ def test_arrow_certificate_agrees_with_the_product_pass(case):
 
 
 def overlapping_map() -> SemigroupMap:
-    """Built without arrow_map: every arrow of [[2]] onto the unit at 0."""
+    """Built without arrow_map: every arrow of [[2]] onto the unit at 0.
+    The images of 0 <- 1 and 1 <- 0 share a source, so it raises."""
     return SemigroupMap(REL2, REL2, "overlapping", {a: (Arrow(0, 0, 0, 0),) for a in REL2.arrows()})
 
 
@@ -1582,10 +1610,10 @@ def source_map() -> SemigroupMap:
 
 
 def test_overlapping_images_are_refuted():
-    cert = arrow_certificate(overlapping_map())
-    assert (cert.verdict, cert.check) == ("refuted", "disjoint")
-    a, b = cert.witness
-    assert a.source != b.source and a.range != b.range
+    # a table whose images collide makes no map, so no certificate runs
+    # on one
+    with pytest.raises(ValueError, match="^source map not injective$"):
+        overlapping_map()
 
 
 def test_non_composable_pairs_are_refuted():
@@ -1611,7 +1639,8 @@ def test_certificate_over_the_cap_does_not_run(regime):
         assert check_embedding(m, tight) == reference_check_embedding(m, tight)
 
 
-# every certificate case and the maps it refutes on each of its passes
+# every certificate case and the maps it refutes on each of its passes,
+# and the overlapping table, which the constructor rejects
 REFERENCE_CERTIFICATE_MAPS = {**CERTIFICATE_MAPS, "overlapping": overlapping_map, "source": source_map}
 
 
@@ -1619,6 +1648,10 @@ REFERENCE_CERTIFICATE_MAPS = {**CERTIFICATE_MAPS, "overlapping": overlapping_map
 def test_arrow_certificate_equals_its_sparse_reference(case):
     # at the default cap, and at caps 31 and 20, below the 32 composable
     # pairs of Z2xY2, where most of these certificates do not run
+    if case == "overlapping":
+        with pytest.raises(ValueError, match="^source map not injective$"):
+            overlapping_map()
+        return
     m = REFERENCE_CERTIFICATE_MAPS[case]()
     for budget in (SuiteBudget(), SuiteBudget(exhaustive_cap=31), SuiteBudget(exhaustive_cap=20)):
         assert arrow_certificate(m, budget) == reference_arrow_certificate(m, budget)
@@ -1698,6 +1731,27 @@ def test_one_check_places_each_image_arrow_once(monkeypatch):
     monkeypatch.setattr(PackedMonoid, "place", lambda self, a: calls.append(self.groupoid) or place(self, a))
     check_embedding(m)
     assert calls.count(m.codomain) == sum(map(len, m.arrow_images.values()))
+
+
+def test_each_table_is_checked_once_when_its_map_is_built(monkeypatch):
+    # building a map, through arrow_map or directly, checks its table once;
+    # the certificates take it as checked. A module that imports the check
+    # by name calls its own binding, so verify's is counted too
+    calls = []
+    check = constructions.table_collision
+    counted = lambda hits: calls.append(hits) or check(hits)
+    monkeypatch.setattr(constructions, "table_collision", counted)
+    monkeypatch.setattr(verify, "table_collision", counted, raising=False)
+    g = GROUPOIDS["z2y2"]
+    direct = lambda: SemigroupMap(g, g, "direct", {a: (a,) for a in g.arrows()})
+    for build in (lambda: embed_connected(g), lambda: identity_map(g), direct):
+        calls.clear()
+        m = build()
+        assert len(calls) == 1
+        calls.clear()
+        assert arrow_certificate(m).verdict == "certified"
+        assert check_embedding(m).passed
+        assert calls == []
 
 
 def test_every_golden_ladder_map_is_certified():
@@ -2048,14 +2102,15 @@ def test_composed_lift_matches_reference(stem, name):
 def test_lift_collision_between_arrows_is_rejected_by_the_table_check():
     # phi's table sends every arrow of H to one unit arrow: each arrow's
     # image is valid, but the images of two arrows collide in the union,
-    # so the tensor's table is rejected when it is built
+    # so phi is rejected when it is built, directly or by arrow_map, and
+    # never reaches the lift
     system = system_of("finite-index-n3-units")
     h = subgroupoid_as_groupoid(system.groupoid, system.sub_arrows)[0].groupoid
     first = Bisection(h, (h.unit_arrow(next(iter(h.units()))),))
-    # built directly, so that arrow_map does not reject the table itself
-    phi = SemigroupMap(h, h, "colliding", {a: first.arrows for a in h.arrows()})
-    with pytest.raises(ValueError, match="source map not injective"):
-        lift_of(system, phi)
+    with pytest.raises(ValueError, match="^source map not injective$"):
+        SemigroupMap(h, h, "colliding", {a: first.arrows for a in h.arrows()})
+    with pytest.raises(ValueError, match="^source map not injective$"):
+        arrow_map(h, h, lambda a: first.arrows, "colliding")
 
 
 EXTEND_CASES = {

@@ -210,8 +210,8 @@ def _build_map(args):
     if args.map == "ladder":
         if args.n is None or args.p is None:
             raise MalformedInputError("construction 'ladder' needs --n and --p")
-        m = cn.general_map(args.n, args.p)
-        return m.domain, lambda: m
+        cn.check_ladder(args.n, args.p)
+        return full_relation(args.n), lambda: cn.general_map(args.n, args.p)
     if args.map in named:
         if not args.groupoid:
             raise MalformedInputError(f"construction {args.map!r} needs --groupoid")

@@ -746,11 +746,16 @@ def step_map(n: int) -> SemigroupMap:
     return _copies(full_relation(n), n + 1, [(1, [0])], f"step[{n}->{n + 1}]")
 
 
-def general_map(n: int, p: int) -> SemigroupMap:
-    """[[n]] -> [[p]] for p >= n: floor(p/n) block copies, exactly isometric
-    onto their points, then p mod n points left undefined."""
+def check_ladder(n: int, p: int) -> None:
+    """Raise the ValueError of general_map(n, p) for sizes it rejects."""
     if n < 1:
         raise ValueError(f"source size {n} must be positive")
     if p < n:
         raise ValueError(f"target size {p} below {n}")
+
+
+def general_map(n: int, p: int) -> SemigroupMap:
+    """[[n]] -> [[p]] for p >= n: floor(p/n) block copies, exactly isometric
+    onto their points, then p mod n points left undefined."""
+    check_ladder(n, p)
     return _copies(full_relation(n), p, [(1, range(0, p // n * n, n))], f"ladder[{n}->{p}]")

@@ -235,6 +235,7 @@ def embedding_report_to_json(r: EmbeddingReport) -> dict:
         "element_count": r.element_count,
         "pair_count": r.pair_count,
         "exhaustive": r.exhaustive,
+        "method": r.method,
         "max_product_deviation": format_fraction(r.max_product_deviation),
         "max_trace_deviation": format_fraction(r.max_trace_deviation),
         "max_distance_deviation": format_fraction(r.max_distance_deviation),
@@ -258,6 +259,7 @@ def distortion_report_to_json(r: DistortionReport) -> dict:
         "trace_sup": format_fraction(r.trace_sup),
         "pairs_tested": r.pairs_tested,
         "exhaustive": r.exhaustive,
+        "method": r.method,
         "seed": r.seed,
     }
 

@@ -41,12 +41,18 @@ reads from the scatter the loop runs on, and when it certifies the
 map the pass, which would read 0 on every pair, does not run. It takes
 the table as valid: SemigroupMap checked it once, when it was built. The
 certificate runs only when its composable arrow pairs are at most the
-element pairs the pass would run (pair_count for check_embedding,
-|K|^2 for check_almost_morphism), so it never does more work than it
-replaces and counts under the budget that bounds the pass. When it refutes the
-map or does not run, the pass runs. check_embedding takes its pool and
-pairs from pool_pairs, and so do the ladder's distortion reports, which
-run the metric pass alone. When every pair of the pool runs,
+element pairs the pass would run (element_pairs, the count of pool_pairs,
+for check_embedding; |K|^2 for check_almost_morphism), so it never does
+more work than it replaces and counts under the budget that bounds the
+pass. When it refutes the map or does not run, the pass runs.
+check_embedding and the ladder's distortion reports go one step
+further, by one rule: arrow_deviations reads the exact trace and
+distance sups over all of [[G]] off the images of the unit arrows when
+the certificate certifies and no non-unit arrow's image holds a unit
+arrow, and then no pool is built and neither pass runs (method
+"arrow-table"). Otherwise check_embedding takes its pool and pairs from
+pool_pairs, and so do the distortion reports, which run the metric pass
+alone (method "elements"). When every pair of the pool runs,
 the products come one left factor at a time through its left rows
 (PackedMonoid.left_row), and the distances from PackedMonoid.dist_rows;
 sampled pairs take theirs by mul and dist. Bisections are decoded only
@@ -247,6 +253,17 @@ def pool_pairs(pm: PackedMonoid, budget: SuiteBudget):
     return pool, None if tested == n * n else pairs, exhaustive, tested  # sampled pairs are fewer
 
 
+def element_pairs(g: FiniteGroupoid, budget: SuiteBudget) -> int:
+    """The `tested` of pool_pairs on [[g]], counted without building the
+    pool: the pool holds every element when they fit budget.exhaustive_cap
+    and min(sample_count, cap) of them otherwise, and its pairs all run
+    when they fit the cap, min(sample_count, cap) drawn ones otherwise."""
+    count, cap = semigroup_count(g), budget.exhaustive_cap
+    draws = min(budget.sample_count, cap)
+    n = count if count <= cap else draws
+    return n * n if n * n <= cap else draws
+
+
 # ---------------------------------------------------------------------------
 # Almost morphisms
 
@@ -291,7 +308,7 @@ def check_almost_morphism(pi, K, epsilon, packed: PackedMonoid | None = None) ->
     if isinstance(pi, SemigroupMap):
         cod = PackedMonoid(pi.codomain)
         f = pi.packed(dom, cod)
-        exact = _certify(pi, dom, cod, f, len(pool) ** 2).verdict == "certified"
+        exact = _certify(pi, dom, cod, f, len(pool) ** 2)[0].verdict == "certified"
     else:
         # a pair list, as a dict from domain code to codomain code; with no
         # pairs every lookup fails, so any codomain will do
@@ -325,6 +342,7 @@ class EmbeddingReport(NamedTuple):
     element_count: int
     pair_count: int
     exhaustive: bool
+    method: str
     max_product_deviation: Fraction
     max_trace_deviation: Fraction
     max_distance_deviation: Fraction
@@ -462,19 +480,36 @@ def check_embedding(m: SemigroupMap, budget: SuiteBudget | None = None) -> Embed
     concretely and flags any discrepancy as an implementation bug.
 
     Domain and codomain are packed, and the map runs on codes through
-    m.packed, the scatter of its table, inside _deviations. When
-    arrow_certificate certifies m within pair_count composable arrow
-    pairs, the pairs the product pass would run, the pass is skipped: the
-    deviation it would measure is 0.
+    m.packed, the scatter of its table. arrow_deviations comes first: when
+    its closed form applies, the report is exact on all of [[m.domain]]
+    (method "arrow-table": element_count is the domain arrows read,
+    pair_count the composable arrow pairs charged) and no pool is built.
+    Otherwise the pool and pairs of pool_pairs run through _deviations
+    (method "elements"), with the product pass skipped when the
+    certificate certified m: the deviation it would measure is 0.
     """
     budget = budget or SuiteBudget()
     dom, cod = PackedMonoid(m.domain), PackedMonoid(m.codomain)
-    pool, pairs, exhaustive, pair_count = pool_pairs(dom, budget)
-    n = len(pool)
     f = m.packed(dom, cod)
-    exact = _certify(m, dom, cod, f, pair_count).verdict == "certified"
-    images, (prod_dev, trace_dev, dist_dev), at = _deviations(f, dom, cod, pool, pairs, exact)
-    unit_ok = images[pool.index(dom.one)] == cod.one  # every pool holds the unit
+    cert, exact = arrow_deviations(m, dom, cod, f, budget)
+    if exact is not None:
+        method, n, pair_count, exhaustive = "arrow-table", m.domain.n_arrows, cert.pairs, True
+        prod_dev, trace_dev = Fraction(0), exact.deviation
+        dist_dev, unit_ok, injective = trace_dev, exact.unit_preserved, exact.injective
+        witnesses = {}
+        if exact.witness is not None:
+            one_a = dom.decode(exact.witness)
+            witnesses = {"trace": one_a, "distance": (one_a, dom.decode(dom.zero))}
+    else:
+        method = "elements"
+        pool, pairs, exhaustive, pair_count = pool_pairs(dom, budget)
+        n = len(pool)
+        images, (prod_dev, trace_dev, dist_dev), at = _deviations(
+            f, dom, cod, pool, pairs, cert.verdict == "certified"
+        )
+        unit_ok = images[pool.index(dom.one)] == cod.one  # every pool holds the unit
+        injective = len(set(images)) == n
+        witnesses = _witnesses(at, lambda i: dom.decode(pool[i]))
 
     consistent = True
     if prod_dev == 0 and unit_ok:
@@ -484,13 +519,14 @@ def check_embedding(m: SemigroupMap, budget: SuiteBudget | None = None) -> Embed
         element_count=n,
         pair_count=pair_count,
         exhaustive=exhaustive,
+        method=method,
         max_product_deviation=prod_dev,
         max_trace_deviation=trace_dev,
         max_distance_deviation=dist_dev,
         unit_preserved=unit_ok,
-        injective=len(set(images)) == n,
+        injective=injective,
         trace_iso_consistent=consistent,
-        witnesses=_witnesses(at, lambda i: dom.decode(pool[i])),
+        witnesses=witnesses,
     )
 
 
@@ -532,17 +568,19 @@ def arrow_certificate(m: SemigroupMap, budget: SuiteBudget | None = None) -> Arr
     """
     budget = budget or SuiteBudget()
     dom, cod = PackedMonoid(m.domain), PackedMonoid(m.codomain)
-    return _certify(m, dom, cod, m.packed(dom, cod), budget.exhaustive_cap)
+    return _certify(m, dom, cod, m.packed(dom, cod), budget.exhaustive_cap)[0]
 
 
-def _certify(m: SemigroupMap, dom: PackedMonoid, cod: PackedMonoid, f, cap: int) -> ArrowCertificate:
+def _certify(m: SemigroupMap, dom: PackedMonoid, cod: PackedMonoid, f, cap: int):
     """arrow_certificate on the kernels of m's domain and codomain, within
     cap composable arrow pairs, where f = m.packed(dom, cod), the scatter
-    that a certificate runs its pool through. m's table was checked when
-    m was built, so its images are disjoint where they must be."""
+    that a certificate runs its pool through, and the image code of each
+    domain arrow that the composable pass built (empty when that pass did
+    not run). m's table was checked when m was built, so its images are
+    disjoint where they must be."""
     pairs = sum(c.group_order**2 * c.base_size**3 for c in m.domain.components)
     if pairs > cap:
-        return ArrowCertificate("not run", pairs)
+        return ArrowCertificate("not run", pairs), {}
 
     # T(a)T(b) is nonempty exactly when a is among the starts and b among
     # the ends at some codomain unit, so every such pair must be
@@ -559,7 +597,7 @@ def _certify(m: SemigroupMap, dom: PackedMonoid, cod: PackedMonoid, f, cap: int)
         a = starts[0] if len(targets) > 1 else next((a for a in starts if a.source not in targets), None)
         if a is not None:
             b = next(b for b in ends if b.range != a.source)
-            return ArrowCertificate("refuted", pairs, "non-composable", (a, b))
+            return ArrowCertificate("refuted", pairs, "non-composable", (a, b)), {}
 
     # T(a) is the scatter of the code of the single arrow a
     arrows = list(m.domain.arrows())
@@ -573,8 +611,63 @@ def _certify(m: SemigroupMap, dom: PackedMonoid, cod: PackedMonoid, f, cap: int)
         row = cod.left_row(images[a]).__getitem__
         for b in into[a.source]:
             if tuple(map(row, images[b])) != images[mul(a, b)]:
-                return ArrowCertificate("refuted", pairs, "composable", (a, b))
-    return ArrowCertificate("certified", pairs)
+                return ArrowCertificate("refuted", pairs, "composable", (a, b)), images
+    return ArrowCertificate("certified", pairs), images
+
+
+class ArrowDeviations(NamedTuple):
+    """What arrow_deviations reads off a certified table. deviation is both
+    the trace and the distance sup over all of [[G]]; witness is the code
+    of 1_A, A the side of the larger weight sum, or None when deviation is
+    0."""
+
+    deviation: Fraction
+    witness: tuple | None
+    unit_preserved: bool
+    injective: bool
+
+
+def arrow_deviations(m: SemigroupMap, dom: PackedMonoid, cod: PackedMonoid, f, budget: SuiteBudget):
+    """The certificate of m within the element pairs its element pass would
+    run (element_pairs), and m's exact deviations over all of [[m.domain]]
+    when they have a closed form, else None; f = m.packed(dom, cod).
+
+    The closed form needs a certified m (so each T(1_u) is idempotent, a
+    unit set) whose non-unit arrows' images hold no unit arrow. Then
+    tr(f(x)) - tr(x) = W(x), the sum of the weights w(u) = tr(T(1_u)) - mu(u)
+    over the unit arrows of x, and d(f(x), f(y)) - d(x, y) is W of the set
+    where x and y disagree, which any unit set A is (x = 1_A, y = 0). So
+    the trace and distance sups are both max(sum of w+, sum of |w-|),
+    witnessed by 1_A and (1_A, 0) for A the units of that side (w+ on a
+    tie); f(1) = 1 exactly when the T(1_u) cover the codomain's units, and
+    f is injective exactly when no T(1_u) is empty. The weights are read
+    from the images the certificate built, as integers over
+    dom.denom * cod.denom.
+    """
+    cert, images = _certify(m, dom, cod, f, element_pairs(m.domain, budget))
+    if cert.verdict != "certified":
+        return cert, None
+    d_dom, d_cod = dom.denom, cod.denom
+    plus = minus = covered = 0  # unit masks
+    gain = loss = 0
+    injective = True
+    for a, image in images.items():
+        fixed = cod.fix(image)
+        if not a.is_unit():
+            if fixed:
+                return cert, None
+            continue
+        u = dom.place(a)[0]
+        covered |= fixed
+        injective = injective and fixed != 0
+        w = cod.mass(fixed) * d_dom - dom.weights[u] * d_cod
+        if w > 0:
+            gain, plus = gain + w, plus | 1 << u
+        elif w < 0:
+            loss, minus = loss - w, minus | 1 << u
+    sup, side = (gain, plus) if gain >= loss else (loss, minus)
+    witness = dom.idem(side) if sup else None
+    return cert, ArrowDeviations(Fraction(sup, d_dom * d_cod), witness, covered == cod.full_mask, injective)
 
 
 # ---------------------------------------------------------------------------
@@ -878,6 +971,7 @@ def suite_finite_index(
             element_count=report.element_count,
             tested=report.pair_count,
             exhaustive=report.exhaustive,
+            method=report.method,
             max_product_deviation=report.max_product_deviation,
             max_trace_deviation=report.max_trace_deviation,
             max_distance_deviation=report.max_distance_deviation,
@@ -953,6 +1047,7 @@ def suite_ladder(n: int, p_list, budget: SuiteBudget) -> list[CheckResult]:
                 trace_sup=rep.trace_sup,
                 pairs_tested=rep.pairs_tested,
                 exhaustive=rep.exhaustive,
+                method=rep.method,
             )
         )
     return checks

@@ -633,6 +633,29 @@ def test_ladder_from_no_points_exits_2(capsys, command):
     assert out == "" and err.startswith("input error:") and "source size 0" in err
 
 
+# a ladder target below its source is rejected before K is charged, with
+# general_map's message
+def test_ladder_target_below_its_source_exits_2(capsys):
+    code, out, err = run(capsys, "verify", "--map", "ladder", "--n", "400", "--p", "3", "--K", "all", "--epsilon", "1/2")
+    assert code == 2
+    assert out == "" and err == "input error: target size 3 below 400\n"
+
+
+def test_verify_charges_k_before_building_the_ladder(capsys, monkeypatch):
+    # the 160,000-arrow table of [[400]] -> [[401]] is not built when the
+    # pairs of K = all exceed the cap; within the cap it is built once
+    from soficlab import constructions
+
+    built, general_map = [], constructions.general_map
+    monkeypatch.setattr(constructions, "general_map", lambda n, p: built.append((n, p)) or general_map(n, p))
+    code, out, err = run(capsys, "verify", "--map", "ladder", "--n", "400", "--p", "401", "--K", "all", "--epsilon", "1/2")
+    assert code == 2
+    assert out == "" and err.startswith("budget error: pairs of K")
+    assert built == []
+    code, _, _ = run(capsys, "verify", "--map", "ladder", "--n", "2", "--p", "3", "--K", "all", "--epsilon", "1/2")
+    assert code == 0 and built == [(2, 3)]
+
+
 # a repeated ladder target would run its distortion twice and emit two
 # reports (or two checks named ladder-3-to-4); argparse rejects it instead
 REPEATED_TARGETS = {

@@ -49,6 +49,16 @@ tables, and with its earlier composable pass on sparse image pieces
 (reference_arrow_certificate) in every field; a certified map must run
 no product of domain codes, a check must place each image arrow once,
 and every ladder map of the ladder goldens must be certified.
+The closed form of verify.arrow_deviations, which check_embedding and the
+ladder take for a certified table whose non-unit arrows carry no weight,
+must equal the exhaustive element pass in trace, distance, unit and
+injectivity on every such map above, the ladder maps, the composites
+[[Z2xY2]] -> [[4]] -> [[p]], generated tables and tables with one point
+dropped, and must build no pool. Where it applies, check_embedding is compared with the
+reference's exhaustive run, with the closed form's counts and witnesses.
+The embedding, `embed --kind ladder`, ladder and finite-index goldens
+were rewritten when it landed: every report gained `method`, and the
+reports it covers their counts, `exhaustive`, `seed` and witnesses.
 """
 
 import random
@@ -83,7 +93,7 @@ from pool_reference import (
 )
 import suite_reference
 
-from soficlab import cayley, constructions, verify
+from soficlab import cayley, constructions, symmetric, verify
 from soficlab.cli import main as cli_main
 from soficlab.constructions import (
     NoTransversalError,
@@ -787,6 +797,7 @@ def reference_check_embedding(m, budget, f=None) -> EmbeddingReport:
         element_count=n,
         pair_count=pair_count,
         exhaustive=exhaustive,
+        method="elements",
         max_product_deviation=prod_dev,
         max_trace_deviation=trace_dev,
         max_distance_deviation=dist_dev,
@@ -795,6 +806,50 @@ def reference_check_embedding(m, budget, f=None) -> EmbeddingReport:
         trace_iso_consistent=consistent,
         witnesses=witnesses,
     )
+
+
+def composable_pairs(g) -> int:
+    return sum(c.group_order**2 * c.base_size**3 for c in g.components)
+
+
+def takes_the_closed_form(m, budget) -> bool:
+    """The rule that picks check_embedding's method, on references: the
+    arrow certificate certifies m within the pairs of the element pass,
+    and no non-unit arrow's image holds a unit arrow."""
+    cap = verify.pool_pairs(PackedMonoid(m.domain), budget)[3]
+    if reference_arrow_certificate(m, SuiteBudget(exhaustive_cap=cap)).verdict != "certified":
+        return False
+    return not any(b.is_unit() for a, image in m.arrow_images.items() if not a.is_unit() for b in image)
+
+
+def assert_matches_reference(m, budget, f=None):
+    """check_embedding(m, budget) against the Bisection reference: equal to
+    it on the element path, and on the closed form equal to its
+    exhaustive run in every deviation and verdict, with the closed form's
+    counts and witnesses that reach the deviation: 1_A for the trace and
+    (1_A, 0) for the distance."""
+    report = check_embedding(m, budget)
+    assert report.method == ("arrow-table" if takes_the_closed_form(m, budget) else "elements")
+    if report.method == "elements":
+        assert report == reference_check_embedding(m, budget, f)
+        return
+    full = reference_check_embedding(m, SuiteBudget(exhaustive_cap=10**6), f)
+    assert full.exhaustive
+    assert report == full._replace(
+        element_count=m.domain.n_arrows,
+        pair_count=composable_pairs(m.domain),
+        method="arrow-table",
+        witnesses=report.witnesses,
+    )
+    f = f or m
+    dev = report.max_trace_deviation
+    assert bool(report.witnesses) == (dev > 0)
+    if dev:
+        one_a, (left, zero) = report.witnesses["trace"], report.witnesses["distance"]
+        assert left == one_a and idempotent(m.domain, source_units(one_a)) == one_a
+        assert zero == Bisection(m.domain, ())
+        assert abs(trace(f(one_a)) - trace(one_a)) == dev
+        assert abs(distance(f(one_a), f(zero)) - distance(one_a, zero)) == dev
 
 
 def two_components(t):
@@ -854,8 +909,7 @@ REFERENCE_IDS = [f"{case}-{regime}" for case, regime in REFERENCE_CASES]
 
 @pytest.mark.parametrize("case,regime", REFERENCE_CASES, ids=REFERENCE_IDS)
 def test_embedding_report_matches_reference(case, regime):
-    m, budget = EMBEDDINGS[case](), REFERENCE_BUDGETS[regime]
-    assert check_embedding(m, budget) == reference_check_embedding(m, budget)
+    assert_matches_reference(EMBEDDINGS[case](), REFERENCE_BUDGETS[regime])
 
 
 @pytest.mark.parametrize("case,regime", EMBEDDING_CASES, ids=EMBEDDING_IDS)
@@ -1324,8 +1378,7 @@ def test_arrow_map_matches_reference(case):
 @pytest.mark.parametrize("regime", list(EMBEDDING_BUDGETS))
 def test_arrow_map_certificate_matches_reference_map(regime):
     m, ref, _ = ARROW_MAPS["pair-z2+y2"]()
-    budget = EMBEDDING_BUDGETS[regime]
-    assert check_embedding(m, budget) == reference_check_embedding(m, budget, ref)
+    assert_matches_reference(m, EMBEDDING_BUDGETS[regime], ref)
 
 
 def test_convex_embedding_is_one_table(monkeypatch):
@@ -1377,8 +1430,8 @@ def test_images_overlapping_only_at_a_shared_source_are_built():
         assert m(a) == idempotent(g, source_units(a))
         assert scatter(dom.encode(a)) == dom.encode(m(a))
     for budget in EMBEDDING_BUDGETS.values():
+        assert_matches_reference(m, budget)
         report = check_embedding(m, budget)
-        assert report == reference_check_embedding(m, budget)
         assert not report.multiplicative and report.unit_preserved
 
 
@@ -1706,20 +1759,22 @@ def test_certified_maps_skip_the_product_pass(budget, monkeypatch):
 # Z2xY2's 32 composable pairs of arrows against the pairs the product pass
 # would run: over 25 pairs of a 5-element K and 20 sampled pairs the
 # certificate does not run and the pass does; at 36 and 40 it replaces
-# the pass. The reports equal the references either way
+# the pass, and check_embedding takes the closed form, whose count is the
+# 32 pairs charged. The reports equal the references either way
 @pytest.mark.parametrize("size,runs", [(5, True), (6, False)])
 def test_certificate_runs_within_the_pairs_it_replaces(size, runs, monkeypatch):
     m = embed_connected(GROUPOIDS["z2y2"])
     K = all_of(m.domain)[:size]
     budget = SuiteBudget(exhaustive_cap=100, sample_count=20 if runs else 40, seed=3)
-    expected = reference_check_almost_morphism(m, K, HALF), reference_check_embedding(m, budget)
+    expected = reference_check_almost_morphism(m, K, HALF)
     calls = record_products(monkeypatch)
-    assert check_almost_morphism(m, K, HALF) == expected[0]
+    assert check_almost_morphism(m, K, HALF) == expected
     assert (m.domain in calls) == runs
     calls.clear()
     report = check_embedding(m, budget)
-    assert report == expected[1] and report.pair_count == budget.sample_count
+    assert report.pair_count == (budget.sample_count if runs else 32)
     assert (m.domain in calls) == runs
+    assert_matches_reference(m, budget)
 
 
 def test_one_check_places_each_image_arrow_once(monkeypatch):
@@ -1765,6 +1820,183 @@ def test_every_golden_ladder_map_is_certified():
     assert len(stages) == 55
     for n, p in sorted(stages):
         assert arrow_certificate(general_map(n, p)).verdict == "certified", (n, p)
+
+
+# ---------------------------------------------------------------------------
+# Exact deviations from the arrow table against the exhaustive element pass
+
+
+def element_pass(m: SemigroupMap):
+    """(trace sup, distance sup, unit preserved, injective) of m over every
+    element and every pair of [[m.domain]], by the metric pass of
+    check_embedding's element path."""
+    dom, cod = PackedMonoid(m.domain), PackedMonoid(m.codomain)
+    pool = list(semigroup_codes(dom))
+    f = m.packed(dom, cod)
+    images = list(map(f, pool))
+    trace_dev, dist_dev, _ = verify.metric_deviations(dom, cod, pool, images)
+    return trace_dev, dist_dev, f(dom.one) == cod.one, len(set(images)) == len(pool)
+
+
+def closed_form(m: SemigroupMap):
+    """What check_embedding's closed form gives m, in element_pass's order."""
+    report = check_embedding(m)
+    assert report.method == "arrow-table" and report.exhaustive and report.max_product_deviation == 0
+    return (report.max_trace_deviation, report.max_distance_deviation, report.unit_preserved, report.injective)
+
+
+Z2Y2 = GROUPOIDS["z2y2"]
+# sofic approximations of Z2xY2: [[Z2xY2]] -> [[4]] -> [[p]], whose trace
+# and distance deviations are both (p mod 4)/p
+COMPOSITE_ANCHORS = dict(zip(range(4, 10), map(Fraction, ["0", "1/5", "1/3", "3/7", "0", "1/9"])))
+CLOSED_FORM_MAPS = {
+    **{f"arrow-map-{case}": (lambda case=case: ARROW_MAPS[case]()[0]) for case in ARROW_MAPS},
+    **{f"embedding-{case}": EMBEDDINGS[case] for case in EMBEDDINGS if "-connected-" not in case},
+    **{f"ladder-{n}-{p}": partial(general_map, n, p) for n in range(1, 5) for p in range(n, n + 6)},
+    **{
+        f"composite-z2y2-{p}": (lambda p=p: compose_maps(general_map(4, p), embed_convex(Z2Y2)))
+        for p in COMPOSITE_ANCHORS
+    },
+}
+
+
+@pytest.mark.parametrize("case", list(CLOSED_FORM_MAPS))
+def test_closed_form_equals_the_exhaustive_element_pass(case):
+    m = CLOSED_FORM_MAPS[case]()
+    exact = closed_form(m)
+    assert exact == element_pass(m)
+    if case.startswith("composite"):
+        anchor = COMPOSITE_ANCHORS[m.codomain.n_units]
+        assert exact[:2] == (anchor, anchor)
+
+
+@settings(max_examples=100, deadline=None)
+@given(arrow_tables())
+def test_closed_form_on_generated_tables(case):
+    # the tables that arrow_map accepts: the closed form runs exactly when
+    # the certificate certifies and no non-unit arrow's image holds a unit
+    # arrow, and then equals the exhaustive element pass
+    g, table = case
+    try:
+        m = arrow_map(g, g, table.__getitem__, "generated")
+    except ValueError:
+        assume(False)
+    report = check_embedding(m)
+    assert report.method == ("arrow-table" if takes_the_closed_form(m, SuiteBudget()) else "elements")
+    if report.method == "arrow-table":
+        assert closed_form(m) == element_pass(m)
+
+
+@st.composite
+def copy_maps(draw):
+    """Maps that the closed form takes, of weights of both signs: copies
+    of the connected-piece embedding (constructions._copies) of a small
+    groupoid in a full relation, each component in 0-2 blocks of its own
+    points, the blocks in any order, and 0-3 points left over."""
+    g = GROUPOIDS[draw(st.sampled_from(["n2", "n3", "z2y2", "z2pt", "z2y2_y2"]))]
+    sizes = [c.group_order * c.base_size for c in g.components]
+    blocks = [i for i in range(len(sizes)) for _ in range(draw(st.integers(0, 2)))]
+    offsets, start = [[] for _ in sizes], 0
+    for i in draw(st.permutations(blocks)):
+        offsets[i].append(start)
+        start += sizes[i]
+    points = max(start + draw(st.integers(0, 3)), 1)
+    return constructions._copies(g, points, [(1, o) for o in offsets], "copies")
+
+
+@settings(max_examples=100, deadline=None)
+@given(copy_maps())
+def test_closed_form_on_generated_copies(m):
+    assert closed_form(m) == element_pass(m)
+
+
+def test_a_tie_takes_the_gaining_side():
+    # Z2 at 1/3 in no copy and the point at 2/3 on all three points of
+    # [[3]]: the weights are -1/3 and +1/3, a tie, so A is the point
+    g = GROUPOIDS["z2pt"]
+    layout = [(1, [0, 1, 2] if c.group_order == 1 else []) for c in g.components]
+    m = constructions._copies(g, 3, layout, "tied")
+    one_a = idempotent(g, [u for u in g.units() if g.components[u[0]].group_order == 1])
+    report = check_embedding(m)
+    assert report.method == "arrow-table" and report.max_trace_deviation == THIRD
+    assert report.witnesses == {"trace": one_a, "distance": (one_a, Bisection(g, ()))}
+    assert_matches_reference(m, SuiteBudget())
+
+
+def drop_one_point(m: SemigroupMap) -> SemigroupMap:
+    """m with the first arrow of T(1_u) dropped, u the point of m's first
+    one-point component of trivial group: its unit arrow is its only
+    arrow, so the map stays multiplicative."""
+    ci = next(i for i, c in enumerate(m.domain.components) if (c.base_size, c.group_order) == (1, 1))
+    a = m.domain.unit_arrow((ci, 0))
+    return SemigroupMap(m.domain, m.codomain, f"dropped.{m.label}", {**m.arrow_images, a: m.arrow_images[a][1:]})
+
+
+MUTATIONS = {
+    "ladder-1-5": lambda: general_map(1, 5),
+    "ladder-1-1": lambda: general_map(1, 1),
+    "convex-pt+y2": lambda: embed_convex(convex_combination([(THIRD, full_relation(1)), (1 - THIRD, REL2)])),
+    "convex-g6": lambda: embed_convex(g6(G6_NU)),
+}
+
+
+@pytest.mark.parametrize("case", list(MUTATIONS))
+def test_a_dropped_point_moves_both_passes_alike(case):
+    m = MUTATIONS[case]()
+    before, mutated = closed_form(m), drop_one_point(m)
+    after = closed_form(mutated)
+    assert after == element_pass(mutated)
+    assert after[0] != before[0]
+
+
+def record_passes(monkeypatch) -> list:
+    """The names of the element path's pool and metric pass as they run;
+    symmetric imports metric_deviations by name, so its binding is counted
+    too."""
+    calls = []
+    for module, name in ((verify, "_pool"), (verify, "metric_deviations"), (symmetric, "metric_deviations")):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, fn=fn, name=name: calls.append(name) or fn(*args))
+    return calls
+
+
+def test_the_closed_form_builds_no_pool(monkeypatch):
+    calls = record_passes(monkeypatch)
+    exact = embed_connected(Z2Y2)
+    assert check_embedding(exact).method == "arrow-table"
+    assert symmetric.distortion_report(3, 7).method == "arrow-table"
+    assert calls == []
+    # the collapsed map is certified, but its non-unit arrows weigh; the
+    # truncated map is refuted. Both run the element pass
+    collapsed, truncated = forget_labels(exact), truncate_entries(exact)
+    assert [arrow_certificate(m).verdict for m in (collapsed, truncated)] == ["certified", "refuted"]
+    for m in (collapsed, truncated):
+        calls.clear()
+        assert check_embedding(m).method == "elements"
+        assert "_pool" in calls and "metric_deviations" in calls
+
+
+ELEMENT_PAIR_BUDGETS = [
+    SuiteBudget(),
+    SMALL,
+    BOUNDARY,
+    *REFERENCE_BUDGETS.values(),
+    SuiteBudget(exhaustive_cap=100, sample_count=50, seed=5),
+    SuiteBudget(exhaustive_cap=2000, sample_count=40, seed=3),
+    SuiteBudget(exhaustive_cap=48, sample_count=10, seed=2),
+    SuiteBudget(exhaustive_cap=49),
+    SuiteBudget(exhaustive_cap=31),
+    SuiteBudget(exhaustive_cap=20, sample_count=500),
+    SuiteBudget(exhaustive_cap=1, sample_count=1),
+]
+
+
+@pytest.mark.parametrize("key", [*GROUPOIDS, "n1", "n5", "g6"])
+def test_element_pairs_count_what_pool_pairs_runs(key):
+    g = {"n1": full_relation(1), "n5": full_relation(5), "g6": g6(G6_NU), **GROUPOIDS}[key]
+    pm = PackedMonoid(g)
+    for budget in ELEMENT_PAIR_BUDGETS:
+        assert verify.element_pairs(g, budget) == verify.pool_pairs(pm, budget)[3], budget
 
 
 # ---------------------------------------------------------------------------

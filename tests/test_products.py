@@ -265,10 +265,12 @@ def test_compose_needs_matching_groupoids():
 def test_tensor_of_the_ladder_with_the_identity():
     # [[2]] -> [[3]] beside the identity of [[2]]: [[4]] into [[6]], where
     # the tensor drops the 2 of 6 points that the ladder drops, so trace
-    # and distance deviate by 1/3, exactly as the ladder's do; the 209
-    # elements of [[4]] give all 43,681 pairs
+    # and distance deviate by 1/3, exactly as the ladder's do; the 43,681
+    # pairs of [[4]] fit the cap, so the closed form reads its 16 arrows
+    # and charges their 64 composable pairs
     report = check_embedding(tensor(general_map(2, 3), identity_map(REL2)))
-    assert (report.element_count, report.pair_count, report.exhaustive) == (209, 43_681, True)
+    assert (report.element_count, report.pair_count, report.exhaustive) == (16, 64, True)
+    assert report.method == "arrow-table"
     assert report.max_product_deviation == 0
     assert report.max_trace_deviation == report.max_distance_deviation == Fraction(1, 3)
 

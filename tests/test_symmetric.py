@@ -26,7 +26,7 @@ from soficlab.semigroup import (
     semigroup_count,
     unit_bisection,
 )
-from soficlab import symmetric
+from soficlab import symmetric, verify
 from soficlab.symmetric import DistortionReport, distortion_report
 from soficlab.verify import SuiteBudget, check_embedding
 
@@ -224,7 +224,8 @@ def reference_distortion(n, p):
 def test_report_matches_bisection_reference(n):
     for p in range(n, 13):
         rep = distortion_report(n, p, LADDER_BUDGET)
-        assert rep.exhaustive and rep.pairs_tested == semigroup_count(full_relation(n)) ** 2
+        # the closed form charges the n^3 composable arrow pairs of [[n]]
+        assert rep.exhaustive and rep.method == "arrow-table" and rep.pairs_tested == n**3
         assert (rep.observed_sup, rep.trace_sup) == reference_distortion(n, p)
 
 
@@ -239,19 +240,22 @@ def test_exhaustive_sups_are_exactly_r_over_p():
             assert rep.bound is None or rep.observed_sup <= rep.bound
 
 
-# the ladder runs the metric pass of the certificate loop alone; that is
-# sound because every ladder map is exactly multiplicative, which
-# check_embedding confirms: its arrow certificate proves it when that costs
-# no more pairs than the product pass, and otherwise the pass reads 0.
-# Sampled, both take the same pool and pairs, and the pool holds the
-# unit, whose trace deviation is (p mod n)/p
+# the ladder takes check_embedding's rule: when the arrow certificate
+# proves the map multiplicative within the pairs of the element pass, both
+# take the closed form, exact over all of [[n]]; otherwise the ladder runs
+# the metric pass of the certificate loop alone, which is sound because
+# every ladder map is exactly multiplicative, and check_embedding's
+# product pass reads 0. Sampled, both take the same pool and pairs, and
+# the pool holds the unit, whose trace deviation is (p mod n)/p. Only the
+# sampled pairs of [[4]], 50 and 40, fall below its 64 composable arrow
+# pairs
 @pytest.mark.parametrize(
     "n,p,budget",
     [pytest.param(n, p, LADDER_BUDGET, id=f"{n}-{p}") for n in (1, 2, 3) for p in range(n, 3 * n + 2)]
     + [
         pytest.param(4, 9, SuiteBudget(exhaustive_cap=100, sample_count=50, seed=5), id="4-9-sampled"),
         pytest.param(5, 7, SuiteBudget(), id="5-7-sampled"),
-        # 40 drawn elements, whose 1,600 pairs all fit the cap
+        # all 209 elements of [[4]], and 40 drawn pairs of them
         pytest.param(4, 6, SuiteBudget(exhaustive_cap=2000, sample_count=40, seed=3), id="4-6-sampled-pool"),
         # all 7 elements of [[2]], but 49 pairs exceed the cap
         pytest.param(2, 3, SuiteBudget(exhaustive_cap=48, sample_count=10, seed=2), id="2-3-sampled-pairs"),
@@ -260,7 +264,8 @@ def test_exhaustive_sups_are_exactly_r_over_p():
 def test_ladder_is_the_metric_pass_of_its_certificate(n, p, budget):
     rep = distortion_report(n, p, budget)
     cert = check_embedding(general_map(n, p), budget)
-    assert rep.exhaustive == (budget is LADDER_BUDGET)
+    assert rep.method == cert.method == ("elements" if n == 4 else "arrow-table")
+    assert rep.exhaustive == (budget is LADDER_BUDGET or rep.method == "arrow-table")
     assert (rep.observed_sup, rep.trace_sup, rep.pairs_tested, rep.exhaustive) == (
         cert.max_distance_deviation,
         cert.max_trace_deviation,
@@ -272,10 +277,23 @@ def test_ladder_is_the_metric_pass_of_its_certificate(n, p, budget):
 
 
 def test_ladder_takes_no_products(monkeypatch):
+    # no element product pass: no mul, and left rows only inside the arrow
+    # certificate, whose composable pass takes them on codomain codes
     def refuse(*args):
         raise AssertionError("the ladder ran a product")
 
-    monkeypatch.setattr(PackedMonoid, "left_row", refuse)
+    inside = []
+    certify, left_row = verify._certify, PackedMonoid.left_row
+
+    def certifying(*args):
+        inside.append(True)
+        try:
+            return certify(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(verify, "_certify", certifying)
+    monkeypatch.setattr(PackedMonoid, "left_row", lambda self, a: left_row(self, a) if inside else refuse())
     monkeypatch.setattr(PackedMonoid, "mul", refuse)
     assert distortion_report(3, 7, LADDER_BUDGET).exhaustive
     assert not distortion_report(4, 9, SuiteBudget(exhaustive_cap=100, sample_count=50, seed=5)).exhaustive
@@ -302,10 +320,14 @@ class TestLadderProfile:
         assert rep.observed_sup <= rep.bound
 
     def test_exhaustive_exactly_when_all_pairs_fit_the_cap(self):
-        # |[[2]]|^2 = 49
+        # |[[2]]|^2 = 49; below that cap the element pass samples its
+        # pairs, and the closed form still covers all of [[2]] when the 8
+        # composable arrow pairs fit those samples, 10 but not 7
         assert distortion_report(2, 3, SuiteBudget(exhaustive_cap=49)).exhaustive
         rep = distortion_report(2, 3, SuiteBudget(exhaustive_cap=48, sample_count=10, seed=2))
-        assert not rep.exhaustive and rep.pairs_tested == 10
+        assert rep.exhaustive and rep.method == "arrow-table" and rep.pairs_tested == 8
+        rep = distortion_report(2, 3, SuiteBudget(exhaustive_cap=48, sample_count=7, seed=2))
+        assert not rep.exhaustive and rep.method == "elements" and rep.pairs_tested == 7
 
     def test_sampled_regime_is_seeded(self):
         budget = SuiteBudget(exhaustive_cap=100, sample_count=50, seed=5)
@@ -325,6 +347,7 @@ class TestCertificate:
                 trace_sup=Fraction(0),
                 pairs_tested=1,
                 exhaustive=True,
+                method="elements",
                 seed=None,
             )
 

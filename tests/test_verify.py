@@ -83,7 +83,8 @@ class TestEmbeddingReport:
         g = connected_groupoid(cayley.cyclic(2), 2)
         report = check_embedding(embed_connected(g), BIG)
         assert report.passed and report.exhaustive
-        assert report.element_count == 17
+        # the closed form reads the 8 arrows of Z2xY2
+        assert (report.method, report.element_count) == ("arrow-table", 8)
 
     def test_step_embedding_flagged_consistently(self):
         report = check_embedding(step_map(2), BIG)
@@ -284,10 +285,11 @@ def test_every_finite_index_check_reports_tested():
     for result in (valid, invalid):
         for c in result.checks:
             assert ("tested" in c.details) != uncounted(c), c
-    # the lift's certificate runs every pair of the 34 elements of [[3]]
+    # the lift's certificate charges the 27 composable arrow pairs of [[3]]
+    # and its closed form covers all of [[3]]
     lift = valid.checks[-1]
     assert lift.name == "lift-exact-embedding"
-    assert (lift.details["tested"], lift.details["exhaustive"]) == (34 * 34, True)
+    assert (lift.details["tested"], lift.details["exhaustive"], lift.details["method"]) == (27, True, "arrow-table")
 
 
 @pytest.mark.parametrize("key", CAP_GROUPOIDS)

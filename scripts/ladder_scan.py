@@ -32,6 +32,13 @@ def main() -> int:
         budget = SuiteBudget(exhaustive_cap=args.pair_cap, sample_count=args.samples, seed=args.seed)
     except ValueError as exc:
         parser.error(f"--pair-cap and --samples: {exc}")
+    # opened before the scan, so a path that cannot be written costs none
+    out = None
+    if args.json:
+        try:
+            out = open(args.json, "w", encoding="utf-8")
+        except OSError as exc:
+            parser.error(f"--json: cannot write {args.json}: {exc.strerror}")
 
     rows = []
     print(f"{'p':>4}  {'bound n/(p-n)':>14}  {'observed sup':>14}  {'trace sup':>12}  regime")
@@ -46,9 +53,9 @@ def main() -> int:
             f"{str(rep.trace_sup):>12}  {regime}{marker}"
         )
 
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(rows, fh, indent=2, sort_keys=True)
+    if out:
+        with out:
+            json.dump(rows, out, indent=2, sort_keys=True)
         print(f"wrote {len(rows)} records to {args.json}")
     return 0
 

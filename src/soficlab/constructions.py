@@ -76,7 +76,8 @@ class SemigroupMap:
     domain arrows that can share a bisection (distinct sources and
     distinct ranges), and raise the ValueError a Bisection of their union
     would; table_collision finds them in time linear in the image arrows.
-    So every union is a bisection, and packed takes unions unchecked.
+    So every union is a bisection, and packed takes unions unchecked. The
+    image_hits the check reads are kept as hits, for the certificate.
     """
 
     def __init__(self, domain: FiniteGroupoid, codomain: FiniteGroupoid, label: str, arrow_images: dict):
@@ -90,7 +91,8 @@ class SemigroupMap:
             for b in image:
                 if not codomain.has_arrow(b):
                     raise ValueError(f"arrow {b} not in the groupoid")
-        side = table_collision(image_hits(arrow_images))
+        self.hits = image_hits(arrow_images)
+        side = table_collision(self.hits)
         if side is not None:
             raise ValueError(f"{side} map not injective")
         self.domain, self.codomain, self.label, self.arrow_images = domain, codomain, label, arrow_images

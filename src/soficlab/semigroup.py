@@ -29,11 +29,14 @@ PackedMonoid.dist_rows, by agreement classes, with the units whose
 columns split the list alike merged into one class and the units where
 every code agrees dropped. PoolTable tabulates those
 operations over an exhaustive pool, for pools small enough that its n*n
-tables fit the caller's cap: its product rows come from
-PackedMonoid.left_row, one row of codes per left factor, summed into
-integer keys of the products (a code as a base N*M + 1 number) that index
-the pool without hashing a tuple; its distance rows come from dist_rows,
-and its unary operations are bound list lookups. Both kernels give the
+tables fit the caller's cap. Its product table is built by
+associativity, row s*t as row s read at row t: only the rows of the
+generators of [G] and of the co-atoms 1_{U-{u}} come from
+PackedMonoid.left_row, summed into integer keys of the products (a code
+as a base N*M + 1 number) that index the pool without hashing a tuple,
+and every element is a full element times a unit set,
+x = ext(x)*1_{s(x)}. Its distance rows come from dist_rows, and its
+unary operations are bound list lookups. Both kernels give the
 suites products and distances as tables read by subscript,
 products[a][b] and distances[a][b]: a PoolTable's are its lists of rows,
 so a lookup is two list subscripts, and a PackedMonoid's are views that
@@ -391,13 +394,21 @@ class PoolTable:
     mean on pm, so verify._pool draws unit sets from either kernel. Index
     equality is element equality. Pool indices are found by integer key,
     not by code tuple: code x has key sum((x_u + 1) * B**u), B = N*M + 1,
-    injective as every entry lies in [-1, N*M). Row a of the product table
-    maps the u-th entries of all codes through pm.left_row(a) scaled by
-    B**u (code -1's trailing slot to 0), adds the N maps with map(add, ...)
-    and looks the sums up, all in map calls that build no tuple; the
-    distance rows come from pm.dist_rows, on first use. The unary
-    operations are the __getitem__ of their tables, mass of one over all
-    2^N masks.
+    injective as every entry lies in [-1, N*M).
+
+    The product table is built by associativity: row s*t is row s read at
+    the entries of row t, one C-level map. Only the rows of the generators
+    (_generators) and of the N co-atoms 1_{U-{u}} are computed directly:
+    such a row maps the u-th entries of all codes through pm.left_row(a)
+    scaled by B**u (code -1's trailing slot to 0), adds the N maps with
+    map(add, ...) and looks the sums up. The identity's row is the indices
+    in order. Closing the generators under left multiplication reaches
+    every full element f, closing the co-atoms reaches every unit set A,
+    and row f*1_A is row f read at row 1_A; that reaches every element x,
+    as x = ext(x)*1_{s(x)}, its full-group completion restricted to its
+    source. A row left unset raises CertificateError. The distance rows
+    come from pm.dist_rows, on first use. The unary operations are the
+    __getitem__ of their tables, mass of one over all 2^N masks.
     The product and distance tables have n*n entries and the others at
     most n (2^N too: [[G]] holds an idempotent per unit set), so with n*n
     within a cap every table fits it.
@@ -405,15 +416,48 @@ class PoolTable:
 
     def __init__(self, pm: PackedMonoid, codes: list):
         self._pm, self._codes = pm, codes
+        n = len(codes)
         powers = [(pm.n_units * pm.order + 1) ** u for u in range(pm.n_units)]
         key = lambda x: sum((v + 1) * p for v, p in zip(x, powers))
-        lookup = dict(zip(map(key, codes), range(len(codes)))).__getitem__
+        lookup = dict(zip(map(key, codes), range(n))).__getitem__
         columns = list(zip(*codes))
-        self.products = []
-        for a in codes:
+        rows = [None] * n
+        one = lookup(key(pm.one))
+        rows[one] = list(range(n))
+
+        def direct(a):
+            i = lookup(key(a))
             row = pm.left_row(a)
             keys = [map([(v + 1) * p for v in row].__getitem__, col) for p, col in zip(powers, columns)]
-            self.products.append(list(map(lookup, reduce(partial(map, add), keys))))
+            rows[i] = list(map(lookup, reduce(partial(map, add), keys)))
+            return i
+
+        def close(steps):
+            # the elements s_1*...*s_k*1 for steps s_i, each row set from
+            # the row of its step and of the element it was reached from
+            reached, seen = [one], {one}
+            for f in reached:
+                for s in steps:
+                    j = rows[s][f]
+                    if j not in seen:
+                        seen.add(j)
+                        if rows[j] is None:
+                            rows[j] = list(map(rows[s].__getitem__, rows[f]))
+                        reached.append(j)
+            return reached
+
+        full = close([direct(x) for x in _generators(pm)])
+        unit_sets = close([direct(pm.idem(pm.full_mask ^ bit)) for bit in pm._bits])
+        for f in full:
+            row = rows[f]
+            for a in unit_sets:
+                j = row[a]
+                if rows[j] is None:
+                    rows[j] = list(map(row.__getitem__, rows[a]))
+        missing = rows.count(None)
+        if missing:
+            raise CertificateError(f"the generators of [[G]] leave {missing} of its {n} product rows unset")
+        self.products = rows
         self.inv = [lookup(key(pm.inv(a))) for a in codes].__getitem__
         self.trace = [pm.trace(a) for a in codes].__getitem__
         src = [pm.src(a) for a in codes]
@@ -423,7 +467,7 @@ class PoolTable:
         # the unit-set elements, by their unit set
         self.idem = {s: i for i, (s, f) in enumerate(zip(src, fix)) if s == f}.__getitem__
         self.mass = list(map(pm.mass, range(1 << pm.n_units))).__getitem__
-        self.one, self.zero = lookup(key(pm.one)), lookup(key(pm.zero))
+        self.one, self.zero = one, lookup(key(pm.zero))
         self.total, self.full_mask = pm.total, pm.full_mask
         self.groupoid, self.n_units = pm.groupoid, pm.n_units
 
@@ -439,6 +483,26 @@ class PoolTable:
 
 # ---------------------------------------------------------------------------
 # Enumeration
+
+
+def _generators(pm: PackedMonoid):
+    """Codes of full elements that generate [G], the product over the
+    components c of K_c wr S(n_c): each group label other than 1 at one
+    unit, with the unit arrows elsewhere (they generate K_c^n_c), and each
+    transposition of two units of one component (they generate S(n_c))."""
+    one, base = pm.one, 0
+    for c in pm.groupoid.components:
+        units = range(base, base + c.base_size)
+        for u in units:
+            for h in range(1, c.group_order):
+                x = list(one)
+                x[u] += h
+                yield tuple(x)
+        for u, v in combinations(units, 2):
+            x = list(one)
+            x[u], x[v] = one[v], one[u]
+            yield tuple(x)
+        base += c.base_size
 
 
 def semigroup_count(g: FiniteGroupoid) -> int:

@@ -81,7 +81,6 @@ from .constructions import (
     blocks_of,
     finite_index_map,
     identity_map,
-    image_hits,
     rectangle_decompose,
     tensor,
 )
@@ -577,7 +576,8 @@ def _certify(m: SemigroupMap, dom: PackedMonoid, cod: PackedMonoid, f, cap: int)
     that a certificate runs its pool through, and the image code of each
     domain arrow that the composable pass built (empty when that pass did
     not run). m's table was checked when m was built, so its images are
-    disjoint where they must be."""
+    disjoint where they must be, and the image_hits of that check are
+    m.hits."""
     pairs = sum(c.group_order**2 * c.base_size**3 for c in m.domain.components)
     if pairs > cap:
         return ArrowCertificate("not run", pairs), {}
@@ -588,7 +588,7 @@ def _certify(m: SemigroupMap, dom: PackedMonoid, cod: PackedMonoid, f, cap: int)
     # source. The witness is the first bad pair by a and then b: when the
     # ends have two ranges every start has a bad partner, so a is the
     # first start; otherwise a is the first start off the ends' range
-    sources, ranges = image_hits(m.arrow_images)
+    sources, ranges = m.hits
     for v, starts in sources.items():
         ends = ranges.get(v)
         if not ends:

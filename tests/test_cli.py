@@ -564,8 +564,9 @@ SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)
 
 
 # each bad argument of the example scripts is a usage error, caught before
-# any work: a cap of 0, a source size of 0, and targets that end below the
-# source, which would print an empty table
+# any work: a cap of 0, a source size of 0, targets that end below the
+# source, which would print an empty table, and a --json path in a
+# directory that does not exist
 @pytest.mark.parametrize(
     "args,message",
     [
@@ -573,6 +574,10 @@ SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)
         (["ladder_scan.py", "--n", "0"], "--n must be positive, got 0"),
         (["ladder_scan.py", "--pair-cap", "0"], "--pair-cap and --samples: budget caps must be positive"),
         (["ladder_scan.py", "--n", "3", "--p-max", "2"], "--p-max 2 is below --n 3, so no target runs"),
+        (
+            ["ladder_scan.py", "--n", "3", "--p-max", "5", "--json", "missing/x.json"],
+            "--json: cannot write missing/x.json: No such file or directory",
+        ),
     ],
 )
 def test_script_argument_errors_exit_2(tmp_path, args, message):

@@ -33,7 +33,10 @@ accepts, each entry built as a Bisection and then a pairwise pass
 (reference_arrow_table), whether the table comes from arrow_map or is
 built directly; it must run once per map, and never in a certificate. The
 suites that tabulate an exhaustive pool (semigroup.PoolTable) must report
-what they report on codes, and every table entry must equal the kernel's.
+what they report on codes, and every table entry must equal the kernel's,
+also on generated groupoids; the table computes only the rows of the
+generators of [G] and of the co-atoms directly, composes the rest, and
+raises CertificateError when a withheld generator leaves a row unset.
 Those four suites read products and distances by subscript; their earlier
 bodies, one predicate per tuple through mul and dist, are kept in
 suite_reference.py, and both must give the same results on tables, on
@@ -93,7 +96,7 @@ from pool_reference import (
 )
 import suite_reference
 
-from soficlab import cayley, constructions, symmetric, verify
+from soficlab import cayley, constructions, semigroup, symmetric, verify
 from soficlab.cli import main as cli_main
 from soficlab.constructions import (
     NoTransversalError,
@@ -126,6 +129,8 @@ from soficlab.groupoid import (
     corner,
     full_relation,
     group_groupoid,
+    make_groupoid,
+    point_groupoid,
     product_groupoid,
     subgroupoid_as_groupoid,
 )
@@ -183,6 +188,12 @@ GROUPOIDS = {
     "z2y2_y2": convex_combination(
         [(HALF, connected_groupoid(cayley.cyclic(2), 2)), (HALF, full_relation(2))]
     ),
+    # few or no generators of [G]: a single point, two points, a point
+    # beside [[2]], and [[2]] beside a group on one unit
+    "pt": point_groupoid(),
+    "pt+pt": convex_combination([(HALF, point_groupoid()), (HALF, point_groupoid())]),
+    "n1+n2": convex_combination([(THIRD, full_relation(1)), (1 - THIRD, full_relation(2))]),
+    "y2+z3": convex_combination([(THIRD, full_relation(2)), (1 - THIRD, group_groupoid(cayley.cyclic(3)))]),
 }
 DIFFERENTIAL = ("n2", "n3", "z2y2", "z2pt", "s3y2")
 KERNEL_SUITES = ("inverse-monoid", "metric-prop", "trace-distance", "supports")
@@ -243,7 +254,7 @@ def test_table_suite_equals_codes_suite(suite, key, monkeypatch):
     assert run_suite(suite, g=g) == on_table
 
 
-@pytest.mark.parametrize("key", ("n3", "n4", "z2y2_y2", "z2pt", "s3y2", "s3"))
+@pytest.mark.parametrize("key", ("n3", "n4", "z2y2_y2", "z2pt", "s3y2", "s3", "pt", "pt+pt", "n1+n2", "y2+z3"))
 def test_pool_table_entries_equal_the_kernel(key):
     g = GROUPOIDS[key]
     pm = PackedMonoid(g)
@@ -268,6 +279,67 @@ def test_pool_table_entries_equal_the_kernel(key):
             assert table.distances[i][j] == pm.dist(x, y)
     for rows in (table.products, table.distances):
         assert len(rows) == n and all(len(row) == n for row in rows)
+
+
+@st.composite
+def small_groupoids(draw, limit=150):
+    """One to three components, each a cyclic or symmetric Cayley table on
+    1-3 points with a weight of 1-3 parts, drawn among those that keep
+    [[G]] within limit elements."""
+    tables = [cayley.cyclic(1), cayley.cyclic(2), cayley.cyclic(3), cayley.symmetric(3)]
+    sizes = {(t, n): semigroup_count(connected_groupoid(t, n)) for t in tables for n in (1, 2, 3)}
+    parts, count = [], 1
+    for _ in range(draw(st.integers(1, 3))):
+        fitting = [key for key, size in sizes.items() if count * size <= limit]
+        if not fitting:
+            break
+        table, n = draw(st.sampled_from(fitting))
+        parts.append((table, n, draw(st.integers(1, 3))))
+        count *= sizes[table, n]
+    total = sum(w for _, _, w in parts)
+    return make_groupoid([Component(table, n, Fraction(w, total)) for table, n, w in parts])
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_groupoids())
+def test_pool_table_products_on_generated_groupoids(g):
+    # every row that the build composes from the generators' rows is the
+    # kernel's product row
+    pm = PackedMonoid(g)
+    codes = list(semigroup_codes(pm))
+    table = PoolTable(pm, codes)
+    for x, row in zip(codes, table.products):
+        assert list(map(codes.__getitem__, row)) == [pm.mul(x, y) for y in codes]
+
+
+# rows computed directly: the generators of [G] (a label other than 1 at
+# one unit, a transposition of two units of one component) and the N
+# co-atoms; [[4]] has 6 transpositions, Z2xY2+Y2 2 labels and 2
+# transpositions, S3xY2 10 labels and 1 transposition, a point none
+@pytest.mark.parametrize("key,direct", [("n4", 10), ("z2y2_y2", 8), ("s3y2", 13), ("pt", 1)])
+def test_pool_table_computes_only_the_generator_rows(key, direct, monkeypatch):
+    pm = PackedMonoid(GROUPOIDS[key])
+    codes = list(semigroup_codes(pm))
+    assert len(list(semigroup._generators(pm))) + pm.n_units == direct
+    calls = []
+    left_row = PackedMonoid.left_row
+    monkeypatch.setattr(PackedMonoid, "left_row", lambda self, a: calls.append(a) or left_row(self, a))
+    PoolTable(pm, codes)
+    assert len(calls) == direct
+
+
+# [[2]] without its one transposition, and Z2+pt without its one label,
+# reach only the unit sets as full elements times unit sets
+@pytest.mark.parametrize("key", ("n2", "z2pt"))
+def test_a_withheld_generator_raises_and_leaves_no_table(key, monkeypatch):
+    pm = PackedMonoid(GROUPOIDS[key])
+    codes = list(semigroup_codes(pm))
+    generators = semigroup._generators
+    monkeypatch.setattr(semigroup, "_generators", lambda pm: list(generators(pm))[1:])
+    table = PoolTable.__new__(PoolTable)
+    with pytest.raises(CertificateError, match=f"leave [0-9]+ of its {len(codes)} product rows unset"):
+        table.__init__(pm, codes)
+    assert not hasattr(table, "products")
 
 
 # groupoids whose [[G]] is too large to tabulate at the default cap, or
@@ -1807,6 +1879,30 @@ def test_each_table_is_checked_once_when_its_map_is_built(monkeypatch):
         assert arrow_certificate(m).verdict == "certified"
         assert check_embedding(m).passed
         assert calls == []
+
+
+def test_image_hits_run_once_per_map(monkeypatch):
+    # the constructor's table check builds the image hits and keeps them on
+    # the map, and the certificate reads them there: once per map built,
+    # and once per target of the ladder, none in the checks. A module that
+    # imports image_hits by name calls its own binding, so verify's is
+    # counted too
+    calls = []
+    hits = constructions.image_hits
+    counted = lambda table: calls.append(table) or hits(table)
+    monkeypatch.setattr(constructions, "image_hits", counted)
+    monkeypatch.setattr(verify, "image_hits", counted, raising=False)
+    for case in ("connected-z2y2", "convex-z2+y2", "index-s3-z3", "step-2", "ladder-3-7"):
+        calls.clear()
+        check_embedding(EMBEDDINGS[case]())
+        assert len(calls) == 1, case
+    left, right = embed_convex(two_components(THIRD)), embed_convex(two_components(2 * THIRD))
+    calls.clear()
+    check_embedding(embed_convex_pair(left, right, THIRD))
+    assert len(calls) == 1
+    calls.clear()
+    run_suite("ladder", n=3, p_list=list(range(4, 31)))
+    assert len(calls) == 27
 
 
 def test_every_golden_ladder_map_is_certified():

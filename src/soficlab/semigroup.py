@@ -27,16 +27,14 @@ below list [[G]], [G] and the measure algebra directly as its codes and
 bitmasks. Distances over a list of codes come a row at a time from
 PackedMonoid.dist_rows, by agreement classes, with the units whose
 columns split the list alike merged into one class and the units where
-every code agrees dropped. PoolTable tabulates those
-operations over an exhaustive pool, for pools small enough that its n*n
-tables fit the caller's cap. Its product table is built by
-associativity, row s*t as row s read at row t: only the rows of the
-generators of [G] and of the co-atoms 1_{U-{u}} come from
-PackedMonoid.left_row, summed into integer keys of the products (a code
-as a base N*M + 1 number) that index the pool without hashing a tuple,
-and every element is a full element times a unit set,
-x = ext(x)*1_{s(x)}. Its distance rows come from dist_rows, and its
-unary operations are bound list lookups. Both kernels give the
+every code agrees dropped. PoolTable tabulates those operations over an
+exhaustive pool, for pools small enough that its n*n tables fit the
+caller's cap. Pool indices are found by the code itself. Its product
+table is built by associativity, row s*t as row s read at row t: only
+the rows of the generators of [G] and of the co-atoms 1_{U-{u}} come
+from PackedMonoid.left_row, and every element is a full element times a
+unit set, x = ext(x)*1_{s(x)}. Its distance rows come from dist_rows,
+and its unary operations are bound list lookups. Both kernels give the
 suites products and distances as tables read by subscript,
 products[a][b] and distances[a][b]: a PoolTable's are its lists of rows,
 so a lookup is two list subscripts, and a PackedMonoid's are views that
@@ -49,10 +47,10 @@ tested against lives with the tests.
 
 from __future__ import annotations
 
-from functools import cached_property, partial, reduce
-from itertools import combinations, compress, permutations, product
+from functools import cached_property, partial
+from itertools import combinations, compress, permutations, product, repeat
 from math import comb, factorial, lcm
-from operator import add, eq, getitem, ne
+from operator import eq, getitem, ne
 
 from . import cayley
 from .groupoid import Arrow, FiniteGroupoid, Value
@@ -297,9 +295,12 @@ class PackedMonoid:
         which never differ, are dropped. Row a starts at the weight of the
         merged units and loses a unit's weight at each index in a's class:
         one subtraction per agreeing (index, merged unit), in place of
-        len(codes) calls of dist. So the images of [[n]] in [[p]] under the
-        ladder's block copies cost at most n + 1 units, not p. Codes may
-        repeat. One row is held at a time, beside the class lists.
+        len(codes) calls of dist. Codes may repeat. One row is held at a
+        time, beside the class lists. PoolTable.distances and the all-pairs
+        metric pass of check_almost_morphism and of check_embedding's
+        element path (verify.metric_deviations) call it; under verify --map
+        ladder the images of [[n]] in [[p]], block copies, cost at most
+        n + 1 units, not p.
         """
         n = len(codes)
         weights = {}  # a column's relabelling -> the weight of its units
@@ -392,44 +393,35 @@ class PoolTable:
     trace, src, rng, fix and idem take and return indices, and arrows,
     mass, one, zero, total, full_mask, groupoid and n_units mean what they
     mean on pm, so verify._pool draws unit sets from either kernel. Index
-    equality is element equality. Pool indices are found by integer key,
-    not by code tuple: code x has key sum((x_u + 1) * B**u), B = N*M + 1,
-    injective as every entry lies in [-1, N*M).
+    equality is element equality. Pool indices are found by the code itself.
 
     The product table is built by associativity: row s*t is row s read at
     the entries of row t, one C-level map. Only the rows of the generators
     (_generators) and of the N co-atoms 1_{U-{u}} are computed directly:
-    such a row maps the u-th entries of all codes through pm.left_row(a)
-    scaled by B**u (code -1's trailing slot to 0), adds the N maps with
-    map(add, ...) and looks the sums up. The identity's row is the indices
-    in order. Closing the generators under left multiplication reaches
-    every full element f, closing the co-atoms reaches every unit set A,
-    and row f*1_A is row f read at row 1_A; that reaches every element x,
-    as x = ext(x)*1_{s(x)}, its full-group completion restricted to its
-    source. A row left unset raises CertificateError. The distance rows
-    come from pm.dist_rows, on first use. The unary operations are the
-    __getitem__ of their tables, mass of one over all 2^N masks.
-    The product and distance tables have n*n entries and the others at
-    most n (2^N too: [[G]] holds an idempotent per unit set), so with n*n
-    within a cap every table fits it.
+    such a row maps every code through pm.left_row(a) and looks the products
+    up. The identity's row is the indices in order. Closing the generators
+    under left multiplication reaches every full element f, closing the
+    co-atoms reaches every unit set A, and row f*1_A is row f read at row
+    1_A; that reaches every element x, as x = ext(x)*1_{s(x)}, its
+    full-group completion restricted to its source. A row left unset raises
+    CertificateError. The distance rows come from pm.dist_rows, on first
+    use. The unary operations are the __getitem__ of their tables, mass of
+    one over all 2^N masks. The product and distance tables have n*n entries
+    and the others at most n (2^N too: [[G]] holds an idempotent per unit
+    set), so with n*n within a cap every table fits it.
     """
 
     def __init__(self, pm: PackedMonoid, codes: list):
         self._pm, self._codes = pm, codes
         n = len(codes)
-        powers = [(pm.n_units * pm.order + 1) ** u for u in range(pm.n_units)]
-        key = lambda x: sum((v + 1) * p for v, p in zip(x, powers))
-        lookup = dict(zip(map(key, codes), range(n))).__getitem__
-        columns = list(zip(*codes))
+        lookup = dict(zip(codes, range(n))).__getitem__
         rows = [None] * n
-        one = lookup(key(pm.one))
+        one = lookup(pm.one)
         rows[one] = list(range(n))
 
         def direct(a):
-            i = lookup(key(a))
-            row = pm.left_row(a)
-            keys = [map([(v + 1) * p for v in row].__getitem__, col) for p, col in zip(powers, columns)]
-            rows[i] = list(map(lookup, reduce(partial(map, add), keys)))
+            i = lookup(a)
+            rows[i] = list(map(lookup, map(tuple, map(map, repeat(pm.left_row(a).__getitem__), codes))))
             return i
 
         def close(steps):
@@ -458,7 +450,7 @@ class PoolTable:
         if missing:
             raise CertificateError(f"the generators of [[G]] leave {missing} of its {n} product rows unset")
         self.products = rows
-        self.inv = [lookup(key(pm.inv(a))) for a in codes].__getitem__
+        self.inv = [lookup(pm.inv(a)) for a in codes].__getitem__
         self.trace = [pm.trace(a) for a in codes].__getitem__
         src = [pm.src(a) for a in codes]
         fix = [pm.fix(a) for a in codes]
@@ -467,7 +459,7 @@ class PoolTable:
         # the unit-set elements, by their unit set
         self.idem = {s: i for i, (s, f) in enumerate(zip(src, fix)) if s == f}.__getitem__
         self.mass = list(map(pm.mass, range(1 << pm.n_units))).__getitem__
-        self.one, self.zero = one, lookup(key(pm.zero))
+        self.one, self.zero = one, lookup(pm.zero)
         self.total, self.full_mask = pm.total, pm.full_mask
         self.groupoid, self.n_units = pm.groupoid, pm.n_units
 

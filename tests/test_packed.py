@@ -301,15 +301,20 @@ def small_groupoids(draw, limit=150):
 
 
 @settings(max_examples=60, deadline=None)
-@given(small_groupoids())
-def test_pool_table_products_on_generated_groupoids(g):
+@given(small_groupoids(), st.data())
+def test_pool_table_products_on_generated_groupoids(g, data):
     # every row that the build composes from the generators' rows is the
-    # kernel's product row
+    # kernel's product row, and the index finds each code wherever the
+    # list puts it
     pm = PackedMonoid(g)
-    codes = list(semigroup_codes(pm))
+    codes = data.draw(st.permutations(list(semigroup_codes(pm))))
     table = PoolTable(pm, codes)
     for x, row in zip(codes, table.products):
         assert list(map(codes.__getitem__, row)) == [pm.mul(x, y) for y in codes]
+    assert [codes[table.inv(i)] for i in range(len(codes))] == list(map(pm.inv, codes))
+    assert (codes[table.one], codes[table.zero]) == (pm.one, pm.zero)
+    masks = range(1 << pm.n_units)
+    assert [codes[table.idem(s)] for s in masks] == list(map(pm.idem, masks))
 
 
 # rows computed directly: the generators of [G] (a label other than 1 at

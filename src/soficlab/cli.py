@@ -111,7 +111,7 @@ def cmd_decompose(args) -> int:
         weights = sz.parse_masses(sz.load_json(args.weights), raw.units)
     dec = decompose(raw, weights)
     payload = sz.groupoid_to_json(dec.groupoid)
-    payload["isomorphism"] = {str(a): list(arr) for a, arr in sorted(dec.iso.items(), key=lambda kv: repr(kv[0]))}
+    payload["isomorphism"] = sz.jsonable(dec.iso)
     _emit(args, "decompose", {"input": args.raw}, payload)
     return 0
 

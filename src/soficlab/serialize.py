@@ -2,7 +2,8 @@
 
 Rationals travel as "p/q" strings in lowest terms with positive denominator.
 Output is written atomically (temp file then rename) with sorted keys, so a
-fixed invocation produces byte-identical files.
+fixed invocation produces byte-identical files. A report's fields are
+written through jsonable, and only the renamed and derived keys are named.
 """
 
 from __future__ import annotations
@@ -139,6 +140,10 @@ def parse_raw(obj: dict) -> RawGroupoid:
         raise MalformedInputError("raw groupoid file must be an object")
     units = tuple(_parse_id(u) for u in _raw_list(obj, "units"))
     arrows = tuple(_id_triples(obj, "arrows"))
+    spelled = {}
+    for x in (*units, *(a for a, _, _ in arrows)):
+        if spelled.setdefault(str(x), x) != x:
+            raise MalformedInputError(f"ids {spelled[str(x)]!r} and {x!r} are both written {str(x)!r}")
     compose = {}
     for a, b, c in _id_triples(obj, "compose"):
         if (a, b) in compose:
@@ -217,51 +222,29 @@ def parse_arrow_set(obj: dict) -> frozenset:
 # Reports
 
 
+def _record(r) -> dict:
+    """A report's fields by name, each written by jsonable."""
+    return jsonable({name: getattr(r, name) for name in r._fields})
+
+
 def almost_report_to_json(r: AlmostMorphismReport) -> dict:
-    return {
-        "K_size": r.k_size,
-        "epsilon": format_fraction(r.epsilon),
-        "max_product_deviation": format_fraction(r.max_product_deviation),
-        "max_trace_deviation": format_fraction(r.max_trace_deviation),
-        "max_distance_deviation": format_fraction(r.max_distance_deviation),
-        "pass": r.passed,
-        "witnesses": jsonable(r.witnesses),
-    }
+    out = _record(r)
+    out["K_size"], out["pass"] = out.pop("k_size"), out.pop("passed")
+    return out
 
 
 def embedding_report_to_json(r: EmbeddingReport) -> dict:
     return {
-        "label": r.label,
-        "element_count": r.element_count,
-        "pair_count": r.pair_count,
-        "exhaustive": r.exhaustive,
-        "method": r.method,
-        "max_product_deviation": format_fraction(r.max_product_deviation),
-        "max_trace_deviation": format_fraction(r.max_trace_deviation),
-        "max_distance_deviation": format_fraction(r.max_distance_deviation),
+        **_record(r),
         "multiplicative": r.multiplicative,
         "trace_preserving": r.trace_preserving,
         "isometric": r.isometric,
-        "unit_preserved": r.unit_preserved,
-        "injective": r.injective,
-        "trace_iso_consistent": r.trace_iso_consistent,
         "pass": r.passed,
-        "witnesses": jsonable(r.witnesses),
     }
 
 
 def distortion_report_to_json(r: DistortionReport) -> dict:
-    return {
-        "n": r.n,
-        "p": r.p,
-        "bound": None if r.bound is None else format_fraction(r.bound),
-        "observed_sup": format_fraction(r.observed_sup),
-        "trace_sup": format_fraction(r.trace_sup),
-        "pairs_tested": r.pairs_tested,
-        "exhaustive": r.exhaustive,
-        "method": r.method,
-        "seed": r.seed,
-    }
+    return _record(r)
 
 
 def budget_to_json(budget: SuiteBudget) -> dict:

@@ -56,9 +56,9 @@ alone (method "elements"). When every pair of the pool runs,
 the products come one left factor at a time through its left rows
 (PackedMonoid.left_row), and the distances from PackedMonoid.dist_rows;
 sampled pairs take theirs by mul and dist. Bisections are decoded only
-for the witnesses a report prints. Reports and results are NamedTuples,
-which serialize writes field by field (jsonable refuses a record), and
-SuiteBudget is a groupoid.Value, checked when it is built.
+for the witnesses a report prints. Reports and results are NamedTuples;
+serialize writes a report's fields through jsonable and names only the
+renamed and derived keys. SuiteBudget is a groupoid.Value, checked when it is built.
 """
 
 from __future__ import annotations
@@ -133,13 +133,21 @@ class SuiteResult(NamedTuple):
 # Element pools and tuple budgets
 
 
+def _held(count: int, budget: SuiteBudget) -> tuple[int, bool]:
+    """How many of `count` elements or tuples a pool or tuple set holds,
+    and whether that is all of them: every one when the count fits
+    budget.exhaustive_cap, and min(budget.sample_count, cap) otherwise."""
+    if count <= budget.exhaustive_cap:
+        return count, True
+    return min(budget.sample_count, budget.exhaustive_cap), False
+
+
 def _pool(pm: PackedMonoid, kind: str, budget: SuiteBudget):
     """The pool of `kind` on pm and whether it is exhaustive: packed codes
     for "semigroup" and "group", unit bitmasks for "malg" (which pm may
     also be a PoolTable for).
 
-    Exhaustive when the count fits budget.exhaustive_cap. Otherwise
-    `target` = min(budget.sample_count, cap) distinct elements: first the
+    Exhaustive or `target` distinct elements, as _held rules: first the
     unit and then, as far as that bound admits, the zero ("semigroup") or
     the empty mask (for "malg", whose unit is the full mask), then the
     rest, all sorted as Bisections sort by their arrows and unit sets by
@@ -156,11 +164,11 @@ def _pool(pm: PackedMonoid, kind: str, budget: SuiteBudget):
         "malg": (malg_count, malg_masks),
     }[kind]
     count = counter(pm.groupoid)
-    if count <= budget.exhaustive_cap:
+    target, exhaustive = _held(count, budget)
+    if exhaustive:
         return list(enumerate_(pm)), True
 
     rng = random.Random(budget.seed)
-    target = min(budget.sample_count, budget.exhaustive_cap, count)
     units = range(pm.n_units)
     if kind == "malg":
         seeds, order = [pm.full_mask, 0][:target], lambda mask: [u for u in units if mask >> u & 1]
@@ -200,8 +208,7 @@ def _kernel(g: FiniteGroupoid, budget: SuiteBudget, kind: str = "semigroup"):
     """The kernel a [[G]] suite runs on, its pool of `kind` ("semigroup" or
     "group") as handles, and whether that pool is exhaustive.
 
-    When the n*n pairs of the n elements of [[G]] fit budget.exhaustive_cap,
-    [[G]] is closed under product and inverse and is tabulated once:
+    When _held holds all n*n pairs of the n elements of [[G]], [[G]] is closed under product and inverse and is tabulated once:
     (PoolTable, pool indices), for "group" the indices of its full
     elements, which come in the order of group_codes. Otherwise
     (PackedMonoid, the codes of _pool). Handles are equal exactly when
@@ -211,7 +218,7 @@ def _kernel(g: FiniteGroupoid, budget: SuiteBudget, kind: str = "semigroup"):
     """
     pm = PackedMonoid(g)
     n = semigroup_count(g)
-    if n * n > budget.exhaustive_cap:
+    if not _held(n * n, budget)[1]:
         return (pm, *_pool(pm, kind, budget))
     table = PoolTable(pm, list(semigroup_codes(pm)))
     full = table.full_mask
@@ -224,21 +231,20 @@ def _tuples(sizes, budget: SuiteBudget, pools_exhaustive: bool):
     """The index tuples a check runs, over pools of the given sizes (one
     index per pool), whether they are exhaustive, and how many there are.
 
-    All of them when the product of the sizes fits budget.exhaustive_cap;
-    they are exhaustive exactly when the pools are too. Otherwise
-    budget.sample_count whole tuples, or exhaustive_cap if that is fewer,
+    All of them or the number _held gives for the product of the sizes;
+    all are exhaustive exactly when the pools are too, and the others are
     drawn with budget.seed + len(sizes) and one randrange per slot. Every
     check over more than one element takes its tuples, `tested` and
     `exhaustive` from here, and builds nothing whose length is a product
     of pool sizes over the cap.
     """
     total = prod(sizes)
-    if total <= budget.exhaustive_cap:
+    draws, exhaustive = _held(total, budget)
+    if exhaustive:
         return iproduct(*map(range, sizes)), pools_exhaustive, total
     rng = random.Random(budget.seed + len(sizes))
-    draws = min(budget.sample_count, budget.exhaustive_cap)
     sampled = [tuple([rng.randrange(n) for n in sizes]) for _ in range(draws)]
-    return sampled, False, len(sampled)
+    return sampled, False, draws
 
 
 def pool_pairs(pm: PackedMonoid, budget: SuiteBudget):
@@ -254,13 +260,8 @@ def pool_pairs(pm: PackedMonoid, budget: SuiteBudget):
 
 def element_pairs(g: FiniteGroupoid, budget: SuiteBudget) -> int:
     """The `tested` of pool_pairs on [[g]], counted without building the
-    pool: the pool holds every element when they fit budget.exhaustive_cap
-    and min(sample_count, cap) of them otherwise, and its pairs all run
-    when they fit the cap, min(sample_count, cap) drawn ones otherwise."""
-    count, cap = semigroup_count(g), budget.exhaustive_cap
-    draws = min(budget.sample_count, cap)
-    n = count if count <= cap else draws
-    return n * n if n * n <= cap else draws
+    pool: _held of the pairs of _held of the elements."""
+    return _held(_held(semigroup_count(g), budget)[0] ** 2, budget)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -353,6 +353,17 @@ def test_failed_certificate_exits_1(files, capsys, monkeypatch):
     assert err.startswith("certificate error:") and "forced" in err
 
 
+def z3_raw(e, a, b) -> dict:
+    """Z3 on one unit e, with a * a = b: its arrows take the given ids."""
+    times = {(e, e): e, (e, a): a, (e, b): b, (a, e): a, (b, e): b, (a, a): b, (a, b): e, (b, a): e, (b, b): a}
+    return {
+        "units": [e],
+        "arrows": [[x, e, e] for x in (e, a, b)],
+        "compose": [[x, y, xy] for (x, y), xy in times.items()],
+        "masses": {str(e): "1/1"},
+    }
+
+
 RAW_OK = {
     "units": ["u"],
     "arrows": [["u", "u", "u"]],
@@ -373,6 +384,8 @@ MALFORMED_RAW = {
     # a str body is the text of the file, since a dict cannot repeat a key
     "repeated-key": (json.dumps(RAW_OK)[:-1] + ', "units": ["u"]}', "key 'units' repeated"),
     "repeated-mass": (json.dumps(RAW_OK)[:-2] + ', "u": "1/2"}}', "key 'u' repeated"),
+    # distinct JSON ids, but a report would key both as "1"
+    "ids-spelled-alike": (z3_raw("u", 1, "1"), "ids 1 and '1' are both written '1'"),
 }
 
 
@@ -511,6 +524,23 @@ def test_weights_replace_the_raw_masses(files, capsys):
     code, out, err = run(capsys, "decompose", raw, "--weights", weights)
     assert (code, err) == (0, "")
     assert sorted(c["weight"] for c in json.loads(out)["components"]) == ["1/3", "2/3"]
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [raw_to_json(render_raw(Z2Y2)), RAW_OK, RAW_N2, z3_raw(0, 1, 2), z3_raw("u", "a", "b"), z3_raw("u", 1, "2")],
+    ids=["Z2Y2", "point", "full-relation-2", "z3-int-ids", "z3-str-ids", "z3-mixed-ids"],
+)
+def test_decompose_maps_every_raw_arrow(files, capsys, raw):
+    tmp, write = files
+    code, out, err = run(capsys, "decompose", write("raw.json", raw))
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    iso = payload["isomorphism"]
+    images = [tuple(v) for v in iso.values()]
+    assert len(iso) == len(raw["arrows"])
+    assert len(set(images)) == len(images)
+    assert set(images) <= set(parse_groupoid(payload).arrows())
 
 
 # nested far deeper than the JSON decoder recurses

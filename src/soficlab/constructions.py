@@ -156,8 +156,8 @@ def image_hits(table: dict) -> tuple[dict, dict]:
     sources, ranges = {}, {}
     for a, image in table.items():
         for b in image:
-            sources.setdefault(b.source, []).append(a)
-            ranges.setdefault(b.range, []).append(a)
+            sources.setdefault((b.comp, b.y_from), []).append(a)
+            ranges.setdefault((b.comp, b.y_to), []).append(a)
     return sources, ranges
 
 
@@ -177,8 +177,8 @@ def table_collision(hits: tuple[dict, dict]) -> str | None:
         for arrows in by_unit.values():
             if len(set(arrows)) < len(arrows):
                 return side
-            source, range_ = arrows[0].source, arrows[0].range
-            if any(a.source != source for a in arrows) and any(a.range != range_ for a in arrows):
+            source, range_ = (arrows[0].comp, arrows[0].y_from), (arrows[0].comp, arrows[0].y_to)
+            if any((a.comp, a.y_from) != source for a in arrows) and any((a.comp, a.y_to) != range_ for a in arrows):
                 return side
     return None
 

@@ -48,7 +48,7 @@ tested against lives with the tests.
 from __future__ import annotations
 
 from functools import cached_property, partial
-from itertools import combinations, compress, permutations, product, repeat
+from itertools import accumulate, chain, combinations, compress, permutations, product, repeat
 from math import comb, factorial, lcm
 from operator import eq, getitem, ne
 
@@ -155,10 +155,14 @@ class PackedMonoid:
     Units are numbered 0..N-1 in the order of g.units(). An element is a
     tuple indexed by source unit whose entry is range_unit * M + group_label,
     M the largest group order, or -1 where the element is undefined. The
-    encoding is injective, so tuple equality is Bisection equality. Unit
-    sets are bitmasks (bit u for unit u), and unit weights are integers over
-    the common denominator ``denom``, so trace, dist and mass return exact
-    integers that are the rational values times ``denom``.
+    encoding is injective, so tuple equality is Bisection equality: the
+    arrow (c, h, y_to, y_from) is entry base + y_from with code
+    (base + y_to) * M + h, base the first unit of component c, which is
+    how place reads it. Unit sets are bitmasks (bit u for unit u), and unit
+    weights are integers over the common denominator ``denom``, one
+    Fraction per component, so trace, dist and mass return exact integers
+    that are the rational values times ``denom``. arrow_key sorts codes as
+    arrows does, on integers.
 
     Inputs are trusted: encode/decode convert from and to Bisection at the
     boundary, and nothing in between is re-validated.
@@ -167,13 +171,18 @@ class PackedMonoid:
     def __init__(self, g: FiniteGroupoid):
         self.groupoid = g
         self.units = list(g.units())
-        self._index = {u: i for i, u in enumerate(self.units)}
         n = self.n_units = len(self.units)
         m = self.order = max(c.group_order for c in g.components)
-        masses = [g.unit_mass(comp) for comp, _ in self.units]
+        sizes = [c.base_size for c in g.components]
+        self._base = list(accumulate(sizes, initial=0))  # each component's first unit
+        masses = [c.weight / c.base_size for c in g.components]
         self.denom = lcm(*(q.denominator for q in masses))
-        self.weights = tuple((q * self.denom).numerator for q in masses)
+        self.weights = tuple(chain.from_iterable(repeat((q * self.denom).numerator, k) for q, k in zip(masses, sizes)))
         self.total = sum(self.weights)
+        # arrow_key's digits, b the largest base size: unit (c, y) is
+        # c*m*b*b + y as a source and y*b as a range, and a label h is h*b*b
+        b = max(sizes)
+        self._key = [c * m * b * b + y for c, y in self.units], [y * b for _, y in self.units], b * b
         self.full_mask = (1 << n) - 1
         self._bits = tuple(1 << u for u in range(n))
         self._identity = tuple(u * m for u in range(n))
@@ -217,14 +226,14 @@ class PackedMonoid:
 
     def encode(self, b: Bisection) -> tuple[int, ...]:
         out = [-1] * self.n_units
-        idx, m = self._index, self.order
-        for a in b.arrows:
-            out[idx[a.source]] = idx[a.range] * m + a.g
+        for u, x in map(self.place, b.arrows):
+            out[u] = x
         return tuple(out)
 
     def place(self, a: Arrow) -> tuple[int, int]:
         """The source unit index and the code of a single arrow."""
-        return self._index[a.source], self._index[a.range] * self.order + a.g
+        base = self._base[a.comp]
+        return base + a.y_from, (base + a.y_to) * self.order + a.g
 
     def arrows(self, x) -> tuple[Arrow, ...]:
         """The arrows of x in Bisection order (sorted), so codes sort by it
@@ -238,12 +247,21 @@ class PackedMonoid:
                 arrows.append(Arrow(comp, h, units[r][1], y_from))
         return tuple(sorted(arrows))
 
+    def arrow_key(self, x) -> list[int]:
+        """An integer sort key of x, so codes sort by it as by arrows: entry
+        (u, code) is the arrow (c, h, y_to, y_from), keyed
+        ((c*M + h)*B + y_to)*B + y_from, B the largest base size, which is
+        injective and in Arrow order. It reads two lists of N entries, a
+        source and a range digit per unit, and builds no Arrow."""
+        (lo, hi, hb), m = self._key, self.order
+        return sorted([lo[u] + hi[v // m] + v % m * hb for u, v in enumerate(x) if v >= 0])
+
     def decode(self, x) -> Bisection:
         return Bisection(self.groupoid, self.arrows(x))
 
     def mask(self, units) -> int:
-        idx = self._index
-        return sum(1 << idx[u] for u in units)
+        base = self._base
+        return sum(1 << base[c] + y for c, y in units)
 
     # -- algebra -----------------------------------------------------------
 
@@ -519,9 +537,8 @@ def malg_count(g: FiniteGroupoid) -> int:
 def _component_codes(pm: PackedMonoid, ci: int, full_only: bool) -> list[tuple[int, ...]]:
     """The bisections of component ci as codes of its own units: by arrow
     count, then source set, then ranges, then group labels."""
-    components = pm.groupoid.components
-    n, m, order = components[ci].base_size, components[ci].group_order, pm.order
-    base = sum(c.base_size for c in components[:ci])
+    c = pm.groupoid.components[ci]
+    n, m, order, base = c.base_size, c.group_order, pm.order, pm._base[ci]
     out = []
     for k in [n] if full_only else range(n + 1):
         for dom in combinations(range(n), k):

@@ -100,7 +100,11 @@ def parse_groupoid(obj: dict) -> FiniteGroupoid:
 
 
 def _parse_id(x):
-    return x if isinstance(x, (int, str)) else str(x)
+    """A raw unit or arrow id: a JSON string or integer; booleans, floats,
+    null, lists and objects are malformed."""
+    if isinstance(x, bool) or not isinstance(x, (int, str)):
+        raise MalformedInputError(f"raw ids must be strings or integers, got {x!r}")
+    return x
 
 
 def raw_to_json(raw: RawGroupoid) -> dict:

@@ -9,7 +9,9 @@ every tuple ran over exhaustive pools. Each report records which regime
 ran and how many tuples, so a report is a deterministic
 function of (inputs, seed, budget). Every element pool comes from _pool,
 which charges the cap and then enumerates the pool, or draws it, directly
-as codes of semigroup.PackedMonoid (unit sets as bitmasks); a sampled
+as codes of semigroup.PackedMonoid (unit sets as bitmasks); a draw writes
+each arrow's code into its entry and builds no Arrow, and a sampled pool
+is sorted by the integer key PackedMonoid.arrow_key. A sampled
 pool of more than half the elements is one seeded sample of their
 enumeration, so no pool costs more than twice the cap. Every suite
 runs on the kernel's exact integer arithmetic; the rectangles suite on
@@ -84,7 +86,7 @@ from .constructions import (
     rectangle_decompose,
     tensor,
 )
-from .groupoid import Arrow, FiniteGroupoid, Value, product_groupoid
+from .groupoid import FiniteGroupoid, Value, product_groupoid
 from .semigroup import (
     PackedMonoid,
     PoolTable,
@@ -150,8 +152,9 @@ def _pool(pm: PackedMonoid, kind: str, budget: SuiteBudget):
     Exhaustive or `target` distinct elements, as _held rules: first the
     unit and then, as far as that bound admits, the zero ("semigroup") or
     the empty mask (for "malg", whose unit is the full mask), then the
-    rest, all sorted as Bisections sort by their arrows and unit sets by
-    their units. When 2 * target exceeds the count, the rest is one
+    rest, all sorted as Bisections sort by their arrows (by the integer
+    key pm.arrow_key, with no Arrow built) and unit sets by their units.
+    When 2 * target exceeds the count, the rest is one
     seeded rng.sample of the other elements in enumeration order, so the
     pool costs one enumeration of fewer than 2 * cap elements; otherwise
     it is seeded draws (_draw, or a coin per unit for "malg") until the
@@ -173,7 +176,7 @@ def _pool(pm: PackedMonoid, kind: str, budget: SuiteBudget):
     if kind == "malg":
         seeds, order = [pm.full_mask, 0][:target], lambda mask: [u for u in units if mask >> u & 1]
     else:
-        seeds, order = ([pm.one] if full else [pm.one, pm.zero][:target]), pm.arrows
+        seeds, order = ([pm.one] if full else [pm.one, pm.zero][:target]), pm.arrow_key
     if 2 * target > count:
         # the draws needed to fill the pool grow steeply as target
         # nears count, and no draw is charged to the cap; the count is
@@ -193,14 +196,17 @@ def _pool(pm: PackedMonoid, kind: str, budget: SuiteBudget):
 def _draw(pm: PackedMonoid, rng: random.Random, full: bool) -> tuple[int, ...]:
     """One seeded draw of _pool: per component, each point a source with
     probability 1/2 (every point when full), then distinct random ranges,
-    then a group label per arrow."""
+    then a group label per arrow. Each arrow (h, y_to, y_from) is written
+    straight into its entry, base + y_from gets (base + y_to) * M + h with
+    base the component's first unit, and no Arrow is built."""
     out = [-1] * pm.n_units
-    for ci, c in enumerate(pm.groupoid.components):
+    order, base = pm.order, 0
+    for c in pm.groupoid.components:
         n, m = c.base_size, c.group_order
         sources = range(n) if full else [y for y in range(n) if rng.random() < 0.5]
         for y_from, y_to in zip(sources, rng.sample(range(n), len(sources))):
-            u, code = pm.place(Arrow(ci, rng.randrange(m), y_to, y_from))
-            out[u] = code
+            out[base + y_from] = (base + y_to) * order + rng.randrange(m)
+        base += n
     return tuple(out)
 
 

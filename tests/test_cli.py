@@ -386,6 +386,14 @@ MALFORMED_RAW = {
     "repeated-mass": (json.dumps(RAW_OK)[:-2] + ', "u": "1/2"}}', "key 'u' repeated"),
     # distinct JSON ids, but a report would key both as "1"
     "ids-spelled-alike": (z3_raw("u", 1, "1"), "ids 1 and '1' are both written '1'"),
+    # a JSON true was kept as a bool, so the mass keyed "true" matched no unit
+    "unit-true": (dict(RAW_OK, units=[True], arrows=[[True, True, True]], compose=[[True] * 3], masses={"true": "1/1"}),
+                  "got True"),
+    "arrow-false": (z3_raw("u", False, "b"), "got False"),
+    "arrow-float": (z3_raw("u", 1.5, "b"), "got 1.5"),
+    "unit-null": (dict(RAW_OK, units=["u", None]), "got None"),
+    "arrow-list": (dict(RAW_OK, arrows=[["u", "u", "u"], [["g"], "u", "u"]]), "got ['g']"),
+    "compose-object": (dict(RAW_OK, compose=[["u", "u", {"u": 1}]]), "got {'u': 1}"),
 }
 
 

@@ -27,8 +27,11 @@ against the same reference. The element pools of verify._pool and the
 code enumerators of semigroup are checked against the Bisection pools they
 replaced (pool_reference.py); no pool, no part of the rectangles suite
 and no table check may build a Bisection, and Bisection itself carries no
-algebra. The table check that building a SemigroupMap makes, on its keys
-and image arrows, must accept the tables that the check it replaced
+algebra. A sampled pool builds no Arrow either: its draws write codes,
+and it sorts them by PackedMonoid.arrow_key, which must order generated
+codes exactly as PackedMonoid.arrows does and tell them apart. The table
+check that building a SemigroupMap makes, on its keys and image arrows,
+must accept the tables that the check it replaced
 accepts, each entry built as a Bisection and then a pairwise pass
 (reference_arrow_table), whether the table comes from arrow_map or is
 built directly; it must run once per map, and never in a certificate. The
@@ -775,17 +778,70 @@ def test_pool_below_the_cap_charges_its_draws(monkeypatch):
     assert pool[0] == pm.zero and pm.one in pool
 
 
-def count_bisections(monkeypatch) -> list:
-    """Record every Bisection the constructor validates from now on."""
-    built = []
-    init = Bisection.__post_init__
+@st.composite
+def groupoid_codes(draw):
+    """A groupoid of one to three components, each a Cayley table of order
+    1, 2, 3 or 6 on 1-5 points, its kernel, and 2-12 of its codes drawn a
+    component at a time: a source set, a permutation for the ranges and a
+    label per source."""
+    tables = [cayley.cyclic(1), cayley.cyclic(2), cayley.cyclic(3), cayley.symmetric(3)]
+    parts = draw(st.lists(st.tuples(st.sampled_from(tables), st.integers(1, 5)), min_size=1, max_size=3))
+    pm = PackedMonoid(make_groupoid([Component(t, n, Fraction(1, len(parts))) for t, n in parts]))
+    codes = []
+    for _ in range(draw(st.integers(2, 12))):
+        x, base = [-1] * pm.n_units, 0
+        for c in pm.groupoid.components:
+            n = c.base_size
+            ranges = draw(st.permutations(range(n)))
+            for y_from in draw(st.sets(st.integers(0, n - 1))):
+                x[base + y_from] = (base + ranges[y_from]) * pm.order + draw(st.integers(0, c.group_order - 1))
+            base += n
+        codes.append(tuple(x))
+    return pm, codes
 
-    def counted(self):
-        built.append(self)
-        init(self)
 
-    monkeypatch.setattr(Bisection, "__post_init__", counted)
-    return built
+@settings(max_examples=150, deadline=None)
+@given(groupoid_codes())
+def test_arrow_key_orders_codes_as_arrows(case):
+    # the integer key sorts codes as their arrows do, and tells codes apart
+    pm, codes = case
+    g = pm.groupoid
+    arrows = sorted(g.arrows())
+    keys = [pm.arrow_key(pm.encode(Bisection(g, (a,)))) for a in arrows]
+    assert keys == sorted(keys) and len(set(map(tuple, keys))) == len(arrows)
+    for x in codes:
+        for y in codes:
+            assert (pm.arrow_key(x) < pm.arrow_key(y)) == (pm.arrows(x) < pm.arrows(y))
+            assert (pm.arrow_key(x) == pm.arrow_key(y)) == (x == y)
+    assert sorted(codes, key=pm.arrow_key) == sorted(codes, key=pm.arrows)
+
+
+def count_calls(monkeypatch, target, name) -> list:
+    """Record the arguments of every call of target.name from now on."""
+    calls = []
+    method = getattr(target, name)
+
+    def counted(*args):
+        calls.append(args)
+        return method(*args)
+
+    monkeypatch.setattr(target, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("key", ["n8", "s3y3+n6"])
+@pytest.mark.parametrize("kind", ["semigroup", "group"])
+def test_sampled_pools_build_no_arrows(key, kind, monkeypatch):
+    # a sampled pool draws codes and sorts them by arrow_key: it places no
+    # arrow, lists no element's arrows and builds no Arrow
+    pm = PackedMonoid(POOL_GROUPOIDS[key])
+    spies = [count_calls(monkeypatch, PackedMonoid, name) for name in ("arrows", "place")]
+    built = count_calls(monkeypatch, Arrow, "__new__")
+    pool, exhaustive = _pool(pm, kind, SuiteBudget(exhaustive_cap=1000, sample_count=200, seed=3))
+    assert (len(pool), exhaustive) == (200, False)
+    assert spies == [[], []] and built == []
+    # the spies do see calls
+    assert pm.place(Arrow(0, 0, 0, 0)) and built == [(Arrow, 0, 0, 0, 0)] and len(spies[1]) == 1
 
 
 # case -> (suite, parameters, whether its pools are sampled)
@@ -805,7 +861,7 @@ def test_sampled_pools_build_no_bisections(case, monkeypatch):
     # run on codes, and a SemigroupMap checks its table on its arrows:
     # none of them builds a Bisection
     suite, params, sampled = NO_BISECTION_CASES[case]
-    built = count_bisections(monkeypatch)
+    built = count_calls(monkeypatch, Bisection, "__post_init__")
     result = run_suite(suite, **params)
     assert {check.details["exhaustive"] for check in result.checks} == {not sampled}
     assert result.passed and built == []
@@ -1184,7 +1240,7 @@ def test_almost_morphism_runs_without_bisection_algebra(monkeypatch):
     m = embed_connected(GROUPOIDS["z2y2"])
     K = all_of(GROUPOIDS["z2y2"])
     pairs = ladder_pairs(all_of(REL2))
-    built = count_bisections(monkeypatch)
+    built = count_calls(monkeypatch, Bisection, "__post_init__")
     assert check_almost_morphism(m, K, Fraction(1, 100)).passed
     report = check_almost_morphism(pairs, list(pairs), HALF)
     assert report.passed and report.max_trace_deviation == THIRD
@@ -1212,7 +1268,7 @@ def test_verify_all_of_K_runs_on_codes(tmp_path, monkeypatch, capsys):
     # connected map's arrow table is checked on its arrows: no Bisection
     monkeypatch.chdir(tmp_path)
     argv, code = write_verify_inputs(tmp_path)["verify-connected-z2y2"]
-    built = count_bisections(monkeypatch)
+    built = count_calls(monkeypatch, Bisection, "__post_init__")
     assert cli_main(argv) == code
     assert built == []
     capsys.readouterr()

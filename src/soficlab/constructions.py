@@ -6,8 +6,9 @@ the union of the images of its arrows. Building a SemigroupMap checks
 its table once, on its keys and its image arrows (image_hits,
 table_collision), however the table was made; arrow_map tabulates one,
 and SemigroupMap.packed scatters it on packed codes for the
-certificates (see verify) and the ladder's distortion reports. At this
-finite scale every construction is exact, not approximate.
+certificates (see verify), a ladder's distortion report being the
+certificate of its map. At this finite scale every construction is
+exact, not approximate.
 
 The connected and convex embeddings and the ladder maps [[n]] -> [[p]]
 (step_map, general_map) are all copies of one connected-piece embedding,

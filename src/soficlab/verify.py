@@ -47,18 +47,18 @@ element pairs the pass would run (element_pairs, the count of pool_pairs,
 for check_embedding; |K|^2 for check_almost_morphism), so it never does
 more work than it replaces and counts under the budget that bounds the
 pass. When it refutes the map or does not run, the pass runs.
-check_embedding and the ladder's distortion reports go one step
-further, by one rule: arrow_deviations reads the exact trace and
-distance sups over all of [[G]] off the images of the unit arrows when
-the certificate certifies and no non-unit arrow's image holds a unit
-arrow, and then no pool is built and neither pass runs (method
-"arrow-table"). Otherwise check_embedding takes its pool and pairs from
-pool_pairs, and so do the distortion reports, which run the metric pass
-alone (method "elements"). When every pair of the pool runs,
-the products come one left factor at a time through its left rows
-(PackedMonoid.left_row), and the distances from PackedMonoid.dist_rows;
-sampled pairs take theirs by mul and dist. Bisections are decoded only
-for the witnesses a report prints. Reports and results are NamedTuples;
+check_embedding goes one step further: arrow_deviations reads the exact
+trace and distance sups over all of [[G]] off the images of the unit
+arrows when the certificate certifies and no non-unit arrow's image
+holds a unit arrow, and then no pool is built and neither pass runs
+(method "arrow-table"). Otherwise check_embedding takes its pool and
+pairs from pool_pairs (method "elements"). A row of the ladder
+[[n]] -> [[p]] (symmetric.distortion_report) is check_embedding's report
+on the ladder map with its bound beside it. When every pair of the
+pool runs, the products come one left factor at a time through its left
+rows (PackedMonoid.left_row), and the distances from
+PackedMonoid.dist_rows; sampled pairs take theirs by mul and dist.
+Bisections are decoded only for the witnesses a report prints. Reports and results are NamedTuples;
 serialize writes a report's fields through jsonable and names only the
 renamed and derived keys. SuiteBudget is a groupoid.Value, checked when it is built.
 """
@@ -1037,14 +1037,15 @@ def suite_rectangles(
 
 
 def suite_ladder(n: int, p_list, budget: SuiteBudget) -> list[CheckResult]:
-    # symmetric measures the ladder with this module's SuiteBudget, so it
+    # symmetric builds each row from this module's check_embedding, so it
     # is imported here, once this module is complete
     from .symmetric import distortion_report
 
     checks = []
     for rep in (distortion_report(n, p, budget) for p in p_list):
-        # a DistortionReport above its bound raises CertificateError when
-        # it is built, so only the isometry of whole block copies is checked
+        # a row whose map is not multiplicative, or whose distortion exceeds
+        # its bound, raises CertificateError, so only the isometry of whole
+        # block copies is checked
         checks.append(
             _result(
                 f"ladder-{rep.n}-to-{rep.p}",

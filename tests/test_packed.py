@@ -1967,9 +1967,8 @@ def test_image_hits_run_once_per_map(monkeypatch):
 
 
 def test_every_golden_ladder_map_is_certified():
-    # symmetric runs the ladder's metric pass alone, since a ladder map is
-    # exactly multiplicative: the certificate proves it for every map the
-    # ladder goldens measure
+    # every map the ladder goldens measure is multiplicative, as the
+    # certificate proves, so none of their rows reads a product deviation
     stages = {(n, p) for n, targets, _ in LADDER_CASES.values() for p in targets}
     for args in LADDER_CLI_CASES.values():
         n, p_list = int(args[1]), args[3]
@@ -2107,11 +2106,9 @@ def test_a_dropped_point_moves_both_passes_alike(case):
 
 
 def record_passes(monkeypatch) -> list:
-    """The names of the element path's pool and metric pass as they run;
-    symmetric imports metric_deviations by name, so its binding is counted
-    too."""
+    """The names of the element path's pool and metric pass as they run."""
     calls = []
-    for module, name in ((verify, "_pool"), (verify, "metric_deviations"), (symmetric, "metric_deviations")):
+    for module, name in ((verify, "_pool"), (verify, "metric_deviations")):
         fn = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *args, fn=fn, name=name: calls.append(name) or fn(*args))
     return calls

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import bisection_reference as ref
 from pool_reference import enumerate_semigroup
 from soficlab.cli import main as cli_main
-from soficlab.constructions import arrow_map, general_map, step_map
+from soficlab.constructions import SemigroupMap, arrow_map, general_map, step_map
 from soficlab.groupoid import Arrow, full_relation
 from soficlab.semigroup import (
     Bisection,
@@ -28,7 +28,7 @@ from soficlab.semigroup import (
 )
 from soficlab import symmetric, verify
 from soficlab.symmetric import DistortionReport, distortion_report
-from soficlab.verify import SuiteBudget, check_embedding
+from soficlab.verify import SuiteBudget, arrow_certificate, check_embedding
 
 # the pair cap and sample count of the reports below: every [[n]] they
 # measure has |[[n]]|^2 within the cap, so each is exhaustive
@@ -240,15 +240,15 @@ def test_exhaustive_sups_are_exactly_r_over_p():
             assert rep.bound is None or rep.observed_sup <= rep.bound
 
 
-# the ladder takes check_embedding's rule: when the arrow certificate
-# proves the map multiplicative within the pairs of the element pass, both
-# take the closed form, exact over all of [[n]]; otherwise the ladder runs
-# the metric pass of the certificate loop alone, which is sound because
-# every ladder map is exactly multiplicative, and check_embedding's
-# product pass reads 0. Sampled, both take the same pool and pairs, and
-# the pool holds the unit, whose trace deviation is (p mod n)/p. Only the
-# sampled pairs of [[4]], 50 and 40, fall below its 64 composable arrow
-# pairs
+# a ladder row is check_embedding's report on general_map(n, p) with the
+# bound n/(p-n) beside it, so the two read the same method, sups, pair
+# count and regime. When the arrow certificate proves the map
+# multiplicative within the pairs of the element pass, both take the
+# closed form, exact over all of [[n]]; otherwise both run the element
+# pass over the same pool and pairs, product pass included, and its
+# product deviation reads 0. The pool holds the unit, whose trace
+# deviation is (p mod n)/p. Only the sampled pairs of [[4]], 50 and 40,
+# fall below its 64 composable arrow pairs
 @pytest.mark.parametrize(
     "n,p,budget",
     [pytest.param(n, p, LADDER_BUDGET, id=f"{n}-{p}") for n in (1, 2, 3) for p in range(n, 3 * n + 2)]
@@ -277,13 +277,14 @@ def test_ladder_is_the_metric_pass_of_its_certificate(n, p, budget):
 
 
 def test_ladder_takes_no_products(monkeypatch):
-    # no element product pass: no mul, and left rows only inside the arrow
-    # certificate, whose composable pass takes them on codomain codes
+    # on the closed form, no element product pass: no mul, and left rows
+    # only inside the arrow certificate, whose composable pass takes them
+    # on codomain codes
     def refuse(*args):
         raise AssertionError("the ladder ran a product")
 
     inside = []
-    certify, left_row = verify._certify, PackedMonoid.left_row
+    certify, left_row, mul = verify._certify, PackedMonoid.left_row, PackedMonoid.mul
 
     def certifying(*args):
         inside.append(True)
@@ -296,7 +297,12 @@ def test_ladder_takes_no_products(monkeypatch):
     monkeypatch.setattr(PackedMonoid, "left_row", lambda self, a: left_row(self, a) if inside else refuse())
     monkeypatch.setattr(PackedMonoid, "mul", refuse)
     assert distortion_report(3, 7, LADDER_BUDGET).exhaustive
-    assert not distortion_report(4, 9, SuiteBudget(exhaustive_cap=100, sample_count=50, seed=5)).exhaustive
+    # sampled, the certificate does not run within the 50 pairs, so the
+    # product pass runs over them: one mul in [[4]] and one in [[9]] each
+    muls = []
+    monkeypatch.setattr(PackedMonoid, "mul", lambda self, a, b: muls.append(1) or mul(self, a, b))
+    rep = distortion_report(4, 9, SuiteBudget(exhaustive_cap=100, sample_count=50, seed=5))
+    assert not rep.exhaustive and len(muls) == 2 * rep.pairs_tested == 100
 
 
 def test_hand_derived_anchor_2_to_5():
@@ -358,9 +364,27 @@ class TestCertificate:
             return arrow_map(full_relation(n), full_relation(p), lambda a: [], "collapsed")
 
         monkeypatch.setattr(symmetric, "general_map", collapsed)
-        with pytest.raises(CertificateError):
+        with pytest.raises(CertificateError, match="exceeds the guaranteed bound"):
             distortion_report(2, 8, LADDER_BUDGET)
         assert cli_main(["embed", "--kind", "ladder", "--n", "2", "--p", "8"]) == 1
+        assert "certificate error:" in capsys.readouterr().err
+
+        # points 0 and 3, the two copies of unit 0, exchanged in the target
+        # of every image arrow: a valid table within the bound (distortion
+        # 1/7 against 3/4), but not multiplicative
+        def twisted(n, p):
+            m, swap = general_map(n, p), {0: 3, 3: 0}
+            table = {
+                a: tuple(sorted(b._replace(y_to=swap.get(b.y_to, b.y_to)) for b in image))
+                for a, image in m.arrow_images.items()
+            }
+            return SemigroupMap(m.domain, m.codomain, "twisted", table)
+
+        assert arrow_certificate(twisted(3, 7)).verdict == "refuted"
+        monkeypatch.setattr(symmetric, "general_map", twisted)
+        with pytest.raises(CertificateError, match="product deviation 2/7"):
+            distortion_report(3, 7, LADDER_BUDGET)
+        assert cli_main(["embed", "--kind", "ladder", "--n", "3", "--p", "7"]) == 1
         assert "certificate error:" in capsys.readouterr().err
 
 

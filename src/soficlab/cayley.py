@@ -48,15 +48,16 @@ def table_violations(table) -> list[str]:
     return problems
 
 
-def inverse_index(table: Table, g: int) -> int:
-    for h in range(len(table)):
-        if table[g][h] == 0 and table[h][g] == 0:
-            return h
-    raise ValueError(f"element {g} has no inverse")
-
-
 def inverses(table: Table) -> tuple[int, ...]:
-    return tuple(inverse_index(table, g) for g in range(len(table)))
+    out = []
+    for g in range(len(table)):
+        for h in range(len(table)):
+            if table[g][h] == 0 and table[h][g] == 0:
+                out.append(h)
+                break
+        else:
+            raise ValueError(f"element {g} has no inverse")
+    return tuple(out)
 
 
 def trivial() -> Table:

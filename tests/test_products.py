@@ -28,6 +28,7 @@ from soficlab.constructions import (
     CertificateError,
     PackedProduct,
     RectangleUnion,
+    SemigroupMap,
     compose,
     embed_connected,
     embed_convex,
@@ -321,8 +322,17 @@ def test_violations_run_once_per_decomposition(monkeypatch, reverse):
 
 
 def test_suite_checks_each_union_once(monkeypatch):
-    # two decompositions per element, and nothing re-checks them
+    # two decompositions per element, and nothing re-checks them: the
+    # suite records their certificates and maps no element
     calls = count_violations(monkeypatch)
+    built, init = [], SemigroupMap.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SemigroupMap, "__init__", counted_init)
     report = run_suite("rectangles", None, left=REL2, right=REL2)
     assert report.passed
     assert len(calls) == 2 * 209
+    assert built == []

@@ -3,10 +3,13 @@ named invariant suites.
 
 Every comparison is an exact rational (in)equality; epsilon thresholds are
 strict rational comparisons. A check over more than one element takes
-its tuples from _tuples: every tuple over its pools whenever their number
-fits the budget cap, seeded samples otherwise, and exhaustive only when
-every tuple ran over exhaustive pools. Each report records which regime
-ran and how many tuples, so a report is a deterministic
+its tuples from one gate, _run: every tuple over its pools whenever their
+number fits the budget cap, seeded samples otherwise, and exhaustive only
+when every tuple ran over exhaustive pools. The gate gives them as rows
+(*prefix, lasts), the leading indices and the last indices that follow
+them: range of the last size when every tuple runs, one drawn index when
+sampled; the certificates take theirs as pairs (pool_pairs). Each report
+records which regime ran and how many tuples, so a report is a deterministic
 function of (inputs, seed, budget). Every element pool comes from _pool,
 which charges the cap and then enumerates the pool, or draws it, directly
 as codes of semigroup.PackedMonoid (unit sets as bitmasks); a draw writes
@@ -26,11 +29,14 @@ and otherwise the suite stays on codes. These four suites read products
 and distances inline, as M[a][b] and D[a][b] on the kernel's products and
 distances, one loop per tuple set with no Python call per tuple: each
 tuple set is drawn from _run once, and every check over it counts its
-violations in that one loop. On a table each lookup is a list subscript,
+violations in that one loop. A row reads what depends only on its prefix
+(M[a], D[a], M[M[a][b]] and the like) once, then runs a plain inner loop
+over its lasts. On a table each lookup is a list subscript,
 and on codes a view that calls mul or dist. The other checks are plain
 loops too: the finite-index suite's block identity over the gate's
-pairs, a block row of the product at a time on the flat block matrices
-of constructions.block_table; its diagonal trace over the elements whose
+rows, a block row of the product at a time on the flat block matrices
+of constructions.block_table, with the left rows of a row's blocks built
+once; its diagonal trace over the elements whose
 block matrices passed their checks; and the rectangles suite's trace
 multiplicativity. Both certificates, check_embedding and
 check_almost_morphism, run on the kernel too, through one loop
@@ -233,35 +239,42 @@ def _kernel(g: FiniteGroupoid, budget: SuiteBudget, kind: str = "semigroup"):
     return table, list(range(n)), True
 
 
-def _tuples(sizes, budget: SuiteBudget, pools_exhaustive: bool):
+def _run(sizes, budget: SuiteBudget, pools_exhaustive: bool):
     """The index tuples a check runs, over pools of the given sizes (one
-    index per pool), whether they are exhaustive, and how many there are.
+    index per pool), as rows (*prefix, lasts), and the details `tested`
+    and `exhaustive` of the check that runs them.
 
     All of them or the number _held gives for the product of the sizes;
-    all are exhaustive exactly when the pools are too, and the others are
-    drawn with budget.seed + len(sizes) and one randrange per slot. Every
+    all are exhaustive exactly when the pools are too. A row holds a
+    prefix of leading indices and the last indices that follow it, so a
+    check reads what depends on the prefix once per row: when every tuple
+    runs, lasts is range(sizes[-1]) after each prefix of the leading
+    sizes; sampled, each tuple is one row (*prefix, (last,)), drawn with
+    budget.seed + len(sizes) and one randrange per slot, in order. Every
     check over more than one element takes its tuples, `tested` and
     `exhaustive` from here, and builds nothing whose length is a product
     of pool sizes over the cap.
     """
-    total = prod(sizes)
-    draws, exhaustive = _held(total, budget)
-    if exhaustive:
-        return iproduct(*map(range, sizes)), pools_exhaustive, total
-    rng = random.Random(budget.seed + len(sizes))
-    sampled = [tuple([rng.randrange(n) for n in sizes]) for _ in range(draws)]
-    return sampled, False, draws
+    *head, last = sizes
+    tested, every = _held(prod(sizes), budget)
+    if every:
+        rows = iproduct(*map(range, head), [range(last)])
+    else:
+        randrange = random.Random(budget.seed + len(sizes)).randrange
+        rows = [(*map(randrange, head), (randrange(last),)) for _ in range(tested)]
+    return rows, {"tested": tested, "exhaustive": every and pools_exhaustive}
 
 
 def pool_pairs(pm: PackedMonoid, budget: SuiteBudget):
-    """The "semigroup" pool of _pool on pm and the pairs of _tuples over
-    it, as a certificate's metric pass takes them: (pool, pairs,
-    exhaustive, tested), where pairs is None when every pair of the pool
-    runs, and otherwise the sampled list of index pairs."""
+    """The "semigroup" pool of _pool on pm and the pairs of _run over it,
+    as a certificate's metric pass takes them: (pool, pairs, exhaustive,
+    tested), where pairs is None when every pair of the pool runs, and
+    otherwise the sampled list of index pairs."""
     pool, exhaustive = _pool(pm, "semigroup", budget)
     n = len(pool)
-    pairs, exhaustive, tested = _tuples((n, n), budget, exhaustive)
-    return pool, None if tested == n * n else pairs, exhaustive, tested  # sampled pairs are fewer
+    rows, run = _run((n, n), budget, exhaustive)
+    pairs = None if run["tested"] == n * n else [(i, j) for i, (j,) in rows]  # sampled pairs are fewer
+    return pool, pairs, run["exhaustive"], run["tested"]
 
 
 def element_pairs(g: FiniteGroupoid, budget: SuiteBudget) -> int:
@@ -685,13 +698,6 @@ def _result(name, passed, **details) -> CheckResult:
     return CheckResult(name, passed, details)
 
 
-def _run(sizes, budget: SuiteBudget, pools_exhaustive: bool):
-    """The tuples of _tuples, and the details `tested` and `exhaustive` of
-    the check that runs them."""
-    tuples, exhaustive, tested = _tuples(sizes, budget, pools_exhaustive)
-    return tuples, {"tested": tested, "exhaustive": exhaustive}
-
-
 def suite_inverse_monoid(g: FiniteGroupoid, budget: SuiteBudget) -> list[CheckResult]:
     k, pool, exhaustive = _kernel(g, budget)
     M = k.products
@@ -710,17 +716,24 @@ def suite_inverse_monoid(g: FiniteGroupoid, budget: SuiteBudget) -> list[CheckRe
 
     triples, run = _run((n, n, n), budget, exhaustive)
     viol = 0
-    for ia, ib, ic in triples:
-        a, b, c = pool[ia], pool[ib], pool[ic]
-        viol += M[M[a][b]][c] != M[a][M[b][c]]
+    for ia, ib, lasts in triples:
+        a, b = pool[ia], pool[ib]
+        Ma, Mb = M[a], M[b]
+        Mab = M[Ma[b]]
+        for ic in lasts:
+            c = pool[ic]
+            viol += Mab[c] != Ma[Mb[c]]
     checks.append(_result("associativity", viol == 0, violations=viol, **run))
 
     pairs, run = _run((n, n), budget, exhaustive)
     viol = 0
-    for ia, ib in pairs:
-        a, b = pool[ia], pool[ib]
-        if M[M[a][b]][a] == a and M[M[b][a]][b] == b and b != invs[ia]:
-            viol += 1
+    for ia, lasts in pairs:
+        a, ai = pool[ia], invs[ia]
+        Ma = M[a]
+        for ib in lasts:
+            b = pool[ib]
+            if M[Ma[b]][a] == a and M[M[b][a]][b] == b and b != ai:
+                viol += 1
     checks.append(_result("inverse-uniqueness", viol == 0, violations=viol, **run))
 
     unit_sets = [k.fix(a) == k.src(a) for a in pool]
@@ -732,9 +745,12 @@ def suite_inverse_monoid(g: FiniteGroupoid, budget: SuiteBudget) -> list[CheckRe
     idems = [a for a, is_unit_set in zip(pool, unit_sets) if is_unit_set]
     pairs, run = _run((len(idems), len(idems)), budget, exhaustive)
     viol = 0
-    for i, j in pairs:
-        e, f = idems[i], idems[j]
-        viol += M[e][f] != M[f][e]
+    for i, lasts in pairs:
+        e = idems[i]
+        Me = M[e]
+        for j in lasts:
+            f = idems[j]
+            viol += Me[f] != M[f][e]
     checks.append(_result("idempotents-commute", viol == 0, **run))
     return checks
 
@@ -755,27 +771,33 @@ def suite_metric(g: FiniteGroupoid, budget: SuiteBudget) -> list[CheckResult]:
     pairs, run2 = _run((n, n), budget, exhaustive)
     asymmetric = zero_off_diagonal = not_invariant = uncorrected = inverse_far = 0
     witness = None
-    for i, j in pairs:
-        a, b = pool[i], pool[j]
-        dab = D[a][b]
-        asymmetric += dab != D[b][a]
-        # a pool holds each element once
-        zero_off_diagonal += (dab == 0) != (i == j)
-        change = D[invs[i]][invs[j]] - dab
-        if change:
-            not_invariant += 1
-            if witness is None:
-                witness = tuple([list(x) for x in k.arrows(y)] for y in (a, b))
-        uncorrected += change != mass(rng[i] | rng[j]) - mass(src[i] | src[j])
-        inverse_far += D[a][invs[j]] > D[a][M[M[a][b]][a]] + D[b][M[M[b][a]][b]]
+    for i, lasts in pairs:
+        a, src_a, rng_a = pool[i], src[i], rng[i]
+        Da, Dai, Ma = D[a], D[invs[i]], M[a]
+        for j in lasts:
+            b = pool[j]
+            Db, dab = D[b], Da[b]
+            asymmetric += dab != Db[a]
+            # a pool holds each element once
+            zero_off_diagonal += (dab == 0) != (i == j)
+            change = Dai[invs[j]] - dab
+            if change:
+                not_invariant += 1
+                if witness is None:
+                    witness = tuple([list(x) for x in k.arrows(y)] for y in (a, b))
+            uncorrected += change != mass(rng_a | rng[j]) - mass(src_a | src[j])
+            inverse_far += Da[invs[j]] > Da[M[Ma[b]][a]] + Db[M[M[b][a]][b]]
     checks.append(_result("symmetry", asymmetric == 0, **run2))
     checks.append(_result("zero-iff-equal", zero_off_diagonal == 0, **run2))
 
     triples, run = _run((n, n, n), budget, exhaustive)
     viol = 0
-    for ia, ib, ic in triples:
-        a, b, c = pool[ia], pool[ib], pool[ic]
-        viol += D[a][c] > D[a][b] + D[b][c]
+    for ia, ib, lasts in triples:
+        Da, Db = D[pool[ia]], D[pool[ib]]
+        dab = Da[pool[ib]]
+        for ic in lasts:
+            c = pool[ic]
+            viol += Da[c] > dab + Db[c]
     checks.append(_result("triangle", viol == 0, violations=viol, **run))
 
     checks.append(
@@ -792,17 +814,23 @@ def suite_metric(g: FiniteGroupoid, budget: SuiteBudget) -> list[CheckResult]:
     full = [i for i in range(n) if src[i] == rng[i] == k.full_mask]
     pairs, run = _run((len(full), len(full)), budget, exhaustive)
     viol = 0
-    for fi, fj in pairs:
-        i, j = full[fi], full[fj]
-        viol += D[invs[i]][invs[j]] != D[pool[i]][pool[j]]
+    for fi, lasts in pairs:
+        i = full[fi]
+        Dai, Da = D[invs[i]], D[pool[i]]
+        for fj in lasts:
+            j = full[fj]
+            viol += Dai[invs[j]] != Da[pool[j]]
     checks.append(_result("inverse-invariance-full-group", viol == 0, **run))
     checks.append(_result("inverse-invariance-corrected", uncorrected == 0, **run2))
 
     quadruples, run = _run((n, n, n, n), budget, exhaustive)
     viol = 0
-    for ia, ib, ic, id_ in quadruples:
-        a, b, c, d = pool[ia], pool[ib], pool[ic], pool[id_]
-        viol += D[M[a][b]][M[c][d]] > D[a][c] + D[b][d]
+    for ia, ib, ic, lasts in quadruples:
+        a, b, c = pool[ia], pool[ib], pool[ic]
+        Dab, Mc, Db, dac = D[M[a][b]], M[c], D[b], D[a][c]
+        for id_ in lasts:
+            d = pool[id_]
+            viol += Dab[Mc[d]] > dac + Db[d]
     checks.append(_result("product-inequality", viol == 0, violations=viol, **run))
     checks.append(_result("inverse-triangle", inverse_far == 0, violations=inverse_far, **run2))
     return checks
@@ -826,15 +854,11 @@ def suite_trace_distance(g: FiniteGroupoid, budget: SuiteBudget) -> list[CheckRe
 
     pairs, run = _run((n, n), budget, exhaustive)
     bad = 0
-    for ia, ib in pairs:
-        a = pool[ia]
-        rhs = (
-            source_traces[ia]
-            + source_traces[ib]
-            - trace(M[sources[ia]][sources[ib]])
-            - trace(M[invs[ib]][a])
-        )
-        bad += D[a][pool[ib]] != rhs
+    for ia, lasts in pairs:
+        a, t_a = pool[ia], source_traces[ia]
+        Da, Ms = D[a], M[sources[ia]]
+        for ib in lasts:
+            bad += Da[pool[ib]] != t_a + source_traces[ib] - trace(Ms[sources[ib]]) - trace(M[invs[ib]][a])
     checks.append(_result("distance-from-trace", bad == 0, **run))
     return checks
 
@@ -842,7 +866,7 @@ def suite_trace_distance(g: FiniteGroupoid, budget: SuiteBudget) -> list[CheckRe
 def suite_supports(g: FiniteGroupoid, budget: SuiteBudget) -> list[CheckResult]:
     k, group, exhaustive = _kernel(g, budget, "group")
     malg, malg_exh = _pool(k, "malg", budget)
-    M, D, inv, idem, src, rng, fix = k.products, k.distances, k.inv, k.idem, k.src, k.rng, k.fix
+    M, D, idem, src, rng, fix = k.products, k.distances, k.idem, k.src, k.rng, k.fix
     total = k.total
     traces = [k.trace(a) for a in group]
     fixes = [fix(a) for a in group]
@@ -857,37 +881,44 @@ def suite_supports(g: FiniteGroupoid, budget: SuiteBudget) -> list[CheckResult]:
     # covariance is supp(a b a^-1) = a(supp(b)), where a(A) = rng(a 1_A)
     pairs, run = _run((n, n), budget, exhaustive)
     not_fix = not_disjoint = not_covariant = 0
-    for i, j in pairs:
-        a, b = group[i], group[j]
-        dab = D[a][b]
-        not_fix += (supps[i] == fixes[j]) != (dab == total and traces[i] + traces[j] == total)
-        not_disjoint += (not supps[i] & supps[j]) != (dab == moved[i] + moved[j])
-        conj = M[M[a][b]][inv(a)]
-        not_covariant += src(conj) & ~fix(conj) != rng(M[a][idem(supps[j])])
+    for i, lasts in pairs:
+        a, supp_a, trace_a, moved_a = group[i], supps[i], traces[i], moved[i]
+        Da, Ma, a_inv = D[a], M[a], k.inv(a)
+        for j in lasts:
+            dab, supp_b = Da[group[j]], supps[j]
+            not_fix += (supp_a == fixes[j]) != (dab == total and trace_a + traces[j] == total)
+            not_disjoint += (not supp_a & supp_b) != (dab == moved_a + moved[j])
+            conj = M[Ma[group[j]]][a_inv]
+            not_covariant += src(conj) & ~fix(conj) != rng(Ma[idem(supp_b)])
     checks.append(_result("supp-eq-fix", not_fix == 0, **run))
     checks.append(_result("disjoint-supports", not_disjoint == 0, **run))
     checks.append(_result("covariance", not_covariant == 0, **run))
 
     pairs, run = _run((n, m), budget, both_exhaustive)
-    viol = 0
-    for i, A in pairs:
-        viol += k.mass(rng(M[group[i]][ones[A]])) != k.mass(malg[A])
+    viol, mass = 0, k.mass
+    for i, lasts in pairs:
+        Ma = M[group[i]]
+        for A in lasts:
+            viol += mass(rng(Ma[ones[A]])) != mass(malg[A])
     checks.append(_result("action-preserves-mass", viol == 0, **run))
 
     triples, run = _run((n, m, m), budget, both_exhaustive)
     viol = 0
-    for i, A, B in triples:
-        a = group[i]
-        if not malg[A] & ~malg[B] and rng(M[a][ones[A]]) & ~rng(M[a][ones[B]]):
-            viol += 1
+    for i, A, lasts in triples:
+        Ma, units_a = M[group[i]], malg[A]
+        for B in lasts:
+            if not units_a & ~malg[B] and rng(Ma[ones[A]]) & ~rng(Ma[ones[B]]):
+                viol += 1
     checks.append(_result("action-preserves-order", viol == 0, **run))
 
     # (a 1_A)(b 1_B) = ab 1_C, where C = B n b^-1(A) and b^-1(A) = src(1_A b)
     quadruples, run = _run((n, n, m, m), budget, both_exhaustive)
     viol = 0
-    for i, j, A, B in quadruples:
-        a, b, e, f = group[i], group[j], ones[A], ones[B]
-        viol += M[M[a][e]][M[b][f]] != M[M[a][b]][idem(malg[B] & src(M[e][b]))]
+    for i, j, A, lasts in quadruples:
+        Ma, b, e = M[group[i]], group[j], ones[A]
+        Mae, Mb, Mab, s = M[Ma[e]], M[b], M[Ma[b]], src(M[e][b])
+        for B in lasts:
+            viol += Mae[Mb[ones[B]]] != Mab[idem(malg[B] & s)]
     checks.append(_result("corner-product-identity", viol == 0, **run))
     return checks
 
@@ -939,18 +970,19 @@ def suite_finite_index(
     # code, where none is defined). Block row i of ab is that max over j of
     # a_ij's left row mapped over block row j of b, all n*N entries at
     # once, and the n block rows concatenated are ab's flat matrix; the
-    # left rows of the blocks a_ij are rebuilt when the left index changes
+    # left rows of the blocks a_ij are built once per row of the gate
     width = nn * units
     block_rows = [[m[k : k + width] for k in range(0, nn * width, width)] for m in matrices]
     pairs, run = _run((len(passed), len(passed)), budget, exhaustive)
-    viol, left = 0, None
-    for ia, ib in pairs:
-        if ia != left:
-            rows = [pm.left_row(a_ij).__getitem__ for a_ij in blocks_of(matrices[ia], nn, units)]
-            left, a_rows = ia, [rows[i * nn : (i + 1) * nn] for i in range(nn)]
-        b_rows = block_rows[ib]
-        ab = chain.from_iterable(map(max, repeat(-1), *map(map, a_row, b_rows)) for a_row in a_rows)
-        viol += tuple(ab) != blocks(pm.mul(passed[ia], passed[ib]))
+    viol = 0
+    for ia, lasts in pairs:
+        a = passed[ia]
+        rows = [pm.left_row(a_ij).__getitem__ for a_ij in blocks_of(matrices[ia], nn, units)]
+        a_rows = [rows[i * nn : (i + 1) * nn] for i in range(nn)]
+        for ib in lasts:
+            b_rows = block_rows[ib]
+            ab = chain.from_iterable(map(max, repeat(-1), *map(map, a_row, b_rows)) for a_row in a_rows)
+            viol += tuple(ab) != blocks(pm.mul(a, passed[ib]))
     checks.append(_result("block-identity", viol == 0, violations=viol, **run))
 
     diagonal = [(i * nn + i) * units for i in range(nn)]
@@ -1010,10 +1042,13 @@ def suite_rectangles(
     scale, denom = pp.left.denom * pp.right.denom, pp.pm.denom
     trace, trace_left, trace_right = pp.pm.trace, pp.left.trace, pp.right.trace
     pairs, run = _run((len(lefts), len(rights)), budget, lexh and rexh)
-    viol = 0
-    for i, j in pairs:
-        a, b = lefts[i], rights[j]
-        viol += trace(pp.rectangle(a, b)) * scale != trace_left(a) * trace_right(b) * denom
+    viol, rectangle = 0, pp.rectangle
+    for i, lasts in pairs:
+        a = lefts[i]
+        t_a = trace_left(a) * denom
+        for j in lasts:
+            b = rights[j]
+            viol += trace(rectangle(a, b)) * scale != t_a * trace_right(b)
     checks.append(_result("rectangle-trace-multiplicative", viol == 0, **run))
     return checks
 

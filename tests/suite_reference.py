@@ -15,6 +15,9 @@ counted before block rows: cell by cell, the union over j of a_ij b_jl as
 an entrywise max of n per-cell products, with a break at a pair's first
 differing cell. It takes block_table and block_violation from verify at
 call time too.
+
+Every tuple loop here runs tuple by tuple over tuples, the rows of the
+gate verify._run flattened in order, where the suites run row by row.
 """
 
 from itertools import product as iproduct
@@ -32,9 +35,17 @@ def operations(k):
     return k.mul, k.dist
 
 
+def tuples(sizes, budget, pools_exhaustive):
+    """The index tuples of verify._run's rows, in order, whether they are
+    exhaustive and how many there are."""
+    rows, run = verify._run(sizes, budget, pools_exhaustive)
+    flat = ((*prefix, last) for *prefix, lasts in rows for last in lasts)
+    return flat, run["exhaustive"], run["tested"]
+
+
 def _count(sizes, budget, pools_exhaustive, bad):
-    tuples, exhaustive, tested = verify._tuples(sizes, budget, pools_exhaustive)
-    return sum(starmap(bad, tuples)), {"tested": tested, "exhaustive": exhaustive}
+    flat, exhaustive, tested = tuples(sizes, budget, pools_exhaustive)
+    return sum(starmap(bad, flat)), {"tested": tested, "exhaustive": exhaustive}
 
 
 def suite_inverse_monoid(g, budget):
@@ -105,7 +116,7 @@ def suite_metric(g, budget):
     checks.append(verify._result("pmp-mass-law", not bad, tested=n, exhaustive=exhaustive))
 
     # the pair checks that read only distances share one run of pairs
-    pairs, exh2, cnt2 = verify._tuples((n, n), budget, exhaustive)
+    pairs, exh2, cnt2 = tuples((n, n), budget, exhaustive)
     asymmetric = zero_off_diagonal = not_invariant = uncorrected = 0
     witness = None
     for i, j in pairs:
@@ -265,7 +276,7 @@ def block_identity(g, sub_arrows, budget, system=None):
     blocks = verify.block_table(system, pm)
     passed = [x for x in pool if verify.block_violation(pm, nn, blocks(x), blocks(pm.inv(x))) is None]
     matrices = [blocks_of(blocks(x), nn, units) for x in passed]
-    pairs, run = verify._run((len(passed), len(passed)), budget, exhaustive)
+    pairs, exhaustive, tested = tuples((len(passed), len(passed)), budget, exhaustive)
     viol, left = 0, None
     for ia, ib in pairs:
         if ia != left:
@@ -276,7 +287,7 @@ def block_identity(g, sub_arrows, budget, system=None):
             if tuple(map(max, zip(*products))) != bab[i * nn + l]:
                 viol += 1
                 break
-    return verify._result("block-identity", viol == 0, violations=viol, **run)
+    return verify._result("block-identity", viol == 0, violations=viol, tested=tested, exhaustive=exhaustive)
 
 
 SUITES = {

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 from functools import cached_property, partial
 from itertools import accumulate, chain, combinations, compress, permutations, product, repeat
-from math import comb, factorial, lcm
+from math import factorial, lcm
 from operator import eq, getitem, ne
 
 from . import cayley
@@ -516,10 +516,18 @@ def _generators(pm: PackedMonoid):
 
 
 def semigroup_count(g: FiniteGroupoid) -> int:
+    """|[[g]]|: per component of base size n and group order m, the sum
+    over k of C(n, k)^2 k! m^k, the elements of k arrows. Each term is
+    built from the one before, t(k + 1) = t(k) (n - k)^2 m / (k + 1), a
+    division that is exact since the quotient is the next term."""
     total = 1
     for c in g.components:
         n, m = c.base_size, c.group_order
-        total *= sum(comb(n, k) ** 2 * factorial(k) * m**k for k in range(n + 1))
+        term = count = 1
+        for k in range(n):
+            term = term * (n - k) ** 2 * m // (k + 1)
+            count += term
+        total *= count
     return total
 
 

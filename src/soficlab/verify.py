@@ -8,9 +8,9 @@ number fits the budget cap, seeded samples otherwise, and exhaustive only
 when every tuple ran over exhaustive pools. The gate gives them as rows
 (*prefix, lasts), the leading indices and the last indices that follow
 them: range of the last size when every tuple runs, one drawn index when
-sampled; the certificates take theirs as pairs (pool_pairs). Each report
-records which regime ran and how many tuples, so a report is a deterministic
-function of (inputs, seed, budget). Every element pool comes from _pool,
+sampled; the certificates read the rows of their pool's pairs too
+(pool_pairs). Each report records which regime ran and how many tuples,
+so a report is a deterministic function of (inputs, seed, budget). Every element pool comes from _pool,
 which charges the cap and then enumerates the pool, or draws it, directly
 as codes of semigroup.PackedMonoid (unit sets as bitmasks); a draw writes
 each arrow's code into its entry and builds no Arrow, and a sampled pool
@@ -60,12 +60,13 @@ trace and distance sups over all of [[G]] off the images of the unit
 arrows when the certificate certifies and no non-unit arrow's image
 holds a unit arrow, and then no pool is built and neither pass runs
 (method "arrow-table"). Otherwise check_embedding takes its pool and
-pairs from pool_pairs (method "elements"). A row of the ladder
-[[n]] -> [[p]] (symmetric.distortion_report) is check_embedding's report
-on the ladder map with its bound beside it. When every pair of the
-pool runs, the products come one left factor at a time through its left
-rows (PackedMonoid.left_row), and the distances from
-PackedMonoid.dist_rows; sampled pairs take theirs by mul and dist.
+rows from pool_pairs (method "elements"). Each pass runs one loop over
+the rows, and each row picks its algorithm: a whole row takes its
+products through the left rows (PackedMonoid.left_row) of its left
+factor and of that factor's image, and its distances from
+PackedMonoid.dist_rows; a drawn pair takes its by mul and dist. A row of
+the ladder [[n]] -> [[p]] (symmetric.distortion_report) is
+check_embedding's report on the ladder map with its bound beside it.
 Bisections are decoded only for the witnesses a report prints. Reports and results are NamedTuples;
 serialize writes a report's fields through jsonable and names only the
 renamed and derived keys. SuiteBudget is a groupoid.Value, checked when it is built.
@@ -266,15 +267,13 @@ def _run(sizes, budget: SuiteBudget, pools_exhaustive: bool):
 
 
 def pool_pairs(pm: PackedMonoid, budget: SuiteBudget):
-    """The "semigroup" pool of _pool on pm and the pairs of _run over it,
-    as a certificate's metric pass takes them: (pool, pairs, exhaustive,
-    tested), where pairs is None when every pair of the pool runs, and
-    otherwise the sampled list of index pairs."""
+    """The "semigroup" pool of _pool on pm and the rows of _run over its
+    pairs, as a certificate's passes take them: (pool, rows, exhaustive,
+    tested), the rows as a list, since both passes read them."""
     pool, exhaustive = _pool(pm, "semigroup", budget)
     n = len(pool)
     rows, run = _run((n, n), budget, exhaustive)
-    pairs = None if run["tested"] == n * n else [(i, j) for i, (j,) in rows]  # sampled pairs are fewer
-    return pool, pairs, run["exhaustive"], run["tested"]
+    return pool, list(rows), run["exhaustive"], run["tested"]
 
 
 def element_pairs(g: FiniteGroupoid, budget: SuiteBudget) -> int:
@@ -304,11 +303,11 @@ def check_almost_morphism(pi, K, epsilon, packed: PackedMonoid | None = None) ->
     the image of some product of K-elements is rejected as incomplete. The
     verdict uses the product and trace deviations, strictly below epsilon;
     the distance deviation is measured and reported alongside. Every pair
-    of K, in order, runs through _deviations on packed codes, whose
-    product pass is skipped for a semigroup map that arrow_certificate
-    certifies within |K|^2 composable arrow pairs, the pairs the pass
-    would run. K is a list of Bisections, or of codes of packed when that
-    is given.
+    of K, in order and as whole rows, runs through _deviations on packed
+    codes, whose product pass is skipped for a semigroup map that
+    arrow_certificate certifies within |K|^2 composable arrow pairs, the
+    pairs the pass would run. K is a list of Bisections, or of codes of
+    packed when that is given.
     """
     epsilon = Fraction(epsilon)
     K = list(K)
@@ -344,7 +343,8 @@ def check_almost_morphism(pi, K, epsilon, packed: PackedMonoid | None = None) ->
                 raise IncompletePairListError(f"pair list does not cover a required element ({arrows} arrows)")
             return table[x]
 
-    _, (prod_dev, trace_dev, dist_dev), at = _deviations(f, dom, cod, pool, exact=exact)
+    every = range(len(pool))
+    _, (prod_dev, trace_dev, dist_dev), at = _deviations(f, dom, cod, pool, [(i, every) for i in every], exact)
     return AlmostMorphismReport(
         k_size=len(K),
         epsilon=epsilon,
@@ -406,61 +406,56 @@ class _Images(dict):
         return fx
 
 
-def _deviations(f, dom: PackedMonoid, cod: PackedMonoid, pool: list, pairs=None, exact: bool = False):
+def _deviations(f, dom: PackedMonoid, cod: PackedMonoid, pool: list, rows: list, exact: bool = False):
     """The loop of both certificates: f maps codes of dom to codes of cod,
-    and pairs is a list of index pairs into the pool, or None for all of
-    its pairs, the left index outermost. Returns the images of the pool,
-    the exact product, trace and distance maxima as Fractions, and where
-    each is first reached: the metric pass (metric_deviations), then the
-    product pass, whose "product" witness is a pair of pool indices. When
-    exact, f is multiplicative on all of [[G]] (arrow_certificate
-    certified it), so the product pass is skipped and the product maximum
-    is 0 with no witness, as the pass would find.
+    and rows is a list of _run's rows (ia, lasts) of index pairs into the
+    pool: whole rows (lasts the range of every pool index), which come in
+    pool order, or drawn pairs (lasts one index). Returns the images of
+    the pool, the exact product, trace and distance maxima as Fractions,
+    and where each is first reached: the metric pass (metric_deviations),
+    then the product pass, whose "product" witness is a pair of pool
+    indices. When exact, f is multiplicative on all of [[G]]
+    (arrow_certificate certified it), so the product pass is skipped and
+    the product maximum is 0 with no witness, as the pass would find.
 
     f runs once per distinct code: the pool's, then each product's that is
-    not yet mapped. Over all pairs, the products of a left factor come from
+    not yet mapped. A whole row takes the products of its left factor from
     the left rows (PackedMonoid.left_row) of the factor and of its image,
-    and cod.dist runs only where f(xy) != f(x)f(y). Given pairs take theirs
-    by mul, since a row costs about two muls and a sampled left factor
-    seldom recurs.
+    a drawn pair by mul, and cod.dist runs only where f(xy) != f(x)f(y).
     """
     mapped = _Images(f)
     images = list(map(mapped.__getitem__, pool))
-    trace_dev, dist_dev, at = metric_deviations(dom, cod, pool, images, pairs)
+    trace_dev, dist_dev, at = metric_deviations(dom, cod, pool, images, rows)
     if exact:
         return images, (Fraction(0), trace_dev, dist_dev), at
-    cod_dist = cod.dist
+    dom_mul, cod_mul, cod_dist = dom.mul, cod.mul, cod.dist
     prod_dev = 0
-    if pairs is None:
-        indices = range(len(pool))
-        for ia, (x, fx) in enumerate(zip(pool, images)):
-            x_row, fx_row = dom.left_row(x).__getitem__, cod.left_row(fx).__getitem__
-            fxys = list(map(mapped.__getitem__, map(tuple, map(map, repeat(x_row), pool))))
-            fxfys = list(map(tuple, map(map, repeat(fx_row), images)))
-            # equal codes are deviation 0, which never raises the maximum
-            for ib in compress(indices, map(ne, fxys, fxfys)):
-                dev = cod_dist(fxys[ib], fxfys[ib])
-                if dev > prod_dev:
-                    prod_dev, at["product"] = dev, (ia, ib)
-    else:
-        dom_mul, cod_mul = dom.mul, cod.mul
-        for ia, ib in pairs:
-            fxy, fxfy = mapped[dom_mul(pool[ia], pool[ib])], cod_mul(images[ia], images[ib])
-            if fxy != fxfy:
-                dev = cod_dist(fxy, fxfy)
-                if dev > prod_dev:
-                    prod_dev, at["product"] = dev, (ia, ib)
+    for ia, lasts in rows:
+        x, fx = pool[ia], images[ia]
+        if isinstance(lasts, range):
+            fxys = list(map(mapped.__getitem__, map(tuple, map(map, repeat(dom.left_row(x).__getitem__), pool))))
+            fxfys = list(map(tuple, map(map, repeat(cod.left_row(fx).__getitem__), images)))
+        else:
+            # a left row, read once, costs about two muls (12.3 against
+            # 6.8 us at 72 points), and a drawn left factor seldom recurs
+            (ib,) = lasts
+            fxys, fxfys = [mapped[dom_mul(x, pool[ib])]], [cod_mul(fx, images[ib])]
+        # equal codes are deviation 0, which never raises the maximum
+        for j in compress(range(len(fxys)), map(ne, fxys, fxfys)):
+            dev = cod_dist(fxys[j], fxfys[j])
+            if dev > prod_dev:
+                prod_dev, at["product"] = dev, (ia, lasts[j])
     return images, (Fraction(prod_dev, cod.denom), trace_dev, dist_dev), at
 
 
-def metric_deviations(dom: PackedMonoid, cod: PackedMonoid, pool: list, images: list, pairs=None):
+def metric_deviations(dom: PackedMonoid, cod: PackedMonoid, pool: list, images: list, rows: list):
     """The maxima of |tr(f(x)) - tr(x)| over the pool and of
-    |d(f(x), f(y)) - d(x, y)| over pairs (as in _deviations), where
-    images[i] = f(pool[i]), as Fractions, and where each is first reached
-    ("trace": a pool index, "distance": a pair of them). Over all pairs,
-    the distances come a row at a time from dom.dist_rows and
-    cod.dist_rows, and a row's first maximal index is its witness; given
-    pairs take theirs by dist.
+    |d(f(x), f(y)) - d(x, y)| over the pairs of rows (as in _deviations),
+    where images[i] = f(pool[i]), as Fractions, and where each is first
+    reached ("trace": a pool index, "distance": a pair of them). A whole
+    row takes its distances from dom.dist_rows and cod.dist_rows, which
+    yield a row per pool index in pool order, as whole rows come; a drawn
+    pair takes its by dist. A row's first maximal index is its witness.
     """
     d_dom, d_cod = dom.denom, cod.denom
     trace_dev = dist_dev = 0
@@ -469,18 +464,17 @@ def metric_deviations(dom: PackedMonoid, cod: PackedMonoid, pool: list, images: 
         dev = abs(dom.trace(x) * d_cod - cod.trace(fx) * d_dom)
         if dev > trace_dev:
             trace_dev, at["trace"] = dev, i
-    if pairs is None:
-        for ia, (dom_row, cod_row) in enumerate(zip(dom.dist_rows(pool), cod.dist_rows(images))):
-            devs = [abs(d * d_cod - c * d_dom) for d, c in zip(dom_row, cod_row)]
-            dev = max(devs)
-            if dev > dist_dev:
-                dist_dev, at["distance"] = dev, (ia, devs.index(dev))
-    else:
-        dom_dist, cod_dist = dom.dist, cod.dist
-        for ia, ib in pairs:
-            dev = abs(dom_dist(pool[ia], pool[ib]) * d_cod - cod_dist(images[ia], images[ib]) * d_dom)
-            if dev > dist_dev:
-                dist_dev, at["distance"] = dev, (ia, ib)
+    # the row generators run only as far as whole rows draw on them
+    dom_rows, cod_rows, dom_dist, cod_dist = dom.dist_rows(pool), cod.dist_rows(images), dom.dist, cod.dist
+    for ia, lasts in rows:
+        if isinstance(lasts, range):
+            devs = [abs(d * d_cod - c * d_dom) for d, c in zip(next(dom_rows), next(cod_rows))]
+        else:
+            (ib,) = lasts
+            devs = [abs(dom_dist(pool[ia], pool[ib]) * d_cod - cod_dist(images[ia], images[ib]) * d_dom)]
+        dev = max(devs)
+        if dev > dist_dev:
+            dist_dev, at["distance"] = dev, (ia, lasts[devs.index(dev)])
     scale = d_dom * d_cod
     return Fraction(trace_dev, scale), Fraction(dist_dev, scale), at
 
@@ -521,10 +515,10 @@ def check_embedding(m: SemigroupMap, budget: SuiteBudget | None = None) -> Embed
             witnesses = {"trace": one_a, "distance": (one_a, dom.decode(dom.zero))}
     else:
         method = "elements"
-        pool, pairs, exhaustive, pair_count = pool_pairs(dom, budget)
+        pool, rows, exhaustive, pair_count = pool_pairs(dom, budget)
         n = len(pool)
         images, (prod_dev, trace_dev, dist_dev), at = _deviations(
-            f, dom, cod, pool, pairs, cert.verdict == "certified"
+            f, dom, cod, pool, rows, cert.verdict == "certified"
         )
         unit_ok = images[pool.index(dom.one)] == cod.one  # every pool holds the unit
         injective = len(set(images)) == n

@@ -8,6 +8,7 @@ independently of the arrow-map table and its packed gather.
 
 from fractions import Fraction
 from itertools import product
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,7 @@ import bisection_reference as ref
 from pool_reference import enumerate_semigroup
 from soficlab.cli import main as cli_main
 from soficlab.constructions import SemigroupMap, arrow_map, general_map, step_map
-from soficlab.groupoid import Arrow, full_relation
+from soficlab.groupoid import Arrow, connected_groupoid, convex_combination, full_relation
 from soficlab.semigroup import (
     Bisection,
     CertificateError,
@@ -26,7 +27,7 @@ from soficlab.semigroup import (
     semigroup_count,
     unit_bisection,
 )
-from soficlab import symmetric, verify
+from soficlab import cayley, symmetric, verify
 from soficlab.symmetric import DistortionReport, distortion_report
 from soficlab.verify import SuiteBudget, arrow_certificate, check_embedding
 
@@ -58,11 +59,29 @@ def count_by_filtering(n):
     return total
 
 
+def count_by_sum(g):
+    """|[[g]]| by the closed form: per component of base size n and group
+    order m, the sum over k of C(n, k)^2 k! m^k, each term on its own."""
+    return prod(
+        sum(comb(c.base_size, k) ** 2 * factorial(k) * c.group_order**k for k in range(c.base_size + 1))
+        for c in g.components
+    )
+
+
 @pytest.mark.parametrize("n,expected", [(1, 2), (2, 7), (3, 34), (4, 209)])
 def test_counts_match_brute_force_and_closed_form(n, expected):
-    assert semigroup_count(full_relation(n)) == expected
+    assert semigroup_count(full_relation(n)) == expected == count_by_sum(full_relation(n))
     assert len(elements(n)) == expected
     assert count_by_filtering(n) == expected
+    # semigroup_count builds each term from the one before; the four cases
+    # together cover base sizes 1..59, each with group orders 1, 2, 3 and
+    # 6, alone and beside one or two other components
+    tables = {m: cayley.cyclic(m) for m in (1, 2, 3, 6)}
+    for size, m in product(range(n, 60, 4), tables):
+        parts = [connected_groupoid(tables[m], size), connected_groupoid(tables[6 // m], n), full_relation(size % 7 + 1)]
+        for k in (1, 2, 3):
+            g = convex_combination([(Fraction(1, k), part) for part in parts[:k]])
+            assert len(g.components) == k and semigroup_count(g) == count_by_sum(g), (size, m, k)
 
 
 class TestBasicOps:

@@ -18,6 +18,10 @@ and the finite-index lift reads its table off the transversal block of
 each arrow (TransversalSystem.blocks), which block_table also scatters
 into the block matrix of a packed code, one flat code of its blocks in
 row-major order, for the finite-index suite. Both scatters are _scatter.
+block_codes turns a flat matrix into a code of G x [[n]], n the index,
+each block arrow b of block (i, j) placed as b x E_{i,j}, as the lift
+places it in H x [[n]], so the suite's block identity is one product of
+codes per pair.
 
 Maps combine as tables: tensor(m1, m2) sends the product arrow (a, b) to
 the rectangle T1(a) x T2(b), and compose(m2, m1) sends a to the images
@@ -540,8 +544,7 @@ def block_table(system: TransversalSystem, pm: PackedMonoid) -> Callable:
     """The block matrix on codes of pm = PackedMonoid(system.groupoid): a
     code to its n*n blocks as one flat code of n*n*N entries (N =
     pm.n_units), block (i, j) at [(i*n + j)*N, (i*n + j + 1)*N), built once
-    per code and kept. So block row i, the blocks (i, 0) .. (i, n-1), is
-    the slice [i*n*N, (i+1)*n*N).
+    per code and kept.
 
     It is the _scatter of system.blocks, each arrow writing the (flat
     position, code) of its block entries, and builds no Bisection (see the
@@ -555,6 +558,42 @@ def block_table(system: TransversalSystem, pm: PackedMonoid) -> Callable:
         for a, row in system.blocks.items()
     }
     return lru_cache(maxsize=None)(_scatter(pm, pieces, n * n * units))
+
+
+def block_codes(system: TransversalSystem, pm: PackedMonoid):
+    """The kernel of G x [[n]] (G = system.groupoid, n = system.index) and
+    the code there of a flat block matrix of block_table, n*N entries: the
+    arrow b of block (i, j) becomes the arrow b x E_{i,j}
+    (ProductStructure.pair_arrow), as finite_index_map places it in H x
+    [[n]]. A matrix with two blocks of one column defined at one unit has
+    no code, and gets None.
+
+    So two matrices with codes are equal exactly when their codes are,
+    and when every column of A and of B holds at most one block per unit,
+    as block_violation checks, the product of their codes is the code of
+    the block product, (AB)_{i,l} the union over j of A_{i,j} B_{j,l}: a
+    unit of column l meets one block B_{j,l}, its image one block A_{i,j}.
+    """
+    g, n, m = system.groupoid, system.index, pm.order
+    ps = product_groupoid(g, full_relation(n))
+    kernel = PackedMonoid(ps.groupoid)
+    # at[j][v]: the unit (v, j), the source of 1_v x E_{j,j}; into[i][x]:
+    # the arrow of code x with its range r moved to (r, i), its label kept,
+    # as the group of [[n]] is trivial
+    at = [[kernel.place(ps.pair_arrow(g.unit_arrow(v), Arrow(0, 0, j, j)))[0] for v in pm.units] for j in range(n)]
+    into = [[row[x // m] * m + x % m for x in range(pm.n_units * m)] for row in at]
+    cells = [(at[j][v], into[i]) for i, j, v in iproduct(range(n), range(n), range(pm.n_units))]
+
+    def code(matrix) -> tuple[int, ...] | None:
+        out = [-1] * (n * pm.n_units)
+        for (w, placed), x in zip(cells, matrix):
+            if x >= 0:
+                if out[w] >= 0:
+                    return None
+                out[w] = placed[x]
+        return tuple(out)
+
+    return kernel, code
 
 
 def blocks_of(matrix: tuple, n: int, units: int) -> list:

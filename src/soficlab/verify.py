@@ -34,9 +34,9 @@ violations in that one loop. A row reads what depends only on its prefix
 over its lasts. On a table each lookup is a list subscript,
 and on codes a view that calls mul or dist. The other checks are plain
 loops too: the finite-index suite's block identity over the gate's
-rows, a block row of the product at a time on the flat block matrices
-of constructions.block_table, with the left rows of a row's blocks built
-once; its diagonal trace over the elements whose
+rows, one product per pair of block matrices as codes of G x [[nn]]
+(constructions.block_codes), with the left rows of a row's element and
+of its code built once; its diagonal trace over the elements whose
 block matrices passed their checks; and the rectangles suite's trace
 multiplicativity. Both certificates, check_embedding and
 check_almost_morphism, run on the kernel too, through one loop
@@ -76,7 +76,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import chain, compress, repeat
+from itertools import compress, repeat
 from itertools import product as iproduct
 from math import prod
 from operator import ne
@@ -87,9 +87,9 @@ from .constructions import (
     PackedProduct,
     SemigroupMap,
     TransversalSystem,
+    block_codes,
     block_table,
     block_violation,
-    blocks_of,
     finite_index_map,
     rectangle_decompose,
 )
@@ -958,25 +958,20 @@ def suite_finite_index(
         _result("block-asserts", len(passed) == len(pool), tested=len(pool), exhaustive=exhaustive)
     )
 
-    # the checks below run over the elements that passed. The products
-    # a_ij b_jl over j have disjoint sources once b passed its column check,
-    # so their union is an entrywise max over codes (-1, the undefined
-    # code, where none is defined). Block row i of ab is that max over j of
-    # a_ij's left row mapped over block row j of b, all n*N entries at
-    # once, and the n block rows concatenated are ab's flat matrix; the
-    # left rows of the blocks a_ij are built once per row of the gate
-    width = nn * units
-    block_rows = [[m[k : k + width] for k in range(0, nn * width, width)] for m in matrices]
+    # the checks below run over the elements that passed. A pair compares
+    # the code in G x [[nn]] of ab's block matrix (block_codes; None, a
+    # failure, where a column holds two blocks at one unit) with the
+    # product of the codes of a and b, through the left rows of a and of
+    # its code, built once per row
+    kernel, code = block_codes(system, pm)
+    codes = _Images(lambda x: code(blocks(x)))
+    passed_codes = list(map(codes.__getitem__, passed))
     pairs, run = _run((len(passed), len(passed)), budget, exhaustive)
     viol = 0
     for ia, lasts in pairs:
-        a = passed[ia]
-        rows = [pm.left_row(a_ij).__getitem__ for a_ij in blocks_of(matrices[ia], nn, units)]
-        a_rows = [rows[i * nn : (i + 1) * nn] for i in range(nn)]
+        a, row = pm.left_row(passed[ia]).__getitem__, kernel.left_row(passed_codes[ia]).__getitem__
         for ib in lasts:
-            b_rows = block_rows[ib]
-            ab = chain.from_iterable(map(max, repeat(-1), *map(map, a_row, b_rows)) for a_row in a_rows)
-            viol += tuple(ab) != blocks(pm.mul(a, passed[ib]))
+            viol += tuple(map(row, passed_codes[ib])) != codes[tuple(map(a, passed[ib]))]
     checks.append(_result("block-identity", viol == 0, violations=viol, **run))
 
     diagonal = [(i * nn + i) * units for i in range(nn)]

@@ -11,10 +11,12 @@ Each suite takes its kernel, pools and results from soficlab.verify at call
 time, so a test that patches verify._kernel runs both on the same kernel.
 
 block_identity is the finite-index suite's block identity as it was
-counted before block rows: cell by cell, the union over j of a_ij b_jl as
-an entrywise max of n per-cell products, with a break at a pair's first
-differing cell. It takes block_table and block_violation from verify at
-call time too.
+counted before block rows and before the products of block matrices as
+codes of G x [[n]] (constructions.block_codes): cell by cell on the flat
+matrices, the union over j of a_ij b_jl as an entrywise max of n
+per-cell products, with a break at a pair's first differing cell. It
+takes block_table and block_violation from verify at call time too, so a
+test that patches verify.block_table runs both on the same matrices.
 
 Every tuple loop here runs tuple by tuple over tuples, the rows of the
 gate verify._run flattened in order, where the suites run row by row.

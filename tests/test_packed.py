@@ -44,10 +44,13 @@ Those four suites read products and distances by subscript; their earlier
 bodies, one predicate per tuple through mul and dist, are kept in
 suite_reference.py, and both must give the same results on tables, on
 codes and on tables with one entry redirected, where the product checks
-fail. The finite-index suite's block identity, now a block row of the
-product at a time, must count what the per-cell loop it replaced counts
-(suite_reference.block_identity), on valid and invalid systems and on a
-block table with one block redirected. The arrow certificate
+fail. The finite-index suite's block identity, now one product of block
+matrices as codes of G x [[n]] per pair (constructions.block_codes), must
+count what the earlier per-cell loop of entrywise maxima counts
+(suite_reference.block_identity), on valid and invalid systems, on
+invalid systems whose products hold two blocks in one column, and on a
+block table with one block redirected; it builds one left row of each
+kernel per row of the gate and each element's code once. The arrow certificate
 (verify.arrow_certificate), which proves multiplicativity from an arrow
 table, must agree with the element product pass it lets the
 certificates skip, on every map above, the ladder maps and broken
@@ -69,6 +72,7 @@ reports it covers their counts, `exhaustive`, `seed` and witnesses.
 
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
@@ -106,6 +110,7 @@ from soficlab.constructions import (
     SemigroupMap,
     TransversalSystem,
     arrow_map,
+    block_codes,
     block_components,
     compose as compose_maps,
     embed_connected,
@@ -142,6 +147,7 @@ from soficlab.semigroup import (
     CertificateError,
     PackedMonoid,
     PoolTable,
+    bisection,
     extend_to_full_group,
     group_codes,
     group_count,
@@ -2440,7 +2446,7 @@ BLOCK_IDENTITY_BUDGETS = {
 @pytest.mark.parametrize("budget", list(BLOCK_IDENTITY_BUDGETS))
 @pytest.mark.parametrize("stem", list(FINITE_INDEX_CASES))
 def test_block_identity_equals_its_reference(stem, budget):
-    # block rows at once against the per-cell loop they replaced
+    # products of codes of G x [[n]] against the earlier per-cell loop
     g, sub, system = FINITE_INDEX_CASES[stem]()
     budget = BLOCK_IDENTITY_BUDGETS[budget]
     expected = suite_reference.block_identity(g, sub, budget, system)
@@ -2449,13 +2455,103 @@ def test_block_identity_equals_its_reference(stem, budget):
 
 
 def test_block_identity_at_index_one_equals_its_reference():
-    # one block per element: each block row is the max of -1 and one product
+    # one block per element, whose code in G x [[1]] is the element's own
     g = GROUPOIDS["z2y2"]
     sub = frozenset(g.arrows())
     assert find_transversals(g, sub).index == 1
     expected = suite_reference.block_identity(g, sub, SuiteBudget())
     assert block_identity_check(g, sub, SuiteBudget()) == expected
     assert expected.details == {"violations": 0, "tested": 17 * 17, "exhaustive": True}
+
+
+def colliding_system(stem):
+    """Invalid systems some of whose passed pairs have a product with two
+    blocks defined at one unit of one column, a matrix with no code in
+    G x [[n]]."""
+    if stem == "n3-identity-thrice":
+        g = GROUPOIDS["n3"]
+        one = unit_bisection(g)
+        return TransversalSystem(g, unit_subgroupoid(g), (one, one, one))
+    # Z6 over {0, 3} with two transversals in H and one in 1 + H, the
+    # system of test_row_check_alone_raises_certificate_error
+    z6 = group_groupoid(cayley.cyclic(6))
+    psi = tuple(bisection(z6, [Arrow(0, k, 0, 0)]) for k in (0, 3, 1))
+    return TransversalSystem(z6, group_subgroupoid(z6, [0, 3]), psi)
+
+
+@pytest.mark.parametrize("stem", [*FINITE_INDEX_CASES, "n3-identity-thrice", "z6-row-check"])
+def test_block_codes_place_each_block_arrow_by_pair_arrow(stem):
+    # the code of each matrix is its arrows b x E_ij placed one by one, or
+    # None when two of them have one source in G x [[n]]
+    system = system_of(stem) if stem in FINITE_INDEX_CASES else colliding_system(stem)
+    g, n = system.groupoid, system.index
+    ps, pm = product_groupoid(g, full_relation(n)), PackedMonoid(g)
+    kernel, code = block_codes(system, pm)
+    assert kernel.groupoid == ps.groupoid
+    blocks, collisions = block_table(system, pm), 0
+    for a in enumerate_semigroup(g):
+        placed = [
+            kernel.place(ps.pair_arrow(b, Arrow(0, 0, i, j)))
+            for i, row in enumerate(reference_blocks(a, system))
+            for j, block in enumerate(row)
+            for b in block.arrows
+        ]
+        expected = list(kernel.zero)
+        for u, x in placed:
+            expected[u] = x
+        if len(placed) > len(expected) - expected.count(-1):
+            collisions += 1
+            assert code(blocks(pm.encode(a))) is None
+        else:
+            assert code(blocks(pm.encode(a))) == tuple(expected)
+    # only the invalid systems have matrices without a code
+    assert (collisions > 0) == (stem not in FINITE_INDEX_CASES or stem == "finite-index-invalid-n2")
+
+
+@pytest.mark.parametrize("budget", list(BLOCK_IDENTITY_BUDGETS))
+@pytest.mark.parametrize("stem", ["n3-identity-thrice", "z6-row-check"])
+def test_block_identity_counts_colliding_products_as_its_reference(stem, budget):
+    # a product with no code is a failing pair, as its matrix differs from
+    # the block product, whose columns hold one block per unit
+    system = colliding_system(stem)
+    g, sub = system.groupoid, system.sub_arrows
+    expected = suite_reference.block_identity(g, sub, BLOCK_IDENTITY_BUDGETS[budget], system)
+    assert block_identity_check(g, sub, BLOCK_IDENTITY_BUDGETS[budget], system) == expected
+    if budget == "exhaustive":
+        # [[3]]: 18 of the 34 elements pass, and 125 of their 324 pairs
+        # have such a product; Z6: only the empty element passes
+        violations = 125 if stem == "n3-identity-thrice" else 0
+        assert expected.details == {"violations": violations, "tested": 324 if violations else 1, "exhaustive": True}
+
+
+def test_block_identity_builds_a_left_row_per_row_and_a_code_per_element(monkeypatch):
+    # all 34 elements of [[3]] pass over its units, and their products are
+    # among them: one left row of G's kernel and one of the kernel of
+    # G x [[3]] per row of the gate, not one per block, and each element's
+    # matrix turned into a code once
+    g, sub, _ = FINITE_INDEX_CASES["finite-index-n3-units"]()
+    rows, matrices, kernels = Counter(), [], []
+    left_row, block_codes = PackedMonoid.left_row, verify.block_codes
+
+    def counted_left_row(pm, a):
+        rows[pm.groupoid] += 1
+        return left_row(pm, a)
+
+    def counted_block_codes(system, pm):
+        kernel, code = block_codes(system, pm)
+        kernels.append(kernel)
+        return kernel, lambda matrix: matrices.append(matrix) or code(matrix)
+
+    monkeypatch.setattr(PackedMonoid, "left_row", counted_left_row)
+    monkeypatch.setattr(verify, "block_codes", counted_block_codes)
+    check = block_identity_check(g, sub, SuiteBudget())
+    assert check.details == {"violations": 0, "tested": 34 * 34, "exhaustive": True}
+    (kernel,) = kernels
+    assert kernel.groupoid == product_groupoid(g, full_relation(3)).groupoid
+    assert rows[g] == rows[kernel.groupoid] == 34
+    pm = PackedMonoid(g)
+    blocks = block_table(find_transversals(g, sub), pm)
+    assert sorted(matrices) == sorted(map(blocks, semigroup_codes(pm)))
 
 
 @pytest.mark.parametrize("redirect", ["undefined", "another-range"])

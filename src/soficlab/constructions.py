@@ -15,13 +15,14 @@ The connected and convex embeddings and the ladder maps [[n]] -> [[p]]
 (h, y_from) -> (g*h, y_to), placed in a full relation by _copies. The
 pair embedding relabels two tables, the corner restriction filters one,
 and the finite-index lift reads its table off the transversal block of
-each arrow (TransversalSystem.blocks), which block_table also scatters
-into the block matrix of a packed code, one flat code of its blocks in
-row-major order, for the finite-index suite. Both scatters are _scatter.
-block_codes turns a flat matrix into a code of G x [[n]], n the index,
-each block arrow b of block (i, j) placed as b x E_{i,j}, as the lift
-places it in H x [[n]], so the suite's block identity is one product of
-codes per pair.
+each arrow (TransversalSystem.blocks). The block matrix of an element
+has one representation, its code in G x [[n]], n the index: block_codes
+scatters the blocks there with _scatter, as SemigroupMap.packed scatters
+a table, each block arrow b of block (i, j) placed as b x E_{i,j}, as the
+lift places it in H x [[n]]. So the suite's block checks are two
+inverses of codes per element (checked_block_code), its block identity
+one product of codes per pair, and its diagonal trace a mass of fixed
+units per copy.
 
 Maps combine as tables: tensor(m1, m2) sends the product arrow (a, b) to
 the rectangle T1(a) x T2(b), and compose(m2, m1) sends a to the images
@@ -35,17 +36,19 @@ product, and rectangle_decompose splits a product code into a
 RectangleUnion of factor codes. Nothing here computes with Bisections,
 and building or scattering a table builds none: they are the boundary
 type that maps accept and return, built only for the transversals of
-find_transversals, by SemigroupMap.__call__ and block_components, and
-elsewhere for decoded witnesses and by extend_to_full_group.
+find_transversals, by SemigroupMap.__call__, for the cells that
+block_components returns, and elsewhere for decoded witnesses and by
+extend_to_full_group.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import combinations
 from itertools import product as iproduct
 from math import lcm, prod
+from operator import getitem
 from typing import Callable
 
 from .groupoid import (
@@ -540,100 +543,92 @@ def find_transversals(g: FiniteGroupoid, sub_arrows) -> TransversalSystem:
     return system
 
 
-def block_table(system: TransversalSystem, pm: PackedMonoid) -> Callable:
-    """The block matrix on codes of pm = PackedMonoid(system.groupoid): a
-    code to its n*n blocks as one flat code of n*n*N entries (N =
-    pm.n_units), block (i, j) at [(i*n + j)*N, (i*n + j + 1)*N), built once
-    per code and kept.
-
-    It is the _scatter of system.blocks, each arrow writing the (flat
-    position, code) of its block entries, and builds no Bisection (see the
-    module docstring for where one is built). Two arrows never meet in one
-    block entry: their block sources are the psi_j-preimages of distinct
-    sources.
-    """
-    n, units, place = system.index, pm.n_units, pm.place
-    pieces = {
-        a: tuple(((i * n + j) * units + v, c) for i, j, b in row for v, c in [place(b)])
-        for a, row in system.blocks.items()
-    }
-    return lru_cache(maxsize=None)(_scatter(pm, pieces, n * n * units))
-
-
 def block_codes(system: TransversalSystem, pm: PackedMonoid):
-    """The kernel of G x [[n]] (G = system.groupoid, n = system.index) and
-    the code there of a flat block matrix of block_table, n*N entries: the
-    arrow b of block (i, j) becomes the arrow b x E_{i,j}
-    (ProductStructure.pair_arrow), as finite_index_map places it in H x
-    [[n]]. A matrix with two blocks of one column defined at one unit has
-    no code, and gets None.
+    """The kernel of G x [[n]] (G = system.groupoid, n = system.index) and a
+    function from a code of pm = PackedMonoid(G) to the code there of its
+    block matrix, or None: the _scatter of system.blocks, the arrow b of
+    block (i, j) written as b x E_{i,j} (ProductStructure.pair_arrow), as
+    finite_index_map places it in H x [[n]]. Two block arrows of one
+    column at one unit write one entry, and then the matrix has no code:
+    fewer entries are defined than were written.
 
     So two matrices with codes are equal exactly when their codes are,
-    and when every column of A and of B holds at most one block per unit,
-    as block_violation checks, the product of their codes is the code of
-    the block product, (AB)_{i,l} the union over j of A_{i,j} B_{j,l}: a
-    unit of column l meets one block B_{j,l}, its image one block A_{i,j}.
+    and the product of two codes is the code of the block product,
+    (AB)_{i,l} the union over j of A_{i,j} B_{j,l}: a unit of column l
+    meets one block B_{j,l}, its image one block A_{i,j}.
     """
-    g, n, m = system.groupoid, system.index, pm.order
+    g, n = system.groupoid, system.index
+    if pm.groupoid != g:
+        raise ValueError("groupoid not that of the transversal system")
     ps = product_groupoid(g, full_relation(n))
     kernel = PackedMonoid(ps.groupoid)
-    # at[j][v]: the unit (v, j), the source of 1_v x E_{j,j}; into[i][x]:
-    # the arrow of code x with its range r moved to (r, i), its label kept,
-    # as the group of [[n]] is trivial
-    at = [[kernel.place(ps.pair_arrow(g.unit_arrow(v), Arrow(0, 0, j, j)))[0] for v in pm.units] for j in range(n)]
-    into = [[row[x // m] * m + x % m for x in range(pm.n_units * m)] for row in at]
-    cells = [(at[j][v], into[i]) for i, j, v in iproduct(range(n), range(n), range(pm.n_units))]
+    pieces = {
+        a: tuple(kernel.place(ps.pair_arrow(b, Arrow(0, 0, i, j))) for i, j, b in row)
+        for a, row in system.blocks.items()
+    }
+    scatter = _scatter(pm, pieces, kernel.n_units)
+    # written[u][x]: the pieces of the arrow of code x at u; [-1] is 0
+    written = [[0] * (pm.n_units * pm.order + 1) for _ in pm.units]
+    for a, piece in pieces.items():
+        u, x = pm.place(a)
+        written[u][x] = len(piece)
 
-    def code(matrix) -> tuple[int, ...] | None:
-        out = [-1] * (n * pm.n_units)
-        for (w, placed), x in zip(cells, matrix):
-            if x >= 0:
-                if out[w] >= 0:
-                    return None
-                out[w] = placed[x]
-        return tuple(out)
+    def code(x) -> tuple[int, ...] | None:
+        out = scatter(x)
+        return out if out.count(-1) + sum(map(getitem, written, x)) == kernel.n_units else None
 
     return kernel, code
 
 
-def blocks_of(matrix: tuple, n: int, units: int) -> list:
-    """The n*n block codes of a flat block matrix of block_table, block
-    (i, j) at i*n + j."""
-    return [matrix[k : k + units] for k in range(0, n * n * units, units)]
+def checked_block_code(kernel: PackedMonoid, code, pm: PackedMonoid, x):
+    """The code of x's block matrix (block_codes) when the lift is
+    well-defined on it, else None: x and x^-1 must have codes, and the two
+    must be mutually inverse. A code has disjoint block sources in each
+    column; mutually inverse codes are bisections, so each row's block
+    ranges are disjoint too; and an arrow of G x [[n]] carries its cell
+    (i, j) in its range and source copies, so they are inverse exactly when
+    the exchange law alpha_{i,j}^-1 = (alpha^-1)_{j,i} holds cell by cell."""
+    c, d = code(x), code(pm.inv(x))
+    return c if c is not None and kernel.inv(c) == d and kernel.inv(d) == c else None
 
 
-def block_violation(pm: PackedMonoid, n: int, matrix, co_matrix) -> str | None:
-    """The first check a flat block matrix of block_table fails, or None:
-    the exchange law alpha_{i,j}^-1 = (alpha^-1)_{j,i} against co_matrix,
-    the matrix of alpha^-1, then the disjointness that makes the lift
-    well-defined: within a column the block sources are pairwise disjoint,
-    within a row the block ranges are."""
-    blocks, co_blocks = blocks_of(matrix, n, pm.n_units), blocks_of(co_matrix, n, pm.n_units)
-    cells = list(iproduct(range(n), repeat=2))
-    for i, j in cells:
-        if pm.inv(blocks[i * n + j]) != co_blocks[j * n + i]:
-            return f"block exchange law fails at ({i},{j})"
-    sources, ranges = [pm.src(b) for b in blocks], [pm.rng(b) for b in blocks]
-    for (j, i), k in iproduct(cells, range(n)):
-        if i < k and sources[i * n + j] & sources[k * n + j]:
-            return f"column {j}: blocks {i} and {k} share a source"
-    for (i, j), l in iproduct(cells, range(n)):
-        if j < l and ranges[i * n + j] & ranges[i * n + l]:
-            return f"row {i}: blocks {j} and {l} share a range"
-    return None
+def _cells(system: TransversalSystem, arrows) -> list:
+    """The n x n cells of the block arrows of the given arrows."""
+    cells = [[[] for _ in range(system.index)] for _ in range(system.index)]
+    for a in arrows:
+        for i, j, b in system.blocks[a]:
+            cells[i][j].append(b)
+    return cells
+
+
+def _block_failures(g: FiniteGroupoid, cells: list, co_cells: list):
+    """Each failed check of the cells of alpha and co_cells of alpha^-1, in
+    order: the exchange law, then disjoint sources in each column, then
+    disjoint ranges in each row."""
+    n = len(cells)
+    pairs = list(iproduct(range(n), repeat=2))
+    for i, j in pairs:
+        if set(map(g.inv, cells[i][j])) != set(co_cells[j][i]):
+            yield f"block exchange law fails at ({i},{j})"
+    for (j, i), k in iproduct(pairs, range(n)):
+        if i < k and {b.source for b in cells[i][j]} & {b.source for b in cells[k][j]}:
+            yield f"column {j}: blocks {i} and {k} share a source"
+    for (i, j), l in iproduct(pairs, range(n)):
+        if j < l and {b.range for b in cells[i][j]} & {b.range for b in cells[i][l]}:
+            yield f"row {i}: blocks {j} and {l} share a range"
 
 
 def block_components(alpha: Bisection, system: TransversalSystem):
     """The transversal block matrix alpha_{i,j} = psi_i^-1 alpha psi_j cap H
-    as rows of Bisections, read off block_table; a failed block_violation
-    check raises CertificateError."""
-    pm, n = PackedMonoid(system.groupoid), system.index
-    matrix, x = block_table(system, pm), pm.encode(alpha)
-    problem = block_violation(pm, n, matrix(x), matrix(pm.inv(x)))
-    if problem is not None:
-        raise CertificateError(problem)
-    blocks = blocks_of(matrix(x), n, pm.n_units)
-    return [[pm.decode(blocks[i * n + j]) for j in range(n)] for i in range(n)]
+    as rows of Bisections, its cells read off system.blocks. When
+    checked_block_code fails alpha, it raises CertificateError naming the
+    first failing cell."""
+    g, pm = system.groupoid, PackedMonoid(alpha.groupoid)
+    kernel, code = block_codes(system, pm)
+    cells = _cells(system, alpha.arrows)
+    if checked_block_code(kernel, code, pm, pm.encode(alpha)) is None:
+        raise CertificateError(next(_block_failures(g, cells, _cells(system, map(g.inv, alpha.arrows)))))
+    return [[Bisection(g, tuple(cell)) for cell in row] for row in cells]
 
 
 def finite_index_map(system: TransversalSystem) -> SemigroupMap:

@@ -33,11 +33,12 @@ violations in that one loop. A row reads what depends only on its prefix
 (M[a], D[a], M[M[a][b]] and the like) once, then runs a plain inner loop
 over its lasts. On a table each lookup is a list subscript,
 and on codes a view that calls mul or dist. The other checks are plain
-loops too: the finite-index suite's block identity over the gate's
-rows, one product per pair of block matrices as codes of G x [[nn]]
-(constructions.block_codes), with the left rows of a row's element and
-of its code built once; its diagonal trace over the elements whose
-block matrices passed their checks; and the rectangles suite's trace
+loops too: the finite-index suite's, on each element's block matrix as
+one code of G x [[nn]] (constructions.block_codes), built once: two
+inverses of codes per element for its block checks, one product of
+codes per pair for its block identity, with the left rows of a row's
+element and of its code built once, and a mass of fixed units per copy
+for its diagonal trace; and the rectangles suite's trace
 multiplicativity. Both certificates, check_embedding and
 check_almost_morphism, run on the kernel too, through one loop
 (_deviations) that maps each distinct code once: a map of constructions
@@ -88,8 +89,8 @@ from .constructions import (
     SemigroupMap,
     TransversalSystem,
     block_codes,
-    block_table,
-    block_violation,
+    checked_block_code,
+    find_transversals,
     finite_index_map,
     rectangle_decompose,
 )
@@ -937,35 +938,31 @@ def suite_extension(g: FiniteGroupoid, budget: SuiteBudget) -> list[CheckResult]
 def suite_finite_index(
     g: FiniteGroupoid, sub_arrows, budget: SuiteBudget, system: TransversalSystem | None = None
 ) -> list[CheckResult]:
-    from .constructions import find_transversals
-
     checks = []
     if system is None:
         # find_transversals raises CertificateError unless the system it
         # returns has no violations, so only a given system is checked here
         system, problems = find_transversals(g, sub_arrows), []
+    elif frozenset(sub_arrows) != system.sub_arrows:
+        raise ValueError("subgroupoid not that of the transversal system")
     else:
         problems = system.violations()
     checks.append(_result("transversal-partition", not problems, index=system.index, problems=problems))
 
     pm = PackedMonoid(g)
     pool, exhaustive = _pool(pm, "semigroup", budget)
-    nn, units = system.index, pm.n_units
-    blocks = block_table(system, pm)
-    passed = [x for x in pool if block_violation(pm, nn, blocks(x), blocks(pm.inv(x))) is None]
-    matrices = list(map(blocks, passed))  # block_table builds each once
-    checks.append(
-        _result("block-asserts", len(passed) == len(pool), tested=len(pool), exhaustive=exhaustive)
-    )
+    nn = system.index
+    # each element's block matrix is its code in G x [[nn]], kept once (None,
+    # a failure, where a column holds two blocks at one unit)
+    kernel, code = block_codes(system, pm)
+    codes = _Images(code)
+    passed = [x for x in pool if checked_block_code(kernel, codes.__getitem__, pm, x) is not None]
+    passed_codes = list(map(codes.__getitem__, passed))
+    checks.append(_result("block-asserts", len(passed) == len(pool), tested=len(pool), exhaustive=exhaustive))
 
     # the checks below run over the elements that passed. A pair compares
-    # the code in G x [[nn]] of ab's block matrix (block_codes; None, a
-    # failure, where a column holds two blocks at one unit) with the
-    # product of the codes of a and b, through the left rows of a and of
-    # its code, built once per row
-    kernel, code = block_codes(system, pm)
-    codes = _Images(lambda x: code(blocks(x)))
-    passed_codes = list(map(codes.__getitem__, passed))
+    # the code of ab with the product of the codes of a and b, through the
+    # left rows of a and of its code, built once per row
     pairs, run = _run((len(passed), len(passed)), budget, exhaustive)
     viol = 0
     for ia, lasts in pairs:
@@ -974,11 +971,13 @@ def suite_finite_index(
             viol += tuple(map(row, passed_codes[ib])) != codes[tuple(map(a, passed[ib]))]
     checks.append(_result("block-identity", viol == 0, violations=viol, **run))
 
-    diagonal = [(i * nn + i) * units for i in range(nn)]
+    # tr(x_ii) = tr(x) for each i: the kernel units (v, i) are those of copy
+    # i (pair_arrow numbers them y*nn + i), each of mass mu(v)/nn
+    copies = [kernel.mask([u for u in kernel.units if u[1] % nn == i]) for i in range(nn)]
     viol = 0
-    for x, matrix in zip(passed, matrices):
-        t = pm.trace(x)
-        viol += any(pm.trace(matrix[k : k + units]) != t for k in diagonal)
+    for x, c in zip(passed, passed_codes):
+        t, fixed = pm.trace(x) * kernel.denom, kernel.fix(c)
+        viol += any(nn * pm.denom * kernel.mass(fixed & copy) != t for copy in copies)
     checks.append(_result("diagonal-trace", viol == 0, tested=len(passed), exhaustive=exhaustive))
 
     try:

@@ -11,22 +11,25 @@ Each suite takes its kernel, pools and results from soficlab.verify at call
 time, so a test that patches verify._kernel runs both on the same kernel.
 
 block_identity is the finite-index suite's block identity as it was
-counted before block rows and before the products of block matrices as
-codes of G x [[n]] (constructions.block_codes): cell by cell on the flat
-matrices, the union over j of a_ij b_jl as an entrywise max of n
-per-cell products, with a break at a pair's first differing cell. It
-takes block_table and block_violation from verify at call time too, so a
-test that patches verify.block_table runs both on the same matrices.
+counted before the block matrix became one code of G x [[n]]
+(constructions.block_codes): on flat matrices of n*n codes of G, one per
+cell, which flat_blocks writes from system.blocks; an element passes
+flat_violation, the exchange law and the column and row checks cell by
+cell; and the union over j of a_ij b_jl is an entrywise max of n
+per-cell products, with a break at a pair's first differing cell. The
+suite reads system.blocks too, so a system whose blocks are redirected
+runs both on the same matrices.
 
 Every tuple loop here runs tuple by tuple over tuples, the rows of the
 gate verify._run flattened in order, where the suites run row by row.
 """
 
+from functools import cache
 from itertools import product as iproduct
 from itertools import starmap
 
 from soficlab import verify
-from soficlab.constructions import blocks_of, find_transversals
+from soficlab.constructions import find_transversals
 from soficlab.semigroup import PackedMonoid, PoolTable
 
 
@@ -269,21 +272,56 @@ def suite_supports(g, budget):
     return checks
 
 
+def flat_blocks(system, pm, x):
+    """The block matrix of code x as n*n codes of pm, cell (i, j) at
+    i*n + j, each block arrow written where pm places it."""
+    n = system.index
+    blocks = [[-1] * pm.n_units for _ in range(n * n)]
+    for a in pm.arrows(x):
+        for i, j, b in system.blocks[a]:
+            u, c = pm.place(b)
+            blocks[i * n + j][u] = c
+    return list(map(tuple, blocks))
+
+
+def flat_violation(pm, n, blocks, co_blocks):
+    """The first check flat blocks fail, or None: the exchange law
+    alpha_{i,j}^-1 = (alpha^-1)_{j,i} against co_blocks, the blocks of
+    alpha^-1, then disjoint sources within each column and disjoint ranges
+    within each row."""
+    cells = list(iproduct(range(n), repeat=2))
+    for i, j in cells:
+        if pm.inv(blocks[i * n + j]) != co_blocks[j * n + i]:
+            return f"block exchange law fails at ({i},{j})"
+    sources, ranges = [pm.src(b) for b in blocks], [pm.rng(b) for b in blocks]
+    for (j, i), k in iproduct(cells, range(n)):
+        if i < k and sources[i * n + j] & sources[k * n + j]:
+            return f"column {j}: blocks {i} and {k} share a source"
+    for (i, j), l in iproduct(cells, range(n)):
+        if j < l and ranges[i * n + j] & ranges[i * n + l]:
+            return f"row {i}: blocks {j} and {l} share a range"
+    return None
+
+
 def block_identity(g, sub_arrows, budget, system=None):
     """The finite-index suite's block-identity result, cell by cell."""
     system = system or find_transversals(g, sub_arrows)
     pm = PackedMonoid(g)
     pool, exhaustive = verify._pool(pm, "semigroup", budget)
-    nn, units = system.index, pm.n_units
-    blocks = verify.block_table(system, pm)
-    passed = [x for x in pool if verify.block_violation(pm, nn, blocks(x), blocks(pm.inv(x))) is None]
-    matrices = [blocks_of(blocks(x), nn, units) for x in passed]
+    nn = system.index
+
+    @cache
+    def blocks(x):
+        return flat_blocks(system, pm, x)
+
+    passed = [x for x in pool if flat_violation(pm, nn, blocks(x), blocks(pm.inv(x))) is None]
+    matrices = list(map(blocks, passed))
     pairs, exhaustive, tested = tuples((len(passed), len(passed)), budget, exhaustive)
     viol, left = 0, None
     for ia, ib in pairs:
         if ia != left:
             left, rows = ia, [pm.left_row(a_ij).__getitem__ for a_ij in matrices[ia]]
-        bb, bab = matrices[ib], blocks_of(blocks(pm.mul(passed[ia], passed[ib])), nn, units)
+        bb, bab = matrices[ib], blocks(pm.mul(passed[ia], passed[ib]))
         for i, l in iproduct(range(nn), repeat=2):
             products = [tuple(map(a_ij, bb[j * nn + l])) for j, a_ij in enumerate(rows[i * nn : (i + 1) * nn])]
             if tuple(map(max, zip(*products))) != bab[i * nn + l]:

@@ -375,6 +375,36 @@ class TestBlockComponents:
             block_components(bisection(z6, [Arrow(0, 1, 0, 0)]), bogus)
 
 
+    def test_exchange_law_failure_named_first(self):
+        # over {0, 1}, not closed under inverse, the generator's block
+        # (0, 0) is 1 and that of its inverse is 0
+        sub = frozenset({Arrow(0, 0, 0, 0), Arrow(0, 1, 0, 0)})
+        bogus = TransversalSystem(Z4, sub, (unit_bisection(Z4), bisection(Z4, [Arrow(0, 2, 0, 0)])))
+        with pytest.raises(CertificateError, match=r"block exchange law fails at \(0,0\)"):
+            block_components(bisection(Z4, [Arrow(0, 1, 0, 0)]), bogus)
+
+    def test_exchange_law_failure_with_a_one_sided_inverse_code(self):
+        # over the units of [[3]] and the arrow 0 -> 2, not its inverse, the
+        # arrow 2 -> 1 has two blocks of range 2 in row 1, 2 -> 2 in cell
+        # (1, 0) and 0 -> 2 in cell (1, 1), and 1 -> 2 has only 2 -> 2 in
+        # cell (0, 1): the inverse of the first code drops a block and
+        # equals the second, whose inverse is not the first
+        n3 = full_relation(3)
+        sub = unit_subgroupoid(n3) | {Arrow(0, 0, 2, 0)}
+        shift = bisection(n3, [Arrow(0, 0, 0, 1), Arrow(0, 0, 1, 2), Arrow(0, 0, 2, 0)])
+        bogus = TransversalSystem(n3, sub, (unit_bisection(n3), shift))
+        with pytest.raises(CertificateError, match=r"block exchange law fails at \(1,1\)"):
+            block_components(bisection(n3, [Arrow(0, 0, 1, 2)]), bogus)
+
+    @pytest.mark.parametrize("alpha", [unit_bisection(Z2), unit_bisection(full_relation(3))])
+    def test_element_of_another_groupoid_raises_value_error(self, alpha):
+        # Z2's unit would read [[2]]'s unit blocks, and an element of [[3]]
+        # would index past [[2]]'s units
+        system = find_transversals(REL2, unit_subgroupoid(REL2))
+        with pytest.raises(ValueError, match="groupoid not that of the transversal system"):
+            block_components(alpha, system)
+
+
 class TestFiniteIndexLift:
     @pytest.fixture(params=["z4", "rel2", "s3"])
     def setup(self, request):

@@ -44,13 +44,18 @@ Those four suites read products and distances by subscript; their earlier
 bodies, one predicate per tuple through mul and dist, are kept in
 suite_reference.py, and both must give the same results on tables, on
 codes and on tables with one entry redirected, where the product checks
-fail. The finite-index suite's block identity, now one product of block
-matrices as codes of G x [[n]] per pair (constructions.block_codes), must
-count what the earlier per-cell loop of entrywise maxima counts
+fail. The finite-index suite keeps each element's block matrix as one
+code of G x [[n]] (constructions.block_codes). Its block checks, two
+inverses of codes per element (checked_block_code), must pass exactly
+the elements that the checks on Bisections pass, also on generated
+systems, where block_components must name the failure those checks name
+and the diagonal traces per copy must be the reference blocks' traces.
+Its block identity, one product of codes per pair, must count what the
+earlier per-cell loop of entrywise maxima on flat matrices counts
 (suite_reference.block_identity), on valid and invalid systems, on
 invalid systems whose products hold two blocks in one column, and on a
-block table with one block redirected; it builds one left row of each
-kernel per row of the gate and each element's code once. The arrow certificate
+system whose block table has one block redirected; it builds one left
+row of each kernel per row of the gate and each element's code once. The arrow certificate
 (verify.arrow_certificate), which proves multiplicativity from an arrow
 table, must agree with the element product pass it lets the
 certificates skip, on every map above, the ladder maps and broken
@@ -112,6 +117,7 @@ from soficlab.constructions import (
     arrow_map,
     block_codes,
     block_components,
+    checked_block_code,
     compose as compose_maps,
     embed_connected,
     embed_convex,
@@ -121,7 +127,6 @@ from soficlab.constructions import (
     general_map,
     group_subgroupoid,
     identity_map,
-    block_table,
     restrict_almost_morphism,
     step_map,
     tensor,
@@ -2385,16 +2390,20 @@ def system_of(stem):
 
 @pytest.mark.parametrize("stem", list(FINITE_INDEX_CASES))
 def test_block_table_match_reference(stem):
+    # system.blocks, read cell by cell, against two composes per block;
+    # block_components decides by checked_block_code and names the first
+    # failing cell as the checks on Bisections do
     system = system_of(stem)
     g, n = system.groupoid, system.index
     pm = PackedMonoid(g)
-    blocks = block_table(system, pm)
+    kernel, code = block_codes(system, pm)
     failures = 0
     for a in enumerate_semigroup(g):
         expected = reference_blocks(a, system)
-        # one flat code, block (i, j) at [(i*n + j)*N, (i*n + j + 1)*N)
-        assert blocks(pm.encode(a)) == sum((pm.encode(b) for row in expected for b in row), ())
+        x = pm.encode(a)
+        assert suite_reference.flat_blocks(system, pm, x) == [pm.encode(b) for row in expected for b in row]
         problem = reference_block_violation(a, system)
+        assert (checked_block_code(kernel, code, pm, x) is None) == (problem is not None)
         if problem is None:
             assert block_components(a, system) == expected
         else:
@@ -2407,26 +2416,21 @@ def test_block_table_match_reference(stem):
 
 
 def test_block_table_builds_each_matrix_once(monkeypatch):
-    # the matrix of each distinct code is scattered once and then kept,
-    # also over the whole finite-index suite; scatters are told apart by
-    # their sizes, the block table's being index^2 * N
-    built, scatter = {}, constructions._scatter
+    # the suite scatters system.blocks into the block code of each
+    # distinct code once and then keeps it. Its first scatter is that of
+    # block_codes; the lift's certificate builds the other, later
+    built, scatter = [], constructions._scatter
 
     def counted(pm, pieces, size):
-        inner, calls = scatter(pm, pieces, size), built.setdefault(size, [])
+        inner, calls = scatter(pm, pieces, size), []
+        built.append(calls)
         return lambda x: calls.append(x) or inner(x)
 
     monkeypatch.setattr(constructions, "_scatter", counted)
     system = system_of("finite-index-z2y2-units")
-    pm = PackedMonoid(system.groupoid)
-    matrix, size = block_table(system, pm), system.index**2 * pm.n_units
-    codes = list(semigroup_codes(pm))
-    first = list(map(matrix, codes))
-    assert all(matrix(x) is out for x, out in zip(reversed(codes), reversed(first)))
-    assert built == {size: codes}
-    built.clear()
     assert run_suite("finite-index", g=system.groupoid, sub_arrows=system.sub_arrows).passed
-    assert built[size] and len(built[size]) == len(set(built[size]))
+    blocks, _ = built
+    assert blocks and len(blocks) == len(set(blocks))
 
 
 def block_identity_check(g, sub, budget, system=None):
@@ -2488,7 +2492,7 @@ def test_block_codes_place_each_block_arrow_by_pair_arrow(stem):
     ps, pm = product_groupoid(g, full_relation(n)), PackedMonoid(g)
     kernel, code = block_codes(system, pm)
     assert kernel.groupoid == ps.groupoid
-    blocks, collisions = block_table(system, pm), 0
+    collisions = 0
     for a in enumerate_semigroup(g):
         placed = [
             kernel.place(ps.pair_arrow(b, Arrow(0, 0, i, j)))
@@ -2501,9 +2505,9 @@ def test_block_codes_place_each_block_arrow_by_pair_arrow(stem):
             expected[u] = x
         if len(placed) > len(expected) - expected.count(-1):
             collisions += 1
-            assert code(blocks(pm.encode(a))) is None
+            assert code(pm.encode(a)) is None
         else:
-            assert code(blocks(pm.encode(a))) == tuple(expected)
+            assert code(pm.encode(a)) == tuple(expected)
     # only the invalid systems have matrices without a code
     assert (collisions > 0) == (stem not in FINITE_INDEX_CASES or stem == "finite-index-invalid-n2")
 
@@ -2527,10 +2531,10 @@ def test_block_identity_counts_colliding_products_as_its_reference(stem, budget)
 def test_block_identity_builds_a_left_row_per_row_and_a_code_per_element(monkeypatch):
     # all 34 elements of [[3]] pass over its units, and their products are
     # among them: one left row of G's kernel and one of the kernel of
-    # G x [[3]] per row of the gate, not one per block, and each element's
-    # matrix turned into a code once
+    # G x [[3]] per row of the gate, not one per block, and each element
+    # turned into its block code once
     g, sub, _ = FINITE_INDEX_CASES["finite-index-n3-units"]()
-    rows, matrices, kernels = Counter(), [], []
+    rows, elements, kernels = Counter(), [], []
     left_row, block_codes = PackedMonoid.left_row, verify.block_codes
 
     def counted_left_row(pm, a):
@@ -2540,7 +2544,7 @@ def test_block_identity_builds_a_left_row_per_row_and_a_code_per_element(monkeyp
     def counted_block_codes(system, pm):
         kernel, code = block_codes(system, pm)
         kernels.append(kernel)
-        return kernel, lambda matrix: matrices.append(matrix) or code(matrix)
+        return kernel, lambda x: elements.append(x) or code(x)
 
     monkeypatch.setattr(PackedMonoid, "left_row", counted_left_row)
     monkeypatch.setattr(verify, "block_codes", counted_block_codes)
@@ -2549,38 +2553,113 @@ def test_block_identity_builds_a_left_row_per_row_and_a_code_per_element(monkeyp
     (kernel,) = kernels
     assert kernel.groupoid == product_groupoid(g, full_relation(3)).groupoid
     assert rows[g] == rows[kernel.groupoid] == 34
-    pm = PackedMonoid(g)
-    blocks = block_table(find_transversals(g, sub), pm)
-    assert sorted(matrices) == sorted(map(blocks, semigroup_codes(pm)))
+    assert sorted(elements) == sorted(semigroup_codes(PackedMonoid(g)))
+
+
+def test_block_asserts_invert_each_element_once_and_each_code_twice(monkeypatch):
+    # per pool element, one inverse in G and two in G x [[3]], not one per
+    # block; block-identity and diagonal-trace invert nothing
+    g, sub, _ = FINITE_INDEX_CASES["finite-index-n3-units"]()
+    kernels, calls = [], Counter()
+    inv, block_codes = PackedMonoid.inv, verify.block_codes
+
+    def counted_inv(pm, a):
+        calls[id(pm)] += 1
+        return inv(pm, a)
+
+    def recorded_block_codes(system, pm):
+        kernel, code = block_codes(system, pm)
+        kernels.extend((pm, kernel))
+        return kernel, code
+
+    monkeypatch.setattr(PackedMonoid, "inv", counted_inv)
+    monkeypatch.setattr(verify, "block_codes", recorded_block_codes)
+    checks = {c.name: c.details for c in run_suite("finite-index", g=g, sub_arrows=sub).checks}
+    assert checks["block-asserts"] == {"tested": 34, "exhaustive": True}
+    pm, kernel = kernels
+    assert calls[id(pm)] <= 34 and calls[id(kernel)] <= 2 * 34
+
+
+class RedirectedSystem(TransversalSystem):
+    """A transversal system whose block table is given, not computed."""
+
+    def __init__(self, system, blocks):
+        super().__init__(system.groupoid, system.sub_arrows, system.transversals)
+        self.__dict__["blocks"] = blocks
 
 
 @pytest.mark.parametrize("redirect", ["undefined", "another-range"])
-def test_block_identity_counts_a_redirected_block_as_its_reference(redirect, monkeypatch):
-    # the block of the unit arrow at 0 moved, in every element that holds
-    # it: both loops must count the same nonzero number of failing pairs
-    g = GROUPOIDS["n3"]
-    sub = unit_subgroupoid(g)
-    pm = PackedMonoid(g)
-    u, x = pm.place(g.unit_arrow(pm.units[0]))
-    single = list(pm.zero)
-    single[u] = x
-    matrix = block_table(find_transversals(g, sub), pm)(tuple(single))
-    k = next(i for i, c in enumerate(matrix) if c >= 0)
-    code = -1 if redirect == "undefined" else (matrix[k] + 1) % pm.n_units
-
-    def redirected(system, pm):
-        blocks = block_table(system, pm)
-
-        def matrix(y):
-            out = blocks(y)
-            return out[:k] + (code,) + out[k + 1 :] if y[u] == x else out
-
-        return matrix
-
-    monkeypatch.setattr(verify, "block_table", redirected)
-    expected = suite_reference.block_identity(g, sub, SuiteBudget())
-    assert block_identity_check(g, sub, SuiteBudget()) == expected
+def test_block_identity_counts_a_redirected_block_as_its_reference(redirect):
+    # [[4]] over [[2]] + [[2]], of index 2, with the first block arrow of
+    # the unit arrow at 0 dropped or moved to the other range of its [[2]]
+    # (so the lift, which reads system.blocks too, stays defined), in
+    # system.blocks, which the suite and the reference both read: both
+    # loops must count the same nonzero number of failing pairs
+    g = GROUPOIDS["n4"]
+    sub = frozenset(a for a in g.arrows() if a.y_to // 2 == a.y_from // 2)
+    system = find_transversals(g, sub)
+    blocks = dict(system.blocks)
+    unit = g.unit_arrow(next(iter(g.units())))
+    (i, j, b), *rest = blocks[unit]
+    moved = Arrow(b.comp, b.g, b.y_to ^ 1, b.y_from)
+    blocks[unit] = rest if redirect == "undefined" else [(i, j, moved), *rest]
+    redirected = RedirectedSystem(system, blocks)
+    expected = suite_reference.block_identity(g, sub, SuiteBudget(), redirected)
+    assert block_identity_check(g, sub, SuiteBudget(), redirected) == expected
     assert expected.details["violations"] > 0
+
+
+# unit-full subgroupoids to generate systems over: the units, or a subgroup
+GENERATED_SYSTEM_SUBS = [
+    *((g, unit_subgroupoid(g)) for g in (REL2, GROUPOIDS["n3"], GROUPOIDS["z2y2"], GROUPOIDS["z2pt"], S3, Z4)),
+    (S3, group_subgroupoid(S3, [0, 3, 4])),
+    (Z4, group_subgroupoid(Z4, [0, 2])),
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_block_checks_match_the_references_on_generated_systems(data):
+    # systems of 1-4 full-group elements, mostly invalid, or of 1-4 elements
+    # of any kind, whose diagonal blocks can lose trace: the suite passes
+    # an element exactly when the checks on Bisections do, block_components
+    # names the failure they name, and on a passed element the diagonal
+    # traces per copy of the kernel are those of the reference blocks
+    g, sub = data.draw(st.sampled_from(GENERATED_SYSTEM_SUBS))
+    pm = PackedMonoid(g)
+    kind = data.draw(st.sampled_from([group_codes, semigroup_codes]))
+    elements = [pm.decode(x) for x in kind(pm)]
+    system = TransversalSystem(g, sub, tuple(data.draw(st.lists(st.sampled_from(elements), min_size=1, max_size=4))))
+    decided, kernels = {}, []
+
+    def recorded(kernel, code, pm, x):
+        kernels.append(kernel)
+        decided[x] = checked_block_code(kernel, code, pm, x)
+        return decided[x]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verify, "checked_block_code", recorded)
+        checks = {c.name: c for c in run_suite("finite-index", g=g, sub_arrows=sub, system=system).checks}
+    assert sorted(decided) == sorted(semigroup_codes(pm))
+    kernel, n = kernels[0], system.index
+    copies = [kernel.mask([u for u in kernel.units if u[1] % n == i]) for i in range(n)]
+    off_trace = 0
+    for x, c in decided.items():
+        alpha = pm.decode(x)
+        problem = reference_block_violation(alpha, system)
+        assert (c is None) == (problem is not None)
+        if problem is not None:
+            with pytest.raises(CertificateError) as err:
+                block_components(alpha, system)
+            assert str(err.value) == problem
+            continue
+        expected = reference_blocks(alpha, system)
+        assert block_components(alpha, system) == expected
+        fixed = kernel.fix(c)
+        traces = [Fraction(n * kernel.mass(fixed & copy), kernel.denom) for copy in copies]
+        assert traces == [trace(row[i]) for i, row in enumerate(expected)]
+        off_trace += any(t != trace(alpha) for t in traces)
+    assert checks["diagonal-trace"].passed == (off_trace == 0)
 
 
 @pytest.mark.parametrize("stem", list(FINITE_INDEX_CASES))

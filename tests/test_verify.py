@@ -9,6 +9,7 @@ from soficlab.groupoid import Arrow, connected_groupoid, convex_combination, ful
 from soficlab.constructions import (
     TransversalSystem,
     embed_connected,
+    find_transversals,
     general_map,
     group_subgroupoid,
     identity_map,
@@ -169,6 +170,19 @@ class TestSuites:
         partition = result.checks[0]
         assert partition.name == "transversal-partition"
         assert partition.passed and partition.details["problems"] == []
+
+    @pytest.mark.parametrize("g, system_g", [(G3, G2), (G2, G3)])
+    def test_finite_index_rejects_a_system_of_another_groupoid(self, g, system_g):
+        # the subgroupoid is the system's, so only the groupoid differs
+        system = find_transversals(system_g, unit_subgroupoid(system_g))
+        with pytest.raises(ValueError, match="groupoid not that of the transversal system"):
+            run_suite("finite-index", g=g, sub_arrows=system.sub_arrows, system=system)
+
+    def test_finite_index_rejects_a_system_of_another_subgroupoid(self):
+        z4 = group_groupoid(cayley.cyclic(4))
+        system = find_transversals(z4, group_subgroupoid(z4, [0, 2]))
+        with pytest.raises(ValueError, match="subgroupoid not that of the transversal system"):
+            run_suite("finite-index", g=z4, sub_arrows=unit_subgroupoid(z4), system=system)
 
     def test_finite_index_reports_an_invalid_system(self):
         # both transversals are the unit: the translates overlap, the block

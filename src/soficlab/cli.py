@@ -12,8 +12,9 @@ seed.
 Each layer above groupoid is imported inside the commands that use it,
 and main matches its errors only once it is loaded (_loaded): semigroup
 in extend, embed, verify and suite, the certificate layers
-(constructions, symmetric, verify) in the last three. So validate and
-decompose load groupoid, cayley, rationals and serialize alone. No layer
+(constructions, symmetric, verify) in the last three, where suite loads
+constructions only for the suites that call it (see verify). So validate
+and decompose load groupoid, cayley, rationals and serialize alone. No layer
 generates code for its classes, so no command loads inspect or ast.
 """
 

@@ -638,18 +638,20 @@ def finite_index_map(system: TransversalSystem) -> SemigroupMap:
     of which there is one or none, with the matrix unit E_{i,j}. A source
     or range collision in a table entry, or between the entries of two
     arrows that can share a bisection, means the transversal system is
-    invalid; building the lift then raises NoTransversalError. The lift of
-    a map phi of the subgroupoid is
+    invalid, and so do sub_arrows that are not a subgroupoid; building the
+    lift then raises NoTransversalError. The lift of a map phi of the
+    subgroupoid is
     compose(tensor(phi, identity_map(full_relation(system.index))), lift).
     """
     g = system.groupoid
-    dec, raw_ids = subgroupoid_as_groupoid(g, system.sub_arrows)
-    ps = product_groupoid(dec.groupoid, full_relation(system.index))
 
     def image(a: Arrow):
         return [ps.pair_arrow(dec.iso[raw_ids[b]], Arrow(0, 0, i, j)) for i, j, b in system.blocks[a]]
 
     try:
+        # a given system's sub_arrows need not form a subgroupoid
+        dec, raw_ids = subgroupoid_as_groupoid(g, system.sub_arrows)
+        ps = product_groupoid(dec.groupoid, full_relation(system.index))
         return arrow_map(g, ps.groupoid, image, f"index[{system.index}].identity")
     except ValueError as exc:
         raise NoTransversalError(f"lift not well-defined: {exc}") from exc

@@ -71,29 +71,23 @@ check_embedding's report on the ladder map with its bound beside it.
 Bisections are decoded only for the witnesses a report prints. Reports and results are NamedTuples;
 serialize writes a report's fields through jsonable and names only the
 renamed and derived keys. SuiteBudget is a groupoid.Value, checked when it is built.
+Only the finite-index, rectangles and ladder suites import constructions,
+when they are called; check_almost_morphism looks up SemigroupMap only
+once constructions is loaded (a map it takes was built there), so the five
+kernel suites and a pair-list check load groupoid and semigroup alone.
 """
 
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 from itertools import compress, repeat
 from itertools import product as iproduct
 from math import prod
 from operator import ne
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .constructions import (
-    NoTransversalError,
-    PackedProduct,
-    SemigroupMap,
-    TransversalSystem,
-    block_codes,
-    checked_block_code,
-    find_transversals,
-    finite_index_map,
-    rectangle_decompose,
-)
 from .groupoid import FiniteGroupoid, Value, product_groupoid
 from .semigroup import (
     PackedMonoid,
@@ -105,6 +99,9 @@ from .semigroup import (
     semigroup_codes,
     semigroup_count,
 )
+
+if TYPE_CHECKING:  # named only in annotations; the functions that call constructions import it
+    from .constructions import SemigroupMap, TransversalSystem
 
 DEFAULT_SEED = 1729
 
@@ -310,6 +307,10 @@ def check_almost_morphism(pi, K, epsilon, packed: PackedMonoid | None = None) ->
     pairs the pass would run. K is a list of Bisections, or of codes of
     packed when that is given.
     """
+    # a SemigroupMap is built in constructions, so while that module is not
+    # loaded pi is a pair list and the class is not looked up
+    constructions = sys.modules.get(f"{__package__}.constructions")
+    semigroup_map = () if constructions is None else constructions.SemigroupMap
     epsilon = Fraction(epsilon)
     K = list(K)
     if packed is None:
@@ -324,7 +325,7 @@ def check_almost_morphism(pi, K, epsilon, packed: PackedMonoid | None = None) ->
         dom, pool = packed, K
         element = lambda i: dom.decode(pool[i])
     exact = False
-    if isinstance(pi, SemigroupMap):
+    if isinstance(pi, semigroup_map):
         cod = PackedMonoid(pi.codomain)
         f = pi.packed(dom, cod)
         exact = _certify(pi, dom, cod, f, len(pool) ** 2)[0].verdict == "certified"
@@ -938,6 +939,8 @@ def suite_extension(g: FiniteGroupoid, budget: SuiteBudget) -> list[CheckResult]
 def suite_finite_index(
     g: FiniteGroupoid, sub_arrows, budget: SuiteBudget, system: TransversalSystem | None = None
 ) -> list[CheckResult]:
+    from .constructions import NoTransversalError, block_codes, checked_block_code, find_transversals, finite_index_map
+
     checks = []
     if system is None:
         # find_transversals raises CertificateError unless the system it
@@ -1007,6 +1010,8 @@ def suite_finite_index(
 def suite_rectangles(
     left: FiniteGroupoid, right: FiniteGroupoid, budget: SuiteBudget
 ) -> list[CheckResult]:
+    from .constructions import PackedProduct, rectangle_decompose
+
     pp = PackedProduct(product_groupoid(left, right))
     pool, exhaustive = _pool(pp.pm, "semigroup", budget)
     for x in pool:
@@ -1090,7 +1095,9 @@ def run_suite(name: str, budget: SuiteBudget | None = None, **params) -> SuiteRe
             printable[key] = f"groupoid[{value.n_units} units, {len(value.components)} components]"
         elif isinstance(value, frozenset):
             printable[key] = f"{len(value)} arrows"
-        elif isinstance(value, TransversalSystem):
+        elif key == "system" and value is not None:
+            # a TransversalSystem, named by key so that a kernel suite
+            # never loads constructions to test for one
             printable[key] = f"{value.index} transversals"
         else:
             printable[key] = value

@@ -974,6 +974,45 @@ run(["extend", "g.json", "gamma.json"])
     assert "soficlab.semigroup" in loaded and not certificate_layers & loaded
 
 
+def test_kernel_suites_load_no_construction_layer(tmp_path):
+    # the kernel suites need only groupoid, semigroup and verify: run
+    # through run_suite and through the CLI, they load neither
+    # constructions nor symmetric, and neither does check_almost_morphism
+    # on a pair list; finite-index and rectangles then load them when they
+    # are called
+    script = """
+import contextlib, io, sys
+from soficlab import verify
+from soficlab.groupoid import full_relation
+from soficlab.semigroup import PackedMonoid, semigroup_codes
+def loaded():
+    print(sorted(m for m in sys.modules if m.startswith("soficlab")))
+g = full_relation(2)
+kernel = ["inverse-monoid", "metric-prop", "trace-distance", "supports", "extension"]
+print([verify.run_suite(name, g=g).passed for name in kernel])
+pm = PackedMonoid(g)
+K = [pm.decode(x) for x in semigroup_codes(pm)]
+print(verify.check_almost_morphism({a: a for a in K}, K, 1).passed)
+loaded()
+from soficlab import cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    print([cli.main(["suite", "--name", name, "--n", "2"]) for name in kernel], file=sys.__stdout__)
+loaded()
+from soficlab.constructions import find_transversals, unit_subgroupoid
+system = find_transversals(g, unit_subgroupoid(g))
+print(verify.run_suite("finite-index", g=g, sub_arrows=system.sub_arrows, system=system).params["system"])
+print(verify.run_suite("rectangles", left=g, right=g).passed)
+"""
+    passed, identity, suite_modules, codes, cli_modules, system, rectangles = _fresh_python(script, tmp_path).splitlines()
+    # metric-prop's inverse-invariance is red by design
+    assert passed == "[True, False, True, True, True]" and codes == "[0, 1, 0, 0, 0]"
+    assert identity == "True"
+    kernel = {"soficlab", "soficlab.cayley", "soficlab.groupoid", "soficlab.semigroup", "soficlab.verify"}
+    assert set(eval(suite_modules)) == kernel
+    assert set(eval(cli_modules)) == kernel | {"soficlab.cli", "soficlab.rationals", "soficlab.serialize"}
+    assert (system, rectangles) == ("2 transversals", "True")
+
+
 def test_no_command_loads_inspect_or_generated_classes(files):
     # the records are NamedTuples and groupoid.Value subclasses: a process
     # that runs every command and imports every module adds neither

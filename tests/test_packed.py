@@ -2535,7 +2535,7 @@ def test_block_identity_builds_a_left_row_per_row_and_a_code_per_element(monkeyp
     # turned into its block code once
     g, sub, _ = FINITE_INDEX_CASES["finite-index-n3-units"]()
     rows, elements, kernels = Counter(), [], []
-    left_row, block_codes = PackedMonoid.left_row, verify.block_codes
+    left_row, block_codes = PackedMonoid.left_row, constructions.block_codes
 
     def counted_left_row(pm, a):
         rows[pm.groupoid] += 1
@@ -2547,7 +2547,7 @@ def test_block_identity_builds_a_left_row_per_row_and_a_code_per_element(monkeyp
         return kernel, lambda x: elements.append(x) or code(x)
 
     monkeypatch.setattr(PackedMonoid, "left_row", counted_left_row)
-    monkeypatch.setattr(verify, "block_codes", counted_block_codes)
+    monkeypatch.setattr(constructions, "block_codes", counted_block_codes)
     check = block_identity_check(g, sub, SuiteBudget())
     assert check.details == {"violations": 0, "tested": 34 * 34, "exhaustive": True}
     (kernel,) = kernels
@@ -2561,7 +2561,7 @@ def test_block_asserts_invert_each_element_once_and_each_code_twice(monkeypatch)
     # block; block-identity and diagonal-trace invert nothing
     g, sub, _ = FINITE_INDEX_CASES["finite-index-n3-units"]()
     kernels, calls = [], Counter()
-    inv, block_codes = PackedMonoid.inv, verify.block_codes
+    inv, block_codes = PackedMonoid.inv, constructions.block_codes
 
     def counted_inv(pm, a):
         calls[id(pm)] += 1
@@ -2573,7 +2573,7 @@ def test_block_asserts_invert_each_element_once_and_each_code_twice(monkeypatch)
         return kernel, code
 
     monkeypatch.setattr(PackedMonoid, "inv", counted_inv)
-    monkeypatch.setattr(verify, "block_codes", recorded_block_codes)
+    monkeypatch.setattr(constructions, "block_codes", recorded_block_codes)
     checks = {c.name: c.details for c in run_suite("finite-index", g=g, sub_arrows=sub).checks}
     assert checks["block-asserts"] == {"tested": 34, "exhaustive": True}
     pm, kernel = kernels
@@ -2638,7 +2638,7 @@ def test_block_checks_match_the_references_on_generated_systems(data):
         return decided[x]
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(verify, "checked_block_code", recorded)
+        patch.setattr(constructions, "checked_block_code", recorded)
         checks = {c.name: c for c in run_suite("finite-index", g=g, sub_arrows=sub, system=system).checks}
     assert sorted(decided) == sorted(semigroup_codes(pm))
     kernel, n = kernels[0], system.index

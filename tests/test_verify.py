@@ -210,6 +210,27 @@ class TestSuites:
         assert by_name["block-identity"].details["tested"] == done * done * 4
         assert '"system": "2 transversals"' in dumps(suite_result_to_json(result))
 
+    @pytest.mark.parametrize("case", ["n3-units-and-one-arrow", "z4-labels-0-1"])
+    def test_finite_index_reports_a_system_over_a_non_subgroupoid(self, case):
+        # the lift of such a system is not defined: the suite reports it as
+        # a failed check with the error instead of raising
+        if case == "n3-units-and-one-arrow":
+            g, sub = G3, unit_subgroupoid(G3) | {Arrow(0, 0, 1, 0)}
+            transversals = (unit_bisection(G3),)
+        else:
+            g = group_groupoid(cayley.cyclic(4))
+            sub = group_subgroupoid(g, [0, 1])
+            transversals = (bisection(g, [Arrow(0, 0, 0, 0)]), bisection(g, [Arrow(0, 2, 0, 0)]))
+        system = TransversalSystem(g, sub, transversals)
+        by_name = {c.name: c for c in run_suite("finite-index", g=g, sub_arrows=sub, system=system).checks}
+        assert not by_name["transversal-partition"].passed
+        lift = by_name["lift-exact-embedding"]
+        assert not lift.passed
+        assert lift.details == {
+            "label": f"index[{len(transversals)}].identity",
+            "error": f"lift not well-defined: not a subgroupoid: {by_name['transversal-partition'].details['problems'][0]}",
+        }
+
     def test_rectangles_passes(self):
         assert run_suite("rectangles", BIG, left=G2, right=G2).passed
 
